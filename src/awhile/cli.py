@@ -12,6 +12,7 @@ exploration bounds when the corresponding flags are not given.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -129,14 +130,23 @@ def _env_default(name: str, fallback: int) -> int:
         raise CliError(f"{name} must be an integer, got {raw!r}")
 
 
+def _bound(value: Optional[int], flag: str, env: str, fallback: int) -> int:
+    """A flag's value, else the environment's, else the default; a
+    negative bound is a usage error, not an empty exploration."""
+    if value is None:
+        value, source = _env_default(env, fallback), env
+    else:
+        source = flag
+    if value < 0:
+        raise CliError(f"{source} must not be negative, got {value}")
+    return value
+
+
 def _bounds(args) -> Bounds:
-    max_dirs = args.max_dirs
-    if max_dirs is None:
-        max_dirs = _env_default("SLH_MAX_DIRS", seccheck.DEFAULT_MAX_DIRS)
-    fuel = args.fuel
-    if fuel is None:
-        fuel = _env_default("SLH_FUEL", seccheck.DEFAULT_FUEL)
-    return Bounds(max_dirs, fuel)
+    return Bounds(
+        _bound(args.max_dirs, "--max-dirs", "SLH_MAX_DIRS", seccheck.DEFAULT_MAX_DIRS),
+        _bound(args.fuel, "--fuel", "SLH_FUEL", seccheck.DEFAULT_FUEL),
+    )
 
 
 def _emit(args, payload: dict, text_lines: List[str]):
@@ -322,9 +332,7 @@ def cmd_run(args) -> int:
     )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    fuel = args.fuel if args.fuel is not None else _env_default(
-        "SLH_FUEL", seccheck.DEFAULT_FUEL
-    )
+    fuel = _bound(args.fuel, "--fuel", "SLH_FUEL", seccheck.DEFAULT_FUEL)
     dirs = parse_dirs(args.dirs) if args.dirs else []
     labels = _load_labels(args.labels)
 
@@ -509,17 +517,27 @@ def _check_ni_cli(args, com, labels, space, bounds) -> int:
 
 
 def _check_unwind_cli(args, com, labels, space, bounds) -> int:
+    """Unwinding over every pair of states; pairs failing a precondition of
+    the lemma are skipped and left out of the printed pair count."""
     _require_variant(args)
-    states = list(enum_states(space))
-    for i, s1 in enumerate(states):
-        for s2 in states[i + 1:]:
-            v = check_unwinding(args.variant, com, labels, labels, s1, s2, bounds)
-            if v.status is VerdictStatus.VIOLATED:
-                _emit(args, _verdict_payload(v), _verdict_lines(v))
-                return 1
+    pairs = 0
     v = Verdict(VerdictStatus.HOLDS, bounds=bounds)
-    _emit(args, _verdict_payload(v), _verdict_lines(v))
-    return 0
+    for s1, s2 in itertools.combinations(enum_states(space), 2):
+        w = check_unwinding(args.variant, com, labels, labels, s1, s2, bounds)
+        if w.status is VerdictStatus.PRECONDITION_FAILED:
+            continue
+        pairs += 1
+        if w.status is VerdictStatus.VIOLATED:
+            v = w
+            break
+    payload = {"pairs": pairs, **_verdict_payload(v)}
+    lines = [f"pairs: {pairs}"]
+    if pairs == 0:
+        note = "vacuous: no pair of states met the lemma's preconditions"
+        payload["message"] = note
+        lines.append(note)
+    _emit(args, payload, lines + _verdict_lines(v))
+    return _verdict_exit(v)
 
 
 def _check_wl_cli(args, com, labels, space, bounds) -> int:

@@ -16,6 +16,18 @@ The fuel-bounded premise check of relative security under-approximates the
 set of state pairs the unbounded definition quantifies over (a pair whose
 sequential runs diverge only beyond the fuel bound is treated as satisfying
 the premise); this is a documented soundness caveat of the bounded checker.
+
+Cost model of the SCT and relative-security checks: the space is enumerated
+once and its states grouped by their public projection, which yields the
+public-equivalent pairs in nested-scan order.  Each state gets one
+sequential run (the relative-security premise) and one directive tree,
+expanded lazily and shared by every pair walk the state takes part in; a
+pair walk only merges two trees, stepping each (node, directive) at most
+once.  The work is one tree per state plus the pair walks, not pairs times
+trees.  A state's tree is kept while the state has a later pair and dropped
+after its last one, and a tree that is not kept frees each subtree once the
+walk has left it.  A check that walks no pair holds vacuously and says so
+in its message.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ from .ideal_sem import (
     IdealFiSLH,
     IdealFvSLH,
     IdealVariant,
+    ideal_candidate_dirs,
     ideal_feasible_dirs,
     ideal_final,
     ideal_run,
@@ -82,7 +95,7 @@ from .lang import (
     vars_of_expr,
 )
 from .seq_sem import RunKind, seq_run
-from .spec_sem import StepTag, feasible_dirs, step_ex
+from .spec_sem import StepTag, candidate_dirs, feasible_dirs, step_ex
 from .state import (
     ArrayState,
     Dir,
@@ -90,7 +103,6 @@ from .state import (
     ScalarState,
     SpecConfig,
     dir_sort_key,
-    pub_equiv,
     pub_equiv_arrays,
     pub_equiv_scalars,
 )
@@ -261,6 +273,9 @@ class SpecSemantics:
     def step_ex(self, cfg, d):
         return step_ex(cfg, d)
 
+    def candidates(self, cfg):
+        return candidate_dirs(cfg)
+
     def feasible(self, cfg):
         return feasible_dirs(cfg)
 
@@ -274,6 +289,9 @@ class IdealSemantics:
 
     def step_ex(self, cfg, d):
         return ideal_step_ex(self.variant, cfg, d)
+
+    def candidates(self, cfg):
+        return ideal_candidate_dirs(self.variant, cfg)
 
     def feasible(self, cfg):
         return ideal_feasible_dirs(self.variant, cfg)
@@ -342,38 +360,122 @@ def enum_spec_runs(
     return out
 
 
-def _joint_divergence(sem1, cfg1, sem2, cfg2, max_dirs: int, fuel: int):
+class _Node:
+    """A configuration advanced to its next observing redex.  ``kids`` holds
+    the feasible children stepped so far, as (sort key, directive,
+    observation, child node), in dir_sort_key order; ``cands`` are the
+    candidate directives and ``pos`` the first one not yet stepped.  Once
+    every candidate is stepped, the configuration is dropped."""
+
+    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids")
+
+    def __init__(self, cfg, fuel: int, depth: int):
+        self.cfg, self.fuel, self.depth = cfg, fuel, depth
+        self.cands, self.pos, self.kids = None, 0, []
+
+
+# every node the walk does not descend from: terminated, stuck, out of fuel,
+# or at the directive bound
+_LEAF = _Node(None, 0, 0)
+
+
+class _Tree:
+    """The directive tree of one configuration, expanded on demand: a node's
+    children are stepped one directive at a time, in dir_sort_key order
+    (the order the semantics list their candidates in), each at most once.
+    A kept tree stores what it expands for the next pair walk; a tree that
+    is not kept frees each subtree once the walk has left it."""
+
+    __slots__ = ("sem", "max_dirs", "keep", "root")
+
+    def __init__(self, sem, cfg, fuel: int, max_dirs: int):
+        self.sem, self.max_dirs, self.keep = sem, max_dirs, False
+        self.root = self._node(cfg, fuel, 0)
+
+    def _node(self, cfg, fuel: int, depth: int) -> _Node:
+        if depth >= self.max_dirs:
+            return _LEAF
+        cfg, used, status = _advance(self.sem, cfg, fuel)
+        if status != "need-dir":
+            return _LEAF
+        return _Node(cfg, fuel - used, depth)
+
+    def kid(self, n: _Node, k: int):
+        """The k-th feasible child of n, or None past the last one."""
+        kids = n.kids
+        while k >= len(kids):
+            cfg = n.cfg
+            if cfg is None:
+                return None
+            if n.cands is None:
+                n.cands = self.sem.candidates(cfg)
+            if n.pos == len(n.cands):
+                n.cfg = n.cands = None
+                continue
+            d = n.cands[n.pos]
+            n.pos += 1
+            r = self.sem.step_ex(cfg, d)
+            if r.tag is StepTag.STEPPED:
+                child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
+                kids.append((dir_sort_key(d), d, r.obs, child))
+        return kids[k]
+
+
+def _joint_divergence(t1: _Tree, t2: _Tree):
     """Search for a directive sequence both runs can consume whose traces
     differ.  Returns (dirs, trace1, trace2, index) for the first divergence
     in canonical order, or None.  Directive sequences only one run can
-    consume are vacuous for observational equivalence and are pruned."""
+    consume are vacuous for observational equivalence and are pruned: the
+    walk follows the directives feasible on both sides, merging the two
+    nodes' ordered children."""
+    return _walk(t1, t2, t1.root, t2.root, [], [], [])
 
-    def rec(c1, c2, dirs, t1, t2, f1, f2):
-        c1, u1, s1 = _advance(sem1, c1, f1)
-        f1 -= u1
-        c2, u2, s2 = _advance(sem2, c2, f2)
-        f2 -= u2
-        if s1 != "need-dir" or s2 != "need-dir":
-            return None
-        if len(dirs) >= max_dirs:
-            return None
-        feas = sorted(
-            set(sem1.feasible(c1)) | set(sem2.feasible(c2)), key=dir_sort_key
-        )
-        for d in feas:
-            r1 = sem1.step_ex(c1, d)
-            r2 = sem2.step_ex(c2, d)
-            if r1.tag is not StepTag.STEPPED or r2.tag is not StepTag.STEPPED:
-                continue
-            nd, nt1, nt2 = dirs + (d,), t1 + (r1.obs,), t2 + (r2.obs,)
-            if r1.obs != r2.obs:
-                return nd, nt1, nt2, len(t1)
-            res = rec(r1.cfg, r2.cfg, nd, nt1, nt2, f1 - 1, f2 - 1)
+
+def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2):
+    # a module-level function rather than a closure: a self-referencing
+    # closure would keep both trees alive until the cyclic collector runs
+    if n1 is _LEAF or n2 is _LEAF:
+        return None
+    k1 = k2 = 0
+    e1, e2 = t1.kid(n1, 0), t2.kid(n2, 0)
+    while e1 is not None and e2 is not None:
+        key1, key2 = e1[0], e2[0]
+        if key1 == key2:
+            d, o1, o2 = e1[1], e1[2], e2[2]
+            if o1 != o2:
+                return (
+                    tuple(dirs) + (d,), tuple(obs1) + (o1,), tuple(obs2) + (o2,),
+                    len(obs1),
+                )
+            dirs.append(d)
+            obs1.append(o1)
+            obs2.append(o2)
+            res = _walk(t1, t2, e1[3], e2[3], dirs, obs1, obs2)
             if res is not None:
                 return res
-        return None
-
-    return rec(cfg1, cfg2, (), (), (), fuel, fuel)
+            dirs.pop()
+            obs1.pop()
+            obs2.pop()
+        # advance the side with the smaller directive, or both on a match;
+        # a tree that is not kept drops each child the walk has passed
+        if key1 <= key2:
+            if not t1.keep:
+                n1.kids[k1] = None
+            k1 += 1
+            e1 = t1.kid(n1, k1)
+        if key2 <= key1:
+            if not t2.keep:
+                n2.kids[k2] = None
+            k2 += 1
+            e2 = t2.kid(n2, k2)
+    # no later walk reaches these nodes of a tree that is not kept
+    if not t1.keep:
+        n1.cfg = n1.cands = None
+        n1.kids = []
+    if not t2.keep:
+        n2.cfg = n2.cands = None
+        n2.kids = []
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +518,10 @@ def check_spec_obs_equiv(
     """Bounded speculative observational equivalence: every directive
     sequence (up to the bound) both configurations can consume must produce
     equal traces on the consumed prefix."""
-    cfg1 = SpecConfig(c1, s1[0], s1[1], flag)
-    cfg2 = SpecConfig(c2, s2[0], s2[1], flag)
-    res = _joint_divergence(_SPEC, cfg1, _SPEC, cfg2, max_dirs, fuel)
+    res = _joint_divergence(
+        _Tree(_SPEC, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
+        _Tree(_SPEC, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
+    )
     bounds = Bounds(max_dirs, fuel)
     if res is None:
         return Verdict(VerdictStatus.HOLDS, bounds=bounds)
@@ -426,12 +529,51 @@ def check_spec_obs_equiv(
     return Verdict(VerdictStatus.VIOLATED, Witness(s1, s2, dirs, t1, t2, idx), bounds)
 
 
-def _pub_equiv_pairs(space: StateSpace, P: LabelMap, PA: LabelMap):
-    states = list(enum_states(space))
-    for i, s1 in enumerate(states):
-        for s2 in states[i + 1:]:
-            if pub_equiv(P, PA, s1, s2):
-                yield s1, s2
+def _equivalent_pairs(
+    states: Sequence[Tuple[ScalarState, ArrayState]], P: LabelMap, PA: LabelMap
+) -> List[Tuple[int, int]]:
+    """Index pairs i < j of public-equivalent states, in the order of a
+    nested scan.  States are grouped by their public projection, so only
+    pairs within a group are formed."""
+    scalars, arrays = sorted(P.public_names()), sorted(PA.public_names())
+    groups = {}
+    group_of = []
+    for i, (rho, mu) in enumerate(states):
+        key = (tuple([rho.get(n) for n in scalars]), tuple([mu.vector(n) for n in arrays]))
+        group = groups.setdefault(key, [])
+        group.append(i)
+        group_of.append(group)
+    return [(i, j) for i, group in enumerate(group_of) for j in group if j > i]
+
+
+def _first_divergent_pair(
+    c: Com,
+    states: Sequence[Tuple[ScalarState, ArrayState]],
+    pairs: Sequence[Tuple[int, int]],
+    bounds: Bounds,
+) -> Optional[Witness]:
+    """Walk the pairs in order, each over the two states' shared directive
+    trees; a state's tree is built on its first pair, kept while the state
+    has a later pair, and dropped after its last."""
+    last = {}
+    for k, (i, j) in enumerate(pairs):
+        last[i] = last[j] = k
+    trees = {}
+    for k, (i, j) in enumerate(pairs):
+        for s in (i, j):
+            if s not in trees:
+                rho, mu = states[s]
+                trees[s] = _Tree(
+                    _SPEC, SpecConfig(c, rho, mu, False), bounds.fuel, bounds.max_dirs
+                )
+            trees[s].keep = last[s] > k
+        res = _joint_divergence(trees[i], trees[j])
+        if res is not None:
+            return Witness(states[i], states[j], *res)
+        for s in (i, j):
+            if last[s] == k:
+                del trees[s]
+    return None
 
 
 def check_sct(
@@ -443,14 +585,20 @@ def check_sct(
 ) -> Verdict:
     """Speculative constant-time, bounded: every public-equivalent pair of
     initial states from the space, starting non-misspeculating, must be
-    speculatively observationally equivalent."""
+    speculatively observationally equivalent.  A space without such a pair
+    holds vacuously, and the verdict says so."""
     bounds = bounds.over(space)
-    for s1, s2 in _pub_equiv_pairs(space, P, PA):
-        v = check_spec_obs_equiv(
-            c, s1, c, s2, False, bounds.max_dirs, bounds.fuel
+    states = list(enum_states(space))
+    pairs = _equivalent_pairs(states, P, PA)
+    if not pairs:
+        return Verdict(
+            VerdictStatus.HOLDS,
+            bounds=bounds,
+            message=f"vacuous: 0 public-equivalent pairs among {len(states)} states",
         )
-        if not v.holds:
-            return Verdict(v.status, v.witness, bounds)
+    w = _first_divergent_pair(c, states, pairs, bounds)
+    if w is not None:
+        return Verdict(VerdictStatus.VIOLATED, w, bounds)
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
@@ -532,15 +680,23 @@ def check_relative_security(
     hardened = transform(variant_kind, c, P, PA, flag_var)
     bounds = bounds.over(space)
     pair_P, pair_PA = (all_secret(), all_secret()) if variant_kind == "uslh" else (P, PA)
-    for s1, s2 in _pub_equiv_pairs(space, pair_P, pair_PA):
-        premise = check_seq_obs_equiv(c, s1, s2, bounds.fuel)
-        if not premise.holds:
-            continue
-        v = check_spec_obs_equiv(
-            hardened, s1, hardened, s2, False, bounds.max_dirs, bounds.fuel
+    states = list(enum_states(space))
+    pairs = _equivalent_pairs(states, pair_P, pair_PA)
+    traces = {
+        s: seq_run(c, states[s][0], states[s][1], bounds.fuel).trace
+        for s in {s for pair in pairs for s in pair}
+    }
+    premised = [(i, j) for i, j in pairs if prefix_of(traces[i], traces[j])]
+    if not premised:
+        return Verdict(
+            VerdictStatus.HOLDS,
+            bounds=bounds,
+            message=f"vacuous: 0 of {len(pairs)} public-equivalent pairs "
+            "passed the sequential premise",
         )
-        if not v.holds:
-            return Verdict(v.status, v.witness, bounds)
+    w = _first_divergent_pair(hardened, states, premised, bounds)
+    if w is not None:
+        return Verdict(VerdictStatus.VIOLATED, w, bounds)
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
@@ -754,7 +910,10 @@ def check_unwinding(
     sem = IdealSemantics(ivariant)
     cfg1 = _source_config(variant_kind, c, P, PA, s1[0], s1[1], True)
     cfg2 = _source_config(variant_kind, c, P, PA, s2[0], s2[1], True)
-    res = _joint_divergence(sem, cfg1, sem, cfg2, bounds.max_dirs, bounds.fuel)
+    res = _joint_divergence(
+        _Tree(sem, cfg1, bounds.fuel, bounds.max_dirs),
+        _Tree(sem, cfg2, bounds.fuel, bounds.max_dirs),
+    )
     if res is None:
         return Verdict(VerdictStatus.HOLDS, bounds=bounds)
     dirs, t1, t2, idx = res

@@ -1,7 +1,8 @@
 """Machine states, observations, attacker directives, and their text formats.
 
 All values here are immutable; updates return fresh states, so states can be
-shared freely between the checker's parallel explorations.
+shared freely, as the checker shares them between the pair walks over one
+state's directive tree.
 """
 
 from __future__ import annotations

@@ -183,3 +183,74 @@ def test_gen_subcommand(capsys):
     first = capsys.readouterr().out
     assert main(["gen", "--seed", "5", "--size", "8"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_check_vacuous_holds_are_flagged(files, capsys):
+    # the repro of a premise no pair passes, and a space without a pair
+    p = files("p.aw", "if s = 0 then x := 1 end")
+    labels = files("labels", "x: public")
+    space = files("space", "s in {0,1}")
+    relsec = ["check", "--property", "relsec", "--variant", "none",
+              "--labels", labels, "--space", space, p]
+    assert main(relsec) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "holds",
+        "vacuous: 0 of 1 public-equivalent pairs passed the sequential premise",
+    ]
+    assert main(relsec + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "holds"
+    assert data["message"].startswith("vacuous: 0 of 1 ")
+    public_s = files("public", "s: public\nx: public")
+    sct = ["check", "--property", "sct", "--labels", public_s, "--space", space, p]
+    assert main(sct) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "holds", "vacuous: 0 public-equivalent pairs among 2 states"
+    ]
+    assert main(sct + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["message"] == (
+        "vacuous: 0 public-equivalent pairs among 2 states"
+    )
+
+
+def test_check_unwind_reports_pairs(files, capsys):
+    p = files("p.aw", "if s = 0 then x := 1 end")
+    space = files("space", "s in {0,1}")
+    args = ["check", "--property", "unwind", "--variant", "fislh",
+            "--space", space, "--max-dirs", "4", p]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ["pairs: 1", "holds"]
+    # ill-typed under the labeling: every pair fails the precondition
+    labels = files("labels", "x: public")
+    assert main(args[:-1] + ["--labels", labels, p]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pairs: 0"
+    assert lines[1].startswith("vacuous: ")
+    assert lines[-1] == "holds"
+    assert main(args[:-1] + ["--labels", labels, "--format", "json", p]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["pairs"]) == ("holds", 0)
+    assert data["message"].startswith("vacuous: ")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--max-dirs", "-3"], {}),
+    (["--fuel", "-1"], {}),
+    (["--max-dirs", "-3", "--fuel", "-1"], {}),
+    ([], {"SLH_MAX_DIRS": "-1"}),
+    ([], {"SLH_FUEL": "-5"}),
+])
+def test_negative_bounds_are_usage_errors(argv, env, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["repro", "--listing", "1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "must not be negative" in err[0]
+    assert "Traceback" not in captured.err
+
+
+def test_run_rejects_negative_fuel(files, capsys):
+    assert main(["run", "--fuel", "-1", files("p.aw", "skip")]) == 2
+    assert "--fuel must not be negative" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from awhile.spec_sem import StepTag, spec_run
 from awhile.state import (
     ArrayState,
     DLoad,
+    dir_sort_key,
     FORCE,
     OBranch,
     ORead,
@@ -41,6 +42,7 @@ from awhile.state import (
     STEP,
     parse_dirs,
     parse_state,
+    pub_equiv,
 )
 from awhile.fixtures import FIXTURES, LISTING1
 
@@ -265,6 +267,123 @@ def test_uslh_relative_security_ignores_labeling_for_pairing():
     space = parse_space("s in {0,1}\nx in {0}")
     v = check_relative_security("uslh", com, lab, lab, space, Bounds(5, 100))
     assert v.holds
+
+
+def test_vacuous_holds_say_so():
+    # every public-equivalent pair fails the sequential premise
+    com = parse_com("if s = 0 then x := 1 end")
+    lab = parse_labeling("x: public")
+    space = parse_space("s in {0,1}")
+    v = check_relative_security("none", com, lab, lab, space, Bounds(4, 100))
+    assert v.holds
+    assert v.message == (
+        "vacuous: 0 of 1 public-equivalent pairs passed the sequential premise"
+    )
+    # s public: no two states are public-equivalent
+    public_s = parse_labeling("s: public\nx: public")
+    v = check_sct(com, public_s, public_s, space, Bounds(4, 100))
+    assert v.holds
+    assert v.message == "vacuous: 0 public-equivalent pairs among 2 states"
+    # a walked pair leaves the message empty
+    assert check_sct(com, lab, lab, space, Bounds(4, 100)).message == ""
+
+
+# --- per-state sharing against per-pair brute force -----------------------------
+
+# 24 states in two public classes (by i) of 12; x, a and c are secret
+_SHARING_SPACE = parse_space(
+    "i in {0,2}\nx in {0,3}\na : size 2 in {0,1}\nc : size 1 in {0,5}"
+)
+_SHARING_LABELS = parse_labeling("i: public\ny: public\nk: public")
+_SHARING_BOUNDS = Bounds(4, 150)
+
+
+def _brute_force(c, P, PA, space, bounds, premise_source=None):
+    """Per pair, in nested-scan order: the sequential premise (when a source
+    is given) and the speculative check, each run afresh."""
+    states = list(enum_states(space))
+    for i, s1 in enumerate(states):
+        for s2 in states[i + 1:]:
+            if not pub_equiv(P, PA, s1, s2):
+                continue
+            if premise_source is not None and not check_seq_obs_equiv(
+                premise_source, s1, s2, bounds.fuel
+            ).holds:
+                continue
+            v = check_spec_obs_equiv(c, s1, c, s2, False, bounds.max_dirs, bounds.fuel)
+            if not v.holds:
+                return v.status, v.witness
+    return VerdictStatus.HOLDS, None
+
+
+def test_shared_trees_match_brute_force():
+    P = PA = _SHARING_LABELS
+    bounds = _SHARING_BOUNDS
+    space = _SHARING_SPACE
+    seen = set()
+    for seed in range(8):
+        com = gen_program(1000 + seed, 12)
+        v = check_sct(com, P, PA, space, bounds)
+        assert (v.status, v.witness) == _brute_force(com, P, PA, space, bounds), seed
+        assert v.bounds == bounds.over(space)
+        seen.add(v.status)
+        for variant in ("none", "islh", "uslh", "svslh"):
+            v = check_relative_security(variant, com, P, PA, space, bounds)
+            pair_P = all_secret() if variant == "uslh" else P
+            want = _brute_force(
+                transform(variant, com, P, PA), pair_P, pair_P, space, bounds, com
+            )
+            assert (v.status, v.witness) == want, (seed, variant)
+            assert v.bounds == bounds.over(space)
+            seen.add(v.status)
+    # both outcomes occur, so the comparison covers witnesses
+    assert seen == {VerdictStatus.HOLDS, VerdictStatus.VIOLATED}
+
+
+def _leaf_reference(c1, s1, c2, s2, flag, max_dirs, fuel):
+    """Divergent directive sequences read off the two sides' leaves alone:
+    within the common directive prefix of two leaves, the first position
+    where their traces differ.  Returns the canonically first one, or None."""
+    runs1 = enum_spec_runs(SpecConfig(c1, s1[0], s1[1], flag), max_dirs=max_dirs, fuel=fuel)
+    runs2 = enum_spec_runs(SpecConfig(c2, s2[0], s2[1], flag), max_dirs=max_dirs, fuel=fuel)
+    best = None
+    for d1, t1, _ in runs1:
+        for d2, t2, _ in runs2:
+            p = 0
+            while p < min(len(d1), len(d2)) and d1[p] == d2[p]:
+                p += 1
+            m = next((m for m in range(p) if t1[m] != t2[m]), None)
+            if m is None:
+                continue
+            key = [dir_sort_key(d) for d in d1[: m + 1]]
+            if best is None or key < best[0]:
+                best = (key, d1[: m + 1])
+    return None if best is None else best[1]
+
+
+def test_spec_equiv_agrees_with_leaf_reference():
+    rng = random.Random(73)
+    violated = 0
+    for _ in range(80):
+        com = gen_program(rng.randrange(10**9), 20, pools)
+        s1 = random_state(rng, pools, max_array_size=2)
+        s2 = random_state(rng, pools, max_array_size=2)
+        flag = rng.random() < 0.5
+        v = check_spec_obs_equiv(com, s1, com, s2, flag, 5, 150)
+        first = _leaf_reference(com, s1, com, s2, flag, 5, 150)
+        assert v.holds == (first is None)
+        if v.holds:
+            continue
+        violated += 1
+        w = v.witness
+        assert w.dirs == first
+        assert w.divergence_index == len(w.dirs) - 1
+        r1 = spec_run(SpecConfig(com, s1[0], s1[1], flag), list(w.dirs), 150)
+        r2 = spec_run(SpecConfig(com, s2[0], s2[1], flag), list(w.dirs), 150)
+        assert (r1.trace, r2.trace) == (w.trace1, w.trace2)
+        i = w.divergence_index
+        assert w.trace1[:i] == w.trace2[:i] and w.trace1[i] != w.trace2[i]
+    assert violated > 0
 
 
 # --- noninterference, unwinding, preservation ----------------------------------
