@@ -12,7 +12,6 @@ exploration bounds when the corresponding flags are not given.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -34,15 +33,7 @@ from .harden import (
     harden,
     harden_fs,
 )
-from .ideal_sem import (
-    FsIdealConfig,
-    IdealFS,
-    IdealFiSLH,
-    IdealFvSLH,
-    ideal_feasible_dirs,
-    ideal_run,
-    ideal_step_ex,
-)
+from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
     LabelMap,
     LabelingError,
@@ -52,18 +43,17 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import ParseError, Skip, arrays_of, parse_com, pretty_com, used_vars
+from .lang import ParseError, arrays_of, parse_com, pretty_com, used_vars
 from .seccheck import (
     Bounds,
-    NamePools,
     PreconditionError,
     Verdict,
     VerdictStatus,
     check_bcc,
+    check_ni,
     check_relative_security,
     check_sct,
-    check_step_ni,
-    check_unwinding,
+    check_unwinding_space,
     check_wl_preservation,
     enum_states,
     gen_program,
@@ -71,7 +61,7 @@ from .seccheck import (
     random_spec_walk,
     transform,
 )
-from .spec_sem import StepTag, feasible_dirs, spec_run, step_ex
+from .spec_sem import SPEC, StepTag, feasible, run
 from .seq_sem import seq_run
 from .state import (
     SpecConfig,
@@ -270,12 +260,12 @@ def cmd_harden(args) -> int:
 
 def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
     """Prompt for a directive at every observing redex; reuses the batch
-    stepper, so interactive runs cannot diverge from spec_run."""
+    stepper, so interactive runs cannot diverge from spec_sem.run."""
     trace = []
     while fuel > 0:
-        if isinstance(cfg.com, Skip):
+        if SPEC.is_final(cfg):
             break
-        r = step_ex(cfg, None)
+        r = SPEC.step(cfg, None)
         if r.tag is StepTag.STEPPED:
             cfg = r.cfg
             fuel -= 1
@@ -283,7 +273,7 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
         if r.tag is StepTag.STUCK:
             print("stuck")
             break
-        feas = feasible_dirs(cfg)
+        feas = feasible(SPEC, cfg)
         if not feas:
             print("stuck: no feasible directive")
             break
@@ -309,7 +299,7 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
         if len(chosen) != 1:
             print("error: one directive at a time")
             continue
-        r = step_ex(cfg, chosen[0])
+        r = SPEC.step(cfg, chosen[0])
         if r.tag is not StepTag.STEPPED:
             print("directive does not apply here")
             continue
@@ -345,26 +335,21 @@ def cmd_run(args) -> int:
         out = seq_run(com, rho, mu, fuel)
         final_state = format_state(out.rho, out.mu)
         consumed = None
-    elif args.sem == "spec":
-        res = spec_run(SpecConfig(com, rho, mu, False), dirs, fuel)
-        out = res
-        final_state = format_state(res.final.rho, res.final.mu)
-        consumed = res.consumed
     else:
-        if args.sem == "ideal-fislh":
-            variant = IdealFiSLH(labels, labels)
-            cfg = SpecConfig(com, rho, mu, False)
+        cfg = SpecConfig(com, rho, mu, False)
+        if args.sem == "spec":
+            sem = SPEC
+        elif args.sem == "ideal-fislh":
+            sem = IdealFiSLH(labels, labels)
         elif args.sem == "ideal-fvslh":
-            variant = IdealFvSLH(labels, labels)
-            cfg = SpecConfig(com, rho, mu, False)
+            sem = IdealFvSLH(labels, labels)
         else:  # ideal-fs
-            variant = IdealFS()
+            sem = IdealFS()
             acom, _ = flow_track(com, labels, labels, PUBLIC)
             cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, labels, labels)
-        res = ideal_run(variant, cfg, dirs, fuel)
-        out = res
-        final_state = format_state(res.final.rho, res.final.mu)
-        consumed = res.consumed
+        out = run(sem, cfg, dirs, fuel)
+        final_state = format_state(out.final.rho, out.final.mu)
+        consumed = out.consumed
     payload = {
         "outcome": str(out.kind),
         "trace": [str(o) for o in out.trace],
@@ -447,6 +432,8 @@ def _require_variant(args):
 
 def _check_bcc_cli(args, com, labels, space, bounds) -> int:
     _require_variant(args)
+    if args.trials < 0:
+        raise CliError(f"--trials must not be negative, got {args.trials}")
     failures = []
     runs = 0
     if args.dirs:
@@ -477,59 +464,36 @@ def _check_bcc_cli(args, com, labels, space, bounds) -> int:
             if not ok:
                 failures.append(why)
                 break
+    return _emit_count(args, "runs", runs, failures, "vacuous: no run was checked")
+
+
+def _emit_count(args, name: str, count: int, failures: List[str], vacuous: str) -> int:
+    """Report a check that counts what it covered; a holds that covered
+    nothing says so."""
     ok = not failures
-    _emit(
-        args,
-        {"status": "holds" if ok else "violated", "runs": runs, "failures": failures},
-        [f"runs: {runs}"] + failures + ["holds" if ok else "violated"],
-    )
+    payload = {"status": "holds" if ok else "violated", name: count, "failures": failures}
+    lines = [f"{name}: {count}"] + failures
+    if count == 0:
+        payload["message"] = vacuous
+        lines.append(vacuous)
+    _emit(args, payload, lines + ["holds" if ok else "violated"])
     return 0 if ok else 1
 
 
 def _check_ni_cli(args, com, labels, space, bounds) -> int:
     _require_variant(args)
-    from .state import FORCE, STEP
-
-    states = list(enum_states(space))
-    failures = []
-    checked = 0
-    for i, s1 in enumerate(states):
-        for s2 in states[i:]:
-            for flag in (False, True):
-                for d in (None, STEP, FORCE):
-                    try:
-                        ok, why = check_step_ni(
-                            args.variant, com, labels, labels, s1, s2, flag, d
-                        )
-                    except PreconditionError:
-                        continue
-                    checked += 1
-                    if not ok:
-                        failures.append(why)
-    ok = not failures
-    _emit(
-        args,
-        {"status": "holds" if ok else "violated", "checked": checked,
-         "failures": failures[:5]},
-        [f"checked: {checked}"] + failures[:5] + ["holds" if ok else "violated"],
+    checked, failures = check_ni(args.variant, com, labels, labels, space)
+    return _emit_count(
+        args, "checked", checked, failures[:5],
+        "vacuous: no pair of states met the lemma's preconditions",
     )
-    return 0 if ok else 1
 
 
 def _check_unwind_cli(args, com, labels, space, bounds) -> int:
-    """Unwinding over every pair of states; pairs failing a precondition of
-    the lemma are skipped and left out of the printed pair count."""
+    """Unwinding over the pairs of states that meet the lemma's
+    preconditions; the others are left out of the printed pair count."""
     _require_variant(args)
-    pairs = 0
-    v = Verdict(VerdictStatus.HOLDS, bounds=bounds)
-    for s1, s2 in itertools.combinations(enum_states(space), 2):
-        w = check_unwinding(args.variant, com, labels, labels, s1, s2, bounds)
-        if w.status is VerdictStatus.PRECONDITION_FAILED:
-            continue
-        pairs += 1
-        if w.status is VerdictStatus.VIOLATED:
-            v = w
-            break
+    pairs, v = check_unwinding_space(args.variant, com, labels, labels, space, bounds)
     payload = {"pairs": pairs, **_verdict_payload(v)}
     lines = [f"pairs: {pairs}"]
     if pairs == 0:
@@ -551,7 +515,7 @@ def _check_wl_cli(args, com, labels, space, bounds) -> int:
     for rho, mu in enum_states(space):
         cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, labels, labels)
         for _ in range(bounds.max_dirs * 4):
-            feas = ideal_feasible_dirs(fs, cfg)
+            feas = feasible(fs, cfg)
             d = rng.choice(feas) if feas else None
             ok, why = check_wl_preservation(
                 cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
@@ -561,7 +525,7 @@ def _check_wl_cli(args, com, labels, space, bounds) -> int:
             if not ok:
                 _emit(args, {"status": "violated", "why": why}, [why, "violated"])
                 return 1
-            r = ideal_step_ex(fs, cfg, d)
+            r = fs.step(cfg, d)
             if r.tag is not StepTag.STEPPED:
                 break
             cfg = r.cfg
@@ -588,7 +552,6 @@ def cmd_repro(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    pools = NamePools()
     com = gen_program(args.seed, args.size)
     _emit(args, {"program": pretty_com(com)}, [pretty_com(com)])
     return 0

@@ -164,10 +164,6 @@ def pc_of_acom(acom: ACom, pc: Label) -> Label:
 # ---------------------------------------------------------------------------
 
 
-def join_labelings(l1: Labeling, l2: Labeling) -> Labeling:
-    return l1.join(l2)
-
-
 def assigned_names(c: Com) -> Tuple[frozenset, frozenset]:
     """Scalars and arrays a command may assign; bounds the fixpoint."""
     if isinstance(c, Skip):

@@ -1,5 +1,5 @@
-"""Ideal semantics: restricted speculative semantics encoding the masking
-behavior of each hardening variant.
+"""Ideal semantics: the speculative stepper under the masking policy of
+each hardening variant.
 
 These serve as per-variant specifications of hardened programs: a hardened
 program under the plain speculative semantics moves in lockstep with the
@@ -7,20 +7,21 @@ source program under the matching ideal semantics (backwards compiler
 correctness), so security of the ideal semantics transfers to the hardened
 code.
 
-All variants share the silent rules and the branch rule shape
-``b' = (l or not flag) and [be]``: a secret condition reads as false while
-misspeculating.  They differ in when access indices and loaded values are
-masked to 0 and in which misspeculated accesses are allowed at all; the
-disallowed ones get stuck.  The two labeling-based variants read labels off
-a fixed labeling; the flow-sensitive one reads them off command annotations
-and additionally tracks a dynamic pc label and labelings, which never enter
-its masking decisions (they are carried for the well-labeledness argument).
+``IdealFiSLH`` and ``IdealFvSLH`` are ``spec_sem.step_ex`` under the
+variant's policy table and a fixed labeling.  All variants read a secret
+branch condition as false while misspeculating; the policies differ in when
+access indices and loaded values are masked to 0 and in which misspeculated
+accesses get stuck.  ``IdealFS``, the flow-sensitive variant, steps
+annotated commands with its own structural rules (branch wrappers, a
+dynamic pc label and labelings, carried for the well-labeledness argument)
+and takes every access decision from the fvslh policy, applied through the
+shared read and write rules to the labels in the annotations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional
 
 from .flow_ifc import (
     AARead,
@@ -37,60 +38,96 @@ from .flow_ifc import (
     terminal,
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
-from .lang import (
-    ARead,
-    Asgn,
-    AWrite,
-    If,
-    Seq,
-    Skip,
-    SKIP,
-    While,
-    eval_aexp,
-    eval_bexp,
+from .lang import Skip, eval_aexp, eval_bexp
+from .spec_sem import (
+    NEED_DIR,
+    STUCK,
+    StepResult,
+    StepTag,
+    candidate_dirs,
+    head_redex,
+    read_rule,
+    step_ex,
+    write_rule,
 )
-from .seq_sem import RunKind
-from .spec_sem import StepTag
-from .state import (
-    ArrayState,
-    Dir,
-    DForce,
-    DLoad,
-    DStep,
-    DStore,
-    FORCE,
-    OBranch,
-    ORead,
-    OWrite,
-    Obs,
-    ScalarState,
-    SpecConfig,
-    STEP,
-)
+from .state import ArrayState, Dir, DForce, DStep, OBranch, ORead, OWrite, ScalarState, SpecConfig
 
 # ---------------------------------------------------------------------------
-# Variants and configurations
+# Masking policies
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IdealFiSLH:
-    P: LabelMap
-    PA: LabelMap
+class _Policy:
+    """When a variant masks an access, from the labels of the index (li),
+    the read target (lx) and the written value (le)."""
+
+    read_mask_index: Callable[[bool, Label, Label], bool]
+    read_mask_value: Callable[[bool, Label, Label], bool]
+    read_force_ok: Callable[[Label, Label], bool]
+    read_force_mask_value: Callable[[Label], bool]
+    write_mask_index: Callable[[bool, Label, Label], bool]
+    write_force_ok: Callable[[Label, Label], bool]
+
+
+_FISLH_POLICY = _Policy(
+    read_mask_index=lambda flag, li, lx: flag and (not li.is_public or lx.is_public),
+    read_mask_value=lambda flag, li, lx: False,
+    read_force_ok=lambda li, lx: li.is_public and not lx.is_public,
+    read_force_mask_value=lambda lx: False,
+    write_mask_index=lambda flag, li, le: flag and (not li.is_public or not le.is_public),
+    write_force_ok=lambda li, le: li.is_public and le.is_public,
+)
+
+_FVSLH_POLICY = _Policy(
+    read_mask_index=lambda flag, li, lx: flag and not li.is_public,
+    read_mask_value=lambda flag, li, lx: flag and li.is_public and lx.is_public,
+    read_force_ok=lambda li, lx: li.is_public,
+    read_force_mask_value=lambda lx: lx.is_public,
+    write_mask_index=lambda flag, li, le: flag and not li.is_public,
+    write_force_ok=lambda li, le: li.is_public,
+)
+
+
+# ---------------------------------------------------------------------------
+# The labeling-based variants: the stepper under a policy and fixed P/PA
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IdealFvSLH:
+class _FixedLabeling:
+    """step_ex under the variant's policy and the fixed scalar labeling P."""
+
     P: LabelMap
     PA: LabelMap
 
+    policy = None  # set by each variant
+
+    def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
+        return step_ex(cfg, d, self.policy, self.P)
+
+    @staticmethod
+    def candidates(cfg: SpecConfig) -> List[Dir]:
+        return candidate_dirs(head_redex(cfg.com), cfg, True)
+
+    @staticmethod
+    def is_final(cfg: SpecConfig) -> bool:
+        return isinstance(cfg.com, Skip)
+
 
 @dataclass(frozen=True)
-class IdealFS:
-    pass
+class IdealFiSLH(_FixedLabeling):
+    policy = _FISLH_POLICY
 
 
-IdealVariant = Union[IdealFiSLH, IdealFvSLH, IdealFS]
+@dataclass(frozen=True)
+class IdealFvSLH(_FixedLabeling):
+    policy = _FVSLH_POLICY
+
+
+# ---------------------------------------------------------------------------
+# The flow-sensitive variant (annotated commands)
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -107,367 +144,74 @@ class FsIdealConfig:
     PA: LabelMap
 
 
-IdealConfig = Union[SpecConfig, FsIdealConfig]
-
-
-@dataclass(frozen=True)
-class IStepResult:
-    tag: StepTag
-    cfg: Optional[IdealConfig] = None
-    obs: Optional[Obs] = None
-    consumed: int = 0
-
-
-_STUCK = IStepResult(StepTag.STUCK)
-_NEED_DIR = IStepResult(StepTag.NEED_DIR)
-
-
-# ---------------------------------------------------------------------------
-# Masking policies for the labeling-based variants
-# ---------------------------------------------------------------------------
-
-
-def _fislh_read_mask_index(flag: bool, li: Label, lx: Label) -> bool:
-    return flag and (not li.is_public or lx.is_public)
-
-
-def _fislh_read_mask_value(flag: bool, li: Label, lx: Label) -> bool:
-    return False
-
-
-def _fislh_read_force_ok(li: Label, lx: Label) -> bool:
-    return li.is_public and not lx.is_public
-
-
-def _fislh_read_force_mask_value(lx: Label) -> bool:
-    return False
-
-
-def _fislh_write_mask_index(flag: bool, li: Label, le: Label) -> bool:
-    return flag and (not li.is_public or not le.is_public)
-
-
-def _fislh_write_force_ok(li: Label, le: Label) -> bool:
-    return li.is_public and le.is_public
-
-
-def _fvslh_read_mask_index(flag: bool, li: Label, lx: Label) -> bool:
-    return flag and not li.is_public
-
-
-def _fvslh_read_mask_value(flag: bool, li: Label, lx: Label) -> bool:
-    return flag and li.is_public and lx.is_public
-
-
-def _fvslh_read_force_ok(li: Label, lx: Label) -> bool:
-    return li.is_public
-
-
-def _fvslh_read_force_mask_value(lx: Label) -> bool:
-    return lx.is_public
-
-
-def _fvslh_write_mask_index(flag: bool, li: Label, le: Label) -> bool:
-    return flag and not li.is_public
-
-
-def _fvslh_write_force_ok(li: Label, le: Label) -> bool:
-    return li.is_public
-
-
-@dataclass(frozen=True)
-class _Policy:
-    read_mask_index: object
-    read_mask_value: object
-    read_force_ok: object
-    read_force_mask_value: object
-    write_mask_index: object
-    write_force_ok: object
-
-
-_FISLH_POLICY = _Policy(
-    _fislh_read_mask_index,
-    _fislh_read_mask_value,
-    _fislh_read_force_ok,
-    _fislh_read_force_mask_value,
-    _fislh_write_mask_index,
-    _fislh_write_force_ok,
-)
-
-_FVSLH_POLICY = _Policy(
-    _fvslh_read_mask_index,
-    _fvslh_read_mask_value,
-    _fvslh_read_force_ok,
-    _fvslh_read_force_mask_value,
-    _fvslh_write_mask_index,
-    _fvslh_write_force_ok,
-)
-
-
-def _masked_branch(lbl: Label, flag: bool, value: bool) -> bool:
-    """b' = (l or not flag) and value: secret conditions read as false while
-    misspeculating."""
-    return (lbl.is_public or not flag) and value
-
-
-# ---------------------------------------------------------------------------
-# Stepper for the labeling-based variants (commands, fixed P/PA)
-# ---------------------------------------------------------------------------
-
-
-def _step_com(policy: _Policy, P: LabelMap, cfg: SpecConfig, d: Optional[Dir]) -> IStepResult:
-    c, rho, mu, flag = cfg.com, cfg.rho, cfg.mu, cfg.flag
-    if isinstance(c, Skip):
-        return _STUCK
-    if isinstance(c, Asgn):
-        rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
-        return IStepResult(StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, flag))
-    if isinstance(c, Seq):
-        if isinstance(c.first, Skip):
-            return IStepResult(StepTag.STEPPED, SpecConfig(c.second, rho, mu, flag))
-        sub = _step_com(policy, P, SpecConfig(c.first, rho, mu, flag), d)
-        if sub.tag is not StepTag.STEPPED:
-            return sub
-        inner = sub.cfg
-        return IStepResult(
-            StepTag.STEPPED,
-            SpecConfig(Seq(inner.com, c.second), inner.rho, inner.mu, inner.flag),
-            sub.obs,
-            sub.consumed,
-        )
-    if isinstance(c, While):
-        unfolded = If(c.cond, Seq(c.body, c), SKIP)
-        return IStepResult(StepTag.STEPPED, SpecConfig(unfolded, rho, mu, flag))
-    if isinstance(c, If):
-        if d is None:
-            return _NEED_DIR
-        lbl = label_of_expr(P, c.cond)
-        b2 = _masked_branch(lbl, flag, eval_bexp(rho, c.cond))
-        if isinstance(d, DStep):
-            succ = c.then if b2 else c.other
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(succ, rho, mu, flag), OBranch(b2), 1
-            )
-        if isinstance(d, DForce):
-            succ = c.other if b2 else c.then
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(succ, rho, mu, True), OBranch(b2), 1
-            )
-        return _STUCK
-    if isinstance(c, ARead):
-        if d is None:
-            return _NEED_DIR
-        li = label_of_expr(P, c.index)
-        lx = P.get(c.name)
-        if isinstance(d, DStep):
-            i = 0 if policy.read_mask_index(flag, li, lx) else eval_aexp(rho, c.index)
-            if i >= mu.size(c.array):
-                return _STUCK
-            v = 0 if policy.read_mask_value(flag, li, lx) else mu.get(c.array, i)
-            rho2 = rho.set(c.name, v)
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, flag), ORead(c.array, i), 1
-            )
-        if isinstance(d, DLoad):
-            if not flag or not policy.read_force_ok(li, lx):
-                return _STUCK
-            i = eval_aexp(rho, c.index)
-            if i < mu.size(c.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            v = 0 if policy.read_force_mask_value(lx) else mu.get(d.array, d.index)
-            rho2 = rho.set(c.name, v)
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, True), ORead(c.array, i), 1
-            )
-        return _STUCK
-    if isinstance(c, AWrite):
-        if d is None:
-            return _NEED_DIR
-        li = label_of_expr(P, c.index)
-        le = label_of_expr(P, c.value)
-        v = eval_aexp(rho, c.value)
-        if isinstance(d, DStep):
-            i = 0 if policy.write_mask_index(flag, li, le) else eval_aexp(rho, c.index)
-            if i >= mu.size(c.array):
-                return _STUCK
-            mu2 = mu.set(c.array, i, v)
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho, mu2, flag), OWrite(c.array, i), 1
-            )
-        if isinstance(d, DStore):
-            if not flag or not policy.write_force_ok(li, le):
-                return _STUCK
-            i = eval_aexp(rho, c.index)
-            if i < mu.size(c.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            mu2 = mu.set(d.array, d.index, v)
-            return IStepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho, mu2, True), OWrite(c.array, i), 1
-            )
-        return _STUCK
-    raise TypeError(f"not a command: {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Stepper for the flow-sensitive variant (annotated commands)
-# ---------------------------------------------------------------------------
-
-
-def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> IStepResult:
+def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
     a, rho, mu, flag = cfg.acom, cfg.rho, cfg.mu, cfg.flag
     pc, P, PA = cfg.pc, cfg.P, cfg.PA
     if isinstance(a, ASkip):
-        return _STUCK
+        return STUCK
     if isinstance(a, ABranch):
-        sub = _step_fs(
-            FsIdealConfig(a.body, rho, mu, flag, pc, P, PA), d
-        )
+        sub = _step_fs(FsIdealConfig(a.body, rho, mu, flag, pc, P, PA), d)
         if sub.tag is not StepTag.STEPPED:
             return sub
-        inner = sub.cfg
-        wrapped = FsIdealConfig(
-            ABranch(a.lbl, inner.acom),
-            inner.rho, inner.mu, inner.flag, inner.pc, inner.P, inner.PA,
-        )
-        return IStepResult(StepTag.STEPPED, wrapped, sub.obs, sub.consumed)
-    if isinstance(a, AAsgn):
-        rho2 = rho.set(a.name, eval_aexp(rho, a.expr))
-        P2 = P.set(a.name, label_of_expr(P, a.expr))
-        return IStepResult(
-            StepTag.STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA)
-        )
+        n = sub.cfg
+        wrapped = FsIdealConfig(ABranch(a.lbl, n.acom), n.rho, n.mu, n.flag, n.pc, n.P, n.PA)
+        return StepResult(StepTag.STEPPED, wrapped, sub.obs, sub.consumed)
     if isinstance(a, ASeq):
         if terminal(a.first):
             pc2 = pc_of_acom(a.first, pc)
-            return IStepResult(
+            return StepResult(
                 StepTag.STEPPED, FsIdealConfig(a.second, rho, mu, flag, pc2, P, PA)
             )
         sub = _step_fs(FsIdealConfig(a.first, rho, mu, flag, pc, P, PA), d)
         if sub.tag is not StepTag.STEPPED:
             return sub
-        inner = sub.cfg
-        seq2 = FsIdealConfig(
-            ASeq(inner.acom, a.second, a.mid),
-            inner.rho, inner.mu, inner.flag, inner.pc, inner.P, inner.PA,
-        )
-        return IStepResult(StepTag.STEPPED, seq2, sub.obs, sub.consumed)
+        n = sub.cfg
+        seq2 = FsIdealConfig(ASeq(n.acom, a.second, a.mid), n.rho, n.mu, n.flag, n.pc, n.P, n.PA)
+        return StepResult(StepTag.STEPPED, seq2, sub.obs, sub.consumed)
+    if isinstance(a, AAsgn):
+        rho2 = rho.set(a.name, eval_aexp(rho, a.expr))
+        P2 = P.set(a.name, label_of_expr(P, a.expr))
+        return StepResult(StepTag.STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA))
     if isinstance(a, AWhileC):
         unfolded = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
-        return IStepResult(
+        return StepResult(
             StepTag.STEPPED, FsIdealConfig(unfolded, rho, mu, flag, pc, P, PA)
         )
+    # the remaining commands observe
+    if d is None:
+        return NEED_DIR
     if isinstance(a, AIf):
-        if d is None:
-            return _NEED_DIR
-        b2 = _masked_branch(a.lbl, flag, eval_bexp(rho, a.cond))
-        pc2 = join(pc, a.lbl)
+        taken = eval_bexp(rho, a.cond)
+        if flag and taken:
+            taken = a.lbl.is_public  # a secret condition reads as false
         if isinstance(d, DStep):
-            succ = ABranch(pc, a.then if b2 else a.other)
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(succ, rho, mu, flag, pc2, P, PA),
-                OBranch(b2),
-                1,
-            )
-        if isinstance(d, DForce):
-            succ = ABranch(pc, a.other if b2 else a.then)
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(succ, rho, mu, True, pc2, P, PA),
-                OBranch(b2),
-                1,
-            )
-        return _STUCK
+            succ, flag2 = (a.then if taken else a.other), flag
+        elif isinstance(d, DForce):
+            succ, flag2 = (a.other if taken else a.then), True
+        else:
+            return STUCK
+        cfg2 = FsIdealConfig(ABranch(pc, succ), rho, mu, flag2, join(pc, a.lbl), P, PA)
+        return StepResult(StepTag.STEPPED, cfg2, OBranch(taken), 1)
     if isinstance(a, AARead):
-        if d is None:
-            return _NEED_DIR
         li, lx = a.lbl_index, a.lbl_target
-        if isinstance(d, DStep):
-            i = 0 if (not li.is_public and flag) else eval_aexp(rho, a.index)
-            if i >= mu.size(a.array):
-                return _STUCK
-            v = 0 if (lx.is_public and li.is_public and flag) else mu.get(a.array, i)
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag, pc, P.set(a.name, lx), PA),
-                ORead(a.array, i),
-                1,
-            )
-        if isinstance(d, DLoad):
-            if not flag or not li.is_public:
-                return _STUCK
-            i = eval_aexp(rho, a.index)
-            if i < mu.size(a.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            v = 0 if lx.is_public else mu.get(d.array, d.index)
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(ASKIP, rho.set(a.name, v), mu, True, pc, P.set(a.name, lx), PA),
-                ORead(a.array, i),
-                1,
-            )
-        return _STUCK
+        r = read_rule(_FVSLH_POLICY, li, lx, rho, mu, flag, a.array, a.index, d)
+        if r is None:
+            return STUCK
+        v, i, flag2 = r
+        cfg2 = FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag2, pc, P.set(a.name, lx), PA)
+        return StepResult(StepTag.STEPPED, cfg2, ORead(a.array, i), 1)
     if isinstance(a, AAWrite):
-        if d is None:
-            return _NEED_DIR
-        li = a.lbl_index
-        v = eval_aexp(rho, a.value)
+        li, le = a.lbl_index, label_of_expr(P, a.value)
+        r = write_rule(_FVSLH_POLICY, li, le, rho, mu, flag, a.array, a.index, a.value, d)
+        if r is None:
+            return STUCK
+        mu2, i, flag2 = r
         if isinstance(d, DStep):
-            i = 0 if (not li.is_public and flag) else eval_aexp(rho, a.index)
-            if i >= mu.size(a.array):
-                return _STUCK
-            lbl = join(PA.get(a.array), join(pc, join(li, label_of_expr(P, a.value))))
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(ASKIP, rho, mu.set(a.array, i, v), flag, pc, P, PA.set(a.array, lbl)),
-                OWrite(a.array, i),
-                1,
-            )
-        if isinstance(d, DStore):
-            if not flag or not li.is_public:
-                return _STUCK
-            i = eval_aexp(rho, a.index)
-            if i < mu.size(a.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            lbl = join(PA.get(a.array), join(pc, label_of_expr(P, a.value)))
-            return IStepResult(
-                StepTag.STEPPED,
-                FsIdealConfig(ASKIP, rho, mu.set(d.array, d.index, v), True, pc, P, PA.set(a.array, lbl)),
-                OWrite(a.array, i),
-                1,
-            )
-        return _STUCK
+            le = join(li, le)  # an architectural write also carries its index label
+        PA2 = PA.set(a.array, join(PA.get(a.array), join(pc, le)))
+        cfg2 = FsIdealConfig(ASKIP, rho, mu2, flag2, pc, P, PA2)
+        return StepResult(StepTag.STEPPED, cfg2, OWrite(a.array, i), 1)
     raise TypeError(f"not an annotated command: {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Public interface
-# ---------------------------------------------------------------------------
-
-
-def ideal_step_ex(variant: IdealVariant, cfg: IdealConfig, d: Optional[Dir]) -> IStepResult:
-    if isinstance(variant, IdealFiSLH):
-        return _step_com(_FISLH_POLICY, variant.P, cfg, d)
-    if isinstance(variant, IdealFvSLH):
-        return _step_com(_FVSLH_POLICY, variant.P, cfg, d)
-    if isinstance(variant, IdealFS):
-        return _step_fs(cfg, d)
-    raise TypeError(f"not an ideal variant: {variant!r}")
-
-
-def ideal_step(
-    variant: IdealVariant, cfg: IdealConfig, d: Optional[Dir]
-) -> Optional[Tuple[IdealConfig, Optional[Obs], int]]:
-    r = ideal_step_ex(variant, cfg, d)
-    if r.tag is StepTag.STEPPED:
-        return r.cfg, r.obs, r.consumed
-    return None
-
-
-def ideal_final(variant: IdealVariant, cfg: IdealConfig) -> bool:
-    if isinstance(variant, IdealFS):
-        return terminal(cfg.acom)
-    return isinstance(cfg.com, Skip)
 
 
 def _fs_redex(a: ACom) -> Optional[ACom]:
@@ -476,83 +220,24 @@ def _fs_redex(a: ACom) -> Optional[ACom]:
     while True:
         if isinstance(a, ABranch):
             a = a.body
-            continue
-        if isinstance(a, ASeq):
+        elif isinstance(a, ASeq):
             if terminal(a.first):
                 return None  # silent skip of the finished head
             a = a.first
-            continue
-        return a
-
-
-def ideal_candidate_dirs(variant: IdealVariant, cfg: IdealConfig) -> List[Dir]:
-    if isinstance(variant, IdealFS):
-        redex = _fs_redex(cfg.acom)
-        branches, reads, writes = AIf, AARead, AAWrite
-    else:
-        from .spec_sem import head_redex
-
-        redex = head_redex(cfg.com)
-        if isinstance(redex, Seq):
-            redex = None  # Seq(Skip, _): the next step is silent
-        branches, reads, writes = If, ARead, AWrite
-    if redex is None:
-        return []
-    if isinstance(redex, branches):
-        return [STEP, FORCE]
-    if isinstance(redex, (reads, writes)):
-        dirs: List[Dir] = [STEP]
-        # the force rules all require the real (unmasked) index to be out
-        # of bounds and the flag set; skip the load/store universe otherwise
-        real = eval_aexp(cfg.rho, redex.index)
-        if cfg.flag and real >= cfg.mu.size(redex.array):
-            ctor = DLoad if isinstance(redex, reads) else DStore
-            for name, vec in sorted(cfg.mu.items()):
-                dirs.extend(ctor(name, j) for j in range(len(vec)))
-        return dirs
-    return []
-
-
-def ideal_feasible_dirs(variant: IdealVariant, cfg: IdealConfig) -> List[Dir]:
-    return [
-        d
-        for d in ideal_candidate_dirs(variant, cfg)
-        if ideal_step_ex(variant, cfg, d).tag is StepTag.STEPPED
-    ]
+        else:
+            return a
 
 
 @dataclass(frozen=True)
-class IdealOutcome:
-    kind: RunKind
-    final: IdealConfig  # FsIdealConfig carries the final pc and labelings
-    trace: Tuple[Obs, ...]
-    consumed: int
+class IdealFS:
+    """The flow-sensitive ideal semantics over FsIdealConfig."""
 
+    step = staticmethod(_step_fs)
 
-def ideal_run(
-    variant: IdealVariant, cfg: IdealConfig, dirs: Sequence[Dir], fuel: int
-) -> IdealOutcome:
-    trace: List[Obs] = []
-    k = 0
-    while fuel > 0:
-        if ideal_final(variant, cfg):
-            return IdealOutcome(RunKind.TERMINATED, cfg, tuple(trace), k)
-        nxt = dirs[k] if k < len(dirs) else None
-        r = ideal_step_ex(variant, cfg, nxt)
-        if r.tag is StepTag.NEED_DIR:
-            kind = (
-                RunKind.DIRS_EXHAUSTED
-                if ideal_feasible_dirs(variant, cfg)
-                else RunKind.STUCK
-            )
-            return IdealOutcome(kind, cfg, tuple(trace), k)
-        if r.tag is StepTag.STUCK:
-            return IdealOutcome(RunKind.STUCK, cfg, tuple(trace), k)
-        cfg = r.cfg
-        if r.obs is not None:
-            trace.append(r.obs)
-        k += r.consumed
-        fuel -= 1
-    if ideal_final(variant, cfg):
-        return IdealOutcome(RunKind.TERMINATED, cfg, tuple(trace), k)
-    return IdealOutcome(RunKind.FUEL_EXHAUSTED, cfg, tuple(trace), k)
+    @staticmethod
+    def candidates(cfg: FsIdealConfig) -> List[Dir]:
+        return candidate_dirs(_fs_redex(cfg.acom), cfg, True)
+
+    @staticmethod
+    def is_final(cfg: FsIdealConfig) -> bool:
+        return terminal(cfg.acom)

@@ -27,7 +27,9 @@ once.  The work is one tree per state plus the pair walks, not pairs times
 trees.  A state's tree is kept while the state has a later pair and dropped
 after its last one, and a tree that is not kept frees each subtree once the
 walk has left it.  A check that walks no pair holds vacuously and says so
-in its message.
+in its message.  The unwinding check over a space walks its pairs the same
+way, under the ideal semantics; it and the noninterference check type the
+program once, not once per pair.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from . import spec_sem
 from .flow_ifc import ACom, Labeling, flow_track, well_labeled
 from .harden import (
     DEFAULT_FLAG_VAR,
@@ -53,18 +54,7 @@ from .harden import (
     harden,
     harden_fs,
 )
-from .ideal_sem import (
-    FsIdealConfig,
-    IdealFS,
-    IdealFiSLH,
-    IdealFvSLH,
-    IdealVariant,
-    ideal_candidate_dirs,
-    ideal_feasible_dirs,
-    ideal_final,
-    ideal_run,
-    ideal_step_ex,
-)
+from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
     Label,
     LabelMap,
@@ -95,13 +85,15 @@ from .lang import (
     vars_of_expr,
 )
 from .seq_sem import RunKind, seq_run
-from .spec_sem import StepTag, candidate_dirs, feasible_dirs, step_ex
+from .spec_sem import SPEC, StepTag, feasible, run
 from .state import (
     ArrayState,
     Dir,
+    FORCE,
     Obs,
     ScalarState,
     SpecConfig,
+    STEP,
     dir_sort_key,
     pub_equiv_arrays,
     pub_equiv_scalars,
@@ -210,6 +202,16 @@ _SPACE_ARRAY_RE = re.compile(
 )
 
 
+def _domain(text: str, lineno: int) -> Tuple[int, ...]:
+    try:
+        values = tuple(int(v.strip()) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise SpaceFormatError(f"line {lineno}: domain values must be integers")
+    if not values:
+        raise SpaceFormatError(f"line {lineno}: empty domain")
+    return values
+
+
 def parse_space(text: str) -> StateSpace:
     """Space file: ``NAME in {v1,v2,...}`` for scalars, ``NAME : size K in
     {v1,...}`` for arrays, one per line; '#' comments."""
@@ -220,31 +222,19 @@ def parse_space(text: str) -> StateSpace:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SPACE_ARRAY_RE.match(line)
-        if m:
-            name, size, dom = m.group(1), int(m.group(2)), m.group(3)
-            if name in seen:
-                raise SpaceFormatError(f"line {lineno}: duplicate name {name!r}")
-            seen.add(name)
-            values = tuple(int(v.strip()) for v in dom.split(",") if v.strip())
-            if not values:
-                raise SpaceFormatError(f"line {lineno}: empty domain")
-            arrays.append((name, size, values))
-            continue
-        m = _SPACE_SCALAR_RE.match(line)
-        if m:
-            name, dom = m.group(1), m.group(2)
-            if name in seen:
-                raise SpaceFormatError(f"line {lineno}: duplicate name {name!r}")
-            seen.add(name)
-            values = tuple(int(v.strip()) for v in dom.split(",") if v.strip())
-            if not values:
-                raise SpaceFormatError(f"line {lineno}: empty domain")
-            scalars.append((name, values))
-            continue
-        raise SpaceFormatError(
-            f"line {lineno}: expected 'NAME in {{...}}' or 'NAME : size K in {{...}}'"
-        )
+        m = _SPACE_ARRAY_RE.match(line) or _SPACE_SCALAR_RE.match(line)
+        if not m:
+            raise SpaceFormatError(
+                f"line {lineno}: expected 'NAME in {{...}}' or 'NAME : size K in {{...}}'"
+            )
+        name = m.group(1)
+        if name in seen:
+            raise SpaceFormatError(f"line {lineno}: duplicate name {name!r}")
+        seen.add(name)
+        if m.re is _SPACE_ARRAY_RE:
+            arrays.append((name, int(m.group(2)), _domain(m.group(3), lineno)))
+        else:
+            scalars.append((name, _domain(m.group(2), lineno)))
     return StateSpace(tuple(scalars), tuple(arrays))
 
 
@@ -265,42 +255,8 @@ def enum_states(space: StateSpace) -> Iterator[Tuple[ScalarState, ArrayState]]:
 
 
 # ---------------------------------------------------------------------------
-# Semantics adapters: one interface over the speculative and ideal steppers
+# Directive trees, over any semantics (spec_sem.SPEC or an ideal one)
 # ---------------------------------------------------------------------------
-
-
-class SpecSemantics:
-    def step_ex(self, cfg, d):
-        return step_ex(cfg, d)
-
-    def candidates(self, cfg):
-        return candidate_dirs(cfg)
-
-    def feasible(self, cfg):
-        return feasible_dirs(cfg)
-
-    def is_final(self, cfg) -> bool:
-        return isinstance(cfg.com, Skip)
-
-
-class IdealSemantics:
-    def __init__(self, variant: IdealVariant):
-        self.variant = variant
-
-    def step_ex(self, cfg, d):
-        return ideal_step_ex(self.variant, cfg, d)
-
-    def candidates(self, cfg):
-        return ideal_candidate_dirs(self.variant, cfg)
-
-    def feasible(self, cfg):
-        return ideal_feasible_dirs(self.variant, cfg)
-
-    def is_final(self, cfg) -> bool:
-        return ideal_final(self.variant, cfg)
-
-
-_SPEC = SpecSemantics()
 
 
 def _advance(sem, cfg, fuel: int):
@@ -312,7 +268,7 @@ def _advance(sem, cfg, fuel: int):
             return cfg, used, "final"
         if used >= fuel:
             return cfg, used, "fuel"
-        r = sem.step_ex(cfg, None)
+        r = sem.step(cfg, None)
         if r.tag is StepTag.NEED_DIR:
             return cfg, used, "need-dir"
         if r.tag is StepTag.STUCK:
@@ -330,7 +286,7 @@ def enum_spec_runs(
     """Exhaustively explore the directive tree of one configuration: every
     feasible directive at every observing redex, up to max_dirs consumed
     directives.  Returns (directives, trace, outcome kind) per leaf."""
-    sem = sem or _SPEC
+    sem = sem or SPEC
     out: List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]] = []
 
     def rec(cfg, dirs, trace, fuel_left):
@@ -345,7 +301,7 @@ def enum_spec_runs(
         if status == "fuel":
             out.append((dirs, trace, RunKind.FUEL_EXHAUSTED))
             return
-        feas = sem.feasible(cfg)
+        feas = feasible(sem, cfg)
         if not feas:
             out.append((dirs, trace, RunKind.STUCK))
             return
@@ -353,7 +309,7 @@ def enum_spec_runs(
             out.append((dirs, trace, RunKind.DIRS_EXHAUSTED))
             return
         for d in feas:
-            r = sem.step_ex(cfg, d)
+            r = sem.step(cfg, d)
             rec(r.cfg, dirs + (d,), trace + (r.obs,), fuel_left - 1)
 
     rec(cfg, (), (), fuel)
@@ -414,7 +370,7 @@ class _Tree:
                 continue
             d = n.cands[n.pos]
             n.pos += 1
-            r = self.sem.step_ex(cfg, d)
+            r = self.sem.step(cfg, d)
             if r.tag is StepTag.STEPPED:
                 child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
                 kids.append((dir_sort_key(d), d, r.obs, child))
@@ -519,8 +475,8 @@ def check_spec_obs_equiv(
     sequence (up to the bound) both configurations can consume must produce
     equal traces on the consumed prefix."""
     res = _joint_divergence(
-        _Tree(_SPEC, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
-        _Tree(_SPEC, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
+        _Tree(SPEC, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
+        _Tree(SPEC, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
     )
     bounds = Bounds(max_dirs, fuel)
     if res is None:
@@ -547,14 +503,17 @@ def _equivalent_pairs(
 
 
 def _first_divergent_pair(
-    c: Com,
+    sem,
+    start: Callable[[ScalarState, ArrayState], object],
     states: Sequence[Tuple[ScalarState, ArrayState]],
     pairs: Sequence[Tuple[int, int]],
     bounds: Bounds,
-) -> Optional[Witness]:
+) -> Optional[Tuple[int, Witness]]:
     """Walk the pairs in order, each over the two states' shared directive
-    trees; a state's tree is built on its first pair, kept while the state
-    has a later pair, and dropped after its last."""
+    trees under ``sem``, rooted at ``start(rho, mu)``; a state's tree is
+    built on its first pair, kept while the state has a later pair, and
+    dropped after its last.  Returns the position of the first divergent
+    pair and its witness."""
     last = {}
     for k, (i, j) in enumerate(pairs):
         last[i] = last[j] = k
@@ -562,14 +521,11 @@ def _first_divergent_pair(
     for k, (i, j) in enumerate(pairs):
         for s in (i, j):
             if s not in trees:
-                rho, mu = states[s]
-                trees[s] = _Tree(
-                    _SPEC, SpecConfig(c, rho, mu, False), bounds.fuel, bounds.max_dirs
-                )
+                trees[s] = _Tree(sem, start(*states[s]), bounds.fuel, bounds.max_dirs)
             trees[s].keep = last[s] > k
         res = _joint_divergence(trees[i], trees[j])
         if res is not None:
-            return Witness(states[i], states[j], *res)
+            return k, Witness(states[i], states[j], *res)
         for s in (i, j):
             if last[s] == k:
                 del trees[s]
@@ -596,9 +552,11 @@ def check_sct(
             bounds=bounds,
             message=f"vacuous: 0 public-equivalent pairs among {len(states)} states",
         )
-    w = _first_divergent_pair(c, states, pairs, bounds)
-    if w is not None:
-        return Verdict(VerdictStatus.VIOLATED, w, bounds)
+    found = _first_divergent_pair(
+        SPEC, lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
+    )
+    if found is not None:
+        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
@@ -694,9 +652,11 @@ def check_relative_security(
             message=f"vacuous: 0 of {len(pairs)} public-equivalent pairs "
             "passed the sequential premise",
         )
-    w = _first_divergent_pair(hardened, states, premised, bounds)
-    if w is not None:
-        return Verdict(VerdictStatus.VIOLATED, w, bounds)
+    found = _first_divergent_pair(
+        SPEC, lambda rho, mu: SpecConfig(hardened, rho, mu, False), states, premised, bounds
+    )
+    if found is not None:
+        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
@@ -709,9 +669,8 @@ class PreconditionError(Exception):
     pass
 
 
-def ideal_variant_for(
-    variant_kind: str, P: LabelMap, PA: LabelMap
-) -> IdealVariant:
+def ideal_variant_for(variant_kind: str, P: LabelMap, PA: LabelMap):
+    """The ideal semantics of a flexible variant."""
     if variant_kind == "fislh":
         return IdealFiSLH(P, PA)
     if variant_kind == "fvslh":
@@ -724,13 +683,21 @@ def ideal_variant_for(
     )
 
 
-def _source_config(
-    variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, rho, mu, flag: bool
-):
+def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: bool):
+    """The variant's ideal semantics and a builder of its initial
+    configurations from (rho, mu, flag); fsfvslh starts from the program's
+    annotation, computed here once.  With ``typed``, a program outside the
+    lemmas' typing precondition (IFC well-typed, or for fsfvslh a
+    well-labeled annotation) raises PreconditionError."""
+    sem = ideal_variant_for(variant_kind, P, PA)
     if variant_kind == "fsfvslh":
-        acom, _ = flow_track(c, P, PA, PUBLIC)
-        return FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
-    return SpecConfig(c, rho, mu, flag)
+        acom, final = flow_track(c, P, PA, PUBLIC)
+        if typed and not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
+            raise PreconditionError("analysis output not well-labeled")
+        return sem, lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
+    if typed and not wt_ifc(P, PA, PUBLIC, c):
+        raise PreconditionError("program not IFC-well-typed")
+    return sem, lambda rho, mu, flag: SpecConfig(c, rho, mu, flag)
 
 
 def check_bcc(
@@ -766,16 +733,14 @@ def check_bcc(
             f"{flag_var!r} must be 0 or 1 in the initial state, found {b0}"
         )
     flag = bool(b0)
-    ivariant = ideal_variant_for(variant_kind, P, PA)
+    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
 
-    target = spec_sem.spec_run(SpecConfig(hardened, rho, mu, flag), dirs, fuel)
+    target = run(SPEC, SpecConfig(hardened, rho, mu, flag), dirs, fuel)
     if target.kind is RunKind.FUEL_EXHAUSTED:
         raise PreconditionError("fuel too small for the hardened run")
     used = list(dirs[: target.consumed])
-    source = ideal_run(
-        ivariant, _source_config(variant_kind, c, P, PA, rho, mu, flag), used, fuel
-    )
+    source = run(sem, start(rho, mu, flag), used, fuel)
     if source.kind is RunKind.FUEL_EXHAUSTED:
         raise PreconditionError("fuel too small for the ideal run")
 
@@ -803,44 +768,25 @@ def check_bcc(
     return True, "ok"
 
 
-def check_step_ni(
-    variant_kind: str,
-    c: Com,
-    P: LabelMap,
-    PA: LabelMap,
-    s1: Tuple[ScalarState, ArrayState],
-    s2: Tuple[ScalarState, ArrayState],
-    flag: bool,
-    d: Optional[Dir],
-) -> Tuple[bool, str]:
-    """Single-step noninterference of the ideal semantics: from two related
-    states, steps of the same command with equal directive and observation
-    yield equal successor commands, equal flags, public-equivalent scalars,
-    and the variant's array relation (unconditional for the index variant;
-    conditional on not misspeculating for the value variants).
-
-    Vacuously true when either side cannot step or the observations differ.
-    """
-    ivariant = ideal_variant_for(variant_kind, P, PA)
-    value_based = variant_kind in ("fvslh", "fsfvslh")
-    if variant_kind == "fsfvslh":
-        acom, final = flow_track(c, P, PA, PUBLIC)
-        if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
-            raise PreconditionError("analysis output not well-labeled")
-    elif not wt_ifc(P, PA, PUBLIC, c):
-        raise PreconditionError("program not IFC-well-typed")
+def _ni_premise(value_based: bool, P: LabelMap, PA: LabelMap, s1, s2, flag: bool) -> str:
+    """Why two states are not related for single-step noninterference, or
+    the empty string when they are."""
     if not pub_equiv_scalars(P, s1[0], s2[0]):
-        raise PreconditionError("scalar states not public-equivalent")
+        return "scalar states not public-equivalent"
     if value_based:
         if not flag and not pub_equiv_arrays(PA, s1[1], s2[1]):
-            raise PreconditionError("array states not public-equivalent at flag=F")
+            return "array states not public-equivalent at flag=F"
     elif not pub_equiv_arrays(PA, s1[1], s2[1]):
-        raise PreconditionError("array states not public-equivalent")
+        return "array states not public-equivalent"
+    return ""
 
-    cfg1 = _source_config(variant_kind, c, P, PA, s1[0], s1[1], flag)
-    cfg2 = _source_config(variant_kind, c, P, PA, s2[0], s2[1], flag)
-    r1 = ideal_step_ex(ivariant, cfg1, d)
-    r2 = ideal_step_ex(ivariant, cfg2, d)
+
+def _step_ni(
+    sem, value_based: bool, P: LabelMap, PA: LabelMap, cfg1, cfg2, d: Optional[Dir]
+) -> Tuple[bool, str]:
+    """One step of two related configurations under the same directive."""
+    r1 = sem.step(cfg1, d)
+    r2 = sem.step(cfg2, d)
     if r1.tag is not StepTag.STEPPED or r2.tag is not StepTag.STEPPED:
         return True, "vacuous: a side is stuck"
     if r1.obs != r2.obs or r1.consumed != r2.consumed:
@@ -871,6 +817,61 @@ def check_step_ni(
     return True, "ok"
 
 
+def check_step_ni(
+    variant_kind: str,
+    c: Com,
+    P: LabelMap,
+    PA: LabelMap,
+    s1: Tuple[ScalarState, ArrayState],
+    s2: Tuple[ScalarState, ArrayState],
+    flag: bool,
+    d: Optional[Dir],
+) -> Tuple[bool, str]:
+    """Single-step noninterference of the ideal semantics: from two related
+    states, steps of the same command with equal directive and observation
+    yield equal successor commands, equal flags, public-equivalent scalars,
+    and the variant's array relation (unconditional for the index variant;
+    conditional on not misspeculating for the value variants).
+
+    Vacuously true when either side cannot step or the observations differ.
+    """
+    sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+    value_based = variant_kind in ("fvslh", "fsfvslh")
+    why = _ni_premise(value_based, P, PA, s1, s2, flag)
+    if why:
+        raise PreconditionError(why)
+    return _step_ni(sem, value_based, P, PA, start(*s1, flag), start(*s2, flag), d)
+
+
+def check_ni(
+    variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, space: StateSpace
+) -> Tuple[int, List[str]]:
+    """check_step_ni over the space: every pair of states (a state with
+    itself included), both flags, and the directives none, step and force.
+    The program is typed once; an ill-typed program checks nothing, and
+    pairs outside the lemma's premise are skipped.  Returns the number of
+    steps checked and the failure messages."""
+    try:
+        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+    except PreconditionError:
+        return 0, []
+    value_based = variant_kind in ("fvslh", "fsfvslh")
+    states = list(enum_states(space))
+    checked, failures = 0, []
+    for i, s1 in enumerate(states):
+        for s2 in states[i:]:
+            for flag in (False, True):
+                if _ni_premise(value_based, P, PA, s1, s2, flag):
+                    continue
+                cfg1, cfg2 = start(*s1, flag), start(*s2, flag)
+                for d in (None, STEP, FORCE):
+                    ok, why = _step_ni(sem, value_based, P, PA, cfg1, cfg2, d)
+                    checked += 1
+                    if not ok:
+                        failures.append(why)
+    return checked, failures
+
+
 def check_unwinding(
     variant_kind: str,
     c: Com,
@@ -884,19 +885,9 @@ def check_unwinding(
     well-typed (or well-labeled) configurations that are already
     misspeculating, identical directives yield identical observations."""
     try:
-        ivariant = ideal_variant_for(variant_kind, P, PA)
+        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError as exc:
         return Verdict(VerdictStatus.PRECONDITION_FAILED, message=str(exc))
-    if variant_kind == "fsfvslh":
-        acom, final = flow_track(c, P, PA, PUBLIC)
-        if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
-            return Verdict(
-                VerdictStatus.PRECONDITION_FAILED, message="not well-labeled"
-            )
-    elif not wt_ifc(P, PA, PUBLIC, c):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED, message="not IFC-well-typed"
-        )
     if not pub_equiv_scalars(P, s1[0], s2[0]):
         return Verdict(
             VerdictStatus.PRECONDITION_FAILED,
@@ -907,19 +898,42 @@ def check_unwinding(
             VerdictStatus.PRECONDITION_FAILED,
             message="arrays not public-equivalent",
         )
-    sem = IdealSemantics(ivariant)
-    cfg1 = _source_config(variant_kind, c, P, PA, s1[0], s1[1], True)
-    cfg2 = _source_config(variant_kind, c, P, PA, s2[0], s2[1], True)
-    res = _joint_divergence(
-        _Tree(sem, cfg1, bounds.fuel, bounds.max_dirs),
-        _Tree(sem, cfg2, bounds.fuel, bounds.max_dirs),
+    found = _first_divergent_pair(
+        sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [(0, 1)], bounds
     )
-    if res is None:
-        return Verdict(VerdictStatus.HOLDS, bounds=bounds)
-    dirs, t1, t2, idx = res
-    return Verdict(
-        VerdictStatus.VIOLATED, Witness(s1, s2, dirs, t1, t2, idx), bounds
+    if found is not None:
+        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
+    return Verdict(VerdictStatus.HOLDS, bounds=bounds)
+
+
+def check_unwinding_space(
+    variant_kind: str,
+    c: Com,
+    P: LabelMap,
+    PA: LabelMap,
+    space: StateSpace,
+    bounds: Bounds = Bounds(),
+) -> Tuple[int, Verdict]:
+    """check_unwinding over the space: the pairs of states meeting the
+    lemma's premise (equal public scalars, and for fislh equal public
+    arrays), in nested-scan order, walked over shared directive trees.  The
+    program is typed once; an ill-typed program walks no pair.  Returns the
+    number of pairs walked, up to and including a violating one, and the
+    verdict."""
+    holds = Verdict(VerdictStatus.HOLDS, bounds=bounds)
+    try:
+        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+    except PreconditionError:
+        return 0, holds
+    states = list(enum_states(space))
+    pairs = _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret())
+    found = _first_divergent_pair(
+        sem, lambda rho, mu: start(rho, mu, True), states, pairs, bounds
     )
+    if found is None:
+        return len(pairs), holds
+    k, w = found
+    return k + 1, Verdict(VerdictStatus.VIOLATED, w, bounds)
 
 
 def check_wl_preservation(
@@ -937,7 +951,7 @@ def check_wl_preservation(
     if not well_labeled(acom, initial, pc, final):
         raise PreconditionError("initial configuration not well-labeled")
     cfg = FsIdealConfig(acom, rho, mu, flag, pc, initial.vars, initial.arrs)
-    r = ideal_step_ex(IdealFS(), cfg, d)
+    r = IdealFS().step(cfg, d)
     if r.tag is not StepTag.STEPPED:
         return True, "vacuous: no step"
     n = r.cfg
@@ -1115,16 +1129,16 @@ def random_spec_walk(
     every observing redex; returns the consumed directive list."""
     dirs: List[Dir] = []
     while len(dirs) < max_dirs:
-        cfg2, used, status = _advance(_SPEC, cfg, fuel)
+        cfg2, used, status = _advance(SPEC, cfg, fuel)
         fuel -= used
         cfg = cfg2
         if status != "need-dir":
             break
-        feas = feasible_dirs(cfg)
+        feas = feasible(SPEC, cfg)
         if not feas:
             break
         d = rng.choice(feas)
-        r = step_ex(cfg, d)
+        r = SPEC.step(cfg, d)
         cfg = r.cfg
         dirs.append(d)
         fuel -= 1

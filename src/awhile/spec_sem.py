@@ -1,4 +1,5 @@
-"""Directive-driven speculative small-step semantics.
+"""Directive-driven speculative small-step semantics: the one stepper
+behind every semantics of the checker.
 
 This is a strict extension of the sequential semantics: silent rules fire on
 their own, while every observation-producing step consumes exactly one
@@ -8,8 +9,14 @@ mispredicts a branch and sets the misspeculation flag; ``load a j`` and
 is set) to an arbitrary in-bounds cell of an arbitrary array, while the
 emitted observation still names the original array and index.
 
-A directive that no rule can consume leaves the configuration stuck;
-feasibility filtering belongs to the checker, not the semantics.
+``step_ex`` with no policy is the speculative semantics and computes no
+labels.  Under a hardening's masking policy and fixed labeling it is that
+hardening's ideal semantics (``ideal_sem``); the read and write rules are
+written once and also serve the flow-sensitive ideal semantics.  Every
+semantics is a value with ``step``, ``candidates`` and ``is_final``, and
+``run`` and ``feasible`` work over any of them.  A directive that no rule
+can consume leaves the configuration stuck; feasibility filtering belongs
+to the checker, not the semantics.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .flow_ifc import AARead, AAWrite, AIf
+from .ifc_static import label_of_expr
 from .lang import ARead, Asgn, AWrite, Com, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
 from .seq_sem import RunKind
 from .state import (
@@ -45,107 +54,138 @@ class StepTag(enum.Enum):
 @dataclass(frozen=True)
 class StepResult:
     tag: StepTag
-    cfg: Optional[SpecConfig] = None
+    cfg: Optional[object] = None  # SpecConfig, or FsIdealConfig under IdealFS
     obs: Optional[Obs] = None
     consumed: int = 0
 
 
-_STUCK = StepResult(StepTag.STUCK)
-_NEED_DIR = StepResult(StepTag.NEED_DIR)
+STUCK = StepResult(StepTag.STUCK)
+NEED_DIR = StepResult(StepTag.NEED_DIR)
 
 
-def step_ex(cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
+# ---------------------------------------------------------------------------
+# Access rules, shared by every semantics
+# ---------------------------------------------------------------------------
+
+
+def read_rule(policy, li, lx, rho, mu, flag: bool, array: str, index, d: Dir):
+    """A read of ``array[index]`` under ``d``: (value, observed index, new
+    flag), or None when no rule applies.  A policy decides from the labels
+    of the index (li) and the target (lx) whether the index or the value is
+    masked to 0 and whether a load may be redirected."""
+    if isinstance(d, DStep):
+        if policy is not None and policy.read_mask_index(flag, li, lx):
+            i = 0
+        else:
+            i = eval_aexp(rho, index)
+        if i >= mu.size(array):
+            return None
+        if policy is not None and policy.read_mask_value(flag, li, lx):
+            return 0, i, flag
+        return mu.get(array, i), i, flag
+    if isinstance(d, DLoad):
+        # only while misspeculating, only for an out-of-bounds access
+        if not flag or (policy is not None and not policy.read_force_ok(li, lx)):
+            return None
+        i = eval_aexp(rho, index)
+        if i < mu.size(array) or d.index >= mu.size(d.array):
+            return None
+        if policy is not None and policy.read_force_mask_value(lx):
+            return 0, i, True
+        return mu.get(d.array, d.index), i, True
+    return None
+
+
+def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d: Dir):
+    """A write of ``value`` to ``array[index]`` under ``d``: (new arrays,
+    observed index, new flag), or None when no rule applies.  A policy
+    decides from the labels of the index (li) and the value (le) whether
+    the index is masked to 0 and whether a store may be redirected."""
+    if isinstance(d, DStep):
+        if policy is not None and policy.write_mask_index(flag, li, le):
+            i = 0
+        else:
+            i = eval_aexp(rho, index)
+        if i >= mu.size(array):
+            return None
+        return mu.set(array, i, eval_aexp(rho, value)), i, flag
+    if isinstance(d, DStore):
+        if not flag or (policy is not None and not policy.write_force_ok(li, le)):
+            return None
+        i = eval_aexp(rho, index)
+        if i < mu.size(array) or d.index >= mu.size(d.array):
+            return None
+        return mu.set(d.array, d.index, eval_aexp(rho, value)), i, True
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The stepper
+# ---------------------------------------------------------------------------
+
+
+def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResult:
     """Tagged step: silent rules ignore ``d`` and consume nothing; observing
     rules require a matching directive.  ``d=None`` at an observing redex
-    reports NEED_DIR."""
+    reports NEED_DIR.  Without a policy this is the speculative semantics;
+    with one it is an ideal semantics over the fixed labeling ``P``."""
     c, rho, mu, flag = cfg.com, cfg.rho, cfg.mu, cfg.flag
     if isinstance(c, Skip):
-        return _STUCK
+        return STUCK
     if isinstance(c, Asgn):
         rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
         return StepResult(StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, flag))
     if isinstance(c, Seq):
         if isinstance(c.first, Skip):
             return StepResult(StepTag.STEPPED, SpecConfig(c.second, rho, mu, flag))
-        sub = step_ex(SpecConfig(c.first, rho, mu, flag), d)
+        sub = step_ex(SpecConfig(c.first, rho, mu, flag), d, policy, P)
         if sub.tag is not StepTag.STEPPED:
             return sub
-        cfg2 = sub.cfg
-        return StepResult(
-            StepTag.STEPPED,
-            SpecConfig(Seq(cfg2.com, c.second), cfg2.rho, cfg2.mu, cfg2.flag),
-            sub.obs,
-            sub.consumed,
-        )
+        n = sub.cfg
+        cfg2 = SpecConfig(Seq(n.com, c.second), n.rho, n.mu, n.flag)
+        return StepResult(StepTag.STEPPED, cfg2, sub.obs, sub.consumed)
     if isinstance(c, While):
         unfolded = If(c.cond, Seq(c.body, c), SKIP)
         return StepResult(StepTag.STEPPED, SpecConfig(unfolded, rho, mu, flag))
     if isinstance(c, If):
         if d is None:
-            return _NEED_DIR
+            return NEED_DIR
         taken = eval_bexp(rho, c.cond)
+        if policy is not None and flag and taken:
+            # a secret condition reads as false while misspeculating
+            taken = label_of_expr(P, c.cond).is_public
         if isinstance(d, DStep):
-            succ = c.then if taken else c.other
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(succ, rho, mu, flag), OBranch(taken), 1
-            )
-        if isinstance(d, DForce):
-            succ = c.other if taken else c.then
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(succ, rho, mu, True), OBranch(taken), 1
-            )
-        return _STUCK
+            succ, flag2 = (c.then if taken else c.other), flag
+        elif isinstance(d, DForce):
+            succ, flag2 = (c.other if taken else c.then), True
+        else:
+            return STUCK
+        return StepResult(StepTag.STEPPED, SpecConfig(succ, rho, mu, flag2), OBranch(taken), 1)
     if isinstance(c, ARead):
         if d is None:
-            return _NEED_DIR
-        i = eval_aexp(rho, c.index)
-        if isinstance(d, DStep):
-            if i >= mu.size(c.array):
-                return _STUCK
-            rho2 = rho.set(c.name, mu.get(c.array, i))
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, flag), ORead(c.array, i), 1
-            )
-        if isinstance(d, DLoad):
-            # only while misspeculating, only for an out-of-bounds access
-            if not flag or i < mu.size(c.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            rho2 = rho.set(c.name, mu.get(d.array, d.index))
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, True), ORead(c.array, i), 1
-            )
-        return _STUCK
+            return NEED_DIR
+        li = lx = None
+        if policy is not None:
+            li, lx = label_of_expr(P, c.index), P.get(c.name)
+        r = read_rule(policy, li, lx, rho, mu, flag, c.array, c.index, d)
+        if r is None:
+            return STUCK
+        v, i, flag2 = r
+        cfg2 = SpecConfig(SKIP, rho.set(c.name, v), mu, flag2)
+        return StepResult(StepTag.STEPPED, cfg2, ORead(c.array, i), 1)
     if isinstance(c, AWrite):
         if d is None:
-            return _NEED_DIR
-        i = eval_aexp(rho, c.index)
-        v = eval_aexp(rho, c.value)
-        if isinstance(d, DStep):
-            if i >= mu.size(c.array):
-                return _STUCK
-            mu2 = mu.set(c.array, i, v)
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho, mu2, flag), OWrite(c.array, i), 1
-            )
-        if isinstance(d, DStore):
-            if not flag or i < mu.size(c.array) or d.index >= mu.size(d.array):
-                return _STUCK
-            mu2 = mu.set(d.array, d.index, v)
-            return StepResult(
-                StepTag.STEPPED, SpecConfig(SKIP, rho, mu2, True), OWrite(c.array, i), 1
-            )
-        return _STUCK
+            return NEED_DIR
+        li = le = None
+        if policy is not None:
+            li, le = label_of_expr(P, c.index), label_of_expr(P, c.value)
+        r = write_rule(policy, li, le, rho, mu, flag, c.array, c.index, c.value, d)
+        if r is None:
+            return STUCK
+        mu2, i, flag2 = r
+        cfg2 = SpecConfig(SKIP, rho, mu2, flag2)
+        return StepResult(StepTag.STEPPED, cfg2, OWrite(c.array, i), 1)
     raise TypeError(f"not a command: {c!r}")
-
-
-def spec_step(
-    cfg: SpecConfig, d: Optional[Dir]
-) -> Optional[Tuple[SpecConfig, Optional[Obs], int]]:
-    """Public single-step interface: None when no rule applies."""
-    r = step_ex(cfg, d)
-    if r.tag is StepTag.STEPPED:
-        return r.cfg, r.obs, r.consumed
-    return None
 
 
 def head_redex(c: Com) -> Com:
@@ -155,65 +195,83 @@ def head_redex(c: Com) -> Com:
     return c
 
 
-def candidate_dirs(cfg: SpecConfig) -> List[Dir]:
-    """Directives that could conceivably apply at the current redex, in
-    canonical order.  In-bounds accesses only admit step; out-of-bounds
-    accesses under misspeculation admit one load/store per in-bounds cell
-    of every array."""
-    redex = head_redex(cfg.com)
-    while isinstance(redex, Seq):
-        redex = redex.first  # Seq(Skip, _) is silent
-    if isinstance(redex, If):
+def candidate_dirs(redex, cfg, masked: bool) -> List[Dir]:
+    """Directives that could apply at ``redex``, the command ``cfg`` reduces
+    next, in dir_sort_key order; empty when the next step is silent.  A
+    branch admits step and force.  An access admits step unless its index
+    is out of bounds and the semantics cannot mask it (``masked`` false),
+    and, while misspeculating with the real index out of bounds, one
+    load/store per in-bounds cell of every array."""
+    if isinstance(redex, (If, AIf)):
         return [STEP, FORCE]
-    if isinstance(redex, (ARead, AWrite)):
-        i = eval_aexp(cfg.rho, redex.index)
-        if i < cfg.mu.size(redex.array):
-            return [STEP]
-        if not cfg.flag:
-            return []
-        ctor = DLoad if isinstance(redex, ARead) else DStore
-        dirs: List[Dir] = []
+    if not isinstance(redex, (ARead, AWrite, AARead, AAWrite)):
+        return []
+    oob = eval_aexp(cfg.rho, redex.index) >= cfg.mu.size(redex.array)
+    dirs: List[Dir] = [STEP] if masked or not oob else []
+    if cfg.flag and oob:
+        ctor = DLoad if isinstance(redex, (ARead, AARead)) else DStore
         for name, vec in sorted(cfg.mu.items()):
             dirs.extend(ctor(name, j) for j in range(len(vec)))
-        return dirs
-    return []
+    return dirs
 
 
-def feasible_dirs(cfg: SpecConfig) -> List[Dir]:
-    """Directives some rule can actually consume at this configuration."""
-    return [d for d in candidate_dirs(cfg) if step_ex(cfg, d).tag is StepTag.STEPPED]
+class Speculative:
+    """The speculative semantics: the stepper under no policy."""
+
+    step = staticmethod(step_ex)
+
+    @staticmethod
+    def candidates(cfg: SpecConfig) -> List[Dir]:
+        return candidate_dirs(head_redex(cfg.com), cfg, False)
+
+    @staticmethod
+    def is_final(cfg: SpecConfig) -> bool:
+        return isinstance(cfg.com, Skip)
+
+
+SPEC = Speculative()
+
+
+# ---------------------------------------------------------------------------
+# Runs over any semantics
+# ---------------------------------------------------------------------------
+
+
+def feasible(sem, cfg) -> List[Dir]:
+    """Directives some rule of ``sem`` can actually consume at ``cfg``."""
+    return [d for d in sem.candidates(cfg) if sem.step(cfg, d).tag is StepTag.STEPPED]
 
 
 @dataclass(frozen=True)
-class SpecOutcome:
+class Outcome:
     kind: RunKind
-    final: SpecConfig
+    final: object  # the last configuration; FsIdealConfig carries pc and labelings
     trace: Tuple[Obs, ...]
     consumed: int
 
 
-def spec_run(cfg: SpecConfig, dirs: Sequence[Dir], fuel: int) -> SpecOutcome:
-    """Run, consuming directives left to right.  Stops at skip (terminated),
-    when no rule applies (stuck), at an observing redex with no directives
-    left (directives exhausted), or when fuel runs out.  The number of
-    consumed directives always equals the trace length."""
+def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
+    """Run, consuming directives left to right.  Stops at a final
+    configuration (terminated), when no rule applies (stuck), at an
+    observing redex with no directives left (directives exhausted), or when
+    fuel runs out.  The number of consumed directives always equals the
+    trace length."""
     trace: List[Obs] = []
     k = 0
     while fuel > 0:
-        if isinstance(cfg.com, Skip):
-            return SpecOutcome(RunKind.TERMINATED, cfg, tuple(trace), k)
-        nxt = dirs[k] if k < len(dirs) else None
-        r = step_ex(cfg, nxt)
+        r = sem.step(cfg, dirs[k] if k < len(dirs) else None)
         if r.tag is StepTag.NEED_DIR:
-            kind = RunKind.DIRS_EXHAUSTED if feasible_dirs(cfg) else RunKind.STUCK
-            return SpecOutcome(kind, cfg, tuple(trace), k)
+            kind = RunKind.DIRS_EXHAUSTED if feasible(sem, cfg) else RunKind.STUCK
+            return Outcome(kind, cfg, tuple(trace), k)
         if r.tag is StepTag.STUCK:
-            return SpecOutcome(RunKind.STUCK, cfg, tuple(trace), k)
+            # a final configuration has no rule either
+            kind = RunKind.TERMINATED if sem.is_final(cfg) else RunKind.STUCK
+            return Outcome(kind, cfg, tuple(trace), k)
         cfg = r.cfg
         if r.obs is not None:
             trace.append(r.obs)
         k += r.consumed
         fuel -= 1
-    if isinstance(cfg.com, Skip):
-        return SpecOutcome(RunKind.TERMINATED, cfg, tuple(trace), k)
-    return SpecOutcome(RunKind.FUEL_EXHAUSTED, cfg, tuple(trace), k)
+    if sem.is_final(cfg):
+        return Outcome(RunKind.TERMINATED, cfg, tuple(trace), k)
+    return Outcome(RunKind.FUEL_EXHAUSTED, cfg, tuple(trace), k)

@@ -7,7 +7,7 @@ import time
 
 from awhile.flow_ifc import Labeling, flow_track, well_labeled
 from awhile.harden import FISLH, FVSLH, ISLH, SISLH, USLH, harden
-from awhile.ideal_sem import FsIdealConfig, IdealFS, ideal_feasible_dirs, ideal_step_ex
+from awhile.ideal_sem import FsIdealConfig, IdealFS
 from awhile.ifc_static import PUBLIC, all_public, all_secret, wt_cct, wt_ifc
 from awhile.lang import parse_com, pretty_com
 from awhile.seccheck import (
@@ -27,7 +27,7 @@ from awhile.seccheck import (
     transform,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import StepTag, spec_run
+from awhile.spec_sem import SPEC, StepTag, feasible, run
 from awhile.state import (
     OBranch,
     ORead,
@@ -83,8 +83,8 @@ def test_criterion_2_example3_attack_and_repro():
         com = fx.program()
         s1, s2 = fx.pair()
         dirs = parse_dirs("force load a3 0 step")
-        r1 = spec_run(SpecConfig(com, s1[0], s1[1], False), dirs, 200)
-        r2 = spec_run(SpecConfig(com, s2[0], s2[1], False), dirs, 200)
+        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), dirs, 200)
+        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), dirs, 200)
         assert r1.trace[-1] == ORead("a2", 42)
         assert r2.trace[-1] == ORead("a2", 43)
         code, _, verdicts = repro_listing(1)
@@ -201,8 +201,8 @@ def test_criterion_9_ideal_fs_steps_preserve_well_labeledness():
             rho, mu = random_state(rng, pools)
             cfg = FsIdealConfig(acom, rho, mu, bool(rng.getrandbits(1)), PUBLIC, P, PA)
             for _ in range(30):
-                feas = ideal_feasible_dirs(IdealFS(), cfg)
-                probe = ideal_step_ex(IdealFS(), cfg, None)
+                feas = feasible(IdealFS(), cfg)
+                probe = IdealFS().step(cfg, None)
                 d = rng.choice(feas) if (probe.tag is StepTag.NEED_DIR and feas) else None
                 ok, why = check_wl_preservation(
                     cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
@@ -210,7 +210,7 @@ def test_criterion_9_ideal_fs_steps_preserve_well_labeledness():
                 )
                 assert ok, why
                 steps += 1
-                r = ideal_step_ex(IdealFS(), cfg, d)
+                r = IdealFS().step(cfg, d)
                 if r.tag is not StepTag.STEPPED:
                     break
                 cfg = r.cfg
@@ -248,18 +248,18 @@ def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=40):
         cfg1 = SpecConfig(com, s1[0], s1[1], False)
         cfg2 = SpecConfig(com, s2[0], s2[1], False)
     for _ in range(max_steps):
-        probe = ideal_step_ex(iv, cfg1, None)
+        probe = iv.step(cfg1, None)
         if probe.tag is StepTag.STUCK:
             return
         if probe.tag is StepTag.NEED_DIR:
-            feas = ideal_feasible_dirs(iv, cfg1)
+            feas = feasible(iv, cfg1)
             if not feas:
                 return
             d = rng.choice(feas)
         else:
             d = None
-        r1 = ideal_step_ex(iv, cfg1, d)
-        r2 = ideal_step_ex(iv, cfg2, d)
+        r1 = iv.step(cfg1, d)
+        r2 = iv.step(cfg2, d)
         if r1.tag is not StepTag.STEPPED or r2.tag is not StepTag.STEPPED:
             return
         if r1.obs != r2.obs:
@@ -309,7 +309,7 @@ def test_criterion_11_erasure_and_sequential_transparency():
         for n in range(1000):
             com = gen_program(rng.randrange(10**9), 12, pools)
             base = seq_run(com, rho0, mu0, 500)
-            spec = spec_run(SpecConfig(com, rho0, mu0, False), [STEP] * 120, 500)
+            spec = run(SPEC, SpecConfig(com, rho0, mu0, False), [STEP] * 120, 500)
             assert spec.trace == base.trace
             assert spec.final.rho == base.rho and spec.final.mu == base.mu
             P, PA = random_labeling(rng, pools)

@@ -254,3 +254,76 @@ def test_negative_bounds_are_usage_errors(argv, env, capsys, monkeypatch):
 def test_run_rejects_negative_fuel(files, capsys):
     assert main(["run", "--fuel", "-1", files("p.aw", "skip")]) == 2
     assert "--fuel must not be negative" in capsys.readouterr().err
+
+
+def test_bad_space_domain_is_usage_error(files, capsys):
+    p = files("p.aw", "skip")
+    space = files("space", "x in {x}")
+    assert main(["check", "--property", "sct", "--space", space, p]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
+
+
+def test_check_ni_and_bcc_vacuous_are_flagged(files, capsys):
+    # ill-typed under the labeling: ni checks no step
+    p = files("p.aw", "if s = 0 then x := 1 end")
+    labels = files("labels", "x: public")
+    space = files("space", "s in {0,1}")
+    note = "vacuous: no pair of states met the lemma's preconditions"
+    for variant in ("fislh", "fvslh"):
+        args = ["check", "--property", "ni", "--variant", variant,
+                "--labels", labels, "--space", space, p]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == ["checked: 0", note, "holds"]
+        assert main(args[:-1] + ["--format", "json", p]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["status"], data["checked"], data["message"]) == ("holds", 0, note)
+    bcc = ["check", "--property", "bcc", "--variant", "fislh", "--labels", labels,
+           "--space", space, "--trials", "0", p]
+    assert main(bcc) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "runs: 0", "vacuous: no run was checked", "holds"
+    ]
+    assert main(bcc[:-1] + ["--format", "json", p]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["runs"]) == ("holds", 0)
+    assert data["message"] == "vacuous: no run was checked"
+    # a check that covered something prints no note
+    assert main(bcc[:-2] + ["1", p]) == 0
+    assert capsys.readouterr().out.splitlines() == ["runs: 1", "holds"]
+
+
+def test_negative_trials_are_usage_errors(files, capsys):
+    p = files("p.aw", LISTING1)
+    args = ["check", "--property", "bcc", "--variant", "fislh", "--trials", "-1", p]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must not be negative" in captured.err
+
+
+@pytest.mark.parametrize("prop", ["ni", "unwind"])
+@pytest.mark.parametrize("variant, typer", [
+    ("fislh", "wt_ifc"), ("fvslh", "wt_ifc"), ("fsfvslh", "flow_track"),
+])
+def test_lemma_checks_type_the_program_once(files, capsys, monkeypatch, prop, variant, typer):
+    import awhile.seccheck as seccheck
+
+    calls = {"wt_ifc": 0, "flow_track": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(seccheck, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(seccheck, name, counting)
+    p = files("p.aw", LISTING1)
+    labels = files("labels", LISTING1_LABELS)
+    space = files("space", (
+        "i in {0,1,4}\na1_size in {4}\nsecret in {0,1}\n"
+        "a1 : size 4 in {0}\na2 : size 4 in {0}\na3 : size 1 in {0,1}"
+    ))
+    assert main(["check", "--property", prop, "--variant", variant, "--labels", labels,
+                 "--space", space, "--max-dirs", "3", p]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert int(first.split(": ")[1]) > 0  # the check covered pairs
+    assert calls == {"wt_ifc": 0, "flow_track": 0, typer: 1}

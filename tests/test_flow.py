@@ -13,7 +13,6 @@ from awhile.flow_ifc import (
     branch_free,
     erase_acom,
     flow_track,
-    join_labelings,
     pc_of_acom,
     terminal,
     well_labeled,
@@ -82,8 +81,8 @@ def test_flow_track_read_write_annotations():
 def test_join_labelings():
     l1 = _labeling(parse_labeling("x: public"))
     l2 = _labeling(parse_labeling("x: secret\ny: public"))
-    assert join_labelings(l1, l1) == l1
-    joined = join_labelings(l1, l2)
+    assert l1.join(l1) == l1
+    joined = l1.join(l2)
     assert joined.vars.get("x") is SECRET
     assert joined.vars.get("y") is SECRET  # public only where both public
 
@@ -91,7 +90,7 @@ def test_join_labelings():
 @given(label_dicts, label_dicts)
 def test_join_labelings_commutative(d1, d2):
     l1, l2 = _labeling(LabelMap(d1)), _labeling(LabelMap(d2))
-    assert join_labelings(l1, l2) == join_labelings(l2, l1)
+    assert l1.join(l2) == l2.join(l1)
 
 
 # --- helpers ---------------------------------------------------------------
@@ -178,7 +177,7 @@ def test_loop_fixpoint_property():
         _, after = flow_track(
             loop.body, fix.vars, fix.arrs, ljoin(PUBLIC, lbl)
         )
-        assert join_labelings(after, entry) == fix
+        assert after.join(entry) == fix
         if found >= 40:
             break
     assert found >= 40

@@ -6,8 +6,6 @@ from awhile.ideal_sem import (
     IdealFS,
     IdealFiSLH,
     IdealFvSLH,
-    ideal_run,
-    ideal_step,
 )
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling
 from awhile.lang import ARead, Var, parse_com
@@ -21,6 +19,7 @@ from awhile.seccheck import (
     transform,
 )
 from awhile.seq_sem import seq_run
+from awhile.spec_sem import StepTag, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -44,16 +43,14 @@ def test_fislh_masks_secret_branch_condition_under_misspeculation():
     variant = IdealFiSLH(all_secret(), all_secret())
     for secret_value in (0, 1):
         cfg = SpecConfig(inner, ScalarState({"secret": secret_value}), ArrayState(), True)
-        _, obs, _ = ideal_step(variant, cfg, STEP)
-        assert obs == OBranch(False)
+        assert variant.step(cfg, STEP).obs == OBranch(False)
 
 
 def test_fislh_branch_unmasked_when_not_misspeculating():
     inner = parse_com("if secret = 0 then y := 1 end")
     variant = IdealFiSLH(all_secret(), all_secret())
     cfg = SpecConfig(inner, ScalarState({"secret": 0}), ArrayState(), False)
-    _, obs, _ = ideal_step(variant, cfg, STEP)
-    assert obs == OBranch(True)
+    assert variant.step(cfg, STEP).obs == OBranch(True)
 
 
 def test_fislh_read_force_requires_public_index_secret_target():
@@ -65,20 +62,18 @@ def test_fislh_read_force_requires_public_index_secret_target():
     # rule is not applicable and the load directive gets stuck
     cfg = SpecConfig(com, rho, mu, True)
     variant = IdealFiSLH(labels, labels)
-    assert ideal_step(variant, cfg, DLoad("c", 0)) is None
-    stepped = ideal_step(variant, cfg, STEP)
-    assert stepped is not None
-    _, obs, _ = stepped
-    assert obs == ORead("a", 0)  # masked to index 0
+    assert variant.step(cfg, DLoad("c", 0)).tag is StepTag.STUCK
+    stepped = variant.step(cfg, STEP)
+    assert stepped.tag is StepTag.STEPPED
+    assert stepped.obs == ORead("a", 0)  # masked to index 0
     # secret destination with public index: the force rule applies
     labels2 = parse_labeling("i: public")
     variant2 = IdealFiSLH(labels2, labels2)
     cfg2 = SpecConfig(ARead("x", "a", Var("i")), rho, mu, True)
-    res = ideal_step(variant2, cfg2, DLoad("c", 0))
-    assert res is not None
-    nxt, obs, _ = res
-    assert obs == ORead("a", 3)
-    assert nxt.rho.get("x") == 7  # actually loaded from c[0]
+    res = variant2.step(cfg2, DLoad("c", 0))
+    assert res.tag is StepTag.STEPPED
+    assert res.obs == ORead("a", 3)
+    assert res.cfg.rho.get("x") == 7  # actually loaded from c[0]
 
 
 def test_fvslh_read_force_masks_value_loaded_into_public():
@@ -87,11 +82,10 @@ def test_fvslh_read_force_masks_value_loaded_into_public():
     mu = ArrayState({"a": (5,), "a3": (42,)})
     cfg = SpecConfig(ARead("x", "a", Var("i")),
                      ScalarState({"i": 9}), mu, True)
-    res = ideal_step(variant, cfg, DLoad("a3", 0))
-    assert res is not None
-    nxt, obs, _ = res
-    assert obs == ORead("a", 9)
-    assert nxt.rho.get("x") == 0  # the secret 42 never reaches x
+    res = variant.step(cfg, DLoad("a3", 0))
+    assert res.tag is StepTag.STEPPED
+    assert res.obs == ORead("a", 9)
+    assert res.cfg.rho.get("x") == 0  # the secret 42 never reaches x
 
 
 def test_fvslh_write_force_allows_secret_values():
@@ -101,11 +95,10 @@ def test_fvslh_write_force_allows_secret_values():
     cfg = SpecConfig(parse_com("a[i] <- key"), ScalarState({"i": 7, "key": 3}), mu, True)
     from awhile.state import DStore
 
-    res = ideal_step(variant, cfg, DStore("pub", 0))
-    assert res is not None
-    nxt, obs, _ = res
-    assert obs == OWrite("a", 7)
-    assert nxt.mu.vector("pub") == (3,)  # value lands where directed
+    res = variant.step(cfg, DStore("pub", 0))
+    assert res.tag is StepTag.STEPPED
+    assert res.obs == OWrite("a", 7)
+    assert res.cfg.mu.vector("pub") == (3,)  # value lands where directed
 
 
 def test_fs_if_wraps_branch_and_raises_pc():
@@ -115,9 +108,9 @@ def test_fs_if_wraps_branch_and_raises_pc():
     assert isinstance(acom, AIf) and acom.lbl is SECRET
     cfg = FsIdealConfig(acom, ScalarState({"secret": 0}), ArrayState(), False,
                         PUBLIC, labels, labels)
-    res = ideal_step(IdealFS(), cfg, STEP)
-    assert res is not None
-    nxt, obs, _ = res
+    res = IdealFS().step(cfg, STEP)
+    assert res.tag is StepTag.STEPPED
+    nxt = res.cfg
     assert isinstance(nxt.acom, ABranch) and nxt.acom.lbl is PUBLIC
     assert nxt.pc is SECRET
 
@@ -130,12 +123,12 @@ def test_fs_seq_skip_restores_pc():
                         labels, labels)
     variant = IdealFS()
     # drive: branch step (pc rises), assignment, then the sequence skip
-    cfg = ideal_step(variant, cfg, STEP)[0]
+    cfg = variant.step(cfg, STEP).cfg
     assert cfg.pc is SECRET
-    cfg = ideal_step(variant, cfg, None)[0]  # y := 1 under the wrapper
-    cfg = ideal_step(variant, cfg, None)[0]  # pop the finished head
+    cfg = variant.step(cfg, None).cfg  # y := 1 under the wrapper
+    cfg = variant.step(cfg, None).cfg  # pop the finished head
     assert cfg.pc is PUBLIC  # restored by the branch wrapper
-    cfg = ideal_step(variant, cfg, None)[0]  # k := 2
+    cfg = variant.step(cfg, None).cfg  # k := 2
     assert terminal(cfg.acom)
 
 
@@ -145,7 +138,7 @@ def test_fs_write_index_masked_on_listing6():
     acom, _ = flow_track(com, labels, labels, PUBLIC)
     cfg = FsIdealConfig(acom, ScalarState({"isecret": 1, "epublic": 5}),
                         ArrayState({"a": (0, 0)}), False, PUBLIC, labels, labels)
-    out = ideal_run(IdealFS(), cfg, parse_dirs("force step"), 100)
+    out = run(IdealFS(), cfg, parse_dirs("force step"), 100)
     assert out.trace == (OBranch(False), OWrite("a", 0))  # index masked to 0
     assert out.final.mu.vector("a") == (5, 0)
 
@@ -163,7 +156,7 @@ def test_ideal_step_only_runs_match_sequential():
             (IdealFS(), FsIdealConfig(flow_track(com, P, PA, PUBLIC)[0],
                                       rho0, mu0, False, PUBLIC, P, PA)),
         ):
-            out = ideal_run(variant, cfg, [STEP] * 100, 400)
+            out = run(variant, cfg, [STEP] * 100, 400)
             assert out.trace == base.trace
             assert out.final.rho == base.rho
             assert out.final.mu == base.mu

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from awhile.flow_ifc import Labeling, flow_track
-from awhile.ideal_sem import FsIdealConfig, IdealFS, ideal_feasible_dirs, ideal_step_ex
+from awhile.ideal_sem import FsIdealConfig, IdealFS
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
 from awhile.seccheck import (
@@ -29,7 +29,7 @@ from awhile.seccheck import (
     transform,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import StepTag, spec_run
+from awhile.spec_sem import SPEC, StepTag, feasible, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -93,6 +93,15 @@ def test_parse_space_errors():
         parse_space("i in {0}\ni in {1}")
     with pytest.raises(SpaceFormatError):
         parse_space("what is this")
+
+
+def test_parse_space_rejects_non_integer_domains():
+    from awhile.seccheck import SpaceFormatError
+
+    with pytest.raises(SpaceFormatError, match="line 2"):
+        parse_space("i in {0}\nx in {x}")
+    with pytest.raises(SpaceFormatError, match="line 1"):
+        parse_space("a : size 2 in {0,y}")
 
 
 # --- run enumeration ---------------------------------------------------------
@@ -169,8 +178,8 @@ def test_spec_equiv_witness_replays():
     com = LISTING1.program()
     s1, s2 = FIXTURES[1].pair()
     w = check_spec_obs_equiv(com, s1, com, s2).witness
-    r1 = spec_run(SpecConfig(com, s1[0], s1[1], False), list(w.dirs), 200)
-    r2 = spec_run(SpecConfig(com, s2[0], s2[1], False), list(w.dirs), 200)
+    r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), list(w.dirs), 200)
+    r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), list(w.dirs), 200)
     assert r1.trace == w.trace1 and r2.trace == w.trace2
     assert w.trace1[w.divergence_index] != w.trace2[w.divergence_index]
 
@@ -378,8 +387,8 @@ def test_spec_equiv_agrees_with_leaf_reference():
         w = v.witness
         assert w.dirs == first
         assert w.divergence_index == len(w.dirs) - 1
-        r1 = spec_run(SpecConfig(com, s1[0], s1[1], flag), list(w.dirs), 150)
-        r2 = spec_run(SpecConfig(com, s2[0], s2[1], flag), list(w.dirs), 150)
+        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], flag), list(w.dirs), 150)
+        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], flag), list(w.dirs), 150)
         assert (r1.trace, r2.trace) == (w.trace1, w.trace2)
         i = w.divergence_index
         assert w.trace1[:i] == w.trace2[:i] and w.trace1[i] != w.trace2[i]
@@ -418,7 +427,7 @@ def test_step_ni_precondition_rejected():
 def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=30):
     """Joint random walk asserting the single-step noninterference
     conclusions at every step with equal observations."""
-    from awhile.ideal_sem import IdealFiSLH, IdealFvSLH, ideal_feasible_dirs
+    from awhile.ideal_sem import IdealFiSLH, IdealFvSLH
 
     if variant == "fsfvslh":
         acom, _ = flow_track(com, P, PA, PUBLIC)
@@ -432,9 +441,9 @@ def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=30):
     from awhile.state import pub_equiv_arrays, pub_equiv_scalars
 
     for _ in range(max_steps):
-        r = ideal_step_ex(iv, cfg1, None)
+        r = iv.step(cfg1, None)
         if r.tag is StepTag.NEED_DIR:
-            feas = ideal_feasible_dirs(iv, cfg1)
+            feas = feasible(iv, cfg1)
             if not feas:
                 return
             d = rng.choice(feas)
@@ -442,8 +451,8 @@ def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=30):
             return
         else:
             d = None
-        r1 = ideal_step_ex(iv, cfg1, d)
-        r2 = ideal_step_ex(iv, cfg2, d)
+        r1 = iv.step(cfg1, d)
+        r2 = iv.step(cfg2, d)
         if r1.tag is not StepTag.STEPPED or r2.tag is not StepTag.STEPPED:
             return
         if r1.obs != r2.obs:
@@ -563,8 +572,8 @@ def test_wl_preservation_randomized_walks():
         rho, mu = random_state(rng, pools)
         cfg = FsIdealConfig(acom, rho, mu, bool(rng.getrandbits(1)), PUBLIC, P, PA)
         for _ in range(25):
-            feas = ideal_feasible_dirs(IdealFS(), cfg)
-            r = ideal_step_ex(IdealFS(), cfg, None)
+            feas = feasible(IdealFS(), cfg)
+            r = IdealFS().step(cfg, None)
             d = rng.choice(feas) if (r.tag is StepTag.NEED_DIR and feas) else None
             ok, why = check_wl_preservation(
                 cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
@@ -572,7 +581,7 @@ def test_wl_preservation_randomized_walks():
             )
             assert ok, why
             steps += 1
-            r = ideal_step_ex(IdealFS(), cfg, d)
+            r = IdealFS().step(cfg, d)
             if r.tag is not StepTag.STEPPED:
                 break
             cfg = r.cfg
@@ -619,6 +628,6 @@ def test_step_only_spec_equiv_agrees_with_seq_equiv():
         s1 = random_state(rng, pools)
         s2 = random_state(rng, pools)
         seq_verdict = check_seq_obs_equiv(com, s1, s2, 400)
-        r1 = spec_run(SpecConfig(com, s1[0], s1[1], False), [STEP] * 50, 400)
-        r2 = spec_run(SpecConfig(com, s2[0], s2[1], False), [STEP] * 50, 400)
+        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), [STEP] * 50, 400)
+        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), [STEP] * 50, 400)
         assert prefix_of(r1.trace, r2.trace) == seq_verdict.holds

@@ -1,25 +1,26 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awhile.flow_ifc import flow_track
+from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
+from awhile.ifc_static import PUBLIC
 from awhile.lang import ARead, Num, parse_com
-from awhile.seccheck import gen_program
+from awhile.seccheck import NamePools, gen_program, random_labeling, random_state
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import (
-    StepTag,
-    feasible_dirs,
-    spec_run,
-    spec_step,
-    step_ex,
-)
+from awhile.spec_sem import SPEC, StepTag, feasible, run, step_ex
 from awhile.state import (
     ArrayState,
     DLoad,
+    DStore,
     FORCE,
     OBranch,
     ORead,
     ScalarState,
     SpecConfig,
     STEP,
+    dir_sort_key,
     parse_dirs,
     parse_state,
 )
@@ -36,9 +37,9 @@ def _ex3(a3_value):
 
 def test_force_takes_untaken_branch_and_sets_flag():
     cfg = _ex3(42)
-    res = spec_step(cfg, FORCE)
-    assert res is not None
-    cfg2, obs, consumed = res
+    res = step_ex(cfg, FORCE)
+    assert res.tag is StepTag.STEPPED
+    cfg2, obs, consumed = res.cfg, res.obs, res.consumed
     assert obs == OBranch(False)  # the observation reports the real outcome
     assert consumed == 1
     assert cfg2.flag is True
@@ -47,9 +48,11 @@ def test_force_takes_untaken_branch_and_sets_flag():
 
 def test_forced_oob_read_loads_attacker_choice():
     cfg = _ex3(42)
-    cfg, _, _ = spec_step(cfg, FORCE)
+    cfg = step_ex(cfg, FORCE).cfg
     # the forced branch's first read is now the redex; redirect it
-    cfg2, obs, consumed = spec_step(cfg, DLoad("a3", 0))
+    res = step_ex(cfg, DLoad("a3", 0))
+    assert res.tag is StepTag.STEPPED
+    cfg2, obs, consumed = res.cfg, res.obs, res.consumed
     assert obs == ORead("a1", 4)  # original array and index observed
     assert cfg2.rho.get("j") == 42  # value from the redirected load
     assert consumed == 1
@@ -58,23 +61,23 @@ def test_forced_oob_read_loads_attacker_choice():
 def test_inbounds_read_rejects_force_style_directives():
     com = ARead("x", "a1", Num(0))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), True)
-    assert spec_step(cfg, FORCE) is None
-    assert spec_step(cfg, DLoad("a1", 0)) is None  # in-bounds: only step fits
-    assert spec_step(cfg, STEP) is not None
+    assert step_ex(cfg, FORCE).tag is StepTag.STUCK
+    assert step_ex(cfg, DLoad("a1", 0)).tag is StepTag.STUCK  # in-bounds: only step fits
+    assert step_ex(cfg, STEP).tag is StepTag.STEPPED
 
 
 def test_load_gated_on_misspeculation_flag():
     com = ARead("x", "a1", Num(9))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), False)
-    assert spec_step(cfg, DLoad("a1", 0)) is None
+    assert step_ex(cfg, DLoad("a1", 0)).tag is StepTag.STUCK
     cfg_t = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), True)
-    assert spec_step(cfg_t, DLoad("a1", 0)) is not None
+    assert step_ex(cfg_t, DLoad("a1", 0)).tag is StepTag.STEPPED
 
 
 def test_example3_attack_traces():
     dirs = parse_dirs("force load a3 0 step")
-    out1 = spec_run(_ex3(42), dirs, 100)
-    out2 = spec_run(_ex3(43), dirs, 100)
+    out1 = run(SPEC, _ex3(42), dirs, 100)
+    out2 = run(SPEC, _ex3(43), dirs, 100)
     assert out1.kind is RunKind.TERMINATED and out2.kind is RunKind.TERMINATED
     assert out1.trace == (OBranch(False), ORead("a1", 4), ORead("a2", 42))
     assert out2.trace == (OBranch(False), ORead("a1", 4), ORead("a2", 43))
@@ -105,9 +108,9 @@ def test_flag_monotone_and_consumed_equals_trace():
 
 def test_feasible_dirs_at_branch_and_at_oob_read():
     cfg = _ex3(42)
-    assert feasible_dirs(cfg) == [STEP, FORCE]
-    cfg, _, _ = spec_step(cfg, FORCE)
-    feas = feasible_dirs(cfg)
+    assert feasible(SPEC, cfg) == [STEP, FORCE]
+    cfg = step_ex(cfg, FORCE).cfg
+    feas = feasible(SPEC, cfg)
     # out-of-bounds read while misspeculating: one load per cell of each array
     assert feas == (
         [DLoad("a1", j) for j in range(4)]
@@ -117,13 +120,13 @@ def test_feasible_dirs_at_branch_and_at_oob_read():
 
 
 def test_directives_exhausted_vs_stuck():
-    out = spec_run(_ex3(42), [], 100)
+    out = run(SPEC, _ex3(42), [], 100)
     assert out.kind is RunKind.DIRS_EXHAUSTED
     # an out-of-bounds read without the flag has no feasible directive at all
     com = ARead("x", "a1", Num(9))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), False)
-    assert spec_run(cfg, [], 100).kind is RunKind.STUCK
-    assert spec_run(cfg, [STEP], 100).kind is RunKind.STUCK
+    assert run(SPEC, cfg, [], 100).kind is RunKind.STUCK
+    assert run(SPEC, cfg, [STEP], 100).kind is RunKind.STUCK
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,8 +135,60 @@ def test_erasure_step_only_runs_equal_sequential(seed):
     com = gen_program(seed, 12)
     rho, mu = parse_state("x = 1\ny = 2\ni = 0\nk = 1\na = [1,2]\nc = [3]")
     seq = seq_run(com, rho, mu, 400)
-    spec = spec_run(SpecConfig(com, rho, mu, False), [STEP] * 100, 400)
+    spec = run(SPEC, SpecConfig(com, rho, mu, False), [STEP] * 100, 400)
     assert spec.trace == seq.trace
     assert spec.final.rho == seq.rho
     assert spec.final.mu == seq.mu
     assert spec.final.flag is False
+
+
+def _directive_universe(mu):
+    """step, force, and a load and a store for every cell of every array."""
+    dirs = [STEP, FORCE]
+    for ctor in (DLoad, DStore):
+        for name, vec in sorted(mu.items()):
+            dirs.extend(ctor(name, j) for j in range(len(vec)))
+    return dirs
+
+
+def test_candidates_are_ordered_and_cover_every_stepping_directive():
+    # the directive-tree walk merges children in candidate order and only
+    # ever tries candidates; both facts must hold for every semantics
+    rng = random.Random(77)
+    pools = NamePools(("x", "y", "i", "k"), ("a", "c"))
+    observing = {}
+    for _ in range(40):
+        com = gen_program(rng.randrange(10**9), 12, pools)
+        P, PA = random_labeling(rng, pools)
+        rho, mu = random_state(rng, pools)
+        flag = bool(rng.getrandbits(1))
+        acom, _ = flow_track(com, P, PA, PUBLIC)
+        for sem, cfg in (
+            (SPEC, SpecConfig(com, rho, mu, flag)),
+            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
+        ):
+            for _ in range(40):
+                cands = sem.candidates(cfg)
+                assert cands == sorted(cands, key=dir_sort_key)
+                assert len(set(cands)) == len(cands)
+                if sem.step(cfg, None).tag is not StepTag.NEED_DIR:
+                    assert cands == []  # silent, final or stuck: nothing to choose
+                    d = None
+                else:
+                    steps = [
+                        d for d in _directive_universe(cfg.mu)
+                        if sem.step(cfg, d).tag is StepTag.STEPPED
+                    ]
+                    assert set(steps) <= set(cands), (sem, cfg)
+                    observing[type(sem)] = observing.get(type(sem), 0) + 1
+                    if not steps:
+                        break
+                    d = rng.choice(steps)
+                r = sem.step(cfg, d)
+                if r.tag is not StepTag.STEPPED:
+                    break
+                cfg = r.cfg
+    assert len(observing) == 4
+    assert min(observing.values()) >= 50
