@@ -43,13 +43,13 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import ParseError, arrays_of, parse_com, pretty_com, used_vars
+from .lang import ParseError, arrays_of, parse_com, pretty_com, syntax_equal, used_vars
 from .seccheck import (
     Bounds,
     PreconditionError,
     Verdict,
     VerdictStatus,
-    check_bcc,
+    check_bcc_space,
     check_ni,
     check_relative_security,
     check_sct,
@@ -58,7 +58,6 @@ from .seccheck import (
     enum_states,
     gen_program,
     parse_space,
-    random_spec_walk,
     transform,
 )
 from .spec_sem import SPEC, StepTag, feasible, run
@@ -369,18 +368,15 @@ def cmd_run(args) -> int:
 
 
 def _check_equality(args, com, labels) -> int:
+    def same(v1, v2, P):
+        return syntax_equal(harden(v1, com, P, P), harden(v2, com, P, P))
+
     results = {}
     if wt_cct(labels, labels, com):
-        results["fislh_eq_sislh"] = harden(FISLH, com, labels, labels) == harden(
-            SISLH, com, labels, labels
-        )
+        results["fislh_eq_sislh"] = same(FISLH, SISLH, labels)
     secret = all_secret()
-    results["fislh_eq_uslh_all_secret"] = harden(FISLH, com, secret, secret) == harden(
-        USLH, com, secret, secret
-    )
-    results["fvslh_eq_uslh_all_secret"] = harden(FVSLH, com, secret, secret) == harden(
-        USLH, com, secret, secret
-    )
+    results["fislh_eq_uslh_all_secret"] = same(FISLH, USLH, secret)
+    results["fvslh_eq_uslh_all_secret"] = same(FVSLH, USLH, secret)
     ok = all(results.values())
     _emit(
         args,
@@ -434,36 +430,11 @@ def _check_bcc_cli(args, com, labels, space, bounds) -> int:
     _require_variant(args)
     if args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
-    failures = []
-    runs = 0
-    if args.dirs:
-        dirs = parse_dirs(args.dirs)
-        for rho, mu in enum_states(space):
-            runs += 1
-            ok, why = check_bcc(
-                args.variant, com, labels, labels, rho, mu, dirs, bounds.fuel,
-                args.flag_var,
-            )
-            if not ok:
-                failures.append(why)
-                break
-    else:
-        rng = random.Random(args.seed)
-        hardened = transform(args.variant, com, labels, labels, args.flag_var)
-        states = list(enum_states(space))  # never empty: the empty space has one state
-        for _ in range(args.trials):
-            rho, mu = states[rng.randrange(len(states))]
-            runs += 1
-            walk = random_spec_walk(
-                rng, SpecConfig(hardened, rho, mu, False), bounds.max_dirs, bounds.fuel
-            )
-            ok, why = check_bcc(
-                args.variant, com, labels, labels, rho, mu, walk, bounds.fuel,
-                args.flag_var,
-            )
-            if not ok:
-                failures.append(why)
-                break
+    runs, failures = check_bcc_space(
+        args.variant, com, labels, labels, space, bounds,
+        parse_dirs(args.dirs) if args.dirs else None, args.trials, args.seed,
+        args.flag_var,
+    )
     return _emit_count(args, "runs", runs, failures, "vacuous: no run was checked")
 
 

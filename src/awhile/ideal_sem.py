@@ -12,10 +12,14 @@ variant's policy table and a fixed labeling.  All variants read a secret
 branch condition as false while misspeculating; the policies differ in when
 access indices and loaded values are masked to 0 and in which misspeculated
 accesses get stuck.  ``IdealFS``, the flow-sensitive variant, steps
-annotated commands with its own structural rules (branch wrappers, a
-dynamic pc label and labelings, carried for the well-labeledness argument)
-and takes every access decision from the fvslh policy, applied through the
-shared read and write rules to the labels in the annotations.
+annotated commands with its own structural rules (a dynamic pc label and
+labelings, carried for the well-labeledness argument) and takes every
+access decision from the fvslh policy, applied through the shared read and
+write rules to the labels in the annotations.
+
+Its configurations are focused like ``SpecConfig``, so a step costs the
+same at any nesting depth; a branch wrapper is a pc label saved on the
+stack, restored when the finished branch is popped.
 """
 
 from __future__ import annotations
@@ -34,18 +38,16 @@ from .flow_ifc import (
     ASkip,
     ASKIP,
     AWhileC,
-    pc_of_acom,
-    terminal,
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
-from .lang import Skip, eval_aexp, eval_bexp
+from .lang import eval_aexp, eval_bexp
 from .spec_sem import (
     NEED_DIR,
+    SPEC,
+    STEPPED,
     STUCK,
     StepResult,
-    StepTag,
     candidate_dirs,
-    head_redex,
     read_rule,
     step_ex,
     write_rule,
@@ -108,11 +110,9 @@ class _FixedLabeling:
 
     @staticmethod
     def candidates(cfg: SpecConfig) -> List[Dir]:
-        return candidate_dirs(head_redex(cfg.com), cfg, True)
+        return candidate_dirs(cfg, True)
 
-    @staticmethod
-    def is_final(cfg: SpecConfig) -> bool:
-        return isinstance(cfg.com, Skip)
+    is_final = staticmethod(SPEC.is_final)
 
 
 @dataclass(frozen=True)
@@ -130,53 +130,60 @@ class IdealFvSLH(_FixedLabeling):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FsIdealConfig:
-    """Configuration of the flow-sensitive ideal semantics: an annotated
-    command plus the dynamic pc label and labelings."""
+    """Configuration of the flow-sensitive ideal semantics, focused: the
+    redex (never a sequence or branch wrapper), the stack, the stores, the
+    flag, and the dynamic pc label and labelings.  A stack entry is an
+    annotated sequence, whose second half runs next, or the pc label a
+    branch wrapper saved.  Built from an annotated command like
+    ``SpecConfig``; ``acom`` folds the stack back, wrappers included."""
 
-    acom: ACom
-    rho: ScalarState
-    mu: ArrayState
-    flag: bool
-    pc: Label
-    P: LabelMap
-    PA: LabelMap
+    __slots__ = ("redex", "k", "rho", "mu", "flag", "pc", "P", "PA")
+
+    def __init__(self, acom: ACom, rho: ScalarState, mu: ArrayState, flag: bool,
+                 pc: Label, P: LabelMap, PA: LabelMap, k=None):
+        while isinstance(acom, (ASeq, ABranch)):
+            if isinstance(acom, ASeq):
+                k, acom = (acom, k), acom.first
+            else:
+                k, acom = (acom.lbl, k), acom.body
+        self.redex, self.k, self.rho, self.mu, self.flag = acom, k, rho, mu, flag
+        self.pc, self.P, self.PA = pc, P, PA
+
+    @property
+    def acom(self) -> ACom:
+        a, k = self.redex, self.k
+        while k is not None:
+            top, k = k
+            a = ASeq(a, top.second, top.mid) if isinstance(top, ASeq) else ABranch(top, a)
+        return a
+
+    def __repr__(self):
+        return (
+            f"FsIdealConfig({self.acom!r}, {self.rho!r}, {self.mu!r}, {self.flag!r}, "
+            f"{self.pc!r}, {self.P!r}, {self.PA!r})"
+        )
 
 
 def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
-    a, rho, mu, flag = cfg.acom, cfg.rho, cfg.mu, cfg.flag
+    a, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
     pc, P, PA = cfg.pc, cfg.P, cfg.PA
     if isinstance(a, ASkip):
+        # drop the finished head; each branch left on the way restores the
+        # pc it saved, so the outermost one's pc holds after the drop
+        while k is not None:
+            top, k = k
+            if isinstance(top, ASeq):
+                return StepResult(STEPPED, FsIdealConfig(top.second, rho, mu, flag, pc, P, PA, k))
+            pc = top
         return STUCK
-    if isinstance(a, ABranch):
-        sub = _step_fs(FsIdealConfig(a.body, rho, mu, flag, pc, P, PA), d)
-        if sub.tag is not StepTag.STEPPED:
-            return sub
-        n = sub.cfg
-        wrapped = FsIdealConfig(ABranch(a.lbl, n.acom), n.rho, n.mu, n.flag, n.pc, n.P, n.PA)
-        return StepResult(StepTag.STEPPED, wrapped, sub.obs, sub.consumed)
-    if isinstance(a, ASeq):
-        if terminal(a.first):
-            pc2 = pc_of_acom(a.first, pc)
-            return StepResult(
-                StepTag.STEPPED, FsIdealConfig(a.second, rho, mu, flag, pc2, P, PA)
-            )
-        sub = _step_fs(FsIdealConfig(a.first, rho, mu, flag, pc, P, PA), d)
-        if sub.tag is not StepTag.STEPPED:
-            return sub
-        n = sub.cfg
-        seq2 = FsIdealConfig(ASeq(n.acom, a.second, a.mid), n.rho, n.mu, n.flag, n.pc, n.P, n.PA)
-        return StepResult(StepTag.STEPPED, seq2, sub.obs, sub.consumed)
     if isinstance(a, AAsgn):
         rho2 = rho.set(a.name, eval_aexp(rho, a.expr))
         P2 = P.set(a.name, label_of_expr(P, a.expr))
-        return StepResult(StepTag.STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA))
+        return StepResult(STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA, k))
     if isinstance(a, AWhileC):
         unfolded = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
-        return StepResult(
-            StepTag.STEPPED, FsIdealConfig(unfolded, rho, mu, flag, pc, P, PA)
-        )
+        return StepResult(STEPPED, FsIdealConfig(unfolded, rho, mu, flag, pc, P, PA, k))
     # the remaining commands observe
     if d is None:
         return NEED_DIR
@@ -190,16 +197,17 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
             succ, flag2 = (a.other if taken else a.then), True
         else:
             return STUCK
-        cfg2 = FsIdealConfig(ABranch(pc, succ), rho, mu, flag2, join(pc, a.lbl), P, PA)
-        return StepResult(StepTag.STEPPED, cfg2, OBranch(taken), 1)
+        # entering the branch saves the pc on the stack
+        cfg2 = FsIdealConfig(succ, rho, mu, flag2, join(pc, a.lbl), P, PA, (pc, k))
+        return StepResult(STEPPED, cfg2, OBranch(taken), 1)
     if isinstance(a, AARead):
         li, lx = a.lbl_index, a.lbl_target
         r = read_rule(_FVSLH_POLICY, li, lx, rho, mu, flag, a.array, a.index, d)
         if r is None:
             return STUCK
         v, i, flag2 = r
-        cfg2 = FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag2, pc, P.set(a.name, lx), PA)
-        return StepResult(StepTag.STEPPED, cfg2, ORead(a.array, i), 1)
+        cfg2 = FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag2, pc, P.set(a.name, lx), PA, k)
+        return StepResult(STEPPED, cfg2, ORead(a.array, i), 1)
     if isinstance(a, AAWrite):
         li, le = a.lbl_index, label_of_expr(P, a.value)
         r = write_rule(_FVSLH_POLICY, li, le, rho, mu, flag, a.array, a.index, a.value, d)
@@ -209,23 +217,9 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
         if isinstance(d, DStep):
             le = join(li, le)  # an architectural write also carries its index label
         PA2 = PA.set(a.array, join(PA.get(a.array), join(pc, le)))
-        cfg2 = FsIdealConfig(ASKIP, rho, mu2, flag2, pc, P, PA2)
-        return StepResult(StepTag.STEPPED, cfg2, OWrite(a.array, i), 1)
+        cfg2 = FsIdealConfig(ASKIP, rho, mu2, flag2, pc, P, PA2, k)
+        return StepResult(STEPPED, cfg2, OWrite(a.array, i), 1)
     raise TypeError(f"not an annotated command: {a!r}")
-
-
-def _fs_redex(a: ACom) -> Optional[ACom]:
-    """Innermost command about to be reduced, skipping branch wrappers and
-    sequence spines; None when the next step is silent or absent."""
-    while True:
-        if isinstance(a, ABranch):
-            a = a.body
-        elif isinstance(a, ASeq):
-            if terminal(a.first):
-                return None  # silent skip of the finished head
-            a = a.first
-        else:
-            return a
 
 
 @dataclass(frozen=True)
@@ -236,8 +230,16 @@ class IdealFS:
 
     @staticmethod
     def candidates(cfg: FsIdealConfig) -> List[Dir]:
-        return candidate_dirs(_fs_redex(cfg.acom), cfg, True)
+        return candidate_dirs(cfg, True)
 
     @staticmethod
     def is_final(cfg: FsIdealConfig) -> bool:
-        return terminal(cfg.acom)
+        """skip with only saved pc labels left on the stack."""
+        if not isinstance(cfg.redex, ASkip):
+            return False
+        k = cfg.k
+        while k is not None:
+            if isinstance(k[0], ASeq):
+                return False
+            k = k[1]
+        return True

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -238,6 +238,27 @@ def arrays_of(c: Com) -> frozenset:
     raise TypeError(f"not a command: {c!r}")
 
 
+def syntax_equal(a, b) -> bool:
+    """Structural equality of two syntax trees (commands, annotated commands
+    or expressions).  Unlike the dataclass ``==`` it keeps an explicit
+    stack, so a long sequence spine cannot exhaust the recursion limit, and
+    a subtree both sides share compares in one check."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        fields = getattr(x, "__dataclass_fields__", None)
+        if fields is None:
+            if x != y:
+                return False
+        else:
+            todo.extend((getattr(x, f), getattr(y, f)) for f in fields)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -246,24 +267,28 @@ KEYWORDS = frozenset(
     ["skip", "if", "then", "else", "end", "while", "do", "true", "false"]
 )
 
+# Each match skips whitespace and comments, then takes one token; a
+# character no token starts with matches ``bad``, and the end of the text
+# matches ``eof``, so the scan never backtracks over the skipped text.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nat>\d+)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<nat>\d+)
     | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>:=|<-|<=|<>|&&|\|\||[-+*<=()\[\];?:!])
+    | (?P<bad>.)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'nat', 'id', 'kw', or the operator text itself
+class Token(NamedTuple):
+    kind: str  # 'nat', 'id', 'kw', 'eof', or the operator text itself
     text: str
-    line: int
-    col: int
+    offset: int  # where the token starts in the source text
 
 
 class ParseError(Exception):
@@ -273,31 +298,30 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, text: str, offset: int, message: str) -> "ParseError":
+        """The error at ``offset`` of ``text``, with 1-based line and column."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - text.rfind("\n", 0, offset))
+
 
 def tokenize(text: str) -> list:
+    """One scan over ``text``; the last token has kind 'eof'."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "nat":
-            tokens.append(Token("nat", lexeme, line, col))
-        elif m.lastgroup == "id":
-            kind = "kw" if lexeme in KEYWORDS else "id"
-            tokens.append(Token(kind, lexeme, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(Token(lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        start = m.start(kind)
+        if kind == "id":
+            if lexeme in KEYWORDS:
+                kind = "kw"
+        elif kind == "op":
+            kind = lexeme
+        elif kind == "bad":
+            raise ParseError.at(text, start, f"unexpected character {lexeme!r}")
+        tokens.append(Token(kind, lexeme, start))
+        if kind == "eof":
+            break
     return tokens
 
 
@@ -307,16 +331,16 @@ def tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         # name -> first-use token, used to reject mixed scalar/array roles
         self.scalar_uses: dict = {}
         self.array_uses: dict = {}
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # next() never moves past 'eof'
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -328,35 +352,34 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             want = what or repr(kind)
-            raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            self.error(f"expected {want}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok: Optional[Token] = None):
+        tok = tok or self.peek()
+        raise ParseError.at(self.text, tok.offset, message)
 
     def note_scalar(self, tok: Token):
         if tok.text in self.array_uses:
-            raise ParseError(f"{tok.text!r} used as both scalar and array",
-                             tok.line, tok.col)
+            self.error(f"{tok.text!r} used as both scalar and array", tok)
         self.scalar_uses.setdefault(tok.text, tok)
 
     def note_array(self, tok: Token):
         if tok.text in self.scalar_uses:
-            raise ParseError(f"{tok.text!r} used as both scalar and array",
-                             tok.line, tok.col)
+            self.error(f"{tok.text!r} used as both scalar and array", tok)
         self.array_uses.setdefault(tok.text, tok)
 
     # --- commands ---------------------------------------------------------
 
     def parse_com(self) -> Com:
-        stmt = self.parse_stmt()
-        if self.peek().kind == ";":
+        stmts = [self.parse_stmt()]
+        while self.peek().kind == ";":
             self.next()
-            rest = self.parse_com()  # ';' right-associates
-            return Seq(stmt, rest)
-        return stmt
+            stmts.append(self.parse_stmt())
+        com = stmts.pop()
+        while stmts:  # ';' right-associates
+            com = Seq(stmts.pop(), com)
+        return com
 
     def parse_stmt(self) -> Com:
         tok = self.peek()
@@ -405,8 +428,7 @@ class _Parser:
                 value = self.parse_aexp()
                 self.note_array(name)
                 return AWrite(name.text, index, value)
-            raise ParseError(f"expected ':=', '<-' or '[' after {name.text!r}",
-                             after.line, after.col)
+            self.error(f"expected ':=', '<-' or '[' after {name.text!r}", after)
         self.error(f"expected a command, found {tok.text or 'end of input'!r}")
 
     def _at_kw(self, word: str) -> bool:
@@ -416,8 +438,7 @@ class _Parser:
     def _expect_kw(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "kw" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
     # --- arithmetic expressions -------------------------------------------
@@ -513,11 +534,21 @@ class _Parser:
         left = self.parse_aexp()
         tok = self.peek()
         if tok.kind not in ("=", "<>", "<=", "<"):
-            raise ParseError(f"expected a comparison operator, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            self.error(
+                f"expected a comparison operator, found {tok.text or 'end of input'!r}", tok
+            )
         self.next()
         right = self.parse_aexp()
         return Cmp(tok.kind, left, right)
+
+
+def _parse_all(text: str, rule):
+    parser = _Parser(text)
+    out = rule(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        parser.error(f"trailing input starting at {tok.text!r}", tok)
+    return out
 
 
 def parse_com(text: str) -> Com:
@@ -527,30 +558,15 @@ def parse_com(text: str) -> Com:
     Raises ParseError (with line/column) on malformed input or when a name
     is used both as a scalar and as an array.
     """
-    parser = _Parser(tokenize(text))
-    com = parser.parse_com()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-    return com
+    return _parse_all(text, _Parser.parse_com)
 
 
 def parse_aexp(text: str) -> AExp:
-    parser = _Parser(tokenize(text))
-    e = parser.parse_aexp()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-    return e
+    return _parse_all(text, _Parser.parse_aexp)
 
 
 def parse_bexp(text: str) -> BExp:
-    parser = _Parser(tokenize(text))
-    b = parser.parse_bexp()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-    return b
+    return _parse_all(text, _Parser.parse_bexp)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ from .lang import (
     SKIP,
     Var,
     While,
+    syntax_equal,
     used_vars,
     vars_of_expr,
 )
@@ -723,7 +724,66 @@ def check_bcc(
     variable, and the flag variable's initial value encodes the initial
     misspeculation flag.
     """
-    if flag_var in used_vars(c):
+    flag = _bcc_flag(flag_var in used_vars(c), rho, mu, flag_var)
+    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
+    hardened = transform(variant_kind, c, P, PA, flag_var)
+    return _bcc_run(sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
+
+
+def check_bcc_space(
+    variant_kind: str,
+    c: Com,
+    P: LabelMap,
+    PA: LabelMap,
+    space: StateSpace,
+    bounds: Bounds = Bounds(),
+    dirs: Optional[Sequence[Dir]] = None,
+    trials: int = 0,
+    seed: int = 0,
+    flag_var: str = DEFAULT_FLAG_VAR,
+) -> Tuple[int, List[str]]:
+    """check_bcc over a space.  With ``dirs``, one run per state in
+    enumeration order; otherwise ``trials`` runs, each from a state drawn
+    at random and driven by a random walk of the hardened program (seeded
+    by ``seed``).  The hardened program and the ideal source are prepared
+    once.  Stops at the first failing run; returns the number of runs and
+    the failure messages."""
+    uses_flag = flag_var in used_vars(c)
+    if dirs is None:
+        hardened = transform(variant_kind, c, P, PA, flag_var)
+        rng = random.Random(seed)
+        states = list(enum_states(space))  # never empty: the empty space has one state
+        runs = (_random_bcc_run(rng, states, hardened, bounds) for _ in range(trials))
+    else:
+        hardened = None
+        runs = ((rho, mu, dirs) for rho, mu in enum_states(space))
+    source = None
+    count = 0
+    for rho, mu, run_dirs in runs:
+        count += 1
+        flag = _bcc_flag(uses_flag, rho, mu, flag_var)
+        if source is None:
+            source = _ideal_source(variant_kind, c, P, PA, typed=False)
+            if hardened is None:
+                hardened = transform(variant_kind, c, P, PA, flag_var)
+        ok, why = _bcc_run(*source, hardened, rho, mu, flag, run_dirs, bounds.fuel, flag_var)
+        if not ok:
+            return count, [why]
+    return count, []
+
+
+def _random_bcc_run(rng: random.Random, states, hardened: Com, bounds: Bounds):
+    rho, mu = states[rng.randrange(len(states))]
+    walk = random_spec_walk(
+        rng, SpecConfig(hardened, rho, mu, False), bounds.max_dirs, bounds.fuel
+    )
+    return rho, mu, walk
+
+
+def _bcc_flag(uses_flag: bool, rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:
+    """The initial misspeculation flag of a bcc run; PreconditionError when
+    a side condition fails."""
+    if uses_flag:
         raise PreconditionError(f"program uses flag variable {flag_var!r}")
     if any(len(vec) == 0 for _, vec in mu.items()):
         raise PreconditionError("empty array in initial state")
@@ -732,10 +792,10 @@ def check_bcc(
         raise PreconditionError(
             f"{flag_var!r} must be 0 or 1 in the initial state, found {b0}"
         )
-    flag = bool(b0)
-    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
-    hardened = transform(variant_kind, c, P, PA, flag_var)
+    return bool(b0)
 
+
+def _bcc_run(sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var) -> Tuple[bool, str]:
     target = run(SPEC, SpecConfig(hardened, rho, mu, flag), dirs, fuel)
     if target.kind is RunKind.FUEL_EXHAUSTED:
         raise PreconditionError("fuel too small for the hardened run")
@@ -794,7 +854,7 @@ def _step_ni(
     n1, n2 = r1.cfg, r2.cfg
     prog1 = n1.acom if isinstance(n1, FsIdealConfig) else n1.com
     prog2 = n2.acom if isinstance(n2, FsIdealConfig) else n2.com
-    if prog1 != prog2:
+    if not syntax_equal(prog1, prog2):
         return False, "successor commands differ"
     if n1.flag != n2.flag:
         return False, "successor flags differ"

@@ -9,6 +9,14 @@ mispredicts a branch and sets the misspeculation flag; ``load a j`` and
 is set) to an arbitrary in-bounds cell of an arbitrary array, while the
 emitted observation still names the original array and index.
 
+Configurations are focused (refocusing, Danvy & Nielsen 2004): a
+``SpecConfig`` holds the redex, which is never a sequence, and a stack of
+the commands still to run after it.  A step is one ``step_ex`` call that
+rewrites the redex or pops the stack, so it costs the same at any nesting
+depth.  The step count is that of the structural rules over ``Seq``:
+dropping a finished ``skip`` head is one silent step, and a ``while``
+unfolds to ``if b then (body; while) else skip`` in one silent step.
+
 ``step_ex`` with no policy is the speculative semantics and computes no
 labels.  Under a hardening's masking policy and fixed labeling it is that
 hardening's ideal semantics (``ideal_sem``); the read and write rules are
@@ -27,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
-from .lang import ARead, Asgn, AWrite, Com, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
+from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
 from .seq_sem import RunKind
 from .state import (
     Dir,
@@ -51,14 +59,18 @@ class StepTag(enum.Enum):
     NEED_DIR = "need-dir"  # at an observing redex with no directive left
 
 
-@dataclass(frozen=True)
 class StepResult:
-    tag: StepTag
-    cfg: Optional[object] = None  # SpecConfig, or FsIdealConfig under IdealFS
-    obs: Optional[Obs] = None
-    consumed: int = 0
+    """A step's tag; after a step, the successor configuration (SpecConfig,
+    or FsIdealConfig under IdealFS), its observation (None when silent) and
+    the number of directives consumed."""
+
+    __slots__ = ("tag", "cfg", "obs", "consumed")
+
+    def __init__(self, tag: StepTag, cfg=None, obs: Optional[Obs] = None, consumed: int = 0):
+        self.tag, self.cfg, self.obs, self.consumed = tag, cfg, obs, consumed
 
 
+STEPPED = StepTag.STEPPED
 STUCK = StepResult(StepTag.STUCK)
 NEED_DIR = StepResult(StepTag.NEED_DIR)
 
@@ -125,31 +137,27 @@ def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d:
 
 
 def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResult:
-    """Tagged step: silent rules ignore ``d`` and consume nothing; observing
-    rules require a matching directive.  ``d=None`` at an observing redex
-    reports NEED_DIR.  Without a policy this is the speculative semantics;
-    with one it is an ideal semantics over the fixed labeling ``P``."""
-    c, rho, mu, flag = cfg.com, cfg.rho, cfg.mu, cfg.flag
-    if isinstance(c, Skip):
-        return STUCK
+    """Tagged step of the redex: silent rules ignore ``d`` and consume
+    nothing; observing rules require a matching directive.  ``d=None`` at
+    an observing redex reports NEED_DIR.  Without a policy this is the
+    speculative semantics; with one it is an ideal semantics over the fixed
+    labeling ``P``."""
+    c, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
     if isinstance(c, Asgn):
         rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
-        return StepResult(StepTag.STEPPED, SpecConfig(SKIP, rho2, mu, flag))
-    if isinstance(c, Seq):
-        if isinstance(c.first, Skip):
-            return StepResult(StepTag.STEPPED, SpecConfig(c.second, rho, mu, flag))
-        sub = step_ex(SpecConfig(c.first, rho, mu, flag), d, policy, P)
-        if sub.tag is not StepTag.STEPPED:
-            return sub
-        n = sub.cfg
-        cfg2 = SpecConfig(Seq(n.com, c.second), n.rho, n.mu, n.flag)
-        return StepResult(StepTag.STEPPED, cfg2, sub.obs, sub.consumed)
+        return StepResult(STEPPED, SpecConfig(SKIP, rho2, mu, flag, k))
+    if isinstance(c, Skip):
+        if k is None:
+            return STUCK
+        # drop the finished head: the top of the stack runs next
+        return StepResult(STEPPED, SpecConfig(k[0], rho, mu, flag, k[1]))
     if isinstance(c, While):
         unfolded = If(c.cond, Seq(c.body, c), SKIP)
-        return StepResult(StepTag.STEPPED, SpecConfig(unfolded, rho, mu, flag))
+        return StepResult(STEPPED, SpecConfig(unfolded, rho, mu, flag, k))
+    # the remaining commands observe
+    if d is None:
+        return NEED_DIR
     if isinstance(c, If):
-        if d is None:
-            return NEED_DIR
         taken = eval_bexp(rho, c.cond)
         if policy is not None and flag and taken:
             # a secret condition reads as false while misspeculating
@@ -160,10 +168,8 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResul
             succ, flag2 = (c.other if taken else c.then), True
         else:
             return STUCK
-        return StepResult(StepTag.STEPPED, SpecConfig(succ, rho, mu, flag2), OBranch(taken), 1)
+        return StepResult(STEPPED, SpecConfig(succ, rho, mu, flag2, k), OBranch(taken), 1)
     if isinstance(c, ARead):
-        if d is None:
-            return NEED_DIR
         li = lx = None
         if policy is not None:
             li, lx = label_of_expr(P, c.index), P.get(c.name)
@@ -171,11 +177,9 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResul
         if r is None:
             return STUCK
         v, i, flag2 = r
-        cfg2 = SpecConfig(SKIP, rho.set(c.name, v), mu, flag2)
-        return StepResult(StepTag.STEPPED, cfg2, ORead(c.array, i), 1)
+        cfg2 = SpecConfig(SKIP, rho.set(c.name, v), mu, flag2, k)
+        return StepResult(STEPPED, cfg2, ORead(c.array, i), 1)
     if isinstance(c, AWrite):
-        if d is None:
-            return NEED_DIR
         li = le = None
         if policy is not None:
             li, le = label_of_expr(P, c.index), label_of_expr(P, c.value)
@@ -183,25 +187,18 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResul
         if r is None:
             return STUCK
         mu2, i, flag2 = r
-        cfg2 = SpecConfig(SKIP, rho, mu2, flag2)
-        return StepResult(StepTag.STEPPED, cfg2, OWrite(c.array, i), 1)
+        return StepResult(STEPPED, SpecConfig(SKIP, rho, mu2, flag2, k), OWrite(c.array, i), 1)
     raise TypeError(f"not a command: {c!r}")
 
 
-def head_redex(c: Com) -> Com:
-    """The command about to be reduced: follows the spine of sequences."""
-    while isinstance(c, Seq) and not isinstance(c.first, Skip):
-        c = c.first
-    return c
-
-
-def candidate_dirs(redex, cfg, masked: bool) -> List[Dir]:
-    """Directives that could apply at ``redex``, the command ``cfg`` reduces
-    next, in dir_sort_key order; empty when the next step is silent.  A
-    branch admits step and force.  An access admits step unless its index
-    is out of bounds and the semantics cannot mask it (``masked`` false),
-    and, while misspeculating with the real index out of bounds, one
-    load/store per in-bounds cell of every array."""
+def candidate_dirs(cfg, masked: bool) -> List[Dir]:
+    """Directives that could apply at the redex of ``cfg``, in dir_sort_key
+    order; empty when the next step is silent.  A branch admits step and
+    force.  An access admits step unless its index is out of bounds and the
+    semantics cannot mask it (``masked`` false), and, while misspeculating
+    with the real index out of bounds, one load/store per in-bounds cell of
+    every array."""
+    redex = cfg.redex
     if isinstance(redex, (If, AIf)):
         return [STEP, FORCE]
     if not isinstance(redex, (ARead, AWrite, AARead, AAWrite)):
@@ -222,11 +219,11 @@ class Speculative:
 
     @staticmethod
     def candidates(cfg: SpecConfig) -> List[Dir]:
-        return candidate_dirs(head_redex(cfg.com), cfg, False)
+        return candidate_dirs(cfg, False)
 
     @staticmethod
     def is_final(cfg: SpecConfig) -> bool:
-        return isinstance(cfg.com, Skip)
+        return cfg.k is None and isinstance(cfg.redex, Skip)
 
 
 SPEC = Speculative()

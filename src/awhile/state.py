@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ifc_static import LabelMap
-from .lang import Com
+from .lang import Com, Seq
 
 
 class ScalarState:
@@ -190,15 +190,34 @@ def dir_sort_key(d: Dir):
     return (3, d.array, d.index)
 
 
-@dataclass(frozen=True)
 class SpecConfig:
-    """Configuration of the speculative semantics: command, stores, and the
-    misspeculation flag (False at execution start)."""
+    """Configuration of the speculative semantics, focused: the redex about
+    to be reduced (never a sequence), the continuation stack of commands
+    still to run after it, the stores, and the misspeculation flag (False at
+    execution start).
 
-    com: Com
-    rho: ScalarState
-    mu: ArrayState
-    flag: bool
+    The stack is a linked tuple ``(command, rest)``, or None when empty.
+    Building a configuration from a sequence pushes its second part and
+    focuses on its first; this costs no step.  ``com`` undoes the focusing:
+    it folds the stack back around the redex, giving the command the
+    structural rules over ``Seq`` would hold."""
+
+    __slots__ = ("redex", "k", "rho", "mu", "flag")
+
+    def __init__(self, com: Com, rho: ScalarState, mu: ArrayState, flag: bool, k=None):
+        while isinstance(com, Seq):
+            k, com = (com.second, k), com.first
+        self.redex, self.k, self.rho, self.mu, self.flag = com, k, rho, mu, flag
+
+    @property
+    def com(self) -> Com:
+        c, k = self.redex, self.k
+        while k is not None:
+            c, k = Seq(c, k[0]), k[1]
+        return c
+
+    def __repr__(self):
+        return f"SpecConfig({self.com!r}, {self.rho!r}, {self.mu!r}, {self.flag!r})"
 
 
 # ---------------------------------------------------------------------------

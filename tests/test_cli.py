@@ -42,6 +42,17 @@ def test_print_round_trip(files, capsys):
     assert " ".join(out.split()) == " ".join(LISTING1.split())
 
 
+def test_print_long_program_round_trips(files, capsys):
+    # ';' is parsed with a loop, so a long straight-line program does not
+    # exhaust the recursion limit
+    text = ";\n".join(["x := x + 1"] * 1500) + "\n"
+    assert main(["print", files("p.aw", text)]) == 0
+    out = capsys.readouterr().out
+    assert out == text
+    assert main(["print", files("q.aw", out)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_typecheck_cct(files, capsys):
     p = files("p.aw", LISTING1)
     labels = files("labels", LISTING1_LABELS)
@@ -142,6 +153,13 @@ def test_check_unwind_and_wl(files):
 def test_check_equality(files):
     p = files("p.aw", LISTING1)
     assert main(["check", "--property", "equality", p]) == 0
+
+
+def test_check_equality_long_program(files, capsys):
+    # the hardened programs are compared without recursing down the spine
+    p = files("p.aw", ";\n".join(["x := x + 1"] * 600))
+    assert main(["check", "--property", "equality", p]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "holds"
 
 
 def test_repro_exit_codes(capsys):
@@ -327,3 +345,33 @@ def test_lemma_checks_type_the_program_once(files, capsys, monkeypatch, prop, va
     first = capsys.readouterr().out.splitlines()[0]
     assert int(first.split(": ")[1]) > 0  # the check covered pairs
     assert calls == {"wt_ifc": 0, "flow_track": 0, typer: 1}
+
+
+@pytest.mark.parametrize("variant,transformer", [
+    ("fislh", "harden"), ("fvslh", "harden"), ("fsfvslh", "harden_fs"),
+])
+def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transformer):
+    import awhile.seccheck as seccheck
+
+    calls = {"harden": 0, "harden_fs": 0, "flow_track": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(seccheck, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(seccheck, name, counting)
+    p = files("p.aw", LISTING1)
+    labels = files("labels", LISTING1_LABELS)
+    space = files("space", "i in {0,1,4}\na1_size in {4}\na1 : size 4 in {0}\n"
+                           "a2 : size 4 in {0}\na3 : size 1 in {0,1}")
+    # six random runs, then one run per state of the six-state space
+    for extra in (["--trials", "6"], ["--dirs", "force load a3 0 step"]):
+        assert main(["check", "--property", "bcc", "--variant", variant, "--labels", labels,
+                     "--space", space, "--max-dirs", "4", *extra, p]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "runs: 6"
+    # once per check: the hardening, and for fsfvslh the annotations of the
+    # program to harden and of the ideal source
+    expected = {"harden": 0, "harden_fs": 0, "flow_track": 0, transformer: 2}
+    if variant == "fsfvslh":
+        expected["flow_track"] = 4
+    assert calls == expected

@@ -25,6 +25,7 @@ from awhile.lang import (
     parse_com,
     pretty_aexp,
     pretty_com,
+    syntax_equal,
     used_vars,
 )
 from awhile.state import ScalarState
@@ -139,6 +140,34 @@ def test_parse_error_has_position():
         parse_com("skip;\n  ?")
     assert err.value.line == 2
     assert err.value.col == 3
+
+
+def test_error_after_comment_and_newline_has_position():
+    with pytest.raises(ParseError) as err:
+        parse_com("x := 1; # a comment; with ';'\n\t y := @")
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert str(err.value) == "2:8: unexpected character '@'"
+    with pytest.raises(ParseError) as err:
+        parse_com("x := 1 # trailing\n  # only comments\n  y")
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert err.value.message == "trailing input starting at 'y'"
+    with pytest.raises(ParseError) as err:
+        parse_com("x := 1;  # nothing follows\n")
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert err.value.message == "expected a command, found 'end of input'"
+
+
+def test_syntax_equal_on_long_spines():
+    def chain(n, last):
+        com = Asgn("x", Num(last))
+        for _ in range(n):
+            com = Seq(Asgn("x", BinOp("+", Var("x"), Num(1))), com)
+        return com
+
+    assert syntax_equal(chain(5000, 0), chain(5000, 0))
+    assert not syntax_equal(chain(5000, 0), chain(5000, 1))
+    assert not syntax_equal(chain(5000, 0), chain(4999, 0))
+    assert not syntax_equal(Num(1), Var("x"))
 
 
 def test_seq_right_associates():

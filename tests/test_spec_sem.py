@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awhile.flow_ifc import flow_track
+from awhile.flow_ifc import erase_acom, flow_track
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC
-from awhile.lang import ARead, Num, parse_com
+from awhile.lang import ARead, Num, parse_com, syntax_equal
 from awhile.seccheck import NamePools, gen_program, random_labeling, random_state
 from awhile.seq_sem import RunKind, seq_run
 from awhile.spec_sem import SPEC, StepTag, feasible, run, step_ex
@@ -140,6 +140,35 @@ def test_erasure_step_only_runs_equal_sequential(seed):
     assert spec.final.rho == seq.rho
     assert spec.final.mu == seq.mu
     assert spec.final.flag is False
+
+
+def test_step_accounting_matches_sequential_at_every_fuel():
+    # the focused stepper must spend fuel exactly like the structural rules:
+    # cut off at any fuel, every semantics driven by step directives stops
+    # where the sequential oracle does, in the same state and command
+    rng = random.Random(2024)
+    pools = NamePools()
+    for _ in range(60):
+        com = gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
+        P, PA = random_labeling(rng, pools)
+        rho, mu = random_state(rng, pools, max_array_size=4)
+        acom, _ = flow_track(com, P, PA, PUBLIC)
+        for fuel in range(61):
+            seq = seq_run(com, rho, mu, fuel)
+            for sem, cfg in (
+                (SPEC, SpecConfig(com, rho, mu, False)),
+                (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, False)),
+                (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, False)),
+                (IdealFS(), FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)),
+            ):
+                out = run(sem, cfg, [STEP] * 100, fuel)
+                assert out.kind is seq.kind, (sem, fuel)
+                assert out.trace == seq.trace
+                assert out.final.rho == seq.rho and out.final.mu == seq.mu
+                # the stack folds back to the command the oracle holds
+                final = out.final
+                com_left = erase_acom(final.acom) if isinstance(final, FsIdealConfig) else final.com
+                assert syntax_equal(com_left, seq.com)
 
 
 def _directive_universe(mu):
