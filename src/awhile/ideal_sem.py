@@ -24,7 +24,7 @@ stack, restored when the finished branch is popped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from .flow_ifc import (
@@ -52,7 +52,9 @@ from .spec_sem import (
     step_ex,
     write_rule,
 )
-from .state import ArrayState, Dir, DForce, DStep, OBranch, ORead, OWrite, ScalarState, SpecConfig
+from .state import (
+    ArrayState, Dir, DForce, DStep, OBranch, ORead, OWrite, ScalarState, SpecConfig, focus_ids,
+)
 
 # ---------------------------------------------------------------------------
 # Masking policies
@@ -98,15 +100,17 @@ _FVSLH_POLICY = _Policy(
 
 @dataclass(frozen=True)
 class _FixedLabeling:
-    """step_ex under the variant's policy and the fixed scalar labeling P."""
+    """step_ex under the variant's policy and the fixed scalar labeling P,
+    with a loop table of its own (see ``step_ex``)."""
 
     P: LabelMap
     PA: LabelMap
+    loops: dict = field(default_factory=dict, compare=False, repr=False)
 
     policy = None  # set by each variant
 
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
-        return step_ex(cfg, d, self.policy, self.P)
+        return step_ex(cfg, d, self.policy, self.P, self.loops)
 
     @staticmethod
     def candidates(cfg: SpecConfig) -> List[Dir]:
@@ -157,6 +161,11 @@ class FsIdealConfig:
             top, k = k
             a = ASeq(a, top.second, top.mid) if isinstance(top, ASeq) else ABranch(top, a)
         return a
+
+    def key(self):
+        """As ``SpecConfig.key``, with the pc label and the labelings."""
+        ids = focus_ids(self.redex, self.k)
+        return (ids, self.rho, self.mu, self.flag, self.pc, self.P, self.PA)
 
     def __repr__(self):
         return (

@@ -21,15 +21,17 @@ Cost model of the SCT and relative-security checks: the space is enumerated
 once and its states grouped by their public projection, which yields the
 public-equivalent pairs in nested-scan order.  Each state gets one
 sequential run (the relative-security premise) and one directive tree,
-expanded lazily and shared by every pair walk the state takes part in; a
-pair walk only merges two trees, stepping each (node, directive) at most
-once.  The work is one tree per state plus the pair walks, not pairs times
-trees.  A state's tree is kept while the state has a later pair and dropped
-after its last one, and a tree that is not kept frees each subtree once the
-walk has left it.  A check that walks no pair holds vacuously and says so
-in its message.  The unwinding check over a space walks its pairs the same
-way, under the ideal semantics; it and the noninterference check type the
-program once, not once per pair.
+expanded lazily, shared by every pair walk the state takes part in, and
+dropped after the state's last pair.  A tree is a DAG: its nodes are
+hash-consed on (configuration, fuel, depth) (Filliâtre & Conchon, ML
+Workshop 2006), so paths that reconverge on a configuration step it once,
+and no node is freed behind a walk, since another parent may reach it.  A
+pair walk merges two trees, stepping each (node, directive) at most once,
+and skips the node pairs it already found clean, which are clean in any
+context (the product visited set of explicit-state model checking).  A
+check that walks no pair holds vacuously and says so in its message.  The
+unwinding check over a space walks its pairs the same way, under the ideal
+semantics; it and the noninterference check type the program once.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .lang import (
     vars_of_expr,
 )
 from .seq_sem import RunKind, seq_run
-from .spec_sem import SPEC, StepTag, feasible, run
+from .spec_sem import SPEC, Speculative, StepTag, feasible, run
 from .state import (
     ArrayState,
     Dir,
@@ -321,8 +323,9 @@ class _Node:
     """A configuration advanced to its next observing redex.  ``kids`` holds
     the feasible children stepped so far, as (sort key, directive,
     observation, child node), in dir_sort_key order; ``cands`` are the
-    candidate directives and ``pos`` the first one not yet stepped.  Once
-    every candidate is stepped, the configuration is dropped."""
+    candidate directives and ``pos`` the first one not yet stepped.  The
+    node keeps its configuration, which keeps the objects its key names
+    by identity alive."""
 
     __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids")
 
@@ -340,13 +343,13 @@ class _Tree:
     """The directive tree of one configuration, expanded on demand: a node's
     children are stepped one directive at a time, in dir_sort_key order
     (the order the semantics list their candidates in), each at most once.
-    A kept tree stores what it expands for the next pair walk; a tree that
-    is not kept frees each subtree once the walk has left it."""
+    A node's subtree depends only on its key (``cfg.key()``, fuel, depth),
+    so ``nodes`` makes the tree a DAG with one node per key."""
 
-    __slots__ = ("sem", "max_dirs", "keep", "root")
+    __slots__ = ("sem", "max_dirs", "nodes", "root")
 
     def __init__(self, sem, cfg, fuel: int, max_dirs: int):
-        self.sem, self.max_dirs, self.keep = sem, max_dirs, False
+        self.sem, self.max_dirs, self.nodes = sem, max_dirs, {}
         self.root = self._node(cfg, fuel, 0)
 
     def _node(self, cfg, fuel: int, depth: int) -> _Node:
@@ -355,23 +358,23 @@ class _Tree:
         cfg, used, status = _advance(self.sem, cfg, fuel)
         if status != "need-dir":
             return _LEAF
-        return _Node(cfg, fuel - used, depth)
+        key = (cfg.key(), fuel - used, depth)
+        n = self.nodes.get(key)
+        if n is None:
+            n = self.nodes[key] = _Node(cfg, fuel - used, depth)
+        return n
 
     def kid(self, n: _Node, k: int):
         """The k-th feasible child of n, or None past the last one."""
         kids = n.kids
         while k >= len(kids):
-            cfg = n.cfg
-            if cfg is None:
-                return None
             if n.cands is None:
-                n.cands = self.sem.candidates(cfg)
+                n.cands = self.sem.candidates(n.cfg)
             if n.pos == len(n.cands):
-                n.cfg = n.cands = None
-                continue
+                return None
             d = n.cands[n.pos]
             n.pos += 1
-            r = self.sem.step(cfg, d)
+            r = self.sem.step(n.cfg, d)
             if r.tag is StepTag.STEPPED:
                 child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
                 kids.append((dir_sort_key(d), d, r.obs, child))
@@ -384,14 +387,15 @@ def _joint_divergence(t1: _Tree, t2: _Tree):
     in canonical order, or None.  Directive sequences only one run can
     consume are vacuous for observational equivalence and are pruned: the
     walk follows the directives feasible on both sides, merging the two
-    nodes' ordered children."""
-    return _walk(t1, t2, t1.root, t2.root, [], [], [])
+    nodes' ordered children.  It enters each node pair once: a pair it
+    left clean (in ``clean``) has no divergence under it on any path."""
+    return _walk(t1, t2, t1.root, t2.root, [], [], [], set())
 
 
-def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2):
+def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
     # a module-level function rather than a closure: a self-referencing
     # closure would keep both trees alive until the cyclic collector runs
-    if n1 is _LEAF or n2 is _LEAF:
+    if n1 is _LEAF or n2 is _LEAF or (n1, n2) in clean:
         return None
     k1 = k2 = 0
     e1, e2 = t1.kid(n1, 0), t2.kid(n2, 0)
@@ -407,31 +411,20 @@ def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2):
             dirs.append(d)
             obs1.append(o1)
             obs2.append(o2)
-            res = _walk(t1, t2, e1[3], e2[3], dirs, obs1, obs2)
+            res = _walk(t1, t2, e1[3], e2[3], dirs, obs1, obs2, clean)
             if res is not None:
                 return res
             dirs.pop()
             obs1.pop()
             obs2.pop()
-        # advance the side with the smaller directive, or both on a match;
-        # a tree that is not kept drops each child the walk has passed
+        # advance the side with the smaller directive, or both on a match
         if key1 <= key2:
-            if not t1.keep:
-                n1.kids[k1] = None
             k1 += 1
             e1 = t1.kid(n1, k1)
         if key2 <= key1:
-            if not t2.keep:
-                n2.kids[k2] = None
             k2 += 1
             e2 = t2.kid(n2, k2)
-    # no later walk reaches these nodes of a tree that is not kept
-    if not t1.keep:
-        n1.cfg = n1.cands = None
-        n1.kids = []
-    if not t2.keep:
-        n2.cfg = n2.cands = None
-        n2.kids = []
+    clean.add((n1, n2))
     return None
 
 
@@ -475,9 +468,10 @@ def check_spec_obs_equiv(
     """Bounded speculative observational equivalence: every directive
     sequence (up to the bound) both configurations can consume must produce
     equal traces on the consumed prefix."""
+    sem = Speculative({})
     res = _joint_divergence(
-        _Tree(SPEC, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
-        _Tree(SPEC, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
+        _Tree(sem, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
+        _Tree(sem, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
     )
     bounds = Bounds(max_dirs, fuel)
     if res is None:
@@ -512,9 +506,8 @@ def _first_divergent_pair(
 ) -> Optional[Tuple[int, Witness]]:
     """Walk the pairs in order, each over the two states' shared directive
     trees under ``sem``, rooted at ``start(rho, mu)``; a state's tree is
-    built on its first pair, kept while the state has a later pair, and
-    dropped after its last.  Returns the position of the first divergent
-    pair and its witness."""
+    built on its first pair and dropped after its last.  Returns the
+    position of the first divergent pair and its witness."""
     last = {}
     for k, (i, j) in enumerate(pairs):
         last[i] = last[j] = k
@@ -523,7 +516,6 @@ def _first_divergent_pair(
         for s in (i, j):
             if s not in trees:
                 trees[s] = _Tree(sem, start(*states[s]), bounds.fuel, bounds.max_dirs)
-            trees[s].keep = last[s] > k
         res = _joint_divergence(trees[i], trees[j])
         if res is not None:
             return k, Witness(states[i], states[j], *res)
@@ -554,7 +546,7 @@ def check_sct(
             message=f"vacuous: 0 public-equivalent pairs among {len(states)} states",
         )
     found = _first_divergent_pair(
-        SPEC, lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
+        Speculative({}), lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
     )
     if found is not None:
         return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
@@ -654,7 +646,8 @@ def check_relative_security(
             "passed the sequential premise",
         )
     found = _first_divergent_pair(
-        SPEC, lambda rho, mu: SpecConfig(hardened, rho, mu, False), states, premised, bounds
+        Speculative({}), lambda rho, mu: SpecConfig(hardened, rho, mu, False),
+        states, premised, bounds,
     )
     if found is not None:
         return Verdict(VerdictStatus.VIOLATED, found[1], bounds)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
@@ -136,12 +137,14 @@ def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d:
 # ---------------------------------------------------------------------------
 
 
-def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResult:
+def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) -> StepResult:
     """Tagged step of the redex: silent rules ignore ``d`` and consume
     nothing; observing rules require a matching directive.  ``d=None`` at
     an observing redex reports NEED_DIR.  Without a policy this is the
     speculative semantics; with one it is an ideal semantics over the fixed
-    labeling ``P``."""
+    labeling ``P``.  With a ``loops`` table, a ``while`` unfolds to the
+    same command object every time, so configurations that reach one loop
+    head by different paths have equal keys (``SpecConfig.key``)."""
     c, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
     if isinstance(c, Asgn):
         rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
@@ -152,7 +155,12 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None) -> StepResul
         # drop the finished head: the top of the stack runs next
         return StepResult(STEPPED, SpecConfig(k[0], rho, mu, flag, k[1]))
     if isinstance(c, While):
-        unfolded = If(c.cond, Seq(c.body, c), SKIP)
+        unfolded = None if loops is None else loops.get(id(c))
+        if unfolded is None:
+            unfolded = If(c.cond, Seq(c.body, c), SKIP)
+            if loops is not None:
+                # the unfolded command holds the loop, so the id stays valid
+                loops[id(c)] = unfolded
         return StepResult(STEPPED, SpecConfig(unfolded, rho, mu, flag, k))
     # the remaining commands observe
     if d is None:
@@ -213,9 +221,12 @@ def candidate_dirs(cfg, masked: bool) -> List[Dir]:
 
 
 class Speculative:
-    """The speculative semantics: the stepper under no policy."""
+    """The speculative semantics: the stepper under no policy.  A value
+    made with a ``loops`` table (see ``step_ex``) keeps every program it
+    unfolds alive, so a check makes its own; ``SPEC`` has none."""
 
-    step = staticmethod(step_ex)
+    def __init__(self, loops: Optional[dict] = None):
+        self.step = partial(step_ex, loops=loops)
 
     @staticmethod
     def candidates(cfg: SpecConfig) -> List[Dir]:

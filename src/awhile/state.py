@@ -18,7 +18,7 @@ from .lang import Com, Seq
 class ScalarState:
     """Total map from scalar names to naturals, default 0."""
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_h")
 
     def __init__(self, entries: Optional[Mapping[str, int]] = None):
         # zero entries equal the default; dropping them makes dict equality
@@ -26,6 +26,7 @@ class ScalarState:
         self._m: Dict[str, int] = {
             k: v for k, v in (entries or {}).items() if v != 0
         }
+        self._h = None
 
     def get(self, name: str) -> int:
         return self._m.get(name, 0)
@@ -37,7 +38,7 @@ class ScalarState:
         else:
             m[name] = value
         out = ScalarState.__new__(ScalarState)
-        out._m = m
+        out._m, out._h = m, None
         return out
 
     def names(self) -> frozenset:
@@ -50,7 +51,10 @@ class ScalarState:
         return isinstance(other, ScalarState) and self._m == other._m
 
     def __hash__(self):
-        return hash(frozenset(self._m.items()))
+        # computed once: the checker keys its configurations on the stores
+        if self._h is None:
+            self._h = hash(frozenset(self._m.items()))
+        return self._h
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._m.items()))
@@ -64,12 +68,13 @@ class ArrayState:
     behave as size-0 arrays (every access is out of bounds).
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_h")
 
     def __init__(self, entries: Optional[Mapping[str, Sequence[int]]] = None):
         self._m: Dict[str, Tuple[int, ...]] = {
             k: tuple(v) for k, v in (entries or {}).items() if len(v) > 0
         }
+        self._h = None
 
     def size(self, name: str) -> int:
         return len(self._m.get(name, ()))
@@ -84,7 +89,7 @@ class ArrayState:
         m = dict(self._m)
         m[name] = vec[:index] + (value,) + vec[index + 1:]
         out = ArrayState.__new__(ArrayState)
-        out._m = m
+        out._m, out._h = m, None
         return out
 
     def vector(self, name: str) -> Tuple[int, ...]:
@@ -100,7 +105,10 @@ class ArrayState:
         return isinstance(other, ArrayState) and self._m == other._m
 
     def __hash__(self):
-        return hash(frozenset(self._m.items()))
+        # computed once: the checker keys its configurations on the stores
+        if self._h is None:
+            self._h = hash(frozenset(self._m.items()))
+        return self._h
 
     def __repr__(self):
         inner = ", ".join(f"{k}={list(v)}" for k, v in sorted(self._m.items()))
@@ -190,6 +198,15 @@ def dir_sort_key(d: Dir):
     return (3, d.array, d.index)
 
 
+def focus_ids(redex, k) -> Tuple[int, ...]:
+    """The identities of a focused configuration's redex and stack entries."""
+    ids = [id(redex)]
+    while k is not None:
+        ids.append(id(k[0]))
+        k = k[1]
+    return tuple(ids)
+
+
 class SpecConfig:
     """Configuration of the speculative semantics, focused: the redex about
     to be reduced (never a sequence), the continuation stack of commands
@@ -215,6 +232,12 @@ class SpecConfig:
         while k is not None:
             c, k = Seq(c, k[0]), k[1]
         return c
+
+    def key(self):
+        """Equal for two configurations that step alike: the identities of
+        the redex and of every stack entry, the stores and the flag.  The
+        identities stay valid while this configuration is alive."""
+        return (focus_ids(self.redex, self.k), self.rho, self.mu, self.flag)
 
     def __repr__(self):
         return f"SpecConfig({self.com!r}, {self.rho!r}, {self.mu!r}, {self.flag!r})"

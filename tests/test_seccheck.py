@@ -7,6 +7,7 @@ from awhile.ideal_sem import FsIdealConfig, IdealFS
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
 from awhile.seccheck import (
+    _LEAF,
     Bounds,
     NamePools,
     PreconditionError,
@@ -27,9 +28,10 @@ from awhile.seccheck import (
     random_labeling,
     random_state,
     transform,
+    _Tree,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, StepTag, feasible, run
+from awhile.spec_sem import SPEC, Speculative, StepTag, feasible, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -393,6 +395,87 @@ def test_spec_equiv_agrees_with_leaf_reference():
         i = w.divergence_index
         assert w.trace1[:i] == w.trace2[:i] and w.trace1[i] != w.trace2[i]
     assert violated > 0
+
+
+# --- the shared directive DAG ------------------------------------------------
+
+# the benchmark's sct-deep gadget and space: the Listing-1 gadget run twice
+# in a loop, four states
+_LOOPED_GADGET = parse_com(
+    "k := 0; while k < 2 do"
+    " if i < a1_size then j <- a1[i]; x <- a2[j] end; i := i + 1; k := k + 1 end"
+)
+_LOOPED_LABELS = parse_labeling(
+    "".join(f"{n}: public\n" for n in ("i", "a1_size", "j", "x", "k", "a1", "a2"))
+)
+_LOOPED_SPACE = parse_space(
+    "i in {0,3}\na1_size in {4}\na1 : size 4 in {1}\na2 : size 4 in {0}\n"
+    "a3 : size 1 in {42,43}"
+)
+
+
+def _dag_leaves(tree):
+    """Every (directives, trace) leaf of the DAG read as a tree, in walk
+    order, and the number of tree nodes that are not leaves."""
+    leaves, inner = [], 0
+    stack = [(tree.root, (), ())]
+    while stack:
+        n, dirs, trace = stack.pop()
+        if n is _LEAF or tree.kid(n, 0) is None:
+            leaves.append((dirs, trace))
+            continue
+        inner += 1
+        k, kids = 0, []
+        while tree.kid(n, k) is not None:
+            _, d, o, child = tree.kid(n, k)
+            kids.append((child, dirs + (d,), trace + (o,)))
+            k += 1
+        stack.extend(reversed(kids))
+    return leaves, inner
+
+
+def _assert_dag_matches_runs(cfg, max_dirs, fuel):
+    tree = _Tree(Speculative({}), cfg, fuel, max_dirs)
+    leaves, inner = _dag_leaves(tree)
+    want = [(d, t) for d, t, _ in enum_spec_runs(cfg, SPEC, max_dirs, fuel)]
+    assert leaves == want
+    return inner, len(tree.nodes)
+
+
+def test_dag_leaves_match_enum_spec_runs_on_gadget():
+    for variant in ("none", "islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"):
+        c = transform(variant, _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+        for rho, mu in enum_states(_LOOPED_SPACE):
+            _assert_dag_matches_runs(SpecConfig(c, rho, mu, False), 12, 200)
+
+
+def test_dag_leaves_match_enum_spec_runs_on_generated_programs():
+    rng = random.Random(29)
+    shared = 0
+    for _ in range(150):
+        com = gen_program(rng.randrange(10**9), 16, pools)
+        rho, mu = random_state(rng, pools, max_array_size=2)
+        cfg = SpecConfig(com, rho, mu, rng.random() < 0.5)
+        for fuel in (12, 150):
+            inner, distinct = _assert_dag_matches_runs(cfg, 5, fuel)
+            shared += distinct < inner
+    assert shared > 0
+
+
+def test_dag_shares_the_gadget_trees():
+    # per variant, summed over the four states: nodes of the directive tree
+    # and distinct nodes of the DAG
+    counts = {}
+    for variant in ("none", "fvslh"):
+        c = transform(variant, _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+        inner = distinct = 0
+        for rho, mu in enum_states(_LOOPED_SPACE):
+            i, d = _assert_dag_matches_runs(SpecConfig(c, rho, mu, False), 12, 200)
+            inner, distinct = inner + i, distinct + d
+        counts[variant] = (inner, distinct)
+    # loop heads reached by different paths share a node only through the
+    # check's one unfolded command per loop: without it, 488 and 214
+    assert counts == {"none": (3456, 346), "fvslh": (1696, 204)}
 
 
 # --- noninterference, unwinding, preservation ----------------------------------
