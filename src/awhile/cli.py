@@ -43,7 +43,9 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import ParseError, arrays_of, parse_com, pretty_com, syntax_equal, used_vars
+from .lang import (
+    ParseError, arrays_of, parse_com, pretty_com, syntax_equal, syntax_repr, used_vars,
+)
 from .seccheck import (
     Bounds,
     PreconditionError,
@@ -199,8 +201,8 @@ def _verdict_exit(v: Verdict) -> int:
 
 
 def cmd_parse(args) -> int:
-    com = _load_program(args.program)
-    _emit(args, {"ast": repr(com)}, [repr(com)])
+    ast = syntax_repr(_load_program(args.program))
+    _emit(args, {"ast": ast}, [ast])
     return 0
 
 

@@ -163,57 +163,72 @@ def wt_ifc(P: LabelMap, PA: LabelMap, pc: Label, c: Com) -> bool:
 
     Assignments require pc ⊔ ℓ(e) ⊑ P(X); branching raises the pc by the
     condition label; array reads and writes fold the index label and pc into
-    the flow checks.
+    the flow checks.  Typed with an explicit stack of (pc, command), so a
+    long program cannot exhaust the recursion limit.
     """
-    if isinstance(c, Skip):
-        return True
-    if isinstance(c, Asgn):
-        lab = join(pc, label_of_expr(P, c.expr))
-        return label_leq(lab, P.get(c.name))
-    if isinstance(c, Seq):
-        return wt_ifc(P, PA, pc, c.first) and wt_ifc(P, PA, pc, c.second)
-    if isinstance(c, If):
-        pc2 = join(pc, label_of_expr(P, c.cond))
-        return wt_ifc(P, PA, pc2, c.then) and wt_ifc(P, PA, pc2, c.other)
-    if isinstance(c, While):
-        pc2 = join(pc, label_of_expr(P, c.cond))
-        return wt_ifc(P, PA, pc2, c.body)
-    if isinstance(c, ARead):
-        lab = join(pc, join(label_of_expr(P, c.index), PA.get(c.array)))
-        return label_leq(lab, P.get(c.name))
-    if isinstance(c, AWrite):
-        lab = join(pc, join(label_of_expr(P, c.index), label_of_expr(P, c.value)))
-        return label_leq(lab, PA.get(c.array))
-    raise TypeError(f"not a command: {c!r}")
+    todo = [(pc, c)]
+    while todo:
+        pc, c = todo.pop()
+        if isinstance(c, Seq):
+            todo += ((pc, c.second), (pc, c.first))
+            continue
+        if isinstance(c, If):
+            pc2 = join(pc, label_of_expr(P, c.cond))
+            todo += ((pc2, c.other), (pc2, c.then))
+            continue
+        if isinstance(c, While):
+            todo.append((join(pc, label_of_expr(P, c.cond)), c.body))
+            continue
+        if isinstance(c, Skip):
+            ok = True
+        elif isinstance(c, Asgn):
+            ok = label_leq(join(pc, label_of_expr(P, c.expr)), P.get(c.name))
+        elif isinstance(c, ARead):
+            lab = join(pc, join(label_of_expr(P, c.index), PA.get(c.array)))
+            ok = label_leq(lab, P.get(c.name))
+        elif isinstance(c, AWrite):
+            lab = join(pc, join(label_of_expr(P, c.index), label_of_expr(P, c.value)))
+            ok = label_leq(lab, PA.get(c.array))
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        if not ok:
+            return False
+    return True
 
 
 def wt_cct(P: LabelMap, PA: LabelMap, c: Com) -> bool:
     """Constant-time typing: branch conditions and access indices must be
     public; no pc tracking is needed since branching never leaves public
-    context."""
-    if isinstance(c, Skip):
-        return True
-    if isinstance(c, Asgn):
-        return label_leq(label_of_expr(P, c.expr), P.get(c.name))
-    if isinstance(c, Seq):
-        return wt_cct(P, PA, c.first) and wt_cct(P, PA, c.second)
-    if isinstance(c, If):
-        return (
-            label_of_expr(P, c.cond) is PUBLIC
-            and wt_cct(P, PA, c.then)
-            and wt_cct(P, PA, c.other)
-        )
-    if isinstance(c, While):
-        return label_of_expr(P, c.cond) is PUBLIC and wt_cct(P, PA, c.body)
-    if isinstance(c, ARead):
-        return label_of_expr(P, c.index) is PUBLIC and label_leq(
-            PA.get(c.array), P.get(c.name)
-        )
-    if isinstance(c, AWrite):
-        return label_of_expr(P, c.index) is PUBLIC and label_leq(
-            label_of_expr(P, c.value), PA.get(c.array)
-        )
-    raise TypeError(f"not a command: {c!r}")
+    context.  Typed with an explicit stack, like ``wt_ifc``."""
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Seq):
+            todo += (c.second, c.first)
+            continue
+        if isinstance(c, If):
+            ok = label_of_expr(P, c.cond) is PUBLIC
+            todo += (c.other, c.then)
+        elif isinstance(c, While):
+            ok = label_of_expr(P, c.cond) is PUBLIC
+            todo.append(c.body)
+        elif isinstance(c, Skip):
+            ok = True
+        elif isinstance(c, Asgn):
+            ok = label_leq(label_of_expr(P, c.expr), P.get(c.name))
+        elif isinstance(c, ARead):
+            ok = label_of_expr(P, c.index) is PUBLIC and label_leq(
+                PA.get(c.array), P.get(c.name)
+            )
+        elif isinstance(c, AWrite):
+            ok = label_of_expr(P, c.index) is PUBLIC and label_leq(
+                label_of_expr(P, c.value), PA.get(c.array)
+            )
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        if not ok:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

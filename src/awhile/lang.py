@@ -12,6 +12,7 @@ produces an observation in any of the semantics built on top of this module.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
@@ -205,37 +206,66 @@ def vars_of_expr(e) -> frozenset:
 
 def used_vars(c: Com) -> frozenset:
     """All scalar names occurring anywhere in ``c`` (reads, writes, indices,
-    conditions).  Array names are not included."""
-    if isinstance(c, Skip):
-        return frozenset()
-    if isinstance(c, Asgn):
-        return frozenset((c.name,)) | vars_of_expr(c.expr)
-    if isinstance(c, Seq):
-        return used_vars(c.first) | used_vars(c.second)
-    if isinstance(c, If):
-        return vars_of_expr(c.cond) | used_vars(c.then) | used_vars(c.other)
-    if isinstance(c, While):
-        return vars_of_expr(c.cond) | used_vars(c.body)
-    if isinstance(c, ARead):
-        return frozenset((c.name,)) | vars_of_expr(c.index)
-    if isinstance(c, AWrite):
-        return vars_of_expr(c.index) | vars_of_expr(c.value)
-    raise TypeError(f"not a command: {c!r}")
+    conditions).  Array names are not included.  An explicit stack keeps a
+    long program from exhausting the recursion limit."""
+    names, todo = set(), [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Seq):
+            todo += (c.second, c.first)
+        elif isinstance(c, If):
+            names |= vars_of_expr(c.cond)
+            todo += (c.other, c.then)
+        elif isinstance(c, While):
+            names |= vars_of_expr(c.cond)
+            todo.append(c.body)
+        elif isinstance(c, Asgn):
+            names |= {c.name} | vars_of_expr(c.expr)
+        elif isinstance(c, ARead):
+            names |= {c.name} | vars_of_expr(c.index)
+        elif isinstance(c, AWrite):
+            names |= vars_of_expr(c.index) | vars_of_expr(c.value)
+        elif not isinstance(c, Skip):
+            raise TypeError(f"not a command: {c!r}")
+    return frozenset(names)
 
 
 def arrays_of(c: Com) -> frozenset:
-    """All array names occurring in ``c``."""
-    if isinstance(c, (Skip, Asgn)):
-        return frozenset()
-    if isinstance(c, Seq):
-        return arrays_of(c.first) | arrays_of(c.second)
-    if isinstance(c, If):
-        return arrays_of(c.then) | arrays_of(c.other)
-    if isinstance(c, While):
-        return arrays_of(c.body)
-    if isinstance(c, (ARead, AWrite)):
-        return frozenset((c.array,))
-    raise TypeError(f"not a command: {c!r}")
+    """All array names occurring in ``c``, found with an explicit stack."""
+    names, todo = set(), [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Seq):
+            todo += (c.second, c.first)
+        elif isinstance(c, If):
+            todo += (c.other, c.then)
+        elif isinstance(c, While):
+            todo.append(c.body)
+        elif isinstance(c, (ARead, AWrite)):
+            names.add(c.array)
+        elif not isinstance(c, (Skip, Asgn)):
+            raise TypeError(f"not a command: {c!r}")
+    return frozenset(names)
+
+
+def syntax_repr(node) -> str:
+    """The dataclass ``repr`` of a syntax tree, built with an explicit stack
+    so that a long sequence spine cannot exhaust the recursion limit."""
+    out, todo = [], [(False, node)]
+    while todo:
+        is_text, x = todo.pop()
+        if is_text:
+            out.append(x)
+        elif not hasattr(x, "__dataclass_fields__"):
+            out.append(repr(x))
+        else:
+            names = [f.name for f in dataclasses.fields(x) if f.repr]
+            parts = [(True, type(x).__qualname__ + "(")]
+            for i, name in enumerate(names):
+                parts += [(True, (", " if i else "") + name + "="), (False, getattr(x, name))]
+            parts.append((True, ")"))
+            todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def syntax_equal(a, b) -> bool:

@@ -900,28 +900,29 @@ def check_ni(
     variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, space: StateSpace
 ) -> Tuple[int, List[str]]:
     """check_step_ni over the space: every pair of states (a state with
-    itself included), both flags, and the directives none, step and force.
-    The program is typed once; an ill-typed program checks nothing, and
-    pairs outside the lemma's premise are skipped.  Returns the number of
-    steps checked and the failure messages."""
+    itself included) in nested-scan order, both flags, and the directives
+    none, step and force.  The program is typed once; an ill-typed program
+    checks nothing.  Only states with equal public scalars are paired, and
+    pairs outside the rest of the lemma's premise are skipped.  Returns the
+    number of steps checked and the failure messages."""
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
         return 0, []
     value_based = variant_kind in ("fvslh", "fsfvslh")
     states = list(enum_states(space))
+    pairs = _equivalent_pairs(states, P, all_secret()) + [(i, i) for i in range(len(states))]
     checked, failures = 0, []
-    for i, s1 in enumerate(states):
-        for s2 in states[i:]:
-            for flag in (False, True):
-                if _ni_premise(value_based, P, PA, s1, s2, flag):
-                    continue
-                cfg1, cfg2 = start(*s1, flag), start(*s2, flag)
-                for d in (None, STEP, FORCE):
-                    ok, why = _step_ni(sem, value_based, P, PA, cfg1, cfg2, d)
-                    checked += 1
-                    if not ok:
-                        failures.append(why)
+    for i, j in sorted(pairs):
+        for flag in (False, True):
+            if _ni_premise(value_based, P, PA, states[i], states[j], flag):
+                continue
+            cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
+            for d in (None, STEP, FORCE):
+                ok, why = _step_ni(sem, value_based, P, PA, cfg1, cfg2, d)
+                checked += 1
+                if not ok:
+                    failures.append(why)
     return checked, failures
 
 

@@ -53,6 +53,17 @@ def test_print_long_program_round_trips(files, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_parse_and_typecheck_long_program(files, capsys):
+    # the AST dump and both type systems keep explicit stacks
+    path = files("p.aw", ";\n".join(["x := x + 1"] * 1500) + "\n")
+    assert main(["parse", path]) == 0
+    assert capsys.readouterr().out.startswith("Seq(first=Asgn(name='x'")
+    labels = files("labels", "x: public\n")
+    for system in ("ifc", "cct"):
+        assert main(["typecheck", "--system", system, "--labels", labels, path]) == 0
+        assert capsys.readouterr().out == "well-typed\n"
+
+
 def test_typecheck_cct(files, capsys):
     p = files("p.aw", LISTING1)
     labels = files("labels", LISTING1_LABELS)

@@ -25,7 +25,9 @@ from awhile.lang import (
     parse_com,
     pretty_aexp,
     pretty_com,
+    arrays_of,
     syntax_equal,
+    syntax_repr,
     used_vars,
 )
 from awhile.state import ScalarState
@@ -168,6 +170,27 @@ def test_syntax_equal_on_long_spines():
     assert not syntax_equal(chain(5000, 0), chain(5000, 1))
     assert not syntax_equal(chain(5000, 0), chain(4999, 0))
     assert not syntax_equal(Num(1), Var("x"))
+
+
+def test_long_spines_do_not_recurse():
+    com = parse_com(";\n".join(["x := x + 1", "a[y] <- z"] * 2500))
+    assert syntax_repr(com).startswith("Seq(first=Asgn(name='x', expr=BinOp(op='+'")
+    assert used_vars(com) == {"x", "y", "z"}
+    assert arrays_of(com) == {"a"}
+
+
+@settings(max_examples=200)
+@given(coms())
+def test_syntax_repr_is_the_dataclass_repr(com):
+    assert syntax_repr(com) == repr(com)
+
+
+def test_syntax_repr_of_expressions():
+    for text in ("(x < 1 && !(y = 2) ? a * 3 : b - 0)", "((x))", "7"):
+        e = parse_aexp(text)
+        assert syntax_repr(e) == repr(e)
+    b = parse_bexp("true || x <= y && false")
+    assert syntax_repr(b) == repr(b)
 
 
 def test_seq_right_associates():

@@ -17,6 +17,7 @@ from awhile.seccheck import (
     check_sct,
     check_seq_obs_equiv,
     check_spec_obs_equiv,
+    check_ni,
     check_step_ni,
     check_unwinding,
     check_wl_preservation,
@@ -587,6 +588,39 @@ def test_step_ni_randomized_walks():
         s1, s2 = _related_pair(rng, P, PA, False, variant != "fislh")
         _ni_walk(variant, com, P, PA, s1, s2, rng)
         done += 1
+
+
+def _ni_nested_scan(variant, com, P, PA, space):
+    """check_ni's reference: check_step_ni on every pair of states of a
+    nested scan, both flags, directives none, step and force."""
+    states = list(enum_states(space))
+    checked, failures = 0, []
+    for i, s1 in enumerate(states):
+        for s2 in states[i:]:
+            for flag in (False, True):
+                for d in (None, STEP, FORCE):
+                    try:
+                        ok, why = check_step_ni(variant, com, P, PA, s1, s2, flag, d)
+                    except PreconditionError:
+                        break
+                    checked += 1
+                    if not ok:
+                        failures.append(why)
+    return checked, failures
+
+
+def test_check_ni_pairs_match_nested_scan():
+    rng = random.Random(41)
+    space = parse_space("x in {0,1}\ni in {1,3}\na : size 2 in {0,1}")
+    total = 0
+    for _ in range(20):
+        com = gen_program(rng.randrange(10**9), 10, pools)
+        P, PA = random_labeling(rng, pools)
+        for variant in ("fislh", "fvslh", "fsfvslh"):
+            got = check_ni(variant, com, P, PA, space)
+            assert got == _ni_nested_scan(variant, com, P, PA, space)
+            total += got[0]
+    assert total > 0
 
 
 def test_unwinding_skip():
