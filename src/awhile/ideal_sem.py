@@ -105,7 +105,7 @@ class _FixedLabeling:
 
     P: LabelMap
     PA: LabelMap
-    loops: dict = field(default_factory=dict, compare=False, repr=False)
+    loops: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     policy = None  # set by each variant
 
