@@ -164,8 +164,8 @@ class FsIdealConfig:
 
     def key(self):
         """As ``SpecConfig.key``, with the pc label and the labelings."""
-        ids = focus_ids(self.redex, self.k)
-        return (ids, self.rho, self.mu, self.flag, self.pc, self.P, self.PA)
+        ids, rho, mu = focus_ids(self.redex, self.k), self.rho.frozen(), self.mu.frozen()
+        return (ids, rho, mu, self.flag, self.pc, self.P, self.PA)
 
     def __repr__(self):
         return (

@@ -266,18 +266,16 @@ def _advance(sem, cfg, fuel: int):
     """Run silent steps to quiescence.  Returns (cfg, fuel_used, status)
     with status one of 'need-dir', 'final', 'stuck', 'fuel'."""
     used = 0
-    while True:
-        if sem.is_final(cfg):
-            return cfg, used, "final"
-        if used >= fuel:
-            return cfg, used, "fuel"
+    while used < fuel:
         r = sem.step(cfg, None)
         if r.tag is StepTag.NEED_DIR:
             return cfg, used, "need-dir"
         if r.tag is StepTag.STUCK:
-            return cfg, used, "stuck"
+            # a final configuration has no rule either
+            return cfg, used, "final" if sem.is_final(cfg) else "stuck"
         cfg = r.cfg
         used += 1
+    return cfg, used, "final" if sem.is_final(cfg) else "fuel"
 
 
 def enum_spec_runs(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
@@ -226,7 +225,10 @@ class Speculative:
     unfolds alive, so a check makes its own; ``SPEC`` has none."""
 
     def __init__(self, loops: Optional[dict] = None):
-        self.step = partial(step_ex, loops=loops)
+        self.loops = loops
+
+    def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
+        return step_ex(cfg, d, None, None, self.loops)
 
     @staticmethod
     def candidates(cfg: SpecConfig) -> List[Dir]:

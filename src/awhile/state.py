@@ -18,7 +18,7 @@ from .lang import Com, Seq
 class ScalarState:
     """Total map from scalar names to naturals, default 0."""
 
-    __slots__ = ("_m", "_h")
+    __slots__ = ("_m", "_f")
 
     def __init__(self, entries: Optional[Mapping[str, int]] = None):
         # zero entries equal the default; dropping them makes dict equality
@@ -26,7 +26,7 @@ class ScalarState:
         self._m: Dict[str, int] = {
             k: v for k, v in (entries or {}).items() if v != 0
         }
-        self._h = None
+        self._f = None
 
     def get(self, name: str) -> int:
         return self._m.get(name, 0)
@@ -38,7 +38,7 @@ class ScalarState:
         else:
             m[name] = value
         out = ScalarState.__new__(ScalarState)
-        out._m, out._h = m, None
+        out._m, out._f = m, None
         return out
 
     def names(self) -> frozenset:
@@ -50,11 +50,16 @@ class ScalarState:
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarState) and self._m == other._m
 
+    def frozen(self) -> frozenset:
+        """The bindings as a frozenset, built once.  It caches its own hash,
+        so a configuration key over it (``SpecConfig.key``) costs O(1) after
+        the first use."""
+        if self._f is None:
+            self._f = frozenset(self._m.items())
+        return self._f
+
     def __hash__(self):
-        # computed once: the checker keys its configurations on the stores
-        if self._h is None:
-            self._h = hash(frozenset(self._m.items()))
-        return self._h
+        return hash(self.frozen())
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._m.items()))
@@ -68,13 +73,13 @@ class ArrayState:
     behave as size-0 arrays (every access is out of bounds).
     """
 
-    __slots__ = ("_m", "_h")
+    __slots__ = ("_m", "_f")
 
     def __init__(self, entries: Optional[Mapping[str, Sequence[int]]] = None):
         self._m: Dict[str, Tuple[int, ...]] = {
             k: tuple(v) for k, v in (entries or {}).items() if len(v) > 0
         }
-        self._h = None
+        self._f = None
 
     def size(self, name: str) -> int:
         return len(self._m.get(name, ()))
@@ -89,7 +94,7 @@ class ArrayState:
         m = dict(self._m)
         m[name] = vec[:index] + (value,) + vec[index + 1:]
         out = ArrayState.__new__(ArrayState)
-        out._m, out._h = m, None
+        out._m, out._f = m, None
         return out
 
     def vector(self, name: str) -> Tuple[int, ...]:
@@ -104,11 +109,16 @@ class ArrayState:
     def __eq__(self, other) -> bool:
         return isinstance(other, ArrayState) and self._m == other._m
 
+    def frozen(self) -> frozenset:
+        """The bindings as a frozenset, built once.  It caches its own hash,
+        so a configuration key over it (``SpecConfig.key``) costs O(1) after
+        the first use."""
+        if self._f is None:
+            self._f = frozenset(self._m.items())
+        return self._f
+
     def __hash__(self):
-        # computed once: the checker keys its configurations on the stores
-        if self._h is None:
-            self._h = hash(frozenset(self._m.items()))
-        return self._h
+        return hash(self.frozen())
 
     def __repr__(self):
         inner = ", ".join(f"{k}={list(v)}" for k, v in sorted(self._m.items()))
@@ -198,13 +208,13 @@ def dir_sort_key(d: Dir):
     return (3, d.array, d.index)
 
 
-def focus_ids(redex, k) -> Tuple[int, ...]:
-    """The identities of a focused configuration's redex and stack entries."""
-    ids = [id(redex)]
+def focus_ids(redex, k):
+    """The identities of a focused configuration's redex and stack entries,
+    folded into nested pairs, which are cheaper to build than a flat tuple."""
+    ids = id(redex)
     while k is not None:
-        ids.append(id(k[0]))
-        k = k[1]
-    return tuple(ids)
+        ids, k = (ids, id(k[0])), k[1]
+    return ids
 
 
 class SpecConfig:
@@ -237,7 +247,11 @@ class SpecConfig:
         """Equal for two configurations that step alike: the identities of
         the redex and of every stack entry, the stores and the flag.  The
         identities stay valid while this configuration is alive."""
-        return (focus_ids(self.redex, self.k), self.rho, self.mu, self.flag)
+        rho, mu = self.rho, self.mu
+        # the cached slots, read directly: a call per store would cost as
+        # much as the whole lookup
+        return (focus_ids(self.redex, self.k), rho._f or rho.frozen(), mu._f or mu.frozen(),
+                self.flag)
 
     def __repr__(self):
         return f"SpecConfig({self.com!r}, {self.rho!r}, {self.mu!r}, {self.flag!r})"
