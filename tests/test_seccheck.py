@@ -443,11 +443,22 @@ def _assert_dag_matches_runs(cfg, max_dirs, fuel):
     return inner, len(tree.nodes)
 
 
-def test_dag_leaves_match_enum_spec_runs_on_gadget():
+def test_dag_leaves_match_enum_spec_runs_and_share_on_gadget():
+    # per variant, summed over the four states: nodes of the directive tree
+    # that are not leaves, and distinct nodes of the DAG
+    counts = {}
     for variant in ("none", "islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"):
         c = transform(variant, _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+        inner = distinct = 0
         for rho, mu in enum_states(_LOOPED_SPACE):
-            _assert_dag_matches_runs(SpecConfig(c, rho, mu, False), 12, 200)
+            i, d = _assert_dag_matches_runs(SpecConfig(c, rho, mu, False), 12, 200)
+            inner, distinct = inner + i, distinct + d
+        counts[variant] = (inner, distinct)
+    # loop heads reached by different paths share a node only through the
+    # check's one unfolded command per loop: without it, 488 and 214
+    assert counts["none"] == (3456, 346)
+    assert counts["islh"] == (256, 170)
+    assert counts["fvslh"] == (1696, 204)
 
 
 def test_dag_leaves_match_enum_spec_runs_on_generated_programs():
@@ -461,22 +472,6 @@ def test_dag_leaves_match_enum_spec_runs_on_generated_programs():
             inner, distinct = _assert_dag_matches_runs(cfg, 5, fuel)
             shared += distinct < inner
     assert shared > 0
-
-
-def test_dag_shares_the_gadget_trees():
-    # per variant, summed over the four states: nodes of the directive tree
-    # and distinct nodes of the DAG
-    counts = {}
-    for variant in ("none", "fvslh"):
-        c = transform(variant, _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
-        inner = distinct = 0
-        for rho, mu in enum_states(_LOOPED_SPACE):
-            i, d = _assert_dag_matches_runs(SpecConfig(c, rho, mu, False), 12, 200)
-            inner, distinct = inner + i, distinct + d
-        counts[variant] = (inner, distinct)
-    # loop heads reached by different paths share a node only through the
-    # check's one unfolded command per loop: without it, 488 and 214
-    assert counts == {"none": (3456, 346), "fvslh": (1696, 204)}
 
 
 # --- noninterference, unwinding, preservation ----------------------------------
@@ -588,6 +583,19 @@ def test_step_ni_randomized_walks():
         s1, s2 = _related_pair(rng, P, PA, False, variant != "fislh")
         _ni_walk(variant, com, P, PA, s1, s2, rng)
         done += 1
+
+
+def test_walk_pairs_a_shared_node_with_each_partner():
+    # with the flag already set, both branch directives keep it: in state 1
+    # the two branches leave one configuration (a shared node), in state 2
+    # two, and only the second pairing diverges
+    com = parse_com("if p < 1 then x := 0 else x := h end; y <- a[x]")
+    mu = ArrayState({"a": (0,) * 8})
+    s1, s2 = (ScalarState({"h": 0}), mu), (ScalarState({"h": 5}), mu)
+    v = check_spec_obs_equiv(com, s1, com, s2, flag=True)
+    assert v.status is VerdictStatus.VIOLATED
+    assert v.witness.dirs == (FORCE, STEP)
+    assert v.witness.trace1[1:] == (ORead("a", 0),) and v.witness.trace2[1:] == (ORead("a", 5),)
 
 
 def _ni_nested_scan(variant, com, P, PA, space):
