@@ -88,7 +88,7 @@ from .lang import (
     vars_of_expr,
 )
 from .seq_sem import RunKind, seq_run
-from .spec_sem import SPEC, Speculative, StepTag, feasible, run
+from .spec_sem import SPEC, STEPPED, Speculative, StepTag, feasible, run
 from .state import (
     ArrayState,
     Dir,
@@ -265,12 +265,12 @@ def enum_states(space: StateSpace) -> Iterator[Tuple[ScalarState, ArrayState]]:
 def _advance(sem, cfg, fuel: int):
     """Run silent steps to quiescence.  Returns (cfg, fuel_used, status)
     with status one of 'need-dir', 'final', 'stuck', 'fuel'."""
-    used = 0
+    step, used = sem.step, 0
     while used < fuel:
-        r = sem.step(cfg, None)
-        if r.tag is StepTag.NEED_DIR:
-            return cfg, used, "need-dir"
-        if r.tag is StepTag.STUCK:
+        r = step(cfg, None)
+        if r.tag is not STEPPED:
+            if r.tag is StepTag.NEED_DIR:
+                return cfg, used, "need-dir"
             # a final configuration has no rule either
             return cfg, used, "final" if sem.is_final(cfg) else "stuck"
         cfg = r.cfg
