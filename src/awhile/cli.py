@@ -14,24 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import List, Optional
 
 from . import seccheck
-from .flow_ifc import Labeling, flow_track, pretty_acom, well_labeled
+from .flow_ifc import flow_track, pretty_acom
 from .harden import (
     DEFAULT_FLAG_VAR,
     FISLH,
     FVSLH,
-    ISLH,
     SISLH,
-    SISLH_NO_STORE_MASK,
-    SVSLH,
     USLH,
+    VARIANTS,
     FlagCollisionError,
     harden,
-    harden_fs,
 )
 from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
@@ -56,8 +52,7 @@ from .seccheck import (
     check_relative_security,
     check_sct,
     check_unwinding_space,
-    check_wl_preservation,
-    enum_states,
+    check_wl,
     gen_program,
     parse_space,
     transform,
@@ -73,16 +68,6 @@ from .state import (
     parse_state_full,
 )
 from .fixtures import FIXTURES, repro_listing
-
-_VARIANTS = {
-    "islh": ISLH,
-    "sislh": SISLH,
-    "fislh": FISLH,
-    "uslh": USLH,
-    "svslh": SVSLH,
-    "fvslh": FVSLH,
-}
-
 
 class CliError(Exception):
     """Usage-level failure; exits with status 2."""
@@ -243,18 +228,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_harden(args) -> int:
+    variant = args.variant
+    if args.no_store_mask:
+        if variant != "sislh":
+            raise CliError("--no-store-mask only applies to --variant sislh")
+        variant = "sislh-nostore"
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
-    if args.variant == "fsfvslh":
-        acom, _ = flow_track(com, labels, labels, PUBLIC)
-        hardened = harden_fs(acom, args.flag_var)
-    else:
-        variant = _VARIANTS[args.variant]
-        if args.variant == "sislh" and args.no_store_mask:
-            variant = SISLH_NO_STORE_MASK
-        elif args.no_store_mask:
-            raise CliError("--no-store-mask only applies to --variant sislh")
-        hardened = harden(variant, com, labels, labels, args.flag_var)
+    hardened = transform(variant, com, labels, labels, args.flag_var)
     _emit(args, {"program": pretty_com(hardened)}, [pretty_com(hardened)])
     return 0
 
@@ -478,36 +459,16 @@ def _check_unwind_cli(args, com, labels, space, bounds) -> int:
 
 
 def _check_wl_cli(args, com, labels, space, bounds) -> int:
-    acom, final = flow_track(com, labels, labels, PUBLIC)
-    if not well_labeled(acom, Labeling(labels, labels), PUBLIC, final):
-        _emit(args, {"status": "violated"}, ["analysis output not well-labeled"])
-        return 1
-    rng = random.Random(args.seed)
-    fs = IdealFS()
-    checked = 0
-    for rho, mu in enum_states(space):
-        cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, labels, labels)
-        for _ in range(bounds.max_dirs * 4):
-            feas = feasible(fs, cfg)
-            d = rng.choice(feas) if feas else None
-            ok, why = check_wl_preservation(
-                cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
-                cfg.rho, cfg.mu, cfg.flag, d,
-            )
-            checked += 1
-            if not ok:
-                _emit(args, {"status": "violated", "why": why}, [why, "violated"])
-                return 1
-            r = fs.step(cfg, d)
-            if r.tag is not StepTag.STEPPED:
-                break
-            cfg = r.cfg
-    _emit(
-        args,
-        {"status": "holds", "checked": checked},
-        [f"checked: {checked}", "holds"],
-    )
-    return 0
+    checked, why = check_wl(com, labels, labels, space, bounds, args.seed)
+    if why is None:
+        _emit(args, {"status": "holds", "checked": checked},
+              [f"checked: {checked}", "holds"])
+        return 0
+    if checked == 0:  # the analysis output itself is not well-labeled
+        _emit(args, {"status": "violated"}, [why])
+    else:
+        _emit(args, {"status": "violated", "why": why}, [why, "violated"])
+    return 1
 
 
 def cmd_repro(args) -> int:
@@ -604,8 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--variant",
-        choices=["none", "islh", "sislh", "sislh-nostore", "fislh", "uslh",
-                 "svslh", "fvslh", "fsfvslh"],
+        choices=list(VARIANTS),
         default=None,
     )
     p.add_argument("--space", help="state-space file")

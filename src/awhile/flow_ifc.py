@@ -109,24 +109,31 @@ ASKIP = ASkip()
 
 
 def erase_acom(acom: ACom) -> Com:
-    """Strip all annotations; a Branch wrapper erases to its body."""
+    """Strip all annotations; a Branch wrapper erases to its body.  The
+    sequence spine is walked in a loop."""
+    firsts = []
+    while isinstance(acom, ASeq):
+        firsts.append(erase_acom(acom.first))
+        acom = acom.second
     if isinstance(acom, ASkip):
-        return SKIP
-    if isinstance(acom, AAsgn):
-        return Asgn(acom.name, acom.expr)
-    if isinstance(acom, ASeq):
-        return Seq(erase_acom(acom.first), erase_acom(acom.second))
-    if isinstance(acom, AIf):
-        return If(acom.cond, erase_acom(acom.then), erase_acom(acom.other))
-    if isinstance(acom, AWhileC):
-        return While(acom.cond, erase_acom(acom.body))
-    if isinstance(acom, AARead):
-        return ARead(acom.name, acom.array, acom.index)
-    if isinstance(acom, AAWrite):
-        return AWrite(acom.array, acom.index, acom.value)
-    if isinstance(acom, ABranch):
-        return erase_acom(acom.body)
-    raise TypeError(f"not an annotated command: {acom!r}")
+        out = SKIP
+    elif isinstance(acom, AAsgn):
+        out = Asgn(acom.name, acom.expr)
+    elif isinstance(acom, AIf):
+        out = If(acom.cond, erase_acom(acom.then), erase_acom(acom.other))
+    elif isinstance(acom, AWhileC):
+        out = While(acom.cond, erase_acom(acom.body))
+    elif isinstance(acom, AARead):
+        out = ARead(acom.name, acom.array, acom.index)
+    elif isinstance(acom, AAWrite):
+        out = AWrite(acom.array, acom.index, acom.value)
+    elif isinstance(acom, ABranch):
+        out = erase_acom(acom.body)
+    else:
+        raise TypeError(f"not an annotated command: {acom!r}")
+    for first in reversed(firsts):
+        out = Seq(first, out)
+    return out
 
 
 def terminal(acom: ACom) -> bool:
@@ -137,10 +144,12 @@ def terminal(acom: ACom) -> bool:
 
 
 def branch_free(acom: ACom) -> bool:
+    while isinstance(acom, ASeq):
+        if not branch_free(acom.first):
+            return False
+        acom = acom.second
     if isinstance(acom, ABranch):
         return False
-    if isinstance(acom, ASeq):
-        return branch_free(acom.first) and branch_free(acom.second)
     if isinstance(acom, AIf):
         return branch_free(acom.then) and branch_free(acom.other)
     if isinstance(acom, AWhileC):
@@ -166,22 +175,23 @@ def pc_of_acom(acom: ACom, pc: Label) -> Label:
 
 def assigned_names(c: Com) -> Tuple[frozenset, frozenset]:
     """Scalars and arrays a command may assign; bounds the fixpoint."""
-    if isinstance(c, Skip):
-        return frozenset(), frozenset()
-    if isinstance(c, Asgn):
-        return frozenset((c.name,)), frozenset()
-    if isinstance(c, (Seq, If)):
-        parts = (c.first, c.second) if isinstance(c, Seq) else (c.then, c.other)
-        s1, a1 = assigned_names(parts[0])
-        s2, a2 = assigned_names(parts[1])
-        return s1 | s2, a1 | a2
-    if isinstance(c, While):
-        return assigned_names(c.body)
-    if isinstance(c, ARead):
-        return frozenset((c.name,)), frozenset()
-    if isinstance(c, AWrite):
-        return frozenset(), frozenset((c.array,))
-    raise TypeError(f"not a command: {c!r}")
+    scalars, arrays = set(), set()
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, (Asgn, ARead)):
+            scalars.add(c.name)
+        elif isinstance(c, AWrite):
+            arrays.add(c.array)
+        elif isinstance(c, Seq):
+            todo += (c.first, c.second)
+        elif isinstance(c, If):
+            todo += (c.then, c.other)
+        elif isinstance(c, While):
+            todo.append(c.body)
+        elif not isinstance(c, Skip):
+            raise TypeError(f"not a command: {c!r}")
+    return frozenset(scalars), frozenset(arrays)
 
 
 def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labeling]:
@@ -196,10 +206,16 @@ def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labe
         return AAsgn(c.name, c.expr), Labeling(
             P.set(c.name, label_of_expr(P, c.expr)), PA
         )
-    if isinstance(c, Seq):
-        a1, mid = flow_track(c.first, P, PA, pc)
-        a2, out = flow_track(c.second, mid.vars, mid.arrs, pc)
-        return ASeq(a1, a2, mid), out
+    if isinstance(c, Seq):  # the spine, in a loop
+        parts = []
+        while isinstance(c, Seq):
+            a1, mid = flow_track(c.first, P, PA, pc)
+            parts.append((a1, mid))
+            P, PA, c = mid.vars, mid.arrs, c.second
+        acom, out = flow_track(c, P, PA, pc)
+        for a1, mid in reversed(parts):
+            acom = ASeq(a1, acom, mid)
+        return acom, out
     if isinstance(c, If):
         lbl = label_of_expr(P, c.cond)
         pc2 = join(pc, lbl)
@@ -262,11 +278,18 @@ def well_labeled(acom: ACom, initial: Labeling, pc: Label, final: Labeling) -> b
         upd = Labeling(P.set(acom.name, label_of_expr(P, acom.expr)), PA)
         return upd.leq(final)
     if isinstance(acom, ASeq):
-        return (
-            branch_free(acom.second)
-            and well_labeled(acom.first, initial, pc, acom.mid)
-            and well_labeled(acom.second, acom.mid, pc_of_acom(acom.first, pc), final)
-        )
+        # the spine, in a loop: each part after the head must be
+        # branch-free, and each is checked once
+        head = acom.first
+        if not well_labeled(head, initial, pc, acom.mid):
+            return False
+        pc, initial, acom = pc_of_acom(head, pc), acom.mid, acom.second
+        while isinstance(acom, ASeq):
+            part = acom.first
+            if not (branch_free(part) and well_labeled(part, initial, pc, acom.mid)):
+                return False
+            initial, acom = acom.mid, acom.second
+        return branch_free(acom) and well_labeled(acom, initial, pc, final)
     if isinstance(acom, AIf):
         pc2 = join(pc, acom.lbl)
         return (

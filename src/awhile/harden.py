@@ -1,32 +1,42 @@
 """The speculative-load-hardening transformation family.
 
-All variants share one structural recursion: branching commands update a
-reserved flag variable through a constant-time conditional so that it holds
-1 exactly while the processor is misspeculating, and the flag is then used
-to mask branch conditions, access indices, or loaded values.  The variants
-differ only in *which* of those get masked:
+Every variant is one scheme (Baumann et al., "FSLH: Flexible Mechanized
+Speculative Load Hardening", CSF 2025).  Each branch updates a reserved
+flag variable ``b`` through a constant-time conditional, so that it holds 1
+exactly while the processor is misspeculating, and the flag then masks
+branch conditions, access indices or loaded values.  What a variant masks
+is one row of a decision table, looked up by labels:
 
-  islh    every read/write index is masked; branch conditions untouched
-  sislh   reads into public variables and writes of secret values are
-          index-masked (store masking can be disabled to reproduce the
-          known counterexample; that configuration is insecure)
-  fislh   secret branch conditions are flag-masked; reads are index-masked
-          when the destination is public or the index secret; writes when
-          the value or the index is secret
-  uslh    every condition and every index is masked
-  svslh   reads into public variables are value-masked after the load; no
-          index is ever masked
-  fvslh   reads are value-masked when destination and index are public,
-          index-masked when the index is secret; writes index-masked when
-          the index is secret
+  variant        condition   read x <- a[i]     write a[i] <- e
+                 by cond     by x, then i       by e, then i
+                 pub sec     pp  ps  sp  ss     pp  ps  sp  ss
+  islh            -   -      I   I   I   I      I   I   I   I
+  sislh           -   -      I   I   -   -      -   -   I   I
+  sislh-nostore   -   -      I   I   -   -      -   -   -   -
+  fislh           -   G      I   I   -   I      -   I   I   I
+  uslh            G   G      I   I   I   I      I   I   I   I
+  svslh           -   -      V   V   -   -      -   -   -   -
+  fvslh           -   G      V   I   -   I      -   I   -   I
 
-The flow-sensitive translation (harden_fs) applies the fvslh scheme driven
-by per-node annotations instead of a fixed labeling.
+  G   guard the condition: b = 0 && cond
+  I   mask the index: (b = 1 ? 0 : i)
+  V   mask the loaded value after the load: x := (b = 1 ? 0 : x)
+  -   leave it alone
+  pp, ps, sp, ss: the first label public or secret, then the second
+
+sislh-nostore is sislh without store masking; it reproduces the known
+counterexample and is insecure.  One translator applies every row.  The
+fixed variants (harden) read their labels from a labeling P; fsfvslh
+(harden_fs) is the fvslh row with its labels read from the flow-sensitive
+annotation of each node.  uslh is its own row, not fislh or fvslh over an
+all-secret labeling, so the tests comparing them compare independent
+derivations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from .flow_ifc import (
     AARead,
@@ -40,7 +50,7 @@ from .flow_ifc import (
     AWhileC,
     erase_acom,
 )
-from .ifc_static import Label, LabelMap, label_of_expr
+from .ifc_static import PUBLIC, LabelMap, label_of_expr
 from .lang import (
     And,
     ARead,
@@ -66,23 +76,78 @@ DEFAULT_FLAG_VAR = "b"
 
 @dataclass(frozen=True)
 class HardenVariant:
-    kind: str  # islh | sislh | fislh | uslh | svslh | fvslh
-    mask_stores: bool = True  # only meaningful for sislh
+    """One row of the decision table.  ``cond`` holds the action for a
+    public and a secret condition; ``read`` and ``write`` hold one such
+    pair for a public and for a secret first label (the read's target, the
+    write's value), each indexed by the label of the index."""
+
+    kind: str
+    cond: str
+    read: Tuple[str, str]
+    write: Tuple[str, str]
 
 
-ISLH = HardenVariant("islh")
-SISLH = HardenVariant("sislh")
-SISLH_NO_STORE_MASK = HardenVariant("sislh", mask_stores=False)
-FISLH = HardenVariant("fislh")
-USLH = HardenVariant("uslh")
-SVSLH = HardenVariant("svslh")
-FVSLH = HardenVariant("fvslh")
+ISLH = HardenVariant("islh", "--", ("II", "II"), ("II", "II"))
+SISLH = HardenVariant("sislh", "--", ("II", "--"), ("--", "II"))
+SISLH_NO_STORE_MASK = HardenVariant("sislh-nostore", "--", ("II", "--"), ("--", "--"))
+FISLH = HardenVariant("fislh", "-G", ("II", "-I"), ("-I", "II"))
+USLH = HardenVariant("uslh", "GG", ("II", "II"), ("II", "II"))
+SVSLH = HardenVariant("svslh", "--", ("VV", "--"), ("--", "--"))
+FVSLH = HardenVariant("fvslh", "-G", ("VI", "-I"), ("-I", "-I"))
 
-_VALUE_KINDS = ("svslh", "fvslh")
+# Every hardening by name: 'none' leaves the program alone, and fsfvslh
+# is the fvslh row over annotation labels.
+VARIANTS = {
+    "none": None,
+    **{v.kind: v for v in (ISLH, SISLH, SISLH_NO_STORE_MASK, FISLH, USLH, SVSLH, FVSLH)},
+    "fsfvslh": FVSLH,
+}
 
 
 class FlagCollisionError(Exception):
     pass
+
+
+class BranchNodeError(Exception):
+    """Raised when the input contains a runtime branch wrapper; the
+    translation is defined on analysis output only."""
+
+
+class _FixedLabels:
+    """Labels of the names of a command under a fixed labeling."""
+
+    __slots__ = ("P",)
+
+    def __init__(self, P: LabelMap):
+        self.P = P
+
+    def cond(self, c):
+        return label_of_expr(self.P, c.cond)
+
+    def target(self, c):
+        return self.P.get(c.name)
+
+    def index(self, c):
+        return label_of_expr(self.P, c.index)
+
+    def value(self, c):
+        return label_of_expr(self.P, c.value)
+
+
+class _Annotations:
+    """Labels the flow-sensitive analysis stored on each node.  A write's
+    annotation has no value label; the fvslh row never asks for one."""
+
+    cond = staticmethod(lambda c: c.lbl)
+    target = staticmethod(lambda c: c.lbl_target)
+    index = staticmethod(lambda c: c.lbl_index)
+    value = None
+
+
+def _pick(cells, label, c):
+    """cells[0] under a public label, cells[1] under a secret one; the
+    label is computed only when the two differ."""
+    return cells[0] if cells[0] == cells[1] or label(c) is PUBLIC else cells[1]
 
 
 def _masked(index: AExp, flag_var: str) -> AExp:
@@ -106,69 +171,74 @@ def _flag_update(cond: BExp, entering_true_branch: bool, flag_var: str) -> Com:
 
 def _seq(first: Com, second: Com) -> Com:
     # a hardened skip branch reduces to the bare flag update
-    return first if second == SKIP else Seq(first, second)
+    return first if second is SKIP else Seq(first, second)
 
 
-def _branch_cond(variant: HardenVariant, P: LabelMap, cond: BExp, flag_var: str) -> BExp:
-    if variant.kind == "uslh":
-        return _guarded(cond, flag_var)
-    if variant.kind in ("fislh", "fvslh"):
-        if not label_of_expr(P, cond).is_public:
-            return _guarded(cond, flag_var)
-        return cond
-    return cond  # islh, sislh, svslh
+def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
+    """Harden a command or an annotated command by one table row.  The walk
+    keeps an explicit work stack: a node with parts pushes a marker (its
+    kind and hardened condition) beneath them, and the marker assembles the
+    parts' translations from the top of ``done``."""
+    done: List[Com] = []
+    work = [root]
+    while work:
+        c = work.pop()
+        kind = type(c)
+        if kind is tuple:
+            kind, guard = c
+            if kind is Seq:
+                second = done.pop()
+                done[-1] = Seq(done[-1], second)
+            elif kind is If:
+                other = done.pop()
+                done[-1] = If(
+                    guard,
+                    _seq(_flag_update(guard, True, flag_var), done[-1]),
+                    _seq(_flag_update(guard, False, flag_var), other),
+                )
+            else:
+                loop = While(guard, _seq(_flag_update(guard, True, flag_var), done[-1]))
+                done[-1] = Seq(loop, _flag_update(guard, False, flag_var))
+        elif kind is Seq or kind is ASeq:
+            work += ((Seq, None), c.second, c.first)
+        elif kind in (If, AIf, While, AWhileC):
+            guard = c.cond
+            if _pick(row.cond, labels.cond, c) == "G":
+                guard = _guarded(guard, flag_var)
+            if kind is If or kind is AIf:
+                work += ((If, guard), c.other, c.then)
+            else:
+                work += ((While, guard), c.body)
+        elif kind is Skip or kind is ASkip:
+            done.append(SKIP)
+        elif kind is Asgn:
+            done.append(c)
+        elif kind is AAsgn:
+            done.append(Asgn(c.name, c.expr))
+        elif kind is ARead or kind is AARead:
+            rule = _pick(_pick(row.read, labels.target, c), labels.index, c)
+            index = _masked(c.index, flag_var) if rule == "I" else c.index
+            read = ARead(c.name, c.array, index)
+            if rule == "V":
+                read = Seq(read, Asgn(c.name, _masked(Var(c.name), flag_var)))
+            done.append(read)
+        elif kind is AWrite or kind is AAWrite:
+            index = c.index
+            if _pick(_pick(row.write, labels.value, c), labels.index, c) == "I":
+                index = _masked(index, flag_var)
+            done.append(AWrite(c.array, index, c.value))
+        elif kind is ABranch:
+            raise BranchNodeError("branch wrappers only occur in runtime configurations")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+    return done[0]
 
 
-def _read_index(
-    variant: HardenVariant, P: LabelMap, target: str, index: AExp, flag_var: str
-) -> AExp:
-    k = variant.kind
-    if k in ("islh", "uslh"):
-        return _masked(index, flag_var)
-    if k == "sislh":
-        return _masked(index, flag_var) if P.get(target).is_public else index
-    if k == "fislh":
-        if P.get(target).is_public or not label_of_expr(P, index).is_public:
-            return _masked(index, flag_var)
-        return index
-    if k == "svslh":
-        return index
-    if k == "fvslh":
-        if not label_of_expr(P, index).is_public:
-            return _masked(index, flag_var)
-        return index
-    raise ValueError(f"unknown variant {k!r}")
-
-
-def _write_index(
-    variant: HardenVariant, P: LabelMap, index: AExp, value: AExp, flag_var: str
-) -> AExp:
-    k = variant.kind
-    if k in ("islh", "uslh"):
-        return _masked(index, flag_var)
-    if k == "sislh":
-        if not variant.mask_stores:
-            return index
-        return index if label_of_expr(P, value).is_public else _masked(index, flag_var)
-    if k == "fislh":
-        if not label_of_expr(P, value).is_public or not label_of_expr(P, index).is_public:
-            return _masked(index, flag_var)
-        return index
-    if k == "svslh":
-        return index
-    if k == "fvslh":
-        if not label_of_expr(P, index).is_public:
-            return _masked(index, flag_var)
-        return index
-    raise ValueError(f"unknown variant {k!r}")
-
-
-def _value_check(variant: HardenVariant, P: LabelMap, target: str, index: AExp) -> bool:
-    if variant.kind == "svslh":
-        return P.get(target).is_public
-    if variant.kind == "fvslh":
-        return P.get(target).is_public and label_of_expr(P, index).is_public
-    return False
+def _reserve(flag_var: str, c: Com) -> None:
+    if flag_var in used_vars(c):
+        raise FlagCollisionError(
+            f"flag variable {flag_var!r} is used by the program"
+        )
 
 
 def harden(
@@ -178,110 +248,18 @@ def harden(
     PA: LabelMap,
     flag_var: str = DEFAULT_FLAG_VAR,
 ) -> Com:
-    """Apply an SLH variant to ``c``.  The flag variable must be reserved:
-    a program that already uses it is rejected."""
-    if flag_var in used_vars(c):
-        raise FlagCollisionError(
-            f"flag variable {flag_var!r} is used by the program"
-        )
-    return _harden(variant, c, P, flag_var)
-
-
-def _harden(variant: HardenVariant, c: Com, P: LabelMap, flag_var: str) -> Com:
-    if isinstance(c, Skip):
-        return SKIP
-    if isinstance(c, Asgn):
-        return c
-    if isinstance(c, Seq):
-        return Seq(
-            _harden(variant, c.first, P, flag_var),
-            _harden(variant, c.second, P, flag_var),
-        )
-    if isinstance(c, If):
-        guard = _branch_cond(variant, P, c.cond, flag_var)
-        return If(
-            guard,
-            _seq(_flag_update(guard, True, flag_var), _harden(variant, c.then, P, flag_var)),
-            _seq(_flag_update(guard, False, flag_var), _harden(variant, c.other, P, flag_var)),
-        )
-    if isinstance(c, While):
-        guard = _branch_cond(variant, P, c.cond, flag_var)
-        loop = While(
-            guard,
-            _seq(_flag_update(guard, True, flag_var), _harden(variant, c.body, P, flag_var)),
-        )
-        return Seq(loop, _flag_update(guard, False, flag_var))
-    if isinstance(c, ARead):
-        if variant.kind in _VALUE_KINDS and _value_check(variant, P, c.name, c.index):
-            mask = Asgn(c.name, CTCond(Cmp("=", Var(flag_var), Num(1)), Num(0), Var(c.name)))
-            return Seq(ARead(c.name, c.array, c.index), mask)
-        return ARead(c.name, c.array, _read_index(variant, P, c.name, c.index, flag_var))
-    if isinstance(c, AWrite):
-        return AWrite(c.array, _write_index(variant, P, c.index, c.value, flag_var), c.value)
-    raise TypeError(f"not a command: {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Flow-sensitive translation (annotation-driven fvslh)
-# ---------------------------------------------------------------------------
-
-
-class BranchNodeError(Exception):
-    """Raised when the input contains a runtime branch wrapper; the
-    translation is defined on analysis output only."""
+    """Apply an SLH variant to ``c``, labels taken from P.  The flag
+    variable must be reserved: a program that already uses it is
+    rejected."""
+    _reserve(flag_var, c)
+    return _translate(c, variant, _FixedLabels(P), flag_var)
 
 
 def harden_fs(acom: ACom, flag_var: str = DEFAULT_FLAG_VAR) -> Com:
-    """Translate an annotated command, taking masking decisions from its
-    annotations: conditions are flag-guarded when annotated secret; a read
-    with public target and public index is value-masked; a read with secret
-    target keeps a public index unmasked and masks any other; writes mask
-    secret indices."""
-    if flag_var in used_vars(erase_acom(acom)):
-        raise FlagCollisionError(
-            f"flag variable {flag_var!r} is used by the program"
-        )
-    return _harden_fs(acom, flag_var)
-
-
-def _fs_cond(cond: BExp, lbl: Label, flag_var: str) -> BExp:
-    return cond if lbl.is_public else _guarded(cond, flag_var)
-
-
-def _harden_fs(acom: ACom, flag_var: str) -> Com:
-    if isinstance(acom, ASkip):
-        return SKIP
-    if isinstance(acom, AAsgn):
-        return Asgn(acom.name, acom.expr)
-    if isinstance(acom, ASeq):
-        return Seq(_harden_fs(acom.first, flag_var), _harden_fs(acom.second, flag_var))
-    if isinstance(acom, AIf):
-        guard = _fs_cond(acom.cond, acom.lbl, flag_var)
-        return If(
-            guard,
-            _seq(_flag_update(guard, True, flag_var), _harden_fs(acom.then, flag_var)),
-            _seq(_flag_update(guard, False, flag_var), _harden_fs(acom.other, flag_var)),
-        )
-    if isinstance(acom, AWhileC):
-        guard = _fs_cond(acom.cond, acom.lbl, flag_var)
-        loop = While(
-            guard,
-            _seq(_flag_update(guard, True, flag_var), _harden_fs(acom.body, flag_var)),
-        )
-        return Seq(loop, _flag_update(guard, False, flag_var))
-    if isinstance(acom, AARead):
-        if acom.lbl_target.is_public and acom.lbl_index.is_public:
-            mask = Asgn(
-                acom.name,
-                CTCond(Cmp("=", Var(flag_var), Num(1)), Num(0), Var(acom.name)),
-            )
-            return Seq(ARead(acom.name, acom.array, acom.index), mask)
-        if acom.lbl_index.is_public:  # secret target, public index
-            return ARead(acom.name, acom.array, acom.index)
-        return ARead(acom.name, acom.array, _masked(acom.index, flag_var))
-    if isinstance(acom, AAWrite):
-        idx = acom.index if acom.lbl_index.is_public else _masked(acom.index, flag_var)
-        return AWrite(acom.array, idx, acom.value)
-    if isinstance(acom, ABranch):
-        raise BranchNodeError("branch wrappers only occur in runtime configurations")
-    raise TypeError(f"not an annotated command: {acom!r}")
+    """Translate an annotated command by the fvslh row, labels taken from
+    its annotations: conditions are flag-guarded when annotated secret; a
+    read with public target and public index is value-masked; a read with
+    secret target keeps a public index unmasked and masks any other;
+    writes mask secret indices."""
+    _reserve(flag_var, erase_acom(acom))
+    return _translate(acom, FVSLH, _Annotations, flag_var)

@@ -44,18 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .flow_ifc import ACom, Labeling, flow_track, well_labeled
-from .harden import (
-    DEFAULT_FLAG_VAR,
-    FISLH,
-    FVSLH,
-    ISLH,
-    SISLH,
-    SISLH_NO_STORE_MASK,
-    SVSLH,
-    USLH,
-    harden,
-    harden_fs,
-)
+from .harden import DEFAULT_FLAG_VAR, VARIANTS, harden, harden_fs
 from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
     Label,
@@ -551,19 +540,6 @@ def check_sct(
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
-_RELSEC_VARIANTS = {
-    "none": None,
-    "islh": ISLH,
-    "sislh": SISLH,
-    "sislh-nostore": SISLH_NO_STORE_MASK,
-    "fislh": FISLH,
-    "uslh": USLH,
-    "svslh": SVSLH,
-    "fvslh": FVSLH,
-    "fsfvslh": "fsfvslh",
-}
-
-
 def transform(
     variant_kind: str,
     c: Com,
@@ -572,15 +548,15 @@ def transform(
     flag_var: str = DEFAULT_FLAG_VAR,
 ) -> Com:
     """Apply the named hardening (or none) to a program."""
-    if variant_kind not in _RELSEC_VARIANTS:
+    if variant_kind not in VARIANTS:
         raise ValueError(f"unknown variant {variant_kind!r}")
-    v = _RELSEC_VARIANTS[variant_kind]
-    if v is None:
+    row = VARIANTS[variant_kind]
+    if row is None:
         return c
-    if v == "fsfvslh":
+    if variant_kind == "fsfvslh":
         acom, _ = flow_track(c, P, PA, PUBLIC)
         return harden_fs(acom, flag_var)
-    return harden(v, c, P, PA, flag_var)
+    return harden(row, c, P, PA, flag_var)
 
 
 def check_relative_security(
@@ -602,7 +578,7 @@ def check_relative_security(
     itself.  'uslh' pairs all states regardless of the labeling, matching
     its theorem, which has no public-equivalence premise.
     """
-    if variant_kind not in _RELSEC_VARIANTS:
+    if variant_kind not in VARIANTS:
         return Verdict(
             VerdictStatus.PRECONDITION_FAILED, message=f"unknown variant {variant_kind!r}"
         )
@@ -1010,6 +986,45 @@ def check_wl_preservation(
     if well_labeled(n.acom, Labeling(n.P, n.PA), n.pc, final):
         return True, "ok"
     return False, "successor not well-labeled"
+
+
+def check_wl(
+    c: Com,
+    P: LabelMap,
+    PA: LabelMap,
+    space: StateSpace,
+    bounds: Bounds = Bounds(),
+    seed: int = 0,
+) -> Tuple[int, Optional[str]]:
+    """Well-labeledness preservation along random flow-sensitive ideal
+    walks: from each state of the space, up to ``4 * max_dirs`` steps under
+    directives drawn by a generator seeded with ``seed``, each step checked
+    by check_wl_preservation.  Returns the number of steps checked and the
+    reason of the first failure, or None; a count of 0 with a reason means
+    the analysis output itself is not well-labeled."""
+    acom, final = flow_track(c, P, PA, PUBLIC)
+    if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
+        return 0, "analysis output not well-labeled"
+    rng = random.Random(seed)
+    fs = IdealFS()
+    checked = 0
+    for rho, mu in enum_states(space):
+        cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)
+        for _ in range(bounds.max_dirs * 4):
+            feas = feasible(fs, cfg)
+            d = rng.choice(feas) if feas else None
+            ok, why = check_wl_preservation(
+                cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
+                cfg.rho, cfg.mu, cfg.flag, d,
+            )
+            checked += 1
+            if not ok:
+                return checked, why
+            r = fs.step(cfg, d)
+            if r.tag is not StepTag.STEPPED:
+                break
+            cfg = r.cfg
+    return checked, None
 
 
 # ---------------------------------------------------------------------------

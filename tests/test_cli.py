@@ -386,3 +386,57 @@ def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transfo
     if variant == "fsfvslh":
         expected["flow_track"] = 4
     assert calls == expected
+
+
+def test_check_wl_output(files, capsys, monkeypatch):
+    import awhile.seccheck as seccheck
+    from awhile.flow_ifc import Labeling
+    from awhile.ifc_static import all_public
+
+    p = files("p.aw", "if s = 0 then y := 1 end; x <- a[y]")
+    space = files("space", "s in {0,1}\ny in {0}\na : size 2 in {0}")
+    argv = ["check", "--property", "wl", "--space", space, "--max-dirs", "2", p]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["holds"] and out[0].startswith("checked: ")
+    real = seccheck.flow_track
+    low = Labeling(all_public(["s", "x", "y"]), all_public(["a"]))
+    monkeypatch.setattr(
+        seccheck, "flow_track", lambda c, P, PA, pc: (real(c, P, PA, pc)[0], low)
+    )
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "analysis output not well-labeled\n"
+    assert main(argv + ["--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"status": "violated"}
+
+
+SECRET_STORE = "a[i] <- k\n"  # k is secret under the labeling below
+
+
+def test_no_store_mask_only_for_sislh(files, capsys):
+    p = files("p.aw", SECRET_STORE)
+    labels = files("labels", "i: public\n")
+    assert main(["harden", "--variant", "sislh", "--labels", labels, p]) == 0
+    assert capsys.readouterr().out == "a[(b = 1 ? 0 : i)] <- k\n"
+    assert main(["harden", "--variant", "sislh", "--no-store-mask",
+                 "--labels", labels, p]) == 0
+    assert capsys.readouterr().out == SECRET_STORE
+    for variant in ("islh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"):
+        assert main(["harden", "--variant", variant, "--no-store-mask",
+                     "--labels", labels, p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --no-store-mask only applies to --variant sislh\n"
+
+
+def test_long_straight_line_program(files, capsys):
+    # no translator, analysis or check recurses down the sequence spine
+    p = files("p.aw", ";\n".join(["x := x + 1"] * 5000) + "\n")
+    for variant in ("islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"):
+        assert main(["harden", "--variant", variant, p]) == 0
+        assert capsys.readouterr().out.count("x := x + 1") == 5000
+    for argv in (["analyze"], ["check", "--property", "equality"],
+                 ["check", "--property", "sct", "--variant", "fvslh", "--max-dirs", "1"],
+                 ["check", "--property", "wl", "--max-dirs", "1"]):
+        assert main(argv + [p]) == 0
+        assert "holds" in capsys.readouterr().out or argv == ["analyze"]

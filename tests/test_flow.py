@@ -1,5 +1,6 @@
 import random
 
+import awhile.flow_ifc as flow_ifc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from awhile.flow_ifc import (
     well_labeled,
 )
 from awhile.ifc_static import LabelMap, Labeling, PUBLIC, SECRET, all_secret, parse_labeling
-from awhile.lang import Num, Var, parse_com
+from awhile.lang import Num, Var, parse_com, syntax_equal
 from awhile.seccheck import NamePools, gen_program
 
 pools = NamePools(("x", "y", "i", "s", "n"), ("a", "c"))
@@ -208,3 +209,37 @@ def test_well_labeled_monotone_in_final_and_antitone_in_initial():
         )
         if narrower.leq(initial):
             assert well_labeled(acom, narrower, PUBLIC, wider)
+
+
+def test_long_spines_are_walked_in_a_loop():
+    body = ";\n".join(["x := x + 1"] * 5000)
+    labels = parse_labeling("x: public")
+    # a straight line, and a loop whose body bounds the fixpoint by the
+    # names it assigns
+    for text in (body, f"while x < 1 do {body} end"):
+        com = parse_com(text)
+        acom, out = flow_track(com, labels, labels, PUBLIC)
+        assert syntax_equal(erase_acom(acom), com)
+        assert branch_free(acom)
+        assert well_labeled(acom, _labeling(labels), PUBLIC, out)
+
+
+def test_well_labeled_checks_branch_freedom_once_per_spine_part(monkeypatch):
+    calls = [0]
+    real = flow_ifc.branch_free
+
+    def counting(acom):
+        calls[0] += 1
+        return real(acom)
+
+    monkeypatch.setattr(flow_ifc, "branch_free", counting)
+    labels = parse_labeling("x: public")
+    counts = {}
+    for n in (100, 400):
+        com = parse_com(";\n".join(["x := x + 1"] * n))
+        acom, out = flow_track(com, labels, labels, PUBLIC)
+        calls[0] = 0
+        assert well_labeled(acom, _labeling(labels), PUBLIC, out)
+        counts[n] = calls[0]
+    # every part after the head once, not the rest of the spine at each part
+    assert counts == {100: 99, 400: 399}

@@ -20,6 +20,7 @@ from awhile.seccheck import (
     check_ni,
     check_step_ni,
     check_unwinding,
+    check_wl,
     check_wl_preservation,
     enum_spec_runs,
     enum_states,
@@ -685,6 +686,26 @@ def test_wl_preservation_requires_well_labeled_start():
             bad, Labeling(lab, lab), PUBLIC, Labeling(lab, lab),
             ScalarState(), ArrayState({"a": (0,)}), False, STEP,
         )
+
+
+def test_check_wl_walks_each_state_and_rejects_ill_labeled_analysis(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    com = parse_com("if s = 0 then y := 1 end; x <- a[y]")
+    lab = parse_labeling("y: public\nx: public")
+    space = parse_space("s in {0,1}\ny in {0}\na : size 2 in {0}")
+    checked, why = check_wl(com, lab, lab, space, Bounds(3, 200), seed=4)
+    assert why is None
+    assert 2 <= checked <= 2 * 4 * 3  # each state, at most 4 * max_dirs steps
+    assert check_wl(com, lab, lab, space, Bounds(3, 200), seed=4) == (checked, None)
+    # a final labeling that leaves x public although a secret array is read
+    # into it: caught before any walk
+    real = seccheck.flow_track
+    monkeypatch.setattr(
+        seccheck, "flow_track",
+        lambda c, P, PA, pc: (real(c, P, PA, pc)[0], Labeling(lab, lab)),
+    )
+    assert check_wl(com, lab, lab, space) == (0, "analysis output not well-labeled")
 
 
 def test_wl_preservation_randomized_walks():
