@@ -257,9 +257,6 @@ def harden(
 
 def harden_fs(acom: ACom, flag_var: str = DEFAULT_FLAG_VAR) -> Com:
     """Translate an annotated command by the fvslh row, labels taken from
-    its annotations: conditions are flag-guarded when annotated secret; a
-    read with public target and public index is value-masked; a read with
-    secret target keeps a public index unmasked and masks any other;
-    writes mask secret indices."""
+    its annotations (fsfvslh)."""
     _reserve(flag_var, erase_acom(acom))
     return _translate(acom, FVSLH, _Annotations, flag_var)
