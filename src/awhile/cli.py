@@ -74,13 +74,15 @@ class CliError(Exception):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}")
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path!r}: not UTF-8 text")
 
 
 def _load_program(path: str):
@@ -601,6 +603,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             seccheck.SpaceFormatError, PreconditionError,
             FlagCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the syntax walkers recurse once per nesting level
+        print("error: program nested too deeply", file=sys.stderr)
         return 2
 
 

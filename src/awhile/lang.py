@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -315,12 +315,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # 'nat', 'id', 'kw', 'eof', or the operator text itself
-    text: str
-    offset: int  # where the token starts in the source text
-
-
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -336,7 +330,9 @@ class ParseError(Exception):
 
 
 def tokenize(text: str) -> list:
-    """One scan over ``text``; the last token has kind 'eof'."""
+    """One scan over ``text`` into ``(kind, text, offset)`` tuples: kind is
+    'nat', 'id', 'kw', 'eof' or the operator text itself, and offset is
+    where the token starts.  The last token has kind 'eof'."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -349,15 +345,30 @@ def tokenize(text: str) -> list:
             kind = lexeme
         elif kind == "bad":
             raise ParseError.at(text, start, f"unexpected character {lexeme!r}")
-        tokens.append(Token(kind, lexeme, start))
+        tokens.append((kind, lexeme, start))
         if kind == "eof":
             break
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent with backtracking at parenthesized forms)
+# Parser: precedence climbing over one table, || < && < comparison < + - < *
 # ---------------------------------------------------------------------------
+
+# Binding powers, loosest first; the pretty printer uses the same scale.
+_OR, _AND, _CMP, _ADD, _MUL = 1, 2, 3, 4, 5
+
+# infix operator -> (binding power, whether its operands are boolean, node)
+_INFIX = {
+    "||": (_OR, True, Or),
+    "&&": (_AND, True, And),
+    **{op: (_CMP, False, Cmp) for op in ("=", "<>", "<=", "<")},
+    "+": (_ADD, False, BinOp),
+    "-": (_ADD, False, BinOp),
+    "*": (_MUL, False, BinOp),
+}
+
+_BOOLEAN = frozenset((BoolLit, Cmp, Not, And, Or))
 
 
 class _Parser:
@@ -369,42 +380,44 @@ class _Parser:
         self.scalar_uses: dict = {}
         self.array_uses: dict = {}
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]  # next() never moves past 'eof'
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or repr(kind)
-            self.error(f"expected {want}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
+    def expect(self, kind: str, what: Optional[str] = None) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            self.error_expected(what or repr(kind), tok)
+        self.pos += 1
+        return tok
 
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise ParseError.at(self.text, tok.offset, message)
+    def error(self, message: str, tok: tuple):
+        raise ParseError.at(self.text, tok[2], message)
 
-    def note_scalar(self, tok: Token):
-        if tok.text in self.array_uses:
-            self.error(f"{tok.text!r} used as both scalar and array", tok)
-        self.scalar_uses.setdefault(tok.text, tok)
+    def error_expected(self, want: str, tok: tuple):
+        self.error(f"expected {want}, found {tok[1] or 'end of input'!r}", tok)
 
-    def note_array(self, tok: Token):
-        if tok.text in self.scalar_uses:
-            self.error(f"{tok.text!r} used as both scalar and array", tok)
-        self.array_uses.setdefault(tok.text, tok)
+    def note_scalar(self, tok: tuple):
+        if tok[1] in self.array_uses:
+            self.error(f"{tok[1]!r} used as both scalar and array", tok)
+        self.scalar_uses.setdefault(tok[1], tok)
+
+    def note_array(self, tok: tuple):
+        if tok[1] in self.scalar_uses:
+            self.error(f"{tok[1]!r} used as both scalar and array", tok)
+        self.array_uses.setdefault(tok[1], tok)
 
     # --- commands ---------------------------------------------------------
 
     def parse_com(self) -> Com:
         stmts = [self.parse_stmt()]
-        while self.peek().kind == ";":
-            self.next()
+        while self.tokens[self.pos][0] == ";":
+            self.pos += 1
             stmts.append(self.parse_stmt())
         com = stmts.pop()
         while stmts:  # ';' right-associates
@@ -412,172 +425,117 @@ class _Parser:
         return com
 
     def parse_stmt(self) -> Com:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "skip":
-            self.next()
+        tok = self.next()
+        kind, word = tok[0], tok[1]
+        if kind == "kw" and word == "skip":
             return SKIP
-        if tok.kind == "kw" and tok.text == "if":
-            self.next()
-            cond = self.parse_bexp()
+        if kind == "kw" and word == "if":
+            cond = self.expr(_OR, True)
             self._expect_kw("then")
             then = self.parse_com()
             other: Com = SKIP
-            if self._at_kw("else"):
+            if self.peek()[:2] == ("kw", "else"):
                 self.next()
                 other = self.parse_com()
             self._expect_kw("end")
             return If(cond, then, other)
-        if tok.kind == "kw" and tok.text == "while":
-            self.next()
-            cond = self.parse_bexp()
+        if kind == "kw" and word == "while":
+            cond = self.expr(_OR, True)
             self._expect_kw("do")
             body = self.parse_com()
             self._expect_kw("end")
             return While(cond, body)
-        if tok.kind == "id":
-            name = self.next()
-            after = self.peek()
-            if after.kind == ":=":
-                self.next()
-                self.note_scalar(name)
-                return Asgn(name.text, self.parse_aexp())
-            if after.kind == "<-":
-                self.next()
+        if kind == "id":
+            after = self.next()
+            if after[0] == ":=":
+                self.note_scalar(tok)
+                return Asgn(word, self.expr(_ADD, False))
+            if after[0] == "<-":
                 arr = self.expect("id", "array name")
                 self.expect("[")
-                index = self.parse_aexp()
+                index = self.expr(_ADD, False)
                 self.expect("]")
-                self.note_scalar(name)
+                self.note_scalar(tok)
                 self.note_array(arr)
-                return ARead(name.text, arr.text, index)
-            if after.kind == "[":
-                self.next()
-                index = self.parse_aexp()
+                return ARead(word, arr[1], index)
+            if after[0] == "[":
+                index = self.expr(_ADD, False)
                 self.expect("]")
                 self.expect("<-")
-                value = self.parse_aexp()
-                self.note_array(name)
-                return AWrite(name.text, index, value)
-            self.error(f"expected ':=', '<-' or '[' after {name.text!r}", after)
-        self.error(f"expected a command, found {tok.text or 'end of input'!r}")
+                value = self.expr(_ADD, False)
+                self.note_array(tok)
+                return AWrite(word, index, value)
+            self.error(f"expected ':=', '<-' or '[' after {word!r}", after)
+        self.error_expected("a command", tok)
 
-    def _at_kw(self, word: str) -> bool:
+    def _expect_kw(self, word: str) -> tuple:
         tok = self.peek()
-        return tok.kind == "kw" and tok.text == word
-
-    def _expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok)
+        if tok[:2] != ("kw", word):
+            self.error_expected(repr(word), tok)
         return self.next()
 
-    # --- arithmetic expressions -------------------------------------------
+    # --- expressions ------------------------------------------------------
 
-    def parse_aexp(self) -> AExp:
-        left = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            right = self.parse_term()
-            left = BinOp(op, left, right)
-        return left
+    def expr(self, min_bp: int, want_bool: Optional[bool] = None) -> Union[AExp, BExp]:
+        """The longest expression at the cursor whose infix operators bind at
+        least as tightly as ``min_bp``, in one pass.
 
-    def parse_term(self) -> AExp:
-        left = self.parse_atom()
-        while self.peek().kind == "*":
-            self.next()
-            right = self.parse_atom()
-            left = BinOp("*", left, right)
-        return left
-
-    def parse_atom(self) -> AExp:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.next()
-            return Num(int(tok.text))
-        if tok.kind == "id":
-            self.next()
-            self.note_scalar(tok)
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.next()
-            # Either a constant-time conditional '(be ? e1 : e2)' or a
-            # parenthesized aexp; decided by backtracking.
-            save = self.pos
-            try:
-                cond = self.parse_bexp()
-                if self.peek().kind == "?":
-                    self.next()
-                    then = self.parse_aexp()
-                    self.expect(":")
-                    other = self.parse_aexp()
-                    self.expect(")")
-                    return CTCond(cond, then, other)
-            except ParseError:
-                pass
-            self.pos = save
-            inner = self.parse_aexp()
+        An operator is taken only if its left operand has the sort it needs,
+        so the loop stops before ``+`` after a boolean and before a second
+        comparison.  Where ``min_bp`` admits only arithmetic operators, so
+        must the first token: ``!``, ``true`` and ``false`` are rejected.
+        ``want_bool`` checks the result's sort: an arithmetic expression
+        where a boolean is wanted is reported at the next token, a boolean
+        where an arithmetic expression is wanted at its first token.
+        """
+        tokens = self.tokens
+        first = tokens[self.pos]
+        kind = first[0]
+        self.pos += 1  # an 'eof' here is an error, raised before any read
+        if kind == "nat":
+            left = Num(int(first[1]))
+        elif kind == "id":
+            self.note_scalar(first)
+            left = Var(first[1])
+        elif kind == "(":
+            # decided after the contents: '?' after a boolean makes a
+            # constant-time conditional, anything else must be ')'
+            left = self.expr(_OR)
+            if tokens[self.pos][0] == "?" and left.__class__ in _BOOLEAN:
+                self.pos += 1
+                then = self.expr(_ADD, False)
+                self.expect(":")
+                left = CTCond(left, then, self.expr(_ADD, False))
             self.expect(")")
-            return inner
-        self.error(f"expected an arithmetic expression, found {tok.text or 'end of input'!r}")
-
-    # --- boolean expressions ----------------------------------------------
-
-    def parse_bexp(self) -> BExp:
-        left = self.parse_band()
-        while self.peek().kind == "||":
-            self.next()
-            right = self.parse_band()
-            left = Or(left, right)
+        elif min_bp <= _CMP and kind == "!":
+            left = Not(self.expr(_CMP, True))
+        elif min_bp <= _CMP and kind == "kw" and first[1] in ("true", "false"):
+            left = BoolLit(first[1] == "true")
+        else:
+            self.error_expected("an arithmetic expression", first)
+        while True:
+            op = tokens[self.pos][0]
+            if op not in _INFIX:
+                break
+            bp, bool_operands, node = _INFIX[op]
+            if bp < min_bp or (left.__class__ in _BOOLEAN) != bool_operands:
+                break
+            self.pos += 1
+            right = self.expr(bp + 1, bool_operands)
+            left = node(left, right) if bool_operands else node(op, left, right)
+        if want_bool is not None and (left.__class__ in _BOOLEAN) != want_bool:
+            if want_bool:
+                self.error_expected("a comparison operator", tokens[self.pos])
+            self.error_expected("an arithmetic expression", first)
         return left
 
-    def parse_band(self) -> BExp:
-        left = self.parse_bunary()
-        while self.peek().kind == "&&":
-            self.next()
-            right = self.parse_bunary()
-            left = And(left, right)
-        return left
 
-    def parse_bunary(self) -> BExp:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
-            return Not(self.parse_bunary())
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.next()
-            return BoolLit(tok.text == "true")
-        if tok.kind == "(":
-            # '(bexp)' or a comparison whose left operand is parenthesized.
-            save = self.pos
-            self.next()
-            try:
-                inner = self.parse_bexp()
-                if self.peek().kind == ")":
-                    self.next()
-                    return inner
-            except ParseError:
-                pass
-            self.pos = save
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> BExp:
-        left = self.parse_aexp()
-        tok = self.peek()
-        if tok.kind not in ("=", "<>", "<=", "<"):
-            self.error(
-                f"expected a comparison operator, found {tok.text or 'end of input'!r}", tok
-            )
-        self.next()
-        right = self.parse_aexp()
-        return Cmp(tok.kind, left, right)
-
-
-def _parse_all(text: str, rule):
+def _parse_all(text: str, rule, *args):
     parser = _Parser(text)
-    out = rule(parser)
+    out = rule(parser, *args)
     tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"trailing input starting at {tok.text!r}", tok)
+    if tok[0] != "eof":
+        parser.error(f"trailing input starting at {tok[1]!r}", tok)
     return out
 
 
@@ -592,20 +550,16 @@ def parse_com(text: str) -> Com:
 
 
 def parse_aexp(text: str) -> AExp:
-    return _parse_all(text, _Parser.parse_aexp)
+    return _parse_all(text, _Parser.expr, _ADD, False)
 
 
 def parse_bexp(text: str) -> BExp:
-    return _parse_all(text, _Parser.parse_bexp)
+    return _parse_all(text, _Parser.expr, _OR, True)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------
-
-# Precedence levels for arithmetic: atoms bind tightest.
-_ADD, _MUL, _ATOM = 1, 2, 3
-_OR, _AND, _NOT, _BATOM = 1, 2, 3, 4
 
 
 def pretty_aexp(e: AExp, level: int = _ADD) -> str:
@@ -619,7 +573,7 @@ def pretty_aexp(e: AExp, level: int = _ADD) -> str:
             pretty_bexp(e.cond), pretty_aexp(e.then), pretty_aexp(e.other)
         )
     if isinstance(e, BinOp):
-        mine = _MUL if e.op == "*" else _ADD
+        mine = _INFIX[e.op][0]
         # left-associative: the right operand needs one level more
         s = "{} {} {}".format(
             pretty_aexp(e.left, mine), e.op, pretty_aexp(e.right, mine + 1)
@@ -634,7 +588,7 @@ def pretty_bexp(b: BExp, level: int = _OR) -> str:
     if isinstance(b, Cmp):
         return "{} {} {}".format(pretty_aexp(b.left), b.op, pretty_aexp(b.right))
     if isinstance(b, Not):
-        return "!" + pretty_bexp(b.arg, _BATOM)
+        return "!" + pretty_bexp(b.arg, _CMP)
     if isinstance(b, (And, Or)):
         mine = _AND if isinstance(b, And) else _OR
         op = "&&" if isinstance(b, And) else "||"

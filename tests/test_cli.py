@@ -35,6 +35,32 @@ def test_parse_syntax_error_exit_2(files, capsys):
     assert main(["parse", files("p.aw", "if x then")]) == 2
 
 
+def test_parse_error_is_reported_at_the_faulty_token(files, capsys):
+    assert main(["parse", files("p.aw", "x := (y < 1 ? 2 3)\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:17: expected ':', found '3'\n"
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, files, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"x := 1\xff\n")
+    assert main(["print", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(bad)!r}: not UTF-8 text\n"
+    program = files("p.aw", "x := 1\n")
+    assert main(["typecheck", "--labels", str(bad), program]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(bad)!r}: not UTF-8 text\n"
+
+
+def test_deep_nesting_is_usage_error(files, capsys):
+    p = files("p.aw", "if x < 1 then\n" * 1500 + "skip\n" + "end\n" * 1500)
+    for argv in (["print"], ["analyze"], ["harden", "--variant", "fvslh"]):
+        assert main([*argv, p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: program nested too deeply\n"
+
+
 def test_print_round_trip(files, capsys):
     path = files("p.aw", LISTING1)
     assert main(["print", path]) == 0

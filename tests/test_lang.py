@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from awhile.lang import (
     parse_bexp,
     parse_com,
     pretty_aexp,
+    pretty_bexp,
     pretty_com,
     arrays_of,
     syntax_equal,
@@ -157,6 +160,41 @@ def test_error_after_comment_and_newline_has_position():
         parse_com("x := 1;  # nothing follows\n")
     assert (err.value.line, err.value.col) == (2, 1)
     assert err.value.message == "expected a command, found 'end of input'"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a missing ':' or ')' is reported at the token found in its place
+    ("x := (y < 1 ? 2 3)", "1:17: expected ':', found '3'"),
+    ("if (x < 1 then skip end", "1:11: expected ')', found 'then'"),
+    ("if x then", "1:6: expected a comparison operator, found 'then'"),
+])
+def test_error_at_the_faulty_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_com(text)
+    assert str(err.value) == message
+
+
+_DEEP = 200
+_X_LT_1 = If(Cmp("<", Var("x"), Num(1)), SKIP, SKIP)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x := " + "(" * _DEEP + "1" + ")" * _DEEP, Asgn("x", Num(1))),
+    ("if " + "(" * _DEEP + "x" + ")" * _DEEP + " < 1 then skip end", _X_LT_1),
+    ("if " + "(" * _DEEP + "x < 1" + ")" * _DEEP + " then skip end", _X_LT_1),
+], ids=["arithmetic", "comparison-operand", "condition"])
+def test_deep_parentheses_parse_quickly(text, want):
+    # one pass, no backtracking: each level of nesting costs the same
+    start = time.perf_counter()
+    assert parse_com(text) == want
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=200)
+@given(aexps(), bexps(), st.integers(1, 5))
+def test_extra_parentheses_parse_back(e, b, depth):
+    assert parse_aexp("(" * depth + pretty_aexp(e) + ")" * depth) == e
+    assert parse_bexp("(" * depth + pretty_bexp(b) + ")" * depth) == b
 
 
 def test_syntax_equal_on_long_spines():
