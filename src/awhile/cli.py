@@ -4,6 +4,7 @@ Every subcommand is a thin adapter over the library: identical inputs
 through the CLI and through the module API produce identical results.
 Exit codes: 0 for success/Holds, 1 for Violated (or an ill-typed program
 under ``typecheck``), 2 for usage, syntax, and precondition errors.
+``main`` builds the argument parser of the invoked subcommand alone.
 
 Environment variables SLH_MAX_DIRS and SLH_FUEL override the default
 exploration bounds when the corresponding flags are not given.
@@ -12,6 +13,7 @@ exploration bounds when the corresponding flags are not given.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -76,7 +78,10 @@ class CliError(Exception):
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # strict UTF-8 with universal newlines, as for a file below,
+            # whatever the locale's encoding and error handler
+            return io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()),
+                                    encoding="utf-8").read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
@@ -488,6 +493,8 @@ def cmd_repro(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.size < 0:
+        raise CliError(f"--size must not be negative, got {args.size}")
     com = gen_program(args.seed, args.size)
     _emit(args, {"program": pretty_com(com)}, [pretty_com(com)])
     return 0
@@ -498,42 +505,26 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="awhile",
-        description="AWhile: speculative semantics, IFC analyses, SLH "
-        "hardening, and bounded differential security checking",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _program_args(p, labels=False, bounds=False):
+    p.add_argument("program", help="program file ('-' for stdin)")
+    if labels:
+        p.add_argument("--labels", help="labeling file (default: all secret)")
+    if bounds:
+        p.add_argument("--max-dirs", type=int, default=None)
+        p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    def common(p, labels=False, bounds=False, fmt=True):
-        p.add_argument("program", help="program file ('-' for stdin)")
-        if labels:
-            p.add_argument("--labels", help="labeling file (default: all secret)")
-        if bounds:
-            p.add_argument("--max-dirs", type=int, default=None)
-            p.add_argument("--fuel", type=int, default=None)
-        if fmt:
-            p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("parse", help="parse and dump the AST")
-    common(p)
-    p.set_defaults(fn=cmd_parse)
+def _labeled_program_args(p):
+    _program_args(p, labels=True)
 
-    p = sub.add_parser("print", help="parse and pretty-print")
-    common(p)
-    p.set_defaults(fn=cmd_print)
 
-    p = sub.add_parser("typecheck", help="IFC or constant-time typing")
+def _typecheck_args(p):
     p.add_argument("--system", choices=["ifc", "cct"], default="ifc")
-    common(p, labels=True)
-    p.set_defaults(fn=cmd_typecheck)
+    _program_args(p, labels=True)
 
-    p = sub.add_parser("analyze", help="flow-sensitive IFC analysis")
-    common(p, labels=True)
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("harden", help="apply an SLH variant")
+def _harden_args(p):
     p.add_argument(
         "--variant",
         choices=["islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"],
@@ -542,10 +533,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-store-mask", action="store_true",
                    help="sislh only: skip store-index masking (insecure)")
     p.add_argument("--flag-var", default=DEFAULT_FLAG_VAR)
-    common(p, labels=True)
-    p.set_defaults(fn=cmd_harden)
+    _program_args(p, labels=True)
 
-    p = sub.add_parser("run", help="run a program under a semantics")
+
+def _run_args(p):
     p.add_argument(
         "--sem",
         choices=["seq", "spec", "ideal-fislh", "ideal-fvslh", "ideal-fs"],
@@ -556,10 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--interactive", action="store_true",
                    help="prompt for each directive (spec semantics only)")
-    common(p, labels=True)
-    p.set_defaults(fn=cmd_run)
+    _program_args(p, labels=True)
 
-    p = sub.add_parser("check", help="bounded security checks")
+
+def _check_args(p):
     p.add_argument(
         "--property",
         choices=["sct", "relsec", "bcc", "ni", "unwind", "wl", "equality"],
@@ -575,28 +566,61 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="bcc: random runs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--flag-var", default=DEFAULT_FLAG_VAR)
-    common(p, labels=True, bounds=True)
-    p.set_defaults(fn=cmd_check)
+    _program_args(p, labels=True, bounds=True)
 
-    p = sub.add_parser("repro", help="replay a fixture's documented result")
+
+def _repro_args(p):
     p.add_argument("--listing", type=int, required=True, choices=sorted(FIXTURES))
     p.add_argument("--max-dirs", type=int, default=None)
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_repro)
 
-    p = sub.add_parser("gen", help="generate a random program")
+
+def _gen_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_gen)
 
+
+# name -> (help, handler, adds the arguments); the order is the listing's
+_COMMANDS = {
+    "parse": ("parse and dump the AST", cmd_parse, _program_args),
+    "print": ("parse and pretty-print", cmd_print, _program_args),
+    "typecheck": ("IFC or constant-time typing", cmd_typecheck, _typecheck_args),
+    "analyze": ("flow-sensitive IFC analysis", cmd_analyze, _labeled_program_args),
+    "harden": ("apply an SLH variant", cmd_harden, _harden_args),
+    "run": ("run a program under a semantics", cmd_run, _run_args),
+    "check": ("bounded security checks", cmd_check, _check_args),
+    "repro": ("replay a fixture's documented result", cmd_repro, _repro_args),
+    "gen": ("generate a random program", cmd_gen, _gen_args),
+}
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for the command ``only`` alone."""
+    top = argparse.ArgumentParser(
+        prog="awhile",
+        description="AWhile: speculative semantics, IFC analyses, SLH "
+        "hardening, and bounded differential security checking",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if only is None else (only,):
+        help_text, fn, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(fn=fn)
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = _build_parser(only).parse_known_args(argv)
+    if extra:
+        # argparse reports leftovers with the top usage line, which lists
+        # the registered commands: let the full parser report them
+        args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ParseError, StateFormatError, LabelingError,

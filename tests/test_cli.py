@@ -1,9 +1,16 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from awhile.cli import main
+import awhile
+from awhile.cli import _build_parser, main
+from awhile.lang import pretty_com
+from awhile.seccheck import gen_program
 
 LISTING1 = "if i < a1_size then j <- a1[i]; x <- a2[j] end\n"
 LISTING1_LABELS = (
@@ -50,6 +57,22 @@ def test_non_utf8_input_is_usage_error(tmp_path, files, capsys):
     program = files("p.aw", "x := 1\n")
     assert main(["typecheck", "--labels", str(bad), program]) == 2
     assert capsys.readouterr().err == f"error: cannot read {str(bad)!r}: not UTF-8 text\n"
+
+
+def test_non_utf8_stdin_is_usage_error(files, capsys, monkeypatch):
+    # as under the C locale: the text layer turns the bad byte into a surrogate
+    program = files("p.aw", "x := 1\n")
+    for argv in (["print", "-"], ["typecheck", "--labels", "-", program]):
+        stdin = io.TextIOWrapper(io.BytesIO(b"x := 1\xff\n"), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read '-': not UTF-8 text\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"x := 1;\r\ny := 2\r\n")))
+    assert main(["print", "-"]) == 0
+    assert capsys.readouterr().out == "x := 1;\ny := 2\n"
 
 
 def test_deep_nesting_is_usage_error(files, capsys):
@@ -306,6 +329,13 @@ def test_negative_bounds_are_usage_errors(argv, env, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_gen_rejects_negative_size(capsys):
+    assert main(["gen", "--size", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: --size must not be negative, got -5\n")
+    assert main(["gen", "--size", "0"]) == 0
+    assert capsys.readouterr().out == pretty_com(gen_program(0, 0)) + "\n"
+
+
 def test_run_rejects_negative_fuel(files, capsys):
     assert main(["run", "--fuel", "-1", files("p.aw", "skip")]) == 2
     assert "--fuel must not be negative" in capsys.readouterr().err
@@ -468,3 +498,81 @@ def test_long_straight_line_program(files, capsys):
                  ["--property", "wl", "--max-dirs", "1"]):
         assert main(["check", *argv, p]) == 0
         assert "holds" in capsys.readouterr().out.splitlines()
+
+
+# one argv per subcommand that sets every option it has
+COMMAND_ARGV = {
+    "parse": ["parse", "--format", "json", "p.aw"],
+    "print": ["print", "-"],
+    "typecheck": ["typecheck", "--system", "cct", "--labels", "l", "p.aw"],
+    "analyze": ["analyze", "--labels", "l", "--format", "json", "p.aw"],
+    "harden": ["harden", "--variant", "sislh", "--no-store-mask", "--flag-var", "f",
+               "--labels", "l", "--format", "json", "p.aw"],
+    "run": ["run", "--sem", "ideal-fs", "--state", "s", "--dirs", "step", "--fuel", "9",
+            "--interactive", "--labels", "l", "--format", "json", "p.aw"],
+    "check": ["check", "--property", "bcc", "--variant", "fsfvslh", "--space", "sp",
+              "--dirs", "step", "--trials", "3", "--seed", "4", "--flag-var", "f",
+              "--labels", "l", "--max-dirs", "2", "--fuel", "7", "--format", "json",
+              "p.aw"],
+    "repro": ["repro", "--listing", "2", "--max-dirs", "3", "--fuel", "5",
+              "--format", "json"],
+    "gen": ["gen", "--seed", "1", "--size", "4", "--format", "json"],
+}
+
+
+def _exit_of(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(COMMAND_ARGV))
+def test_one_command_parser_matches_the_full_parser(name, capsys):
+    full = _exit_of(lambda: _build_parser().parse_args([name, "-h"]), capsys)
+    assert full[0] == 0 and full[1].startswith(f"usage: awhile {name} ")
+    assert _exit_of(lambda: _build_parser(name).parse_args([name, "-h"]), capsys) == full
+    argv = COMMAND_ARGV[name]
+    assert _build_parser(name).parse_args(argv) == _build_parser().parse_args(argv)
+
+
+ALL_COMMANDS = "{parse,print,typecheck,analyze,harden,run,check,repro,gen}"
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["-h"], 0), (["bogus"], 2), (["print", "--bogus", "p.aw"], 2),
+])
+def test_usage_errors_and_help_list_every_command(argv, code, capsys):
+    outcome = _exit_of(lambda: main(argv), capsys)
+    assert outcome == _exit_of(lambda: _build_parser().parse_args(argv), capsys)
+    assert outcome[0] == code
+    assert ALL_COMMANDS in outcome[1] + outcome[2]
+
+
+def test_main_builds_only_the_invoked_command(files, capsys, monkeypatch):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    assert main(["print", files("p.aw", "skip")]) == 0
+    assert added == ["print"]
+
+
+def test_module_entry_point_reads_sys_argv(files):
+    p = files("p.aw", "x := 1\n")
+    src = os.path.dirname(os.path.dirname(awhile.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="200")
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "awhile.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("print", p) == (0, "x := 1\n", "")
+    assert run("print", "--bogus", p) == (
+        2, "", f"usage: awhile [-h] {ALL_COMMANDS} ...\n"
+               "awhile: error: unrecognized arguments: --bogus\n")
