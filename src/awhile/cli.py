@@ -21,17 +21,7 @@ from typing import List, Optional
 
 from . import seccheck
 from .flow_ifc import flow_track, pretty_acom
-from .harden import (
-    DEFAULT_FLAG_VAR,
-    FISLH,
-    FVSLH,
-    SISLH,
-    USLH,
-    VARIANTS,
-    FlagCollisionError,
-    harden,
-)
-from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
+from .harden import DEFAULT_FLAG_VAR, VARIANTS, FlagCollisionError
 from .ifc_static import (
     LabelMap,
     LabelingError,
@@ -41,15 +31,14 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import (
-    ParseError, arrays_of, parse_com, pretty_com, syntax_equal, syntax_repr, used_vars,
-)
+from .lang import ParseError, arrays_of, parse_com, pretty_com, syntax_repr, used_vars
 from .seccheck import (
     Bounds,
     PreconditionError,
     Verdict,
     VerdictStatus,
     check_bcc_space,
+    check_equality,
     check_ni,
     check_relative_security,
     check_sct,
@@ -140,8 +129,12 @@ def _emit(args, payload: dict, text_lines: List[str]):
             print(line)
 
 
+# failure messages printed per verdict, in text and in JSON
+_SHOWN_FAILURES = 5
+
+
 def _verdict_payload(v: Verdict) -> dict:
-    out = {"status": str(v.status)}
+    out = {"status": str(v.status), **dict(v.facts)}
     if v.bounds is not None:
         out["max_dirs"] = v.bounds.max_dirs
         out["fuel"] = v.bounds.fuel
@@ -149,6 +142,8 @@ def _verdict_payload(v: Verdict) -> dict:
             out["space"] = v.bounds.space
     if v.message:
         out["message"] = v.message
+    if v.failures is not None:
+        out["failures"] = list(v.failures[:_SHOWN_FAILURES])
     if v.witness is not None:
         w = v.witness
         out["witness"] = {
@@ -163,9 +158,16 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 def _verdict_lines(v: Verdict) -> List[str]:
-    lines = [str(v.status)]
-    if v.message:
-        lines.append(v.message)
+    """Fact lines, failure lines, the status and the witness.  A verdict
+    with facts prints its message (a vacuous note on what was counted)
+    before the status, one without facts after it."""
+    lines = [f"{name}: {value}" for name, value in v.facts]
+    lines += (v.failures or ())[:_SHOWN_FAILURES]
+    message = [v.message] if v.message else []
+    if v.facts:
+        lines += message + [str(v.status)]
+    else:
+        lines += [str(v.status)] + message
     if v.witness is not None:
         w = v.witness
         lines.append("directives: " + " ".join(str(d) for d in w.dirs))
@@ -304,6 +306,10 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
     return 0
 
 
+# --sem ideal-* -> the flexible variant whose ideal semantics it is
+_IDEAL_VARIANTS = {"ideal-fislh": "fislh", "ideal-fvslh": "fvslh", "ideal-fs": "fsfvslh"}
+
+
 def cmd_run(args) -> int:
     com = _load_program(args.program)
     rho, mu, warnings = (
@@ -325,17 +331,13 @@ def cmd_run(args) -> int:
         final_state = format_state(out.rho, out.mu)
         consumed = None
     else:
-        cfg = SpecConfig(com, rho, mu, False)
         if args.sem == "spec":
-            sem = SPEC
-        elif args.sem == "ideal-fislh":
-            sem = IdealFiSLH(labels, labels)
-        elif args.sem == "ideal-fvslh":
-            sem = IdealFvSLH(labels, labels)
-        else:  # ideal-fs
-            sem = IdealFS()
-            acom, _ = flow_track(com, labels, labels, PUBLIC)
-            cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, labels, labels)
+            sem, cfg = SPEC, SpecConfig(com, rho, mu, False)
+        else:
+            sem, start = seccheck._ideal_source(
+                _IDEAL_VARIANTS[args.sem], com, labels, labels, typed=False
+            )
+            cfg = start(rho, mu, False)
         out = run(sem, cfg, dirs, fuel)
         final_state = format_state(out.final.rho, out.final.mu)
         consumed = out.consumed
@@ -357,125 +359,39 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_equality(args, com, labels) -> int:
-    def same(v1, v2, P):
-        return syntax_equal(harden(v1, com, P, P), harden(v2, com, P, P))
-
-    results = {}
-    if wt_cct(labels, labels, com):
-        results["fislh_eq_sislh"] = same(FISLH, SISLH, labels)
-    secret = all_secret()
-    results["fislh_eq_uslh_all_secret"] = same(FISLH, USLH, secret)
-    results["fvslh_eq_uslh_all_secret"] = same(FVSLH, USLH, secret)
-    ok = all(results.values())
-    _emit(
-        args,
-        {"status": "holds" if ok else "violated", **results},
-        [f"{k}: {v}" for k, v in results.items()] + ["holds" if ok else "violated"],
-    )
-    return 0 if ok else 1
+# property -> its library driver, called as (args, program, labels, space, bounds)
+_PROPERTIES = {
+    "sct": lambda a, c, P, space, b: check_sct(
+        transform(a.variant or "none", c, P, P, a.flag_var), P, P, space, b
+    ),
+    "relsec": lambda a, c, P, space, b: check_relative_security(
+        a.variant or "none", c, P, P, space, b, a.flag_var
+    ),
+    "bcc": lambda a, c, P, space, b: check_bcc_space(
+        a.variant, c, P, P, space, b, parse_dirs(a.dirs) if a.dirs else None,
+        a.trials, a.seed, a.flag_var,
+    ),
+    "ni": lambda a, c, P, space, b: check_ni(a.variant, c, P, P, space),
+    "unwind": lambda a, c, P, space, b: check_unwinding_space(a.variant, c, P, P, space, b),
+    "wl": lambda a, c, P, space, b: check_wl(c, P, P, space, b, a.seed),
+    "equality": lambda a, c, P, space, b: check_equality(c, P, P),
+}
 
 
 def cmd_check(args) -> int:
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
     bounds = _bounds(args)
-    variant = args.variant or "none"
-
-    if args.property == "equality":
-        return _check_equality(args, com, labels)
-
-    space = parse_space(_read_input(args.space)) if args.space else seccheck.StateSpace()
-
-    if args.property == "sct":
-        target = transform(variant, com, labels, labels, args.flag_var)
-        v = check_sct(target, labels, labels, space, bounds)
-    elif args.property == "relsec":
-        v = check_relative_security(
-            variant, com, labels, labels, space, bounds, args.flag_var
-        )
-    elif args.property == "bcc":
-        return _check_bcc_cli(args, com, labels, space, bounds)
-    elif args.property == "ni":
-        return _check_ni_cli(args, com, labels, space, bounds)
-    elif args.property == "unwind":
-        return _check_unwind_cli(args, com, labels, space, bounds)
-    elif args.property == "wl":
-        return _check_wl_cli(args, com, labels, space, bounds)
-    else:
-        raise CliError(f"unknown property {args.property!r}")
-
+    space = seccheck.StateSpace()
+    if args.space and args.property != "equality":
+        space = parse_space(_read_input(args.space))
+    if args.property in ("bcc", "ni", "unwind") and args.variant not in _IDEAL_VARIANTS.values():
+        raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
+    if args.property == "bcc" and args.trials < 0:
+        raise CliError(f"--trials must not be negative, got {args.trials}")
+    v = _PROPERTIES[args.property](args, com, labels, space, bounds)
     _emit(args, _verdict_payload(v), _verdict_lines(v))
     return _verdict_exit(v)
-
-
-def _require_variant(args):
-    if not args.variant or args.variant not in ("fislh", "fvslh", "fsfvslh"):
-        raise CliError(
-            f"--property {args.property} needs --variant fislh|fvslh|fsfvslh"
-        )
-
-
-def _check_bcc_cli(args, com, labels, space, bounds) -> int:
-    _require_variant(args)
-    if args.trials < 0:
-        raise CliError(f"--trials must not be negative, got {args.trials}")
-    runs, failures = check_bcc_space(
-        args.variant, com, labels, labels, space, bounds,
-        parse_dirs(args.dirs) if args.dirs else None, args.trials, args.seed,
-        args.flag_var,
-    )
-    return _emit_count(args, "runs", runs, failures, "vacuous: no run was checked")
-
-
-def _emit_count(args, name: str, count: int, failures: List[str], vacuous: str) -> int:
-    """Report a check that counts what it covered; a holds that covered
-    nothing says so."""
-    ok = not failures
-    payload = {"status": "holds" if ok else "violated", name: count, "failures": failures}
-    lines = [f"{name}: {count}"] + failures
-    if count == 0:
-        payload["message"] = vacuous
-        lines.append(vacuous)
-    _emit(args, payload, lines + ["holds" if ok else "violated"])
-    return 0 if ok else 1
-
-
-def _check_ni_cli(args, com, labels, space, bounds) -> int:
-    _require_variant(args)
-    checked, failures = check_ni(args.variant, com, labels, labels, space)
-    return _emit_count(
-        args, "checked", checked, failures[:5],
-        "vacuous: no pair of states met the lemma's preconditions",
-    )
-
-
-def _check_unwind_cli(args, com, labels, space, bounds) -> int:
-    """Unwinding over the pairs of states that meet the lemma's
-    preconditions; the others are left out of the printed pair count."""
-    _require_variant(args)
-    pairs, v = check_unwinding_space(args.variant, com, labels, labels, space, bounds)
-    payload = {"pairs": pairs, **_verdict_payload(v)}
-    lines = [f"pairs: {pairs}"]
-    if pairs == 0:
-        note = "vacuous: no pair of states met the lemma's preconditions"
-        payload["message"] = note
-        lines.append(note)
-    _emit(args, payload, lines + _verdict_lines(v))
-    return _verdict_exit(v)
-
-
-def _check_wl_cli(args, com, labels, space, bounds) -> int:
-    checked, why = check_wl(com, labels, labels, space, bounds, args.seed)
-    if why is None:
-        _emit(args, {"status": "holds", "checked": checked},
-              [f"checked: {checked}", "holds"])
-        return 0
-    if checked == 0:  # the analysis output itself is not well-labeled
-        _emit(args, {"status": "violated"}, [why])
-    else:
-        _emit(args, {"status": "violated", "why": why}, [why, "violated"])
-    return 1
 
 
 def cmd_repro(args) -> int:
@@ -553,7 +469,7 @@ def _run_args(p):
 def _check_args(p):
     p.add_argument(
         "--property",
-        choices=["sct", "relsec", "bcc", "ni", "unwind", "wl", "equality"],
+        choices=list(_PROPERTIES),
         required=True,
     )
     p.add_argument(

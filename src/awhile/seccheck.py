@@ -51,6 +51,7 @@ from .ifc_static import (
     LabelMap,
     PUBLIC,
     all_secret,
+    wt_cct,
     wt_ifc,
 )
 from .lang import (
@@ -131,14 +132,35 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A check's outcome.  ``facts`` are (name, value) pairs saying what
+    the check covered (pairs walked, steps or runs checked, equalities
+    compared), in print order; ``failures`` are the failure messages of a
+    check that reports them instead of a witness, and None for the others."""
+
     status: VerdictStatus
     witness: Optional[Witness] = None
     bounds: Optional[Bounds] = None
     message: str = ""
+    facts: Tuple[Tuple[str, object], ...] = ()
+    failures: Optional[Tuple[str, ...]] = None
 
     @property
     def holds(self) -> bool:
         return self.status is VerdictStatus.HOLDS
+
+
+def _counted(name: str, count: int, failures: Sequence[str], vacuous: str) -> Verdict:
+    """The verdict of a check that counts what it covered and reports
+    failure messages; a holds that covered nothing says so."""
+    return Verdict(
+        VerdictStatus.VIOLATED if failures else VerdictStatus.HOLDS,
+        message=vacuous if count == 0 and not failures else "",
+        facts=((name, count),),
+        failures=tuple(failures),
+    )
+
+
+_NO_PAIR = "vacuous: no pair of states met the lemma's preconditions"
 
 
 def prefix_of(o1: Sequence[Obs], o2: Sequence[Obs]) -> bool:
@@ -628,6 +650,23 @@ def check_relative_security(
     return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
+def check_equality(c: Com, P: LabelMap, PA: LabelMap) -> Verdict:
+    """The transformation equalities on one program: fiSLH equals sSLH on a
+    constant-time typed program, and fiSLH and fvSLH equal uSLH under the
+    all-secret labeling.  Each comparison made is a fact."""
+    def same(v1: str, v2: str, P: LabelMap, PA: LabelMap) -> bool:
+        return syntax_equal(transform(v1, c, P, PA), transform(v2, c, P, PA))
+
+    facts = []
+    if wt_cct(P, PA, c):
+        facts.append(("fislh_eq_sislh", same("fislh", "sislh", P, PA)))
+    secret = all_secret()
+    facts.append(("fislh_eq_uslh_all_secret", same("fislh", "uslh", secret, secret)))
+    facts.append(("fvslh_eq_uslh_all_secret", same("fvslh", "uslh", secret, secret)))
+    ok = all(equal for _, equal in facts)
+    return Verdict(VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED, facts=tuple(facts))
+
+
 # ---------------------------------------------------------------------------
 # Lemma-level checks
 # ---------------------------------------------------------------------------
@@ -637,32 +676,26 @@ class PreconditionError(Exception):
     pass
 
 
-def ideal_variant_for(variant_kind: str, P: LabelMap, PA: LabelMap):
-    """The ideal semantics of a flexible variant."""
-    if variant_kind == "fislh":
-        return IdealFiSLH(P, PA)
-    if variant_kind == "fvslh":
-        return IdealFvSLH(P, PA)
-    if variant_kind == "fsfvslh":
-        return IdealFS()
-    raise PreconditionError(
-        f"no ideal semantics for variant {variant_kind!r}; the other variants "
-        "are covered through the flexible ones"
-    )
-
-
 def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: bool):
-    """The variant's ideal semantics and a builder of its initial
-    configurations from (rho, mu, flag); fsfvslh starts from the program's
-    annotation, computed here once.  With ``typed``, a program outside the
-    lemmas' typing precondition (IFC well-typed, or for fsfvslh a
-    well-labeled annotation) raises PreconditionError."""
-    sem = ideal_variant_for(variant_kind, P, PA)
+    """The ideal semantics of a flexible variant and a builder of its
+    initial configurations from (rho, mu, flag); fsfvslh starts from the
+    program's annotation, computed here once.  With ``typed``, a program
+    outside the lemmas' typing precondition (IFC well-typed, or for fsfvslh
+    a well-labeled annotation) raises PreconditionError."""
     if variant_kind == "fsfvslh":
         acom, final = flow_track(c, P, PA, PUBLIC)
         if typed and not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
             raise PreconditionError("analysis output not well-labeled")
-        return sem, lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
+        return IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
+    if variant_kind == "fislh":
+        sem = IdealFiSLH(P, PA)
+    elif variant_kind == "fvslh":
+        sem = IdealFvSLH(P, PA)
+    else:
+        raise PreconditionError(
+            f"no ideal semantics for variant {variant_kind!r}; the other variants "
+            "are covered through the flexible ones"
+        )
     if typed and not wt_ifc(P, PA, PUBLIC, c):
         raise PreconditionError("program not IFC-well-typed")
     return sem, lambda rho, mu, flag: SpecConfig(c, rho, mu, flag)
@@ -708,13 +741,13 @@ def check_bcc_space(
     trials: int = 0,
     seed: int = 0,
     flag_var: str = DEFAULT_FLAG_VAR,
-) -> Tuple[int, List[str]]:
+) -> Verdict:
     """check_bcc over a space.  With ``dirs``, one run per state in
     enumeration order; otherwise ``trials`` runs, each from a state drawn
     at random and driven by a random walk of the hardened program (seeded
     by ``seed``).  The hardened program and the ideal source are prepared
-    once.  Stops at the first failing run; returns the number of runs and
-    the failure messages."""
+    once.  Stops at the first failing run; the verdict counts the runs as
+    ``runs`` and holds the failure message."""
     uses_flag = flag_var in used_vars(c)
     if dirs is None:
         hardened = transform(variant_kind, c, P, PA, flag_var)
@@ -724,6 +757,7 @@ def check_bcc_space(
     else:
         hardened = None
         runs = ((rho, mu, dirs) for rho, mu in enum_states(space))
+    vacuous = "vacuous: no run was checked"
     source = None
     count = 0
     for rho, mu, run_dirs in runs:
@@ -735,8 +769,8 @@ def check_bcc_space(
                 hardened = transform(variant_kind, c, P, PA, flag_var)
         ok, why = _bcc_run(*source, hardened, rho, mu, flag, run_dirs, bounds.fuel, flag_var)
         if not ok:
-            return count, [why]
-    return count, []
+            return _counted("runs", count, [why], vacuous)
+    return _counted("runs", count, [], vacuous)
 
 
 def _random_bcc_run(rng: random.Random, states, hardened: Com, bounds: Bounds):
@@ -872,17 +906,17 @@ def check_step_ni(
 
 def check_ni(
     variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, space: StateSpace
-) -> Tuple[int, List[str]]:
+) -> Verdict:
     """check_step_ni over the space: every pair of states (a state with
     itself included) in nested-scan order, both flags, and the directives
     none, step and force.  The program is typed once; an ill-typed program
     checks nothing.  Only states with equal public scalars are paired, and
-    pairs outside the rest of the lemma's premise are skipped.  Returns the
-    number of steps checked and the failure messages."""
+    pairs outside the rest of the lemma's premise are skipped.  The verdict
+    counts the steps as ``checked`` and holds every failure message."""
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
-        return 0, []
+        return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
     states = list(enum_states(space))
     pairs = _equivalent_pairs(states, P, all_secret()) + [(i, i) for i in range(len(states))]
@@ -897,7 +931,7 @@ def check_ni(
                 checked += 1
                 if not ok:
                     failures.append(why)
-    return checked, failures
+    return _counted("checked", checked, failures, _NO_PAIR)
 
 
 def check_unwinding(
@@ -941,27 +975,30 @@ def check_unwinding_space(
     PA: LabelMap,
     space: StateSpace,
     bounds: Bounds = Bounds(),
-) -> Tuple[int, Verdict]:
+) -> Verdict:
     """check_unwinding over the space: the pairs of states meeting the
     lemma's premise (equal public scalars, and for fislh equal public
     arrays), in nested-scan order, walked over shared directive trees.  The
-    program is typed once; an ill-typed program walks no pair.  Returns the
-    number of pairs walked, up to and including a violating one, and the
-    verdict."""
-    holds = Verdict(VerdictStatus.HOLDS, bounds=bounds)
+    program is typed once; an ill-typed program walks no pair.  The verdict
+    counts the pairs walked, up to and including a violating one, as
+    ``pairs``."""
+    vacuous = Verdict(VerdictStatus.HOLDS, bounds=bounds, message=_NO_PAIR,
+                      facts=(("pairs", 0),))
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
-        return 0, holds
+        return vacuous
     states = list(enum_states(space))
     pairs = _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret())
+    if not pairs:
+        return vacuous
     found = _first_divergent_pair(
         sem, lambda rho, mu: start(rho, mu, True), states, pairs, bounds
     )
     if found is None:
-        return len(pairs), holds
+        return Verdict(VerdictStatus.HOLDS, bounds=bounds, facts=(("pairs", len(pairs)),))
     k, w = found
-    return k + 1, Verdict(VerdictStatus.VIOLATED, w, bounds)
+    return Verdict(VerdictStatus.VIOLATED, w, bounds, facts=(("pairs", k + 1),))
 
 
 def check_wl_preservation(
@@ -995,16 +1032,17 @@ def check_wl(
     space: StateSpace,
     bounds: Bounds = Bounds(),
     seed: int = 0,
-) -> Tuple[int, Optional[str]]:
+) -> Verdict:
     """Well-labeledness preservation along random flow-sensitive ideal
     walks: from each state of the space, up to ``4 * max_dirs`` steps under
     directives drawn by a generator seeded with ``seed``, each step checked
-    by check_wl_preservation.  Returns the number of steps checked and the
-    reason of the first failure, or None; a count of 0 with a reason means
+    by check_wl_preservation.  The verdict counts the steps as ``checked``
+    and holds the reason of the first failure; a failure at 0 steps means
     the analysis output itself is not well-labeled."""
+    vacuous = "vacuous: no step was checked"
     acom, final = flow_track(c, P, PA, PUBLIC)
     if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
-        return 0, "analysis output not well-labeled"
+        return _counted("checked", 0, ["analysis output not well-labeled"], vacuous)
     rng = random.Random(seed)
     fs = IdealFS()
     checked = 0
@@ -1019,12 +1057,12 @@ def check_wl(
             )
             checked += 1
             if not ok:
-                return checked, why
+                return _counted("checked", checked, [why], vacuous)
             r = fs.step(cfg, d)
             if r.tag is not StepTag.STEPPED:
                 break
             cfg = r.cfg
-    return checked, None
+    return _counted("checked", checked, [], vacuous)
 
 
 # ---------------------------------------------------------------------------

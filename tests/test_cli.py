@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import awhile
 from awhile.cli import _build_parser, main
+from awhile.fixtures import FIXTURES
 from awhile.lang import pretty_com
 from awhile.seccheck import gen_program
 
@@ -160,6 +162,30 @@ def test_run_ideal_fs(files, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "write a 0" in out  # masked store index
+
+
+RUN_STATE = "i = 4\na1_size = 4\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]\n"
+
+
+@pytest.mark.parametrize("sem, dirs, trace", [
+    # fiSLH masks the public indices i and j while misspeculating
+    ("ideal-fislh", "force step step", ["branch false", "read a1 0", "read a2 0"]),
+    # fvSLH lets the index through and masks the loaded public value j
+    ("ideal-fvslh", "force load a3 0 step", ["branch false", "read a1 4", "read a2 0"]),
+    ("ideal-fs", "force load a3 0 step", ["branch false", "read a1 4", "read a2 0"]),
+])
+def test_run_ideal_semantics_output(files, capsys, sem, dirs, trace):
+    p = files("p.aw", LISTING1)
+    argv = ["run", "--sem", sem, "--state", files("s", RUN_STATE),
+            "--labels", files("labels", LISTING1_LABELS), "--dirs", dirs, p]
+    final = "a1_size = 4\ni = 4\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(
+        trace + ["outcome: terminated", "consumed: 3", "final state:", final]) + "\n"
+    assert main(argv[:-1] + ["--format", "json", p]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "consumed": 3, "final_state": final, "outcome": "terminated", "trace": trace,
+    }
 
 
 def test_check_sct_exit_codes(files):
@@ -444,26 +470,161 @@ def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transfo
     assert calls == expected
 
 
-def test_check_wl_output(files, capsys, monkeypatch):
+def _ni_steps_fail(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    count = itertools.count(1)
+    monkeypatch.setattr(seccheck, "_step_ni", lambda *args: (False, f"failure {next(count)}"))
+
+
+def _bcc_run_fails(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    monkeypatch.setattr(seccheck, "_bcc_run", lambda *args: (False, "array states differ"))
+
+
+def _typed(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    monkeypatch.setattr(seccheck, "wt_ifc", lambda *args: True)
+
+
+def _ill_labeled_analysis(monkeypatch):
     import awhile.seccheck as seccheck
     from awhile.flow_ifc import Labeling
     from awhile.ifc_static import all_public
 
+    real = seccheck.flow_track
+    low = Labeling(all_public(["s", "x", "y"]), all_public(["a"]))
+    monkeypatch.setattr(
+        seccheck, "flow_track", lambda c, P, PA, pc: (real(c, P, PA, pc)[0], low)
+    )
+
+
+def _wl_step_fails(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    monkeypatch.setattr(seccheck, "check_wl_preservation",
+                        lambda *args: (False, "successor not well-labeled"))
+
+
+GADGET = {"p": FIXTURES[1].program_text, "l": FIXTURES[1].labeling_text,
+          "s": FIXTURES[1].space_text}
+BRANCH = {"p": "if s = 0 then x := 1 end\n", "s": "s in {0,1}\n"}
+WL_WALK = {"p": "if s = 0 then y := 1 end; x <- a[y]\n",
+           "s": "s in {0,1}\ny in {0}\na : size 2 in {0}\n"}
+GADGET_WITNESS = [
+    "directives: force load a3 0 load a1 0",
+    "trace 1: branch false; read a1 4; read a2 42",
+    "trace 2: branch false; read a1 4; read a2 43",
+    "diverges at observation 3",
+    "state 1: a1_size = 4, i = 4, a1 = [0,0,0,0], a2 = [0,0,0,0], a3 = [42]",
+    "state 2: a1_size = 4, i = 4, a1 = [0,0,0,0], a2 = [0,0,0,0], a3 = [43]",
+]
+NO_PAIR = "vacuous: no pair of states met the lemma's preconditions"
+
+# (files, argv after --property, patch, exit code, stdout lines)
+TEXT_PINS = {
+    "sct-holds": (GADGET, ["sct", "--variant", "sislh", "--max-dirs", "4"], None, 0,
+                  ["holds"]),
+    "sct-vacuous": ({**BRANCH, "l": "s: public\nx: public\n"}, ["sct"], None, 0,
+                    ["holds", "vacuous: 0 public-equivalent pairs among 2 states"]),
+    "sct-violated": (GADGET, ["sct", "--max-dirs", "4"], None, 1,
+                     ["violated", *GADGET_WITNESS]),
+    "relsec-holds": (GADGET, ["relsec", "--variant", "fvslh", "--max-dirs", "4"], None, 0,
+                     ["holds"]),
+    "relsec-vacuous": ({**BRANCH, "l": "x: public\n"}, ["relsec"], None, 0, [
+        "holds", "vacuous: 0 of 1 public-equivalent pairs passed the sequential premise",
+    ]),
+    "relsec-violated": (GADGET, ["relsec", "--max-dirs", "4"], None, 1,
+                        ["violated", *GADGET_WITNESS]),
+    "relsec-precondition-failed": (
+        {"p": "y := secret\n", "l": "y: public\n", "s": "secret in {0,1}\n"},
+        ["relsec", "--variant", "fislh"], None, 2,
+        ["precondition-failed", "fislh requires an IFC-well-typed program"],
+    ),
+    "unwind-holds": (BRANCH, ["unwind", "--variant", "fislh", "--max-dirs", "4"], None, 0,
+                     ["pairs: 1", "holds"]),
+    "unwind-vacuous": ({**BRANCH, "l": "x: public\n"}, ["unwind", "--variant", "fislh"],
+                       None, 0, ["pairs: 0", NO_PAIR, "holds"]),
+    # an explicit secret-to-public flow, let through the typing precondition
+    "unwind-violated": (
+        {"p": "y := s; if y = 0 then x := 1 end\n", "l": "y: public\n", "s": "s in {0,1}\n"},
+        ["unwind", "--variant", "fislh"], _typed, 1,
+        ["pairs: 1", "violated", "directives: step", "trace 1: branch true",
+         "trace 2: branch false", "diverges at observation 1",
+         "state 1: (all defaults)", "state 2: s = 1"],
+    ),
+    "ni-holds": (GADGET, ["ni", "--variant", "fislh"], None, 0, ["checked: 36", "holds"]),
+    "ni-vacuous": ({**BRANCH, "l": "x: public\n"}, ["ni", "--variant", "fvslh"], None, 0,
+                   ["checked: 0", NO_PAIR, "holds"]),
+    # 36 failures, of which the first five are printed
+    "ni-violated": (GADGET, ["ni", "--variant", "fislh"], _ni_steps_fail, 1,
+                    ["checked: 36", *(f"failure {k}" for k in range(1, 6)), "violated"]),
+    "bcc-holds": (GADGET, ["bcc", "--variant", "fislh", "--trials", "3"], None, 0,
+                  ["runs: 3", "holds"]),
+    "bcc-vacuous": (GADGET, ["bcc", "--variant", "fvslh", "--trials", "0"], None, 0,
+                    ["runs: 0", "vacuous: no run was checked", "holds"]),
+    "bcc-violated": (GADGET, ["bcc", "--variant", "fsfvslh"], _bcc_run_fails, 1,
+                     ["runs: 1", "array states differ", "violated"]),
+    "wl-holds": (WL_WALK, ["wl", "--max-dirs", "2"], None, 0, ["checked: 8", "holds"]),
+    "wl-vacuous": (WL_WALK, ["wl", "--max-dirs", "0"], None, 0,
+                   ["checked: 0", "vacuous: no step was checked", "holds"]),
+    "wl-ill-labeled": (WL_WALK, ["wl"], _ill_labeled_analysis, 1,
+                       ["checked: 0", "analysis output not well-labeled", "violated"]),
+    "wl-violated": (WL_WALK, ["wl"], _wl_step_fails, 1,
+                    ["checked: 1", "successor not well-labeled", "violated"]),
+    "equality-cct": ({"p": LISTING1, "l": LISTING1_LABELS}, ["equality"], None, 0, [
+        "fislh_eq_sislh: True", "fislh_eq_uslh_all_secret: True",
+        "fvslh_eq_uslh_all_secret: True", "holds",
+    ]),
+    "equality": ({"p": LISTING1}, ["equality"], None, 0, [
+        "fislh_eq_uslh_all_secret: True", "fvslh_eq_uslh_all_secret: True", "holds",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(TEXT_PINS))
+def test_check_text_output(name, files, capsys, monkeypatch):
+    """The exact text every property prints: fact lines, failure lines (at
+    most five), the vacuous note, the status, then a witness."""
+    contents, argv, patch, code, lines = TEXT_PINS[name]
+    if patch is not None:
+        patch(monkeypatch)
+    paths = {key: files(key, text) for key, text in contents.items()}
+    for key, option in (("l", "--labels"), ("s", "--space")):
+        if key in paths:
+            argv = argv + [option, paths[key]]
+    assert main(["check", "--property", *argv, paths["p"]]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_check_wl_output(files, capsys, monkeypatch):
     p = files("p.aw", "if s = 0 then y := 1 end; x <- a[y]")
     space = files("space", "s in {0,1}\ny in {0}\na : size 2 in {0}")
     argv = ["check", "--property", "wl", "--space", space, "--max-dirs", "2", p]
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["holds"] and out[0].startswith("checked: ")
-    real = seccheck.flow_track
-    low = Labeling(all_public(["s", "x", "y"]), all_public(["a"]))
-    monkeypatch.setattr(
-        seccheck, "flow_track", lambda c, P, PA, pc: (real(c, P, PA, pc)[0], low)
-    )
+    _ill_labeled_analysis(monkeypatch)
     assert main(argv) == 1
-    assert capsys.readouterr().out == "analysis output not well-labeled\n"
+    assert capsys.readouterr().out == "checked: 0\nanalysis output not well-labeled\nviolated\n"
     assert main(argv + ["--format", "json"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"status": "violated"}
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "violated", "checked": 0, "failures": ["analysis output not well-labeled"],
+    }
+
+
+def test_check_wl_vacuous_is_flagged(files, capsys):
+    argv = ["check", "--property", "wl", "--max-dirs", "0",
+            files("p.aw", "if s = 0 then y := 1 end")]
+    note = "vacuous: no step was checked"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["checked: 0", note, "holds"]
+    assert main(argv[:-1] + ["--format", "json", argv[-1]]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "holds", "checked": 0, "failures": [], "message": note,
+    }
 
 
 SECRET_STORE = "a[i] <- k\n"  # k is secret under the labeling below

@@ -12,7 +12,10 @@ from awhile.seccheck import (
     NamePools,
     PreconditionError,
     StateSpace,
+    Verdict,
     VerdictStatus,
+    check_bcc_space,
+    check_equality,
     check_relative_security,
     check_sct,
     check_seq_obs_equiv,
@@ -20,6 +23,7 @@ from awhile.seccheck import (
     check_ni,
     check_step_ni,
     check_unwinding,
+    check_unwinding_space,
     check_wl,
     check_wl_preservation,
     enum_spec_runs,
@@ -299,6 +303,43 @@ def test_vacuous_holds_say_so():
     assert v.message == "vacuous: 0 public-equivalent pairs among 2 states"
     # a walked pair leaves the message empty
     assert check_sct(com, lab, lab, space, Bounds(4, 100)).message == ""
+
+
+def test_space_drivers_return_verdicts_with_what_they_covered():
+    com = parse_com("if s = 0 then x := 1 end")
+    lab = all_secret()
+    space = parse_space("s in {0,1}")
+    bounds = Bounds(4, 100)
+    # (verdict, its one fact, whether it reports failure messages)
+    for v, fact, reports in (
+        (check_ni("fislh", com, lab, lab, space), ("checked", 18), True),
+        (check_bcc_space("fvslh", com, lab, lab, space, bounds, trials=3), ("runs", 3), True),
+        (check_unwinding_space("fsfvslh", com, lab, lab, space, bounds), ("pairs", 1), False),
+        (check_wl(com, lab, lab, space, bounds), ("checked", 5), True),
+    ):
+        assert isinstance(v, Verdict) and v.holds and v.message == ""
+        assert v.facts == (fact,)
+        assert v.failures == (() if reports else None)
+
+
+def test_check_equality_reports_each_comparison(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    com = parse_com("if i < n then x <- a[i] end")
+    lab = parse_labeling("i: public\nn: public\nx: public\na: public")
+    v = check_equality(com, lab, lab)
+    assert v.holds and v.failures is None
+    assert v.facts == (("fislh_eq_sislh", True), ("fislh_eq_uslh_all_secret", True),
+                       ("fvslh_eq_uslh_all_secret", True))
+    # all secret: the branch is not constant-time typed, so fiSLH and sSLH
+    # are not compared
+    assert [name for name, _ in check_equality(com, all_secret(), all_secret()).facts] == [
+        "fislh_eq_uslh_all_secret", "fvslh_eq_uslh_all_secret",
+    ]
+    monkeypatch.setattr(seccheck, "syntax_equal", lambda c1, c2: False)
+    v = check_equality(com, lab, lab)
+    assert v.status is VerdictStatus.VIOLATED
+    assert [equal for _, equal in v.facts] == [False, False, False]
 
 
 # --- per-state sharing against per-pair brute force -----------------------------
@@ -626,7 +667,8 @@ def test_check_ni_pairs_match_nested_scan():
         com = gen_program(rng.randrange(10**9), 10, pools)
         P, PA = random_labeling(rng, pools)
         for variant in ("fislh", "fvslh", "fsfvslh"):
-            got = check_ni(variant, com, P, PA, space)
+            v = check_ni(variant, com, P, PA, space)
+            got = (dict(v.facts)["checked"], list(v.failures))
             assert got == _ni_nested_scan(variant, com, P, PA, space)
             total += got[0]
     assert total > 0
@@ -694,10 +736,11 @@ def test_check_wl_walks_each_state_and_rejects_ill_labeled_analysis(monkeypatch)
     com = parse_com("if s = 0 then y := 1 end; x <- a[y]")
     lab = parse_labeling("y: public\nx: public")
     space = parse_space("s in {0,1}\ny in {0}\na : size 2 in {0}")
-    checked, why = check_wl(com, lab, lab, space, Bounds(3, 200), seed=4)
-    assert why is None
+    v = check_wl(com, lab, lab, space, Bounds(3, 200), seed=4)
+    checked, why = dict(v.facts)["checked"], v.failures
+    assert why == ()
     assert 2 <= checked <= 2 * 4 * 3  # each state, at most 4 * max_dirs steps
-    assert check_wl(com, lab, lab, space, Bounds(3, 200), seed=4) == (checked, None)
+    assert check_wl(com, lab, lab, space, Bounds(3, 200), seed=4) == v
     # a final labeling that leaves x public although a secret array is read
     # into it: caught before any walk
     real = seccheck.flow_track
@@ -705,7 +748,8 @@ def test_check_wl_walks_each_state_and_rejects_ill_labeled_analysis(monkeypatch)
         seccheck, "flow_track",
         lambda c, P, PA, pc: (real(c, P, PA, pc)[0], Labeling(lab, lab)),
     )
-    assert check_wl(com, lab, lab, space) == (0, "analysis output not well-labeled")
+    v = check_wl(com, lab, lab, space)
+    assert (dict(v.facts)["checked"], v.failures) == (0, ("analysis output not well-labeled",))
 
 
 def test_wl_preservation_randomized_walks():
