@@ -44,12 +44,12 @@ from .seccheck import (
     check_sct,
     check_unwinding_space,
     check_wl,
-    gen_program,
     parse_space,
     transform,
 )
-from .spec_sem import SPEC, StepTag, feasible, run
-from .seq_sem import seq_run
+from .gen import gen_program
+from .spec_sem import SPEC, STEPPED, advance, feasible, run
+from .seq_sem import RunKind, seq_run
 from .state import (
     SpecConfig,
     StateFormatError,
@@ -129,7 +129,7 @@ def _emit(args, payload: dict, text_lines: List[str]):
             print(line)
 
 
-# failure messages printed per verdict, in text and in JSON
+# failure messages printed per verdict in text; JSON lists every one
 _SHOWN_FAILURES = 5
 
 
@@ -143,7 +143,7 @@ def _verdict_payload(v: Verdict) -> dict:
     if v.message:
         out["message"] = v.message
     if v.failures is not None:
-        out["failures"] = list(v.failures[:_SHOWN_FAILURES])
+        out["failures"] = list(v.failures)
     if v.witness is not None:
         w = v.witness
         out["witness"] = {
@@ -250,19 +250,16 @@ def cmd_harden(args) -> int:
 
 
 def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
-    """Prompt for a directive at every observing redex; reuses the batch
-    stepper, so interactive runs cannot diverge from spec_sem.run."""
+    """Prompt for a directive at every observing redex; the silent steps in
+    between are spec_sem.advance's, so interactive runs stop where
+    spec_sem.run does."""
     trace = []
-    while fuel > 0:
-        if SPEC.is_final(cfg):
-            break
-        r = SPEC.step(cfg, None)
-        if r.tag is StepTag.STEPPED:
-            cfg = r.cfg
-            fuel -= 1
-            continue
-        if r.tag is StepTag.STUCK:
-            print("stuck")
+    while True:
+        cfg, used, kind = advance(SPEC, cfg, fuel)
+        fuel -= used
+        if kind is not None:
+            if kind is RunKind.STUCK:
+                print("stuck")
             break
         feas = feasible(SPEC, cfg)
         if not feas:
@@ -291,14 +288,13 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
             print("error: one directive at a time")
             continue
         r = SPEC.step(cfg, chosen[0])
-        if r.tag is not StepTag.STEPPED:
+        if r.tag is not STEPPED:
             print("directive does not apply here")
             continue
         cfg = r.cfg
         fuel -= 1
-        if r.obs is not None:
-            trace.append(r.obs)
-            print(f"obs: {r.obs}")
+        trace.append(r.obs)
+        print(f"obs: {r.obs}")
     print("trace:")
     if trace:
         print(format_trace(trace))
@@ -383,7 +379,7 @@ def cmd_check(args) -> int:
     labels = _load_labels(args.labels)
     bounds = _bounds(args)
     space = seccheck.StateSpace()
-    if args.space and args.property != "equality":
+    if args.space:
         space = parse_space(_read_input(args.space))
     if args.property in ("bcc", "ni", "unwind") and args.variant not in _IDEAL_VARIANTS.values():
         raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
@@ -398,12 +394,17 @@ def cmd_repro(args) -> int:
     if args.listing not in FIXTURES:
         raise CliError(f"no fixture for listing {args.listing}")
     bounds = _bounds(args)
-    code, lines, verdicts = repro_listing(args.listing, bounds)
+    code, results = repro_listing(args.listing, bounds)
     payload = {
         "listing": args.listing,
-        "verdicts": [_verdict_payload(v) for v in verdicts],
+        "verdicts": [_verdict_payload(v) for _, v in results],
         "exit": code,
     }
+    lines = [f"listing {args.listing}: {FIXTURES[args.listing].title}"]
+    for label, v in results:
+        first, *rest = _verdict_lines(v)
+        lines.append(f"{label}: {first}")
+        lines += ["  " + line for line in rest]
     _emit(args, payload, lines)
     return code
 

@@ -1,6 +1,8 @@
 """Regression fixtures: the six gadget programs used throughout the
 security checks, each bundled with its labeling, a small state space, and
 the documented attack or protection claim that ``repro`` replays.
+``repro_listing`` returns labelled verdicts and formats nothing: the CLI
+renders them as it renders every other verdict.
 
 Bare-variable branch conditions from the informal sources are encoded as
 ``1 <= x``, since the grammar requires comparisons.
@@ -23,6 +25,7 @@ from .seccheck import (
     check_sct,
     check_spec_obs_equiv,
     parse_space,
+    transform,
 )
 from .state import ArrayState, ScalarState, parse_state
 
@@ -214,41 +217,26 @@ FIXTURES: Dict[int, Fixture] = {
 PROTECTING_VARIANTS = ("fislh", "fvslh", "uslh", "fsfvslh")
 
 
-def repro_listing(number: int, bounds: Bounds = Bounds()) -> Tuple[int, List[str], List[Verdict]]:
+def repro_listing(
+    number: int, bounds: Bounds = Bounds()
+) -> Tuple[int, List[Tuple[str, Verdict]]]:
     """Replay a fixture's documented attack or protection claim.
 
-    Returns (exit_code, report_lines, verdicts); exit 0 when the headline
-    claim is a protection that holds, 1 when it is an attack that is found.
+    Returns (exit_code, results), each result a (label, verdict) pair in
+    replay order; exit 0 when the headline claim is a protection that
+    holds, 1 when it is an attack that is found.
     """
     if number not in FIXTURES:
         raise KeyError(f"no fixture for listing {number}")
     fx = FIXTURES[number]
-    lines = [f"listing {number}: {fx.title}"]
-    verdicts: List[Verdict] = []
-
-    def note(v: Verdict, label: str):
-        verdicts.append(v)
-        lines.append(f"{label}: {v.status}")
-        if v.witness is not None:
-            w = v.witness
-            lines.append("  directives: " + " ".join(str(d) for d in w.dirs))
-            lines.append(
-                "  trace 1:    " + "; ".join(str(o) for o in w.trace1)
-            )
-            lines.append(
-                "  trace 2:    " + "; ".join(str(o) for o in w.trace2)
-            )
-            lines.append(f"  diverges at observation {w.divergence_index + 1}")
 
     if number == 1:
         s1, s2 = fx.pair()
         v = check_spec_obs_equiv(
             fx.program(), s1, fx.program(), s2, False, bounds.max_dirs, bounds.fuel
         )
-        note(v, "speculative observational equivalence (unprotected)")
-        return (1 if v.status is VerdictStatus.VIOLATED else 0), lines, verdicts
-
-    if number == 2:
+        results = [("speculative observational equivalence (unprotected)", v)]
+    elif number == 2:
         src = FIXTURES[1]
         s1, s2 = src.pair()
         lab = src.labeling()
@@ -256,28 +244,22 @@ def repro_listing(number: int, bounds: Bounds = Bounds()) -> Tuple[int, List[str
         v = check_spec_obs_equiv(
             hardened, s1, hardened, s2, False, max(bounds.max_dirs, 10), bounds.fuel
         )
-        note(v, "speculative observational equivalence (iSLH-protected)")
-        return (0 if v.holds else 1), lines, verdicts
-
-    if number == 3:
-        lab = fx.labeling()
-        space = fx.space()
-        from .seccheck import transform
-
+        results = [("speculative observational equivalence (iSLH-protected)", v)]
+    elif number == 3:
+        lab, space = fx.labeling(), fx.space()
         broken = transform("sislh-nostore", fx.program(), lab, lab)
-        v_bad = check_sct(broken, lab, lab, space, bounds)
-        note(v_bad, "sct with store masking disabled")
+        v = check_sct(broken, lab, lab, space, bounds)
+        results = [("sct with store masking disabled", v)]
         for kind in ("sislh", "svslh"):
-            protected = transform(kind, fx.program(), lab, lab)
-            note(check_sct(protected, lab, lab, space, bounds), f"sct under {kind}")
-        return (1 if v_bad.status is VerdictStatus.VIOLATED else 0), lines, verdicts
-
-    # listings 4-6: relative security fails unhardened, holds hardened
-    lab = fx.labeling()
-    space = fx.space()
-    v_bad = check_relative_security("none", fx.program(), lab, lab, space, bounds)
-    note(v_bad, "relative security (unhardened)")
-    for kind in PROTECTING_VARIANTS:
-        v = check_relative_security(kind, fx.program(), lab, lab, space, bounds)
-        note(v, f"relative security under {kind}")
-    return (1 if v_bad.status is VerdictStatus.VIOLATED else 0), lines, verdicts
+            v = check_sct(transform(kind, fx.program(), lab, lab), lab, lab, space, bounds)
+            results.append((f"sct under {kind}", v))
+    else:
+        # listings 4-6: relative security fails unhardened, holds hardened
+        lab, space = fx.labeling(), fx.space()
+        v = check_relative_security("none", fx.program(), lab, lab, space, bounds)
+        results = [("relative security (unhardened)", v)]
+        for kind in PROTECTING_VARIANTS:
+            v = check_relative_security(kind, fx.program(), lab, lab, space, bounds)
+            results.append((f"relative security under {kind}", v))
+    # the first verdict is the headline claim
+    return (1 if results[0][1].status is VerdictStatus.VIOLATED else 0), results

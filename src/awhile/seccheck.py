@@ -32,6 +32,9 @@ context (the product visited set of explicit-state model checking).  A
 check that walks no pair holds vacuously and says so in its message.  The
 unwinding check over a space walks its pairs the same way, under the ideal
 semantics; it and the noninterference check type the program once.
+
+The checks stop a run where ``spec_sem.advance`` says it stops, and draw
+their random walks from ``gen``, which holds every generator.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .flow_ifc import ACom, Labeling, flow_track, well_labeled
+from .gen import random_spec_walk
 from .harden import DEFAULT_FLAG_VAR, VARIANTS, harden, harden_fs
 from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
@@ -54,31 +58,9 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import (
-    And,
-    ARead,
-    Asgn,
-    AWrite,
-    BinOp,
-    BoolLit,
-    Cmp,
-    Com,
-    CTCond,
-    If,
-    Not,
-    Num,
-    Or,
-    Seq,
-    Skip,
-    SKIP,
-    Var,
-    While,
-    syntax_equal,
-    used_vars,
-    vars_of_expr,
-)
+from .lang import Com, syntax_equal, used_vars
 from .seq_sem import RunKind, seq_run
-from .spec_sem import SPEC, STEPPED, Speculative, StepTag, feasible, run
+from .spec_sem import SPEC, Speculative, StepTag, advance, feasible, run
 from .state import (
     ArrayState,
     Dir,
@@ -273,22 +255,6 @@ def enum_states(space: StateSpace) -> Iterator[Tuple[ScalarState, ArrayState]]:
 # ---------------------------------------------------------------------------
 
 
-def _advance(sem, cfg, fuel: int):
-    """Run silent steps to quiescence.  Returns (cfg, fuel_used, status)
-    with status one of 'need-dir', 'final', 'stuck', 'fuel'."""
-    step, used = sem.step, 0
-    while used < fuel:
-        r = step(cfg, None)
-        if r.tag is not STEPPED:
-            if r.tag is StepTag.NEED_DIR:
-                return cfg, used, "need-dir"
-            # a final configuration has no rule either
-            return cfg, used, "final" if sem.is_final(cfg) else "stuck"
-        cfg = r.cfg
-        used += 1
-    return cfg, used, "final" if sem.is_final(cfg) else "fuel"
-
-
 def enum_spec_runs(
     cfg: SpecConfig,
     sem=None,
@@ -302,23 +268,16 @@ def enum_spec_runs(
     out: List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]] = []
 
     def rec(cfg, dirs, trace, fuel_left):
-        cfg, used, status = _advance(sem, cfg, fuel_left)
+        cfg, used, kind = advance(sem, cfg, fuel_left)
         fuel_left -= used
-        if status == "final":
-            out.append((dirs, trace, RunKind.TERMINATED))
-            return
-        if status == "stuck":
-            out.append((dirs, trace, RunKind.STUCK))
-            return
-        if status == "fuel":
-            out.append((dirs, trace, RunKind.FUEL_EXHAUSTED))
-            return
-        feas = feasible(sem, cfg)
-        if not feas:
-            out.append((dirs, trace, RunKind.STUCK))
-            return
-        if len(dirs) >= max_dirs:
-            out.append((dirs, trace, RunKind.DIRS_EXHAUSTED))
+        if kind is None:
+            feas = feasible(sem, cfg)
+            if not feas:
+                kind = RunKind.STUCK
+            elif len(dirs) >= max_dirs:
+                kind = RunKind.DIRS_EXHAUSTED
+        if kind is not None:
+            out.append((dirs, trace, kind))
             return
         for d in feas:
             r = sem.step(cfg, d)
@@ -364,8 +323,8 @@ class _Tree:
     def _node(self, cfg, fuel: int, depth: int) -> _Node:
         if depth >= self.max_dirs:
             return _LEAF
-        cfg, used, status = _advance(self.sem, cfg, fuel)
-        if status != "need-dir":
+        cfg, used, kind = advance(self.sem, cfg, fuel)
+        if kind is not None:
             return _LEAF
         key = (cfg.key(), fuel - used, depth)
         n = self.nodes.get(key)
@@ -721,12 +680,12 @@ def check_bcc(
     encodes the semantic flag.
 
     Side conditions: all arrays non-empty, the source does not use the flag
-    variable, and the flag variable's initial value encodes the initial
-    misspeculation flag.
+    variable (the hardening refuses it), and the flag variable's initial
+    value encodes the initial misspeculation flag.
     """
-    flag = _bcc_flag(flag_var in used_vars(c), rho, mu, flag_var)
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
+    flag = _bcc_flag(rho, mu, flag_var)
     return _bcc_run(sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
 
 
@@ -746,28 +705,22 @@ def check_bcc_space(
     enumeration order; otherwise ``trials`` runs, each from a state drawn
     at random and driven by a random walk of the hardened program (seeded
     by ``seed``).  The hardened program and the ideal source are prepared
-    once.  Stops at the first failing run; the verdict counts the runs as
-    ``runs`` and holds the failure message."""
-    uses_flag = flag_var in used_vars(c)
+    once, before any run.  Stops at the first failing run; the verdict
+    counts the runs as ``runs`` and holds the failure message."""
+    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
+    hardened = transform(variant_kind, c, P, PA, flag_var)
     if dirs is None:
-        hardened = transform(variant_kind, c, P, PA, flag_var)
         rng = random.Random(seed)
         states = list(enum_states(space))  # never empty: the empty space has one state
         runs = (_random_bcc_run(rng, states, hardened, bounds) for _ in range(trials))
     else:
-        hardened = None
         runs = ((rho, mu, dirs) for rho, mu in enum_states(space))
     vacuous = "vacuous: no run was checked"
-    source = None
     count = 0
     for rho, mu, run_dirs in runs:
         count += 1
-        flag = _bcc_flag(uses_flag, rho, mu, flag_var)
-        if source is None:
-            source = _ideal_source(variant_kind, c, P, PA, typed=False)
-            if hardened is None:
-                hardened = transform(variant_kind, c, P, PA, flag_var)
-        ok, why = _bcc_run(*source, hardened, rho, mu, flag, run_dirs, bounds.fuel, flag_var)
+        flag = _bcc_flag(rho, mu, flag_var)
+        ok, why = _bcc_run(sem, start, hardened, rho, mu, flag, run_dirs, bounds.fuel, flag_var)
         if not ok:
             return _counted("runs", count, [why], vacuous)
     return _counted("runs", count, [], vacuous)
@@ -781,11 +734,9 @@ def _random_bcc_run(rng: random.Random, states, hardened: Com, bounds: Bounds):
     return rho, mu, walk
 
 
-def _bcc_flag(uses_flag: bool, rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:
+def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:
     """The initial misspeculation flag of a bcc run; PreconditionError when
-    a side condition fails."""
-    if uses_flag:
-        raise PreconditionError(f"program uses flag variable {flag_var!r}")
+    a side condition on the state fails."""
     if any(len(vec) == 0 for _, vec in mu.items()):
         raise PreconditionError("empty array in initial state")
     b0 = rho.get(flag_var)
@@ -1063,188 +1014,3 @@ def check_wl(
                 break
             cfg = r.cfg
     return _counted("checked", checked, [], vacuous)
-
-
-# ---------------------------------------------------------------------------
-# Program and state generation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NamePools:
-    scalars: Tuple[str, ...] = ("x", "y", "z", "i", "k")
-    arrays: Tuple[str, ...] = ("a", "c")
-
-
-def _gen_aexp(rng: random.Random, pools: NamePools, depth: int, need_var: bool):
-    if depth <= 0:
-        if need_var or rng.random() < 0.6:
-            return Var(rng.choice(pools.scalars))
-        return Num(rng.randrange(4))
-    roll = rng.random()
-    if roll < 0.35:
-        e = Var(rng.choice(pools.scalars)) if rng.random() < 0.7 else Num(rng.randrange(4))
-    elif roll < 0.9:
-        op = rng.choice("+-*")
-        e = BinOp(
-            op,
-            _gen_aexp(rng, pools, depth - 1, False),
-            _gen_aexp(rng, pools, depth - 1, False),
-        )
-    else:
-        e = CTCond(
-            _gen_bexp(rng, pools, depth - 1, False),
-            _gen_aexp(rng, pools, depth - 1, False),
-            _gen_aexp(rng, pools, depth - 1, False),
-        )
-    if need_var and not vars_of_expr(e):
-        e = BinOp("+", Var(rng.choice(pools.scalars)), e)
-    return e
-
-
-def _gen_bexp(rng: random.Random, pools: NamePools, depth: int, need_var: bool):
-    roll = rng.random()
-    if depth > 0 and roll < 0.15:
-        return Not(_gen_bexp(rng, pools, depth - 1, need_var))
-    if depth > 0 and roll < 0.3:
-        ctor = And if rng.random() < 0.5 else Or
-        return ctor(
-            _gen_bexp(rng, pools, depth - 1, need_var),
-            _gen_bexp(rng, pools, depth - 1, False),
-        )
-    if not need_var and roll > 0.92:
-        return BoolLit(rng.random() < 0.5)
-    op = rng.choice(["=", "<>", "<=", "<"])
-    return Cmp(
-        op,
-        _gen_aexp(rng, pools, 1, need_var),
-        _gen_aexp(rng, pools, 1, False),
-    )
-
-
-def _gen_leaf(rng: random.Random, pools: NamePools, assignable: Tuple[str, ...]) -> Com:
-    kinds = ["asgn", "skip"]
-    if pools.arrays:
-        kinds += ["aread", "awrite", "awrite"]
-    kind = rng.choice(kinds)
-    if kind == "skip" or (kind in ("asgn", "aread") and not assignable):
-        return SKIP
-    if kind == "asgn":
-        return Asgn(rng.choice(assignable), _gen_aexp(rng, pools, 2, False))
-    if kind == "aread":
-        return ARead(
-            rng.choice(assignable),
-            rng.choice(pools.arrays),
-            _gen_aexp(rng, pools, 1, True),
-        )
-    return AWrite(
-        rng.choice(pools.arrays),
-        _gen_aexp(rng, pools, 1, True),
-        _gen_aexp(rng, pools, 1, False),
-    )
-
-
-def _rseq(first: Com, second: Com) -> Com:
-    # keep sequences right-nested, the shape the grammar produces
-    if isinstance(first, Seq):
-        return Seq(first.first, _rseq(first.second, second))
-    return Seq(first, second)
-
-
-def _gen_com(
-    rng: random.Random, pools: NamePools, budget: int, assignable: Tuple[str, ...]
-) -> Com:
-    if budget <= 1:
-        return _gen_leaf(rng, pools, assignable)
-    roll = rng.random()
-    if roll < 0.35 and budget >= 3:
-        left = rng.randrange(1, budget - 1)
-        return _rseq(
-            _gen_com(rng, pools, left, assignable),
-            _gen_com(rng, pools, budget - left - 1, assignable),
-        )
-    if roll < 0.6 and budget >= 3:
-        half = (budget - 1) // 2
-        return If(
-            _gen_bexp(rng, pools, 1, True),
-            _gen_com(rng, pools, half, assignable),
-            _gen_com(rng, pools, budget - 1 - half, assignable),
-        )
-    if roll < 0.72 and budget >= 4 and len(assignable) > 1:
-        # bounded loop: a counter strictly increases toward a small constant
-        # and is not assigned anywhere else in the body
-        ctr = rng.choice(assignable)
-        inner = tuple(n for n in assignable if n != ctr)
-        body = _gen_com(rng, pools, budget - 3, inner)
-        cond = Cmp("<", Var(ctr), Num(rng.randrange(1, 4)))
-        return While(cond, _rseq(body, Asgn(ctr, BinOp("+", Var(ctr), Num(1)))))
-    return _gen_leaf(rng, pools, assignable)
-
-
-def gen_program(seed: int, size_budget: int, pools: NamePools = NamePools()) -> Com:
-    """Deterministic pseudo-random program within a node budget.  Loops are
-    generated with a strictly increasing counter bounded by a constant, so
-    every generated program terminates under modest fuel."""
-    rng = random.Random(seed)
-    return _gen_com(rng, pools, size_budget, pools.scalars)
-
-
-def count_nodes(c: Com) -> int:
-    if isinstance(c, (Skip, Asgn, ARead, AWrite)):
-        return 1
-    if isinstance(c, Seq):
-        return 1 + count_nodes(c.first) + count_nodes(c.second)
-    if isinstance(c, If):
-        return 1 + count_nodes(c.then) + count_nodes(c.other)
-    if isinstance(c, While):
-        return 1 + count_nodes(c.body)
-    raise TypeError(f"not a command: {c!r}")
-
-
-def random_state(
-    rng: random.Random,
-    pools: NamePools,
-    max_value: int = 3,
-    max_array_size: int = 3,
-) -> Tuple[ScalarState, ArrayState]:
-    """Random small state covering every pooled name; arrays are non-empty."""
-    rho = ScalarState({n: rng.randrange(max_value + 1) for n in pools.scalars})
-    mu = ArrayState(
-        {
-            n: tuple(
-                rng.randrange(max_value + 1)
-                for _ in range(rng.randrange(1, max_array_size + 1))
-            )
-            for n in pools.arrays
-        }
-    )
-    return rho, mu
-
-
-def random_labeling(rng: random.Random, pools: NamePools) -> Tuple[LabelMap, LabelMap]:
-    P = LabelMap({n: PUBLIC for n in pools.scalars if rng.random() < 0.5})
-    PA = LabelMap({n: PUBLIC for n in pools.arrays if rng.random() < 0.5})
-    return P, PA
-
-
-def random_spec_walk(
-    rng: random.Random, cfg: SpecConfig, max_dirs: int, fuel: int
-) -> List[Dir]:
-    """Drive a speculative run by picking a random feasible directive at
-    every observing redex; returns the consumed directive list."""
-    dirs: List[Dir] = []
-    while len(dirs) < max_dirs:
-        cfg2, used, status = _advance(SPEC, cfg, fuel)
-        fuel -= used
-        cfg = cfg2
-        if status != "need-dir":
-            break
-        feas = feasible(SPEC, cfg)
-        if not feas:
-            break
-        d = rng.choice(feas)
-        r = SPEC.step(cfg, d)
-        cfg = r.cfg
-        dirs.append(d)
-        fuel -= 1
-    return dirs

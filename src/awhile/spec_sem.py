@@ -22,9 +22,11 @@ labels.  Under a hardening's masking policy and fixed labeling it is that
 hardening's ideal semantics (``ideal_sem``); the read and write rules are
 written once and also serve the flow-sensitive ideal semantics.  Every
 semantics is a value with ``step``, ``candidates`` and ``is_final``, and
-``run`` and ``feasible`` work over any of them.  A directive that no rule
-can consume leaves the configuration stuck; feasibility filtering belongs
-to the checker, not the semantics.
+``advance``, ``run`` and ``feasible`` work over any of them.  ``advance``
+runs the silent steps up to the next observing redex and is the one place
+that decides where a run stops: terminated, stuck, or out of fuel.  A
+directive that no rule can consume leaves the configuration stuck;
+feasibility filtering belongs to the checker, not the semantics.
 """
 
 from __future__ import annotations
@@ -260,28 +262,44 @@ class Outcome:
     consumed: int
 
 
+def advance(sem, cfg, fuel: int):
+    """Run silent steps, at most ``fuel`` of them.  Returns (cfg,
+    fuel_used, kind): ``kind`` is None at an observing redex, which needs a
+    directive, and otherwise the RunKind the run stops with (terminated,
+    stuck, or out of fuel)."""
+    step, used = sem.step, 0
+    while used < fuel:
+        r = step(cfg, None)
+        if r.tag is not STEPPED:
+            if r.tag is StepTag.NEED_DIR:
+                return cfg, used, None
+            # a final configuration has no rule either
+            return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.STUCK
+        cfg = r.cfg
+        used += 1
+    return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.FUEL_EXHAUSTED
+
+
 def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
     """Run, consuming directives left to right.  Stops at a final
     configuration (terminated), when no rule applies (stuck), at an
-    observing redex with no directives left (directives exhausted), or when
-    fuel runs out.  The number of consumed directives always equals the
-    trace length."""
+    observing redex with no directives left (directives exhausted, or stuck
+    when no directive is feasible there), or when fuel runs out.  The
+    number of consumed directives always equals the trace length."""
     trace: List[Obs] = []
-    k = 0
-    while fuel > 0:
-        r = sem.step(cfg, dirs[k] if k < len(dirs) else None)
-        if r.tag is StepTag.NEED_DIR:
+    while True:
+        cfg, used, kind = advance(sem, cfg, fuel)
+        fuel -= used
+        if kind is not None:
+            break
+        if len(trace) == len(dirs):
             kind = RunKind.DIRS_EXHAUSTED if feasible(sem, cfg) else RunKind.STUCK
-            return Outcome(kind, cfg, tuple(trace), k)
-        if r.tag is StepTag.STUCK:
-            # a final configuration has no rule either
-            kind = RunKind.TERMINATED if sem.is_final(cfg) else RunKind.STUCK
-            return Outcome(kind, cfg, tuple(trace), k)
+            break
+        r = sem.step(cfg, dirs[len(trace)])
+        if r.tag is not STEPPED:
+            kind = RunKind.STUCK
+            break
         cfg = r.cfg
-        if r.obs is not None:
-            trace.append(r.obs)
-        k += r.consumed
+        trace.append(r.obs)
         fuel -= 1
-    if sem.is_final(cfg):
-        return Outcome(RunKind.TERMINATED, cfg, tuple(trace), k)
-    return Outcome(RunKind.FUEL_EXHAUSTED, cfg, tuple(trace), k)
+    return Outcome(kind, cfg, tuple(trace), len(trace))

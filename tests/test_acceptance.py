@@ -6,13 +6,19 @@ import random
 import time
 
 from awhile.flow_ifc import Labeling, flow_track, well_labeled
+from awhile.gen import (
+    NamePools,
+    gen_program,
+    random_labeling,
+    random_spec_walk,
+    random_state,
+)
 from awhile.harden import FISLH, FVSLH, ISLH, SISLH, USLH, harden
 from awhile.ideal_sem import FsIdealConfig, IdealFS
 from awhile.ifc_static import PUBLIC, all_public, all_secret, wt_cct, wt_ifc
 from awhile.lang import parse_com, pretty_com
 from awhile.seccheck import (
     Bounds,
-    NamePools,
     VerdictStatus,
     check_bcc,
     check_relative_security,
@@ -20,10 +26,6 @@ from awhile.seccheck import (
     check_spec_obs_equiv,
     check_unwinding,
     check_wl_preservation,
-    gen_program,
-    random_labeling,
-    random_spec_walk,
-    random_state,
     transform,
 )
 from awhile.seq_sem import RunKind, seq_run
@@ -87,9 +89,9 @@ def test_criterion_2_example3_attack_and_repro():
         r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), dirs, 200)
         assert r1.trace[-1] == ORead("a2", 42)
         assert r2.trace[-1] == ORead("a2", 43)
-        code, _, verdicts = repro_listing(1)
+        code, results = repro_listing(1)
         assert code == 1
-        w = verdicts[0].witness
+        w = results[0][1].witness
         assert list(w.dirs) == dirs
         assert w.trace1 == r1.trace and w.trace2 == r2.trace
         assert w.divergence_index == 2

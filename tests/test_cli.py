@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,8 @@ import pytest
 import awhile
 from awhile.cli import _build_parser, main
 from awhile.fixtures import FIXTURES
+from awhile.gen import gen_program
 from awhile.lang import pretty_com
-from awhile.seccheck import gen_program
 
 LISTING1 = "if i < a1_size then j <- a1[i]; x <- a2[j] end\n"
 LISTING1_LABELS = (
@@ -260,6 +261,44 @@ def test_repro_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdicts"][0]["status"] == "violated"
     assert data["verdicts"][0]["witness"]["dirs"] == "force load a3 0 step"
+
+
+REPRO_TEXT = {
+    3: """\
+listing 3: Leakage through unprotected stores
+sct with store masking disabled: violated
+  directives: force store a 0 step step
+  trace 1: branch false; write secrets 1; read a 0; branch false
+  trace 2: branch false; write secrets 1; read a 0; branch true
+  diverges at observation 4
+  state 1: i = 1, secrets_size = 1, a = [0], secrets = [0]
+  state 2: i = 1, key = 1, secrets_size = 1, a = [0], secrets = [0]
+sct under sislh: holds
+sct under svslh: holds
+""",
+    4: """\
+listing 4: Leakage through sequentially unreachable code
+relative security (unhardened): violated
+  directives: force step
+  trace 1: branch false; branch true
+  trace 2: branch false; branch false
+  diverges at observation 2
+  state 1: (all defaults)
+  state 2: secret = 1
+relative security under fislh: holds
+relative security under fvslh: holds
+relative security under uslh: holds
+relative security under fsfvslh: holds
+""",
+}
+
+
+@pytest.mark.parametrize("listing", sorted(REPRO_TEXT))
+def test_repro_text_renders_verdicts_as_check_does(listing, capsys):
+    # each verdict is check's text: the first line after the label, the
+    # rest indented by two spaces
+    assert main(["repro", "--listing", str(listing)]) == 1
+    assert capsys.readouterr().out == REPRO_TEXT[listing]
 
 
 def test_env_overrides_bounds(files, monkeypatch):
@@ -599,6 +638,33 @@ def test_check_text_output(name, files, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_check_json_lists_every_failure(files, capsys, monkeypatch):
+    _ni_steps_fail(monkeypatch)
+    labels, space = files("l", GADGET["l"]), files("s", GADGET["s"])
+    assert main(["check", "--property", "ni", "--variant", "fislh", "--labels", labels,
+                 "--space", space, "--format", "json", files("p.aw", GADGET["p"])]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["checked"] == 36
+    assert data["failures"] == [f"failure {k}" for k in range(1, 37)]
+
+
+def test_check_equality_reads_its_space(files, capsys, monkeypatch, tmp_path):
+    p = files("p.aw", LISTING1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--property", "equality", "--space", "missing", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read 'missing': ")
+
+
+@pytest.mark.parametrize("variant", ["fislh", "fvslh", "fsfvslh"])
+def test_bcc_refuses_a_flag_variable_program_alike_in_both_modes(files, capsys, variant):
+    p = files("p.aw", "b := 1\n")
+    for extra in ([], ["--dirs", "step"]):
+        assert main(["check", "--property", "bcc", "--variant", variant, *extra, p]) == 2
+        assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
+
+
 def test_check_wl_output(files, capsys, monkeypatch):
     p = files("p.aw", "if s = 0 then y := 1 end; x <- a[y]")
     space = files("space", "s in {0,1}\ny in {0}\na : size 2 in {0}")
@@ -737,3 +803,12 @@ def test_module_entry_point_reads_sys_argv(files):
     assert run("print", "--bogus", p) == (
         2, "", f"usage: awhile [-h] {ALL_COMMANDS} ...\n"
                "awhile: error: unrecognized arguments: --bogus\n")
+
+
+def test_readme_module_table_names_every_module():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        rows = set(re.findall(r"^\| `awhile\.(\w+)` \|", fh.read(), re.M))
+    modules = {name[:-3] for name in os.listdir(os.path.join(root, "src", "awhile"))
+               if name.endswith(".py") and name != "__init__.py"}
+    assert rows == modules

@@ -18,9 +18,9 @@ from awhile.flow_ifc import (
     terminal,
     well_labeled,
 )
+from awhile.gen import NamePools, gen_program
 from awhile.ifc_static import LabelMap, Labeling, PUBLIC, SECRET, all_secret, parse_labeling
 from awhile.lang import Num, Var, parse_com, syntax_equal
-from awhile.seccheck import NamePools, gen_program
 
 pools = NamePools(("x", "y", "i", "s", "n"), ("a", "c"))
 

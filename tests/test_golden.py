@@ -25,8 +25,8 @@ import tempfile
 
 from awhile.cli import main
 from awhile.fixtures import LISTING1
+from awhile.gen import NamePools, gen_program
 from awhile.lang import pretty_com
-from awhile.seccheck import NamePools, gen_program
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.json")
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from awhile.flow_ifc import AARead, AAWrite, ABranch, AIf, ASKIP, ASeq, AWhileC, flow_track
+from awhile.gen import NamePools, gen_program, random_labeling
 from awhile.harden import (
     FISLH,
     FVSLH,
@@ -20,11 +21,8 @@ from awhile.harden import (
 from awhile.ifc_static import PUBLIC, all_public, all_secret, parse_labeling
 from awhile.lang import Seq, parse_com, pretty_com, syntax_repr, used_vars
 from awhile.seccheck import (
-    NamePools,
     enum_spec_runs,
     enum_states,
-    gen_program,
-    random_labeling,
 )
 from awhile.seq_sem import RunKind, seq_run
 from awhile.spec_sem import SPEC, run

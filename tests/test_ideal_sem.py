@@ -1,6 +1,13 @@
 import random
 
 from awhile.flow_ifc import ABranch, AIf, flow_track, terminal
+from awhile.gen import (
+    NamePools,
+    gen_program,
+    random_labeling,
+    random_spec_walk,
+    random_state,
+)
 from awhile.ideal_sem import (
     FsIdealConfig,
     IdealFS,
@@ -10,12 +17,7 @@ from awhile.ideal_sem import (
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling
 from awhile.lang import ARead, Var, parse_com
 from awhile.seccheck import (
-    NamePools,
     check_bcc,
-    gen_program,
-    random_labeling,
-    random_spec_walk,
-    random_state,
     transform,
 )
 from awhile.seq_sem import seq_run

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awhile.gen import NamePools, gen_program
 from awhile.ifc_static import (
     LabelMap,
     Labeling,
@@ -16,7 +17,7 @@ from awhile.ifc_static import (
     wt_ifc,
 )
 from awhile.lang import Num, parse_aexp, parse_bexp, parse_com
-from awhile.seccheck import NamePools, enum_states, gen_program, parse_space
+from awhile.seccheck import enum_states, parse_space
 from awhile.seq_sem import RunKind, seq_run
 from awhile.state import pub_equiv
 

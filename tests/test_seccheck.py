@@ -3,13 +3,13 @@ import random
 import pytest
 
 from awhile.flow_ifc import Labeling, flow_track
+from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.ideal_sem import FsIdealConfig, IdealFS
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
 from awhile.seccheck import (
     _LEAF,
     Bounds,
-    NamePools,
     PreconditionError,
     StateSpace,
     Verdict,
@@ -28,11 +28,8 @@ from awhile.seccheck import (
     check_wl_preservation,
     enum_spec_runs,
     enum_states,
-    gen_program,
     parse_space,
     prefix_of,
-    random_labeling,
-    random_state,
     transform,
     _Tree,
 )
@@ -794,7 +791,7 @@ def test_gen_program_small_budget():
 
 
 def test_gen_program_respects_node_budget():
-    from awhile.seccheck import count_nodes
+    from awhile.gen import count_nodes
 
     for seed in range(300):
         assert count_nodes(gen_program(seed, 15)) <= 15

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awhile.gen import gen_program
 from awhile.lang import (
     ARead,
     Asgn,
@@ -11,7 +12,6 @@ from awhile.lang import (
     While,
     parse_com,
 )
-from awhile.seccheck import gen_program
 from awhile.seq_sem import RunKind, seq_run, seq_step
 from awhile.state import ArrayState, OBranch, ORead, ScalarState, parse_state
 

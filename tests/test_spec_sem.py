@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awhile.flow_ifc import erase_acom, flow_track
+from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC
-from awhile.lang import ARead, Num, parse_com, syntax_equal
-from awhile.seccheck import NamePools, gen_program, random_labeling, random_state
+from awhile.lang import ARead, If, Num, parse_com, syntax_equal
 from awhile.seq_sem import RunKind, seq_run
 from awhile.spec_sem import SPEC, StepTag, feasible, run, step_ex
 from awhile.state import (
@@ -127,6 +127,16 @@ def test_directives_exhausted_vs_stuck():
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), False)
     assert run(SPEC, cfg, [], 100).kind is RunKind.STUCK
     assert run(SPEC, cfg, [STEP], 100).kind is RunKind.STUCK
+    # a directive no rule consumes at a branch stops the run there
+    out = run(SPEC, _ex3(42), [DLoad("a1", 0)], 100)
+    assert (out.kind, out.consumed, out.final.redex) == (RunKind.STUCK, 0, LISTING1)
+    # fuel runs out exactly at a branch, after the assignment and the
+    # dropping of its finished head; one more unit takes the branch
+    cfg = SpecConfig(parse_com("x := 1; if x < 2 then skip end"), ScalarState(),
+                     ArrayState(), False)
+    out = run(SPEC, cfg, [STEP], 2)
+    assert (out.kind, out.consumed, type(out.final.redex)) == (RunKind.FUEL_EXHAUSTED, 0, If)
+    assert run(SPEC, cfg, [STEP], 3).kind is RunKind.TERMINATED
 
 
 @settings(max_examples=150, deadline=None)
