@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import seccheck
 from .flow_ifc import flow_track, pretty_acom
@@ -121,11 +121,13 @@ def _bounds(args) -> Bounds:
     )
 
 
-def _emit(args, payload: dict, text_lines: List[str]):
+def _emit(args, payload: Callable[[], dict], lines: Callable[[], List[str]]):
+    """Print ``payload()`` as JSON under ``--format json``, else the text
+    ``lines()``: only the requested rendering is built."""
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
@@ -162,7 +164,10 @@ def _verdict_lines(v: Verdict) -> List[str]:
     with facts prints its message (a vacuous note on what was counted)
     before the status, one without facts after it."""
     lines = [f"{name}: {value}" for name, value in v.facts]
-    lines += (v.failures or ())[:_SHOWN_FAILURES]
+    failures = v.failures or ()
+    lines += failures[:_SHOWN_FAILURES]
+    if len(failures) > _SHOWN_FAILURES:
+        lines.append(f"... and {len(failures) - _SHOWN_FAILURES} more (--format json lists all)")
     message = [v.message] if v.message else []
     if v.facts:
         lines += message + [str(v.status)]
@@ -196,13 +201,13 @@ def _verdict_exit(v: Verdict) -> int:
 
 def cmd_parse(args) -> int:
     ast = syntax_repr(_load_program(args.program))
-    _emit(args, {"ast": ast}, [ast])
+    _emit(args, lambda: {"ast": ast}, lambda: [ast])
     return 0
 
 
 def cmd_print(args) -> int:
-    com = _load_program(args.program)
-    _emit(args, {"program": pretty_com(com)}, [pretty_com(com)])
+    text = pretty_com(_load_program(args.program))
+    _emit(args, lambda: {"program": text}, lambda: [text])
     return 0
 
 
@@ -213,8 +218,8 @@ def cmd_typecheck(args) -> int:
         ok = wt_cct(labels, labels, com)
     else:
         ok = wt_ifc(labels, labels, PUBLIC, com)
-    _emit(args, {"system": args.system, "well_typed": ok},
-          ["well-typed" if ok else "ill-typed"])
+    _emit(args, lambda: {"system": args.system, "well_typed": ok},
+          lambda: ["well-typed" if ok else "ill-typed"])
     return 0 if ok else 1
 
 
@@ -228,10 +233,11 @@ def cmd_analyze(args) -> int:
         [f"{n}: {final.vars.get(n)}" for n in scalars]
         + [f"{n}: {final.arrs.get(n)}" for n in arrays]
     )
+    annotated = pretty_acom(acom)
     _emit(
         args,
-        {"annotated": pretty_acom(acom), "final_labeling": out_labels},
-        [pretty_acom(acom), "", "# final labeling", out_labels],
+        lambda: {"annotated": annotated, "final_labeling": out_labels},
+        lambda: [annotated, "", "# final labeling", out_labels],
     )
     return 0
 
@@ -244,8 +250,8 @@ def cmd_harden(args) -> int:
         variant = "sislh-nostore"
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
-    hardened = transform(variant, com, labels, labels, args.flag_var)
-    _emit(args, {"program": pretty_com(hardened)}, [pretty_com(hardened)])
+    text = pretty_com(transform(variant, com, labels, labels, args.flag_var))
+    _emit(args, lambda: {"program": text}, lambda: [text])
     return 0
 
 
@@ -351,7 +357,7 @@ def cmd_run(args) -> int:
         lines.append(f"consumed: {consumed}")
     lines.append("final state:")
     lines.append(final_state if final_state else "(all defaults)")
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -386,7 +392,7 @@ def cmd_check(args) -> int:
     if args.property == "bcc" and args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
     v = _PROPERTIES[args.property](args, com, labels, space, bounds)
-    _emit(args, _verdict_payload(v), _verdict_lines(v))
+    _emit(args, lambda: _verdict_payload(v), lambda: _verdict_lines(v))
     return _verdict_exit(v)
 
 
@@ -395,16 +401,24 @@ def cmd_repro(args) -> int:
         raise CliError(f"no fixture for listing {args.listing}")
     bounds = _bounds(args)
     code, results = repro_listing(args.listing, bounds)
-    payload = {
-        "listing": args.listing,
-        "verdicts": [_verdict_payload(v) for _, v in results],
-        "exit": code,
-    }
-    lines = [f"listing {args.listing}: {FIXTURES[args.listing].title}"]
-    for label, v in results:
-        first, *rest = _verdict_lines(v)
-        lines.append(f"{label}: {first}")
-        lines += ["  " + line for line in rest]
+
+    def payload():
+        return {
+            "listing": args.listing,
+            "verdicts": [_verdict_payload(v) for _, v in results],
+            "exit": code,
+        }
+
+    def lines():
+        out = [f"listing {args.listing}: {FIXTURES[args.listing].title}"]
+        for label, v in results:
+            first, *rest = _verdict_lines(v)
+            if v.bounds is not None and v.bounds.max_dirs > bounds.max_dirs:
+                rest.append(f"max_dirs raised from {bounds.max_dirs} to {v.bounds.max_dirs}")
+            out.append(f"{label}: {first}")
+            out += ["  " + line for line in rest]
+        return out
+
     _emit(args, payload, lines)
     return code
 
@@ -412,8 +426,8 @@ def cmd_repro(args) -> int:
 def cmd_gen(args) -> int:
     if args.size < 0:
         raise CliError(f"--size must not be negative, got {args.size}")
-    com = gen_program(args.seed, args.size)
-    _emit(args, {"program": pretty_com(com)}, [pretty_com(com)])
+    text = pretty_com(gen_program(args.seed, args.size))
+    _emit(args, lambda: {"program": text}, lambda: [text])
     return 0
 
 

@@ -136,21 +136,25 @@ class Labeling:
 def label_of_expr(P: LabelMap, e) -> Label:
     """Join of the labels of all variables occurring in an arithmetic or
     boolean expression.  Literals are public; a constant-time conditional
-    joins all three subterms."""
-    if isinstance(e, (Num, BoolLit)):
-        return PUBLIC
-    if isinstance(e, Var):
-        return P.get(e.name)
-    if isinstance(e, (BinOp, Cmp, And, Or)):
-        return join(label_of_expr(P, e.left), label_of_expr(P, e.right))
-    if isinstance(e, Not):
-        return label_of_expr(P, e.arg)
-    if isinstance(e, CTCond):
-        return join(
-            label_of_expr(P, e.cond),
-            join(label_of_expr(P, e.then), label_of_expr(P, e.other)),
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    joins all three subterms.  Walks an explicit stack and answers secret
+    at the first secret name."""
+    public = P._m
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        cls = e.__class__
+        if cls is Var:
+            if e.name not in public:
+                return SECRET
+        elif cls is BinOp or cls is Cmp or cls is And or cls is Or:
+            todo += (e.right, e.left)
+        elif cls is CTCond:
+            todo += (e.other, e.then, e.cond)
+        elif cls is Not:
+            todo.append(e.arg)
+        elif not (cls is Num or cls is BoolLit):
+            raise TypeError(f"not an expression: {e!r}")
+    return PUBLIC
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ rejects programs that use one name in both roles.
 Arithmetic is total: subtraction truncates at zero.  The constant-time
 conditional ``(be ? e1 : e2)`` is an expression, not a command, and never
 produces an observation in any of the semantics built on top of this module.
+
+The lexer is one ``findall`` of one pattern: a program becomes a list of
+lexeme strings (keywords, names, numerals and operators as their own
+text), and the parser dispatches on those strings.  No offsets are kept;
+an error's line and column come from scanning the text again when it is
+raised.  The pretty-printer and the name walks keep explicit stacks, so no
+nesting depth or spine length exhausts the recursion limit.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -189,45 +196,50 @@ def eval_bexp(rho, b: BExp) -> bool:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
+def _scalar_names(node) -> set:
+    """Scalar names occurring in a command or an expression, collected into
+    one set in one walk with an explicit stack."""
+    names, todo = set(), [node]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is Var:
+            names.add(x.name)
+        elif cls is Num:
+            pass
+        elif cls is BinOp or cls is Cmp or cls is And or cls is Or:
+            todo += (x.left, x.right)
+        elif cls is Seq:
+            todo += (x.first, x.second)
+        elif cls is Asgn:
+            names.add(x.name)
+            todo.append(x.expr)
+        elif cls is ARead:
+            names.add(x.name)
+            todo.append(x.index)
+        elif cls is AWrite:
+            todo += (x.index, x.value)
+        elif cls is If or cls is CTCond:
+            todo += (x.cond, x.then, x.other)
+        elif cls is While:
+            todo += (x.cond, x.body)
+        elif cls is Not:
+            todo.append(x.arg)
+        elif not (cls is BoolLit or cls is Skip):
+            raise TypeError(f"not a syntax tree: {x!r}")
+    return names
+
+
 def vars_of_expr(e) -> frozenset:
     """Scalar names occurring in an arithmetic or boolean expression."""
-    if isinstance(e, (Num, BoolLit)):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (BinOp, Cmp, And, Or)):
-        return vars_of_expr(e.left) | vars_of_expr(e.right)
-    if isinstance(e, Not):
-        return vars_of_expr(e.arg)
-    if isinstance(e, CTCond):
-        return vars_of_expr(e.cond) | vars_of_expr(e.then) | vars_of_expr(e.other)
-    raise TypeError(f"not an expression: {e!r}")
+    return frozenset(_scalar_names(e))
 
 
 def used_vars(c: Com) -> frozenset:
     """All scalar names occurring anywhere in ``c`` (reads, writes, indices,
     conditions).  Array names are not included.  An explicit stack keeps a
     long program from exhausting the recursion limit."""
-    names, todo = set(), [c]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Seq):
-            todo += (c.second, c.first)
-        elif isinstance(c, If):
-            names |= vars_of_expr(c.cond)
-            todo += (c.other, c.then)
-        elif isinstance(c, While):
-            names |= vars_of_expr(c.cond)
-            todo.append(c.body)
-        elif isinstance(c, Asgn):
-            names |= {c.name} | vars_of_expr(c.expr)
-        elif isinstance(c, ARead):
-            names |= {c.name} | vars_of_expr(c.index)
-        elif isinstance(c, AWrite):
-            names |= vars_of_expr(c.index) | vars_of_expr(c.value)
-        elif not isinstance(c, Skip):
-            raise TypeError(f"not a command: {c!r}")
-    return frozenset(names)
+    return frozenset(_scalar_names(c))
 
 
 def arrays_of(c: Com) -> frozenset:
@@ -285,7 +297,7 @@ def syntax_equal(a, b) -> bool:
             if x != y:
                 return False
         else:
-            todo.extend((getattr(x, f), getattr(y, f)) for f in fields)
+            todo += [(getattr(x, f), getattr(y, f)) for f in fields]
     return True
 
 
@@ -297,22 +309,13 @@ KEYWORDS = frozenset(
     ["skip", "if", "then", "else", "end", "while", "do", "true", "false"]
 )
 
-# Each match skips whitespace and comments, then takes one token; a
-# character no token starts with matches ``bad``, and the end of the text
-# matches ``eof``, so the scan never backtracks over the skipped text.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|\#[^\n]*)*
-    (?:
-      (?P<nat>\d+)
-    | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<op>:=|<-|<=|<>|&&|\|\||[-+*<=()\[\];?:!])
-    | (?P<bad>.)
-    | (?P<eof>\Z)
-    )
-    """,
-    re.VERBOSE,
-)
+# One lexeme per match: a name or keyword, a numeral, a two-character
+# operator, a comment, or any other non-blank character (a one-character
+# operator or a bad character).  Whitespace is skipped between matches.
+_LEXEME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|:=|<-|<=|<>|&&|\|\||#[^\n]*|\S")
+
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPERATORS = frozenset([":=", "<-", "<=", "<>", "&&", "||", *"-+*<=()[];?:!"])
 
 
 class ParseError(Exception):
@@ -330,25 +333,32 @@ class ParseError(Exception):
 
 
 def tokenize(text: str) -> list:
-    """One scan over ``text`` into ``(kind, text, offset)`` tuples: kind is
-    'nat', 'id', 'kw', 'eof' or the operator text itself, and offset is
-    where the token starts.  The last token has kind 'eof'."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        lexeme = m.group(kind)
-        start = m.start(kind)
-        if kind == "id":
-            if lexeme in KEYWORDS:
-                kind = "kw"
-        elif kind == "op":
-            kind = lexeme
-        elif kind == "bad":
-            raise ParseError.at(text, start, f"unexpected character {lexeme!r}")
-        tokens.append((kind, lexeme, start))
-        if kind == "eof":
-            break
-    return tokens
+    """The lexemes of ``text`` as strings, comments dropped, followed by
+    ``''`` for the end of input.  A keyword is its word, a numeral its
+    digits, an operator its text.  Raises ParseError at the earliest
+    character no lexeme starts with."""
+    lexemes = _LEXEME_RE.findall(text)
+    if "#" in text:
+        lexemes = [lx for lx in lexemes if lx[0] != "#"]
+    bad = [lx for lx in set(lexemes)
+           if not (lx[0] in _NAME_START or lx in _OPERATORS or lx.isdecimal())]
+    if bad:
+        k = min(map(lexemes.index, bad))
+        raise ParseError.at(text, _offset(text, k), f"unexpected character {lexemes[k]!r}")
+    lexemes.append("")
+    return lexemes
+
+
+def _offset(text: str, k: int) -> int:
+    """Where lexeme ``k`` of ``tokenize(text)`` starts in ``text``; the end
+    of input is at ``len(text)``.  Only an error needs an offset, so the
+    lexer keeps none and this scans again."""
+    for m in _LEXEME_RE.finditer(text):
+        if text[m.start()] != "#":
+            if not k:
+                return m.start()
+            k -= 1
+    return len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -372,51 +382,50 @@ _BOOLEAN = frozenset((BoolLit, Cmp, Not, And, Or))
 
 
 class _Parser:
+    """Recursive descent over the lexeme strings of ``tokenize``.  No
+    lexeme past the closing ``''`` is read, and an error is placed by the
+    index of the lexeme it is about."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.lexemes = tokenize(text)
         self.pos = 0
-        # name -> first-use token, used to reject mixed scalar/array roles
-        self.scalar_uses: dict = {}
-        self.array_uses: dict = {}
+        # names seen in each role, used to reject mixed scalar/array roles
+        self.scalar_uses: set = set()
+        self.array_uses: set = set()
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]  # next() never moves past 'eof'
+    def expect(self, lexeme: str):
+        pos = self.pos
+        if self.lexemes[pos] != lexeme:
+            self.error_expected(repr(lexeme), pos)
+        self.pos = pos + 1
 
-    def next(self) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str, k: int):
+        raise ParseError.at(self.text, _offset(self.text, k), message)
 
-    def expect(self, kind: str, what: Optional[str] = None) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            self.error_expected(what or repr(kind), tok)
-        self.pos += 1
-        return tok
+    def error_expected(self, want: str, k: int):
+        self.error(f"expected {want}, found {self.lexemes[k] or 'end of input'!r}", k)
 
-    def error(self, message: str, tok: tuple):
-        raise ParseError.at(self.text, tok[2], message)
+    def error_role(self, k: int):
+        self.error(f"{self.lexemes[k]!r} used as both scalar and array", k)
 
-    def error_expected(self, want: str, tok: tuple):
-        self.error(f"expected {want}, found {tok[1] or 'end of input'!r}", tok)
+    def note_scalar(self, k: int):
+        name = self.lexemes[k]
+        if name in self.array_uses:
+            self.error_role(k)
+        self.scalar_uses.add(name)
 
-    def note_scalar(self, tok: tuple):
-        if tok[1] in self.array_uses:
-            self.error(f"{tok[1]!r} used as both scalar and array", tok)
-        self.scalar_uses.setdefault(tok[1], tok)
-
-    def note_array(self, tok: tuple):
-        if tok[1] in self.scalar_uses:
-            self.error(f"{tok[1]!r} used as both scalar and array", tok)
-        self.array_uses.setdefault(tok[1], tok)
+    def note_array(self, k: int):
+        name = self.lexemes[k]
+        if name in self.scalar_uses:
+            self.error_role(k)
+        self.array_uses.add(name)
 
     # --- commands ---------------------------------------------------------
 
     def parse_com(self) -> Com:
         stmts = [self.parse_stmt()]
-        while self.tokens[self.pos][0] == ";":
+        while self.lexemes[self.pos] == ";":
             self.pos += 1
             stmts.append(self.parse_stmt())
         com = stmts.pop()
@@ -425,54 +434,58 @@ class _Parser:
         return com
 
     def parse_stmt(self) -> Com:
-        tok = self.next()
-        kind, word = tok[0], tok[1]
-        if kind == "kw" and word == "skip":
+        lexemes = self.lexemes
+        start = self.pos
+        word = lexemes[start]
+        if not word:
+            self.error_expected("a command", start)
+        self.pos = start + 1
+        if word == "skip":
             return SKIP
-        if kind == "kw" and word == "if":
+        if word == "if":
             cond = self.expr(_OR, True)
-            self._expect_kw("then")
+            self.expect("then")
             then = self.parse_com()
             other: Com = SKIP
-            if self.peek()[:2] == ("kw", "else"):
-                self.next()
+            if lexemes[self.pos] == "else":
+                self.pos += 1
                 other = self.parse_com()
-            self._expect_kw("end")
+            self.expect("end")
             return If(cond, then, other)
-        if kind == "kw" and word == "while":
+        if word == "while":
             cond = self.expr(_OR, True)
-            self._expect_kw("do")
+            self.expect("do")
             body = self.parse_com()
-            self._expect_kw("end")
+            self.expect("end")
             return While(cond, body)
-        if kind == "id":
-            after = self.next()
-            if after[0] == ":=":
-                self.note_scalar(tok)
-                return Asgn(word, self.expr(_ADD, False))
-            if after[0] == "<-":
-                arr = self.expect("id", "array name")
-                self.expect("[")
-                index = self.expr(_ADD, False)
-                self.expect("]")
-                self.note_scalar(tok)
-                self.note_array(arr)
-                return ARead(word, arr[1], index)
-            if after[0] == "[":
-                index = self.expr(_ADD, False)
-                self.expect("]")
-                self.expect("<-")
-                value = self.expr(_ADD, False)
-                self.note_array(tok)
-                return AWrite(word, index, value)
-            self.error(f"expected ':=', '<-' or '[' after {word!r}", after)
-        self.error_expected("a command", tok)
-
-    def _expect_kw(self, word: str) -> tuple:
-        tok = self.peek()
-        if tok[:2] != ("kw", word):
-            self.error_expected(repr(word), tok)
-        return self.next()
+        if word[0] not in _NAME_START or word in KEYWORDS:
+            self.error_expected("a command", start)
+        k = self.pos
+        after = lexemes[k]
+        self.pos = k + 1
+        if after == ":=":
+            self.note_scalar(start)
+            return Asgn(word, self.expr(_ADD, False))
+        if after == "<-":
+            arr = self.pos
+            name = lexemes[arr]
+            if not name or name[0] not in _NAME_START or name in KEYWORDS:
+                self.error_expected("array name", arr)
+            self.pos = arr + 1
+            self.expect("[")
+            index = self.expr(_ADD, False)
+            self.expect("]")
+            self.note_scalar(start)
+            self.note_array(arr)
+            return ARead(word, name, index)
+        if after == "[":
+            index = self.expr(_ADD, False)
+            self.expect("]")
+            self.expect("<-")
+            value = self.expr(_ADD, False)
+            self.note_array(start)
+            return AWrite(word, index, value)
+        self.error(f"expected ':=', '<-' or '[' after {word!r}", k)
 
     # --- expressions ------------------------------------------------------
 
@@ -483,38 +496,40 @@ class _Parser:
         An operator is taken only if its left operand has the sort it needs,
         so the loop stops before ``+`` after a boolean and before a second
         comparison.  Where ``min_bp`` admits only arithmetic operators, so
-        must the first token: ``!``, ``true`` and ``false`` are rejected.
+        must the first lexeme: ``!``, ``true`` and ``false`` are rejected.
         ``want_bool`` checks the result's sort: an arithmetic expression
-        where a boolean is wanted is reported at the next token, a boolean
-        where an arithmetic expression is wanted at its first token.
+        where a boolean is wanted is reported at the next lexeme, a boolean
+        where an arithmetic expression is wanted at its first lexeme.
         """
-        tokens = self.tokens
-        first = tokens[self.pos]
-        kind = first[0]
-        self.pos += 1  # an 'eof' here is an error, raised before any read
-        if kind == "nat":
-            left = Num(int(first[1]))
-        elif kind == "id":
-            self.note_scalar(first)
-            left = Var(first[1])
-        elif kind == "(":
+        lexemes = self.lexemes
+        start = self.pos
+        first = lexemes[start]
+        self.pos = start + 1  # the end of input here is an error, raised before any read
+        if first and first[0] in _NAME_START and first not in KEYWORDS:
+            if first in self.array_uses:  # note_scalar, inlined for the commonest atom
+                self.error_role(start)
+            self.scalar_uses.add(first)
+            left = Var(first)
+        elif first == "(":
             # decided after the contents: '?' after a boolean makes a
             # constant-time conditional, anything else must be ')'
             left = self.expr(_OR)
-            if tokens[self.pos][0] == "?" and left.__class__ in _BOOLEAN:
+            if lexemes[self.pos] == "?" and left.__class__ in _BOOLEAN:
                 self.pos += 1
                 then = self.expr(_ADD, False)
                 self.expect(":")
                 left = CTCond(left, then, self.expr(_ADD, False))
             self.expect(")")
-        elif min_bp <= _CMP and kind == "!":
+        elif min_bp <= _CMP and first == "!":
             left = Not(self.expr(_CMP, True))
-        elif min_bp <= _CMP and kind == "kw" and first[1] in ("true", "false"):
-            left = BoolLit(first[1] == "true")
+        elif min_bp <= _CMP and (first == "true" or first == "false"):
+            left = BoolLit(first == "true")
+        elif first.isdecimal():
+            left = Num(int(first))
         else:
-            self.error_expected("an arithmetic expression", first)
+            self.error_expected("an arithmetic expression", start)
         while True:
-            op = tokens[self.pos][0]
+            op = lexemes[self.pos]
             if op not in _INFIX:
                 break
             bp, bool_operands, node = _INFIX[op]
@@ -525,17 +540,17 @@ class _Parser:
             left = node(left, right) if bool_operands else node(op, left, right)
         if want_bool is not None and (left.__class__ in _BOOLEAN) != want_bool:
             if want_bool:
-                self.error_expected("a comparison operator", tokens[self.pos])
-            self.error_expected("an arithmetic expression", first)
+                self.error_expected("a comparison operator", self.pos)
+            self.error_expected("an arithmetic expression", start)
         return left
 
 
 def _parse_all(text: str, rule, *args):
     parser = _Parser(text)
     out = rule(parser, *args)
-    tok = parser.peek()
-    if tok[0] != "eof":
-        parser.error(f"trailing input starting at {tok[1]!r}", tok)
+    pos = parser.pos
+    if parser.lexemes[pos]:
+        parser.error(f"trailing input starting at {parser.lexemes[pos]!r}", pos)
     return out
 
 
@@ -562,80 +577,54 @@ def parse_bexp(text: str) -> BExp:
 # ---------------------------------------------------------------------------
 
 
+def _print_expr(out: list, e, level: int):
+    """Append the concrete syntax of expression ``e`` to ``out``, in
+    parentheses where its operator binds more loosely than ``level``.  An
+    explicit stack holds the subexpressions and the text between them."""
+    todo = [(e, level)]
+    while todo:
+        e, level = todo.pop()
+        cls = e.__class__
+        if cls is str:
+            out.append(e)
+        elif cls is Var:
+            out.append(e.name)
+        elif cls is Num:
+            out.append(str(e.value))
+        elif cls is BinOp or cls is And or cls is Or:
+            mine = _INFIX[e.op][0] if cls is BinOp else _AND if cls is And else _OR
+            op = e.op if cls is BinOp else "&&" if cls is And else "||"
+            # left-associative: the right operand needs one level more
+            if mine < level:
+                out.append("(")
+                todo.append((")", 0))
+            todo += ((e.right, mine + 1), (f" {op} ", 0), (e.left, mine))
+        elif cls is Cmp:
+            todo += ((e.right, _ADD), (f" {e.op} ", 0), (e.left, _ADD))
+        elif cls is CTCond:
+            # always parenthesized, per the grammar
+            out.append("(")
+            todo += ((")", 0), (e.other, _ADD), (" : ", 0), (e.then, _ADD),
+                     (" ? ", 0), (e.cond, _OR))
+        elif cls is Not:
+            out.append("!")
+            todo.append((e.arg, _CMP))
+        elif cls is BoolLit:
+            out.append("true" if e.value else "false")
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+
+
 def pretty_aexp(e: AExp, level: int = _ADD) -> str:
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, CTCond):
-        # always parenthesized, per the grammar
-        return "({} ? {} : {})".format(
-            pretty_bexp(e.cond), pretty_aexp(e.then), pretty_aexp(e.other)
-        )
-    if isinstance(e, BinOp):
-        mine = _INFIX[e.op][0]
-        # left-associative: the right operand needs one level more
-        s = "{} {} {}".format(
-            pretty_aexp(e.left, mine), e.op, pretty_aexp(e.right, mine + 1)
-        )
-        return f"({s})" if mine < level else s
-    raise TypeError(f"not an arithmetic expression: {e!r}")
+    out: list = []
+    _print_expr(out, e, level)
+    return "".join(out)
 
 
 def pretty_bexp(b: BExp, level: int = _OR) -> str:
-    if isinstance(b, BoolLit):
-        return "true" if b.value else "false"
-    if isinstance(b, Cmp):
-        return "{} {} {}".format(pretty_aexp(b.left), b.op, pretty_aexp(b.right))
-    if isinstance(b, Not):
-        return "!" + pretty_bexp(b.arg, _CMP)
-    if isinstance(b, (And, Or)):
-        mine = _AND if isinstance(b, And) else _OR
-        op = "&&" if isinstance(b, And) else "||"
-        s = "{} {} {}".format(
-            pretty_bexp(b.left, mine), op, pretty_bexp(b.right, mine + 1)
-        )
-        return f"({s})" if mine < level else s
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-def _pretty_lines(c: Com, indent: int) -> Iterator[str]:
-    pad = "  " * indent
-    if isinstance(c, Seq):
-        # Flatten the sequence spine; ';' terminates all but the last line.
-        parts = []
-        node = c
-        while isinstance(node, Seq):
-            parts.append(node.first)
-            node = node.second
-        parts.append(node)
-        for i, part in enumerate(parts):
-            lines = list(_pretty_lines(part, indent))
-            if i < len(parts) - 1:
-                lines[-1] = lines[-1] + ";"
-            yield from lines
-        return
-    if isinstance(c, Skip):
-        yield pad + "skip"
-    elif isinstance(c, Asgn):
-        yield pad + f"{c.name} := {pretty_aexp(c.expr)}"
-    elif isinstance(c, ARead):
-        yield pad + f"{c.name} <- {c.array}[{pretty_aexp(c.index)}]"
-    elif isinstance(c, AWrite):
-        yield pad + f"{c.array}[{pretty_aexp(c.index)}] <- {pretty_aexp(c.value)}"
-    elif isinstance(c, If):
-        yield pad + f"if {pretty_bexp(c.cond)} then"
-        yield from _pretty_lines(c.then, indent + 1)
-        if c.other != SKIP:
-            yield pad + "else"
-            yield from _pretty_lines(c.other, indent + 1)
-        yield pad + "end"
-    elif isinstance(c, While):
-        yield pad + f"while {pretty_bexp(c.cond)} do"
-        yield from _pretty_lines(c.body, indent + 1)
-        yield pad + "end"
-    else:
-        raise TypeError(f"not a command: {c!r}")
+    out: list = []
+    _print_expr(out, b, level)
+    return "".join(out)
 
 
 def pretty_com(c: Com) -> str:
@@ -645,5 +634,50 @@ def pretty_com(c: Com) -> str:
     equal tree.  The one normalization: the grammar has no command grouping,
     so a left-nested Seq prints flat and reparses right-nested (semantically
     identical; parse_com never produces left-nested sequences).
+
+    Every piece of text goes into one list, in order, from an explicit
+    stack of commands (each with the newline and indentation its line
+    starts with) and of the text that follows their parts, so no nesting
+    depth exhausts the recursion limit.
     """
-    return "\n".join(_pretty_lines(c, 0))
+    out: list = []
+    todo = [(c, "\n")]
+    while todo:
+        c, nl = todo.pop()
+        cls = c.__class__
+        if cls is str:
+            out.append(c)
+        elif cls is Seq:
+            # ';' ends the first part's last line
+            todo += ((c.second, nl), (";", nl), (c.first, nl))
+        elif cls is Asgn:
+            out += (nl, c.name, " := ")
+            _print_expr(out, c.expr, _ADD)
+        elif cls is ARead:
+            out += (nl, c.name, " <- ", c.array, "[")
+            _print_expr(out, c.index, _ADD)
+            out.append("]")
+        elif cls is AWrite:
+            out += (nl, c.array, "[")
+            _print_expr(out, c.index, _ADD)
+            out.append("] <- ")
+            _print_expr(out, c.value, _ADD)
+        elif cls is If:
+            out += (nl, "if ")
+            _print_expr(out, c.cond, _OR)
+            out.append(" then")
+            inner = nl + "  "
+            todo.append((nl + "end", nl))
+            if c.other.__class__ is not Skip:
+                todo += ((c.other, inner), (nl + "else", nl))
+            todo.append((c.then, inner))
+        elif cls is While:
+            out += (nl, "while ")
+            _print_expr(out, c.cond, _OR)
+            out.append(" do")
+            todo += ((nl + "end", nl), (c.body, nl + "  "))
+        elif cls is Skip:
+            out += (nl, "skip")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+    return "".join(out)[1:]

@@ -597,9 +597,10 @@ TEXT_PINS = {
     "ni-holds": (GADGET, ["ni", "--variant", "fislh"], None, 0, ["checked: 36", "holds"]),
     "ni-vacuous": ({**BRANCH, "l": "x: public\n"}, ["ni", "--variant", "fvslh"], None, 0,
                    ["checked: 0", NO_PAIR, "holds"]),
-    # 36 failures, of which the first five are printed
+    # 36 failures, of which the first five are printed and the rest counted
     "ni-violated": (GADGET, ["ni", "--variant", "fislh"], _ni_steps_fail, 1,
-                    ["checked: 36", *(f"failure {k}" for k in range(1, 6)), "violated"]),
+                    ["checked: 36", *(f"failure {k}" for k in range(1, 6)),
+                     "... and 31 more (--format json lists all)", "violated"]),
     "bcc-holds": (GADGET, ["bcc", "--variant", "fislh", "--trials", "3"], None, 0,
                   ["runs: 3", "holds"]),
     "bcc-vacuous": (GADGET, ["bcc", "--variant", "fvslh", "--trials", "0"], None, 0,
@@ -646,6 +647,90 @@ def test_check_json_lists_every_failure(files, capsys, monkeypatch):
     data = json.loads(capsys.readouterr().out)
     assert data["checked"] == 36
     assert data["failures"] == [f"failure {k}" for k in range(1, 37)]
+
+
+@pytest.mark.parametrize("count, extra", [
+    (5, []), (6, ["... and 1 more (--format json lists all)"]),
+])
+def test_text_counts_the_failures_it_leaves_out(count, extra):
+    from awhile.cli import _verdict_lines
+    from awhile.seccheck import Verdict, VerdictStatus
+
+    failures = tuple(f"failure {k}" for k in range(1, count + 1))
+    v = Verdict(VerdictStatus.VIOLATED, facts=(("checked", 9),), failures=failures)
+    assert _verdict_lines(v) == ["checked: 9", *failures[:5], *extra, "violated"]
+
+
+def test_json_output_builds_no_text_lines(files, capsys, monkeypatch):
+    import awhile.cli as cli
+
+    def refuse(v):
+        raise AssertionError("text lines built for JSON output")
+
+    monkeypatch.setattr(cli, "_verdict_lines", refuse)
+    labels, space = files("l", GADGET["l"]), files("s", GADGET["s"])
+    assert main(["check", "--property", "ni", "--variant", "fislh", "--labels", labels,
+                 "--space", space, "--format", "json", files("p.aw", GADGET["p"])]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "holds"
+    assert main(["repro", "--listing", "1", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["status"] == "violated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["print", "p.aw"], ["gen", "--seed", "3"],
+    ["harden", "--variant", "fvslh", "p.aw"],
+    ["harden", "--variant", "uslh", "--format", "json", "p.aw"],
+])
+def test_a_program_is_printed_once(argv, files, capsys, monkeypatch):
+    import awhile.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "pretty_com", lambda c: calls.append(c) or pretty_com(c))
+    path = files("p.aw", LISTING1)
+    assert main([path if a == "p.aw" else a for a in argv]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert pretty_com(calls[0]) in (json.loads(out)["program"] if "json" in argv else out)
+
+
+def test_analyze_prints_the_annotated_program_once(files, capsys, monkeypatch):
+    import awhile.cli as cli
+
+    calls = []
+    real = cli.pretty_acom
+    monkeypatch.setattr(cli, "pretty_acom", lambda a: calls.append(a) or real(a))
+    assert main(["analyze", files("p.aw", LISTING1)]) == 0
+    assert len(calls) == 1
+
+
+# listing 2 is checked at max_dirs 10 at least
+REPRO2_JSON = """\
+{
+  "exit": 0,
+  "listing": 2,
+  "verdicts": [
+    {
+      "fuel": 200,
+      "max_dirs": 10,
+      "status": "holds"
+    }
+  ]
+}
+"""
+
+
+def test_repro_text_says_when_it_raised_the_bound(capsys):
+    assert main(["repro", "--listing", "2", "--max-dirs", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "listing 2: Spectre v1 gadget protected with iSLH\n"
+        "speculative observational equivalence (iSLH-protected): holds\n"
+        "  max_dirs raised from 3 to 10\n"
+    )
+    assert main(["repro", "--listing", "2", "--max-dirs", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == REPRO2_JSON
+    # a bound at or above the listing's own is used as given
+    assert main(["repro", "--listing", "2", "--max-dirs", "10"]) == 0
+    assert "raised" not in capsys.readouterr().out
 
 
 def test_check_equality_reads_its_space(files, capsys, monkeypatch, tmp_path):

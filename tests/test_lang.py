@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -174,6 +175,60 @@ def test_error_at_the_faulty_token(text, message):
     assert str(err.value) == message
 
 
+# Exact messages for malformed input, pinned so that a change to the lexer
+# or the parser keeps every position and every wording.
+@pytest.mark.parametrize("text, message", [
+    # two different bad characters: the earliest is reported, whatever
+    # their order as characters, and a commented-out one does not count
+    ("x := @; y := $", "1:6: unexpected character '@'"),
+    ("x := $; y := @", "1:6: unexpected character '$'"),
+    ("# $\nx := @; y := $", "2:6: unexpected character '@'"),
+    # a bad character is reported before a syntax error earlier in the text
+    ("x := ; y := @", "1:13: unexpected character '@'"),
+    ("if x < 1 then y := 2 end end ~", "1:30: unexpected character '~'"),
+    ("x := 1 # @ comment\n; y := @", "2:8: unexpected character '@'"),
+    # '²' is a digit but not a decimal one; a lone '&' and a non-ASCII
+    # letter start no token
+    ("x := ²", "1:6: unexpected character '²'"),
+    ("x := 1 & 2", "1:8: unexpected character '&'"),
+    ("é := 1", "1:1: unexpected character 'é'"),
+    # a keyword where a name or a command is expected
+    ("x <- if[0]", "1:6: expected array name, found 'if'"),
+    ("then := 1", "1:1: expected a command, found 'then'"),
+    ("x := true", "1:6: expected an arithmetic expression, found 'true'"),
+    # the end of the input
+    ("", "1:1: expected a command, found 'end of input'"),
+    ("if x < 1 then skip", "1:19: expected 'end', found 'end of input'"),
+    ("x := 1;\r\n\ty :=", "2:6: expected an arithmetic expression, found 'end of input'"),
+    # trailing input
+    ("skip skip", "1:6: trailing input starting at 'skip'"),
+    ("x := 12ab", "1:8: trailing input starting at 'ab'"),
+    ("x١ := ١٢", "1:2: expected ':=', '<-' or '[' after 'x'"),
+    ("if !x then skip end", "1:7: expected a comparison operator, found 'then'"),
+    ("skip;\n\n  x := 1 +\n  * 2", "4:3: expected an arithmetic expression, found '*'"),
+    # one name as scalar and array, in both orders, reported where the
+    # second role appears
+    ("a[0] <- 1; a := 2", "1:12: 'a' used as both scalar and array"),
+    ("a := 2;\n  a[0] <- 1", "2:3: 'a' used as both scalar and array"),
+    ("y := a; z <- a[1]", "1:14: 'a' used as both scalar and array"),
+    ("x <- x[0]", "1:6: 'x' used as both scalar and array"),
+    ("a[a] <- 1", "1:1: 'a' used as both scalar and array"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_com(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x := 1 # @$²\n", Asgn("x", Num(1))),  # bad characters in a comment
+    ("x := ٣", Asgn("x", Num(3))),  # any decimal digit is a numeral
+    ("y := ١٢ + 0", Asgn("y", BinOp("+", Num(12), Num(0)))),
+])
+def test_parse_accepts(text, want):
+    assert parse_com(text) == want
+
+
 _DEEP = 200
 _X_LT_1 = If(Cmp("<", Var("x"), Num(1)), SKIP, SKIP)
 
@@ -215,6 +270,27 @@ def test_long_spines_do_not_recurse():
     assert syntax_repr(com).startswith("Seq(first=Asgn(name='x', expr=BinOp(op='+'")
     assert used_vars(com) == {"x", "y", "z"}
     assert arrays_of(com) == {"a"}
+
+
+def test_pretty_com_prints_deep_nesting():
+    depth = 1500
+    com = Asgn("x", Num(1))
+    for k in range(depth):
+        com = If(Cmp("<", Var("x"), Num(k)), com, SKIP)
+    text = pretty_com(com)
+    assert text == "\n".join(
+        [f"{'  ' * i}if x < {depth - 1 - i} then" for i in range(depth)]
+        + ["  " * depth + "x := 1"]
+        + [f"{'  ' * i}end" for i in reversed(range(depth))]
+    )
+    # the parser still recurses once per level: give it the room it needs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * depth)
+    try:
+        parsed = parse_com(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert syntax_equal(parsed, com)
 
 
 @settings(max_examples=200)
