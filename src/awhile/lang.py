@@ -332,6 +332,12 @@ class ParseError(Exception):
         return cls(message, line, offset - text.rfind("\n", 0, offset))
 
 
+def numeral_too_long(digits: str) -> str:
+    """The message for a numeral that ``int`` refuses for its length alone
+    (Python converts at most ``sys.get_int_max_str_digits()`` digits)."""
+    return f"numeral too long ({len(digits)} digits)"
+
+
 def tokenize(text: str) -> list:
     """The lexemes of ``text`` as strings, comments dropped, followed by
     ``''`` for the end of input.  A keyword is its word, a numeral its
@@ -525,7 +531,10 @@ class _Parser:
         elif min_bp <= _CMP and (first == "true" or first == "false"):
             left = BoolLit(first == "true")
         elif first.isdecimal():
-            left = Num(int(first))
+            try:
+                left = Num(int(first))
+            except ValueError:
+                self.error(numeral_too_long(first), start)
         else:
             self.error_expected("an arithmetic expression", start)
         while True:

@@ -58,12 +58,13 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import Com, syntax_equal, used_vars
+from .lang import Com, numeral_too_long, syntax_equal, used_vars
 from .seq_sem import RunKind, seq_run
-from .spec_sem import SPEC, Speculative, StepTag, advance, feasible, run
+from .spec_sem import SPEC, Speculative, StepTag, advance, feasible, load_class, run
 from .state import (
     ArrayState,
     Dir,
+    DLoad,
     FORCE,
     Obs,
     ScalarState,
@@ -198,11 +199,19 @@ _SPACE_ARRAY_RE = re.compile(
 )
 
 
-def _domain(text: str, lineno: int) -> Tuple[int, ...]:
+def _integer(text: str, lineno: int) -> int:
+    """The value of a space file's integer, or SpaceFormatError."""
     try:
-        values = tuple(int(v.strip()) for v in text.split(",") if v.strip())
+        return int(text)
     except ValueError:
+        digits = text[1:] if text[0] in "+-" else text
+        if digits.isdecimal():
+            raise SpaceFormatError(f"line {lineno}: {numeral_too_long(digits)}")
         raise SpaceFormatError(f"line {lineno}: domain values must be integers")
+
+
+def _domain(text: str, lineno: int) -> Tuple[int, ...]:
+    values = tuple(_integer(v.strip(), lineno) for v in text.split(",") if v.strip())
     if not values:
         raise SpaceFormatError(f"line {lineno}: empty domain")
     return values
@@ -228,7 +237,8 @@ def parse_space(text: str) -> StateSpace:
             raise SpaceFormatError(f"line {lineno}: duplicate name {name!r}")
         seen.add(name)
         if m.re is _SPACE_ARRAY_RE:
-            arrays.append((name, int(m.group(2)), _domain(m.group(3), lineno)))
+            size = _integer(m.group(2), lineno)
+            arrays.append((name, size, _domain(m.group(3), lineno)))
         else:
             scalars.append((name, _domain(m.group(2), lineno)))
     return StateSpace(tuple(scalars), tuple(arrays))
@@ -291,15 +301,17 @@ class _Node:
     """A configuration advanced to its next observing redex.  ``kids`` holds
     the feasible children stepped so far, as (sort key, directive,
     observation, child node), in dir_sort_key order; ``cands`` are the
-    candidate directives and ``pos`` the first one not yet stepped.  The
-    node keeps its configuration, which keeps the objects its key names
-    by identity alive."""
+    candidate directives and ``pos`` the first one not yet stepped.
+    ``classes`` maps each load class (``load_class``) stepped so far to the
+    ``kids`` entry of its first load, or to None when it is stuck, until
+    every candidate is stepped.  The node keeps its configuration, which keeps
+    the objects its key names by identity alive."""
 
-    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids")
+    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids", "classes")
 
     def __init__(self, cfg, fuel: int, depth: int):
         self.cfg, self.fuel, self.depth = cfg, fuel, depth
-        self.cands, self.pos, self.kids = None, 0, []
+        self.cands, self.pos, self.kids, self.classes = None, 0, [], None
 
 
 # every node the walk does not descend from: terminated, stuck, out of fuel,
@@ -310,9 +322,11 @@ _LEAF = _Node(None, 0, 0)
 class _Tree:
     """The directive tree of one configuration, expanded on demand: a node's
     children are stepped one directive at a time, in dir_sort_key order
-    (the order the semantics list their candidates in), each at most once.
-    A node's subtree depends only on its key (``cfg.key()``, fuel, depth),
-    so ``nodes`` makes the tree a DAG with one node per key."""
+    (the order the semantics list their candidates in), each at most once,
+    and a load not at all when an earlier load of its class was (loads of
+    one class step alike, see ``spec_sem.load_class``).  A node's subtree
+    depends only on its key (``cfg.key()``, fuel, depth), so ``nodes`` makes
+    the tree a DAG with one node per key."""
 
     __slots__ = ("sem", "max_dirs", "nodes", "root")
 
@@ -333,19 +347,34 @@ class _Tree:
         return n
 
     def kid(self, n: _Node, k: int):
-        """The k-th feasible child of n, or None past the last one."""
+        """The k-th feasible child of n, or None past the last one.  Only
+        the first load of each class is stepped; the others share its
+        observation and child, each under its own directive."""
         kids = n.kids
         while k >= len(kids):
             if n.cands is None:
                 n.cands = self.sem.candidates(n.cfg)
             if n.pos == len(n.cands):
+                n.classes = None
                 return None
             d = n.cands[n.pos]
             n.pos += 1
+            # every directive but a load is a class of its own
+            cls = load_class(n.cfg, d) if d.__class__ is DLoad else None
+            if cls is not None and n.classes is not None and cls in n.classes:
+                first = n.classes[cls]
+                if first is not None:
+                    kids.append((dir_sort_key(d), d, first[2], first[3]))
+                continue
             r = self.sem.step(n.cfg, d)
-            if r.tag is StepTag.STEPPED:
+            stepped = r.tag is StepTag.STEPPED
+            if stepped:
                 child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
                 kids.append((dir_sort_key(d), d, r.obs, child))
+            if cls is not None:
+                if n.classes is None:
+                    n.classes = {}
+                n.classes[cls] = kids[-1] if stepped else None
         return kids[k]
 
 
@@ -612,16 +641,17 @@ def check_relative_security(
 def check_equality(c: Com, P: LabelMap, PA: LabelMap) -> Verdict:
     """The transformation equalities on one program: fiSLH equals sSLH on a
     constant-time typed program, and fiSLH and fvSLH equal uSLH under the
-    all-secret labeling.  Each comparison made is a fact."""
-    def same(v1: str, v2: str, P: LabelMap, PA: LabelMap) -> bool:
-        return syntax_equal(transform(v1, c, P, PA), transform(v2, c, P, PA))
-
+    all-secret labeling.  Each comparison made is a fact; the uSLH program
+    is built once, for both of its comparisons."""
     facts = []
     if wt_cct(P, PA, c):
-        facts.append(("fislh_eq_sislh", same("fislh", "sislh", P, PA)))
+        equal = syntax_equal(transform("fislh", c, P, PA), transform("sislh", c, P, PA))
+        facts.append(("fislh_eq_sislh", equal))
     secret = all_secret()
-    facts.append(("fislh_eq_uslh_all_secret", same("fislh", "uslh", secret, secret)))
-    facts.append(("fvslh_eq_uslh_all_secret", same("fvslh", "uslh", secret, secret)))
+    uslh = transform("uslh", c, secret, secret)
+    for v in ("fislh", "fvslh"):
+        facts.append((f"{v}_eq_uslh_all_secret",
+                      syntax_equal(transform(v, c, secret, secret), uslh)))
     ok = all(equal for _, equal in facts)
     return Verdict(VerdictStatus.HOLDS if ok else VerdictStatus.VIOLATED, facts=tuple(facts))
 

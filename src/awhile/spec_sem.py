@@ -27,6 +27,13 @@ runs the silent steps up to the next observing redex and is the one place
 that decides where a run stops: terminated, stuck, or out of fuel.  A
 directive that no rule can consume leaves the configuration stuck;
 feasibility filtering belongs to the checker, not the semantics.
+
+A misspeculated load's successor and observation depend on its directive
+only through the value it reads, so ``load_class`` classes loads by that
+value.  The checker's directive tree (``seccheck._Tree``) steps one load per
+distinct value read at a node and gives the others that load's observation
+and successor.  ``feasible`` and ``seccheck.enum_spec_runs`` still step
+every candidate: they are the reference the tree is tested against.
 """
 
 from __future__ import annotations
@@ -108,6 +115,19 @@ def read_rule(policy, li, lx, rho, mu, flag: bool, array: str, index, d: Dir):
             return 0, i, True
         return mu.get(d.array, d.index), i, True
     return None
+
+
+def load_class(cfg, d: DLoad):
+    """The class of the load ``d`` at ``cfg``: loads of one class step
+    ``cfg`` alike, to successors with equal keys and equal observations.  A
+    load of an in-bounds cell is classed by the cell's value: ``read_rule``
+    decides whether it steps from the flag, the labels and the original
+    index alone, reads that value (or 0 under a masking policy, where the
+    classes are finer than they need be) and observes the original index.
+    A load of an out-of-bounds cell, like every other directive, is a class
+    of its own, and gets None."""
+    vec = cfg.mu.vector(d.array)
+    return vec[d.index] if d.index < len(vec) else None
 
 
 def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d: Dir):

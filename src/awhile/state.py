@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ifc_static import LabelMap
-from .lang import Com, Seq
+from .lang import Com, Seq, numeral_too_long
 
 
 class ScalarState:
@@ -268,6 +268,27 @@ class StateFormatError(Exception):
 
 _SCALAR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(\d+)$")
 _ARRAY_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*=\s*\[([\d\s,]*)\]$")
+_EXPECTED = "expected 'NAME = NAT' or 'NAME = [NAT,...]'"
+
+
+def _nat(digits: str, where: str) -> int:
+    """The value of a checked numeral; StateFormatError, prefixed with
+    ``where``, when it is too long to convert."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise StateFormatError(where + numeral_too_long(digits))
+
+
+def _cells(body: str, where: str) -> Tuple[int, ...]:
+    """The values of the numerals between the commas of ``body``."""
+    try:
+        return tuple(map(int, body.split(",")))
+    except ValueError:
+        cells = [v.strip() for v in body.split(",")]
+        if not all(map(str.isdecimal, cells)):  # an empty cell, or a space in one
+            raise StateFormatError(where + _EXPECTED)
+        return tuple(_nat(v, where) for v in cells)
 
 
 def parse_state_full(text: str):
@@ -291,7 +312,7 @@ def parse_state_full(text: str):
             if name in arrays or name in scalars:
                 raise StateFormatError(f"line {lineno}: duplicate name {name!r}")
             if body:
-                values = tuple(int(v.strip()) for v in body.split(","))
+                values = _cells(body, f"line {lineno}: ")
             else:
                 values = ()
                 warnings.append(
@@ -305,11 +326,9 @@ def parse_state_full(text: str):
             name = m.group(1)
             if name in scalars or name in arrays:
                 raise StateFormatError(f"line {lineno}: duplicate name {name!r}")
-            scalars[name] = int(m.group(2))
+            scalars[name] = _nat(m.group(2), f"line {lineno}: ")
             continue
-        raise StateFormatError(
-            f"line {lineno}: expected 'NAME = NAT' or 'NAME = [NAT,...]'"
-        )
+        raise StateFormatError(f"line {lineno}: {_EXPECTED}")
     return ScalarState(scalars), ArrayState(arrays), warnings
 
 
@@ -342,9 +361,10 @@ def parse_dirs(text: str) -> List[Dir]:
             if i + 2 >= len(tokens):
                 raise StateFormatError(f"{t!r} needs an array name and an index")
             name, idx = tokens[i + 1], tokens[i + 2]
-            if not idx.isdigit():
+            if not idx.isdecimal():
                 raise StateFormatError(f"{t!r} index must be a natural, got {idx!r}")
-            out.append(DLoad(name, int(idx)) if t == "load" else DStore(name, int(idx)))
+            idx = _nat(idx, f"{t!r} index: ")
+            out.append(DLoad(name, idx) if t == "load" else DStore(name, idx))
             i += 3
         else:
             raise StateFormatError(f"unknown directive token {t!r}")

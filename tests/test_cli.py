@@ -414,6 +414,33 @@ def test_bad_space_domain_is_usage_error(files, capsys):
     assert "line 1" in err and "Traceback" not in err
 
 
+# past Python's limit on the digits of an integer string (4,300 by default)
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, inputs, err", [
+    pytest.param(["print", "p.aw"], {"p.aw": f"x := {_LONG}"},
+                 "1:6: numeral too long (5000 digits)", id="program"),
+    pytest.param(["run", "--state", "s", "p.aw"], {"s": f"a = [0, {_LONG}]"},
+                 "line 1: numeral too long (5000 digits)", id="state"),
+    pytest.param(["check", "--property", "sct", "--space", "sp", "p.aw"],
+                 {"sp": f"x in {{0}}\na : size {_LONG} in {{0}}"},
+                 "line 2: numeral too long (5000 digits)", id="space-size"),
+    pytest.param(["check", "--property", "sct", "--space", "sp", "p.aw"],
+                 {"sp": f"x in {{0,-{_LONG}}}"},
+                 "line 1: numeral too long (5000 digits)", id="space-domain"),
+    pytest.param(["run", "--sem", "spec", "--dirs", f"force load a {_LONG}", "p.aw"], {},
+                 "'load' index: numeral too long (5000 digits)", id="dirs"),
+])
+def test_long_numerals_are_usage_errors(argv, inputs, err, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.aw").write_text("x <- a[i]")
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_check_ni_and_bcc_vacuous_are_flagged(files, capsys):
     # ill-typed under the labeling: ni checks no step
     p = files("p.aw", "if s = 0 then x := 1 end")

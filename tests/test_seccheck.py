@@ -4,7 +4,7 @@ import pytest
 
 from awhile.flow_ifc import Labeling, flow_track
 from awhile.gen import NamePools, gen_program, random_labeling, random_state
-from awhile.ideal_sem import FsIdealConfig, IdealFS
+from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
 from awhile.seccheck import (
@@ -14,6 +14,7 @@ from awhile.seccheck import (
     StateSpace,
     Verdict,
     VerdictStatus,
+    Witness,
     check_bcc_space,
     check_equality,
     check_relative_security,
@@ -34,7 +35,7 @@ from awhile.seccheck import (
     _Tree,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, Speculative, StepTag, feasible, run
+from awhile.spec_sem import SPEC, Speculative, StepTag, advance, feasible, load_class, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -49,7 +50,7 @@ from awhile.state import (
     parse_state,
     pub_equiv,
 )
-from awhile.fixtures import FIXTURES, LISTING1
+from awhile.fixtures import FIXTURES, LISTING1, repro_listing
 
 pools = NamePools(("x", "y", "i", "k"), ("a", "c"))
 
@@ -319,6 +320,26 @@ def test_space_drivers_return_verdicts_with_what_they_covered():
         assert v.failures == (() if reports else None)
 
 
+def test_check_equality_builds_the_uslh_program_once(monkeypatch):
+    import awhile.seccheck as seccheck
+
+    made = []
+    real = seccheck.transform
+
+    def counted(variant, *args):
+        made.append(variant)
+        return real(variant, *args)
+
+    monkeypatch.setattr(seccheck, "transform", counted)
+    com = parse_com("if i < n then x <- a[i] end")
+    lab = parse_labeling("i: public\nn: public\nx: public\na: public")
+    v = check_equality(com, lab, lab)
+    assert [name for name, _ in v.facts] == [
+        "fislh_eq_sislh", "fislh_eq_uslh_all_secret", "fvslh_eq_uslh_all_secret",
+    ]
+    assert sorted(made) == ["fislh", "fislh", "fvslh", "sislh", "uslh"]
+
+
 def test_check_equality_reports_each_comparison(monkeypatch):
     import awhile.seccheck as seccheck
 
@@ -415,10 +436,13 @@ def _leaf_reference(c1, s1, c2, s2, flag, max_dirs, fuel):
 def test_spec_equiv_agrees_with_leaf_reference():
     rng = random.Random(73)
     violated = 0
-    for _ in range(80):
+    # the last 40 cases draw arrays of up to 4 cells in {0,1}, so the loads
+    # of one node read the same value from many cells
+    for n in range(120):
         com = gen_program(rng.randrange(10**9), 20, pools)
-        s1 = random_state(rng, pools, max_array_size=2)
-        s2 = random_state(rng, pools, max_array_size=2)
+        max_value, max_size = (3, 2) if n < 80 else (1, 4)
+        s1 = random_state(rng, pools, max_value, max_size)
+        s2 = random_state(rng, pools, max_value, max_size)
         flag = rng.random() < 0.5
         v = check_spec_obs_equiv(com, s1, com, s2, flag, 5, 150)
         first = _leaf_reference(com, s1, com, s2, flag, 5, 150)
@@ -511,6 +535,116 @@ def test_dag_leaves_match_enum_spec_runs_on_generated_programs():
             inner, distinct = _assert_dag_matches_runs(cfg, 5, fuel)
             shared += distinct < inner
     assert shared > 0
+
+
+# --- load classes ----------------------------------------------------------------
+
+
+def _subtree_key(sem, cfg, fuel, depth, max_dirs):
+    """What the node that a step to ``cfg`` leads to stands for, found
+    without the tree: None for a leaf.  The configuration is compared by
+    its text, since the flow-sensitive semantics unfolds a loop to a new
+    command, with a new identity, every time."""
+    if depth >= max_dirs:
+        return None
+    cfg, used, kind = advance(sem, cfg, fuel)
+    return None if kind is not None else (repr(cfg), fuel - used, depth)
+
+
+def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
+    """Fully expand the tree of ``cfg`` and compare every node's children
+    with those of stepping each candidate through ``sem.step``.  Counts the
+    nodes where two loads share a class, where every load is rejected, and
+    where a load reads 0 from a cell that holds another value."""
+    tree = _Tree(sem, cfg, fuel, max_dirs)
+    seen, todo = set(), [tree.root]
+    while todo:
+        n = todo.pop()
+        if n is _LEAF or id(n) in seen:
+            continue
+        seen.add(id(n))
+        k = 0
+        while tree.kid(n, k) is not None:
+            todo.append(n.kids[k][3])
+            k += 1
+        assert n.classes is None  # dropped once every candidate is stepped
+        want, masked = [], False
+        for d in sem.candidates(n.cfg):
+            r = sem.step(n.cfg, d)
+            if r.tag is StepTag.STEPPED:
+                child = _subtree_key(sem, r.cfg, n.fuel - 1, n.depth + 1, max_dirs)
+                want.append((dir_sort_key(d), d, r.obs, child))
+                if isinstance(d, DLoad):
+                    masked |= r.cfg.rho.get(n.cfg.redex.name) != load_class(n.cfg, d)
+        got = [(key, d, o, None if c is _LEAF else (repr(c.cfg), c.fuel, c.depth))
+               for key, d, o, c in n.kids]
+        assert got == want
+        loads = [d for d in n.cands if isinstance(d, DLoad)]
+        counts["shared"] += len({load_class(n.cfg, d) for d in loads}) < len(loads)
+        counts["rejected"] += bool(loads) and not any(isinstance(e[1], DLoad) for e in n.kids)
+        counts["masked"] += masked
+
+
+def test_tree_steps_one_load_per_class_like_every_candidate():
+    rng = random.Random(41)
+    semantics = {
+        "spec": lambda P, PA: Speculative({}),
+        "fislh": IdealFiSLH,
+        "fvslh": IdealFvSLH,
+        "fsfvslh": None,
+    }
+    for name, make in semantics.items():
+        counts = {"shared": 0, "rejected": 0, "masked": 0}
+        for _ in range(80):
+            com = gen_program(rng.randrange(10**9), 24, pools)
+            P, PA = random_labeling(rng, pools)
+            # arrays of up to 4 cells in {0,1}: loads of one node repeat values
+            rho, mu = random_state(rng, pools, max_value=1, max_array_size=4)
+            flag = rng.random() < 0.7
+            if make is None:
+                sem = IdealFS()
+                cfg = FsIdealConfig(flow_track(com, P, PA, PUBLIC)[0], rho, mu, flag,
+                                    PUBLIC, P, PA)
+            else:
+                sem, cfg = make(P, PA), SpecConfig(com, rho, mu, flag)
+            _assert_kids_step_every_candidate(sem, cfg, 5, 60, counts)
+        assert counts["shared"] > 0, name
+        # the policies reject some loads (fiSLH into a public target, fvSLH
+        # at a secret index), and fvSLH reads a public target as 0
+        if name == "spec":
+            assert counts["rejected"] == counts["masked"] == 0
+        if name in ("fislh", "fvslh"):
+            assert counts["rejected"] > 0, name
+            assert (counts["masked"] > 0) == (name == "fvslh"), name
+
+
+def test_listing1_steps_each_load_class_once(monkeypatch):
+    import awhile.seccheck as seccheck
+    import awhile.spec_sem as spec_sem
+
+    calls, trees = [0], []
+    real_step, real_walk = spec_sem.step_ex, seccheck._joint_divergence
+
+    def counted(*args):
+        calls[0] += 1
+        return real_step(*args)
+
+    def recorded(t1, t2):
+        trees.extend((t1, t2))
+        return real_walk(t1, t2)
+
+    monkeypatch.setattr(spec_sem, "step_ex", counted)
+    monkeypatch.setattr(seccheck, "_joint_divergence", recorded)
+    code, [(_, v)] = repro_listing(1, Bounds(12, 200))
+    # one step per cell of every array at the misspeculated read: 6,060
+    assert calls[0] <= 100
+    assert sum(len(t.nodes) for t in trees) == 14
+    assert (code, v.status) == (1, VerdictStatus.VIOLATED)
+    reads = [ORead("a2", 42), ORead("a2", 43)]
+    assert v.witness == Witness(
+        *FIXTURES[1].pair(), (FORCE, DLoad("a3", 0), STEP),
+        *[(OBranch(False), ORead("a1", 4), r) for r in reads], 2,
+    )
 
 
 # --- noninterference, unwinding, preservation ----------------------------------

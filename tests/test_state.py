@@ -78,6 +78,14 @@ def test_parse_state_empty_array_flagged():
     assert len(warnings) == 1 and "non-empty" in warnings[0]
 
 
+def test_parse_state_rejects_malformed_arrays():
+    # each used to end in int()'s ValueError
+    for text in ("a = [1,,2]", "a = [1 2]", "a = [1,2,]", "a = [,]"):
+        with pytest.raises(StateFormatError, match="line 1: expected"):
+            parse_state(text)
+    assert parse_state("a = [ 1 , 2 ]\nb = [ ]")[1].vector("a") == (1, 2)
+
+
 def test_parse_state_comments_ignored():
     rho, mu = parse_state("# setup\ni = 1  # index\n")
     assert rho.get("i") == 1
@@ -110,6 +118,9 @@ def test_parse_dirs_bad_token():
         parse_dirs("step jump")
     with pytest.raises(StateFormatError):
         parse_dirs("load a3")
+    # '²' is a digit but no decimal numeral
+    with pytest.raises(StateFormatError, match="must be a natural"):
+        parse_dirs("load a3 ²")
 
 
 def test_format_trace():
