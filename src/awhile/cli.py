@@ -4,7 +4,9 @@ Every subcommand is a thin adapter over the library: identical inputs
 through the CLI and through the module API produce identical results.
 Exit codes: 0 for success/Holds, 1 for Violated (or an ill-typed program
 under ``typecheck``), 2 for usage, syntax, and precondition errors.
-``main`` builds the argument parser of the invoked subcommand alone.
+``main`` builds one argument parser, the invoked subcommand's; the full
+parser, with every subcommand, only for ``-h``, an unknown command or
+leftover arguments.
 
 Environment variables SLH_MAX_DIRS and SLH_FUEL override the default
 exploration bounds when the corresponding flags are not given.
@@ -31,7 +33,9 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import ParseError, arrays_of, parse_com, pretty_com, syntax_repr, used_vars
+from .lang import (
+    ParseError, arrays_of, numeral_too_long, parse_com, pretty_com, syntax_repr, used_vars,
+)
 from .seccheck import (
     Bounds,
     PreconditionError,
@@ -99,6 +103,12 @@ def _env_default(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
+        digits = raw.strip()
+        if digits[1:].isdecimal() and digits[0] in "+-":
+            digits = digits[1:]
+        if digits.isdecimal():
+            # too long for int: echoing it would print every digit
+            raise CliError(f"{name}: {numeral_too_long(digits)}")
         raise CliError(f"{name} must be an integer, got {raw!r}")
 
 
@@ -527,16 +537,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for the command ``only`` alone."""
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as the full parser's sub-parser for it
+    would be: the same usage, help and errors, and the same namespace."""
+    _, fn, add_args = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"awhile {name}")
+    add_args(p)
+    p.set_defaults(command=name, fn=fn)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every command."""
     top = argparse.ArgumentParser(
         prog="awhile",
         description="AWhile: speculative semantics, IFC analyses, SLH "
         "hardening, and bounded differential security checking",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if only is None else (only,):
-        help_text, fn, add_args = _COMMANDS[name]
+    for name, (help_text, fn, add_args) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(fn=fn)
@@ -546,11 +565,12 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = _build_parser(only).parse_known_args(argv)
-    if extra:
-        # argparse reports leftovers with the top usage line, which lists
-        # the registered commands: let the full parser report them
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        # no known command, or leftovers, which argparse reports with the
+        # top usage line listing every command: let the full parser report
         args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

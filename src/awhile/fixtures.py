@@ -10,12 +10,12 @@ Bare-variable branch conditions from the informal sources are encoded as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .harden import harden, ISLH
 from .ifc_static import LabelMap, parse_labeling
 from .lang import Com, parse_com
+from .record import Record
 from .seccheck import (
     Bounds,
     StateSpace,
@@ -30,8 +30,7 @@ from .seccheck import (
 from .state import ArrayState, ScalarState, parse_state
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     number: int
     title: str
     program_text: str

@@ -13,7 +13,6 @@ time by the flow-sensitive ideal semantics to save and restore the pc label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .ifc_static import (
@@ -37,48 +36,43 @@ from .lang import (
     SKIP,
     While,
 )
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # Annotated commands
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ASkip:
+class ASkip(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AAsgn:
+class AAsgn(Record):
     name: str
     expr: AExp
 
 
-@dataclass(frozen=True)
-class ASeq:
+class ASeq(Record):
     first: "ACom"
     second: "ACom"
     mid: Labeling  # labeling between the two halves
 
 
-@dataclass(frozen=True)
-class AIf:
+class AIf(Record):
     cond: BExp
     then: "ACom"
     other: "ACom"
     lbl: Label  # label of the condition
 
 
-@dataclass(frozen=True)
-class AWhileC:
+class AWhileC(Record):
     cond: BExp
     body: "ACom"
     lbl: Label  # label of the condition at the fixpoint labeling
     fix: Labeling
 
 
-@dataclass(frozen=True)
-class AARead:
+class AARead(Record):
     name: str
     array: str
     index: AExp
@@ -86,16 +80,14 @@ class AARead:
     lbl_index: Label
 
 
-@dataclass(frozen=True)
-class AAWrite:
+class AAWrite(Record):
     array: str
     index: AExp
     value: AExp
     lbl_index: Label
 
 
-@dataclass(frozen=True)
-class ABranch:
+class ABranch(Record):
     """Runtime wrapper recording the pc label in force before entering a
     branch; produced only by the flow-sensitive ideal semantics."""
 

@@ -7,7 +7,6 @@ them checks anything.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .ifc_static import LabelMap, PUBLIC
@@ -15,12 +14,12 @@ from .lang import (
     And, ARead, Asgn, AWrite, BinOp, BoolLit, Cmp, Com, CTCond, If, Not, Num, Or, Seq,
     Skip, SKIP, Var, While, vars_of_expr,
 )
+from .record import Record
 from .spec_sem import SPEC, advance, feasible
 from .state import ArrayState, Dir, ScalarState, SpecConfig
 
 
-@dataclass(frozen=True)
-class NamePools:
+class NamePools(Record):
     scalars: Tuple[str, ...] = ("x", "y", "z", "i", "k")
     arrays: Tuple[str, ...] = ("a", "c")
 

@@ -35,7 +35,6 @@ derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .flow_ifc import (
@@ -70,12 +69,12 @@ from .lang import (
     While,
     used_vars,
 )
+from .record import Record
 
 DEFAULT_FLAG_VAR = "b"
 
 
-@dataclass(frozen=True)
-class HardenVariant:
+class HardenVariant(Record):
     """One row of the decision table.  ``cond`` holds the action for a
     public and a secret condition; ``read`` and ``write`` hold one such
     pair for a public and for a secret first label (the read's target, the

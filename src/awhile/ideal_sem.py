@@ -24,7 +24,6 @@ stack, restored when the finished branch is popped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from .flow_ifc import (
@@ -41,6 +40,7 @@ from .flow_ifc import (
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
 from .lang import eval_aexp, eval_bexp
+from .record import Record
 from .spec_sem import (
     NEED_DIR,
     SPEC,
@@ -61,8 +61,7 @@ from .state import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Policy:
+class _Policy(Record):
     """When a variant masks an access, from the labels of the index (li),
     the read target (lx) and the written value (le)."""
 
@@ -98,16 +97,20 @@ _FVSLH_POLICY = _Policy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FixedLabeling:
+class _FixedLabeling(Record):
     """step_ex under the variant's policy and the fixed scalar labeling P,
-    with a loop table of its own (see ``step_ex``)."""
+    with a loop table of its own (see ``step_ex``), kept out of its fields."""
 
+    __slots__ = ("__dict__",)  # for the loop table
     P: LabelMap
     PA: LabelMap
-    loops: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     policy = None  # set by each variant
+
+    def __new__(cls, fields):
+        self = tuple.__new__(cls, fields)
+        object.__setattr__(self, "loops", {})
+        return self
 
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         return step_ex(cfg, d, self.policy, self.P, self.loops)
@@ -119,12 +122,10 @@ class _FixedLabeling:
     is_final = staticmethod(SPEC.is_final)
 
 
-@dataclass(frozen=True)
 class IdealFiSLH(_FixedLabeling):
     policy = _FISLH_POLICY
 
 
-@dataclass(frozen=True)
 class IdealFvSLH(_FixedLabeling):
     policy = _FVSLH_POLICY
 
@@ -174,42 +175,49 @@ class FsIdealConfig:
         )
 
 
-def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
+def _step_fs(cfg: FsIdealConfig, d: Optional[Dir], loops: dict) -> StepResult:
+    """As ``step_ex`` with a loops table: a ``while`` unfolds to the same
+    annotated command every time, so configurations that reach one loop
+    head by different paths have equal keys."""
     a, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
     pc, P, PA = cfg.pc, cfg.P, cfg.PA
-    if isinstance(a, ASkip):
+    cls = a.__class__
+    if cls is ASkip:
         # drop the finished head; each branch left on the way restores the
         # pc it saved, so the outermost one's pc holds after the drop
         while k is not None:
             top, k = k
-            if isinstance(top, ASeq):
+            if top.__class__ is ASeq:
                 return StepResult(STEPPED, FsIdealConfig(top.second, rho, mu, flag, pc, P, PA, k))
             pc = top
         return STUCK
-    if isinstance(a, AAsgn):
+    if cls is AAsgn:
         rho2 = rho.set(a.name, eval_aexp(rho, a.expr))
         P2 = P.set(a.name, label_of_expr(P, a.expr))
         return StepResult(STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA, k))
-    if isinstance(a, AWhileC):
-        unfolded = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
+    if cls is AWhileC:
+        unfolded = loops.get(id(a))
+        if unfolded is None:
+            # the unfolded command holds the loop, so the id stays valid
+            unfolded = loops[id(a)] = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
         return StepResult(STEPPED, FsIdealConfig(unfolded, rho, mu, flag, pc, P, PA, k))
     # the remaining commands observe
     if d is None:
         return NEED_DIR
-    if isinstance(a, AIf):
+    if cls is AIf:
         taken = eval_bexp(rho, a.cond)
         if flag and taken:
             taken = a.lbl.is_public  # a secret condition reads as false
-        if isinstance(d, DStep):
+        if d.__class__ is DStep:
             succ, flag2 = (a.then if taken else a.other), flag
-        elif isinstance(d, DForce):
+        elif d.__class__ is DForce:
             succ, flag2 = (a.other if taken else a.then), True
         else:
             return STUCK
         # entering the branch saves the pc on the stack
         cfg2 = FsIdealConfig(succ, rho, mu, flag2, join(pc, a.lbl), P, PA, (pc, k))
         return StepResult(STEPPED, cfg2, OBranch(taken), 1)
-    if isinstance(a, AARead):
+    if cls is AARead:
         li, lx = a.lbl_index, a.lbl_target
         r = read_rule(_FVSLH_POLICY, li, lx, rho, mu, flag, a.array, a.index, d)
         if r is None:
@@ -217,13 +225,13 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
         v, i, flag2 = r
         cfg2 = FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag2, pc, P.set(a.name, lx), PA, k)
         return StepResult(STEPPED, cfg2, ORead(a.array, i), 1)
-    if isinstance(a, AAWrite):
+    if cls is AAWrite:
         li, le = a.lbl_index, label_of_expr(P, a.value)
         r = write_rule(_FVSLH_POLICY, li, le, rho, mu, flag, a.array, a.index, a.value, d)
         if r is None:
             return STUCK
         mu2, i, flag2 = r
-        if isinstance(d, DStep):
+        if d.__class__ is DStep:
             le = join(li, le)  # an architectural write also carries its index label
         PA2 = PA.set(a.array, join(PA.get(a.array), join(pc, le)))
         cfg2 = FsIdealConfig(ASKIP, rho, mu2, flag2, pc, P, PA2, k)
@@ -231,11 +239,15 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
     raise TypeError(f"not an annotated command: {a!r}")
 
 
-@dataclass(frozen=True)
 class IdealFS:
-    """The flow-sensitive ideal semantics over FsIdealConfig."""
+    """The flow-sensitive ideal semantics over FsIdealConfig, with a loop
+    table of its own (see ``_step_fs``)."""
 
-    step = staticmethod(_step_fs)
+    def __init__(self):
+        self.loops = {}
+
+    def step(self, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
+        return _step_fs(cfg, d, self.loops)
 
     @staticmethod
     def candidates(cfg: FsIdealConfig) -> List[Dir]:

@@ -9,7 +9,6 @@ default, so an unlisted name never weakens a check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
 
 from .lang import (
@@ -31,6 +30,7 @@ from .lang import (
     Var,
     While,
 )
+from .record import Record
 
 
 class Label(enum.Enum):
@@ -114,8 +114,7 @@ def all_public(names: Iterable[str]) -> LabelMap:
     return LabelMap({n: PUBLIC for n in names})
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """A pair of label maps: scalar variables and arrays."""
 
     vars: LabelMap

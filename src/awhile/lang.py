@@ -19,35 +19,31 @@ nesting depth or spine length exhausts the recursion limit.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - *
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
-class CTCond:
+class CTCond(Record):
     """Constant-time conditional ``(cond ? then : other)``."""
 
     cond: "BExp"
@@ -58,31 +54,26 @@ class CTCond:
 AExp = Union[Num, Var, BinOp, CTCond]
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Record):
     op: str  # one of = <> <= <
     left: AExp
     right: AExp
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     arg: "BExp"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "BExp"
     right: "BExp"
 
@@ -90,38 +81,32 @@ class Or:
 BExp = Union[BoolLit, Cmp, Not, And, Or]
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Asgn:
+class Asgn(Record):
     name: str
     expr: AExp
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Record):
     first: "Com"
     second: "Com"
 
 
-@dataclass(frozen=True)
-class If:
+class If(Record):
     cond: BExp
     then: "Com"
     other: "Com"
 
 
-@dataclass(frozen=True)
-class While:
+class While(Record):
     cond: BExp
     body: "Com"
 
 
-@dataclass(frozen=True)
-class ARead:
+class ARead(Record):
     """``name <- array[index]``"""
 
     name: str
@@ -129,8 +114,7 @@ class ARead:
     index: AExp
 
 
-@dataclass(frozen=True)
-class AWrite:
+class AWrite(Record):
     """``array[index] <- value``"""
 
     array: str
@@ -151,13 +135,15 @@ SKIP = Skip()
 def eval_aexp(rho, e: AExp) -> int:
     """Evaluate an arithmetic expression in scalar state ``rho``.
 
-    Total over naturals; subtraction truncates at 0.
+    Total over naturals; subtraction truncates at 0.  Both evaluators
+    dispatch on the exact class, as the syntax walks do.
     """
-    if isinstance(e, Num):
+    cls = e.__class__
+    if cls is Num:
         return e.value
-    if isinstance(e, Var):
+    if cls is Var:
         return rho.get(e.name)
-    if isinstance(e, BinOp):
+    if cls is BinOp:
         l = eval_aexp(rho, e.left)
         r = eval_aexp(rho, e.right)
         if e.op == "+":
@@ -167,15 +153,16 @@ def eval_aexp(rho, e: AExp) -> int:
         if e.op == "*":
             return l * r
         raise ValueError(f"unknown arithmetic operator {e.op!r}")
-    if isinstance(e, CTCond):
+    if cls is CTCond:
         return eval_aexp(rho, e.then if eval_bexp(rho, e.cond) else e.other)
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
 def eval_bexp(rho, b: BExp) -> bool:
-    if isinstance(b, BoolLit):
+    cls = b.__class__
+    if cls is BoolLit:
         return b.value
-    if isinstance(b, Cmp):
+    if cls is Cmp:
         l = eval_aexp(rho, b.left)
         r = eval_aexp(rho, b.right)
         if b.op == "=":
@@ -187,11 +174,11 @@ def eval_bexp(rho, b: BExp) -> bool:
         if b.op == "<":
             return l < r
         raise ValueError(f"unknown comparison operator {b.op!r}")
-    if isinstance(b, Not):
+    if cls is Not:
         return not eval_bexp(rho, b.arg)
-    if isinstance(b, And):
+    if cls is And:
         return eval_bexp(rho, b.left) and eval_bexp(rho, b.right)
-    if isinstance(b, Or):
+    if cls is Or:
         return eval_bexp(rho, b.left) or eval_bexp(rho, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
 
@@ -261,20 +248,19 @@ def arrays_of(c: Com) -> frozenset:
 
 
 def syntax_repr(node) -> str:
-    """The dataclass ``repr`` of a syntax tree, built with an explicit stack
+    """The record ``repr`` of a syntax tree, built with an explicit stack
     so that a long sequence spine cannot exhaust the recursion limit."""
     out, todo = [], [(False, node)]
     while todo:
         is_text, x = todo.pop()
         if is_text:
             out.append(x)
-        elif not hasattr(x, "__dataclass_fields__"):
+        elif not isinstance(x, Record):
             out.append(repr(x))
         else:
-            names = [f.name for f in dataclasses.fields(x) if f.repr]
             parts = [(True, type(x).__qualname__ + "(")]
-            for i, name in enumerate(names):
-                parts += [(True, (", " if i else "") + name + "="), (False, getattr(x, name))]
+            for i, (name, value) in enumerate(zip(x._fields, x)):
+                parts += [(True, (", " if i else "") + name + "="), (False, value)]
             parts.append((True, ")"))
             todo.extend(reversed(parts))
     return "".join(out)
@@ -282,9 +268,9 @@ def syntax_repr(node) -> str:
 
 def syntax_equal(a, b) -> bool:
     """Structural equality of two syntax trees (commands, annotated commands
-    or expressions).  Unlike the dataclass ``==`` it keeps an explicit
-    stack, so a long sequence spine cannot exhaust the recursion limit, and
-    a subtree both sides share compares in one check."""
+    or expressions).  Unlike the record ``==`` it keeps an explicit stack,
+    so a long sequence spine cannot exhaust the recursion limit, and a
+    subtree both sides share compares in one check."""
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
@@ -292,12 +278,10 @@ def syntax_equal(a, b) -> bool:
             continue
         if type(x) is not type(y):
             return False
-        fields = getattr(x, "__dataclass_fields__", None)
-        if fields is None:
-            if x != y:
-                return False
-        else:
-            todo += [(getattr(x, f), getattr(y, f)) for f in fields]
+        if isinstance(x, Record):
+            todo += zip(x, y)  # one class, so one field list
+        elif x != y:
+            return False
     return True
 
 

@@ -43,7 +43,6 @@ import enum
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .flow_ifc import ACom, Labeling, flow_track, well_labeled
@@ -58,7 +57,8 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import Com, numeral_too_long, syntax_equal, used_vars
+from .lang import Com, numeral_too_long, syntax_equal
+from .record import Record
 from .seq_sem import RunKind, seq_run
 from .spec_sem import SPEC, Speculative, StepTag, advance, feasible, load_class, run
 from .state import (
@@ -79,8 +79,7 @@ DEFAULT_MAX_DIRS = 8
 DEFAULT_FUEL = 200
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     max_dirs: int = DEFAULT_MAX_DIRS
     fuel: int = DEFAULT_FUEL
     space: str = ""  # descriptor of the state space a verdict ranged over
@@ -103,8 +102,7 @@ class VerdictStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     s1: Tuple[ScalarState, ArrayState]
     s2: Tuple[ScalarState, ArrayState]
     dirs: Tuple[Dir, ...]
@@ -113,8 +111,7 @@ class Witness:
     divergence_index: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """A check's outcome.  ``facts`` are (name, value) pairs saying what
     the check covered (pairs walked, steps or runs checked, equalities
     compared), in print order; ``failures`` are the failure messages of a
@@ -161,8 +158,7 @@ class SpaceFormatError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """Finite grid of initial states: per-scalar value domains and per-array
     shapes (fixed size, per-cell domain)."""
 
@@ -586,17 +582,15 @@ def check_relative_security(
     Pairs failing the sequential premise are skipped (the source already
     leaks the difference).  variant_kind 'none' checks the source program
     itself.  'uslh' pairs all states regardless of the labeling, matching
-    its theorem, which has no public-equivalence premise.
+    its theorem, which has no public-equivalence premise.  A program that
+    uses the flag variable raises FlagCollisionError, as ``transform`` does
+    for every other check.
     """
     if variant_kind not in VARIANTS:
         return Verdict(
             VerdictStatus.PRECONDITION_FAILED, message=f"unknown variant {variant_kind!r}"
         )
-    if variant_kind != "none" and flag_var in used_vars(c):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message=f"program uses the reserved flag variable {flag_var!r}",
-        )
+    hardened = transform(variant_kind, c, P, PA, flag_var)
     if any(size < 1 for _, size, _ in space.arrays):
         return Verdict(
             VerdictStatus.PRECONDITION_FAILED,
@@ -612,7 +606,6 @@ def check_relative_security(
             VerdictStatus.PRECONDITION_FAILED,
             message=f"{variant_kind} requires an IFC-well-typed program",
         )
-    hardened = transform(variant_kind, c, P, PA, flag_var)
     bounds = bounds.over(space)
     pair_P, pair_PA = (all_secret(), all_secret()) if variant_kind == "uslh" else (P, PA)
     states = list(enum_states(space))

@@ -9,10 +9,10 @@ out-of-bounds array accesses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .lang import ARead, Asgn, AWrite, Com, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
+from .record import Record
 from .state import ArrayState, OBranch, ORead, OWrite, Obs, ScalarState
 
 
@@ -26,8 +26,7 @@ class RunKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SeqOutcome:
+class SeqOutcome(Record):
     kind: RunKind
     com: Com
     rho: ScalarState
@@ -39,29 +38,30 @@ def seq_step(
     c: Com, rho: ScalarState, mu: ArrayState
 ) -> Optional[Tuple[Com, ScalarState, ArrayState, Optional[Obs]]]:
     """One small step; None means stuck (skip, or a failed bounds check)."""
-    if isinstance(c, Skip):
+    cls = c.__class__
+    if cls is Skip:
         return None
-    if isinstance(c, Asgn):
+    if cls is Asgn:
         return SKIP, rho.set(c.name, eval_aexp(rho, c.expr)), mu, None
-    if isinstance(c, Seq):
-        if isinstance(c.first, Skip):
+    if cls is Seq:
+        if c.first.__class__ is Skip:
             return c.second, rho, mu, None
         sub = seq_step(c.first, rho, mu)
         if sub is None:
             return None
         c1, rho1, mu1, obs = sub
         return Seq(c1, c.second), rho1, mu1, obs
-    if isinstance(c, If):
+    if cls is If:
         taken = eval_bexp(rho, c.cond)
         return (c.then if taken else c.other), rho, mu, OBranch(taken)
-    if isinstance(c, While):
+    if cls is While:
         return If(c.cond, Seq(c.body, c), SKIP), rho, mu, None
-    if isinstance(c, ARead):
+    if cls is ARead:
         i = eval_aexp(rho, c.index)
         if i >= mu.size(c.array):
             return None
         return SKIP, rho.set(c.name, mu.get(c.array, i)), mu, ORead(c.array, i)
-    if isinstance(c, AWrite):
+    if cls is AWrite:
         i = eval_aexp(rho, c.index)
         if i >= mu.size(c.array):
             return None

@@ -39,12 +39,12 @@ every candidate: they are the reference the tree is tested against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
 from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
+from .record import Record
 from .seq_sem import RunKind
 from .state import (
     Dir,
@@ -167,15 +167,16 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) 
     same command object every time, so configurations that reach one loop
     head by different paths have equal keys (``SpecConfig.key``)."""
     c, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
-    if isinstance(c, Asgn):
+    cls = c.__class__
+    if cls is Asgn:
         rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
         return StepResult(STEPPED, SpecConfig(SKIP, rho2, mu, flag, k))
-    if isinstance(c, Skip):
+    if cls is Skip:
         if k is None:
             return STUCK
         # drop the finished head: the top of the stack runs next
         return StepResult(STEPPED, SpecConfig(k[0], rho, mu, flag, k[1]))
-    if isinstance(c, While):
+    if cls is While:
         unfolded = None if loops is None else loops.get(id(c))
         if unfolded is None:
             unfolded = If(c.cond, Seq(c.body, c), SKIP)
@@ -186,19 +187,19 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) 
     # the remaining commands observe
     if d is None:
         return NEED_DIR
-    if isinstance(c, If):
+    if cls is If:
         taken = eval_bexp(rho, c.cond)
         if policy is not None and flag and taken:
             # a secret condition reads as false while misspeculating
             taken = label_of_expr(P, c.cond).is_public
-        if isinstance(d, DStep):
+        if d.__class__ is DStep:
             succ, flag2 = (c.then if taken else c.other), flag
-        elif isinstance(d, DForce):
+        elif d.__class__ is DForce:
             succ, flag2 = (c.other if taken else c.then), True
         else:
             return STUCK
         return StepResult(STEPPED, SpecConfig(succ, rho, mu, flag2, k), OBranch(taken), 1)
-    if isinstance(c, ARead):
+    if cls is ARead:
         li = lx = None
         if policy is not None:
             li, lx = label_of_expr(P, c.index), P.get(c.name)
@@ -208,7 +209,7 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) 
         v, i, flag2 = r
         cfg2 = SpecConfig(SKIP, rho.set(c.name, v), mu, flag2, k)
         return StepResult(STEPPED, cfg2, ORead(c.array, i), 1)
-    if isinstance(c, AWrite):
+    if cls is AWrite:
         li = le = None
         if policy is not None:
             li, le = label_of_expr(P, c.index), label_of_expr(P, c.value)
@@ -274,8 +275,7 @@ def feasible(sem, cfg) -> List[Dir]:
     return [d for d in sem.candidates(cfg) if sem.step(cfg, d).tag is StepTag.STEPPED]
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     kind: RunKind
     final: object  # the last configuration; FsIdealConfig carries pc and labelings
     trace: Tuple[Obs, ...]

@@ -8,11 +8,11 @@ state's directive tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ifc_static import LabelMap
 from .lang import Com, Seq, numeral_too_long
+from .record import Record
 
 
 class ScalarState:
@@ -130,16 +130,14 @@ class ArrayState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OBranch:
+class OBranch(Record):
     taken: bool
 
     def __str__(self):
         return f"branch {'true' if self.taken else 'false'}"
 
 
-@dataclass(frozen=True)
-class ORead:
+class ORead(Record):
     array: str
     index: int
 
@@ -147,8 +145,7 @@ class ORead:
         return f"read {self.array} {self.index}"
 
 
-@dataclass(frozen=True)
-class OWrite:
+class OWrite(Record):
     array: str
     index: int
 
@@ -159,20 +156,17 @@ class OWrite:
 Obs = Union[OBranch, ORead, OWrite]
 
 
-@dataclass(frozen=True)
-class DStep:
+class DStep(Record):
     def __str__(self):
         return "step"
 
 
-@dataclass(frozen=True)
-class DForce:
+class DForce(Record):
     def __str__(self):
         return "force"
 
 
-@dataclass(frozen=True)
-class DLoad:
+class DLoad(Record):
     array: str
     index: int
 
@@ -180,8 +174,7 @@ class DLoad:
         return f"load {self.array} {self.index}"
 
 
-@dataclass(frozen=True)
-class DStore:
+class DStore(Record):
     array: str
     index: int
 
@@ -232,7 +225,7 @@ class SpecConfig:
     __slots__ = ("redex", "k", "rho", "mu", "flag")
 
     def __init__(self, com: Com, rho: ScalarState, mu: ArrayState, flag: bool, k=None):
-        while isinstance(com, Seq):
+        while com.__class__ is Seq:
             k, com = (com.second, k), com.first
         self.redex, self.k, self.rho, self.mu, self.flag = com, k, rho, mu, flag
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import awhile
-from awhile.cli import _build_parser, main
+from awhile.cli import _build_parser, _command_parser, main
 from awhile.fixtures import FIXTURES
 from awhile.gen import gen_program
 from awhile.lang import pretty_com
@@ -392,6 +392,16 @@ def test_negative_bounds_are_usage_errors(argv, env, capsys, monkeypatch):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "must not be negative" in err[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ["SLH_MAX_DIRS", "SLH_FUEL"])
+def test_a_too_long_bound_variable_gets_a_short_message(name, capsys, monkeypatch):
+    monkeypatch.setenv(name, "1" * 5000)
+    assert main(["repro", "--listing", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {name}: numeral too long (5000 digits)\n")
+    monkeypatch.setenv(name, "+-1")
+    assert main(["repro", "--listing", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {name} must be an integer, got '+-1'\n")
 
 
 def test_gen_rejects_negative_size(capsys):
@@ -777,6 +787,13 @@ def test_bcc_refuses_a_flag_variable_program_alike_in_both_modes(files, capsys, 
         assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
 
 
+@pytest.mark.parametrize("prop", ["sct", "relsec", "equality"])
+def test_check_refuses_a_flag_variable_program_alike(files, capsys, prop):
+    p = files("p.aw", "b := 1\n")
+    assert main(["check", "--property", prop, "--variant", "fislh", p]) == 2
+    assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
+
+
 def test_check_wl_output(files, capsys, monkeypatch):
     p = files("p.aw", "if s = 0 then y := 1 end; x <- a[y]")
     space = files("space", "s in {0,1}\ny in {0}\na : size 2 in {0}")
@@ -870,9 +887,14 @@ def _exit_of(call, capsys):
 def test_one_command_parser_matches_the_full_parser(name, capsys):
     full = _exit_of(lambda: _build_parser().parse_args([name, "-h"]), capsys)
     assert full[0] == 0 and full[1].startswith(f"usage: awhile {name} ")
-    assert _exit_of(lambda: _build_parser(name).parse_args([name, "-h"]), capsys) == full
+    assert _exit_of(lambda: _command_parser(name).parse_args(["-h"]), capsys) == full
+    assert _exit_of(lambda: main([name, "-h"]), capsys) == full
     argv = COMMAND_ARGV[name]
-    assert _build_parser(name).parse_args(argv) == _build_parser().parse_args(argv)
+    assert _command_parser(name).parse_args(argv[1:]) == _build_parser().parse_args(argv)
+    bad = [name, "--format", "xml"]
+    error = _exit_of(lambda: _build_parser().parse_args(bad), capsys)
+    assert error[0] == 2 and error[2].startswith(f"usage: awhile {name} ")
+    assert _exit_of(lambda: main(bad), capsys) == error
 
 
 ALL_COMMANDS = "{parse,print,typecheck,analyze,harden,run,check,repro,gen}"
@@ -888,17 +910,17 @@ def test_usage_errors_and_help_list_every_command(argv, code, capsys):
     assert ALL_COMMANDS in outcome[1] + outcome[2]
 
 
-def test_main_builds_only_the_invoked_command(files, capsys, monkeypatch):
-    added = []
-    real = argparse._SubParsersAction.add_parser
+def test_main_builds_only_the_invoked_command(files, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
 
-    def add_parser(self, name, **kwargs):
-        added.append(name)
-        return real(self, name, **kwargs)
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
     assert main(["print", files("p.aw", "skip")]) == 0
-    assert added == ["print"]
+    assert built == ["awhile print"]
 
 
 def test_module_entry_point_reads_sys_argv(files):

@@ -4,6 +4,7 @@ import pytest
 
 from awhile.flow_ifc import Labeling, flow_track
 from awhile.gen import NamePools, gen_program, random_labeling, random_state
+from awhile.harden import FlagCollisionError
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
@@ -256,10 +257,8 @@ def test_relative_security_listing4():
 def test_relative_security_precondition_failures():
     fx = FIXTURES[4]
     lab = fx.labeling()
-    v = check_relative_security(
-        "fislh", parse_com("b := 1"), lab, lab, fx.space(), Bounds(4, 100)
-    )
-    assert v.status is VerdictStatus.PRECONDITION_FAILED
+    with pytest.raises(FlagCollisionError):
+        check_relative_security("fislh", parse_com("b := 1"), lab, lab, fx.space(), Bounds(4, 100))
     # ill-typed program under the flexible labeling-based variants
     p = parse_labeling("y: public")
     v2 = check_relative_security(
@@ -542,13 +541,11 @@ def test_dag_leaves_match_enum_spec_runs_on_generated_programs():
 
 def _subtree_key(sem, cfg, fuel, depth, max_dirs):
     """What the node that a step to ``cfg`` leads to stands for, found
-    without the tree: None for a leaf.  The configuration is compared by
-    its text, since the flow-sensitive semantics unfolds a loop to a new
-    command, with a new identity, every time."""
+    without the tree: None for a leaf."""
     if depth >= max_dirs:
         return None
     cfg, used, kind = advance(sem, cfg, fuel)
-    return None if kind is not None else (repr(cfg), fuel - used, depth)
+    return None if kind is not None else (cfg.key(), fuel - used, depth)
 
 
 def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
@@ -576,7 +573,7 @@ def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
                 want.append((dir_sort_key(d), d, r.obs, child))
                 if isinstance(d, DLoad):
                     masked |= r.cfg.rho.get(n.cfg.redex.name) != load_class(n.cfg, d)
-        got = [(key, d, o, None if c is _LEAF else (repr(c.cfg), c.fuel, c.depth))
+        got = [(key, d, o, None if c is _LEAF else (c.cfg.key(), c.fuel, c.depth))
                for key, d, o, c in n.kids]
         assert got == want
         loads = [d for d in n.cands if isinstance(d, DLoad)]
@@ -616,6 +613,20 @@ def test_tree_steps_one_load_per_class_like_every_candidate():
         if name in ("fislh", "fvslh"):
             assert counts["rejected"] > 0, name
             assert (counts["masked"] > 0) == (name == "fvslh"), name
+
+
+def test_flow_sensitive_loop_heads_share_a_node():
+    # IdealFS unfolds each loop to one command, as the stepper's loop table
+    # does: without it, the paths through the branch reach the loop head as
+    # different commands, and the tree has 30 nodes
+    c = parse_com("k := 0; while k < 3 do if x < 1 then y := 1 else y := 1 end; k := k + 1 end")
+    P = parse_labeling("x: public\ny: public\nk: public")
+    rho, mu = parse_state("")
+    acom = flow_track(c, P, P, PUBLIC)[0]
+    fs = _Tree(IdealFS(), FsIdealConfig(acom, rho, mu, True, PUBLIC, P, P), 200, 8)
+    fv = _Tree(IdealFvSLH(P, P), SpecConfig(c, rho, mu, True), 200, 8)
+    assert _dag_leaves(fs) == _dag_leaves(fv)
+    assert len(fs.nodes) == len(fv.nodes) == 8
 
 
 def test_listing1_steps_each_load_class_once(monkeypatch):
