@@ -52,7 +52,7 @@ from .seccheck import (
     transform,
 )
 from .gen import gen_program
-from .spec_sem import SPEC, STEPPED, advance, feasible, run
+from .spec_sem import STEPPED, Speculative, advance, feasible, run
 from .seq_sem import RunKind, seq_run
 from .state import (
     SpecConfig,
@@ -269,15 +269,15 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
     """Prompt for a directive at every observing redex; the silent steps in
     between are spec_sem.advance's, so interactive runs stop where
     spec_sem.run does."""
-    trace = []
+    sem, trace = Speculative(), []
     while True:
-        cfg, used, kind = advance(SPEC, cfg, fuel)
+        cfg, used, kind = advance(sem, cfg, fuel)
         fuel -= used
         if kind is not None:
             if kind is RunKind.STUCK:
                 print("stuck")
             break
-        feas = feasible(SPEC, cfg)
+        feas = feasible(sem, cfg)
         if not feas:
             print("stuck: no feasible directive")
             break
@@ -303,7 +303,7 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
         if len(chosen) != 1:
             print("error: one directive at a time")
             continue
-        r = SPEC.step(cfg, chosen[0])
+        r = sem.step(cfg, chosen[0])
         if r.tag is not STEPPED:
             print("directive does not apply here")
             continue
@@ -344,7 +344,7 @@ def cmd_run(args) -> int:
         consumed = None
     else:
         if args.sem == "spec":
-            sem, cfg = SPEC, SpecConfig(com, rho, mu, False)
+            sem, cfg = Speculative(), SpecConfig(com, rho, mu, False)
         else:
             sem, start = seccheck._ideal_source(
                 _IDEAL_VARIANTS[args.sem], com, labels, labels, typed=False
@@ -399,6 +399,8 @@ def cmd_check(args) -> int:
         space = parse_space(_read_input(args.space))
     if args.property in ("bcc", "ni", "unwind") and args.variant not in _IDEAL_VARIANTS.values():
         raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
+    if args.property in ("equality", "wl") and args.variant is not None:
+        raise CliError(f"--variant does not apply to --property {args.property}")
     if args.property == "bcc" and args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
     v = _PROPERTIES[args.property](args, com, labels, space, bounds)

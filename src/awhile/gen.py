@@ -15,7 +15,7 @@ from .lang import (
     Skip, SKIP, Var, While, vars_of_expr,
 )
 from .record import Record
-from .spec_sem import SPEC, advance, feasible
+from .spec_sem import Speculative, advance, feasible
 from .state import ArrayState, Dir, ScalarState, SpecConfig
 
 
@@ -176,21 +176,23 @@ def random_labeling(rng: random.Random, pools: NamePools) -> Tuple[LabelMap, Lab
 
 
 def random_spec_walk(
-    rng: random.Random, cfg: SpecConfig, max_dirs: int, fuel: int
+    rng: random.Random, sem: Speculative, cfg: SpecConfig, max_dirs: int, fuel: int
 ) -> List[Dir]:
-    """Drive a speculative run by picking a random feasible directive at
-    every observing redex; returns the consumed directive list."""
+    """Drive a speculative run under ``sem`` (the caller's ``Speculative``,
+    whose per-check table its runs share) by picking a random feasible
+    directive at every observing redex; returns the consumed directive
+    list."""
     dirs: List[Dir] = []
     while len(dirs) < max_dirs:
-        cfg, used, kind = advance(SPEC, cfg, fuel)
+        cfg, used, kind = advance(sem, cfg, fuel)
         fuel -= used
         if kind is not None:
             break
-        feas = feasible(SPEC, cfg)
+        feas = feasible(sem, cfg)
         if not feas:
             break
         d = rng.choice(feas)
-        cfg = SPEC.step(cfg, d).cfg
+        cfg = sem.step(cfg, d).cfg
         dirs.append(d)
         fuel -= 1
     return dirs

@@ -7,11 +7,11 @@ source program under the matching ideal semantics (backwards compiler
 correctness), so security of the ideal semantics transfers to the hardened
 code.
 
-``IdealFiSLH`` and ``IdealFvSLH`` are ``spec_sem.step_ex`` under the
-variant's policy table and a fixed labeling.  All variants read a secret
-branch condition as false while misspeculating; the policies differ in when
-access indices and loaded values are masked to 0 and in which misspeculated
-accesses get stuck.  ``IdealFS``, the flow-sensitive variant, steps
+``IdealFiSLH`` and ``IdealFvSLH`` are ``spec_sem.step_ex`` and its silent
+loop under the variant's policy table and a fixed labeling.  All variants
+read a secret branch condition as false while misspeculating; the policies
+differ in when access indices and loaded values are masked to 0 and in
+which misspeculated accesses get stuck.  ``IdealFS``, the flow-sensitive variant, steps
 annotated commands with its own structural rules (a dynamic pc label and
 labelings, carried for the well-labeledness argument) and takes every
 access decision from the fvslh policy, applied through the shared read and
@@ -19,12 +19,15 @@ write rules to the labels in the annotations.
 
 Its configurations are focused like ``SpecConfig``, so a step costs the
 same at any nesting depth; a branch wrapper is a pc label saved on the
-stack, restored when the finished branch is popped.
+stack, restored when the finished branch is popped.  Its silent rules
+(assignment with its label update, dropping ``skip`` with the pc restore,
+unfolding ``while``) are one loop, ``_silent_fs``, as in ``spec_sem``, and
+it evaluates expressions through its own per-check table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from .flow_ifc import (
     AARead,
@@ -39,21 +42,23 @@ from .flow_ifc import (
     AWhileC,
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
-from .lang import eval_aexp, eval_bexp
+from .lang import compile_entry
 from .record import Record
+from .seq_sem import RunKind
 from .spec_sem import (
     NEED_DIR,
-    SPEC,
     STEPPED,
     STUCK,
+    Speculative,
     StepResult,
     candidate_dirs,
     read_rule,
+    silent_steps,
     step_ex,
     write_rule,
 )
 from .state import (
-    ArrayState, Dir, DForce, DStep, OBranch, ORead, OWrite, ScalarState, SpecConfig, focus_ids,
+    ArrayState, BRANCH_OBS, Dir, DForce, DStep, ORead, OWrite, ScalarState, SpecConfig, focus_ids,
 )
 
 # ---------------------------------------------------------------------------
@@ -99,27 +104,27 @@ _FVSLH_POLICY = _Policy(
 
 class _FixedLabeling(Record):
     """step_ex under the variant's policy and the fixed scalar labeling P,
-    with a loop table of its own (see ``step_ex``), kept out of its fields."""
+    with a per-check table of its own (see ``Speculative``), kept out of
+    its fields."""
 
-    __slots__ = ("__dict__",)  # for the loop table
+    __slots__ = ("__dict__",)  # for the table
     P: LabelMap
     PA: LabelMap
 
     policy = None  # set by each variant
+    masked = True
 
     def __new__(cls, fields):
         self = tuple.__new__(cls, fields)
-        object.__setattr__(self, "loops", {})
+        object.__setattr__(self, "table", {})
         return self
 
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
-        return step_ex(cfg, d, self.policy, self.P, self.loops)
+        return step_ex(self, cfg, d)
 
-    @staticmethod
-    def candidates(cfg: SpecConfig) -> List[Dir]:
-        return candidate_dirs(cfg, True)
-
-    is_final = staticmethod(SPEC.is_final)
+    silent = silent_steps
+    candidates = candidate_dirs
+    is_final = staticmethod(Speculative.is_final)
 
 
 class IdealFiSLH(_FixedLabeling):
@@ -147,8 +152,8 @@ class FsIdealConfig:
 
     def __init__(self, acom: ACom, rho: ScalarState, mu: ArrayState, flag: bool,
                  pc: Label, P: LabelMap, PA: LabelMap, k=None):
-        while isinstance(acom, (ASeq, ABranch)):
-            if isinstance(acom, ASeq):
+        while acom.__class__ is ASeq or acom.__class__ is ABranch:
+            if acom.__class__ is ASeq:
                 k, acom = (acom, k), acom.first
             else:
                 k, acom = (acom.lbl, k), acom.body
@@ -165,8 +170,9 @@ class FsIdealConfig:
 
     def key(self):
         """As ``SpecConfig.key``, with the pc label and the labelings."""
-        ids, rho, mu = focus_ids(self.redex, self.k), self.rho.frozen(), self.mu.frozen()
-        return (ids, rho, mu, self.flag, self.pc, self.P, self.PA)
+        rho, mu = self.rho, self.mu
+        return (focus_ids(self.redex, self.k), rho._f or rho.frozen(), mu._f or mu.frozen(),
+                self.flag, self.pc, self.P, self.PA)
 
     def __repr__(self):
         return (
@@ -175,37 +181,77 @@ class FsIdealConfig:
         )
 
 
-def _step_fs(cfg: FsIdealConfig, d: Optional[Dir], loops: dict) -> StepResult:
-    """As ``step_ex`` with a loops table: a ``while`` unfolds to the same
-    annotated command every time, so configurations that reach one loop
-    head by different paths have equal keys."""
-    a, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
-    pc, P, PA = cfg.pc, cfg.P, cfg.PA
+def _silent_fs(sem, cfg: FsIdealConfig, fuel: int):
+    """As ``spec_sem.silent_steps``, over annotated commands.  Dropping a
+    finished ``skip`` head also pops the pc labels that the branches left on
+    the way saved, and the outermost one's pc holds after the drop; an
+    assignment also gives its target the label of its expression."""
+    table = sem.table
+    a, k, pc, P, m = cfg.redex, cfg.k, cfg.pc, cfg.P, None
+    used, kind = 0, RunKind.FUEL_EXHAUSTED
+    while used < fuel:
+        cls = a.__class__
+        if cls is AAsgn:
+            if m is None:
+                m = dict(cfg.rho._m)  # copied once, then updated in place
+            # compiled(), inlined
+            v = (table.get(id(a.expr)) or compile_entry(table, a.expr))[0](m)
+            if v:
+                m[a.name] = v
+            else:
+                m.pop(a.name, None)  # a zero binding equals the default
+            P = P.set(a.name, label_of_expr(P, a.expr))
+            a = ASKIP
+        elif cls is ASkip:
+            rest, saved = k, pc
+            while rest is not None:
+                top, rest = rest
+                if top.__class__ is ASeq:
+                    break
+                saved = top
+            else:
+                kind = RunKind.TERMINATED  # only saved pc labels are left
+                break
+            a, k, pc = top.second, rest, saved
+            while a.__class__ is ASeq or a.__class__ is ABranch:
+                if a.__class__ is ASeq:
+                    k, a = (a, k), a.first
+                else:
+                    k, a = (a.lbl, k), a.body
+        elif cls is AWhileC:
+            unfolded = table.get(id(a))
+            if unfolded is None:
+                # the unfolded command holds the loop, so the id stays valid
+                unfolded = table[id(a)] = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
+            a = unfolded
+        else:
+            kind = None  # an observing redex
+            break
+        used += 1
+    if used:
+        rho = cfg.rho if m is None else ScalarState.adopt(m)
+        cfg = FsIdealConfig(a, rho, cfg.mu, cfg.flag, pc, P, cfg.PA, k)
+    if kind is RunKind.FUEL_EXHAUSTED and IdealFS.is_final(cfg):
+        kind = RunKind.TERMINATED
+    return cfg, used, kind
+
+
+def _step_fs(sem, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
+    """As ``step_ex``: a silent redex takes one step of ``_silent_fs``.
+    Every access decision comes from the fvslh policy, applied to the
+    labels in the annotations."""
+    a = cfg.redex
     cls = a.__class__
-    if cls is ASkip:
-        # drop the finished head; each branch left on the way restores the
-        # pc it saved, so the outermost one's pc holds after the drop
-        while k is not None:
-            top, k = k
-            if top.__class__ is ASeq:
-                return StepResult(STEPPED, FsIdealConfig(top.second, rho, mu, flag, pc, P, PA, k))
-            pc = top
-        return STUCK
-    if cls is AAsgn:
-        rho2 = rho.set(a.name, eval_aexp(rho, a.expr))
-        P2 = P.set(a.name, label_of_expr(P, a.expr))
-        return StepResult(STEPPED, FsIdealConfig(ASKIP, rho2, mu, flag, pc, P2, PA, k))
-    if cls is AWhileC:
-        unfolded = loops.get(id(a))
-        if unfolded is None:
-            # the unfolded command holds the loop, so the id stays valid
-            unfolded = loops[id(a)] = AIf(a.cond, ASeq(a.body, a, a.fix), ASKIP, a.lbl)
-        return StepResult(STEPPED, FsIdealConfig(unfolded, rho, mu, flag, pc, P, PA, k))
+    if cls is AAsgn or cls is ASkip or cls is AWhileC:
+        cfg2, used, _ = _silent_fs(sem, cfg, 1)
+        return StepResult(STEPPED, cfg2) if used else STUCK
     # the remaining commands observe
     if d is None:
         return NEED_DIR
+    k, rho, mu, flag, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.table
+    pc, P, PA = cfg.pc, cfg.P, cfg.PA
     if cls is AIf:
-        taken = eval_bexp(rho, a.cond)
+        taken = (table.get(id(a.cond)) or compile_entry(table, a.cond))[0](rho._m)
         if flag and taken:
             taken = a.lbl.is_public  # a secret condition reads as false
         if d.__class__ is DStep:
@@ -216,10 +262,10 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir], loops: dict) -> StepResult:
             return STUCK
         # entering the branch saves the pc on the stack
         cfg2 = FsIdealConfig(succ, rho, mu, flag2, join(pc, a.lbl), P, PA, (pc, k))
-        return StepResult(STEPPED, cfg2, OBranch(taken), 1)
+        return StepResult(STEPPED, cfg2, BRANCH_OBS[taken], 1)
     if cls is AARead:
         li, lx = a.lbl_index, a.lbl_target
-        r = read_rule(_FVSLH_POLICY, li, lx, rho, mu, flag, a.array, a.index, d)
+        r = read_rule(_FVSLH_POLICY, li, lx, table, rho, mu, flag, a.array, a.index, d)
         if r is None:
             return STUCK
         v, i, flag2 = r
@@ -227,7 +273,7 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir], loops: dict) -> StepResult:
         return StepResult(STEPPED, cfg2, ORead(a.array, i), 1)
     if cls is AAWrite:
         li, le = a.lbl_index, label_of_expr(P, a.value)
-        r = write_rule(_FVSLH_POLICY, li, le, rho, mu, flag, a.array, a.index, a.value, d)
+        r = write_rule(_FVSLH_POLICY, li, le, table, rho, mu, flag, a.array, a.index, a.value, d)
         if r is None:
             return STUCK
         mu2, i, flag2 = r
@@ -240,27 +286,28 @@ def _step_fs(cfg: FsIdealConfig, d: Optional[Dir], loops: dict) -> StepResult:
 
 
 class IdealFS:
-    """The flow-sensitive ideal semantics over FsIdealConfig, with a loop
-    table of its own (see ``_step_fs``)."""
+    """The flow-sensitive ideal semantics over FsIdealConfig, with a
+    per-check table of its own (see ``Speculative``)."""
+
+    masked = True
 
     def __init__(self):
-        self.loops = {}
+        self.table = {}
 
     def step(self, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
-        return _step_fs(cfg, d, self.loops)
+        return _step_fs(self, cfg, d)
 
-    @staticmethod
-    def candidates(cfg: FsIdealConfig) -> List[Dir]:
-        return candidate_dirs(cfg, True)
+    silent = _silent_fs
+    candidates = candidate_dirs
 
     @staticmethod
     def is_final(cfg: FsIdealConfig) -> bool:
         """skip with only saved pc labels left on the stack."""
-        if not isinstance(cfg.redex, ASkip):
+        if cfg.redex.__class__ is not ASkip:
             return False
         k = cfg.k
         while k is not None:
-            if isinstance(k[0], ASeq):
+            if k[0].__class__ is ASeq:
                 return False
             k = k[1]
         return True

@@ -15,11 +15,18 @@ text), and the parser dispatches on those strings.  No offsets are kept;
 an error's line and column come from scanning the text again when it is
 raised.  The pretty-printer and the name walks keep explicit stacks, so no
 nesting depth or spine length exhausts the recursion limit.
+
+Expressions evaluate two ways.  ``eval_aexp`` and ``eval_bexp`` walk the
+tree; only ``seq_sem``, the independent sequential oracle, uses them.  The
+speculative and ideal steppers evaluate through ``compiled``: each
+expression becomes a closure on its first evaluation, cached in the
+stepper's per-check table.
 """
 
 from __future__ import annotations
 
 import re
+from operator import methodcaller
 from typing import Optional, Union
 
 from .record import Record
@@ -181,6 +188,125 @@ def eval_bexp(rho, b: BExp) -> bool:
     if cls is Or:
         return eval_bexp(rho, b.left) or eval_bexp(rho, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+# ---------------------------------------------------------------------------
+
+
+def compiled(table: dict, e):
+    """The closure that evaluates the expression ``e`` on the bindings of a
+    scalar state (``ScalarState._m``, a dict without zero values), from a
+    per-check ``table`` keyed by ``id(e)``.  An expression is compiled on
+    its first evaluation (closure generation, Feeley & Lapalme 1987), and
+    its entry holds it, so the id stays valid while the table lives.  The
+    closures agree with ``eval_aexp`` and ``eval_bexp``, which ``seq_sem``
+    keeps as the independent, tree-walking oracle.  The steppers' hot
+    loops inline it."""
+    return (table.get(id(e)) or compile_entry(table, e))[0]
+
+
+def compile_entry(table: dict, e):
+    """Compile ``e`` into ``table``: its entry, (closure, ``e``)."""
+    entry = table[id(e)] = (_compile(e), e)
+    return entry
+
+
+def _compile(e):
+    """A closure over bindings ``m`` that evaluates ``e``, built bottom-up
+    with an explicit stack, so that no expression depth exhausts the
+    recursion limit while compiling; evaluating nests one call per operator,
+    as ``eval_aexp`` does.  A name reads as ``m.get(name, 0)``, one C-level
+    call with no Python frame; a numeral on the right of an operator is
+    folded into the operator's closure."""
+    done, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is tuple:  # the operands of x[0] are compiled, in order
+            done.append(_combine(x[0], done))
+        elif cls is Var:
+            done.append(methodcaller("get", x.name, 0))
+        elif cls is Num or cls is BoolLit:
+            done.append(_constant(x.value))
+        else:
+            if cls is BinOp or cls is Cmp:
+                operands = (x.left,) if x.right.__class__ is Num else (x.left, x.right)
+            elif cls is CTCond:
+                operands = (x.cond, x.then, x.other)
+            elif cls is Not:
+                operands = (x.arg,)
+            elif cls is And or cls is Or:
+                operands = (x.left, x.right)
+            else:
+                raise TypeError(f"not an expression: {x!r}")
+            todo.append((x,))
+            todo.extend(reversed(operands))
+    return done[0]
+
+
+def _constant(value):
+    return lambda m: value
+
+
+def _combine(e, done):
+    """The closure of ``e`` from its operands' closures, popped off
+    ``done``."""
+    cls = e.__class__
+    if cls is CTCond:
+        o, t, c = done.pop(), done.pop(), done.pop()
+        return lambda m: t(m) if c(m) else o(m)
+    if cls is Not:
+        a = done.pop()
+        return lambda m: not a(m)
+    if cls is And:
+        r, l = done.pop(), done.pop()
+        return lambda m: l(m) and r(m)
+    if cls is Or:
+        r, l = done.pop(), done.pop()
+        return lambda m: l(m) or r(m)
+    op = e.op
+    if e.right.__class__ is Num:
+        l, n = done.pop(), e.right.value
+        if op == "+":
+            return lambda m: l(m) + n
+        if op == "-":
+            def minus_n(m):
+                v = l(m)
+                return v - n if v > n else 0
+            return minus_n
+        if op == "*":
+            return lambda m: l(m) * n
+        if op == "=":
+            return lambda m: l(m) == n
+        if op == "<>":
+            return lambda m: l(m) != n
+        if op == "<=":
+            return lambda m: l(m) <= n
+        if op == "<":
+            return lambda m: l(m) < n
+    else:
+        r, l = done.pop(), done.pop()
+        if op == "+":
+            return lambda m: l(m) + r(m)
+        if op == "-":
+            def minus(m):
+                v, w = l(m), r(m)
+                return v - w if v > w else 0
+            return minus
+        if op == "*":
+            return lambda m: l(m) * r(m)
+        if op == "=":
+            return lambda m: l(m) == r(m)
+        if op == "<>":
+            return lambda m: l(m) != r(m)
+        if op == "<=":
+            return lambda m: l(m) <= r(m)
+        if op == "<":
+            return lambda m: l(m) < r(m)
+    kind = "arithmetic" if cls is BinOp else "comparison"
+    raise ValueError(f"unknown {kind} operator {op!r}")
 
 
 def _scalar_names(node) -> set:

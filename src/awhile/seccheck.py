@@ -60,7 +60,7 @@ from .ifc_static import (
 from .lang import Com, numeral_too_long, syntax_equal
 from .record import Record
 from .seq_sem import RunKind, seq_run
-from .spec_sem import SPEC, Speculative, StepTag, advance, feasible, load_class, run
+from .spec_sem import Speculative, StepTag, advance, feasible, load_class, run
 from .state import (
     ArrayState,
     Dir,
@@ -257,7 +257,7 @@ def enum_states(space: StateSpace) -> Iterator[Tuple[ScalarState, ArrayState]]:
 
 
 # ---------------------------------------------------------------------------
-# Directive trees, over any semantics (spec_sem.SPEC or an ideal one)
+# Directive trees, over any semantics (spec_sem.Speculative or an ideal one)
 # ---------------------------------------------------------------------------
 
 
@@ -270,7 +270,7 @@ def enum_spec_runs(
     """Exhaustively explore the directive tree of one configuration: every
     feasible directive at every observing redex, up to max_dirs consumed
     directives.  Returns (directives, trace, outcome kind) per leaf."""
-    sem = sem or SPEC
+    sem = sem or Speculative()
     out: List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]] = []
 
     def rec(cfg, dirs, trace, fuel_left):
@@ -461,7 +461,7 @@ def check_spec_obs_equiv(
     """Bounded speculative observational equivalence: every directive
     sequence (up to the bound) both configurations can consume must produce
     equal traces on the consumed prefix."""
-    sem = Speculative({})
+    sem = Speculative()
     res = _joint_divergence(
         _Tree(sem, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
         _Tree(sem, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
@@ -539,7 +539,7 @@ def check_sct(
             message=f"vacuous: 0 public-equivalent pairs among {len(states)} states",
         )
     found = _first_divergent_pair(
-        Speculative({}), lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
+        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
     )
     if found is not None:
         return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
@@ -623,7 +623,7 @@ def check_relative_security(
             "passed the sequential premise",
         )
     found = _first_divergent_pair(
-        Speculative({}), lambda rho, mu: SpecConfig(hardened, rho, mu, False),
+        Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False),
         states, premised, bounds,
     )
     if found is not None:
@@ -709,7 +709,7 @@ def check_bcc(
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
     flag = _bcc_flag(rho, mu, flag_var)
-    return _bcc_run(sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
+    return _bcc_run(Speculative(), sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
 
 
 def check_bcc_space(
@@ -727,15 +727,17 @@ def check_bcc_space(
     """check_bcc over a space.  With ``dirs``, one run per state in
     enumeration order; otherwise ``trials`` runs, each from a state drawn
     at random and driven by a random walk of the hardened program (seeded
-    by ``seed``).  The hardened program and the ideal source are prepared
-    once, before any run.  Stops at the first failing run; the verdict
-    counts the runs as ``runs`` and holds the failure message."""
+    by ``seed``).  The hardened program, the ideal source and the
+    speculative semantics are prepared once, before any run, so every walk
+    and run shares one per-check table.  Stops at the first failing run;
+    the verdict counts the runs as ``runs`` and holds the failure message."""
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
+    spec = Speculative()
     if dirs is None:
         rng = random.Random(seed)
         states = list(enum_states(space))  # never empty: the empty space has one state
-        runs = (_random_bcc_run(rng, states, hardened, bounds) for _ in range(trials))
+        runs = (_random_bcc_run(rng, spec, states, hardened, bounds) for _ in range(trials))
     else:
         runs = ((rho, mu, dirs) for rho, mu in enum_states(space))
     vacuous = "vacuous: no run was checked"
@@ -743,16 +745,17 @@ def check_bcc_space(
     for rho, mu, run_dirs in runs:
         count += 1
         flag = _bcc_flag(rho, mu, flag_var)
-        ok, why = _bcc_run(sem, start, hardened, rho, mu, flag, run_dirs, bounds.fuel, flag_var)
+        ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, flag, run_dirs, bounds.fuel,
+                           flag_var)
         if not ok:
             return _counted("runs", count, [why], vacuous)
     return _counted("runs", count, [], vacuous)
 
 
-def _random_bcc_run(rng: random.Random, states, hardened: Com, bounds: Bounds):
+def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com, bounds: Bounds):
     rho, mu = states[rng.randrange(len(states))]
     walk = random_spec_walk(
-        rng, SpecConfig(hardened, rho, mu, False), bounds.max_dirs, bounds.fuel
+        rng, spec, SpecConfig(hardened, rho, mu, False), bounds.max_dirs, bounds.fuel
     )
     return rho, mu, walk
 
@@ -770,8 +773,8 @@ def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:
     return bool(b0)
 
 
-def _bcc_run(sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var) -> Tuple[bool, str]:
-    target = run(SPEC, SpecConfig(hardened, rho, mu, flag), dirs, fuel)
+def _bcc_run(spec, sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var) -> Tuple[bool, str]:
+    target = run(spec, SpecConfig(hardened, rho, mu, flag), dirs, fuel)
     if target.kind is RunKind.FUEL_EXHAUSTED:
         raise PreconditionError("fuel too small for the hardened run")
     used = list(dirs[: target.consumed])

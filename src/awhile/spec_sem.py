@@ -11,22 +11,31 @@ emitted observation still names the original array and index.
 
 Configurations are focused (refocusing, Danvy & Nielsen 2004): a
 ``SpecConfig`` holds the redex, which is never a sequence, and a stack of
-the commands still to run after it.  A step is one ``step_ex`` call that
-rewrites the redex or pops the stack, so it costs the same at any nesting
-depth.  The step count is that of the structural rules over ``Seq``:
-dropping a finished ``skip`` head is one silent step, and a ``while``
-unfolds to ``if b then (body; while) else skip`` in one silent step.
+the commands still to run after it.  A step rewrites the redex or pops the
+stack, so it costs the same at any nesting depth.  The step count is that
+of the structural rules over ``Seq``: dropping a finished ``skip`` head is
+one silent step, and a ``while`` unfolds to ``if b then (body; while) else
+skip`` in one silent step.
 
-``step_ex`` with no policy is the speculative semantics and computes no
-labels.  Under a hardening's masking policy and fixed labeling it is that
-hardening's ideal semantics (``ideal_sem``); the read and write rules are
-written once and also serve the flow-sensitive ideal semantics.  Every
-semantics is a value with ``step``, ``candidates`` and ``is_final``, and
-``advance``, ``run`` and ``feasible`` work over any of them.  ``advance``
-runs the silent steps up to the next observing redex and is the one place
-that decides where a run stops: terminated, stuck, or out of fuel.  A
-directive that no rule can consume leaves the configuration stuck;
-feasibility filtering belongs to the checker, not the semantics.
+The silent rules (assignment, dropping ``skip``, unfolding ``while``) are
+written once, in one loop, ``silent_steps``: it runs up to a given fuel of
+them on local variables and builds one configuration at the end
+(lightweight fusion, Danvy & Millikin 2008).  ``advance`` runs it with the
+whole fuel, and ``step_ex`` on a silent redex with a budget of 1.
+``step_ex`` holds the observing rules.  With no policy it is the
+speculative semantics and computes no labels.  Under a hardening's masking
+policy and fixed labeling it is that hardening's ideal semantics
+(``ideal_sem``); the read and write rules are written once and also serve
+the flow-sensitive ideal semantics.
+
+Every semantics is a value with ``step``, ``silent``, ``candidates`` and
+``is_final``, and a per-check ``table`` that holds each ``while``'s unfolded
+command and each expression's compiled closure (``lang.compiled``); every
+rule evaluates through it.  ``advance``, ``run`` and ``feasible`` work over
+any semantics.  The silent loop is the one place that decides where a run
+stops: terminated, or out of fuel.  A directive that no rule can consume
+leaves the configuration stuck; feasibility filtering belongs to the
+checker, not the semantics.
 
 A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``load_class`` classes loads by that
@@ -43,20 +52,21 @@ from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
-from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, eval_aexp, eval_bexp
+from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, compile_entry, compiled
 from .record import Record
 from .seq_sem import RunKind
 from .state import (
+    BRANCH_OBS,
     Dir,
     DForce,
     DLoad,
     DStep,
     DStore,
     FORCE,
-    OBranch,
     ORead,
     OWrite,
     Obs,
+    ScalarState,
     SpecConfig,
     STEP,
 )
@@ -89,26 +99,28 @@ NEED_DIR = StepResult(StepTag.NEED_DIR)
 # ---------------------------------------------------------------------------
 
 
-def read_rule(policy, li, lx, rho, mu, flag: bool, array: str, index, d: Dir):
+def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: Dir):
     """A read of ``array[index]`` under ``d``: (value, observed index, new
     flag), or None when no rule applies.  A policy decides from the labels
     of the index (li) and the target (lx) whether the index or the value is
-    masked to 0 and whether a load may be redirected."""
-    if isinstance(d, DStep):
+    masked to 0 and whether a load may be redirected.  The index evaluates
+    through the semantics' per-check ``table`` (``lang.compiled``)."""
+    cls = d.__class__
+    if cls is DStep:
         if policy is not None and policy.read_mask_index(flag, li, lx):
             i = 0
         else:
-            i = eval_aexp(rho, index)
+            i = compiled(table, index)(rho._m)
         if i >= mu.size(array):
             return None
         if policy is not None and policy.read_mask_value(flag, li, lx):
             return 0, i, flag
         return mu.get(array, i), i, flag
-    if isinstance(d, DLoad):
+    if cls is DLoad:
         # only while misspeculating, only for an out-of-bounds access
         if not flag or (policy is not None and not policy.read_force_ok(li, lx)):
             return None
-        i = eval_aexp(rho, index)
+        i = compiled(table, index)(rho._m)
         if i < mu.size(array) or d.index >= mu.size(d.array):
             return None
         if policy is not None and policy.read_force_mask_value(lx):
@@ -130,26 +142,27 @@ def load_class(cfg, d: DLoad):
     return vec[d.index] if d.index < len(vec) else None
 
 
-def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d: Dir):
+def write_rule(policy, li, le, table, rho, mu, flag: bool, array: str, index, value, d: Dir):
     """A write of ``value`` to ``array[index]`` under ``d``: (new arrays,
     observed index, new flag), or None when no rule applies.  A policy
     decides from the labels of the index (li) and the value (le) whether
     the index is masked to 0 and whether a store may be redirected."""
-    if isinstance(d, DStep):
+    cls = d.__class__
+    if cls is DStep:
         if policy is not None and policy.write_mask_index(flag, li, le):
             i = 0
         else:
-            i = eval_aexp(rho, index)
+            i = compiled(table, index)(rho._m)
         if i >= mu.size(array):
             return None
-        return mu.set(array, i, eval_aexp(rho, value)), i, flag
-    if isinstance(d, DStore):
+        return mu.set(array, i, compiled(table, value)(rho._m)), i, flag
+    if cls is DStore:
         if not flag or (policy is not None and not policy.write_force_ok(li, le)):
             return None
-        i = eval_aexp(rho, index)
+        i = compiled(table, index)(rho._m)
         if i < mu.size(array) or d.index >= mu.size(d.array):
             return None
-        return mu.set(d.array, d.index, eval_aexp(rho, value)), i, True
+        return mu.set(d.array, d.index, compiled(table, value)(rho._m)), i, True
     return None
 
 
@@ -158,52 +171,91 @@ def write_rule(policy, li, le, rho, mu, flag: bool, array: str, index, value, d:
 # ---------------------------------------------------------------------------
 
 
-def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) -> StepResult:
-    """Tagged step of the redex: silent rules ignore ``d`` and consume
-    nothing; observing rules require a matching directive.  ``d=None`` at
-    an observing redex reports NEED_DIR.  Without a policy this is the
-    speculative semantics; with one it is an ideal semantics over the fixed
-    labeling ``P``.  With a ``loops`` table, a ``while`` unfolds to the
-    same command object every time, so configurations that reach one loop
-    head by different paths have equal keys (``SpecConfig.key``)."""
-    c, k, rho, mu, flag = cfg.redex, cfg.k, cfg.rho, cfg.mu, cfg.flag
-    cls = c.__class__
-    if cls is Asgn:
-        rho2 = rho.set(c.name, eval_aexp(rho, c.expr))
-        return StepResult(STEPPED, SpecConfig(SKIP, rho2, mu, flag, k))
-    if cls is Skip:
-        if k is None:
-            return STUCK
-        # drop the finished head: the top of the stack runs next
-        return StepResult(STEPPED, SpecConfig(k[0], rho, mu, flag, k[1]))
-    if cls is While:
-        unfolded = None if loops is None else loops.get(id(c))
-        if unfolded is None:
-            unfolded = If(c.cond, Seq(c.body, c), SKIP)
-            if loops is not None:
+def silent_steps(sem, cfg: SpecConfig, fuel: int):
+    """Run the silent steps from ``cfg``, at most ``fuel`` of them, and
+    return (cfg, fuel_used, kind) as ``advance`` does.  The silent rules:
+    an assignment; dropping a finished ``skip`` head, so that the top of
+    the stack runs next; and unfolding a ``while`` to ``if b then (body;
+    while) else skip``, to the same command object every time (kept in
+    ``sem.table``), so that configurations that reach one loop head by
+    different paths have equal keys (``SpecConfig.key``).  The loop keeps
+    the redex, the stack and the scalar bindings in local variables and
+    builds one configuration at the end (lightweight fusion, Danvy &
+    Millikin 2008)."""
+    table = sem.table
+    c, k, m = cfg.redex, cfg.k, None
+    used, kind = 0, RunKind.FUEL_EXHAUSTED
+    while used < fuel:
+        cls = c.__class__
+        if cls is Asgn:
+            if m is None:
+                m = dict(cfg.rho._m)  # copied once, then updated in place
+            # compiled(), inlined
+            v = (table.get(id(c.expr)) or compile_entry(table, c.expr))[0](m)
+            if v:
+                m[c.name] = v
+            else:
+                m.pop(c.name, None)  # a zero binding equals the default
+            c = SKIP
+        elif cls is Skip:
+            if k is None:
+                kind = RunKind.TERMINATED
+                break
+            c, k = k
+            while c.__class__ is Seq:
+                k, c = (c.second, k), c.first
+        elif cls is While:
+            unfolded = table.get(id(c))
+            if unfolded is None:
                 # the unfolded command holds the loop, so the id stays valid
-                loops[id(c)] = unfolded
-        return StepResult(STEPPED, SpecConfig(unfolded, rho, mu, flag, k))
+                unfolded = table[id(c)] = If(c.cond, Seq(c.body, c), SKIP)
+            c = unfolded
+        else:
+            kind = None  # an observing redex
+            break
+        used += 1
+    if kind is RunKind.FUEL_EXHAUSTED and k is None and c.__class__ is Skip:
+        kind = RunKind.TERMINATED
+    if used:
+        rho = cfg.rho if m is None else ScalarState.adopt(m)
+        cfg = SpecConfig(c, rho, cfg.mu, cfg.flag, k)
+    return cfg, used, kind
+
+
+def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
+    """Tagged step of the redex under ``sem`` (``Speculative``, or a fixed
+    labeling's ideal semantics): a silent redex takes one step of
+    ``silent_steps`` and consumes nothing; observing rules require a
+    matching directive.  ``d=None`` at an observing redex reports NEED_DIR.
+    Without a policy (``sem.policy``) this is the speculative semantics;
+    with one it is an ideal semantics over the fixed labeling ``sem.P``.
+    Expressions evaluate through ``sem.table`` (``lang.compiled``)."""
+    c = cfg.redex
+    cls = c.__class__
+    if cls is Asgn or cls is Skip or cls is While:
+        cfg2, used, _ = silent_steps(sem, cfg, 1)
+        return StepResult(STEPPED, cfg2) if used else STUCK
     # the remaining commands observe
     if d is None:
         return NEED_DIR
+    k, rho, mu, flag, policy, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.policy, sem.table
     if cls is If:
-        taken = eval_bexp(rho, c.cond)
+        taken = (table.get(id(c.cond)) or compile_entry(table, c.cond))[0](rho._m)
         if policy is not None and flag and taken:
             # a secret condition reads as false while misspeculating
-            taken = label_of_expr(P, c.cond).is_public
+            taken = label_of_expr(sem.P, c.cond).is_public
         if d.__class__ is DStep:
             succ, flag2 = (c.then if taken else c.other), flag
         elif d.__class__ is DForce:
             succ, flag2 = (c.other if taken else c.then), True
         else:
             return STUCK
-        return StepResult(STEPPED, SpecConfig(succ, rho, mu, flag2, k), OBranch(taken), 1)
+        return StepResult(STEPPED, SpecConfig(succ, rho, mu, flag2, k), BRANCH_OBS[taken], 1)
     if cls is ARead:
         li = lx = None
         if policy is not None:
-            li, lx = label_of_expr(P, c.index), P.get(c.name)
-        r = read_rule(policy, li, lx, rho, mu, flag, c.array, c.index, d)
+            li, lx = label_of_expr(sem.P, c.index), sem.P.get(c.name)
+        r = read_rule(policy, li, lx, table, rho, mu, flag, c.array, c.index, d)
         if r is None:
             return STUCK
         v, i, flag2 = r
@@ -212,8 +264,8 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) 
     if cls is AWrite:
         li = le = None
         if policy is not None:
-            li, le = label_of_expr(P, c.index), label_of_expr(P, c.value)
-        r = write_rule(policy, li, le, rho, mu, flag, c.array, c.index, c.value, d)
+            li, le = label_of_expr(sem.P, c.index), label_of_expr(sem.P, c.value)
+        r = write_rule(policy, li, le, table, rho, mu, flag, c.array, c.index, c.value, d)
         if r is None:
             return STUCK
         mu2, i, flag2 = r
@@ -221,48 +273,52 @@ def step_ex(cfg: SpecConfig, d: Optional[Dir], policy=None, P=None, loops=None) 
     raise TypeError(f"not a command: {c!r}")
 
 
-def candidate_dirs(cfg, masked: bool) -> List[Dir]:
+def candidate_dirs(sem, cfg) -> List[Dir]:
     """Directives that could apply at the redex of ``cfg``, in dir_sort_key
     order; empty when the next step is silent.  A branch admits step and
     force.  An access admits step unless its index is out of bounds and the
-    semantics cannot mask it (``masked`` false), and, while misspeculating
-    with the real index out of bounds, one load/store per in-bounds cell of
-    every array."""
+    semantics cannot mask it (``sem.masked`` false), and, while
+    misspeculating with the real index out of bounds, one load/store per
+    in-bounds cell of every array."""
     redex = cfg.redex
-    if isinstance(redex, (If, AIf)):
+    cls = redex.__class__
+    if cls is If or cls is AIf:
         return [STEP, FORCE]
-    if not isinstance(redex, (ARead, AWrite, AARead, AAWrite)):
+    if cls is ARead or cls is AARead:
+        ctor = DLoad
+    elif cls is AWrite or cls is AAWrite:
+        ctor = DStore
+    else:
         return []
-    oob = eval_aexp(cfg.rho, redex.index) >= cfg.mu.size(redex.array)
-    dirs: List[Dir] = [STEP] if masked or not oob else []
+    oob = compiled(sem.table, redex.index)(cfg.rho._m) >= cfg.mu.size(redex.array)
+    dirs: List[Dir] = [STEP] if sem.masked or not oob else []
     if cfg.flag and oob:
-        ctor = DLoad if isinstance(redex, (ARead, AARead)) else DStore
         for name, vec in sorted(cfg.mu.items()):
             dirs.extend(ctor(name, j) for j in range(len(vec)))
     return dirs
 
 
 class Speculative:
-    """The speculative semantics: the stepper under no policy.  A value
-    made with a ``loops`` table (see ``step_ex``) keeps every program it
-    unfolds alive, so a check makes its own; ``SPEC`` has none."""
+    """The speculative semantics: the stepper under no policy, with a
+    per-check table of its own (``table``: the unfolded loops and the
+    compiled expressions).  The table keeps every program it has stepped
+    alive, so each check makes its own value."""
 
-    def __init__(self, loops: Optional[dict] = None):
-        self.loops = loops
+    policy = P = None
+    masked = False
+
+    def __init__(self):
+        self.table = {}
 
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
-        return step_ex(cfg, d, None, None, self.loops)
+        return step_ex(self, cfg, d)
 
-    @staticmethod
-    def candidates(cfg: SpecConfig) -> List[Dir]:
-        return candidate_dirs(cfg, False)
+    silent = silent_steps
+    candidates = candidate_dirs
 
     @staticmethod
     def is_final(cfg: SpecConfig) -> bool:
-        return cfg.k is None and isinstance(cfg.redex, Skip)
-
-
-SPEC = Speculative()
+        return cfg.k is None and cfg.redex.__class__ is Skip
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +339,12 @@ class Outcome(Record):
 
 
 def advance(sem, cfg, fuel: int):
-    """Run silent steps, at most ``fuel`` of them.  Returns (cfg,
-    fuel_used, kind): ``kind`` is None at an observing redex, which needs a
-    directive, and otherwise the RunKind the run stops with (terminated,
-    stuck, or out of fuel)."""
-    step, used = sem.step, 0
-    while used < fuel:
-        r = step(cfg, None)
-        if r.tag is not STEPPED:
-            if r.tag is StepTag.NEED_DIR:
-                return cfg, used, None
-            # a final configuration has no rule either
-            return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.STUCK
-        cfg = r.cfg
-        used += 1
-    return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.FUEL_EXHAUSTED
+    """Run silent steps, at most ``fuel`` of them, in the semantics' silent
+    loop (``sem.silent``).  Returns (cfg, fuel_used, kind): ``kind`` is
+    None at an observing redex, which needs a directive, and otherwise the
+    RunKind the run stops with (terminated, or out of fuel; a final
+    configuration has no rule either)."""
+    return sem.silent(cfg, fuel)
 
 
 def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:

@@ -31,6 +31,14 @@ class ScalarState:
     def get(self, name: str) -> int:
         return self._m.get(name, 0)
 
+    @staticmethod
+    def adopt(m: Dict[str, int]) -> "ScalarState":
+        """The state over the bindings ``m``, which hold no zero value.  The
+        state takes ``m`` over: nothing may change it afterwards."""
+        out = ScalarState.__new__(ScalarState)
+        out._m, out._f = m, None
+        return out
+
     def set(self, name: str, value: int) -> "ScalarState":
         m = dict(self._m)
         if value == 0:
@@ -137,6 +145,10 @@ class OBranch(Record):
         return f"branch {'true' if self.taken else 'false'}"
 
 
+# the branch observations, indexed by the condition's value
+BRANCH_OBS = (OBranch(False), OBranch(True))
+
+
 class ORead(Record):
     array: str
     index: int
@@ -192,11 +204,12 @@ def dir_sort_key(d: Dir):
     """Canonical ordering: step < force < loads < stores, loads and stores
     by (array, index).  Used for deterministic exploration and witness
     selection."""
-    if isinstance(d, DStep):
+    cls = d.__class__
+    if cls is DStep:
         return (0, "", 0)
-    if isinstance(d, DForce):
+    if cls is DForce:
         return (1, "", 0)
-    if isinstance(d, DLoad):
+    if cls is DLoad:
         return (2, d.array, d.index)
     return (3, d.array, d.index)
 

@@ -29,7 +29,7 @@ from awhile.seccheck import (
     transform,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, StepTag, feasible, run
+from awhile.spec_sem import Speculative, StepTag, feasible, run
 from awhile.state import (
     OBranch,
     ORead,
@@ -85,8 +85,8 @@ def test_criterion_2_example3_attack_and_repro():
         com = fx.program()
         s1, s2 = fx.pair()
         dirs = parse_dirs("force load a3 0 step")
-        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), dirs, 200)
-        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), dirs, 200)
+        r1 = run(Speculative(), SpecConfig(com, s1[0], s1[1], False), dirs, 200)
+        r2 = run(Speculative(), SpecConfig(com, s2[0], s2[1], False), dirs, 200)
         assert r1.trace[-1] == ORead("a2", 42)
         assert r2.trace[-1] == ORead("a2", 43)
         code, results = repro_listing(1)
@@ -172,7 +172,7 @@ def test_criterion_7_backwards_compiler_correctness():
                 hardened = transform(variant, com, P, PA)
                 flag = rho.get("b") == 1
                 walk = random_spec_walk(
-                    rng, SpecConfig(hardened, rho, mu, flag), 8, 4000
+                    rng, Speculative(), SpecConfig(hardened, rho, mu, flag), 8, 4000
                 )
                 ok, why = check_bcc(variant, com, P, PA, rho, mu, walk, 4000)
                 assert ok, (variant, why, pretty_com(com))
@@ -311,7 +311,7 @@ def test_criterion_11_erasure_and_sequential_transparency():
         for n in range(1000):
             com = gen_program(rng.randrange(10**9), 12, pools)
             base = seq_run(com, rho0, mu0, 500)
-            spec = run(SPEC, SpecConfig(com, rho0, mu0, False), [STEP] * 120, 500)
+            spec = run(Speculative(), SpecConfig(com, rho0, mu0, False), [STEP] * 120, 500)
             assert spec.trace == base.trace
             assert spec.final.rho == base.rho and spec.final.mu == base.mu
             P, PA = random_labeling(rng, pools)

@@ -790,8 +790,20 @@ def test_bcc_refuses_a_flag_variable_program_alike_in_both_modes(files, capsys, 
 @pytest.mark.parametrize("prop", ["sct", "relsec", "equality"])
 def test_check_refuses_a_flag_variable_program_alike(files, capsys, prop):
     p = files("p.aw", "b := 1\n")
-    assert main(["check", "--property", prop, "--variant", "fislh", p]) == 2
+    variant = [] if prop == "equality" else ["--variant", "fislh"]  # equality takes none
+    assert main(["check", "--property", prop, *variant, p]) == 2
     assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
+
+
+@pytest.mark.parametrize("prop", ["equality", "wl"])
+def test_variant_does_not_apply_to_equality_and_wl(files, capsys, prop):
+    p = files("p.aw", "if s = 0 then y := 1 end\n")
+    assert main(["check", "--property", prop, p]) == 0
+    capsys.readouterr()
+    for variant in ("none", "uslh", "fsfvslh"):
+        assert main(["check", "--property", prop, "--variant", variant, p]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --variant does not apply to --property {prop}\n")
 
 
 def test_check_wl_output(files, capsys, monkeypatch):

@@ -25,7 +25,7 @@ from awhile.seccheck import (
     enum_states,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, run
+from awhile.spec_sem import Speculative, run
 from awhile.state import SpecConfig, parse_state
 from awhile.fixtures import FIXTURES
 
@@ -209,7 +209,7 @@ def test_harden_fs_all_secret_matches_uslh_traces_on_fixtures():
                     SpecConfig(a, rho, mu, False), max_dirs=4, fuel=300
                 )
                 for dirs, trace, _kind in runs:
-                    other = run(SPEC, SpecConfig(b, rho, mu, False), dirs, 300)
+                    other = run(Speculative(), SpecConfig(b, rho, mu, False), dirs, 300)
                     n = min(len(trace), len(other.trace))
                     assert trace[:n] == other.trace[:n]
 

@@ -21,7 +21,7 @@ from awhile.seccheck import (
     transform,
 )
 from awhile.seq_sem import seq_run
-from awhile.spec_sem import StepTag, run
+from awhile.spec_sem import Speculative, StepTag, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -195,6 +195,7 @@ def test_bcc_randomized():
                 rho = rho.set("b", 1)
             hardened = transform(variant, com, P, PA)
             flag = rho.get("b") == 1
-            walk = random_spec_walk(rng, SpecConfig(hardened, rho, mu, flag), 8, 2000)
+            walk = random_spec_walk(rng, Speculative(), SpecConfig(hardened, rho, mu, flag), 8,
+                                    2000)
             ok, why = check_bcc(variant, com, P, PA, rho, mu, walk, 2000)
             assert ok, (variant, why, com)

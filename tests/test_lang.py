@@ -30,6 +30,7 @@ from awhile.lang import (
     pretty_bexp,
     pretty_com,
     arrays_of,
+    compiled,
     syntax_equal,
     syntax_repr,
     used_vars,
@@ -425,6 +426,65 @@ def test_truncation(e1, e2, env):
     rho = ScalarState(env)
     v1, v2 = eval_aexp(rho, e1), eval_aexp(rho, e2)
     assert eval_aexp(rho, BinOp("-", e1, e2)) == max(0, v1 - v2)
+
+
+# --- compiled evaluation ----------------------------------------------------
+
+
+def _assert_compiled_agrees(table, expr, rho):
+    oracle = eval_aexp if isinstance(expr, (Num, Var, BinOp, CTCond)) else eval_bexp
+    want, got = oracle(rho, expr), compiled(table, expr)(rho._m)
+    assert got == want and type(got) is type(want), (expr, rho)
+    assert table[id(expr)][1] is expr  # the entry keeps the expression alive
+
+
+@settings(max_examples=300)
+@given(aexps(), bexps(), st.dictionaries(st.sampled_from(["x", "y", "z"]), st.integers(0, 12)))
+def test_compiled_expressions_agree_with_the_evaluators(e, b, env):
+    # the steppers evaluate through compiled closures and seq_sem through
+    # the tree-walking evaluators; i is never bound, and zero bindings are
+    # dropped, so absent names must read as 0
+    rho, table = ScalarState(env), {}
+    for expr in (e, b):
+        _assert_compiled_agrees(table, expr, rho)
+
+
+@pytest.mark.parametrize("text", [
+    "x - 5", "5 - x", "x - y", "x * 3", "x * y", "x + 0", "q + 1", "q", "7",
+    "(x < 2 ? (y = 0 ? 8 : z - 1) : (q <> 0 ? 1 : 2))",
+])
+def test_compiled_arithmetic_on_sample_stores(text):
+    e = parse_aexp(text)
+    table = {}
+    for env in ({}, {"x": 3, "y": 0}, {"x": 1, "y": 7, "z": 4}, {"x": 9, "y": 2, "z": 0}):
+        _assert_compiled_agrees(table, e, ScalarState(env))
+    assert list(table) == [id(e)]  # one entry, compiled once
+
+
+@pytest.mark.parametrize("text", [
+    "!(x < 1) && (y = 2 || z <> 3)", "!(q = 0)", "x <= y || true", "false && x = x",
+    "!(!(x < y))", "(x < 2 ? 1 : 0) = y",
+])
+def test_compiled_conditions_on_sample_stores(text):
+    b = parse_bexp(text)
+    table = {}
+    for env in ({}, {"x": 3, "y": 2}, {"x": 0, "y": 2, "z": 3}, {"y": 5, "z": 1}):
+        _assert_compiled_agrees(table, b, ScalarState(env))
+
+
+def test_compiling_a_long_expression_does_not_recurse():
+    # a left-deep sum parses in a loop; compiling it nests no call per
+    # operator, so it evaluates as deep as the tree-walking evaluator does
+    e = parse_aexp(" + ".join(["x"] * 800))
+    assert compiled({}, e)({"x": 2}) == eval_aexp(ScalarState({"x": 2}), e) == 1600
+
+
+def test_expressions_compile_on_first_evaluation():
+    e = parse_aexp("x + 1")
+    table = {}
+    f = compiled(table, e)
+    assert compiled(table, e) is f and len(table) == 1
+    assert f({"x": 4}) == 5 and f({}) == 1
 
 
 # --- used_vars --------------------------------------------------------------

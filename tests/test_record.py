@@ -106,11 +106,11 @@ def test_the_loop_table_is_no_field():
 
     P = all_public(["x"])
     a, b = IdealFiSLH(P, P), IdealFiSLH(P, P)
-    a.loops[1] = "unfolded"
+    a.table[1] = "unfolded"
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == f"IdealFiSLH(P={P!r}, PA={P!r})"
-    assert a.loops is not b.loops and b.loops == {}
+    assert a.table is not b.table and b.table == {}
     with pytest.raises(AttributeError):
-        a.loops = {}
+        a.table = {}
 
 
 def _run_python(code: str) -> str:

@@ -36,7 +36,7 @@ from awhile.seccheck import (
     _Tree,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, Speculative, StepTag, advance, feasible, load_class, run
+from awhile.spec_sem import Speculative, StepTag, advance, feasible, load_class, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -185,8 +185,8 @@ def test_spec_equiv_witness_replays():
     com = LISTING1.program()
     s1, s2 = FIXTURES[1].pair()
     w = check_spec_obs_equiv(com, s1, com, s2).witness
-    r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), list(w.dirs), 200)
-    r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), list(w.dirs), 200)
+    r1 = run(Speculative(), SpecConfig(com, s1[0], s1[1], False), list(w.dirs), 200)
+    r2 = run(Speculative(), SpecConfig(com, s2[0], s2[1], False), list(w.dirs), 200)
     assert r1.trace == w.trace1 and r2.trace == w.trace2
     assert w.trace1[w.divergence_index] != w.trace2[w.divergence_index]
 
@@ -452,8 +452,8 @@ def test_spec_equiv_agrees_with_leaf_reference():
         w = v.witness
         assert w.dirs == first
         assert w.divergence_index == len(w.dirs) - 1
-        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], flag), list(w.dirs), 150)
-        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], flag), list(w.dirs), 150)
+        r1 = run(Speculative(), SpecConfig(com, s1[0], s1[1], flag), list(w.dirs), 150)
+        r2 = run(Speculative(), SpecConfig(com, s2[0], s2[1], flag), list(w.dirs), 150)
         assert (r1.trace, r2.trace) == (w.trace1, w.trace2)
         i = w.divergence_index
         assert w.trace1[:i] == w.trace2[:i] and w.trace1[i] != w.trace2[i]
@@ -498,9 +498,9 @@ def _dag_leaves(tree):
 
 
 def _assert_dag_matches_runs(cfg, max_dirs, fuel):
-    tree = _Tree(Speculative({}), cfg, fuel, max_dirs)
+    tree = _Tree(Speculative(), cfg, fuel, max_dirs)
     leaves, inner = _dag_leaves(tree)
-    want = [(d, t) for d, t, _ in enum_spec_runs(cfg, SPEC, max_dirs, fuel)]
+    want = [(d, t) for d, t, _ in enum_spec_runs(cfg, Speculative(), max_dirs, fuel)]
     assert leaves == want
     return inner, len(tree.nodes)
 
@@ -585,7 +585,7 @@ def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
 def test_tree_steps_one_load_per_class_like_every_candidate():
     rng = random.Random(41)
     semantics = {
-        "spec": lambda P, PA: Speculative({}),
+        "spec": lambda P, PA: Speculative(),
         "fislh": IdealFiSLH,
         "fvslh": IdealFvSLH,
         "fsfvslh": None,
@@ -960,6 +960,6 @@ def test_step_only_spec_equiv_agrees_with_seq_equiv():
         s1 = random_state(rng, pools)
         s2 = random_state(rng, pools)
         seq_verdict = check_seq_obs_equiv(com, s1, s2, 400)
-        r1 = run(SPEC, SpecConfig(com, s1[0], s1[1], False), [STEP] * 50, 400)
-        r2 = run(SPEC, SpecConfig(com, s2[0], s2[1], False), [STEP] * 50, 400)
+        r1 = run(Speculative(), SpecConfig(com, s1[0], s1[1], False), [STEP] * 50, 400)
+        r2 = run(Speculative(), SpecConfig(com, s2[0], s2[1], False), [STEP] * 50, 400)
         assert prefix_of(r1.trace, r2.trace) == seq_verdict.holds

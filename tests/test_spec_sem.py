@@ -9,7 +9,7 @@ from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC
 from awhile.lang import ARead, If, Num, parse_com, syntax_equal
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import SPEC, StepTag, feasible, run, step_ex
+from awhile.spec_sem import Speculative, StepTag, advance, feasible, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -37,7 +37,7 @@ def _ex3(a3_value):
 
 def test_force_takes_untaken_branch_and_sets_flag():
     cfg = _ex3(42)
-    res = step_ex(cfg, FORCE)
+    res = Speculative().step(cfg, FORCE)
     assert res.tag is StepTag.STEPPED
     cfg2, obs, consumed = res.cfg, res.obs, res.consumed
     assert obs == OBranch(False)  # the observation reports the real outcome
@@ -48,9 +48,9 @@ def test_force_takes_untaken_branch_and_sets_flag():
 
 def test_forced_oob_read_loads_attacker_choice():
     cfg = _ex3(42)
-    cfg = step_ex(cfg, FORCE).cfg
+    cfg = Speculative().step(cfg, FORCE).cfg
     # the forced branch's first read is now the redex; redirect it
-    res = step_ex(cfg, DLoad("a3", 0))
+    res = Speculative().step(cfg, DLoad("a3", 0))
     assert res.tag is StepTag.STEPPED
     cfg2, obs, consumed = res.cfg, res.obs, res.consumed
     assert obs == ORead("a1", 4)  # original array and index observed
@@ -61,23 +61,23 @@ def test_forced_oob_read_loads_attacker_choice():
 def test_inbounds_read_rejects_force_style_directives():
     com = ARead("x", "a1", Num(0))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), True)
-    assert step_ex(cfg, FORCE).tag is StepTag.STUCK
-    assert step_ex(cfg, DLoad("a1", 0)).tag is StepTag.STUCK  # in-bounds: only step fits
-    assert step_ex(cfg, STEP).tag is StepTag.STEPPED
+    assert Speculative().step(cfg, FORCE).tag is StepTag.STUCK
+    assert Speculative().step(cfg, DLoad("a1", 0)).tag is StepTag.STUCK  # in-bounds: only step fits
+    assert Speculative().step(cfg, STEP).tag is StepTag.STEPPED
 
 
 def test_load_gated_on_misspeculation_flag():
     com = ARead("x", "a1", Num(9))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), False)
-    assert step_ex(cfg, DLoad("a1", 0)).tag is StepTag.STUCK
+    assert Speculative().step(cfg, DLoad("a1", 0)).tag is StepTag.STUCK
     cfg_t = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), True)
-    assert step_ex(cfg_t, DLoad("a1", 0)).tag is StepTag.STEPPED
+    assert Speculative().step(cfg_t, DLoad("a1", 0)).tag is StepTag.STEPPED
 
 
 def test_example3_attack_traces():
     dirs = parse_dirs("force load a3 0 step")
-    out1 = run(SPEC, _ex3(42), dirs, 100)
-    out2 = run(SPEC, _ex3(43), dirs, 100)
+    out1 = run(Speculative(), _ex3(42), dirs, 100)
+    out2 = run(Speculative(), _ex3(43), dirs, 100)
     assert out1.kind is RunKind.TERMINATED and out2.kind is RunKind.TERMINATED
     assert out1.trace == (OBranch(False), ORead("a1", 4), ORead("a2", 42))
     assert out2.trace == (OBranch(False), ORead("a1", 4), ORead("a2", 43))
@@ -92,7 +92,7 @@ def test_flag_monotone_and_consumed_equals_trace():
     trace = []
     while True:
         nxt = dirs[consumed] if consumed < len(dirs) else None
-        r = step_ex(cfg, nxt)
+        r = Speculative().step(cfg, nxt)
         if r.tag is not StepTag.STEPPED:
             break
         if cfg.flag:
@@ -108,9 +108,9 @@ def test_flag_monotone_and_consumed_equals_trace():
 
 def test_feasible_dirs_at_branch_and_at_oob_read():
     cfg = _ex3(42)
-    assert feasible(SPEC, cfg) == [STEP, FORCE]
-    cfg = step_ex(cfg, FORCE).cfg
-    feas = feasible(SPEC, cfg)
+    assert feasible(Speculative(), cfg) == [STEP, FORCE]
+    cfg = Speculative().step(cfg, FORCE).cfg
+    feas = feasible(Speculative(), cfg)
     # out-of-bounds read while misspeculating: one load per cell of each array
     assert feas == (
         [DLoad("a1", j) for j in range(4)]
@@ -120,23 +120,23 @@ def test_feasible_dirs_at_branch_and_at_oob_read():
 
 
 def test_directives_exhausted_vs_stuck():
-    out = run(SPEC, _ex3(42), [], 100)
+    out = run(Speculative(), _ex3(42), [], 100)
     assert out.kind is RunKind.DIRS_EXHAUSTED
     # an out-of-bounds read without the flag has no feasible directive at all
     com = ARead("x", "a1", Num(9))
     cfg = SpecConfig(com, ScalarState(), ArrayState({"a1": (5,)}), False)
-    assert run(SPEC, cfg, [], 100).kind is RunKind.STUCK
-    assert run(SPEC, cfg, [STEP], 100).kind is RunKind.STUCK
+    assert run(Speculative(), cfg, [], 100).kind is RunKind.STUCK
+    assert run(Speculative(), cfg, [STEP], 100).kind is RunKind.STUCK
     # a directive no rule consumes at a branch stops the run there
-    out = run(SPEC, _ex3(42), [DLoad("a1", 0)], 100)
+    out = run(Speculative(), _ex3(42), [DLoad("a1", 0)], 100)
     assert (out.kind, out.consumed, out.final.redex) == (RunKind.STUCK, 0, LISTING1)
     # fuel runs out exactly at a branch, after the assignment and the
     # dropping of its finished head; one more unit takes the branch
     cfg = SpecConfig(parse_com("x := 1; if x < 2 then skip end"), ScalarState(),
                      ArrayState(), False)
-    out = run(SPEC, cfg, [STEP], 2)
+    out = run(Speculative(), cfg, [STEP], 2)
     assert (out.kind, out.consumed, type(out.final.redex)) == (RunKind.FUEL_EXHAUSTED, 0, If)
-    assert run(SPEC, cfg, [STEP], 3).kind is RunKind.TERMINATED
+    assert run(Speculative(), cfg, [STEP], 3).kind is RunKind.TERMINATED
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,7 +145,7 @@ def test_erasure_step_only_runs_equal_sequential(seed):
     com = gen_program(seed, 12)
     rho, mu = parse_state("x = 1\ny = 2\ni = 0\nk = 1\na = [1,2]\nc = [3]")
     seq = seq_run(com, rho, mu, 400)
-    spec = run(SPEC, SpecConfig(com, rho, mu, False), [STEP] * 100, 400)
+    spec = run(Speculative(), SpecConfig(com, rho, mu, False), [STEP] * 100, 400)
     assert spec.trace == seq.trace
     assert spec.final.rho == seq.rho
     assert spec.final.mu == seq.mu
@@ -158,15 +158,20 @@ def test_step_accounting_matches_sequential_at_every_fuel():
     # where the sequential oracle does, in the same state and command
     rng = random.Random(2024)
     pools = NamePools()
-    for _ in range(60):
-        com = gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
+    # a silent stretch of 16 steps before the first observation, with zero
+    # and nonzero assignments
+    straight = parse_com("x := 1; y := x + 1; z := y * 2; x := z - 9; y := 0; i := x; "
+                         "k := 0; while k < 2 do k := k + 1 end; a[y] <- x")
+    programs = [straight] + [gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
+                           for _ in range(60)]
+    for com in programs:
         P, PA = random_labeling(rng, pools)
         rho, mu = random_state(rng, pools, max_array_size=4)
         acom, _ = flow_track(com, P, PA, PUBLIC)
         for fuel in range(61):
             seq = seq_run(com, rho, mu, fuel)
             for sem, cfg in (
-                (SPEC, SpecConfig(com, rho, mu, False)),
+                (Speculative(), SpecConfig(com, rho, mu, False)),
                 (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, False)),
                 (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, False)),
                 (IdealFS(), FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)),
@@ -179,6 +184,64 @@ def test_step_accounting_matches_sequential_at_every_fuel():
                 final = out.final
                 com_left = erase_acom(final.acom) if isinstance(final, FsIdealConfig) else final.com
                 assert syntax_equal(com_left, seq.com)
+
+
+def _advance_stepwise(sem, cfg, fuel):
+    """``advance`` as one ``sem.step(cfg, None)`` call per silent step."""
+    used = 0
+    while used < fuel:
+        r = sem.step(cfg, None)
+        if r.tag is not StepTag.STEPPED:
+            if r.tag is StepTag.NEED_DIR:
+                return cfg, used, None
+            return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.STUCK
+        assert r.obs is None and r.consumed == 0
+        cfg, used = r.cfg, used + 1
+    return cfg, used, RunKind.TERMINATED if sem.is_final(cfg) else RunKind.FUEL_EXHAUSTED
+
+
+def _command_of(cfg):
+    return erase_acom(cfg.acom) if isinstance(cfg, FsIdealConfig) else cfg.com
+
+
+def test_silent_loop_matches_single_steps_at_every_fuel():
+    # the silent loop runs many steps on local variables and builds one
+    # configuration; cut off at any fuel, it must stop where single steps
+    # do, with the same kind, key (stores, flag, pc and labelings included)
+    # and command, from every observing redex a random run reaches
+    rng = random.Random(515)
+    pools = NamePools()
+    kinds = set()
+    # a silent stretch of 16 steps before the first observation, with zero
+    # and nonzero assignments
+    straight = parse_com("x := 1; y := x + 1; z := y * 2; x := z - 9; y := 0; i := x; "
+                         "k := 0; while k < 2 do k := k + 1 end; a[y] <- x")
+    programs = [straight] + [gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
+                           for _ in range(60)]
+    for com in programs:
+        P, PA = random_labeling(rng, pools)
+        rho, mu = random_state(rng, pools, max_array_size=3)
+        flag = rng.random() < 0.3
+        acom, _ = flow_track(com, P, PA, PUBLIC)
+        for sem, cfg in (
+            (Speculative(), SpecConfig(com, rho, mu, flag)),
+            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
+        ):
+            for _ in range(12):
+                for fuel in range(40):
+                    got, want = advance(sem, cfg, fuel), _advance_stepwise(sem, cfg, fuel)
+                    assert got[1:] == want[1:], (sem, fuel)
+                    assert got[0].key() == want[0].key()
+                    assert syntax_equal(_command_of(got[0]), _command_of(want[0]))
+                    kinds.add(got[2])
+                cfg, _, kind = advance(sem, cfg, 400)
+                feas = feasible(sem, cfg) if kind is None else []
+                if not feas:
+                    break
+                cfg = sem.step(cfg, rng.choice(feas)).cfg
+    assert kinds == {None, RunKind.TERMINATED, RunKind.FUEL_EXHAUSTED}
 
 
 def _directive_universe(mu):
@@ -203,7 +266,7 @@ def test_candidates_are_ordered_and_cover_every_stepping_directive():
         flag = bool(rng.getrandbits(1))
         acom, _ = flow_track(com, P, PA, PUBLIC)
         for sem, cfg in (
-            (SPEC, SpecConfig(com, rho, mu, flag)),
+            (Speculative(), SpecConfig(com, rho, mu, flag)),
             (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, flag)),
             (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, flag)),
             (IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
