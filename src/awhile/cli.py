@@ -53,7 +53,7 @@ from .seccheck import (
 )
 from .gen import gen_program
 from .spec_sem import STEPPED, Speculative, advance, feasible, run
-from .seq_sem import RunKind, seq_run
+from .seq_sem import seq_run
 from .state import (
     SpecConfig,
     StateFormatError,
@@ -274,8 +274,6 @@ def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
         cfg, used, kind = advance(sem, cfg, fuel)
         fuel -= used
         if kind is not None:
-            if kind is RunKind.STUCK:
-                print("stuck")
             break
         feas = feasible(sem, cfg)
         if not feas:

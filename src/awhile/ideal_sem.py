@@ -42,7 +42,7 @@ from .flow_ifc import (
     AWhileC,
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
-from .lang import compile_entry
+from .lang import compiled
 from .record import Record
 from .seq_sem import RunKind
 from .spec_sem import (
@@ -122,7 +122,7 @@ class _FixedLabeling(Record):
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         return step_ex(self, cfg, d)
 
-    silent = silent_steps
+    _silent = silent_steps
     candidates = candidate_dirs
     is_final = staticmethod(Speculative.is_final)
 
@@ -194,8 +194,7 @@ def _silent_fs(sem, cfg: FsIdealConfig, fuel: int):
         if cls is AAsgn:
             if m is None:
                 m = dict(cfg.rho._m)  # copied once, then updated in place
-            # compiled(), inlined
-            v = (table.get(id(a.expr)) or compile_entry(table, a.expr))[0](m)
+            v = compiled(table, a.expr)(m)
             if v:
                 m[a.name] = v
             else:
@@ -251,7 +250,7 @@ def _step_fs(sem, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
     k, rho, mu, flag, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.table
     pc, P, PA = cfg.pc, cfg.P, cfg.PA
     if cls is AIf:
-        taken = (table.get(id(a.cond)) or compile_entry(table, a.cond))[0](rho._m)
+        taken = compiled(table, a.cond)(rho._m)
         if flag and taken:
             taken = a.lbl.is_public  # a secret condition reads as false
         if d.__class__ is DStep:
@@ -297,7 +296,7 @@ class IdealFS:
     def step(self, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
         return _step_fs(self, cfg, d)
 
-    silent = _silent_fs
+    _silent = _silent_fs
     candidates = candidate_dirs
 
     @staticmethod

@@ -202,15 +202,11 @@ def compiled(table: dict, e):
     its first evaluation (closure generation, Feeley & Lapalme 1987), and
     its entry holds it, so the id stays valid while the table lives.  The
     closures agree with ``eval_aexp`` and ``eval_bexp``, which ``seq_sem``
-    keeps as the independent, tree-walking oracle.  The steppers' hot
-    loops inline it."""
-    return (table.get(id(e)) or compile_entry(table, e))[0]
-
-
-def compile_entry(table: dict, e):
-    """Compile ``e`` into ``table``: its entry, (closure, ``e``)."""
-    entry = table[id(e)] = (_compile(e), e)
-    return entry
+    keeps as the independent, tree-walking oracle."""
+    entry = table.get(id(e))
+    if entry is None:
+        entry = table[id(e)] = (_compile(e), e)
+    return entry[0]
 
 
 def _compile(e):

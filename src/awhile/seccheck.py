@@ -987,13 +987,16 @@ def check_wl_preservation(
     mu: ArrayState,
     flag: bool,
     d: Optional[Dir],
+    sem: Optional[IdealFS] = None,
 ) -> Tuple[bool, str]:
     """One flow-sensitive ideal step from a well-labeled configuration must
-    leave a configuration well-labeled against the same final labeling."""
+    leave a configuration well-labeled against the same final labeling.
+    The step is taken under ``sem``, the caller's ``IdealFS`` whose
+    per-check table a whole check shares, or a fresh one."""
     if not well_labeled(acom, initial, pc, final):
         raise PreconditionError("initial configuration not well-labeled")
     cfg = FsIdealConfig(acom, rho, mu, flag, pc, initial.vars, initial.arrs)
-    r = IdealFS().step(cfg, d)
+    r = (sem or IdealFS()).step(cfg, d)
     if r.tag is not StepTag.STEPPED:
         return True, "vacuous: no step"
     n = r.cfg
@@ -1030,7 +1033,7 @@ def check_wl(
             d = rng.choice(feas) if feas else None
             ok, why = check_wl_preservation(
                 cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
-                cfg.rho, cfg.mu, cfg.flag, d,
+                cfg.rho, cfg.mu, cfg.flag, d, fs,
             )
             checked += 1
             if not ok:

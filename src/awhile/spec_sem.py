@@ -28,10 +28,11 @@ policy and fixed labeling it is that hardening's ideal semantics
 (``ideal_sem``); the read and write rules are written once and also serve
 the flow-sensitive ideal semantics.
 
-Every semantics is a value with ``step``, ``silent``, ``candidates`` and
-``is_final``, and a per-check ``table`` that holds each ``while``'s unfolded
-command and each expression's compiled closure (``lang.compiled``); every
-rule evaluates through it.  ``advance``, ``run`` and ``feasible`` work over
+Every semantics is a value with ``step``, ``candidates`` and ``is_final``,
+its silent loop as ``_silent`` (called by ``advance`` alone), and a
+per-check ``table`` that holds each ``while``'s unfolded command and each
+expression's compiled closure (``lang.compiled``); every rule evaluates
+through it.  ``advance``, ``run`` and ``feasible`` work over
 any semantics.  The silent loop is the one place that decides where a run
 stops: terminated, or out of fuel.  A directive that no rule can consume
 leaves the configuration stuck; feasibility filtering belongs to the
@@ -52,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
-from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, compile_entry, compiled
+from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, compiled
 from .record import Record
 from .seq_sem import RunKind
 from .state import (
@@ -190,8 +191,7 @@ def silent_steps(sem, cfg: SpecConfig, fuel: int):
         if cls is Asgn:
             if m is None:
                 m = dict(cfg.rho._m)  # copied once, then updated in place
-            # compiled(), inlined
-            v = (table.get(id(c.expr)) or compile_entry(table, c.expr))[0](m)
+            v = compiled(table, c.expr)(m)
             if v:
                 m[c.name] = v
             else:
@@ -240,7 +240,7 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         return NEED_DIR
     k, rho, mu, flag, policy, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.policy, sem.table
     if cls is If:
-        taken = (table.get(id(c.cond)) or compile_entry(table, c.cond))[0](rho._m)
+        taken = compiled(table, c.cond)(rho._m)
         if policy is not None and flag and taken:
             # a secret condition reads as false while misspeculating
             taken = label_of_expr(sem.P, c.cond).is_public
@@ -313,7 +313,7 @@ class Speculative:
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         return step_ex(self, cfg, d)
 
-    silent = silent_steps
+    _silent = silent_steps
     candidates = candidate_dirs
 
     @staticmethod
@@ -340,11 +340,11 @@ class Outcome(Record):
 
 def advance(sem, cfg, fuel: int):
     """Run silent steps, at most ``fuel`` of them, in the semantics' silent
-    loop (``sem.silent``).  Returns (cfg, fuel_used, kind): ``kind`` is
+    loop (``sem._silent``).  Returns (cfg, fuel_used, kind): ``kind`` is
     None at an observing redex, which needs a directive, and otherwise the
     RunKind the run stops with (terminated, or out of fuel; a final
     configuration has no rule either)."""
-    return sem.silent(cfg, fuel)
+    return sem._silent(cfg, fuel)
 
 
 def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:

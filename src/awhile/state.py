@@ -45,9 +45,7 @@ class ScalarState:
             m.pop(name, None)
         else:
             m[name] = value
-        out = ScalarState.__new__(ScalarState)
-        out._m, out._f = m, None
-        return out
+        return ScalarState.adopt(m)
 
     def names(self) -> frozenset:
         return frozenset(self._m)

@@ -859,6 +859,27 @@ def test_wl_preservation_single_steps():
     assert ok, why
 
 
+def test_check_wl_steps_under_one_semantics(monkeypatch):
+    # every step a wl check checks is taken under the check's one IdealFS,
+    # so each expression is compiled once per check, not once per step
+    import awhile.seccheck as seccheck
+
+    made = []
+
+    class CountedIdealFS(IdealFS):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(seccheck, "IdealFS", CountedIdealFS)
+    com = parse_com("x := 1; while x < 3 do x := x + 1; y <- a[x] end")
+    lab = parse_labeling("x: public\ny: public\na: public")
+    space = parse_space("x in {0}\na : size 2 in {0,1}")
+    v = check_wl(com, lab, lab, space, Bounds(4, 200), seed=1)
+    assert v.holds and dict(v.facts)["checked"] > 8
+    assert len(made) == 1
+
+
 def test_wl_preservation_requires_well_labeled_start():
     from awhile.flow_ifc import AARead
     from awhile.lang import Var

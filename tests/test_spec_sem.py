@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from awhile.flow_ifc import erase_acom, flow_track
 from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
-from awhile.ifc_static import PUBLIC
+from awhile.ifc_static import PUBLIC, LabelMap
 from awhile.lang import ARead, If, Num, parse_com, syntax_equal
 from awhile.seq_sem import RunKind, seq_run
 from awhile.spec_sem import Speculative, StepTag, advance, feasible, run
@@ -158,13 +158,8 @@ def test_step_accounting_matches_sequential_at_every_fuel():
     # where the sequential oracle does, in the same state and command
     rng = random.Random(2024)
     pools = NamePools()
-    # a silent stretch of 16 steps before the first observation, with zero
-    # and nonzero assignments
-    straight = parse_com("x := 1; y := x + 1; z := y * 2; x := z - 9; y := 0; i := x; "
-                         "k := 0; while k < 2 do k := k + 1 end; a[y] <- x")
-    programs = [straight] + [gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
-                           for _ in range(60)]
-    for com in programs:
+    for _ in range(60):
+        com = gen_program(rng.randrange(10**9), rng.randrange(10, 40), pools)
         P, PA = random_labeling(rng, pools)
         rho, mu = random_state(rng, pools, max_array_size=4)
         acom, _ = flow_track(com, P, PA, PUBLIC)
@@ -184,6 +179,32 @@ def test_step_accounting_matches_sequential_at_every_fuel():
                 final = out.final
                 com_left = erase_acom(final.acom) if isinstance(final, FsIdealConfig) else final.com
                 assert syntax_equal(com_left, seq.com)
+
+
+def test_step_accounting_matches_sequential_on_a_long_silent_stretch():
+    # the silent loop runs the 15 steps before the first observation, with
+    # zero and nonzero assignments, in one call; cut off at any fuel, every
+    # semantics stops where the sequential oracle does, up to termination
+    com = parse_com("x := 1; y := x + 1; z := y * 2; x := z - 9; y := 0; i := x; "
+                    "k := 0; while k < 2 do k := k + 1 end; a[y] <- x")
+    rho, mu = parse_state("x = 3\nz = 1\na = [0,0]")
+    P, PA = LabelMap({"x": PUBLIC, "k": PUBLIC}), LabelMap({"a": PUBLIC})
+    acom, _ = flow_track(com, P, PA, PUBLIC)
+    for fuel in range(30):
+        seq = seq_run(com, rho, mu, fuel)
+        for sem, cfg in (
+            (Speculative(), SpecConfig(com, rho, mu, False)),
+            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, False)),
+            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, False)),
+            (IdealFS(), FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)),
+        ):
+            out = run(sem, cfg, [STEP] * 4, fuel)
+            assert out.kind is seq.kind, (sem, fuel)
+            assert out.trace == seq.trace
+            assert out.final.rho == seq.rho and out.final.mu == seq.mu
+            final = out.final
+            com_left = erase_acom(final.acom) if isinstance(final, FsIdealConfig) else final.com
+            assert syntax_equal(com_left, seq.com)
 
 
 def _advance_stepwise(sem, cfg, fuel):
@@ -212,7 +233,7 @@ def test_silent_loop_matches_single_steps_at_every_fuel():
     rng = random.Random(515)
     pools = NamePools()
     kinds = set()
-    # a silent stretch of 16 steps before the first observation, with zero
+    # a silent stretch of 15 steps before the first observation, with zero
     # and nonzero assignments
     straight = parse_com("x := 1; y := x + 1; z := y * 2; x := z - 9; y := 0; i := x; "
                          "k := 0; while k < 2 do k := k + 1 end; a[y] <- x")
