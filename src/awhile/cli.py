@@ -57,6 +57,7 @@ from .seq_sem import seq_run
 from .state import (
     SpecConfig,
     StateFormatError,
+    format_dirs,
     format_state,
     format_trace,
     parse_dirs,
@@ -161,7 +162,7 @@ def _verdict_payload(v: Verdict) -> dict:
         out["witness"] = {
             "state1": format_state(*w.s1),
             "state2": format_state(*w.s2),
-            "dirs": " ".join(str(d) for d in w.dirs),
+            "dirs": format_dirs(w.dirs),
             "trace1": [str(o) for o in w.trace1],
             "trace2": [str(o) for o in w.trace2],
             "divergence_index": w.divergence_index,
@@ -185,7 +186,7 @@ def _verdict_lines(v: Verdict) -> List[str]:
         lines += [str(v.status)] + message
     if v.witness is not None:
         w = v.witness
-        lines.append("directives: " + " ".join(str(d) for d in w.dirs))
+        lines.append("directives: " + format_dirs(w.dirs))
         lines.append("trace 1: " + "; ".join(str(o) for o in w.trace1))
         lines.append("trace 2: " + "; ".join(str(o) for o in w.trace2))
         lines.append(f"diverges at observation {w.divergence_index + 1}")
@@ -321,6 +322,16 @@ _IDEAL_VARIANTS = {"ideal-fislh": "fislh", "ideal-fvslh": "fvslh", "ideal-fs": "
 
 
 def cmd_run(args) -> int:
+    # a flag this run would ignore is refused, not dropped
+    if args.interactive and args.sem != "spec":
+        raise CliError("--interactive requires --sem spec")
+    if args.dirs is not None and (args.interactive or args.sem == "seq"):
+        where = "--interactive" if args.interactive else "--sem seq"
+        raise CliError(f"--dirs does not apply to {where}")
+    if args.interactive and args.format == "json":
+        raise CliError("--format json does not apply to --interactive")
+    if args.labels is not None and args.sem in ("seq", "spec"):
+        raise CliError(f"--labels does not apply to --sem {args.sem}")
     com = _load_program(args.program)
     rho, mu, warnings = (
         parse_state_full(_read_input(args.state)) if args.state else parse_state_full("")
@@ -332,8 +343,6 @@ def cmd_run(args) -> int:
     labels = _load_labels(args.labels)
 
     if args.interactive:
-        if args.sem != "spec":
-            raise CliError("--interactive requires --sem spec")
         return _run_interactive(SpecConfig(com, rho, mu, False), fuel)
 
     if args.sem == "seq":

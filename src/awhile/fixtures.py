@@ -231,18 +231,14 @@ def repro_listing(
 
     if number == 1:
         s1, s2 = fx.pair()
-        v = check_spec_obs_equiv(
-            fx.program(), s1, fx.program(), s2, False, bounds.max_dirs, bounds.fuel
-        )
+        v = check_spec_obs_equiv(fx.program(), s1, s2, False, bounds.max_dirs, bounds.fuel)
         results = [("speculative observational equivalence (unprotected)", v)]
     elif number == 2:
         src = FIXTURES[1]
         s1, s2 = src.pair()
         lab = src.labeling()
         hardened = harden(ISLH, src.program(), lab, lab)
-        v = check_spec_obs_equiv(
-            hardened, s1, hardened, s2, False, max(bounds.max_dirs, 10), bounds.fuel
-        )
+        v = check_spec_obs_equiv(hardened, s1, s2, False, max(bounds.max_dirs, 10), bounds.fuel)
         results = [("speculative observational equivalence (iSLH-protected)", v)]
     elif number == 3:
         lab, space = fx.labeling(), fx.space()

@@ -28,8 +28,9 @@ Workshop 2006), so paths that reconverge on a configuration step it once,
 and no node is freed behind a walk, since another parent may reach it.  A
 pair walk merges two trees, stepping each (node, directive) at most once,
 and skips the node pairs it already found clean, which are clean in any
-context (the product visited set of explicit-state model checking).  A
-check that walks no pair holds vacuously and says so in its message.  The
+context (the product visited set of explicit-state model checking).  Every
+pair check reaches its verdict through ``_pair_verdict``; one that walks no
+pair holds vacuously and says so in its message.  The
 unwinding check over a space walks its pairs the same way, under the ideal
 semantics; it and the noninterference check type the program once.
 
@@ -439,38 +440,27 @@ def check_seq_obs_equiv(
     o2 = seq_run(c, s2[0], s2[1], fuel)
     if prefix_of(o1.trace, o2.trace):
         return Verdict(VerdictStatus.HOLDS, bounds=Bounds(0, fuel))
-    idx = next(
-        i for i, (a, b) in enumerate(zip(o1.trace, o2.trace)) if a != b
-    )
-    return Verdict(
-        VerdictStatus.VIOLATED,
-        Witness(s1, s2, (), o1.trace, o2.trace, idx),
-        Bounds(0, fuel),
-    )
+    idx = next(i for i, (a, b) in enumerate(zip(o1.trace, o2.trace)) if a != b)
+    return Verdict(VerdictStatus.VIOLATED, Witness(s1, s2, (), o1.trace, o2.trace, idx),
+                   Bounds(0, fuel))
 
 
 def check_spec_obs_equiv(
-    c1: Com,
+    c: Com,
     s1: Tuple[ScalarState, ArrayState],
-    c2: Com,
     s2: Tuple[ScalarState, ArrayState],
     flag: bool = False,
     max_dirs: int = DEFAULT_MAX_DIRS,
     fuel: int = DEFAULT_FUEL,
 ) -> Verdict:
-    """Bounded speculative observational equivalence: every directive
-    sequence (up to the bound) both configurations can consume must produce
-    equal traces on the consumed prefix."""
-    sem = Speculative()
-    res = _joint_divergence(
-        _Tree(sem, SpecConfig(c1, s1[0], s1[1], flag), fuel, max_dirs),
-        _Tree(sem, SpecConfig(c2, s2[0], s2[1], flag), fuel, max_dirs),
+    """Bounded speculative observational equivalence of one program from
+    two states: every directive sequence (up to the bound) both
+    configurations can consume must produce equal traces on the consumed
+    prefix."""
+    return _pair_verdict(
+        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, flag), [s1, s2], [(0, 1)],
+        Bounds(max_dirs, fuel),
     )
-    bounds = Bounds(max_dirs, fuel)
-    if res is None:
-        return Verdict(VerdictStatus.HOLDS, bounds=bounds)
-    dirs, t1, t2, idx = res
-    return Verdict(VerdictStatus.VIOLATED, Witness(s1, s2, dirs, t1, t2, idx), bounds)
 
 
 def _equivalent_pairs(
@@ -518,6 +508,29 @@ def _first_divergent_pair(
     return None
 
 
+def _pair_verdict(
+    sem,
+    start: Callable[[ScalarState, ArrayState], object],
+    states: Sequence[Tuple[ScalarState, ArrayState]],
+    pairs: Sequence[Tuple[int, int]],
+    bounds: Bounds,
+    vacuous: str = "",
+    count_pairs: bool = False,
+) -> Verdict:
+    """The verdict of every pair check: ``_first_divergent_pair`` over the
+    pairs, holding with the ``vacuous`` message when there is no pair, and
+    violated with the first divergent pair's witness.  With
+    ``count_pairs``, the pairs walked, up to and including a violating one,
+    are the fact ``pairs``."""
+    found = _first_divergent_pair(sem, start, states, pairs, bounds)
+    walked = len(pairs) if found is None else found[0] + 1
+    facts = (("pairs", walked),) if count_pairs else ()
+    if found is not None:
+        return Verdict(VerdictStatus.VIOLATED, found[1], bounds, facts=facts)
+    return Verdict(VerdictStatus.HOLDS, bounds=bounds, message="" if pairs else vacuous,
+                   facts=facts)
+
+
 def check_sct(
     c: Com,
     P: LabelMap,
@@ -529,21 +542,12 @@ def check_sct(
     initial states from the space, starting non-misspeculating, must be
     speculatively observationally equivalent.  A space without such a pair
     holds vacuously, and the verdict says so."""
-    bounds = bounds.over(space)
     states = list(enum_states(space))
-    pairs = _equivalent_pairs(states, P, PA)
-    if not pairs:
-        return Verdict(
-            VerdictStatus.HOLDS,
-            bounds=bounds,
-            message=f"vacuous: 0 public-equivalent pairs among {len(states)} states",
-        )
-    found = _first_divergent_pair(
-        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states, pairs, bounds
+    return _pair_verdict(
+        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states,
+        _equivalent_pairs(states, P, PA), bounds.over(space),
+        f"vacuous: 0 public-equivalent pairs among {len(states)} states",
     )
-    if found is not None:
-        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
-    return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
 def transform(
@@ -587,25 +591,18 @@ def check_relative_security(
     for every other check.
     """
     if variant_kind not in VARIANTS:
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED, message=f"unknown variant {variant_kind!r}"
-        )
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message=f"unknown variant {variant_kind!r}")
     hardened = transform(variant_kind, c, P, PA, flag_var)
     if any(size < 1 for _, size, _ in space.arrays):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message="state space contains an empty array",
-        )
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message="state space contains an empty array")
     if flag_var in space.names():
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message=f"state space binds the reserved flag variable {flag_var!r}",
-        )
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message=f"state space binds the reserved flag variable {flag_var!r}")
     if variant_kind in ("fislh", "fvslh") and not wt_ifc(P, PA, PUBLIC, c):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message=f"{variant_kind} requires an IFC-well-typed program",
-        )
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message=f"{variant_kind} requires an IFC-well-typed program")
     bounds = bounds.over(space)
     pair_P, pair_PA = (all_secret(), all_secret()) if variant_kind == "uslh" else (P, PA)
     states = list(enum_states(space))
@@ -614,21 +611,11 @@ def check_relative_security(
         s: seq_run(c, states[s][0], states[s][1], bounds.fuel).trace
         for s in {s for pair in pairs for s in pair}
     }
-    premised = [(i, j) for i, j in pairs if prefix_of(traces[i], traces[j])]
-    if not premised:
-        return Verdict(
-            VerdictStatus.HOLDS,
-            bounds=bounds,
-            message=f"vacuous: 0 of {len(pairs)} public-equivalent pairs "
-            "passed the sequential premise",
-        )
-    found = _first_divergent_pair(
-        Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False),
-        states, premised, bounds,
+    return _pair_verdict(
+        Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False), states,
+        [(i, j) for i, j in pairs if prefix_of(traces[i], traces[j])], bounds,
+        f"vacuous: 0 of {len(pairs)} public-equivalent pairs passed the sequential premise",
     )
-    if found is not None:
-        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
-    return Verdict(VerdictStatus.HOLDS, bounds=bounds)
 
 
 def check_equality(c: Com, P: LabelMap, PA: LabelMap) -> Verdict:
@@ -928,21 +915,12 @@ def check_unwinding(
     except PreconditionError as exc:
         return Verdict(VerdictStatus.PRECONDITION_FAILED, message=str(exc))
     if not pub_equiv_scalars(P, s1[0], s2[0]):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message="scalars not public-equivalent",
-        )
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message="scalars not public-equivalent")
     if variant_kind == "fislh" and not pub_equiv_arrays(PA, s1[1], s2[1]):
-        return Verdict(
-            VerdictStatus.PRECONDITION_FAILED,
-            message="arrays not public-equivalent",
-        )
-    found = _first_divergent_pair(
-        sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [(0, 1)], bounds
-    )
-    if found is not None:
-        return Verdict(VerdictStatus.VIOLATED, found[1], bounds)
-    return Verdict(VerdictStatus.HOLDS, bounds=bounds)
+        return Verdict(VerdictStatus.PRECONDITION_FAILED,
+                       message="arrays not public-equivalent")
+    return _pair_verdict(sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [(0, 1)], bounds)
 
 
 def check_unwinding_space(
@@ -959,23 +937,16 @@ def check_unwinding_space(
     program is typed once; an ill-typed program walks no pair.  The verdict
     counts the pairs walked, up to and including a violating one, as
     ``pairs``."""
-    vacuous = Verdict(VerdictStatus.HOLDS, bounds=bounds, message=_NO_PAIR,
-                      facts=(("pairs", 0),))
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
-        return vacuous
+        return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
     states = list(enum_states(space))
-    pairs = _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret())
-    if not pairs:
-        return vacuous
-    found = _first_divergent_pair(
-        sem, lambda rho, mu: start(rho, mu, True), states, pairs, bounds
+    return _pair_verdict(
+        sem, lambda rho, mu: start(rho, mu, True), states,
+        _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret()),
+        bounds, _NO_PAIR, count_pairs=True,
     )
-    if found is None:
-        return Verdict(VerdictStatus.HOLDS, bounds=bounds, facts=(("pairs", len(pairs)),))
-    k, w = found
-    return Verdict(VerdictStatus.VIOLATED, w, bounds, facts=(("pairs", k + 1),))
 
 
 def check_wl_preservation(
@@ -987,16 +958,18 @@ def check_wl_preservation(
     mu: ArrayState,
     flag: bool,
     d: Optional[Dir],
-    sem: Optional[IdealFS] = None,
 ) -> Tuple[bool, str]:
     """One flow-sensitive ideal step from a well-labeled configuration must
-    leave a configuration well-labeled against the same final labeling.
-    The step is taken under ``sem``, the caller's ``IdealFS`` whose
-    per-check table a whole check shares, or a fresh one."""
+    leave a configuration well-labeled against the same final labeling."""
     if not well_labeled(acom, initial, pc, final):
         raise PreconditionError("initial configuration not well-labeled")
     cfg = FsIdealConfig(acom, rho, mu, flag, pc, initial.vars, initial.arrs)
-    r = (sem or IdealFS()).step(cfg, d)
+    return _wl_successor(IdealFS().step(cfg, d), final)
+
+
+def _wl_successor(r, final: Labeling) -> Tuple[bool, str]:
+    """check_wl_preservation's conclusion on the result ``r`` of one step
+    from a well-labeled configuration."""
     if r.tag is not StepTag.STEPPED:
         return True, "vacuous: no step"
     n = r.cfg
@@ -1015,10 +988,13 @@ def check_wl(
 ) -> Verdict:
     """Well-labeledness preservation along random flow-sensitive ideal
     walks: from each state of the space, up to ``4 * max_dirs`` steps under
-    directives drawn by a generator seeded with ``seed``, each step checked
-    by check_wl_preservation.  The verdict counts the steps as ``checked``
-    and holds the reason of the first failure; a failure at 0 steps means
-    the analysis output itself is not well-labeled."""
+    directives drawn by a generator seeded with ``seed``.  Each step is
+    taken once and its successor checked, as check_wl_preservation
+    concludes; the premise that the configuration stepped is well-labeled
+    is the analysis output's at a walk's start and the previous step's
+    conclusion after it.  The verdict counts the steps as ``checked`` and
+    holds the reason of the first failure; a failure at 0 steps means the
+    analysis output itself is not well-labeled."""
     vacuous = "vacuous: no step was checked"
     acom, final = flow_track(c, P, PA, PUBLIC)
     if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
@@ -1030,15 +1006,11 @@ def check_wl(
         cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)
         for _ in range(bounds.max_dirs * 4):
             feas = feasible(fs, cfg)
-            d = rng.choice(feas) if feas else None
-            ok, why = check_wl_preservation(
-                cfg.acom, Labeling(cfg.P, cfg.PA), cfg.pc, final,
-                cfg.rho, cfg.mu, cfg.flag, d, fs,
-            )
+            r = fs.step(cfg, rng.choice(feas) if feas else None)
+            ok, why = _wl_successor(r, final)
             checked += 1
             if not ok:
                 return _counted("checked", checked, [why], vacuous)
-            r = fs.step(cfg, d)
             if r.tag is not StepTag.STEPPED:
                 break
             cfg = r.cfg

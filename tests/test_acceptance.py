@@ -105,7 +105,7 @@ def test_criterion_3_listing2_protection():
         squash = lambda t: " ".join(t.split())
         assert squash(pretty_com(hardened)) == squash(FIXTURES[2].program_text)
         s1, s2 = src.pair()
-        v = check_spec_obs_equiv(hardened, s1, hardened, s2, False, 10, 200)
+        v = check_spec_obs_equiv(hardened, s1, s2, False, 10, 200)
         assert v.holds
 
 

@@ -165,6 +165,27 @@ def test_run_ideal_fs(files, capsys):
     assert "write a 0" in out  # masked store index
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--sem", "seq", "--dirs", "force"], "--dirs does not apply to --sem seq"),
+    (["--sem", "seq", "--dirs", ""], "--dirs does not apply to --sem seq"),
+    (["--sem", "spec", "--interactive", "--dirs", "step"],
+     "--dirs does not apply to --interactive"),
+    (["--sem", "seq", "--labels", "l"], "--labels does not apply to --sem seq"),
+    (["--sem", "spec", "--labels", "l"], "--labels does not apply to --sem spec"),
+    (["--sem", "spec", "--interactive", "--labels", "l"],
+     "--labels does not apply to --sem spec"),
+    (["--sem", "spec", "--interactive", "--format", "json"],
+     "--format json does not apply to --interactive"),
+    (["--sem", "ideal-fs", "--interactive"], "--interactive requires --sem spec"),
+])
+def test_run_refuses_flags_it_would_ignore(files, capsys, flags, error):
+    p, labels = files("p.aw", LISTING1), files("l", LISTING1_LABELS)
+    argv = ["run", *[labels if f == "l" else f for f in flags], p]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
 RUN_STATE = "i = 4\na1_size = 4\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]\n"
 
 
@@ -580,7 +601,7 @@ def _ill_labeled_analysis(monkeypatch):
 def _wl_step_fails(monkeypatch):
     import awhile.seccheck as seccheck
 
-    monkeypatch.setattr(seccheck, "check_wl_preservation",
+    monkeypatch.setattr(seccheck, "_wl_successor",
                         lambda *args: (False, "successor not well-labeled"))
 
 

@@ -6,7 +6,8 @@ message and printed counter (``pairs``, ``checked``, ``runs``) as it was.
 The cases are the six fixtures (``repro 1..6``), ``sct`` and ``relsec`` for
 every variant on the Listing-1 gadget and on its looped form, and ``sct``,
 ``relsec``, ``unwind``, ``ni`` and ``bcc`` on a small seeded corpus of
-``gen_program`` programs.
+``gen_program`` programs.  Every witness in the file is also replayed with
+``spec_sem.run``, apart from the directive trees that found it.
 
 Regenerate the file, only when a change means to alter a verdict, with::
 
@@ -24,9 +25,14 @@ import sys
 import tempfile
 
 from awhile.cli import main
-from awhile.fixtures import LISTING1
+from awhile.fixtures import FIXTURES, LISTING1, PROTECTING_VARIANTS
 from awhile.gen import NamePools, gen_program
-from awhile.lang import pretty_com
+from awhile.ifc_static import parse_labeling
+from awhile.lang import parse_com, pretty_com
+from awhile.seccheck import prefix_of, transform
+from awhile.seq_sem import seq_run
+from awhile.spec_sem import Speculative, run
+from awhile.state import SpecConfig, parse_dirs, parse_state, pub_equiv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.json")
 
@@ -148,6 +154,63 @@ def test_golden_cases_cover_every_outcome():
     assert {"holds", "violated", "precondition-failed"} <= statuses
     assert {r["exit"] for r in expected.values()} == {0, 1, 2}
     assert any("witness" in r.get("stdout", {}) for r in expected.values())
+
+
+def _repro_checks(n: int):
+    """(property, variant) of each verdict ``repro n`` prints, in order,
+    and the fixture whose program and labeling they check."""
+    if n <= 2:
+        return FIXTURES[1], [("sct", "none" if n == 1 else "islh")]
+    if n == 3:
+        return FIXTURES[3], [("sct", v) for v in ("sislh-nostore", "sislh", "svslh")]
+    return FIXTURES[n], [("relsec", v) for v in ("none",) + PROTECTING_VARIANTS]
+
+
+def _replay(prop: str, variant: str, program: str, labels: str, verdict) -> None:
+    """Re-run a violated verdict's witness with spec_sem.run: the checked
+    program from both witness states, starting with the flag false, driven
+    by the witness directives.  The runs give the witness traces, equal
+    before the divergence index and unequal at it; the states meet the
+    check's premise."""
+    com, lab = parse_com(program), parse_labeling(labels)
+    target = transform(variant, com, lab, lab)
+    w, fuel = verdict["witness"], verdict["fuel"]
+    s1, s2 = parse_state(w["state1"]), parse_state(w["state2"])
+    dirs = parse_dirs(w["dirs"])
+    runs = [run(Speculative(), SpecConfig(target, *s, False), dirs, fuel) for s in (s1, s2)]
+    assert [r.consumed for r in runs] == [len(dirs)] * 2
+    t1, t2 = ([str(o) for o in r.trace] for r in runs)
+    assert (t1, t2) == (w["trace1"], w["trace2"])
+    i = w["divergence_index"]
+    assert t1[:i] == t2[:i] and t1[i] != t2[i]
+    if not (prop == "relsec" and variant == "uslh"):
+        assert pub_equiv(lab, lab, s1, s2)
+    if prop == "relsec":
+        assert prefix_of(seq_run(com, *s1, fuel).trace, seq_run(com, *s2, fuel).trace)
+
+
+def test_golden_witnesses_replay():
+    """Every witness in the golden file replays independently of the
+    directive trees that found it."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    replayed = {}
+    for name, files, argv in cases():
+        out = expected[name].get("stdout", {})
+        if argv[0] == "repro":
+            fixture, checks = _repro_checks(int(argv[2]))
+            found = [(*check, fixture.program_text, fixture.labeling_text, v)
+                     for check, v in zip(checks, out["verdicts"])]
+            kind = "repro"
+        else:
+            prop, variant = argv[argv.index("--property") + 1], argv[argv.index("--variant") + 1]
+            found = [(prop, variant, files["p"], files["l"], out)]
+            kind = prop
+        for prop, variant, program, labels, verdict in found:
+            if "witness" in verdict:
+                _replay(prop, variant, program, labels, verdict)
+                replayed[kind] = replayed.get(kind, 0) + 1
+    assert replayed == {"sct": 56, "relsec": 6, "repro": 5}
 
 
 if __name__ == "__main__":

@@ -167,13 +167,13 @@ def test_seq_equiv_detects_branch_divergence():
 def test_spec_equiv_same_config():
     com = LISTING1.program()
     s, _ = FIXTURES[1].pair()
-    assert check_spec_obs_equiv(com, s, com, s).holds
+    assert check_spec_obs_equiv(com, s, s).holds
 
 
 def test_spec_equiv_example3_witness():
     com = LISTING1.program()
     s1, s2 = FIXTURES[1].pair()
-    v = check_spec_obs_equiv(com, s1, com, s2)
+    v = check_spec_obs_equiv(com, s1, s2)
     assert v.status is VerdictStatus.VIOLATED
     assert list(v.witness.dirs) == parse_dirs("force load a3 0 step")
     assert v.witness.divergence_index == 2
@@ -184,7 +184,7 @@ def test_spec_equiv_example3_witness():
 def test_spec_equiv_witness_replays():
     com = LISTING1.program()
     s1, s2 = FIXTURES[1].pair()
-    w = check_spec_obs_equiv(com, s1, com, s2).witness
+    w = check_spec_obs_equiv(com, s1, s2).witness
     r1 = run(Speculative(), SpecConfig(com, s1[0], s1[1], False), list(w.dirs), 200)
     r2 = run(Speculative(), SpecConfig(com, s2[0], s2[1], False), list(w.dirs), 200)
     assert r1.trace == w.trace1 and r2.trace == w.trace2
@@ -194,7 +194,7 @@ def test_spec_equiv_witness_replays():
 def test_listing2_holds_at_depth_ten():
     com = FIXTURES[2].program()
     s1, s2 = FIXTURES[1].pair()
-    assert check_spec_obs_equiv(com, s1, com, s2, max_dirs=10).holds
+    assert check_spec_obs_equiv(com, s1, s2, max_dirs=10).holds
 
 
 def test_sct_sislh_holds_on_listing1_space():
@@ -209,8 +209,8 @@ def test_sct_sislh_holds_on_listing1_space():
 def test_violations_persist_at_larger_bounds():
     com = LISTING1.program()
     s1, s2 = FIXTURES[1].pair()
-    small = check_spec_obs_equiv(com, s1, com, s2, max_dirs=3)
-    large = check_spec_obs_equiv(com, s1, com, s2, max_dirs=6)
+    small = check_spec_obs_equiv(com, s1, s2, max_dirs=3)
+    large = check_spec_obs_equiv(com, s1, s2, max_dirs=6)
     assert small.status is VerdictStatus.VIOLATED
     assert large.status is VerdictStatus.VIOLATED
     assert small.witness.dirs == large.witness.dirs
@@ -381,7 +381,7 @@ def _brute_force(c, P, PA, space, bounds, premise_source=None):
                 premise_source, s1, s2, bounds.fuel
             ).holds:
                 continue
-            v = check_spec_obs_equiv(c, s1, c, s2, False, bounds.max_dirs, bounds.fuel)
+            v = check_spec_obs_equiv(c, s1, s2, False, bounds.max_dirs, bounds.fuel)
             if not v.holds:
                 return v.status, v.witness
     return VerdictStatus.HOLDS, None
@@ -443,7 +443,7 @@ def test_spec_equiv_agrees_with_leaf_reference():
         s1 = random_state(rng, pools, max_value, max_size)
         s2 = random_state(rng, pools, max_value, max_size)
         flag = rng.random() < 0.5
-        v = check_spec_obs_equiv(com, s1, com, s2, flag, 5, 150)
+        v = check_spec_obs_equiv(com, s1, s2, flag, 5, 150)
         first = _leaf_reference(com, s1, com, s2, flag, 5, 150)
         assert v.holds == (first is None)
         if v.holds:
@@ -776,7 +776,7 @@ def test_walk_pairs_a_shared_node_with_each_partner():
     com = parse_com("if p < 1 then x := 0 else x := h end; y <- a[x]")
     mu = ArrayState({"a": (0,) * 8})
     s1, s2 = (ScalarState({"h": 0}), mu), (ScalarState({"h": 5}), mu)
-    v = check_spec_obs_equiv(com, s1, com, s2, flag=True)
+    v = check_spec_obs_equiv(com, s1, s2, flag=True)
     assert v.status is VerdictStatus.VIOLATED
     assert v.witness.dirs == (FORCE, STEP)
     assert v.witness.trace1[1:] == (ORead("a", 0),) and v.witness.trace2[1:] == (ORead("a", 5),)
@@ -877,6 +877,38 @@ def test_check_wl_steps_under_one_semantics(monkeypatch):
     space = parse_space("x in {0}\na : size 2 in {0,1}")
     v = check_wl(com, lab, lab, space, Bounds(4, 200), seed=1)
     assert v.holds and dict(v.facts)["checked"] > 8
+    assert len(made) == 1
+
+
+def test_check_wl_steps_each_configuration_once(monkeypatch):
+    # one well_labeled call for the analysis output, then one per successor:
+    # a step's conclusion is the next step's premise, not proved again
+    import awhile.seccheck as seccheck
+
+    calls, made = [], []
+    real = seccheck.well_labeled
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    class CountedIdealFS(IdealFS):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(seccheck, "well_labeled", counted)
+    monkeypatch.setattr(seccheck, "IdealFS", CountedIdealFS)
+    com = parse_com("k := 0; while k < 3 do if i < a1_size then j <- a1[i]; x <- a2[j] end;"
+                    " i := i + 1; k := k + 1 end")
+    lab = parse_labeling("".join(f"{n}: public\n" for n in ("i", "a1_size", "j", "x", "k",
+                                                             "a1", "a2")))
+    space = parse_space("i in {0,1,2,3}\na1_size in {4}\na1 : size 4 in {1}\n"
+                        "a2 : size 4 in {0}\na3 : size 1 in {42,43}")
+    v = check_wl(com, lab, lab, space, Bounds(8, 200), seed=3)
+    checked = dict(v.facts)["checked"]
+    assert v.holds and checked == 97
+    assert len(calls) <= checked + 1
     assert len(made) == 1
 
 
