@@ -592,6 +592,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the parser and the syntax walkers recurse once per nesting level
         print("error: program nested too deeply", file=sys.stderr)
         return 2
+    except seccheck.WitnessReplayError as exc:
+        # a fault of the checker, not a verdict: exit 1 is for replayed violations
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -104,10 +104,11 @@ _FVSLH_POLICY = _Policy(
 
 class _FixedLabeling(Record):
     """step_ex under the variant's policy and the fixed scalar labeling P,
-    with a per-check table of its own (see ``Speculative``), kept out of
-    its fields."""
+    with per-check tables of its own, kept out of its fields: ``table``
+    (see ``Speculative``) and ``labels``, the labels of the expressions
+    under P (``spec_sem.fixed_label``)."""
 
-    __slots__ = ("__dict__",)  # for the table
+    __slots__ = ("__dict__",)  # for the tables
     P: LabelMap
     PA: LabelMap
 
@@ -117,6 +118,7 @@ class _FixedLabeling(Record):
     def __new__(cls, fields):
         self = tuple.__new__(cls, fields)
         object.__setattr__(self, "table", {})
+        object.__setattr__(self, "labels", {})
         return self
 
     def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
@@ -250,9 +252,10 @@ def _step_fs(sem, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
     k, rho, mu, flag, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.table
     pc, P, PA = cfg.pc, cfg.P, cfg.PA
     if cls is AIf:
-        taken = compiled(table, a.cond)(rho._m)
-        if flag and taken:
-            taken = a.lbl.is_public  # a secret condition reads as false
+        if flag and not a.lbl.is_public:
+            taken = False  # a secret condition reads as false while misspeculating
+        else:
+            taken = compiled(table, a.cond)(rho._m)
         if d.__class__ is DStep:
             succ, flag2 = (a.then if taken else a.other), flag
         elif d.__class__ is DForce:

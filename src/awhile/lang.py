@@ -20,7 +20,8 @@ Expressions evaluate two ways.  ``eval_aexp`` and ``eval_bexp`` walk the
 tree; only ``seq_sem``, the independent sequential oracle, uses them.  The
 speculative and ideal steppers evaluate through ``compiled``: each
 expression becomes a closure on its first evaluation, cached in the
-stepper's per-check table.
+stepper's per-check table.  Both evaluate a left-deep chain of one
+operator, such as a long flat sum, in a loop.
 """
 
 from __future__ import annotations
@@ -151,15 +152,24 @@ def eval_aexp(rho, e: AExp) -> int:
     if cls is Var:
         return rho.get(e.name)
     if cls is BinOp:
-        l = eval_aexp(rho, e.left)
-        r = eval_aexp(rho, e.right)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r if l > r else 0
-        if e.op == "*":
-            return l * r
-        raise ValueError(f"unknown arithmetic operator {e.op!r}")
+        # a left-deep chain of one operator folds in a loop, so no chain
+        # length exhausts the recursion limit
+        op, rights = e.op, []
+        while e.__class__ is BinOp and e.op == op:
+            rights.append(e.right)
+            e = e.left
+        l = eval_aexp(rho, e)
+        for right in reversed(rights):
+            r = eval_aexp(rho, right)
+            if op == "+":
+                l = l + r
+            elif op == "-":
+                l = l - r if l > r else 0
+            elif op == "*":
+                l = l * r
+            else:
+                raise ValueError(f"unknown arithmetic operator {op!r}")
+        return l
     if cls is CTCond:
         return eval_aexp(rho, e.then if eval_bexp(rho, e.cond) else e.other)
     raise TypeError(f"not an arithmetic expression: {e!r}")
@@ -213,19 +223,28 @@ def _compile(e):
     """A closure over bindings ``m`` that evaluates ``e``, built bottom-up
     with an explicit stack, so that no expression depth exhausts the
     recursion limit while compiling; evaluating nests one call per operator,
-    as ``eval_aexp`` does.  A name reads as ``m.get(name, 0)``, one C-level
-    call with no Python frame; a numeral on the right of an operator is
-    folded into the operator's closure."""
+    as ``eval_aexp`` does, except along a left-deep chain of one operator,
+    which one closure folds in a loop (``_fold``).  A name reads as
+    ``m.get(name, 0)``, one C-level call with no Python frame; a numeral on
+    the right of a single operator is folded into the operator's closure."""
     done, todo = [], [e]
     while todo:
         x = todo.pop()
         cls = x.__class__
         if cls is tuple:  # the operands of x[0] are compiled, in order
-            done.append(_combine(x[0], done))
+            done.append(_combine(x[0], done) if len(x) == 1 else _fold(x[0].op, done, x[1]))
         elif cls is Var:
             done.append(methodcaller("get", x.name, 0))
         elif cls is Num or cls is BoolLit:
             done.append(_constant(x.value))
+        elif cls is BinOp and x.left.__class__ is BinOp and x.left.op == x.op:
+            operands, y = [], x  # the chain's operands, last first
+            while y.__class__ is BinOp and y.op == x.op:
+                operands.append(y.right)
+                y = y.left
+            operands.append(y)
+            todo.append((x, len(operands)))
+            todo.extend(operands)
         else:
             if cls is BinOp or cls is Cmp:
                 operands = (x.left,) if x.right.__class__ is Num else (x.left, x.right)
@@ -244,6 +263,35 @@ def _compile(e):
 
 def _constant(value):
     return lambda m: value
+
+
+def _fold(op, done, n):
+    """The closure of a left-deep chain of the operator ``op`` from the
+    closures of its ``n`` operands, in order, popped off ``done``."""
+    first, rest = done[-n], done[-n + 1:]
+    del done[-n:]
+    if op == "+":
+        def fold(m):
+            v = first(m)
+            for f in rest:
+                v = v + f(m)
+            return v
+    elif op == "-":
+        def fold(m):
+            v = first(m)
+            for f in rest:
+                w = f(m)
+                v = v - w if v > w else 0
+            return v
+    elif op == "*":
+        def fold(m):
+            v = first(m)
+            for f in rest:
+                v = v * f(m)
+            return v
+    else:
+        raise ValueError(f"unknown arithmetic operator {op!r}")
+    return fold
 
 
 def _combine(e, done):

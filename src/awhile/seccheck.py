@@ -20,9 +20,21 @@ the premise); this is a documented soundness caveat of the bounded checker.
 Cost model of the SCT and relative-security checks: the space is enumerated
 once and its states grouped by their public projection, which yields the
 public-equivalent pairs in nested-scan order.  Each state gets one
-sequential run (the relative-security premise) and one directive tree,
-expanded lazily, shared by every pair walk the state takes part in, and
-dropped after the state's last pair.  A tree is a DAG: its nodes are
+sequential run (the relative-security premise).  The pairs then fall into
+groups, the connected components of the pairs, and each group first gets
+one directive tree, from one abstract state that keeps every scalar and
+array cell its states agree on and holds the opaque value
+``state.OPAQUE`` everywhere else.  A group whose tree expands in full
+decided every branch, bounds test, candidate list and observation on
+values its states share, so all of them have that tree, and its pairs are
+skipped; one whose tree decides something on the opaque value
+(``SecretDependence``) has its pairs walked.  This is dynamic
+information-flow tracking over a flat abstract domain (Cousot & Cousot,
+POPL 1977).  A skipped group holds no divergent pair, so the first
+divergent pair, its position and its witness do not change.  For the pairs
+walked, each state gets one directive tree, expanded lazily, shared by
+every pair walk the state takes part in, and dropped after the state's
+last pair.  A tree is a DAG: its nodes are
 hash-consed on (configuration, fuel, depth) (Filliâtre & Conchon, ML
 Workshop 2006), so paths that reconverge on a configuration step it once,
 and no node is freed behind a walk, since another parent may reach it.  A
@@ -30,9 +42,12 @@ pair walk merges two trees, stepping each (node, directive) at most once,
 and skips the node pairs it already found clean, which are clean in any
 context (the product visited set of explicit-state model checking).  Every
 pair check reaches its verdict through ``_pair_verdict``; one that walks no
-pair holds vacuously and says so in its message.  The
-unwinding check over a space walks its pairs the same way, under the ideal
-semantics; it and the noninterference check type the program once.
+pair holds vacuously and says so in its message, and a violated one is
+replayed with ``spec_sem.run`` before it is reported.  The
+unwinding check over a space groups and walks its pairs the same way, under
+the ideal semantics; it and the noninterference check type the program
+once.  The one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``)
+walk their pair without a group tree.
 
 The checks stop a run where ``spec_sem.advance`` says it stops, and draw
 their random walks from ``gen``, which holds every generator.
@@ -67,11 +82,14 @@ from .state import (
     Dir,
     DLoad,
     FORCE,
+    OPAQUE,
     Obs,
     ScalarState,
+    SecretDependence,
     SpecConfig,
     STEP,
     dir_sort_key,
+    format_dirs,
     pub_equiv_arrays,
     pub_equiv_scalars,
 )
@@ -480,22 +498,107 @@ def _equivalent_pairs(
     return [(i, j) for i, group in enumerate(group_of) for j in group if j > i]
 
 
+def _groups(pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """The connected components of the graph whose edges are the pairs, as
+    lists of states (union-find with path halving)."""
+    up = {}
+
+    def top(s):
+        while up.setdefault(s, s) != s:
+            up[s] = s = up[up[s]]
+        return s
+
+    for i, j in pairs:
+        a, b = top(i), top(j)
+        if a != b:
+            up[b] = a
+    groups = {}
+    for s in up:
+        groups.setdefault(top(s), []).append(s)
+    return list(groups.values())
+
+
+def _abstract_state(states, group: Sequence[int]):
+    """One state for a whole group: each scalar and array cell on which the
+    group's states all agree, and ``OPAQUE`` for every other.  The scalar
+    names are those bound in any of the states, since a state binds no zero
+    value.  None when the states differ in array names or sizes."""
+    members = [states[s] for s in group]
+    shape = [(n, len(vec)) for n, vec in sorted(members[0][1].items())]
+    if any([(n, len(vec)) for n, vec in sorted(mu.items())] != shape for _, mu in members):
+        return None
+    m = {}
+    for n in set().union(*[rho.names() for rho, _ in members]):
+        values = {rho.get(n) for rho, _ in members}
+        v = values.pop() if len(values) == 1 else OPAQUE
+        if v:
+            m[n] = v
+    arrays = {
+        n: tuple(cells[0] if len(set(cells)) == 1 else OPAQUE
+                 for cells in zip(*[mu.vector(n) for _, mu in members]))
+        for n, _ in shape
+    }
+    return ScalarState.adopt(m), ArrayState(arrays)
+
+
+def _expands(sem, cfg, bounds: Bounds) -> bool:
+    """Whether the directive tree of ``cfg`` expands in full, every node
+    stepped with an explicit stack, without a step that decides something
+    on ``OPAQUE`` (SecretDependence)."""
+    try:
+        tree = _Tree(sem, cfg, bounds.fuel, bounds.max_dirs)
+        todo, seen = [tree.root], set()
+        while todo:
+            n = todo.pop()
+            if n is _LEAF or n in seen:
+                continue
+            seen.add(n)
+            k = 0
+            e = tree.kid(n, 0)
+            while e is not None:
+                todo.append(e[3])
+                k += 1
+                e = tree.kid(n, k)
+    except SecretDependence:
+        return False
+    return True
+
+
+def _settled(sem, start, states, pairs, bounds: Bounds) -> set:
+    """The states of the pairs' groups that one directive tree settles: the
+    tree of the group's abstract state (``_abstract_state``).  If it
+    expands in full, every branch, bounds test, candidate list and
+    observation was decided on values the group's states share, so each of
+    them has this tree, and no pair of the group diverges."""
+    settled = set()
+    for group in _groups(pairs):
+        abstract = _abstract_state(states, group)
+        if abstract is not None and _expands(sem, start(*abstract), bounds):
+            settled.update(group)
+    return settled
+
+
 def _first_divergent_pair(
     sem,
     start: Callable[[ScalarState, ArrayState], object],
     states: Sequence[Tuple[ScalarState, ArrayState]],
     pairs: Sequence[Tuple[int, int]],
     bounds: Bounds,
+    by_group: bool = False,
 ) -> Optional[Tuple[int, Witness]]:
     """Walk the pairs in order, each over the two states' shared directive
     trees under ``sem``, rooted at ``start(rho, mu)``; a state's tree is
-    built on its first pair and dropped after its last.  Returns the
-    position of the first divergent pair and its witness."""
+    built on its first pair and dropped after its last.  With
+    ``by_group``, the pairs of the groups ``_settled`` settles are skipped.
+    Returns the position of the first divergent pair in ``pairs`` and its
+    witness."""
+    settled = _settled(sem, start, states, pairs, bounds) if by_group else ()
+    todo = [(k, i, j) for k, (i, j) in enumerate(pairs) if i not in settled]
     last = {}
-    for k, (i, j) in enumerate(pairs):
+    for k, i, j in todo:
         last[i] = last[j] = k
     trees = {}
-    for k, (i, j) in enumerate(pairs):
+    for k, i, j in todo:
         for s in (i, j):
             if s not in trees:
                 trees[s] = _Tree(sem, start(*states[s]), bounds.fuel, bounds.max_dirs)
@@ -508,6 +611,26 @@ def _first_divergent_pair(
     return None
 
 
+class WitnessReplayError(Exception):
+    """A violated verdict's witness did not replay: an internal error of the
+    checker, never a verdict."""
+
+
+def _certify(sem, start, w: Witness, fuel: int) -> None:
+    """Replay a witness with ``run`` from both of its states, apart from the
+    directive trees: the reported traces, equal before the divergence index
+    and unequal at it.  WitnessReplayError when it does not replay."""
+    t1 = run(sem, start(*w.s1), w.dirs, fuel).trace
+    t2 = run(sem, start(*w.s2), w.dirs, fuel).trace
+    i = w.divergence_index
+    if ((t1, t2) != (w.trace1, w.trace2) or i >= min(len(t1), len(t2))
+            or t1[:i] != t2[:i] or t1[i] == t2[i]):
+        raise WitnessReplayError(
+            f"witness does not replay: directives {format_dirs(w.dirs)!r} give "
+            f"traces {t1} and {t2}, divergence index {i}"
+        )
+
+
 def _pair_verdict(
     sem,
     start: Callable[[ScalarState, ArrayState], object],
@@ -516,16 +639,21 @@ def _pair_verdict(
     bounds: Bounds,
     vacuous: str = "",
     count_pairs: bool = False,
+    by_group: bool = False,
 ) -> Verdict:
     """The verdict of every pair check: ``_first_divergent_pair`` over the
     pairs, holding with the ``vacuous`` message when there is no pair, and
-    violated with the first divergent pair's witness.  With
-    ``count_pairs``, the pairs walked, up to and including a violating one,
-    are the fact ``pairs``."""
-    found = _first_divergent_pair(sem, start, states, pairs, bounds)
+    violated with the first divergent pair's witness, once ``_certify`` has
+    replayed it.  With ``count_pairs``, the pairs walked, up to and
+    including a violating one, are the fact ``pairs``.  The checks over a
+    space settle groups first (``by_group``); the one-pair checks walk
+    their pair, so the tests' per-pair references stay independent of the
+    groups."""
+    found = _first_divergent_pair(sem, start, states, pairs, bounds, by_group)
     walked = len(pairs) if found is None else found[0] + 1
     facts = (("pairs", walked),) if count_pairs else ()
     if found is not None:
+        _certify(sem, start, found[1], bounds.fuel)
         return Verdict(VerdictStatus.VIOLATED, found[1], bounds, facts=facts)
     return Verdict(VerdictStatus.HOLDS, bounds=bounds, message="" if pairs else vacuous,
                    facts=facts)
@@ -546,7 +674,7 @@ def check_sct(
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states,
         _equivalent_pairs(states, P, PA), bounds.over(space),
-        f"vacuous: 0 public-equivalent pairs among {len(states)} states",
+        f"vacuous: 0 public-equivalent pairs among {len(states)} states", by_group=True,
     )
 
 
@@ -615,6 +743,7 @@ def check_relative_security(
         Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False), states,
         [(i, j) for i, j in pairs if prefix_of(traces[i], traces[j])], bounds,
         f"vacuous: 0 of {len(pairs)} public-equivalent pairs passed the sequential premise",
+        by_group=True,
     )
 
 
@@ -945,7 +1074,7 @@ def check_unwinding_space(
     return _pair_verdict(
         sem, lambda rho, mu: start(rho, mu, True), states,
         _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret()),
-        bounds, _NO_PAIR, count_pairs=True,
+        bounds, _NO_PAIR, count_pairs=True, by_group=True,
     )
 
 

@@ -222,13 +222,25 @@ def silent_steps(sem, cfg: SpecConfig, fuel: int):
     return cfg, used, kind
 
 
+def fixed_label(sem, e):
+    """The label of the expression ``e`` under the fixed labeling
+    ``sem.P``, computed once per check and kept in the per-check
+    ``sem.labels`` beside the compiled closures, keyed by ``id(e)``; the
+    entry holds ``e``, so the id stays valid while the table lives."""
+    entry = sem.labels.get(id(e))
+    if entry is None:
+        entry = sem.labels[id(e)] = (label_of_expr(sem.P, e), e)
+    return entry[0]
+
+
 def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
     """Tagged step of the redex under ``sem`` (``Speculative``, or a fixed
     labeling's ideal semantics): a silent redex takes one step of
     ``silent_steps`` and consumes nothing; observing rules require a
     matching directive.  ``d=None`` at an observing redex reports NEED_DIR.
     Without a policy (``sem.policy``) this is the speculative semantics;
-    with one it is an ideal semantics over the fixed labeling ``sem.P``.
+    with one it is an ideal semantics over the fixed labeling ``sem.P``,
+    whose labels it reads through ``fixed_label``.
     Expressions evaluate through ``sem.table`` (``lang.compiled``)."""
     c = cfg.redex
     cls = c.__class__
@@ -240,10 +252,12 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         return NEED_DIR
     k, rho, mu, flag, policy, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.policy, sem.table
     if cls is If:
-        taken = compiled(table, c.cond)(rho._m)
-        if policy is not None and flag and taken:
-            # a secret condition reads as false while misspeculating
-            taken = label_of_expr(sem.P, c.cond).is_public
+        if policy is not None and flag and not fixed_label(sem, c.cond).is_public:
+            # a secret condition reads as false while misspeculating; it is
+            # not evaluated, so a group tree (seccheck) does not depend on it
+            taken = False
+        else:
+            taken = compiled(table, c.cond)(rho._m)
         if d.__class__ is DStep:
             succ, flag2 = (c.then if taken else c.other), flag
         elif d.__class__ is DForce:
@@ -254,7 +268,7 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
     if cls is ARead:
         li = lx = None
         if policy is not None:
-            li, lx = label_of_expr(sem.P, c.index), sem.P.get(c.name)
+            li, lx = fixed_label(sem, c.index), sem.P.get(c.name)
         r = read_rule(policy, li, lx, table, rho, mu, flag, c.array, c.index, d)
         if r is None:
             return STUCK
@@ -264,7 +278,7 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
     if cls is AWrite:
         li = le = None
         if policy is not None:
-            li, le = label_of_expr(sem.P, c.index), label_of_expr(sem.P, c.value)
+            li, le = fixed_label(sem, c.index), fixed_label(sem, c.value)
         r = write_rule(policy, li, le, table, rho, mu, flag, c.array, c.index, c.value, d)
         if r is None:
             return STUCK

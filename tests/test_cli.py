@@ -116,6 +116,32 @@ def test_parse_and_typecheck_long_program(files, capsys):
         assert capsys.readouterr().out == "well-typed\n"
 
 
+def test_long_flat_expression_runs_and_checks(files, capsys):
+    # a left-deep chain of one operator evaluates in a loop
+    path = files("p.aw", "x := " + " + ".join(["y"] + ["1"] * 4999) + "\n")
+    for sem in ("seq", "spec"):
+        assert main(["run", "--sem", sem, path]) == 0
+        assert "x = 4999" in capsys.readouterr().out
+    space = files("s.space", "y in {0,1}\n")
+    assert main(["check", "--property", "sct", "--space", space, path]) == 0
+    assert capsys.readouterr().out == "holds\n"
+
+
+def test_witness_that_does_not_replay_is_an_internal_error(files, capsys, monkeypatch):
+    import awhile.seccheck as seccheck
+
+    real_run = seccheck.run
+    monkeypatch.setattr(seccheck, "run", lambda sem, cfg, dirs, fuel: real_run(sem, cfg, (), fuel))
+    p = files("p.aw", "x <- a[k]\n")
+    space = files("s.space", "k in {0,1}\na : size 2 in {0}\n")
+    assert main(["check", "--property", "sct", "--space", space, p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: witness does not replay: ")
+    monkeypatch.setattr(seccheck, "run", real_run)
+    assert main(["check", "--property", "sct", "--space", space, p]) == 1
+
+
 def test_typecheck_cct(files, capsys):
     p = files("p.aw", LISTING1)
     labels = files("labels", LISTING1_LABELS)

@@ -18,6 +18,7 @@ from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling
 from awhile.lang import ARead, Var, parse_com
 from awhile.seccheck import (
     check_bcc,
+    enum_spec_runs,
     transform,
 )
 from awhile.seq_sem import seq_run
@@ -101,6 +102,31 @@ def test_fvslh_write_force_allows_secret_values():
     assert res.tag is StepTag.STEPPED
     assert res.obs == OWrite("a", 7)
     assert res.cfg.mu.vector("pub") == (3,)  # value lands where directed
+
+
+def test_fixed_labeling_semantics_label_each_expression_once(monkeypatch):
+    import awhile.spec_sem as spec_sem
+
+    labeled, real = [], spec_sem.label_of_expr
+
+    def counted(P, e):
+        labeled.append(e)
+        return real(P, e)
+
+    monkeypatch.setattr(spec_sem, "label_of_expr", counted)
+    c = parse_com(
+        "while k < 3 do if s = 1 then x <- a[k + 1] end; a[k] <- s; k := k + 1 end"
+    )
+    P = parse_labeling("k: public\nx: public\na: public")
+    cfg = SpecConfig(c, *parse_state("s = 1\na = [0,0,0,0]"), True)
+    for sem in (IdealFiSLH(P, P), IdealFvSLH(P, P)):
+        labeled.clear()
+        runs = enum_spec_runs(cfg, sem, 6, 200)
+        assert len(runs) > 1
+        # the two conditions, the read index, the write index and value:
+        # each labeled once per check, however often the loop misspeculates
+        assert len(labeled) == len({id(e) for e in labeled}) == 5
+        assert sem.labels[id(c.cond)][0] is PUBLIC
 
 
 def test_fs_if_wraps_branch_and_raises_pc():

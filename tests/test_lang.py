@@ -452,6 +452,9 @@ def test_compiled_expressions_agree_with_the_evaluators(e, b, env):
 @pytest.mark.parametrize("text", [
     "x - 5", "5 - x", "x - y", "x * 3", "x * y", "x + 0", "q + 1", "q", "7",
     "(x < 2 ? (y = 0 ? 8 : z - 1) : (q <> 0 ? 1 : 2))",
+    # left-deep chains of one operator, folded in one closure
+    "x + y + 1 + z", "x - 1 - y - 2", "9 - x - y", "x * 2 * y * 3", "x - y - z + 1 + 2",
+    "(x + 1 + y) * 2 * (z - 1 - 1)",
 ])
 def test_compiled_arithmetic_on_sample_stores(text):
     e = parse_aexp(text)
@@ -459,6 +462,16 @@ def test_compiled_arithmetic_on_sample_stores(text):
     for env in ({}, {"x": 3, "y": 0}, {"x": 1, "y": 7, "z": 4}, {"x": 9, "y": 2, "z": 0}):
         _assert_compiled_agrees(table, e, ScalarState(env))
     assert list(table) == [id(e)]  # one entry, compiled once
+
+
+@pytest.mark.parametrize("op, want", [("+", 10999), ("-", 1001), ("*", 6000)])
+def test_long_left_deep_chains_evaluate_in_a_loop(op, want):
+    # 5,000 operands: nesting one call per operator would exhaust the
+    # recursion limit
+    e = parse_aexp(f" {op} ".join(["x"] + ["1"] * 4999))
+    rho = ScalarState({"x": 6000})
+    assert eval_aexp(rho, e) == want
+    assert compiled({}, e)(rho._m) == want
 
 
 @pytest.mark.parametrize("text", [

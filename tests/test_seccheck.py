@@ -8,6 +8,7 @@ from awhile.harden import FlagCollisionError
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
+import awhile.seccheck as seccheck
 from awhile.seccheck import (
     _LEAF,
     Bounds,
@@ -44,6 +45,7 @@ from awhile.state import (
     FORCE,
     OBranch,
     ORead,
+    OPAQUE,
     ScalarState,
     SpecConfig,
     STEP,
@@ -656,6 +658,135 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
         *FIXTURES[1].pair(), (FORCE, DLoad("a3", 0), STEP),
         *[(OBranch(False), ORead("a1", 4), r) for r in reads], 2,
     )
+
+
+# --- one directive tree per group of states -----------------------------------
+
+_HARDENINGS = ("none", "islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh")
+
+
+def _with_and_without_groups(monkeypatch, check):
+    """A check's verdict with the group trees and with every pair walked,
+    and the groups' states that the group trees settled."""
+    settled, real = [], seccheck._settled
+
+    def recorded(*args):
+        out = real(*args)
+        settled.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(seccheck, "_settled", recorded)
+        grouped = check()
+    with monkeypatch.context() as m:
+        m.setattr(seccheck, "_settled", lambda *args: set())
+        walked = check()
+    return grouped, walked, set().union(*settled)
+
+
+def test_group_trees_change_no_verdict(monkeypatch):
+    # the whole verdict (status, witness, facts) with the group trees and
+    # without them: sct of each hardening and unwind under each ideal
+    # semantics, on generated programs over two spaces
+    spaces = (_SHARING_SPACE, parse_space("k in {0,2}\ni in {1}\nx in {0,1}\na : size 2 in {0,3}"))
+    secret = all_secret()
+    cases, outcomes, settled_any, walked_any = 0, set(), 0, 0
+    for seed in range(36):
+        com = gen_program(3000 + seed, 12, pools)
+        space = spaces[seed % 2]
+        P = _SHARING_LABELS if wt_ifc(_SHARING_LABELS, _SHARING_LABELS, PUBLIC, com) else secret
+        checks = [
+            lambda v=v: check_sct(transform(v, com, P, P), P, P, space, _SHARING_BOUNDS)
+            for v in _HARDENINGS
+        ] + [
+            lambda v=v: check_unwinding_space(v, com, P, P, space, _SHARING_BOUNDS)
+            for v in ("fislh", "fvslh", "fsfvslh")
+        ]
+        for check in checks:
+            grouped, walked, settled = _with_and_without_groups(monkeypatch, check)
+            assert grouped == walked, (seed, grouped, walked)
+            cases += 1
+            outcomes.add(grouped.status)
+            settled_any += bool(settled)
+            walked_any += not settled
+    assert cases == 396
+    assert outcomes == {VerdictStatus.HOLDS, VerdictStatus.VIOLATED}
+    assert settled_any > 0 and walked_any > 0
+
+
+@pytest.mark.parametrize("program, space", [
+    # k = 0 is bound in no scalar state: the group's names are a union
+    ("if k = 0 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}"),
+    # an opaque value is not equal to itself
+    ("if k * 2 <> k + 1 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}"),
+    ("x <- a[k]", "k in {0,1}\na : size 2 in {0}"),
+    # a secret read by a misspeculated load, then used as an index
+    (None, None),
+])
+def test_group_trees_walk_groups_that_decide_on_a_secret(monkeypatch, program, space):
+    if program is None:
+        c, P, states, bounds = _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_SPACE, Bounds(12, 200)
+    else:
+        c, P, states, bounds = parse_com(program), all_secret(), parse_space(space), Bounds(4, 100)
+    grouped, walked, settled = _with_and_without_groups(
+        monkeypatch, lambda: check_sct(c, P, P, states, bounds)
+    )
+    assert grouped.status is VerdictStatus.VIOLATED
+    assert grouped == walked and not settled
+
+
+def test_sct_of_hardened_gadget_builds_one_tree_per_public_group(monkeypatch):
+    # the relsec-pairs space: 16 states in four public groups (by i)
+    space = parse_space(
+        "i in {0,1,2,3}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
+        "a3 : size 1 in {5,17,42,77}"
+    )
+    built = []
+
+    class Counted(_Tree):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(seccheck, "_Tree", Counted)
+    c = transform("fvslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+    v = check_sct(c, _LOOPED_LABELS, _LOOPED_LABELS, space, Bounds(8, 200))
+    assert v.holds
+    assert len(built) == 4
+    assert all(cfg.mu.vector("a3") == (OPAQUE,) for cfg in built)
+
+
+def test_one_pair_checks_settle_no_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-pair check settled a group")
+
+    monkeypatch.setattr(seccheck, "_settled", refuse)
+    c, secret = parse_com("x := k"), all_secret()
+    s1, s2 = parse_state("k = 0"), parse_state("k = 1")
+    assert check_spec_obs_equiv(c, s1, s2).holds
+    assert check_unwinding("fvslh", c, secret, secret, s1, s2).holds
+
+
+def test_violated_witnesses_are_replayed_before_they_are_reported(monkeypatch):
+    c = parse_com("x <- a[k]")
+    s1, s2 = parse_state("k = 0\na = [0,0]"), parse_state("k = 1\na = [0,0]")
+    w = check_spec_obs_equiv(c, s1, s2).witness
+    start = lambda rho, mu: SpecConfig(c, rho, mu, False)
+    seccheck._certify(Speculative(), start, w, 200)
+    for bad in (
+        Witness(w.s1, w.s2, w.dirs, w.trace2, w.trace1, w.divergence_index),
+        Witness(w.s1, w.s1, w.dirs, w.trace1, w.trace1, w.divergence_index),
+        Witness(w.s1, w.s2, w.dirs, w.trace1, w.trace2, w.divergence_index + 1),
+        Witness(w.s1, w.s2, (), (), (), 0),
+    ):
+        with pytest.raises(seccheck.WitnessReplayError):
+            seccheck._certify(Speculative(), start, bad, 200)
+    # a tree that disagrees with ``run`` is an internal error, not a verdict
+    monkeypatch.setattr(seccheck, "run", lambda sem, cfg, dirs, fuel: run(sem, cfg, (), fuel))
+    with pytest.raises(seccheck.WitnessReplayError):
+        check_spec_obs_equiv(c, s1, s2)
 
 
 # --- noninterference, unwinding, preservation ----------------------------------

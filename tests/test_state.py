@@ -9,8 +9,10 @@ from awhile.state import (
     DStore,
     FORCE,
     OBranch,
+    OPAQUE,
     ORead,
     ScalarState,
+    SecretDependence,
     STEP,
     StateFormatError,
     format_dirs,
@@ -53,6 +55,27 @@ def test_missing_array_has_size_zero():
 
 
 # --- state files ------------------------------------------------------------
+
+
+def test_opaque_value_absorbs_arithmetic_and_leaves_comparisons_unknown():
+    for v in (OPAQUE + 1, 2 + OPAQUE, OPAQUE - 3, 3 - OPAQUE, OPAQUE * 0, 5 * OPAQUE,
+              OPAQUE + OPAQUE):
+        assert v is OPAQUE
+    assert OPAQUE  # truthy, so a binding to it is kept
+    rho = ScalarState().set("k", OPAQUE)
+    assert rho.get("k") is OPAQUE and rho.names() == {"k"}
+    assert hash(rho) == hash(ScalarState().set("k", OPAQUE))  # hashes by identity
+    # a comparison is unknown, even of the value with itself: deciding on it,
+    # hashing the answer, or indexing with it raises
+    for unknown in (OPAQUE == OPAQUE, OPAQUE != OPAQUE, OPAQUE < 1, 1 <= OPAQUE,
+                    OPAQUE > 0, 0 >= OPAQUE, 0 == OPAQUE):
+        for decide in (bool, hash, (1, 2).__getitem__):
+            with pytest.raises(SecretDependence):
+                decide(unknown)
+    with pytest.raises(SecretDependence):
+        (1, 2)[OPAQUE]
+    # containers compare it by identity, so a store holding it equals itself
+    assert ArrayState({"a": (OPAQUE, 1)}) == ArrayState({"a": (OPAQUE, 1)})
 
 
 def test_parse_state_example():
