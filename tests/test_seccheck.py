@@ -714,22 +714,24 @@ def test_group_trees_change_no_verdict(monkeypatch):
     assert settled_any > 0 and walked_any > 0
 
 
-@pytest.mark.parametrize("program, space", [
+_SECRET_DECISIONS = [
     # k = 0 is bound in no scalar state: the group's names are a union
     ("if k = 0 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}"),
     # an opaque value is not equal to itself
     ("if k * 2 <> k + 1 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}"),
     ("x <- a[k]", "k in {0,1}\na : size 2 in {0}"),
+]
+
+
+@pytest.mark.parametrize("c, P, space, bounds", [
+    *[(parse_com(c), all_secret(), parse_space(space), Bounds(4, 100))
+      for c, space in _SECRET_DECISIONS],
     # a secret read by a misspeculated load, then used as an index
-    (None, None),
-])
-def test_group_trees_walk_groups_that_decide_on_a_secret(monkeypatch, program, space):
-    if program is None:
-        c, P, states, bounds = _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_SPACE, Bounds(12, 200)
-    else:
-        c, P, states, bounds = parse_com(program), all_secret(), parse_space(space), Bounds(4, 100)
+    (_LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_SPACE, Bounds(12, 200)),
+], ids=["absent-zero", "self-comparison", "secret-index", "loaded-index"])
+def test_group_trees_walk_groups_that_decide_on_a_secret(monkeypatch, c, P, space, bounds):
     grouped, walked, settled = _with_and_without_groups(
-        monkeypatch, lambda: check_sct(c, P, P, states, bounds)
+        monkeypatch, lambda: check_sct(c, P, P, space, bounds)
     )
     assert grouped.status is VerdictStatus.VIOLATED
     assert grouped == walked and not settled
