@@ -15,6 +15,7 @@ exploration bounds when the corresponding flags are not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -546,11 +547,23 @@ _COMMANDS = {
 }
 
 
+def _formatter():
+    """argparse's help formatter at the width it would read itself.  A
+    parser builds a formatter for every argument it adds, and each one left
+    to itself reads the terminal size; this reads it once per parser.
+    ``shutil`` is imported here, as argparse does, so importing the CLI
+    does not load it."""
+    import shutil
+
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, as the full parser's sub-parser for it
     would be: the same usage, help and errors, and the same namespace."""
     _, fn, add_args = _COMMANDS[name]
-    p = argparse.ArgumentParser(prog=f"awhile {name}")
+    p = argparse.ArgumentParser(prog=f"awhile {name}", formatter_class=_formatter())
     add_args(p)
     p.set_defaults(command=name, fn=fn)
     return p
@@ -558,14 +571,16 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     """The parser for every command."""
+    formatter = _formatter()
     top = argparse.ArgumentParser(
         prog="awhile",
         description="AWhile: speculative semantics, IFC analyses, SLH "
         "hardening, and bounded differential security checking",
+        formatter_class=formatter,
     )
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, fn, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         add_args(p)
         p.set_defaults(fn=fn)
     return top

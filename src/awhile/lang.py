@@ -21,7 +21,12 @@ tree; only ``seq_sem``, the independent sequential oracle, uses them.  The
 speculative and ideal steppers evaluate through ``compiled``: each
 expression becomes a closure on its first evaluation, cached in the
 stepper's per-check table.  Both evaluate a left-deep chain of one
-operator, such as a long flat sum, in a loop.
+operator, such as a long flat sum, in a loop.  Both also evaluate over the
+opaque value ``OPAQUE``, which stands for values a group of states
+disagrees on: a comparison with it is ``UNKNOWN``, and testing that raises
+``SecretDependence``, while an arithmetic expression, even one that
+truncates a subtraction or selects on an unknown condition, gives
+``OPAQUE`` back.
 """
 
 from __future__ import annotations
@@ -136,6 +141,65 @@ SKIP = Skip()
 
 
 # ---------------------------------------------------------------------------
+# The opaque value of seccheck's group runs
+# ---------------------------------------------------------------------------
+
+
+class SecretDependence(Exception):
+    """A step decided something on the opaque value ``OPAQUE``."""
+
+
+def _decide(*_):
+    raise SecretDependence("a decision on an opaque value")
+
+
+class _Unknown:
+    """The truth value of a comparison with ``OPAQUE``: testing it, hashing
+    it or using it as an index is a decision on the opaque value."""
+
+    __slots__ = ()
+
+    __bool__ = __hash__ = __index__ = _decide
+
+    def __repr__(self):
+        return "UNKNOWN"
+
+
+UNKNOWN = _Unknown()
+
+
+class _Opaque:
+    """One value that stands for whatever a group of states holds where
+    they disagree.  Arithmetic on it gives it back, and so do truncated
+    subtraction and a constant-time select that would have to compare it or
+    test it, in both evaluators; it is truthy, so a binding to it is kept
+    like any non-zero value.  Every comparison gives ``UNKNOWN``, even with
+    itself, since two opaque values may differ in any one state, and using
+    it as an index raises SecretDependence.  It hashes by identity, so the
+    stores that hold it can be keys; containers compare it by identity, so
+    a store equals itself."""
+
+    __slots__ = ()
+
+    def _same(self, *_):
+        return self
+
+    def _unknown(self, _):
+        return UNKNOWN
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _same
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unknown
+    __hash__ = object.__hash__
+    __index__ = _decide
+
+    def __repr__(self):
+        return "OPAQUE"
+
+
+OPAQUE = _Opaque()
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -143,7 +207,9 @@ SKIP = Skip()
 def eval_aexp(rho, e: AExp) -> int:
     """Evaluate an arithmetic expression in scalar state ``rho``.
 
-    Total over naturals; subtraction truncates at 0.  Both evaluators
+    Total over naturals; subtraction truncates at 0.  A truncated
+    subtraction or a constant-time select that would decide on ``OPAQUE``
+    gives ``OPAQUE``, as the compiled closures do.  Both evaluators
     dispatch on the exact class, as the syntax walks do.
     """
     cls = e.__class__
@@ -164,14 +230,21 @@ def eval_aexp(rho, e: AExp) -> int:
             if op == "+":
                 l = l + r
             elif op == "-":
-                l = l - r if l > r else 0
+                try:
+                    l = l - r if l > r else 0
+                except SecretDependence:
+                    l = OPAQUE
             elif op == "*":
                 l = l * r
             else:
                 raise ValueError(f"unknown arithmetic operator {op!r}")
         return l
     if cls is CTCond:
-        return eval_aexp(rho, e.then if eval_bexp(rho, e.cond) else e.other)
+        try:
+            e = e.then if eval_bexp(rho, e.cond) else e.other
+        except SecretDependence:
+            return OPAQUE
+        return eval_aexp(rho, e)
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -281,7 +354,10 @@ def _fold(op, done, n):
             v = first(m)
             for f in rest:
                 w = f(m)
-                v = v - w if v > w else 0
+                try:
+                    v = v - w if v > w else 0
+                except SecretDependence:
+                    v = OPAQUE
             return v
     elif op == "*":
         def fold(m):
@@ -300,7 +376,14 @@ def _combine(e, done):
     cls = e.__class__
     if cls is CTCond:
         o, t, c = done.pop(), done.pop(), done.pop()
-        return lambda m: t(m) if c(m) else o(m)
+
+        def select(m):
+            try:
+                f = t if c(m) else o
+            except SecretDependence:
+                return OPAQUE
+            return f(m)
+        return select
     if cls is Not:
         a = done.pop()
         return lambda m: not a(m)
@@ -318,7 +401,10 @@ def _combine(e, done):
         if op == "-":
             def minus_n(m):
                 v = l(m)
-                return v - n if v > n else 0
+                try:
+                    return v - n if v > n else 0
+                except SecretDependence:
+                    return OPAQUE
             return minus_n
         if op == "*":
             return lambda m: l(m) * n
@@ -337,7 +423,10 @@ def _combine(e, done):
         if op == "-":
             def minus(m):
                 v, w = l(m), r(m)
-                return v - w if v > w else 0
+                try:
+                    return v - w if v > w else 0
+                except SecretDependence:
+                    return OPAQUE
             return minus
         if op == "*":
             return lambda m: l(m) * r(m)

@@ -19,12 +19,15 @@ the premise); this is a documented soundness caveat of the bounded checker.
 
 Cost model of the SCT and relative-security checks: the space is enumerated
 once and its states grouped by their public projection, which yields the
-public-equivalent pairs in nested-scan order.  Each state gets one
-sequential run (the relative-security premise).  The pairs then fall into
-groups, the connected components of the pairs, and each group first gets
-one directive tree, from one abstract state that keeps every scalar and
-array cell its states agree on and holds the opaque value
-``state.OPAQUE`` everywhere else.  A group whose tree expands in full
+public-equivalent pairs in nested-scan order.  The relative-security
+premise gets one sequential run per public group, from the group's
+abstract state (below), and one run per state only in a group whose run
+decides something on the opaque value; it is grouped by the labeling the
+check was given, also for ``uslh``, whose pairs ignore the labeling.  The
+pairs then fall into groups, the connected components of the pairs, and
+each group first gets one directive tree, from one abstract state that
+keeps every scalar and array cell its states agree on and holds the opaque
+value ``lang.OPAQUE`` everywhere else.  A group whose tree expands in full
 decided every branch, bounds test, candidate list and observation on
 values its states share, so all of them have that tree, and its pairs are
 skipped; one whose tree decides something on the opaque value
@@ -73,7 +76,7 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import Com, numeral_too_long, syntax_equal
+from .lang import OPAQUE, Com, SecretDependence, numeral_too_long, syntax_equal
 from .record import Record
 from .seq_sem import RunKind, seq_run
 from .spec_sem import Speculative, StepTag, advance, feasible, load_class, run
@@ -82,10 +85,8 @@ from .state import (
     Dir,
     DLoad,
     FORCE,
-    OPAQUE,
     Obs,
     ScalarState,
-    SecretDependence,
     SpecConfig,
     STEP,
     dir_sort_key,
@@ -481,21 +482,23 @@ def check_spec_obs_equiv(
     )
 
 
-def _equivalent_pairs(
+def _public_groups(
     states: Sequence[Tuple[ScalarState, ArrayState]], P: LabelMap, PA: LabelMap
-) -> List[Tuple[int, int]]:
-    """Index pairs i < j of public-equivalent states, in the order of a
-    nested scan.  States are grouped by their public projection, so only
-    pairs within a group are formed."""
+) -> List[List[int]]:
+    """The states grouped by their public projection, as ascending index
+    lists, in the order of each group's first state."""
     scalars, arrays = sorted(P.public_names()), sorted(PA.public_names())
     groups = {}
-    group_of = []
     for i, (rho, mu) in enumerate(states):
         key = (tuple([rho.get(n) for n in scalars]), tuple([mu.vector(n) for n in arrays]))
-        group = groups.setdefault(key, [])
-        group.append(i)
-        group_of.append(group)
-    return [(i, j) for i, group in enumerate(group_of) for j in group if j > i]
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _equivalent_pairs(groups: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
+    """Index pairs i < j of states in one of the ``groups`` (those of
+    ``_public_groups``), in the order of a nested scan."""
+    return sorted([p for g in groups for p in itertools.combinations(g, 2)])
 
 
 def _groups(pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
@@ -673,7 +676,7 @@ def check_sct(
     states = list(enum_states(space))
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states,
-        _equivalent_pairs(states, P, PA), bounds.over(space),
+        _equivalent_pairs(_public_groups(states, P, PA)), bounds.over(space),
         f"vacuous: 0 public-equivalent pairs among {len(states)} states", by_group=True,
     )
 
@@ -697,6 +700,29 @@ def transform(
     return harden(row, c, P, PA, flag_var)
 
 
+def _seq_traces(c: Com, states, groups: Sequence[Sequence[int]], fuel: int) -> dict:
+    """The sequential trace of every state of the ``groups``, by index: one
+    ``seq_run`` per group, from its abstract state (``_abstract_state``).
+    If that run decides nothing on ``OPAQUE``, every branch, bounds test
+    and observation was decided on values the group's states share, so each
+    of them takes the same steps and has this trace.  A group whose run
+    raises SecretDependence gets one run per state."""
+    traces = {}
+    for group in groups:
+        abstract = _abstract_state(states, group) if len(group) > 1 else None
+        if abstract is not None:
+            try:
+                trace = seq_run(c, *abstract, fuel).trace
+            except SecretDependence:
+                pass
+            else:
+                traces.update(dict.fromkeys(group, trace))
+                continue
+        for s in group:
+            traces[s] = seq_run(c, *states[s], fuel).trace
+    return traces
+
+
 def check_relative_security(
     variant_kind: str,
     c: Com,
@@ -714,7 +740,8 @@ def check_relative_security(
     Pairs failing the sequential premise are skipped (the source already
     leaks the difference).  variant_kind 'none' checks the source program
     itself.  'uslh' pairs all states regardless of the labeling, matching
-    its theorem, which has no public-equivalence premise.  A program that
+    its theorem, which has no public-equivalence premise; its premise runs
+    are still grouped by the labeling (``_seq_traces``).  A program that
     uses the flag variable raises FlagCollisionError, as ``transform`` does
     for every other check.
     """
@@ -732,16 +759,18 @@ def check_relative_security(
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"{variant_kind} requires an IFC-well-typed program")
     bounds = bounds.over(space)
-    pair_P, pair_PA = (all_secret(), all_secret()) if variant_kind == "uslh" else (P, PA)
     states = list(enum_states(space))
-    pairs = _equivalent_pairs(states, pair_P, pair_PA)
-    traces = {
-        s: seq_run(c, states[s][0], states[s][1], bounds.fuel).trace
-        for s in {s for pair in pairs for s in pair}
-    }
+    groups = _public_groups(states, P, PA)
+    pairs = _equivalent_pairs(
+        _public_groups(states, all_secret(), all_secret()) if variant_kind == "uslh" else groups
+    )
+    paired = {s for pair in pairs for s in pair}
+    # a public group's states are all paired or none is
+    traces = _seq_traces(c, states, [g for g in groups if g[0] in paired], bounds.fuel)
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False), states,
-        [(i, j) for i, j in pairs if prefix_of(traces[i], traces[j])], bounds,
+        [(i, j) for i, j in pairs
+         if traces[i] is traces[j] or prefix_of(traces[i], traces[j])], bounds,
         f"vacuous: 0 of {len(pairs)} public-equivalent pairs passed the sequential premise",
         by_group=True,
     )
@@ -1012,7 +1041,8 @@ def check_ni(
         return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
     states = list(enum_states(space))
-    pairs = _equivalent_pairs(states, P, all_secret()) + [(i, i) for i in range(len(states))]
+    pairs = _equivalent_pairs(_public_groups(states, P, all_secret()))
+    pairs += [(i, i) for i in range(len(states))]
     checked, failures = 0, []
     for i, j in sorted(pairs):
         for flag in (False, True):
@@ -1071,9 +1101,9 @@ def check_unwinding_space(
     except PreconditionError:
         return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
     states = list(enum_states(space))
+    groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
     return _pair_verdict(
-        sem, lambda rho, mu: start(rho, mu, True), states,
-        _equivalent_pairs(states, P, PA if variant_kind == "fislh" else all_secret()),
+        sem, lambda rho, mu: start(rho, mu, True), states, _equivalent_pairs(groups),
         bounds, _NO_PAIR, count_pairs=True, by_group=True,
     )
 

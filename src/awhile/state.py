@@ -11,7 +11,8 @@ import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ifc_static import LabelMap
-from .lang import Com, Seq, numeral_too_long
+# OPAQUE and SecretDependence are defined with the evaluators and re-exported here
+from .lang import OPAQUE, Com, SecretDependence, Seq, numeral_too_long
 from .record import Record
 
 
@@ -129,63 +130,6 @@ class ArrayState:
     def __repr__(self):
         inner = ", ".join(f"{k}={list(v)}" for k, v in sorted(self._m.items()))
         return f"ArrayState({inner})"
-
-
-# ---------------------------------------------------------------------------
-# The opaque value of seccheck's group trees
-# ---------------------------------------------------------------------------
-
-
-class SecretDependence(Exception):
-    """A step decided something on the opaque value ``OPAQUE``."""
-
-
-def _decide(*_):
-    raise SecretDependence("a decision on an opaque value")
-
-
-class _Unknown:
-    """The truth value of a comparison with ``OPAQUE``: testing it, hashing
-    it or using it as an index is a decision on the opaque value."""
-
-    __slots__ = ()
-
-    __bool__ = __hash__ = __index__ = _decide
-
-    def __repr__(self):
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
-
-
-class _Opaque:
-    """One value that stands for whatever a group of states holds where
-    they disagree.  Arithmetic on it gives it back; it is truthy, so a
-    binding to it is kept like any non-zero value.  Every comparison gives
-    ``UNKNOWN``, even with itself, since two opaque values may differ in
-    any one state, and using it as an index raises SecretDependence.  It
-    hashes by identity, so the stores that hold it can be keys; containers
-    compare it by identity, so a store equals itself."""
-
-    __slots__ = ()
-
-    def _same(self, *_):
-        return self
-
-    def _unknown(self, _):
-        return UNKNOWN
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _same
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unknown
-    __hash__ = object.__hash__
-    __index__ = _decide
-
-    def __repr__(self):
-        return "OPAQUE"
-
-
-OPAQUE = _Opaque()
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import awhile
-from awhile.cli import _build_parser, _command_parser, main
+from awhile.cli import _COMMANDS, _build_parser, _command_parser, main
 from awhile.fixtures import FIXTURES
 from awhile.gen import gen_program
 from awhile.lang import pretty_com
@@ -980,6 +981,36 @@ def test_main_builds_only_the_invoked_command(files, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
     assert main(["print", files("p.aw", "skip")]) == 0
     assert built == ["awhile print"]
+
+
+@pytest.mark.parametrize("columns", ["50", "80", "200"])
+def test_parsers_read_the_terminal_width_once(columns, monkeypatch):
+    # the help and usage of every parser are those of argparse's default
+    # formatter, which reads the width for every argument it adds
+    monkeypatch.setenv("COLUMNS", columns)
+    reads = []
+    real = shutil.get_terminal_size
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+
+    for name, (help_text, fn, add_args) in _COMMANDS.items():
+        default = argparse.ArgumentParser(prog=f"awhile {name}")
+        add_args(default)
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        p = _command_parser(name)
+        monkeypatch.setattr(shutil, "get_terminal_size", real)
+        assert (p.format_help(), p.format_usage()) == (default.format_help(),
+                                                       default.format_usage())
+        assert len(reads) == 1
+        reads.clear()
+    default = argparse.ArgumentParser(prog="awhile", description=_build_parser().description)
+    sub = default.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
+    assert _build_parser().format_help() == default.format_help()
+    assert _build_parser().format_usage() == default.format_usage()
 
 
 def test_module_entry_point_reads_sys_argv(files):

@@ -34,6 +34,8 @@ from awhile.lang import (
     syntax_equal,
     syntax_repr,
     used_vars,
+    OPAQUE,
+    SecretDependence,
 )
 from awhile.state import ScalarState
 
@@ -490,6 +492,29 @@ def test_compiling_a_long_expression_does_not_recurse():
     # operator, so it evaluates as deep as the tree-walking evaluator does
     e = parse_aexp(" + ".join(["x"] * 800))
     assert compiled({}, e)({"x": 2}) == eval_aexp(ScalarState({"x": 2}), e) == 1600
+
+
+@pytest.mark.parametrize("text", [
+    "k - 1", "1 - k", "k - k", "5 - k - 1", "x - 1 - k", "k - 1 + 2", "(k = 1 ? 0 : 1)",
+    "(x < 2 ? k : 1)", "1 - (k = 1 ? 0 : 1)", "(x = 0 ? 0 : k - 1) * 2", "(k < 1 ? 1 : 1)",
+])
+def test_an_opaque_operand_makes_an_opaque_value(text):
+    # a truncated subtraction and a constant-time select that would decide
+    # on the opaque value give it back, in both evaluators, so nothing is
+    # decided until a branch, bounds test or index uses the result
+    e = parse_aexp(text)
+    rho = ScalarState.adopt({"k": OPAQUE, "x": 1})
+    assert eval_aexp(rho, e) is OPAQUE
+    assert compiled({}, e)(rho._m) is OPAQUE
+
+
+@pytest.mark.parametrize("text", ["k - 1 < 2", "(k = 1 ? 0 : 1) = 0", "k = k", "!(k - 1 < 2)"])
+def test_deciding_on_an_opaque_result_still_raises(text):
+    b = parse_bexp(text)
+    rho = ScalarState.adopt({"k": OPAQUE})
+    for evaluate in (lambda: eval_bexp(rho, b), lambda: compiled({}, b)(rho._m)):
+        with pytest.raises(SecretDependence):
+            bool(evaluate())
 
 
 def test_expressions_compile_on_first_evaluation():

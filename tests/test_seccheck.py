@@ -720,6 +720,10 @@ _SECRET_DECISIONS = [
     # an opaque value is not equal to itself
     ("if k * 2 <> k + 1 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}"),
     ("x <- a[k]", "k in {0,1}\na : size 2 in {0}"),
+    # a subtraction and a select on the opaque value give it back, and
+    # indexing with the result is still a decision on it
+    ("x := k - 1; y <- a[x]", "k in {1,2}\na : size 2 in {0}"),
+    ("x := (k = 1 ? 0 : 1); y <- a[x]", "k in {1,2}\na : size 2 in {0}"),
 ]
 
 
@@ -728,13 +732,28 @@ _SECRET_DECISIONS = [
       for c, space in _SECRET_DECISIONS],
     # a secret read by a misspeculated load, then used as an index
     (_LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_SPACE, Bounds(12, 200)),
-], ids=["absent-zero", "self-comparison", "secret-index", "loaded-index"])
+], ids=["absent-zero", "self-comparison", "secret-index", "opaque-difference",
+        "opaque-select", "loaded-index"])
 def test_group_trees_walk_groups_that_decide_on_a_secret(monkeypatch, c, P, space, bounds):
     grouped, walked, settled = _with_and_without_groups(
         monkeypatch, lambda: check_sct(c, P, P, space, bounds)
     )
     assert grouped.status is VerdictStatus.VIOLATED
     assert grouped == walked and not settled
+
+
+@pytest.mark.parametrize("c", [
+    "x := k + 1; y <- a[0]", "x := k - 1; y <- a[0]", "x := (k = 1 ? 0 : 1); y <- a[0]",
+])
+def test_group_trees_settle_arithmetic_nothing_decides_on(monkeypatch, c):
+    # a truncated subtraction compares its operands and a select tests its
+    # condition, but neither result is decided on, so the group is settled
+    grouped, walked, settled = _with_and_without_groups(
+        monkeypatch,
+        lambda: check_sct(parse_com(c), all_secret(), all_secret(),
+                          parse_space("k in {1,2}\na : size 1 in {0}"), Bounds(4, 100)),
+    )
+    assert grouped.holds and grouped == walked and settled == {0, 1}
 
 
 def test_sct_of_hardened_gadget_builds_one_tree_per_public_group(monkeypatch):
@@ -758,6 +777,118 @@ def test_sct_of_hardened_gadget_builds_one_tree_per_public_group(monkeypatch):
     assert v.holds
     assert len(built) == 4
     assert all(cfg.mu.vector("a3") == (OPAQUE,) for cfg in built)
+
+
+# --- the relsec premise, one sequential run per public group -------------------
+
+
+def _per_state_traces(c, states, groups, fuel):
+    return {s: seccheck.seq_run(c, *states[s], fuel).trace for group in groups for s in group}
+
+
+def _with_and_without_grouped_premise(monkeypatch, check):
+    """A check's verdict with the premise run once per public group and
+    with it run once per state, and the ``seq_run`` calls of each: the
+    grouped check's, how many of those decided on the opaque value, and the
+    per-state check's."""
+    runs, raised = [0], [0]
+
+    def counted(*args):
+        runs[0] += 1
+        try:
+            return seq_run(*args)
+        except seccheck.SecretDependence:
+            raised[0] += 1
+            raise
+
+    with monkeypatch.context() as m:
+        m.setattr(seccheck, "seq_run", counted)
+        grouped = check()
+        grouped_runs, runs[0] = runs[0], 0
+        m.setattr(seccheck, "_seq_traces", _per_state_traces)
+        per_state = check()
+    return grouped, per_state, grouped_runs, raised[0], runs[0]
+
+
+_PREMISE_SPACES = (
+    parse_space("i in {0,1}\nk in {0,2}\nx in {0,1}\na : size 2 in {0,1}\nc : size 1 in {3}"),
+    parse_space("i in {0,2}\nk in {1,3}\na : size 2 in {0,1}\nc : size 2 in {0,1}"),
+)
+# k, x and a are secret, so generated sources branch on and index with them
+_PREMISE_LABELS = parse_labeling("i: public\ny: public\nc: public")
+
+
+def test_grouped_premise_changes_no_verdict(monkeypatch):
+    # the whole relsec verdict (status, witness, bounds, message) under each
+    # variant, with the premise run per public group and per state
+    cases, outcomes, runs, fallbacks, per_state_runs = 0, set(), 0, 0, 0
+    for seed in range(12):
+        com = gen_program(5000 + seed, 20, pools)
+        space = _PREMISE_SPACES[seed % 2]
+        for v in _HARDENINGS:
+            grouped, per_state, n, raised, m = _with_and_without_grouped_premise(
+                monkeypatch,
+                lambda: check_relative_security(v, com, _PREMISE_LABELS, _PREMISE_LABELS,
+                                                space, Bounds(4, 150)),
+            )
+            assert grouped == per_state, (seed, v, grouped, per_state)
+            cases += 1
+            outcomes.add(grouped.status)
+            runs += n
+            fallbacks += raised
+            per_state_runs += m
+    assert cases == 96
+    assert VerdictStatus.HOLDS in outcomes and VerdictStatus.VIOLATED in outcomes
+    # some groups decided on a secret and were run per state, others were not
+    assert 0 < fallbacks < runs < per_state_runs
+
+
+_PREMISE_TRAPS = [
+    # k = 0 is bound in no scalar state: the group's names are a union
+    ("if k = 0 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}", 0, 1),
+    # an opaque value is not equal to itself
+    ("if k * 2 <> k + 1 then x <- a[0] end", "k in {0,1}\na : size 1 in {0}", 0, 1),
+    ("x <- a[k]", "k in {0,1}\na : size 2 in {0}", 0, 1),
+    # k = 5 and k = 9 run out of fuel in the loop with equal traces, so one
+    # pair of three passes the premise
+    ("while x < k do x := x + 1 end; y <- a[0]", "k in {1,5,9}\na : size 1 in {0}", 1, 3),
+]
+
+
+@pytest.mark.parametrize("c, space, passed, pairs", _PREMISE_TRAPS,
+                         ids=["absent-zero", "self-comparison", "secret-index", "secret-loop-bound"])
+@pytest.mark.parametrize("variant", ["none", "uslh", "fvslh"])
+def test_grouped_premise_runs_groups_that_decide_on_a_secret_per_state(
+        monkeypatch, c, space, passed, pairs, variant):
+    secret, space = all_secret(), parse_space(space)
+    grouped, per_state, runs, raised, _ = _with_and_without_grouped_premise(
+        monkeypatch,
+        lambda: check_relative_security(variant, parse_com(c), secret, secret, space,
+                                        Bounds(4, 12)),
+    )
+    assert grouped == per_state
+    assert grouped.holds
+    vacuous = f"vacuous: 0 of {pairs} public-equivalent pairs passed the sequential premise"
+    assert grouped.message == ("" if passed else vacuous)
+    # the group's run raised, then each state got its own
+    assert (runs, raised) == (1 + space.count(), 1)
+
+
+@pytest.mark.parametrize("variant", ["fvslh", "uslh"])
+def test_relsec_premise_runs_once_per_public_group(monkeypatch, variant):
+    # the relsec-pairs space: 16 states in four public groups (by i); uslh
+    # pairs all 16, but its premise is still grouped by the labeling
+    space = parse_space(
+        "i in {0,1,2,3}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
+        "a3 : size 1 in {5,17,42,77}"
+    )
+    grouped, per_state, runs, raised, per_state_runs = _with_and_without_grouped_premise(
+        monkeypatch,
+        lambda: check_relative_security(variant, _LOOPED_GADGET, _LOOPED_LABELS,
+                                        _LOOPED_LABELS, space, Bounds(8, 200)),
+    )
+    assert grouped.holds and grouped == per_state
+    assert (runs, raised, per_state_runs) == (4, 0, 16)
 
 
 def test_one_pair_checks_settle_no_group(monkeypatch):
