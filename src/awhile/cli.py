@@ -53,7 +53,7 @@ from .seccheck import (
     transform,
 )
 from .gen import gen_program
-from .spec_sem import STEPPED, Speculative, advance, feasible, run
+from .spec_sem import STEPPED, Speculative, feasible, run
 from .seq_sem import seq_run
 from .state import (
     SpecConfig,
@@ -269,11 +269,11 @@ def cmd_harden(args) -> int:
 
 def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
     """Prompt for a directive at every observing redex; the silent steps in
-    between are spec_sem.advance's, so interactive runs stop where
+    between are the semantics' ``advance``, so interactive runs stop where
     spec_sem.run does."""
     sem, trace = Speculative(), []
     while True:
-        cfg, used, kind = advance(sem, cfg, fuel)
+        cfg, used, kind = sem.advance(cfg, fuel)
         fuel -= used
         if kind is not None:
             break

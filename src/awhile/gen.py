@@ -15,7 +15,7 @@ from .lang import (
     Skip, SKIP, Var, While, vars_of_expr,
 )
 from .record import Record
-from .spec_sem import Speculative, advance, feasible
+from .spec_sem import Speculative, feasible
 from .state import ArrayState, Dir, ScalarState, SpecConfig
 
 
@@ -184,7 +184,7 @@ def random_spec_walk(
     list."""
     dirs: List[Dir] = []
     while len(dirs) < max_dirs:
-        cfg, used, kind = advance(sem, cfg, fuel)
+        cfg, used, kind = sem.advance(cfg, fuel)
         fuel -= used
         if kind is not None:
             break

@@ -7,22 +7,24 @@ source program under the matching ideal semantics (backwards compiler
 correctness), so security of the ideal semantics transfers to the hardened
 code.
 
-``IdealFiSLH`` and ``IdealFvSLH`` are ``spec_sem.step_ex`` and its silent
-loop under the variant's policy table and a fixed labeling.  All variants
-read a secret branch condition as false while misspeculating; the policies
-differ in when access indices and loaded values are masked to 0 and in
-which misspeculated accesses get stuck.  ``IdealFS``, the flow-sensitive variant, steps
-annotated commands with its own structural rules (a dynamic pc label and
-labelings, carried for the well-labeledness argument) and takes every
-access decision from the fvslh policy, applied through the shared read and
-write rules to the labels in the annotations.
+``IdealFiSLH`` and ``IdealFvSLH`` are subclasses of
+``spec_sem.Speculative``: its ``step`` (``step_ex``) and ``advance`` (its
+silent loop) under the variant's policy table and a fixed labeling.  All
+variants read a secret branch condition as false while misspeculating; the
+policies differ in when access indices and loaded values are masked to 0
+and in which misspeculated accesses get stuck.  ``IdealFS``, the
+flow-sensitive variant, steps annotated commands with its own structural
+rules (a dynamic pc label and labelings, carried for the well-labeledness
+argument) and takes every access decision from the fvslh policy, applied
+through the shared read and write rules to the labels in the annotations.
 
 Its configurations are focused like ``SpecConfig``, so a step costs the
 same at any nesting depth; a branch wrapper is a pc label saved on the
 stack, restored when the finished branch is popped.  Its silent rules
 (assignment with its label update, dropping ``skip`` with the pc restore,
-unfolding ``while``) are one loop, ``_silent_fs``, as in ``spec_sem``, and
-it evaluates expressions through its own per-check table.
+unfolding ``while``) are one loop, ``_silent_fs``, as in ``spec_sem``; it
+is ``IdealFS.advance``, and ``_step_fs`` is ``IdealFS.step``.  It
+evaluates expressions through its own per-check table.
 """
 
 from __future__ import annotations
@@ -53,12 +55,10 @@ from .spec_sem import (
     StepResult,
     candidate_dirs,
     read_rule,
-    silent_steps,
-    step_ex,
     write_rule,
 )
 from .state import (
-    ArrayState, BRANCH_OBS, Dir, DForce, DStep, ORead, OWrite, ScalarState, SpecConfig, focus_ids,
+    ArrayState, BRANCH_OBS, Dir, DForce, DStep, ORead, OWrite, ScalarState, focus_ids,
 )
 
 # ---------------------------------------------------------------------------
@@ -102,31 +102,16 @@ _FVSLH_POLICY = _Policy(
 # ---------------------------------------------------------------------------
 
 
-class _FixedLabeling(Record):
-    """step_ex under the variant's policy and the fixed scalar labeling P,
-    with per-check tables of its own, kept out of its fields: ``table``
-    (see ``Speculative``) and ``labels``, the labels of the expressions
-    under P (``spec_sem.fixed_label``)."""
+class _FixedLabeling(Speculative):
+    """The speculative semantics under the variant's policy and the fixed
+    labelings P and PA, with a per-check ``labels`` table beside ``table``:
+    the labels of the expressions under P (``spec_sem.fixed_label``)."""
 
-    __slots__ = ("__dict__",)  # for the tables
-    P: LabelMap
-    PA: LabelMap
-
-    policy = None  # set by each variant
     masked = True
 
-    def __new__(cls, fields):
-        self = tuple.__new__(cls, fields)
-        object.__setattr__(self, "table", {})
-        object.__setattr__(self, "labels", {})
-        return self
-
-    def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
-        return step_ex(self, cfg, d)
-
-    _silent = silent_steps
-    candidates = candidate_dirs
-    is_final = staticmethod(Speculative.is_final)
+    def __init__(self, P: LabelMap, PA: LabelMap):
+        super().__init__()
+        self.P, self.PA, self.labels = P, PA, {}
 
 
 class IdealFiSLH(_FixedLabeling):
@@ -296,10 +281,8 @@ class IdealFS:
     def __init__(self):
         self.table = {}
 
-    def step(self, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
-        return _step_fs(self, cfg, d)
-
-    _silent = _silent_fs
+    step = _step_fs
+    advance = _silent_fs
     candidates = candidate_dirs
 
     @staticmethod

@@ -12,9 +12,7 @@ field.  It is built from its fields, positionally or by keyword; ``==``
 holds only between records of one class with equal fields; its hash is the
 hash of the tuple of its fields; its repr is ``Var(name='x')``; and setting
 or deleting an attribute raises AttributeError.  A subclass extends the
-fields of its base.  A class whose instances need more than their fields
-declares ``__slots__ = ("__dict__",)`` and a ``__new__(cls, fields)``,
-which receives the field values as one tuple.
+fields of its base.
 
 ``dataclasses.dataclass`` writes each class's methods as source text and
 runs ``exec`` on it when the class is defined, which at start-up cost more
@@ -30,7 +28,7 @@ from __future__ import annotations
 from collections import _tuplegetter
 
 # builds an instance from one tuple of the field values, through tuple's
-# __new__ (or the class's own), not through _RecordType.__call__
+# __new__, not through _RecordType.__call__
 _build = type.__call__
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__
@@ -55,10 +53,7 @@ class _RecordType(type):
                 defaults[field] = ns[field]
             ns[field] = _tuplegetter(i, None)
         fields += tuple(own)
-        if ns.setdefault("__slots__", ()) == ("__dict__",):
-            # a tuple subclass may not name __dict__ in its slots; it has
-            # one when it declares no slots at all
-            del ns["__slots__"]
+        ns.setdefault("__slots__", ())
         ns["_fields"], ns["_arity"], ns["_defaults"] = fields, len(fields), defaults
         if not fields and base is not tuple:
             ns.setdefault("__bool__", _truthy)  # an empty tuple is false

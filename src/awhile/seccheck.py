@@ -52,8 +52,8 @@ the ideal semantics; it and the noninterference check type the program
 once.  The one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``)
 walk their pair without a group tree.
 
-The checks stop a run where ``spec_sem.advance`` says it stops, and draw
-their random walks from ``gen``, which holds every generator.
+The checks stop a run where the semantics' ``advance`` says it stops, and
+draw their random walks from ``gen``, which holds every generator.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .ifc_static import (
 from .lang import OPAQUE, Com, SecretDependence, numeral_too_long, syntax_equal
 from .record import Record
 from .seq_sem import RunKind, seq_run
-from .spec_sem import Speculative, StepTag, advance, feasible, load_class, run
+from .spec_sem import Speculative, StepTag, feasible, load_class, run
 from .state import (
     ArrayState,
     Dir,
@@ -294,7 +294,7 @@ def enum_spec_runs(
     out: List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]] = []
 
     def rec(cfg, dirs, trace, fuel_left):
-        cfg, used, kind = advance(sem, cfg, fuel_left)
+        cfg, used, kind = sem.advance(cfg, fuel_left)
         fuel_left -= used
         if kind is None:
             feas = feasible(sem, cfg)
@@ -353,7 +353,7 @@ class _Tree:
     def _node(self, cfg, fuel: int, depth: int) -> _Node:
         if depth >= self.max_dirs:
             return _LEAF
-        cfg, used, kind = advance(self.sem, cfg, fuel)
+        cfg, used, kind = self.sem.advance(cfg, fuel)
         if kind is not None:
             return _LEAF
         key = (cfg.key(), fuel - used, depth)

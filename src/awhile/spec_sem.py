@@ -20,23 +20,23 @@ skip`` in one silent step.
 The silent rules (assignment, dropping ``skip``, unfolding ``while``) are
 written once, in one loop, ``silent_steps``: it runs up to a given fuel of
 them on local variables and builds one configuration at the end
-(lightweight fusion, Danvy & Millikin 2008).  ``advance`` runs it with the
-whole fuel, and ``step_ex`` on a silent redex with a budget of 1.
+(lightweight fusion, Danvy & Millikin 2008).  A semantics' ``advance`` runs
+it with the whole fuel, and ``step_ex`` on a silent redex with a budget of 1.
 ``step_ex`` holds the observing rules.  With no policy it is the
 speculative semantics and computes no labels.  Under a hardening's masking
 policy and fixed labeling it is that hardening's ideal semantics
 (``ideal_sem``); the read and write rules are written once and also serve
 the flow-sensitive ideal semantics.
 
-Every semantics is a value with ``step``, ``candidates`` and ``is_final``,
-its silent loop as ``_silent`` (called by ``advance`` alone), and a
-per-check ``table`` that holds each ``while``'s unfolded command and each
-expression's compiled closure (``lang.compiled``); every rule evaluates
-through it.  ``advance``, ``run`` and ``feasible`` work over
-any semantics.  The silent loop is the one place that decides where a run
-stops: terminated, or out of fuel.  A directive that no rule can consume
-leaves the configuration stuck; feasibility filtering belongs to the
-checker, not the semantics.
+Every semantics is a value whose methods are its rule functions: ``step``
+(``step_ex``), ``advance`` (its silent loop), ``candidates`` and
+``is_final``.  It holds a per-check ``table`` of each ``while``'s unfolded
+command and each expression's compiled closure (``lang.compiled``); every
+rule evaluates through it.  ``run`` and ``feasible`` work over any
+semantics.  ``advance`` is the one place that decides where a run stops:
+terminated, or out of fuel.  A directive that no rule can consume leaves
+the configuration stuck; feasibility filtering belongs to the checker, not
+the semantics.
 
 A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``load_class`` classes loads by that
@@ -174,7 +174,10 @@ def write_rule(policy, li, le, table, rho, mu, flag: bool, array: str, index, va
 
 def silent_steps(sem, cfg: SpecConfig, fuel: int):
     """Run the silent steps from ``cfg``, at most ``fuel`` of them, and
-    return (cfg, fuel_used, kind) as ``advance`` does.  The silent rules:
+    return (cfg, fuel_used, kind): ``kind`` is None at an observing redex,
+    which needs a directive, and otherwise the RunKind the run stops with
+    (terminated, or out of fuel; a final configuration has no rule
+    either).  This is ``Speculative.advance``.  The silent rules:
     an assignment; dropping a finished ``skip`` head, so that the top of
     the stack runs next; and unfolding a ``while`` to ``if b then (body;
     while) else skip``, to the same command object every time (kept in
@@ -318,16 +321,14 @@ class Speculative:
     compiled expressions).  The table keeps every program it has stepped
     alive, so each check makes its own value."""
 
-    policy = P = None
+    policy = None
     masked = False
 
     def __init__(self):
         self.table = {}
 
-    def step(self, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
-        return step_ex(self, cfg, d)
-
-    _silent = silent_steps
+    step = step_ex
+    advance = silent_steps
     candidates = candidate_dirs
 
     @staticmethod
@@ -352,15 +353,6 @@ class Outcome(Record):
     consumed: int
 
 
-def advance(sem, cfg, fuel: int):
-    """Run silent steps, at most ``fuel`` of them, in the semantics' silent
-    loop (``sem._silent``).  Returns (cfg, fuel_used, kind): ``kind`` is
-    None at an observing redex, which needs a directive, and otherwise the
-    RunKind the run stops with (terminated, or out of fuel; a final
-    configuration has no rule either)."""
-    return sem._silent(cfg, fuel)
-
-
 def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
     """Run, consuming directives left to right.  Stops at a final
     configuration (terminated), when no rule applies (stuck), at an
@@ -369,7 +361,7 @@ def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
     number of consumed directives always equals the trace length."""
     trace: List[Obs] = []
     while True:
-        cfg, used, kind = advance(sem, cfg, fuel)
+        cfg, used, kind = sem.advance(cfg, fuel)
         fuel -= used
         if kind is not None:
             break

@@ -129,6 +129,16 @@ def test_fixed_labeling_semantics_label_each_expression_once(monkeypatch):
         assert sem.labels[id(c.cond)][0] is PUBLIC
 
 
+def test_each_fixed_labeling_semantics_has_tables_of_its_own():
+    P = parse_labeling("x: public")
+    a, b = IdealFiSLH(P, P), IdealFiSLH(P, P)
+    assert (a.P, a.PA) == (b.P, b.PA) == (P, P)
+    assert a.table is not b.table and a.labels is not b.labels
+    a.table[1] = "unfolded"
+    a.labels[1] = (PUBLIC, None)
+    assert b.table == {} and b.labels == {}
+
+
 def test_fs_if_wraps_branch_and_raises_pc():
     labels = parse_labeling("y: public")
     com = parse_com("if secret = 0 then y := 1 end")

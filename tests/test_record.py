@@ -44,8 +44,8 @@ def _values(cls, start):
 def test_every_module_defines_its_records_with_the_helper():
     names = {cls.__qualname__ for cls in RECORDS}
     assert {"Num", "Seq", "ASeq", "ORead", "DStep", "Verdict", "Bounds", "Labeling",
-            "HardenVariant", "_FixedLabeling", "IdealFiSLH", "Fixture"} <= names
-    assert len(RECORDS) == 45
+            "HardenVariant", "Fixture"} <= names
+    assert len(RECORDS) == 42
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -98,19 +98,6 @@ def test_a_record_takes_its_arguments_as_a_dataclass_does():
                 lambda: Bounds(depth=1), lambda: Verdict()):
         with pytest.raises(TypeError):
             bad()
-
-
-def test_the_loop_table_is_no_field():
-    from awhile.ideal_sem import IdealFiSLH
-    from awhile.ifc_static import all_public
-
-    P = all_public(["x"])
-    a, b = IdealFiSLH(P, P), IdealFiSLH(P, P)
-    a.table[1] = "unfolded"
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == f"IdealFiSLH(P={P!r}, PA={P!r})"
-    assert a.table is not b.table and b.table == {}
-    with pytest.raises(AttributeError):
-        a.table = {}
 
 
 def _run_python(code: str) -> str:

@@ -37,7 +37,7 @@ from awhile.seccheck import (
     _Tree,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import Speculative, StepTag, advance, feasible, load_class, run
+from awhile.spec_sem import Speculative, StepTag, feasible, load_class, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -546,7 +546,7 @@ def _subtree_key(sem, cfg, fuel, depth, max_dirs):
     without the tree: None for a leaf."""
     if depth >= max_dirs:
         return None
-    cfg, used, kind = advance(sem, cfg, fuel)
+    cfg, used, kind = sem.advance(cfg, fuel)
     return None if kind is not None else (cfg.key(), fuel - used, depth)
 
 

@@ -9,7 +9,7 @@ from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC, LabelMap
 from awhile.lang import ARead, If, Num, parse_com, syntax_equal
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import Speculative, StepTag, advance, feasible, run
+from awhile.spec_sem import Speculative, StepTag, feasible, run
 from awhile.state import (
     ArrayState,
     DLoad,
@@ -252,12 +252,12 @@ def test_silent_loop_matches_single_steps_at_every_fuel():
         ):
             for _ in range(12):
                 for fuel in range(40):
-                    got, want = advance(sem, cfg, fuel), _advance_stepwise(sem, cfg, fuel)
+                    got, want = sem.advance(cfg, fuel), _advance_stepwise(sem, cfg, fuel)
                     assert got[1:] == want[1:], (sem, fuel)
                     assert got[0].key() == want[0].key()
                     assert syntax_equal(_command_of(got[0]), _command_of(want[0]))
                     kinds.add(got[2])
-                cfg, _, kind = advance(sem, cfg, 400)
+                cfg, _, kind = sem.advance(cfg, 400)
                 feas = feasible(sem, cfg) if kind is None else []
                 if not feas:
                     break
