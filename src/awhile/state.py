@@ -23,10 +23,9 @@ class ScalarState:
 
     def __init__(self, entries: Optional[Mapping[str, int]] = None):
         # zero entries equal the default; dropping them makes dict equality
-        # coincide with semantic equality
-        self._m: Dict[str, int] = {
-            k: v for k, v in (entries or {}).items() if v != 0
-        }
+        # coincide with semantic equality.  Tested as ``set`` tests them, so
+        # an OPAQUE entry is kept, not compared
+        self._m: Dict[str, int] = {k: v for k, v in (entries or {}).items() if v}
         self._f = None
 
     def get(self, name: str) -> int:

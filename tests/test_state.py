@@ -37,6 +37,14 @@ def test_scalar_state_updates_are_persistent():
     assert rho.get("x") == 1 and rho2.get("x") == 2
 
 
+def test_scalar_state_keeps_an_opaque_entry_and_drops_zeros():
+    # the constructor tests an entry as ``set`` does, without comparing it
+    rho = ScalarState({"k": OPAQUE, "z": 0, "x": 2})
+    assert rho.get("k") is OPAQUE and rho.names() == {"k", "x"}
+    assert rho == ScalarState().set("k", OPAQUE).set("x", 2)
+    assert ScalarState({"z": 0}) == ScalarState()
+
+
 def test_array_state_inbounds_update_is_pointwise():
     mu = ArrayState({"a": (1, 2, 3)})
     mu2 = mu.set("a", 1, 9)
