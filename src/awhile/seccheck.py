@@ -882,14 +882,14 @@ def check_bcc_space(
     if dirs is None:
         rng = random.Random(seed)
         states = list(enum_states(space))  # never empty: the empty space has one state
-        runs = (_random_bcc_run(rng, spec, states, hardened, bounds) for _ in range(trials))
+        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var)
+                for _ in range(trials))
     else:
-        runs = ((rho, mu, dirs) for rho, mu in enum_states(space))
+        runs = ((rho, mu, _bcc_flag(rho, mu, flag_var), dirs) for rho, mu in enum_states(space))
     vacuous = "vacuous: no run was checked"
     count = 0
-    for rho, mu, run_dirs in runs:
+    for rho, mu, flag, run_dirs in runs:
         count += 1
-        flag = _bcc_flag(rho, mu, flag_var)
         ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, flag, run_dirs, bounds.fuel,
                            flag_var)
         if not ok:
@@ -897,12 +897,16 @@ def check_bcc_space(
     return _counted("runs", count, [], vacuous)
 
 
-def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com, bounds: Bounds):
+def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com,
+                    bounds: Bounds, flag_var: str):
+    """A random state, its initial flag, and a random walk of the hardened
+    program from the configuration the run checks, with that flag."""
     rho, mu = states[rng.randrange(len(states))]
+    flag = _bcc_flag(rho, mu, flag_var)
     walk = random_spec_walk(
-        rng, spec, SpecConfig(hardened, rho, mu, False), bounds.max_dirs, bounds.fuel
+        rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel
     )
-    return rho, mu, walk
+    return rho, mu, flag, walk
 
 
 def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from awhile.flow_ifc import Labeling, flow_track
 from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.harden import FlagCollisionError
-from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
+from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH, _Policy
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import parse_com
 import awhile.seccheck as seccheck
@@ -319,6 +319,23 @@ def test_space_drivers_return_verdicts_with_what_they_covered():
         assert isinstance(v, Verdict) and v.holds and v.message == ""
         assert v.facts == (fact,)
         assert v.failures == (() if reports else None)
+
+
+def test_bcc_random_trials_walk_from_the_flag_the_state_encodes(monkeypatch):
+    # b = 1 starts every run misspeculating; a walk drawn with the flag off
+    # never loads, so it missed an ideal semantics that forbids the load
+    com = parse_com("x <- a[i]")
+    lab = parse_labeling("i: public")
+    space = parse_space("i in {2}\nb in {1}\na : size 1 in {5}")
+    bounds = Bounds(4, 100)
+    assert check_bcc_space("fvslh", com, lab, lab, space, bounds, trials=3).holds
+    # the fvslh policy, but no misspeculated load may be redirected
+    fields = dict(zip(_Policy._fields, IdealFvSLH.policy))
+    fields["read_force_ok"] = lambda li, lx: False
+    monkeypatch.setattr(IdealFvSLH, "policy", _Policy(**fields))
+    v = check_bcc_space("fvslh", com, lab, lab, space, bounds, trials=3)
+    assert not v.holds
+    assert v.failures == ("consumed 0 directives ideally vs 1 speculatively",)
 
 
 def test_check_equality_builds_the_uslh_program_once(monkeypatch):
