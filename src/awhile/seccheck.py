@@ -1100,6 +1100,7 @@ def check_unwinding_space(
     program is typed once; an ill-typed program walks no pair.  The verdict
     counts the pairs walked, up to and including a violating one, as
     ``pairs``."""
+    bounds = bounds.over(space)
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:

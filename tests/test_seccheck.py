@@ -1114,6 +1114,17 @@ def test_unwinding_listing4_body():
         assert v.holds, (variant, v)
 
 
+def test_unwinding_space_names_its_space_on_both_paths():
+    space = parse_space("s in {0,1}")
+    # a typed program walks its pair; an ill-typed one walks none
+    for com, lab, pairs in (("x := 1", all_secret(), 1),
+                            ("if s = 0 then x := 1 end", parse_labeling("x: public"), 0)):
+        v = check_unwinding_space("fvslh", parse_com(com), lab, lab, space)
+        assert v.holds and v.facts == (("pairs", pairs),)
+        assert v.bounds == Bounds().over(space)
+        assert v.bounds.space == "s in {0,1}"
+
+
 def test_unwinding_randomized():
     rng = random.Random(41)
     done = 0
