@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import itertools
 import json
@@ -156,6 +157,42 @@ def test_harden_matches_listing2(files, capsys):
     out = capsys.readouterr().out
     assert "(b = 1 ? 0 : i)" in out
     assert "b := (i < a1_size ? b : 1)" in out
+
+
+# The first 16 hex digits of the sha256 of the exact standard output of
+# `print` and of `harden` under each variant, for every fixture listing.
+# Listing 2 is already hardened with the flag `b`, so it is hardened again
+# with the flag `m`.
+_HARDEN_CHOICES = ("islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh")
+_PRINTED = {
+    1: ("b7723c84bea3c975", "d199159928ce4773", "d199159928ce4773", "d199159928ce4773",
+        "67e4f2a5908006e7", "1d924d3062e29e15", "1d924d3062e29e15", "1d924d3062e29e15"),
+    2: ("d199159928ce4773", "1ffe4a44e24bc985", "1ffe4a44e24bc985", "1ffe4a44e24bc985",
+        "a798191b3175ac1b", "e567adcde4f295bf", "1ffe4a44e24bc985", "1ffe4a44e24bc985"),
+    3: ("dfa42dd71c0f41ff", "88e173b2ff0457d3", "88e173b2ff0457d3", "88e173b2ff0457d3",
+        "df9395774cf43b65", "62097d9d182f1b5f", "62097d9d182f1b5f", "62097d9d182f1b5f"),
+    4: ("0d13d85e8b02002c", "fc01b92bf3a2297a", "fc01b92bf3a2297a", "4c5bd02171c50347",
+        "f372925068abdd56", "fc01b92bf3a2297a", "4c5bd02171c50347", "4c5bd02171c50347"),
+    5: ("c897464a0c16fc87", "55e9d936f47d1ee3", "f900a44784d1a7ca", "55e9d936f47d1ee3",
+        "8f104db0fc9c3ad1", "f900a44784d1a7ca", "55e9d936f47d1ee3", "55e9d936f47d1ee3"),
+    6: ("d74d96afc1e65f02", "aad0dd3b97854718", "79706c9fb86d3124", "aad0dd3b97854718",
+        "0b5e371b607e637e", "79706c9fb86d3124", "aad0dd3b97854718", "aad0dd3b97854718"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(_PRINTED))
+def test_printed_text_of_every_listing_is_pinned(number, files, capsys):
+    # the exact text, spaces, line breaks and indentation included
+    fx = FIXTURES[number]
+    p = files("p.aw", fx.program_text)
+    labels = files("labels", fx.labeling_text)
+    flag = ["--flag-var", "m"] if number == 2 else []
+    digests = []
+    for argv in [["print", p]] + [["harden", "--variant", v, "--labels", labels, *flag, p]
+                                  for v in _HARDEN_CHOICES]:
+        assert main(argv) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert tuple(digests) == _PRINTED[number]
 
 
 def test_run_seq_json(files, capsys):

@@ -216,6 +216,15 @@ def test_error_at_the_faulty_token(text, message):
     ("y := a; z <- a[1]", "1:14: 'a' used as both scalar and array"),
     ("x <- x[0]", "1:6: 'x' used as both scalar and array"),
     ("a[a] <- 1", "1:1: 'a' used as both scalar and array"),
+    # a fault in the right operand of an infix operator
+    ("x := y +", "1:9: expected an arithmetic expression, found 'end of input'"),
+    ("x := y +\n  1 -", "2:6: expected an arithmetic expression, found 'end of input'"),
+    ("x := y + true", "1:10: expected an arithmetic expression, found 'true'"),
+    ("x := y * " + "1" * 5000, "1:10: numeral too long (5000 digits)"),
+    ("a[0] <- 1; x := 1 + a", "1:21: 'a' used as both scalar and array"),
+    ("x := 1 + a; y := 2 * a; a[0] <- 1", "1:25: 'a' used as both scalar and array"),
+    ("x := y + z[0]", "1:11: trailing input starting at '['"),
+    ("x := y + y[0]", "1:11: trailing input starting at '['"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
