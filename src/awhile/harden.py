@@ -55,8 +55,6 @@ from .lang import (
     ARead,
     Asgn,
     AWrite,
-    AExp,
-    BExp,
     Cmp,
     Com,
     CTCond,
@@ -69,7 +67,7 @@ from .lang import (
     While,
     used_vars,
 )
-from .record import Record
+from .record import Record, _build
 
 DEFAULT_FLAG_VAR = "b"
 
@@ -149,35 +147,20 @@ def _pick(cells, label, c):
     return cells[0] if cells[0] == cells[1] or label(c) is PUBLIC else cells[1]
 
 
-def _masked(index: AExp, flag_var: str) -> AExp:
-    """(b = 1 ? 0 : index)"""
-    return CTCond(Cmp("=", Var(flag_var), Num(1)), Num(0), index)
-
-
-def _guarded(cond: BExp, flag_var: str) -> BExp:
-    """b = 0 && cond"""
-    return And(Cmp("=", Var(flag_var), Num(0)), cond)
-
-
-def _flag_update(cond: BExp, entering_true_branch: bool, flag_var: str) -> Com:
-    # entering the true branch: flag stays if the condition really held,
-    # becomes 1 otherwise; symmetric on the false side
-    b = Var(flag_var)
-    if entering_true_branch:
-        return Asgn(flag_var, CTCond(cond, b, Num(1)))
-    return Asgn(flag_var, CTCond(cond, Num(1), b))
-
-
 def _seq(first: Com, second: Com) -> Com:
     # a hardened skip branch reduces to the bare flag update
-    return first if second is SKIP else Seq(first, second)
+    return first if second is SKIP else _build(Seq, (first, second))
 
 
 def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
     """Harden a command or an annotated command by one table row.  The walk
     keeps an explicit work stack: a node with parts pushes a marker (its
     kind and hardened condition) beneath them, and the marker assembles the
-    parts' translations from the top of ``done``."""
+    parts' translations from the top of ``done``.  The flag's nodes (``b``,
+    ``0``, ``1``, ``b = 1``, ``b = 0``) are built once and shared by every
+    mask, guard and flag update."""
+    b, zero, one = Var(flag_var), Num(0), Num(1)
+    b_is_1, b_is_0 = Cmp("=", b, one), Cmp("=", b, zero)
     done: List[Com] = []
     work = [root]
     while work:
@@ -187,23 +170,23 @@ def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
             kind, guard = c
             if kind is Seq:
                 second = done.pop()
-                done[-1] = Seq(done[-1], second)
-            elif kind is If:
+                done[-1] = _build(Seq, (done[-1], second))
+                continue
+            # each branch sets the flag to 1 unless the condition led to it
+            stay = _build(Asgn, (flag_var, _build(CTCond, (guard, b, one))))
+            leave = _build(Asgn, (flag_var, _build(CTCond, (guard, one, b))))
+            if kind is If:
                 other = done.pop()
-                done[-1] = If(
-                    guard,
-                    _seq(_flag_update(guard, True, flag_var), done[-1]),
-                    _seq(_flag_update(guard, False, flag_var), other),
-                )
+                done[-1] = _build(If, (guard, _seq(stay, done[-1]), _seq(leave, other)))
             else:
-                loop = While(guard, _seq(_flag_update(guard, True, flag_var), done[-1]))
-                done[-1] = Seq(loop, _flag_update(guard, False, flag_var))
+                loop = _build(While, (guard, _seq(stay, done[-1])))
+                done[-1] = _build(Seq, (loop, leave))
         elif kind is Seq or kind is ASeq:
             work += ((Seq, None), c.second, c.first)
         elif kind in (If, AIf, While, AWhileC):
             guard = c.cond
             if _pick(row.cond, labels.cond, c) == "G":
-                guard = _guarded(guard, flag_var)
+                guard = _build(And, (b_is_0, guard))
             if kind is If or kind is AIf:
                 work += ((If, guard), c.other, c.then)
             else:
@@ -213,19 +196,22 @@ def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
         elif kind is Asgn:
             done.append(c)
         elif kind is AAsgn:
-            done.append(Asgn(c.name, c.expr))
+            done.append(_build(Asgn, (c.name, c.expr)))
         elif kind is ARead or kind is AARead:
             rule = _pick(_pick(row.read, labels.target, c), labels.index, c)
-            index = _masked(c.index, flag_var) if rule == "I" else c.index
-            read = ARead(c.name, c.array, index)
+            index = c.index
+            if rule == "I":
+                index = _build(CTCond, (b_is_1, zero, index))
+            read = _build(ARead, (c.name, c.array, index))
             if rule == "V":
-                read = Seq(read, Asgn(c.name, _masked(Var(c.name), flag_var)))
+                loaded = _build(CTCond, (b_is_1, zero, _build(Var, (c.name,))))
+                read = _build(Seq, (read, _build(Asgn, (c.name, loaded))))
             done.append(read)
         elif kind is AWrite or kind is AAWrite:
             index = c.index
             if _pick(_pick(row.write, labels.value, c), labels.index, c) == "I":
-                index = _masked(index, flag_var)
-            done.append(AWrite(c.array, index, c.value))
+                index = _build(CTCond, (b_is_1, zero, index))
+            done.append(_build(AWrite, (c.array, index, c.value)))
         elif kind is ABranch:
             raise BranchNodeError("branch wrappers only occur in runtime configurations")
         else:

@@ -136,8 +136,10 @@ def label_of_expr(P: LabelMap, e) -> Label:
     """Join of the labels of all variables occurring in an arithmetic or
     boolean expression.  Literals are public; a constant-time conditional
     joins all three subterms.  Walks an explicit stack and answers secret
-    at the first secret name."""
+    at the first secret name; a bare name needs no stack."""
     public = P._m
+    if e.__class__ is Var:
+        return PUBLIC if e.name in public else SECRET
     todo = [e]
     while todo:
         e = todo.pop()

@@ -13,15 +13,21 @@ The lexer is one ``findall`` of one pattern: a program becomes a list of
 lexeme strings (keywords, names, numerals and operators as their own
 text), and the parser dispatches on those strings.  No offsets are kept;
 an error's line and column come from scanning the text again when it is
-raised.  The pretty-printer and the name walks keep explicit stacks, so no
-nesting depth or spine length exhausts the recursion limit.
+raised.  One parse builds one ``Var`` or ``Num`` node per distinct name or
+numeral and shares it at every occurrence (hash-consing, Filliâtre &
+Conchon 2006), so two equal atoms of one parsed tree may be the same
+object; syntax nodes are immutable, so only ``is`` can tell.  The
+pretty-printer and the name walks keep explicit stacks, so no nesting
+depth or spine length exhausts the recursion limit.
 
 Expressions evaluate two ways.  ``eval_aexp`` and ``eval_bexp`` walk the
 tree; only ``seq_sem``, the independent sequential oracle, uses them.  The
 speculative and ideal steppers evaluate through ``compiled``: each
 expression becomes a closure on its first evaluation, cached in the
-stepper's per-check table.  Both evaluate a left-deep chain of one
-operator, such as a long flat sum, in a loop.  Both also evaluate over the
+stepper's per-check table.  Both evaluate a left-deep chain of one binding
+power in a loop: a long flat sum, ``+`` and ``-`` in any mix, or a long
+``&&`` or ``||`` chain, which stops left to right as ``and`` and ``or``
+do.  Both also evaluate over the
 opaque value ``OPAQUE``, which stands for values a group of states
 disagrees on: a comparison with it is ``UNKNOWN``, and testing that raises
 ``SecretDependence``, while an arithmetic expression, even one that
@@ -35,7 +41,7 @@ import re
 from operator import methodcaller
 from typing import Optional, Union
 
-from .record import Record
+from .record import Record, _build
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -218,15 +224,17 @@ def eval_aexp(rho, e: AExp) -> int:
     if cls is Var:
         return rho.get(e.name)
     if cls is BinOp:
-        # a left-deep chain of one operator folds in a loop, so no chain
-        # length exhausts the recursion limit
-        op, rights = e.op, []
-        while e.__class__ is BinOp and e.op == op:
-            rights.append(e.right)
+        # a left-deep chain of one binding power (``+`` and ``-``, or
+        # ``*``) folds in a loop, so no chain length exhausts the recursion
+        # limit
+        mul, links = e.op == "*", []
+        while e.__class__ is BinOp and (e.op == "*") is mul:
+            links.append(e)
             e = e.left
         l = eval_aexp(rho, e)
-        for right in reversed(rights):
-            r = eval_aexp(rho, right)
+        for link in reversed(links):
+            r = eval_aexp(rho, link.right)
+            op = link.op
             if op == "+":
                 l = l + r
             elif op == "-":
@@ -266,10 +274,19 @@ def eval_bexp(rho, b: BExp) -> bool:
         raise ValueError(f"unknown comparison operator {b.op!r}")
     if cls is Not:
         return not eval_bexp(rho, b.arg)
-    if cls is And:
-        return eval_bexp(rho, b.left) and eval_bexp(rho, b.right)
-    if cls is Or:
-        return eval_bexp(rho, b.left) or eval_bexp(rho, b.right)
+    if cls is And or cls is Or:
+        # a left-deep chain of one of them folds in a loop, left to right,
+        # stopping as ``and`` and ``or`` do
+        rights, settles = [], cls is Or
+        while b.__class__ is cls:
+            rights.append(b.right)
+            b = b.left
+        v = eval_bexp(rho, b)
+        for right in reversed(rights):
+            if (v if settles else not v):
+                return v
+            v = eval_bexp(rho, right)
+        return v
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
@@ -296,29 +313,33 @@ def _compile(e):
     """A closure over bindings ``m`` that evaluates ``e``, built bottom-up
     with an explicit stack, so that no expression depth exhausts the
     recursion limit while compiling; evaluating nests one call per operator,
-    as ``eval_aexp`` does, except along a left-deep chain of one operator,
-    which one closure folds in a loop (``_fold``).  A name reads as
-    ``m.get(name, 0)``, one C-level call with no Python frame; a numeral on
-    the right of a single operator is folded into the operator's closure."""
+    as ``eval_aexp`` does, except along a left-deep chain of one binding
+    power (``+`` and ``-``, ``*``, ``&&`` or ``||``), which one closure
+    folds in a loop (``_fold``).  A name reads as ``m.get(name, 0)``, one
+    C-level call with no Python frame; a numeral on the right of a single
+    operator is folded into the operator's closure."""
     done, todo = [], [e]
     while todo:
         x = todo.pop()
         cls = x.__class__
         if cls is tuple:  # the operands of x[0] are compiled, in order
-            done.append(_combine(x[0], done) if len(x) == 1 else _fold(x[0].op, done, x[1]))
+            done.append(_combine(x[0], done) if len(x) == 1 else _fold(x[1], done))
         elif cls is Var:
             done.append(methodcaller("get", x.name, 0))
         elif cls is Num or cls is BoolLit:
             done.append(_constant(x.value))
-        elif cls is BinOp and x.left.__class__ is BinOp and x.left.op == x.op:
-            operands, y = [], x  # the chain's operands, last first
-            while y.__class__ is BinOp and y.op == x.op:
-                operands.append(y.right)
-                y = y.left
-            operands.append(y)
-            todo.append((x, len(operands)))
-            todo.extend(operands)
         else:
+            link = _link(x)
+            if link is not None and _link(x.left) == link:
+                operands, ops, y = [], [], x  # the chain's operands, last first
+                while _link(y) == link:
+                    operands.append(y.right)
+                    ops.append(y.op if cls is BinOp else cls)
+                    y = y.left
+                operands.append(y)
+                todo.append((x, ops[::-1]))
+                todo.extend(operands)
+                continue
             if cls is BinOp or cls is Cmp:
                 operands = (x.left,) if x.right.__class__ is Num else (x.left, x.right)
             elif cls is CTCond:
@@ -338,35 +359,51 @@ def _constant(value):
     return lambda m: value
 
 
-def _fold(op, done, n):
-    """The closure of a left-deep chain of the operator ``op`` from the
-    closures of its ``n`` operands, in order, popped off ``done``."""
+def _link(x):
+    """What joins ``x`` into a chain with its left operand: its class for
+    ``And`` and ``Or``, the binding power of a known arithmetic operator,
+    otherwise None."""
+    cls = x.__class__
+    if cls is BinOp:
+        return _ARITH_BINDING.get(x.op)
+    return cls if cls is And or cls is Or else None
+
+
+def _fold(ops, done):
+    """The closure of a left-deep chain from the closures of its operands,
+    in order, popped off ``done``; ``ops`` are the operators between them,
+    all of one binding power: arithmetic operators, or ``And`` or ``Or``.
+    It evaluates as ``eval_aexp`` and ``eval_bexp`` fold a chain."""
+    n = len(ops) + 1
     first, rest = done[-n], done[-n + 1:]
     del done[-n:]
-    if op == "+":
+    if ops[0] is And or ops[0] is Or:
+        settles = ops[0] is Or  # the truth value that stops the chain
+
         def fold(m):
             v = first(m)
             for f in rest:
-                v = v + f(m)
+                if (v if settles else not v):
+                    return v
+                v = f(m)
             return v
-    elif op == "-":
-        def fold(m):
-            v = first(m)
-            for f in rest:
-                w = f(m)
+        return fold
+    steps = tuple(zip(ops, rest))
+
+    def fold(m):
+        v = first(m)
+        for op, f in steps:
+            w = f(m)
+            if op == "+":
+                v = v + w
+            elif op == "*":
+                v = v * w
+            else:
                 try:
                     v = v - w if v > w else 0
                 except SecretDependence:
                     v = OPAQUE
-            return v
-    elif op == "*":
-        def fold(m):
-            v = first(m)
-            for f in rest:
-                v = v * f(m)
-            return v
-    else:
-        raise ValueError(f"unknown arithmetic operator {op!r}")
+        return v
     return fold
 
 
@@ -627,6 +664,10 @@ _INFIX = {
     "*": (_MUL, False, BinOp),
 }
 
+# infix operator -> binding power
+_BINDING = {op: bp for op, (bp, _, _) in _INFIX.items()}
+_ARITH_BINDING = {"+": _ADD, "-": _ADD, "*": _MUL}
+
 _BOOLEAN = frozenset((BoolLit, Cmp, Not, And, Or))
 
 
@@ -642,6 +683,10 @@ class _Parser:
         # names seen in each role, used to reject mixed scalar/array roles
         self.scalar_uses: set = set()
         self.array_uses: set = set()
+        # the one Var or Num node of each name or numeral read as an atom;
+        # a name here is a scalar, so it is in scalar_uses and never in
+        # array_uses, whose additions refuse any name used as a scalar
+        self.atoms: dict = {}
 
     def expect(self, lexeme: str):
         pos = self.pos
@@ -679,7 +724,7 @@ class _Parser:
             stmts.append(self.parse_stmt())
         com = stmts.pop()
         while stmts:  # ';' right-associates
-            com = Seq(stmts.pop(), com)
+            com = _build(Seq, (stmts.pop(), com))
         return com
 
     def parse_stmt(self) -> Com:
@@ -700,13 +745,13 @@ class _Parser:
                 self.pos += 1
                 other = self.parse_com()
             self.expect("end")
-            return If(cond, then, other)
+            return _build(If, (cond, then, other))
         if word == "while":
             cond = self.expr(_OR, True)
             self.expect("do")
             body = self.parse_com()
             self.expect("end")
-            return While(cond, body)
+            return _build(While, (cond, body))
         if word[0] not in _NAME_START or word in KEYWORDS:
             self.error_expected("a command", start)
         k = self.pos
@@ -714,7 +759,7 @@ class _Parser:
         self.pos = k + 1
         if after == ":=":
             self.note_scalar(start)
-            return Asgn(word, self.expr(_ADD, False))
+            return _build(Asgn, (word, self.expr(_ADD, False)))
         if after == "<-":
             arr = self.pos
             name = lexemes[arr]
@@ -726,14 +771,14 @@ class _Parser:
             self.expect("]")
             self.note_scalar(start)
             self.note_array(arr)
-            return ARead(word, name, index)
+            return _build(ARead, (word, name, index))
         if after == "[":
             index = self.expr(_ADD, False)
             self.expect("]")
             self.expect("<-")
             value = self.expr(_ADD, False)
             self.note_array(start)
-            return AWrite(word, index, value)
+            return _build(AWrite, (word, index, value))
         self.error(f"expected ':=', '<-' or '[' after {word!r}", k)
 
     # --- expressions ------------------------------------------------------
@@ -749,47 +794,72 @@ class _Parser:
         ``want_bool`` checks the result's sort: an arithmetic expression
         where a boolean is wanted is reported at the next lexeme, a boolean
         where an arithmetic expression is wanted at its first lexeme.
+
+        A name or numeral read before is its node in ``atoms``, with its
+        role already checked.  Such an atom as the right operand of an
+        arithmetic operator or a comparison, followed by no operator that
+        binds more tightly, is taken in the loop, without a call: the call
+        would read the atom and stop at once.
         """
         lexemes = self.lexemes
+        atoms = self.atoms
         start = self.pos
         first = lexemes[start]
         self.pos = start + 1  # the end of input here is an error, raised before any read
-        if first and first[0] in _NAME_START and first not in KEYWORDS:
+        left = atoms.get(first)
+        if left is not None:
+            pass
+        elif first and first[0] in _NAME_START and first not in KEYWORDS:
             if first in self.array_uses:  # note_scalar, inlined for the commonest atom
                 self.error_role(start)
             self.scalar_uses.add(first)
-            left = Var(first)
+            left = atoms[first] = _build(Var, (first,))
         elif first == "(":
             # decided after the contents: '?' after a boolean makes a
             # constant-time conditional, anything else must be ')'
             left = self.expr(_OR)
             if lexemes[self.pos] == "?" and left.__class__ in _BOOLEAN:
-                self.pos += 1
-                then = self.expr(_ADD, False)
-                self.expect(":")
-                left = CTCond(left, then, self.expr(_ADD, False))
+                arms = [left]
+                for end in ":)":
+                    k = self.pos + 1  # past the '?', then past the ':'
+                    arm = atoms.get(lexemes[k])
+                    if arm is not None and lexemes[k + 1] == end:
+                        self.pos = k + 1  # an atom right before the end, taken without a call
+                    else:
+                        self.pos = k
+                        arm = self.expr(_ADD, False)
+                        if lexemes[self.pos] != end:
+                            self.error_expected(repr(end), self.pos)
+                    arms.append(arm)
+                left = _build(CTCond, tuple(arms))
             self.expect(")")
         elif min_bp <= _CMP and first == "!":
-            left = Not(self.expr(_CMP, True))
+            left = _build(Not, (self.expr(_CMP, True),))
         elif min_bp <= _CMP and (first == "true" or first == "false"):
-            left = BoolLit(first == "true")
+            left = _build(BoolLit, (first == "true",))
         elif first.isdecimal():
             try:
-                left = Num(int(first))
+                left = atoms[first] = _build(Num, (int(first),))
             except ValueError:
                 self.error(numeral_too_long(first), start)
         else:
             self.error_expected("an arithmetic expression", start)
         while True:
-            op = lexemes[self.pos]
+            pos = self.pos
+            op = lexemes[pos]
             if op not in _INFIX:
                 break
             bp, bool_operands, node = _INFIX[op]
             if bp < min_bp or (left.__class__ in _BOOLEAN) != bool_operands:
                 break
-            self.pos += 1
-            right = self.expr(bp + 1, bool_operands)
-            left = node(left, right) if bool_operands else node(op, left, right)
+            pos += 1
+            right = atoms.get(lexemes[pos])
+            if right is None or bool_operands or _BINDING.get(lexemes[pos + 1], 0) > bp:
+                self.pos = pos
+                right = self.expr(bp + 1, bool_operands)
+            else:
+                self.pos = pos + 1
+            left = _build(node, (left, right) if bool_operands else (op, left, right))
         if want_bool is not None and (left.__class__ in _BOOLEAN) != want_bool:
             if want_bool:
                 self.error_expected("a comparison operator", self.pos)
@@ -829,10 +899,16 @@ def parse_bexp(text: str) -> BExp:
 # ---------------------------------------------------------------------------
 
 
+# infix operator -> (binding power, its text between the operands)
+_SPELLING = {op: (bp, f" {op} ") for op, bp in _BINDING.items()}
+_SPELLING[And], _SPELLING[Or] = _SPELLING["&&"], _SPELLING["||"]
+
+
 def _print_expr(out: list, e, level: int):
     """Append the concrete syntax of expression ``e`` to ``out``, in
     parentheses where its operator binds more loosely than ``level``.  An
-    explicit stack holds the subexpressions and the text between them."""
+    explicit stack holds the subexpressions and the text between them; a
+    name or numeral on the left of an operator is written at once."""
     todo = [(e, level)]
     while todo:
         e, level = todo.pop()
@@ -843,16 +919,25 @@ def _print_expr(out: list, e, level: int):
             out.append(e.name)
         elif cls is Num:
             out.append(str(e.value))
-        elif cls is BinOp or cls is And or cls is Or:
-            mine = _INFIX[e.op][0] if cls is BinOp else _AND if cls is And else _OR
-            op = e.op if cls is BinOp else "&&" if cls is And else "||"
-            # left-associative: the right operand needs one level more
-            if mine < level:
-                out.append("(")
-                todo.append((")", 0))
-            todo += ((e.right, mine + 1), (f" {op} ", 0), (e.left, mine))
-        elif cls is Cmp:
-            todo += ((e.right, _ADD), (f" {e.op} ", 0), (e.left, _ADD))
+        elif cls is BinOp or cls is And or cls is Or or cls is Cmp:
+            mine, text = _SPELLING[cls if cls is And or cls is Or else e.op]
+            if cls is Cmp:
+                # non-associative: both operands are arithmetic
+                mine, right = _ADD, _ADD
+            else:
+                # left-associative: the right operand needs one level more
+                right = mine + 1
+                if mine < level:
+                    out.append("(")
+                    todo.append((")", 0))
+            todo.append((e.right, right))
+            left = e.left
+            if left.__class__ is Var:
+                out += (left.name, text)
+            elif left.__class__ is Num:
+                out += (str(left.value), text)
+            else:
+                todo += ((text, 0), (left, mine))
         elif cls is CTCond:
             # always parenthesized, per the grammar
             out.append("(")

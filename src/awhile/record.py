@@ -18,8 +18,14 @@ fields of its base.
 runs ``exec`` on it when the class is defined, which at start-up cost more
 than the rest of the package's import.  Here the methods are written once
 and shared, so defining a record costs about as much as defining a class.
-Building a record, or comparing two, is one Python call; its hash is
-computed in C.
+Comparing two records is one Python call; a hash is computed in C.
+
+Calling a record class binds its arguments in ``_RecordType.__call__``,
+one Python frame per record.  ``_build(cls, fields)`` is the frame-free
+path: ``type.__call__`` on the class and one tuple holding every field, in
+order, which goes straight to tuple's ``__new__``.  It checks nothing, so
+it is for code that knows the arity, such as the parser and the hardening
+translator building syntax nodes.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from __future__ import annotations
 # namedtuple's read-only attribute for a tuple position
 from collections import _tuplegetter
 
-# builds an instance from one tuple of the field values, through tuple's
-# __new__, not through _RecordType.__call__
+# _build(cls, fields): a record from the tuple of all its field values,
+# built by tuple's __new__ without _RecordType.__call__ (see the docstring)
 _build = type.__call__
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__

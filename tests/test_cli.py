@@ -119,7 +119,7 @@ def test_parse_and_typecheck_long_program(files, capsys):
 
 
 def test_long_flat_expression_runs_and_checks(files, capsys):
-    # a left-deep chain of one operator evaluates in a loop
+    # a left-deep chain of one binding power evaluates in a loop
     path = files("p.aw", "x := " + " + ".join(["y"] + ["1"] * 4999) + "\n")
     for sem in ("seq", "spec"):
         assert main(["run", "--sem", sem, path]) == 0
@@ -127,6 +127,22 @@ def test_long_flat_expression_runs_and_checks(files, capsys):
     space = files("s.space", "y in {0,1}\n")
     assert main(["check", "--property", "sct", "--space", space, path]) == 0
     assert capsys.readouterr().out == "holds\n"
+    # 2,001 terms alternating + and -, 1,500 conjuncts, 1,500 disjuncts
+    mixed = files("m.aw", "x := " + " + ".join(["y"] + ["2 - 1"] * 1000) + "\n")
+    both = files("c.aw", "if " + " && ".join(["y = 0"] * 1500) + " then x := 7 end\n")
+    either = files("o.aw", "if " + " || ".join(["y = 1"] * 1500) + " then skip else x := 7 end\n")
+    for sem, dirs in (("seq", []), ("spec", ["--dirs", "step"])):
+        assert main(["run", "--sem", sem, mixed]) == 0
+        assert capsys.readouterr().out.endswith("x = 1000\n")
+        for path, branch in ((both, "true"), (either, "false")):
+            assert main(["run", "--sem", sem, *dirs, path]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"branch {branch}\n") and out.endswith("x = 7\n")
+    labels = files("labels", "y: public\n")
+    space = files("t.space", "y in {0,1}\ns in {0,1}\n")
+    for path in (mixed, both, either):
+        assert main(["check", "--property", "sct", "--space", space, "--labels", labels, path]) == 0
+        assert capsys.readouterr().out == "holds\n"
 
 
 def test_witness_that_does_not_replay_is_an_internal_error(files, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awhile.lang import (
+    And,
     ARead,
     Asgn,
     AWrite,
@@ -15,6 +16,7 @@ from awhile.lang import (
     CTCond,
     If,
     Num,
+    Or,
     ParseError,
     Seq,
     Skip,
@@ -35,6 +37,7 @@ from awhile.lang import (
     syntax_repr,
     used_vars,
     OPAQUE,
+    UNKNOWN,
     SecretDependence,
 )
 from awhile.state import ScalarState
@@ -466,6 +469,9 @@ def test_compiled_expressions_agree_with_the_evaluators(e, b, env):
     # left-deep chains of one operator, folded in one closure
     "x + y + 1 + z", "x - 1 - y - 2", "9 - x - y", "x * 2 * y * 3", "x - y - z + 1 + 2",
     "(x + 1 + y) * 2 * (z - 1 - 1)",
+    # left-deep chains that mix + and -, also around a chain of *
+    "x + 1 - y + 2 - z", "9 - x + y - 1 - z + 3", "1 - x + 1 - x + 1", "x * y * 2 + 1 - z",
+    "x - y * 2 * z + 4 - 1", "x - (y + 1 - z) + 1", "z + 2 - x * 3 - (x - 1 + y)",
 ])
 def test_compiled_arithmetic_on_sample_stores(text):
     e = parse_aexp(text)
@@ -475,19 +481,46 @@ def test_compiled_arithmetic_on_sample_stores(text):
     assert list(table) == [id(e)]  # one entry, compiled once
 
 
-@pytest.mark.parametrize("op, want", [("+", 10999), ("-", 1001), ("*", 6000)])
+@pytest.mark.parametrize("op, want", [("+", 10999), ("-", 1001), ("*", 6000), ("+ 2 -", 10999)])
 def test_long_left_deep_chains_evaluate_in_a_loop(op, want):
-    # 5,000 operands: nesting one call per operator would exhaust the
-    # recursion limit
+    # 5,000 operands (9,999 where + and - alternate): nesting one call per
+    # operator would exhaust the recursion limit
     e = parse_aexp(f" {op} ".join(["x"] + ["1"] * 4999))
     rho = ScalarState({"x": 6000})
     assert eval_aexp(rho, e) == want
     assert compiled({}, e)(rho._m) == want
 
 
+@pytest.mark.parametrize("op, want", [("&&", True), ("||", False)])
+def test_long_boolean_chains_evaluate_in_a_loop(op, want):
+    b = parse_bexp(f" {op} ".join(["x = 1"] * 5000))
+    rho = ScalarState({"x": 1 if want else 0})
+    assert eval_bexp(rho, b) is want
+    assert compiled({}, b)(rho._m) is want
+
+
+@settings(max_examples=200)
+@given(st.lists(aexps(1), min_size=2, max_size=6), st.lists(st.sampled_from("+-"), min_size=5),
+       st.lists(bexps(), min_size=2, max_size=5), st.sampled_from([And, Or]),
+       st.dictionaries(st.sampled_from(["x", "y", "z"]), st.integers(0, 12)))
+def test_chains_agree_with_the_evaluators(operands, ops, conditions, link, env):
+    # a left-deep chain of + and - in any order, and of && or ||
+    e, b = operands[0], conditions[0]
+    for op, right in zip(ops, operands[1:]):
+        e = BinOp(op, e, right)
+    for right in conditions[1:]:
+        b = link(b, right)
+    rho, table = ScalarState(env), {}
+    for expr in (e, b):
+        _assert_compiled_agrees(table, expr, rho)
+
+
 @pytest.mark.parametrize("text", [
     "!(x < 1) && (y = 2 || z <> 3)", "!(q = 0)", "x <= y || true", "false && x = x",
     "!(!(x < y))", "(x < 2 ? 1 : 0) = y",
+    # chains of && and of ||, and the two mixed
+    "x < 1 && y = 2 && z <> 3", "x = 0 || y = 0 || z = 0 || false",
+    "x < 1 && y = 2 || z = 3 && x = 0 || y < z", "false || x = x && y < 9 || false",
 ])
 def test_compiled_conditions_on_sample_stores(text):
     b = parse_bexp(text)
@@ -506,6 +539,7 @@ def test_compiling_a_long_expression_does_not_recurse():
 @pytest.mark.parametrize("text", [
     "k - 1", "1 - k", "k - k", "5 - k - 1", "x - 1 - k", "k - 1 + 2", "(k = 1 ? 0 : 1)",
     "(x < 2 ? k : 1)", "1 - (k = 1 ? 0 : 1)", "(x = 0 ? 0 : k - 1) * 2", "(k < 1 ? 1 : 1)",
+    "x + 1 - k + 2", "3 - k + 1 - x",
 ])
 def test_an_opaque_operand_makes_an_opaque_value(text):
     # a truncated subtraction and a constant-time select that would decide
@@ -517,7 +551,24 @@ def test_an_opaque_operand_makes_an_opaque_value(text):
     assert compiled({}, e)(rho._m) is OPAQUE
 
 
-@pytest.mark.parametrize("text", ["k - 1 < 2", "(k = 1 ? 0 : 1) = 0", "k = k", "!(k - 1 < 2)"])
+@pytest.mark.parametrize("text, want", [
+    ("x = 1 && k = 1 && k = 2", False), ("x = 0 || k = 1 || k = 2", True),
+    ("x = 0 && x = 0 && k = 1", UNKNOWN), ("x = 1 || x = 1 || k = 1", UNKNOWN),
+])
+def test_a_boolean_chain_stops_left_to_right(text, want):
+    # a chain tests its operands in order and stops at the first that
+    # settles it, so an opaque comparison after it is never decided on;
+    # the last operand's value is the chain's, untested
+    b = parse_bexp(text)
+    rho = ScalarState.adopt({"k": OPAQUE})
+    assert eval_bexp(rho, b) is want
+    assert compiled({}, b)(rho._m) is want
+
+
+@pytest.mark.parametrize("text", [
+    "k - 1 < 2", "(k = 1 ? 0 : 1) = 0", "k = k", "!(k - 1 < 2)",
+    "x = 0 && k = 1 && x = 0", "x = 1 || k = 1 || x = 0",
+])
 def test_deciding_on_an_opaque_result_still_raises(text):
     b = parse_bexp(text)
     rho = ScalarState.adopt({"k": OPAQUE})
