@@ -36,7 +36,7 @@ from .lang import (
     SKIP,
     While,
 )
-from .record import Record
+from .record import Record, _build
 
 # ---------------------------------------------------------------------------
 # Annotated commands
@@ -195,8 +195,8 @@ def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labe
     if isinstance(c, Skip):
         return ASKIP, Labeling(P, PA)
     if isinstance(c, Asgn):
-        return AAsgn(c.name, c.expr), Labeling(
-            P.set(c.name, label_of_expr(P, c.expr)), PA
+        return _build(AAsgn, (c.name, c.expr)), _build(
+            Labeling, (P.set(c.name, label_of_expr(P, c.expr)), PA)
         )
     if isinstance(c, Seq):  # the spine, in a loop
         parts = []
@@ -206,14 +206,14 @@ def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labe
             P, PA, c = mid.vars, mid.arrs, c.second
         acom, out = flow_track(c, P, PA, pc)
         for a1, mid in reversed(parts):
-            acom = ASeq(a1, acom, mid)
+            acom = _build(ASeq, (a1, acom, mid))
         return acom, out
     if isinstance(c, If):
         lbl = label_of_expr(P, c.cond)
         pc2 = join(pc, lbl)
         a1, l1 = flow_track(c.then, P, PA, pc2)
         a2, l2 = flow_track(c.other, P, PA, pc2)
-        return AIf(c.cond, a1, a2, lbl), l1.join(l2)
+        return _build(AIf, (c.cond, a1, a2, lbl)), l1.join(l2)
     if isinstance(c, While):
         entry = Labeling(P, PA)
         sc, ar = assigned_names(c.body)
@@ -231,19 +231,19 @@ def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labe
         else:  # pragma: no cover - the bound argument rules this out
             raise AssertionError("loop labeling failed to stabilize within bound")
         lbl = label_of_expr(cur.vars, c.cond)
-        return AWhileC(c.cond, abody, lbl, cur), cur
+        return _build(AWhileC, (c.cond, abody, lbl, cur)), cur
     if isinstance(c, ARead):
         li = label_of_expr(P, c.index)
         lx = join(pc, join(li, PA.get(c.array)))
-        return AARead(c.name, c.array, c.index, lx, li), Labeling(
-            P.set(c.name, lx), PA
+        return _build(AARead, (c.name, c.array, c.index, lx, li)), _build(
+            Labeling, (P.set(c.name, lx), PA)
         )
     if isinstance(c, AWrite):
         li = label_of_expr(P, c.index)
         le = label_of_expr(P, c.value)
         lbl = join(PA.get(c.array), join(pc, join(li, le)))
-        return AAWrite(c.array, c.index, c.value, li), Labeling(
-            P, PA.set(c.array, lbl)
+        return _build(AAWrite, (c.array, c.index, c.value, li)), _build(
+            Labeling, (P, PA.set(c.array, lbl))
         )
     raise TypeError(f"not a command: {c!r}")
 
