@@ -796,10 +796,11 @@ class _Parser:
         where an arithmetic expression is wanted at its first lexeme.
 
         A name or numeral read before is its node in ``atoms``, with its
-        role already checked.  Such an atom as the right operand of an
-        arithmetic operator or a comparison, followed by no operator that
-        binds more tightly, is taken in the loop, without a call: the call
-        would read the atom and stop at once.
+        role already checked.  Such an atom is taken without a call, which
+        would read it and stop at once, where it is the right operand of an
+        arithmetic operator or a comparison and no operator that binds more
+        tightly follows it, and where it is an arm of a constant-time
+        conditional right before its ``:`` or ``)``.
         """
         lexemes = self.lexemes
         atoms = self.atoms

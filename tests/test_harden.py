@@ -54,6 +54,16 @@ def test_islh_on_listing1_is_listing2():
     assert _squash(pretty_com(hardened)) == _squash(LISTING2_TEXT)
 
 
+def test_a_translation_shares_the_flag_nodes():
+    # one b, 0, 1 and b = 1 serve every mask and flag update
+    hardened = harden(ISLH, LISTING1, all_secret(), all_secret())
+    stay, leave = hardened.then.first.expr, hardened.other.expr
+    mask_j, mask_x = hardened.then.second.first.index, hardened.then.second.second.index
+    assert mask_j.cond is mask_x.cond and mask_j.then is mask_x.then
+    assert stay.then is leave.other is mask_j.cond.left
+    assert stay.other is leave.then is mask_j.cond.right
+
+
 def test_flag_collision_rejected():
     with pytest.raises(FlagCollisionError):
         harden(ISLH, parse_com("b := 1"), all_secret(), all_secret())

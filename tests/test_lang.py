@@ -142,6 +142,15 @@ def test_parse_listing1():
     )
 
 
+def test_a_parse_shares_one_node_per_atom():
+    c = parse_com("x := y + 1; z := (y < 1 ? y : 1) * y")
+    first, second = c.first.expr, c.second.expr
+    assert first.left is second.left.cond.left is second.left.then is second.right
+    assert first.right is second.left.cond.right is second.left.other
+    # separate parses share nothing
+    assert parse_aexp("y") == parse_aexp("y") and parse_aexp("y") is not parse_aexp("y")
+
+
 def test_parse_incomplete_if():
     with pytest.raises(ParseError):
         parse_com("if x then")
