@@ -477,6 +477,50 @@ def test_check_unwind_reports_pairs(files, capsys):
     assert data["message"].startswith("vacuous: ")
 
 
+# The looped Listing-1 gadget over a wide space: 640 states in five public
+# groups (by i), 128 secret values of a3 each.  The exit code and the sha256
+# of the exact `check --format json` output of each pair check, which hold
+# the witness, the pair count and the vacuity message.
+_WIDE_GADGET = """\
+k := 0;
+while k < 2 do
+  if i < a1_size then
+    j <- a1[i];
+    x <- a2[j]
+  end;
+  i := i + 1;
+  k := k + 1
+end
+"""
+_WIDE_LABELS = "".join(
+    f"{n}: public\n" for n in ("a1", "a1_size", "a2", "i", "j", "k")
+) + "a3: secret\nx: public\n"
+_WIDE_SPACE = (
+    "i in {0,1,2,3,4}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
+    "a3 : size 1 in {" + ",".join(map(str, range(4, 132))) + "}\n"
+)
+_VIOLATED_DIGEST = "af85f99e3fbec44d392088cba549da136b233ba778da75e66b62ed235589a912"
+_HOLDS_DIGEST = "808cac2ce5cc80917729cb71b7663d1e40f3c7d83f83e00db4d3516bff4ae60c"
+_UNWIND_DIGEST = "193792a446cf9d43ff4298a5c3b75b8ff651299ef70e4f3238c1bc684b51c410"
+
+
+@pytest.mark.parametrize("prop, variant, code, digest", [
+    ("relsec", "none", 1, _VIOLATED_DIGEST),
+    ("relsec", "uslh", 0, _HOLDS_DIGEST),
+    ("relsec", "fvslh", 0, _HOLDS_DIGEST),
+    ("sct", "none", 1, _VIOLATED_DIGEST),
+    ("sct", "fvslh", 0, _HOLDS_DIGEST),
+    ("unwind", "fvslh", 0, _UNWIND_DIGEST),
+    ("unwind", "fislh", 0, _UNWIND_DIGEST),
+])
+def test_wide_space_json_output_is_pinned(prop, variant, code, digest, files, capsys):
+    argv = ["check", "--property", prop, "--variant", variant,
+            "--labels", files("labels", _WIDE_LABELS), "--space", files("space", _WIDE_SPACE),
+            "--max-dirs", "8", "--fuel", "200", "--format", "json", files("p.aw", _WIDE_GADGET)]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, env", [
     (["--max-dirs", "-3"], {}),
     (["--fuel", "-1"], {}),
