@@ -104,14 +104,14 @@ _FVSLH_POLICY = _Policy(
 
 class _FixedLabeling(Speculative):
     """The speculative semantics under the variant's policy and the fixed
-    labelings P and PA, with a per-check ``labels`` table beside ``table``:
-    the labels of the expressions under P (``spec_sem.fixed_label``)."""
+    labeling P of scalars, with a per-check ``labels`` table beside
+    ``table``: the labels of the expressions under P (``fixed_label``)."""
 
     masked = True
 
-    def __init__(self, P: LabelMap, PA: LabelMap):
+    def __init__(self, P: LabelMap):
         super().__init__()
-        self.P, self.PA, self.labels = P, PA, {}
+        self.P, self.labels = P, {}
 
 
 class IdealFiSLH(_FixedLabeling):

@@ -18,39 +18,40 @@ sequential runs diverge only beyond the fuel bound is treated as satisfying
 the premise); this is a documented soundness caveat of the bounded checker.
 
 Cost model of the SCT and relative-security checks: the space is enumerated
-once and its states grouped by their public projection, which yields the
-public-equivalent pairs in nested-scan order.  The relative-security
-premise gets one sequential run per public group, from the group's
-abstract state (below), and one run per state only in a group whose run
-decides something on the opaque value; it is grouped by the labeling the
-check was given, also for ``uslh``, whose pairs ignore the labeling.  The
-pairs then fall into groups, the connected components of the pairs, and
-each group first gets one directive tree, from one abstract state that
-keeps every scalar and array cell its states agree on and holds the opaque
-value ``lang.OPAQUE`` everywhere else.  A group whose tree expands in full
-decided every branch, bounds test, candidate list and observation on
-values its states share, so all of them have that tree, and its pairs are
-skipped; one whose tree decides something on the opaque value
-(``SecretDependence``) has its pairs walked.  This is dynamic
-information-flow tracking over a flat abstract domain (Cousot & Cousot,
-POPL 1977).  A skipped group holds no divergent pair, so the first
-divergent pair, its position and its witness do not change.  For the pairs
-walked, each state gets one directive tree, expanded lazily, shared by
-every pair walk the state takes part in, and dropped after the state's
-last pair.  A tree is a DAG: its nodes are
+once and its states grouped by their public projection, and the groups'
+pairs are generated one at a time in nested-scan order, so memory grows with
+the states, not with the pairs.  The relative-security premise gets one
+sequential run per public group, from the group's abstract state (below),
+and one run per state only in a group whose run decides something on the
+opaque value; it is grouped by the labeling the check was given, also for
+``uslh``, whose pairs ignore the labeling.  It then splits the groups into
+the components of prefix-related traces, by sorting each group's distinct
+traces, and only the pairs with prefix-related traces are walked.  Each
+group first gets one directive tree, from one abstract state that keeps
+every scalar and array cell its states agree on and holds the opaque value
+``lang.OPAQUE`` everywhere else.  A group whose tree expands in full decided
+every branch, bounds test, candidate list and observation on values its
+states share, so all of them have that tree, and its pairs are skipped; one
+whose tree decides something on the opaque value (``SecretDependence``) has
+its pairs walked.  This is dynamic information-flow tracking over a flat
+abstract domain (Cousot & Cousot, POPL 1977).  A skipped group holds no
+divergent pair, so the first divergent pair, its position and its witness do
+not change.  For the pairs walked, each state gets one directive tree,
+expanded lazily, shared by every pair walk the state takes part in, and
+dropped after the state's last pair.  A tree is a DAG: its nodes are
 hash-consed on (configuration, fuel, depth) (Filliâtre & Conchon, ML
 Workshop 2006), so paths that reconverge on a configuration step it once,
 and no node is freed behind a walk, since another parent may reach it.  A
 pair walk merges two trees, stepping each (node, directive) at most once,
 and skips the node pairs it already found clean, which are clean in any
 context (the product visited set of explicit-state model checking).  Every
-pair check reaches its verdict through ``_pair_verdict``; one that walks no
+pair check reaches its verdict through ``_pair_verdict``; one that has no
 pair holds vacuously and says so in its message, and a violated one is
-replayed with ``spec_sem.run`` before it is reported.  The
-unwinding check over a space groups and walks its pairs the same way, under
-the ideal semantics; it and the noninterference check type the program
-once.  The one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``)
-walk their pair without a group tree.
+replayed with ``spec_sem.run`` before it is reported.  The unwinding check
+over a space groups and walks its pairs the same way, under the ideal
+semantics; it and the noninterference check type the program once.  The
+one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``) walk their
+pair without a group tree.
 
 The checks stop a run where the semantics' ``advance`` says it stops, and
 draw their random walks from ``gen``, which holds every generator.
@@ -59,6 +60,7 @@ draw their random walks from ``gen``, which holds every generator.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import random
 import re
@@ -477,7 +479,7 @@ def check_spec_obs_equiv(
     configurations can consume must produce equal traces on the consumed
     prefix."""
     return _pair_verdict(
-        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, flag), [s1, s2], [(0, 1)],
+        Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, flag), [s1, s2], [[0, 1]],
         Bounds(max_dirs, fuel),
     )
 
@@ -492,32 +494,6 @@ def _public_groups(
     for i, (rho, mu) in enumerate(states):
         key = (tuple([rho.get(n) for n in scalars]), tuple([mu.vector(n) for n in arrays]))
         groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _equivalent_pairs(groups: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
-    """Index pairs i < j of states in one of the ``groups`` (those of
-    ``_public_groups``), in the order of a nested scan."""
-    return sorted([p for g in groups for p in itertools.combinations(g, 2)])
-
-
-def _groups(pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """The connected components of the graph whose edges are the pairs, as
-    lists of states (union-find with path halving)."""
-    up = {}
-
-    def top(s):
-        while up.setdefault(s, s) != s:
-            up[s] = s = up[up[s]]
-        return s
-
-    for i, j in pairs:
-        a, b = top(i), top(j)
-        if a != b:
-            up[b] = a
-    groups = {}
-    for s in up:
-        groups.setdefault(top(s), []).append(s)
     return list(groups.values())
 
 
@@ -567,51 +543,19 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
     return True
 
 
-def _settled(sem, start, states, pairs, bounds: Bounds) -> set:
-    """The states of the pairs' groups that one directive tree settles: the
-    tree of the group's abstract state (``_abstract_state``).  If it
-    expands in full, every branch, bounds test, candidate list and
+def _settled(sem, start, states, groups: Sequence[Sequence[int]], bounds: Bounds) -> set:
+    """The states of the groups of two or more that one directive tree
+    settles: the tree of the group's abstract state (``_abstract_state``).
+    If it expands in full, every branch, bounds test, candidate list and
     observation was decided on values the group's states share, so each of
     them has this tree, and no pair of the group diverges."""
     settled = set()
-    for group in _groups(pairs):
-        abstract = _abstract_state(states, group)
-        if abstract is not None and _expands(sem, start(*abstract), bounds):
-            settled.update(group)
+    for group in groups:
+        if len(group) > 1:
+            abstract = _abstract_state(states, group)
+            if abstract is not None and _expands(sem, start(*abstract), bounds):
+                settled.update(group)
     return settled
-
-
-def _first_divergent_pair(
-    sem,
-    start: Callable[[ScalarState, ArrayState], object],
-    states: Sequence[Tuple[ScalarState, ArrayState]],
-    pairs: Sequence[Tuple[int, int]],
-    bounds: Bounds,
-    by_group: bool = False,
-) -> Optional[Tuple[int, Witness]]:
-    """Walk the pairs in order, each over the two states' shared directive
-    trees under ``sem``, rooted at ``start(rho, mu)``; a state's tree is
-    built on its first pair and dropped after its last.  With
-    ``by_group``, the pairs of the groups ``_settled`` settles are skipped.
-    Returns the position of the first divergent pair in ``pairs`` and its
-    witness."""
-    settled = _settled(sem, start, states, pairs, bounds) if by_group else ()
-    todo = [(k, i, j) for k, (i, j) in enumerate(pairs) if i not in settled]
-    last = {}
-    for k, i, j in todo:
-        last[i] = last[j] = k
-    trees = {}
-    for k, i, j in todo:
-        for s in (i, j):
-            if s not in trees:
-                trees[s] = _Tree(sem, start(*states[s]), bounds.fuel, bounds.max_dirs)
-        res = _joint_divergence(trees[i], trees[j])
-        if res is not None:
-            return k, Witness(states[i], states[j], *res)
-        for s in (i, j):
-            if last[s] == k:
-                del trees[s]
-    return None
 
 
 class WitnessReplayError(Exception):
@@ -638,27 +582,50 @@ def _pair_verdict(
     sem,
     start: Callable[[ScalarState, ArrayState], object],
     states: Sequence[Tuple[ScalarState, ArrayState]],
-    pairs: Sequence[Tuple[int, int]],
+    groups: Sequence[Sequence[int]],
     bounds: Bounds,
     vacuous: str = "",
     count_pairs: bool = False,
     by_group: bool = False,
+    related: Optional[Callable[[int, int], bool]] = None,
 ) -> Verdict:
-    """The verdict of every pair check: ``_first_divergent_pair`` over the
-    pairs, holding with the ``vacuous`` message when there is no pair, and
-    violated with the first divergent pair's witness, once ``_certify`` has
-    replayed it.  With ``count_pairs``, the pairs walked, up to and
-    including a violating one, are the fact ``pairs``.  The checks over a
-    space settle groups first (``by_group``); the one-pair checks walk
-    their pair, so the tests' per-pair references stay independent of the
-    groups."""
-    found = _first_divergent_pair(sem, start, states, pairs, bounds, by_group)
-    walked = len(pairs) if found is None else found[0] + 1
-    facts = (("pairs", walked),) if count_pairs else ()
-    if found is not None:
-        _certify(sem, start, found[1], bounds.fuel)
-        return Verdict(VerdictStatus.VIOLATED, found[1], bounds, facts=facts)
-    return Verdict(VerdictStatus.HOLDS, bounds=bounds, message="" if pairs else vacuous,
+    """The verdict of every pair check.  It takes the pairs i < j of the
+    ``groups`` (ascending index lists) in nested-scan order, a merge of each
+    group's pairs, and walks those ``related`` accepts over the states'
+    shared directive trees under ``sem``, rooted at ``start(rho, mu)``; a
+    state's tree is built on its first pair walked and dropped after its
+    last pair.  With ``by_group``, the pairs of the groups ``_settled``
+    settles are skipped, so the one-pair checks stay independent of the
+    groups.  It holds, with the ``vacuous`` message when there is no pair,
+    or is violated with the first divergent pair's witness, once
+    ``_certify`` has replayed it.  With ``count_pairs``, the pairs taken up
+    to a violating one, skipped ones included, are the fact ``pairs``."""
+    settled = _settled(sem, start, states, groups, bounds) if by_group else ()
+    # a group's state s < top has its last pair at (s, top), and top at
+    # (second, top), for the group's last two states second and top
+    second = {g[-1]: g[-2] for g in groups if len(g) > 1}
+    trees, taken, witness = {}, 0, None
+    for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups]):
+        taken += 1
+        if i in settled:
+            continue
+        if related is None or related(i, j):
+            for s in (i, j):
+                if s not in trees:
+                    trees[s] = _Tree(sem, start(*states[s]), bounds.fuel, bounds.max_dirs)
+            res = _joint_divergence(trees[i], trees[j])
+            if res is not None:
+                witness = Witness(states[i], states[j], *res)
+                break
+        if j in second:
+            trees.pop(i, None)
+            if second[j] == i:
+                trees.pop(j, None)
+    facts = (("pairs", taken),) if count_pairs else ()
+    if witness is not None:
+        _certify(sem, start, witness, bounds.fuel)
+        return Verdict(VerdictStatus.VIOLATED, witness, bounds, facts=facts)
+    return Verdict(VerdictStatus.HOLDS, bounds=bounds, message="" if taken else vacuous,
                    facts=facts)
 
 
@@ -676,7 +643,7 @@ def check_sct(
     states = list(enum_states(space))
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states,
-        _equivalent_pairs(_public_groups(states, P, PA)), bounds.over(space),
+        _public_groups(states, P, PA), bounds.over(space),
         f"vacuous: 0 public-equivalent pairs among {len(states)} states", by_group=True,
     )
 
@@ -723,6 +690,24 @@ def _seq_traces(c: Com, states, groups: Sequence[Sequence[int]], fuel: int) -> d
     return traces
 
 
+def _premise_components(group: Sequence[int], traces: dict) -> List[List[int]]:
+    """A group's states split into the connected components of its pairs
+    with prefix-related traces, as ascending index lists.  A component is
+    a trace without a proper prefix among the group's traces and every
+    trace that extends it, which sort right after it; observations are
+    unordered records, so a trace sorts by its observations' reprs."""
+    by_trace = {}
+    for s in group:
+        by_trace.setdefault(traces[s], []).append(s)
+    components, root = [], None
+    for t in sorted(by_trace, key=lambda t: tuple(map(repr, t))):
+        if root is None or not prefix_of(root, t):
+            root = t
+            components.append([])
+        components[-1].extend(by_trace[t])
+    return [sorted(part) for part in components]
+
+
 def check_relative_security(
     variant_kind: str,
     c: Com,
@@ -761,18 +746,20 @@ def check_relative_security(
     bounds = bounds.over(space)
     states = list(enum_states(space))
     groups = _public_groups(states, P, PA)
-    pairs = _equivalent_pairs(
-        _public_groups(states, all_secret(), all_secret()) if variant_kind == "uslh" else groups
-    )
-    paired = {s for pair in pairs for s in pair}
-    # a public group's states are all paired or none is
-    traces = _seq_traces(c, states, [g for g in groups if g[0] in paired], bounds.fuel)
+    if variant_kind == "uslh":
+        pairing = [list(range(len(states)))] if len(states) > 1 else []
+        premised = groups if pairing else []
+    else:
+        pairing = premised = [g for g in groups if len(g) > 1]
+    traces = _seq_traces(c, states, premised, bounds.fuel)
+    pairs = sum(len(g) * (len(g) - 1) // 2 for g in pairing)
+    # a component of two or more states has a pair that meets the premise
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(hardened, rho, mu, False), states,
-        [(i, j) for i, j in pairs
-         if traces[i] is traces[j] or prefix_of(traces[i], traces[j])], bounds,
-        f"vacuous: 0 of {len(pairs)} public-equivalent pairs passed the sequential premise",
+        [part for g in pairing for part in _premise_components(g, traces)], bounds,
+        f"vacuous: 0 of {pairs} public-equivalent pairs passed the sequential premise",
         by_group=True,
+        related=lambda i, j: traces[i] is traces[j] or prefix_of(traces[i], traces[j]),
     )
 
 
@@ -815,9 +802,9 @@ def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: b
             raise PreconditionError("analysis output not well-labeled")
         return IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
     if variant_kind == "fislh":
-        sem = IdealFiSLH(P, PA)
+        sem = IdealFiSLH(P)
     elif variant_kind == "fvslh":
-        sem = IdealFvSLH(P, PA)
+        sem = IdealFvSLH(P)
     else:
         raise PreconditionError(
             f"no ideal semantics for variant {variant_kind!r}; the other variants "
@@ -1045,10 +1032,9 @@ def check_ni(
         return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
     states = list(enum_states(space))
-    pairs = _equivalent_pairs(_public_groups(states, P, all_secret()))
-    pairs += [(i, i) for i in range(len(states))]
+    groups, every = _public_groups(states, P, all_secret()), range(len(states))
     checked, failures = 0, []
-    for i, j in sorted(pairs):
+    for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups], zip(every, every)):
         for flag in (False, True):
             if _ni_premise(value_based, P, PA, states[i], states[j], flag):
                 continue
@@ -1083,7 +1069,7 @@ def check_unwinding(
     if variant_kind == "fislh" and not pub_equiv_arrays(PA, s1[1], s2[1]):
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message="arrays not public-equivalent")
-    return _pair_verdict(sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [(0, 1)], bounds)
+    return _pair_verdict(sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [[0, 1]], bounds)
 
 
 def check_unwinding_space(
@@ -1108,7 +1094,7 @@ def check_unwinding_space(
     states = list(enum_states(space))
     groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
     return _pair_verdict(
-        sem, lambda rho, mu: start(rho, mu, True), states, _equivalent_pairs(groups),
+        sem, lambda rho, mu: start(rho, mu, True), states, groups,
         bounds, _NO_PAIR, count_pairs=True, by_group=True,
     )
 

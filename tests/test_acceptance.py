@@ -246,7 +246,7 @@ def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=40):
         cfg1 = FsIdealConfig(acom, s1[0], s1[1], False, PUBLIC, P, PA)
         cfg2 = FsIdealConfig(acom, s2[0], s2[1], False, PUBLIC, P, PA)
     else:
-        iv = IdealFiSLH(P, PA) if variant == "fislh" else IdealFvSLH(P, PA)
+        iv = IdealFiSLH(P) if variant == "fislh" else IdealFvSLH(P)
         cfg1 = SpecConfig(com, s1[0], s1[1], False)
         cfg2 = SpecConfig(com, s2[0], s2[1], False)
     for _ in range(max_steps):

@@ -43,7 +43,7 @@ def test_fislh_masks_secret_branch_condition_under_misspeculation():
     # the inner branch of the unreachable-code gadget: once misspeculating,
     # a secret condition is observed as false regardless of the secret
     inner = parse_com("if secret = 0 then y := 1 end")
-    variant = IdealFiSLH(all_secret(), all_secret())
+    variant = IdealFiSLH(all_secret())
     for secret_value in (0, 1):
         cfg = SpecConfig(inner, ScalarState({"secret": secret_value}), ArrayState(), True)
         assert variant.step(cfg, STEP).obs == OBranch(False)
@@ -51,7 +51,7 @@ def test_fislh_masks_secret_branch_condition_under_misspeculation():
 
 def test_fislh_branch_unmasked_when_not_misspeculating():
     inner = parse_com("if secret = 0 then y := 1 end")
-    variant = IdealFiSLH(all_secret(), all_secret())
+    variant = IdealFiSLH(all_secret())
     cfg = SpecConfig(inner, ScalarState({"secret": 0}), ArrayState(), False)
     assert variant.step(cfg, STEP).obs == OBranch(True)
 
@@ -64,14 +64,14 @@ def test_fislh_read_force_requires_public_index_secret_target():
     # public destination: the step rule masks the index instead; the force
     # rule is not applicable and the load directive gets stuck
     cfg = SpecConfig(com, rho, mu, True)
-    variant = IdealFiSLH(labels, labels)
+    variant = IdealFiSLH(labels)
     assert variant.step(cfg, DLoad("c", 0)).tag is StepTag.STUCK
     stepped = variant.step(cfg, STEP)
     assert stepped.tag is StepTag.STEPPED
     assert stepped.obs == ORead("a", 0)  # masked to index 0
     # secret destination with public index: the force rule applies
     labels2 = parse_labeling("i: public")
-    variant2 = IdealFiSLH(labels2, labels2)
+    variant2 = IdealFiSLH(labels2)
     cfg2 = SpecConfig(ARead("x", "a", Var("i")), rho, mu, True)
     res = variant2.step(cfg2, DLoad("c", 0))
     assert res.tag is StepTag.STEPPED
@@ -81,7 +81,7 @@ def test_fislh_read_force_requires_public_index_secret_target():
 
 def test_fvslh_read_force_masks_value_loaded_into_public():
     labels = parse_labeling("i: public\nx: public")
-    variant = IdealFvSLH(labels, labels)
+    variant = IdealFvSLH(labels)
     mu = ArrayState({"a": (5,), "a3": (42,)})
     cfg = SpecConfig(ARead("x", "a", Var("i")),
                      ScalarState({"i": 9}), mu, True)
@@ -93,7 +93,7 @@ def test_fvslh_read_force_masks_value_loaded_into_public():
 
 def test_fvslh_write_force_allows_secret_values():
     labels = parse_labeling("i: public")
-    variant = IdealFvSLH(labels, labels)
+    variant = IdealFvSLH(labels)
     mu = ArrayState({"a": (5,), "pub": (0,)})
     cfg = SpecConfig(parse_com("a[i] <- key"), ScalarState({"i": 7, "key": 3}), mu, True)
     from awhile.state import DStore
@@ -119,7 +119,7 @@ def test_fixed_labeling_semantics_label_each_expression_once(monkeypatch):
     )
     P = parse_labeling("k: public\nx: public\na: public")
     cfg = SpecConfig(c, *parse_state("s = 1\na = [0,0,0,0]"), True)
-    for sem in (IdealFiSLH(P, P), IdealFvSLH(P, P)):
+    for sem in (IdealFiSLH(P), IdealFvSLH(P)):
         labeled.clear()
         runs = enum_spec_runs(cfg, sem, 6, 200)
         assert len(runs) > 1
@@ -131,8 +131,8 @@ def test_fixed_labeling_semantics_label_each_expression_once(monkeypatch):
 
 def test_each_fixed_labeling_semantics_has_tables_of_its_own():
     P = parse_labeling("x: public")
-    a, b = IdealFiSLH(P, P), IdealFiSLH(P, P)
-    assert (a.P, a.PA) == (b.P, b.PA) == (P, P)
+    a, b = IdealFiSLH(P), IdealFiSLH(P)
+    assert a.P == b.P == P
     assert a.table is not b.table and a.labels is not b.labels
     a.table[1] = "unfolded"
     a.labels[1] = (PUBLIC, None)
@@ -189,8 +189,8 @@ def test_ideal_step_only_runs_match_sequential():
         P, PA = random_labeling(rng, pools)
         base = seq_run(com, rho0, mu0, 400)
         for variant, cfg in (
-            (IdealFiSLH(P, PA), SpecConfig(com, rho0, mu0, False)),
-            (IdealFvSLH(P, PA), SpecConfig(com, rho0, mu0, False)),
+            (IdealFiSLH(P), SpecConfig(com, rho0, mu0, False)),
+            (IdealFvSLH(P), SpecConfig(com, rho0, mu0, False)),
             (IdealFS(), FsIdealConfig(flow_track(com, P, PA, PUBLIC)[0],
                                       rho0, mu0, False, PUBLIC, P, PA)),
         ):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,7 +9,7 @@ from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.harden import FlagCollisionError
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH, _Policy
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
-from awhile.lang import parse_com
+from awhile.lang import parse_com, pretty_com
 import awhile.seccheck as seccheck
 from awhile.seccheck import (
     _LEAF,
@@ -604,7 +606,7 @@ def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
 def test_tree_steps_one_load_per_class_like_every_candidate():
     rng = random.Random(41)
     semantics = {
-        "spec": lambda P, PA: Speculative(),
+        "spec": lambda P: Speculative(),
         "fislh": IdealFiSLH,
         "fvslh": IdealFvSLH,
         "fsfvslh": None,
@@ -622,7 +624,7 @@ def test_tree_steps_one_load_per_class_like_every_candidate():
                 cfg = FsIdealConfig(flow_track(com, P, PA, PUBLIC)[0], rho, mu, flag,
                                     PUBLIC, P, PA)
             else:
-                sem, cfg = make(P, PA), SpecConfig(com, rho, mu, flag)
+                sem, cfg = make(P), SpecConfig(com, rho, mu, flag)
             _assert_kids_step_every_candidate(sem, cfg, 5, 60, counts)
         assert counts["shared"] > 0, name
         # the policies reject some loads (fiSLH into a public target, fvSLH
@@ -643,7 +645,7 @@ def test_flow_sensitive_loop_heads_share_a_node():
     rho, mu = parse_state("")
     acom = flow_track(c, P, P, PUBLIC)[0]
     fs = _Tree(IdealFS(), FsIdealConfig(acom, rho, mu, True, PUBLIC, P, P), 200, 8)
-    fv = _Tree(IdealFvSLH(P, P), SpecConfig(c, rho, mu, True), 200, 8)
+    fv = _Tree(IdealFvSLH(P), SpecConfig(c, rho, mu, True), 200, 8)
     assert _dag_leaves(fs) == _dag_leaves(fv)
     assert len(fs.nodes) == len(fv.nodes) == 8
 
@@ -908,6 +910,111 @@ def test_relsec_premise_runs_once_per_public_group(monkeypatch, variant):
     assert (runs, raised, per_state_runs) == (4, 0, 16)
 
 
+def _union_find_components(pairs):
+    """The connected components of the graph whose edges are the pairs, as
+    ascending lists of states (union-find with path halving): the reference
+    for the premise components, which the check splits out of its groups."""
+    up = {}
+
+    def top(s):
+        while up.setdefault(s, s) != s:
+            up[s] = s = up[up[s]]
+        return s
+
+    for i, j in pairs:
+        a, b = top(i), top(j)
+        if a != b:
+            up[b] = a
+    components = {}
+    for s in up:
+        components.setdefault(top(s), []).append(s)
+    return sorted(sorted(c) for c in components.values())
+
+
+# The relsec premise over programs that branch on k, load x from a[k] and
+# then loop x times.  k = 2 or 3 gets a run stuck out of bounds, with a
+# trace that is a strict prefix of those of k = 1, which are not
+# prefix-related to each other when they loop a different number of times;
+# k = 0 branches the other way.  x = 9 gets some runs to exhaust the fuel.
+# i and y are public.
+_PREFIX_SOURCE = "if k < 1 then skip end; x <- a[k]; while y < x do y := y + 1 end; "
+_PREFIX_SPACES = (
+    parse_space("i in {0,1}\nk in {0,1,3}\ny in {0}\na : size 2 in {0,9}\nc : size 1 in {2}"),
+    parse_space("i in {0,2}\nk in {1,2}\ny in {0,1}\na : size 2 in {0,9}\nc : size 1 in {0,1}"),
+)
+_PREFIX_LABELS = parse_labeling("i: public\ny: public")
+
+
+def test_premise_components_match_the_premise_pairs(monkeypatch):
+    # relsec over generated programs: the components the check hands to
+    # _settled equal the connected components of the pairs that meet the
+    # premise, and the verdict is the same with _settled disabled
+    cases, kinds, outcomes, settled_any = 0, set(), set(), 0
+    split = joined = unrelated = 0
+    for seed in range(16):
+        com = parse_com(_PREFIX_SOURCE + pretty_com(gen_program(7000 + seed, 10, pools)))
+        space, bounds = _PREFIX_SPACES[seed % 2], Bounds(4, 30)
+        states = list(enum_states(space))
+        runs = [seq_run(com, *s, bounds.fuel) for s in states]
+        kinds.update(r.kind for r in runs)
+        for v in ("none", "uslh", "fvslh"):
+            P = _PREFIX_LABELS if v == "uslh" or wt_ifc(_PREFIX_LABELS, _PREFIX_LABELS,
+                                                        PUBLIC, com) else all_secret()
+            recorded, real = [], seccheck._settled
+
+            def settled(sem, start, states, groups, bounds):
+                recorded.append(groups)
+                out = real(sem, start, states, groups, bounds)
+                recorded.append(out)
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(seccheck, "_settled", settled)
+                grouped = check_relative_security(v, com, P, P, space, bounds)
+            with monkeypatch.context() as m:
+                m.setattr(seccheck, "_settled", lambda *args: set())
+                walked = check_relative_security(v, com, P, P, space, bounds)
+            assert grouped == walked, (seed, v)
+            pair_P = all_secret() if v == "uslh" else P
+            pairing = [(i, j) for i, j in itertools.combinations(range(len(states)), 2)
+                       if pub_equiv(pair_P, pair_P, states[i], states[j])]
+            premise = [(i, j) for i, j in pairing if prefix_of(runs[i].trace, runs[j].trace)]
+            groups, settled_states = recorded
+            assert all(g == sorted(g) for g in groups)
+            assert sorted(g for g in groups if len(g) > 1) == _union_find_components(premise)
+            cases += 1
+            outcomes.add(grouped.status)
+            settled_any += bool(settled_states)
+            split += len(groups) > len(_union_find_components(pairing))
+            joined += any(len({runs[s].trace for s in g}) > 1 for g in groups)
+            unrelated += len(premise) < sum(len(g) * (len(g) - 1) // 2 for g in groups)
+    assert cases == 48
+    assert {RunKind.STUCK, RunKind.FUEL_EXHAUSTED, RunKind.TERMINATED} <= kinds
+    # the premise splits some pairing groups; some components hold a trace
+    # and strict extensions of it, some of which are not prefix-related
+    assert outcomes == {VerdictStatus.HOLDS, VerdictStatus.VIOLATED}
+    assert 0 < settled_any < cases
+    assert split > 0 and joined > 0 and unrelated > 0
+
+
+def test_relsec_uslh_over_a_wide_space_builds_no_pair_list():
+    # 640 states, all paired by uslh: 204,480 pairs, of which 40,640 meet
+    # the premise; a list of them peaked at 16 MB
+    space = parse_space(
+        "i in {0,1,2,3,4}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
+        "a3 : size 1 in {" + ",".join(map(str, range(4, 132))) + "}"
+    )
+    tracemalloc.start()
+    try:
+        v = check_relative_security("uslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS,
+                                    space, Bounds(8, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.holds
+    assert peak < 4 * 2**20
+
+
 def test_one_pair_checks_settle_no_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-pair check settled a group")
@@ -979,7 +1086,7 @@ def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=30):
         cfg1 = FsIdealConfig(acom, s1[0], s1[1], False, PUBLIC, P, PA)
         cfg2 = FsIdealConfig(acom, s2[0], s2[1], False, PUBLIC, P, PA)
     else:
-        iv = IdealFiSLH(P, PA) if variant == "fislh" else IdealFvSLH(P, PA)
+        iv = IdealFiSLH(P) if variant == "fislh" else IdealFvSLH(P)
         cfg1 = SpecConfig(com, s1[0], s1[1], False)
         cfg2 = SpecConfig(com, s2[0], s2[1], False)
     from awhile.state import pub_equiv_arrays, pub_equiv_scalars

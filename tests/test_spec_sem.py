@@ -167,8 +167,8 @@ def test_step_accounting_matches_sequential_at_every_fuel():
             seq = seq_run(com, rho, mu, fuel)
             for sem, cfg in (
                 (Speculative(), SpecConfig(com, rho, mu, False)),
-                (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, False)),
-                (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, False)),
+                (IdealFiSLH(P), SpecConfig(com, rho, mu, False)),
+                (IdealFvSLH(P), SpecConfig(com, rho, mu, False)),
                 (IdealFS(), FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)),
             ):
                 out = run(sem, cfg, [STEP] * 100, fuel)
@@ -194,8 +194,8 @@ def test_step_accounting_matches_sequential_on_a_long_silent_stretch():
         seq = seq_run(com, rho, mu, fuel)
         for sem, cfg in (
             (Speculative(), SpecConfig(com, rho, mu, False)),
-            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, False)),
-            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, False)),
+            (IdealFiSLH(P), SpecConfig(com, rho, mu, False)),
+            (IdealFvSLH(P), SpecConfig(com, rho, mu, False)),
             (IdealFS(), FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)),
         ):
             out = run(sem, cfg, [STEP] * 4, fuel)
@@ -246,8 +246,8 @@ def test_silent_loop_matches_single_steps_at_every_fuel():
         acom, _ = flow_track(com, P, PA, PUBLIC)
         for sem, cfg in (
             (Speculative(), SpecConfig(com, rho, mu, flag)),
-            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, flag)),
-            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFiSLH(P), SpecConfig(com, rho, mu, flag)),
+            (IdealFvSLH(P), SpecConfig(com, rho, mu, flag)),
             (IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
         ):
             for _ in range(12):
@@ -288,8 +288,8 @@ def test_candidates_are_ordered_and_cover_every_stepping_directive():
         acom, _ = flow_track(com, P, PA, PUBLIC)
         for sem, cfg in (
             (Speculative(), SpecConfig(com, rho, mu, flag)),
-            (IdealFiSLH(P, PA), SpecConfig(com, rho, mu, flag)),
-            (IdealFvSLH(P, PA), SpecConfig(com, rho, mu, flag)),
+            (IdealFiSLH(P), SpecConfig(com, rho, mu, flag)),
+            (IdealFvSLH(P), SpecConfig(com, rho, mu, flag)),
             (IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
         ):
             for _ in range(40):
