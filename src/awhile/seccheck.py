@@ -594,11 +594,12 @@ def _pair_verdict(
     group's pairs, and walks those ``related`` accepts over the states'
     shared directive trees under ``sem``, rooted at ``start(rho, mu)``; a
     state's tree is built on its first pair walked and dropped after its
-    last pair.  With ``by_group``, the pairs of the groups ``_settled``
-    settles are skipped, so the one-pair checks stay independent of the
-    groups.  It holds, with the ``vacuous`` message when there is no pair,
-    or is violated with the first divergent pair's witness, once
-    ``_certify`` has replayed it.  With ``count_pairs``, the pairs taken up
+    last pair.  The checks over a space skip the pairs of the groups
+    ``_settled`` settles (``by_group``); the one-pair checks walk their
+    pair, so the tests' per-pair references stay independent of the groups.
+    It holds, with the ``vacuous`` message when there is no pair, or is
+    violated with the first divergent pair's witness, once ``_certify`` has
+    replayed it.  With ``count_pairs``, the pairs taken up
     to a violating one, skipped ones included, are the fact ``pairs``."""
     settled = _settled(sem, start, states, groups, bounds) if by_group else ()
     # a group's state s < top has its last pair at (s, top), and top at
@@ -692,10 +693,10 @@ def _seq_traces(c: Com, states, groups: Sequence[Sequence[int]], fuel: int) -> d
 
 def _premise_components(group: Sequence[int], traces: dict) -> List[List[int]]:
     """A group's states split into the connected components of its pairs
-    with prefix-related traces, as ascending index lists.  A component is
-    a trace without a proper prefix among the group's traces and every
-    trace that extends it, which sort right after it; observations are
-    unordered records, so a trace sorts by its observations' reprs."""
+    with prefix-related traces, as ascending index lists.  A component
+    holds the states of one trace with no proper prefix among the group's
+    traces and of every trace extending it, which sort right after it;
+    observations are unordered records, so a trace sorts by their reprs."""
     by_trace = {}
     for s in group:
         by_trace.setdefault(traces[s], []).append(s)
@@ -746,6 +747,7 @@ def check_relative_security(
     bounds = bounds.over(space)
     states = list(enum_states(space))
     groups = _public_groups(states, P, PA)
+    # a public group's states are all paired or none is
     if variant_kind == "uslh":
         pairing = [list(range(len(states)))] if len(states) > 1 else []
         premised = groups if pairing else []
