@@ -104,8 +104,9 @@ _FVSLH_POLICY = _Policy(
 
 class _FixedLabeling(Speculative):
     """The speculative semantics under the variant's policy and the fixed
-    labeling P of scalars, with a per-check ``labels`` table beside
-    ``table``: the labels of the expressions under P (``fixed_label``)."""
+    labeling P of scalars (no rule reads an array labeling), with a
+    per-check ``labels`` table beside ``table``: the labels of the
+    expressions under P (``spec_sem.fixed_label``)."""
 
     masked = True
 
