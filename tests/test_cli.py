@@ -1067,6 +1067,99 @@ def test_usage_errors_and_help_list_every_command(argv, code, capsys):
     assert ALL_COMMANDS in outcome[1] + outcome[2]
 
 
+def _outcome(call, capsys):
+    """(exit code, stdout, stderr) of ``call``, which returns a code or exits."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argparse_exit(argv, capsys):
+    """argparse's outcome when it exits on ``argv`` (help or a usage error),
+    else None: the command's parser first, the full one for leftovers."""
+    def parse():
+        extra = None
+        if argv and argv[0] in _COMMANDS:
+            extra = _command_parser(argv[0]).parse_known_args(argv[1:])[1]
+        if extra or extra is None:
+            _build_parser().parse_args(argv)
+
+    outcome = _outcome(parse, capsys)
+    return outcome if outcome[0] is not None else None
+
+
+EDGE_PROGRAM = "if x < 1 then y := 1 end\n"
+EDGE_TEXT = "if x < 1 then\n  y := 1\nend\n"
+EDGE_JSON = '{\n  "program": "if x < 1 then\\n  y := 1\\nend"\n}\n'
+EDGE_ISLH = "if x < 1 then\n  b := (x < 1 ? b : 1);\n  y := 1\nelse\n  b := (x < 1 ? 1 : b)\nend\n"
+
+
+def _sct_json(fuel):
+    return ('{\n  "fuel": %d,\n  "max_dirs": 8,\n  "message": "vacuous: 0 public-equivalent '
+            'pairs among 1 states",\n  "status": "holds"\n}\n' % fuel)
+
+
+NO_FILE = "error: cannot read '': [Errno 2] No such file or directory: ''\n"
+
+# Edge command lines, with P the program file and stdin holding
+# 'y := 2'.  An outcome of None is argparse's own: it exits with its help,
+# usage or error text, and main must print exactly that.
+EDGE_ARGV = [
+    (["print", "--format=json", "P"], (0, EDGE_JSON, "")),
+    (["print", "--form", "json", "P"], (0, EDGE_JSON, "")),
+    (["check", "--property", "relsec", "--fuel", "-1", "P"],
+     (2, "", "error: --fuel must not be negative, got -1\n")),
+    (["check", "--property", "sct", "--fuel", "1_0", "--format", "json", "P"],
+     (0, _sct_json(10), "")),
+    (["check", "--property", "sct", "--fuel", " 3", "--format", "json", "P"],
+     (0, _sct_json(3), "")),
+    (["print", "--format", "json", "--format", "text", "P"], (0, EDGE_TEXT, "")),
+    (["harden", "--variant", "uslh", "--variant", "islh", "P"], (0, EDGE_ISLH, "")),
+    (["harden", "--no-store-mask", "--variant", "sislh", "--no-store-mask", "P"],
+     (0, EDGE_ISLH, "")),
+    (["print", "--", "P"], (0, EDGE_TEXT, "")),
+    (["print", "--format", "json", "--", "P"], (0, EDGE_JSON, "")),
+    (["check", "--property", "sct", "-h"], None),
+    (["print", "P", "--help"], None),
+    (["harden", "P"], None),
+    (["check", "P"], None),
+    (["check", "--variant", "fislh", "P"], None),
+    (["repro", "--listing", "9"], None),
+    (["repro", "--listing", "-1"], None),
+    (["repro", "--listing", "1_0"], None),
+    (["check", "--property", "bcc", "--variant", "fislh", "--trials", "x", "P"], None),
+    (["check", "--property", "sct", "--fuel"], None),
+    (["check", "--property", "sct", "P", "--max-dirs"], None),
+    (["print", "--format", "xml", "P"], None),
+    (["print", "--format", "-", "P"], None),
+    (["print", "P", "P"], None),
+    (["repro", "--listing", "2", "P"], None),
+    (["print"], None),
+    (["print", "--bogus", "P"], None),
+    (["print", "-x", "P"], None),
+    (["print", "-"], (0, "y := 2\n", "")),
+    (["print", "--format", "text", "-"], (0, "y := 2\n", "")),
+    (["print", ""], (2, "", NO_FILE)),
+    (["typecheck", "--labels", "", "P"], (2, "", NO_FILE)),
+    (["gen", "--size", "-3"], (2, "", "error: --size must not be negative, got -3\n")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EDGE_ARGV,
+                         ids=[repr(" ".join(argv)) for argv, _ in EDGE_ARGV])
+def test_edge_command_lines_keep_their_outcome(argv, expected, files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"y := 2\n")))
+    p = files("p.aw", EDGE_PROGRAM)
+    argv = [p if a == "P" else a for a in argv]
+    exited = _argparse_exit(argv, capsys)
+    assert (exited is None) == (expected is not None)
+    assert _outcome(lambda: main(argv), capsys) == (expected or exited)
+
+
 def test_main_builds_only_the_invoked_command(files, monkeypatch):
     built = []
     real = argparse.ArgumentParser.__init__
