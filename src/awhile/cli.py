@@ -4,9 +4,11 @@ Every subcommand is a thin adapter over the library: identical inputs
 through the CLI and through the module API produce identical results.
 Exit codes: 0 for success/Holds, 1 for Violated (or an ill-typed program
 under ``typecheck``), 2 for usage, syntax, and precondition errors.
-``main`` builds one argument parser, the invoked subcommand's; the full
-parser, with every subcommand, only for ``-h``, an unknown command or
-leftover arguments.
+``main`` reads a well-formed command line straight from the invoked
+subcommand's declaration, without argparse; anything else (help, ``--``,
+``--x=y``, an abbreviation, a bad value) goes to argparse, which builds the
+subcommand's parser, and the full parser, with every subcommand, only for
+``-h``, an unknown command or leftover arguments.
 
 Environment variables SLH_MAX_DIRS and SLH_FUEL override the default
 exploration bounds when the corresponding flags are not given.
@@ -14,12 +16,12 @@ exploration bounds when the corresponding flags are not given.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 from . import seccheck
@@ -547,12 +549,101 @@ _COMMANDS = {
 }
 
 
+class _Declined(Exception):
+    """An argument declaration the reader below does not know."""
+
+
+class _Declaration:
+    """A command's arguments, recorded by replaying its ``add_args`` on
+    this object instead of a parser: per option string, its destination,
+    its kind (``int``, None for a string, True for a ``store_true`` flag)
+    and its choices; the positionals' names; the defaults; the required
+    options."""
+
+    def __init__(self, add_args):
+        self.options, self.positionals, self.defaults, self.required = {}, [], {}, set()
+        add_args(self)
+
+    def add_argument(self, name, *more, action=None, type=None, choices=None,
+                     required=False, default=None, help=None, **other):
+        if more or other or action not in (None, "store_true") or \
+                type not in (None, int) or (type and isinstance(default, str)):
+            raise _Declined(name)
+        if not name.startswith("--"):
+            if name.startswith("-") or action or type or choices or required or \
+                    default is not None:
+                raise _Declined(name)
+            self.positionals.append(name)
+            return
+        dest = name[2:].replace("-", "_")
+        flag = action is not None
+        self.options[name] = (dest, True if flag else type, choices)
+        self.defaults[dest] = False if flag else default
+        if required:
+            self.required.add(dest)
+
+
+@functools.lru_cache(maxsize=None)
+def _declaration(name: str) -> Optional[_Declaration]:
+    """The recorded declaration of a command, made on its first use; None
+    if it declares anything the reader does not know."""
+    try:
+        return _Declaration(_COMMANDS[name][2])
+    except _Declined:
+        return None
+
+
+def _read_args(name: str, argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would give for a well-formed ``argv`` of
+    command ``name``, or None.  It reads ``--option value`` for an exact
+    option string (an ``int`` value through ``int``, then the choices),
+    ``store_true`` flags and the declared positionals, one value each.  It
+    declines every other token that starts with '-' (except '-' itself),
+    so help, ``--``, ``--x=y``, abbreviations and negative numbers; a
+    missing value or one that starts with '-'; a bad number or choice; a
+    missing required option; and a wrong number of positionals."""
+    decl = _declaration(name)
+    if decl is None:
+        return None
+    values = dict(decl.defaults)
+    given, positionals = set(), []
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+            continue
+        option = decl.options.get(token)
+        if option is None:
+            return None
+        dest, kind, choices = option
+        if kind is True:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and value != "-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if len(positionals) != len(decl.positionals) or not decl.required <= given:
+        return None
+    values.update(zip(decl.positionals, positionals))
+    return SimpleNamespace(**values, command=name, fn=_COMMANDS[name][1])
+
+
 def _formatter():
     """argparse's help formatter at the width it would read itself.  A
     parser builds a formatter for every argument it adds, and each one left
     to itself reads the terminal size; this reads it once per parser.
     ``shutil`` is imported here, as argparse does, so importing the CLI
     does not load it."""
+    import argparse
     import shutil
 
     return functools.partial(argparse.HelpFormatter,
@@ -562,6 +653,8 @@ def _formatter():
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, as the full parser's sub-parser for it
     would be: the same usage, help and errors, and the same namespace."""
+    import argparse
+
     _, fn, add_args = _COMMANDS[name]
     p = argparse.ArgumentParser(prog=f"awhile {name}", formatter_class=_formatter())
     add_args(p)
@@ -571,6 +664,8 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     """The parser for every command."""
+    import argparse
+
     formatter = _formatter()
     top = argparse.ArgumentParser(
         prog="awhile",
@@ -589,12 +684,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = extra = None
+    args = None
     if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        # no known command, or leftovers, which argparse reports with the
-        # top usage line listing every command: let the full parser report
+        args = _read_args(argv[0], argv[1:])
+        if args is None:
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                # leftovers, which argparse reports with the top usage
+                # line listing every command: let the full parser report
+                args = None
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

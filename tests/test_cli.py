@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -12,7 +13,8 @@ import sys
 import pytest
 
 import awhile
-from awhile.cli import _COMMANDS, _build_parser, _command_parser, main
+from awhile import cli
+from awhile.cli import _COMMANDS, _build_parser, _command_parser, cmd_print, main
 from awhile.fixtures import FIXTURES
 from awhile.gen import gen_program
 from awhile.lang import pretty_com
@@ -1160,7 +1162,9 @@ def test_edge_command_lines_keep_their_outcome(argv, expected, files, capsys, mo
     assert _outcome(lambda: main(argv), capsys) == (expected or exited)
 
 
-def test_main_builds_only_the_invoked_command(files, monkeypatch):
+def test_main_builds_a_parser_only_to_report(files, monkeypatch, capsys):
+    # a well-formed command line is read without argparse; a usage error
+    # builds the command's parser, then the full one, which reports it
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -1169,8 +1173,126 @@ def test_main_builds_only_the_invoked_command(files, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
-    assert main(["print", files("p.aw", "skip")]) == 0
-    assert built == ["awhile print"]
+    p = files("p.aw", "skip")
+    assert main(["print", p]) == 0
+    assert built == []
+    with pytest.raises(SystemExit):
+        main(["print", "--bogus", p])
+    assert built == ["awhile print", "awhile", *(f"awhile {name}" for name in _COMMANDS)]
+
+
+@pytest.mark.parametrize("declare", [
+    lambda p: p.add_argument("--n", metavar="N"),
+    lambda p: p.add_argument("--n", nargs=2),
+    lambda p: p.add_argument("-n", "--number", type=int),
+    lambda p: p.add_argument("--n", type=float),
+    lambda p: p.add_argument("--n", type=int, default="3"),
+    lambda p: p.add_argument("--n", action="count"),
+    lambda p: p.add_argument("program", type=int),
+])
+def test_reader_declines_a_command_it_cannot_read(declare, monkeypatch):
+    # argparse reads every command line of a command that declares
+    # anything beyond the reader's subset
+    monkeypatch.setitem(_COMMANDS, "probe", ("", cmd_print, declare))
+    try:
+        assert cli._declaration("probe") is None
+        assert cli._read_args("probe", ["--n", "5"]) is None
+    finally:
+        cli._declaration.cache_clear()
+
+
+# the shapes of the benchmark's command lines, one per shape
+BENCHMARK_ARGV = [
+    ["analyze", "--labels", "corpus.labels", "c00.aw"],
+    ["check", "--property", "bcc", "--variant", "fsfvslh", "--labels", "corpus.labels",
+     "--space", "c02.space", "--trials", "6", "--seed", "2", "--max-dirs", "4",
+     "--fuel", "200", "c02.aw"],
+    ["check", "--property", "equality", "--labels", "corpus.labels", "c01.aw"],
+    ["check", "--property", "ni", "--variant", "fvslh", "--labels", "corpus.labels",
+     "--space", "c01.space", "c01.aw"],
+    ["check", "--property", "relsec", "--variant", "none", "--labels", "gadget.labels",
+     "--space", "relsec.space", "--max-dirs", "8", "--fuel", "200", "gadget.aw"],
+    ["check", "--property", "sct", "--variant", "uslh", "--labels", "gadget.labels",
+     "--space", "sct.space", "--max-dirs", "12", "--fuel", "200", "gadget.aw"],
+    ["check", "--property", "unwind", "--variant", "fislh", "--labels", "corpus.labels",
+     "--space", "c00.space", "--max-dirs", "4", "--fuel", "200", "c00.aw"],
+    ["harden", "--variant", "svslh", "--labels", "corpus.labels", "c05.aw"],
+    ["print", "c07.aw"],
+    ["repro", "--listing", "3", "--max-dirs", "12", "--fuel", "200", "--format", "json"],
+    ["typecheck", "--system", "cct", "--labels", "corpus.labels", "c09.aw"],
+]
+
+# tokens that may stand anywhere: values, files and malformed options
+SOUP = ["p.aw", "-", "", "b c", "x", "0", "3", "-1", "1_0", " 3", "007", "1e3", "\u0663",
+        "json", "xml", "sct", "fislh", "none", "cct", "seq", "--", "-h", "--help",
+        "--format=json", "--form", "--fuel=3", "--max", "-x", "---", "--bogus", "-p.aw",
+        "--variant=fislh", "print", "check"]
+
+
+def _command_lines(seed, count):
+    """``count`` command lines of every command, from a seeded soup: each
+    draws some of its command's options with values they take in the known
+    lines above, places its positional among them, and then suffers up to
+    two insertions, replacements or deletions of a token."""
+    rng = random.Random(seed)
+    values = {}
+    for argv in [*COMMAND_ARGV.values(), *BENCHMARK_ARGV]:
+        for option, value in zip(argv, argv[1:]):
+            if option.startswith("--") and not value.startswith("--"):
+                values.setdefault(option, []).append(value)
+    lines = []
+    for _ in range(count):
+        name = rng.choice(list(COMMAND_ARGV))
+        options = [t for t in COMMAND_ARGV[name] if t.startswith("--")]
+        words = []
+        for option in rng.sample(options, rng.randint(0, len(options))):
+            pool = values.get(option, [])
+            if pool and rng.random() < 0.2:
+                pool = SOUP
+            words.append([option, rng.choice(pool)] if pool else [option])
+        if name not in ("repro", "gen"):
+            words.insert(rng.randint(0, len(words)), [rng.choice(["p.aw", "p.aw", "-", ""])])
+        argv = [name] + [t for w in words for t in w]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randint(1, len(argv))
+            move = rng.random()
+            if move < 0.4:
+                argv.insert(k, rng.choice(SOUP))
+            elif k < len(argv):
+                if move < 0.7:
+                    argv[k] = rng.choice(SOUP)
+                else:
+                    del argv[k]
+        lines.append(argv)
+    return lines
+
+
+def test_reader_agrees_with_argparse(monkeypatch, capsys):
+    # every command's handler prints the namespace it is given, so main's
+    # outcome shows what each path read
+    def show(args):
+        print(repr(sorted((k, v) for k, v in vars(args).items() if k != "fn")))
+        return 0
+
+    for name, (help_text, fn, add_args) in list(_COMMANDS.items()):
+        monkeypatch.setitem(_COMMANDS, name, (help_text, show, add_args))
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = [*COMMAND_ARGV.values(), *BENCHMARK_ARGV, *_command_lines(23, 10_000)]
+    read = 0
+    for argv in lines:
+        args = cli._read_args(argv[0], argv[1:])
+        if args is not None:
+            read += 1
+            parsed, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            assert (extra, vars(args)) == ([], vars(parsed)), argv
+            continue
+        outcome = _outcome(lambda: main(argv), capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_args", lambda name, argv: None)
+            assert _outcome(lambda: main(argv), capsys) == outcome, argv
+    # every known line is read, and both sides of the reader are exercised
+    assert all(cli._read_args(a[0], a[1:]) for a in [*COMMAND_ARGV.values(), *BENCHMARK_ARGV])
+    assert 1_000 < read < len(lines) - 1_000
 
 
 @pytest.mark.parametrize("columns", ["50", "80", "200"])

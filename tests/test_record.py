@@ -114,6 +114,17 @@ def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
     assert _run_python(code) == "[]"
 
 
+def test_a_well_formed_call_imports_neither_argparse_nor_gettext(tmp_path):
+    program = tmp_path / "p.aw"
+    program.write_text("x := 1\n")
+    code = ("import sys, awhile.cli; awhile.cli.main(['print', sys.argv[1]]); "
+            "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(program)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x := 1\n[]\n", "")
+
+
 def test_importing_the_package_generates_no_code():
     # the standard modules the package imports are imported first, so every
     # exec, eval or compile seen afterwards is the package's own; running a
