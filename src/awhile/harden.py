@@ -35,6 +35,7 @@ derivations.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from .flow_ifc import (
@@ -59,17 +60,19 @@ from .lang import (
     Com,
     CTCond,
     If,
+    KEYWORDS,
     Num,
     Seq,
     Skip,
     SKIP,
     Var,
     While,
-    used_vars,
+    _scalar_names,
 )
 from .record import Record, _build
 
 DEFAULT_FLAG_VAR = "b"
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class HardenVariant(Record):
@@ -220,10 +223,17 @@ def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
 
 
 def _reserve(flag_var: str, c: Com) -> None:
-    if flag_var in used_vars(c):
+    """Refuse a flag variable the hardened program could not spell: not a
+    name, a keyword, or a scalar or an array of the program."""
+    if not _NAME_RE.fullmatch(flag_var) or flag_var in KEYWORDS:
+        raise FlagCollisionError(f"flag variable {flag_var!r} is not a variable name")
+    arrays = set()
+    if flag_var in _scalar_names(c, arrays):
         raise FlagCollisionError(
             f"flag variable {flag_var!r} is used by the program"
         )
+    if flag_var in arrays:
+        raise FlagCollisionError(f"flag variable {flag_var!r} names an array of the program")
 
 
 def harden(

@@ -479,9 +479,10 @@ def _combine(e, done):
     raise ValueError(f"unknown {kind} operator {op!r}")
 
 
-def _scalar_names(node) -> set:
+def _scalar_names(node, arrays: Optional[set] = None) -> set:
     """Scalar names occurring in a command or an expression, collected into
-    one set in one walk with an explicit stack."""
+    one set in one walk with an explicit stack; the same walk adds the
+    array names to ``arrays`` when one is given."""
     names, todo = set(), [node]
     while todo:
         x = todo.pop()
@@ -500,8 +501,12 @@ def _scalar_names(node) -> set:
         elif cls is ARead:
             names.add(x.name)
             todo.append(x.index)
+            if arrays is not None:
+                arrays.add(x.array)
         elif cls is AWrite:
             todo += (x.index, x.value)
+            if arrays is not None:
+                arrays.add(x.array)
         elif cls is If or cls is CTCond:
             todo += (x.cond, x.then, x.other)
         elif cls is While:

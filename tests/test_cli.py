@@ -942,6 +942,33 @@ def test_check_refuses_a_flag_variable_program_alike(files, capsys, prop):
     assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
 
 
+@pytest.mark.parametrize("flag, why", [
+    ("1x", "is not a variable name"), ("", "is not a variable name"),
+    ("if", "is not a variable name"), ("b c", "is not a variable name"),
+    ("x", "is used by the program"), ("a", "names an array of the program"),
+])
+def test_flag_variable_the_hardened_program_cannot_spell_is_refused(files, capsys, flag, why):
+    p = files("p.aw", "if x < 1 then y <- a[x] end\n")
+    error = ("", f"error: flag variable {flag!r} {why}\n")
+    for variant in _HARDEN_CHOICES:
+        assert main(["harden", "--variant", variant, "--flag-var", flag, p]) == 2
+        assert capsys.readouterr() == error
+    for variant in ("fislh", "fvslh", "fsfvslh"):
+        assert main(["check", "--property", "bcc", "--variant", variant,
+                     "--flag-var", flag, p]) == 2
+        assert capsys.readouterr() == error
+
+
+def test_hardening_with_a_chosen_flag_variable_reparses(files, capsys):
+    p = files("p.aw", "if x < 1 then y <- a[x]; a[y] <- x end\n")
+    for variant in _HARDEN_CHOICES:
+        assert main(["harden", "--variant", variant, "--flag-var", "F_1", p]) == 0
+        out = capsys.readouterr().out
+        assert "F_1 := " in out
+        assert main(["print", files("h.aw", out)]) == 0
+        assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("prop", ["equality", "wl"])
 def test_variant_does_not_apply_to_equality_and_wl(files, capsys, prop):
     p = files("p.aw", "if s = 0 then y := 1 end\n")
