@@ -1189,7 +1189,7 @@ def test_edge_command_lines_keep_their_outcome(argv, expected, files, capsys, mo
     assert _outcome(lambda: main(argv), capsys) == (expected or exited)
 
 
-def test_main_builds_a_parser_only_to_report(files, monkeypatch, capsys):
+def test_main_builds_only_the_invoked_command(files, monkeypatch):
     # a well-formed command line is read without argparse; a usage error
     # builds the command's parser, then the full one, which reports it
     built = []
