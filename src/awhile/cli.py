@@ -37,7 +37,7 @@ from .ifc_static import (
     wt_ifc,
 )
 from .lang import (
-    ParseError, arrays_of, numeral_too_long, parse_com, pretty_com, syntax_repr, used_vars,
+    ParseError, _scalar_names, numeral_too_long, parse_com, pretty_com, syntax_repr,
 )
 from .seccheck import (
     Bounds,
@@ -241,11 +241,11 @@ def cmd_analyze(args) -> int:
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
     acom, final = flow_track(com, labels, labels, PUBLIC)
-    scalars = sorted(used_vars(com))
-    arrays = sorted(arrays_of(com))
+    arrays = set()
+    scalars = _scalar_names(com, arrays)  # one walk for both kinds of name
     out_labels = "\n".join(
-        [f"{n}: {final.vars.get(n)}" for n in scalars]
-        + [f"{n}: {final.arrs.get(n)}" for n in arrays]
+        [f"{n}: {final.vars.get(n)}" for n in sorted(scalars)]
+        + [f"{n}: {final.arrs.get(n)}" for n in sorted(arrays)]
     )
     annotated = pretty_acom(acom)
     _emit(
@@ -413,6 +413,17 @@ def cmd_check(args) -> int:
         raise CliError(f"--variant does not apply to --property {args.property}")
     if args.property == "bcc" and args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
+    # the flag variable is spelled only where a hardening runs; an explicit
+    # one anywhere else is refused, not dropped
+    hardens = args.property == "bcc" or (
+        args.property in ("sct", "relsec") and args.variant not in (None, "none"))
+    if args.flag_var is None:
+        args.flag_var = DEFAULT_FLAG_VAR
+    elif not hardens:
+        where = f"--property {args.property}"
+        if args.property in ("sct", "relsec"):
+            where += f" --variant {args.variant}" if args.variant else " without --variant"
+        raise CliError(f"--flag-var does not apply to {where}")
     v = _PROPERTIES[args.property](args, com, labels, space, bounds)
     _emit(args, lambda: _verdict_payload(v), lambda: _verdict_lines(v))
     return _verdict_exit(v)
@@ -518,7 +529,8 @@ def _check_args(p):
     p.add_argument("--dirs", help="bcc: fixed directive string")
     p.add_argument("--trials", type=int, default=100, help="bcc: random runs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flag-var", default=DEFAULT_FLAG_VAR)
+    # None tells an explicit flag variable from the default, DEFAULT_FLAG_VAR
+    p.add_argument("--flag-var", default=None)
     _program_args(p, labels=True, bounds=True)
 
 

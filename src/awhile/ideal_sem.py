@@ -45,7 +45,7 @@ from .flow_ifc import (
 )
 from .ifc_static import Label, LabelMap, join, label_of_expr
 from .lang import compiled
-from .record import Record
+from .record import Record, _build
 from .seq_sem import RunKind
 from .spec_sem import (
     NEED_DIR,
@@ -258,7 +258,7 @@ def _step_fs(sem, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
             return STUCK
         v, i, flag2 = r
         cfg2 = FsIdealConfig(ASKIP, rho.set(a.name, v), mu, flag2, pc, P.set(a.name, lx), PA, k)
-        return StepResult(STEPPED, cfg2, ORead(a.array, i), 1)
+        return StepResult(STEPPED, cfg2, _build(ORead, (a.array, i)), 1)
     if cls is AAWrite:
         li, le = a.lbl_index, label_of_expr(P, a.value)
         r = write_rule(_FVSLH_POLICY, li, le, table, rho, mu, flag, a.array, a.index, a.value, d)
@@ -269,7 +269,7 @@ def _step_fs(sem, cfg: FsIdealConfig, d: Optional[Dir]) -> StepResult:
             le = join(li, le)  # an architectural write also carries its index label
         PA2 = PA.set(a.array, join(PA.get(a.array), join(pc, le)))
         cfg2 = FsIdealConfig(ASKIP, rho, mu2, flag2, pc, P, PA2, k)
-        return StepResult(STEPPED, cfg2, OWrite(a.array, i), 1)
+        return StepResult(STEPPED, cfg2, _build(OWrite, (a.array, i)), 1)
     raise TypeError(f"not an annotated command: {a!r}")
 
 

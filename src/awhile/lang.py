@@ -530,24 +530,6 @@ def used_vars(c: Com) -> frozenset:
     return frozenset(_scalar_names(c))
 
 
-def arrays_of(c: Com) -> frozenset:
-    """All array names occurring in ``c``, found with an explicit stack."""
-    names, todo = set(), [c]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Seq):
-            todo += (c.second, c.first)
-        elif isinstance(c, If):
-            todo += (c.other, c.then)
-        elif isinstance(c, While):
-            todo.append(c.body)
-        elif isinstance(c, (ARead, AWrite)):
-            names.add(c.array)
-        elif not isinstance(c, (Skip, Asgn)):
-            raise TypeError(f"not a command: {c!r}")
-    return frozenset(names)
-
-
 def syntax_repr(node) -> str:
     """The record ``repr`` of a syntax tree, built with an explicit stack
     so that a long sequence spine cannot exhaust the recursion limit."""

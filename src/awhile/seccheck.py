@@ -27,14 +27,16 @@ opaque value; it is grouped by the labeling the check was given, also for
 ``uslh``, whose pairs ignore the labeling.  It then splits the groups into
 the components of prefix-related traces, by sorting each group's distinct
 traces, and only the pairs with prefix-related traces are walked.  Each
-group first gets one directive tree, from one abstract state that keeps
-every scalar and array cell its states agree on and holds the opaque value
-``lang.OPAQUE`` everywhere else.  A group whose tree expands in full decided
-every branch, bounds test, candidate list and observation on values its
-states share, so all of them have that tree, and its pairs are skipped; one
-whose tree decides something on the opaque value (``SecretDependence``) has
+group is first settled by one sweep of the configurations its directive tree
+would reach, from one abstract state that keeps every scalar and array cell
+its states agree on and holds the opaque value ``lang.OPAQUE`` everywhere
+else; the sweep steps what a full expansion of that tree would, and keeps
+no tree.  A group whose sweep ends decided every branch, bounds test,
+candidate list and observation on values its states share, so all of them
+have that tree, and its pairs are counted by formula, not generated; one
+whose sweep decides something on the opaque value (``SecretDependence``) has
 its pairs walked.  This is dynamic information-flow tracking over a flat
-abstract domain (Cousot & Cousot, POPL 1977).  A skipped group holds no
+abstract domain (Cousot & Cousot, POPL 1977).  A settled group holds no
 divergent pair, so the first divergent pair, its position and its witness do
 not change.  For the pairs walked, each state gets one directive tree,
 expanded lazily, shared by every pair walk the state takes part in, and
@@ -521,34 +523,52 @@ def _abstract_state(states, group: Sequence[int]):
 
 
 def _expands(sem, cfg, bounds: Bounds) -> bool:
-    """Whether the directive tree of ``cfg`` expands in full, every node
-    stepped with an explicit stack, without a step that decides something
-    on ``OPAQUE`` (SecretDependence)."""
+    """Whether the directive tree of ``cfg`` expands in full without a step
+    that decides something on ``OPAQUE`` (SecretDependence).  It sweeps the
+    configurations the tree would reach with an explicit stack and keeps no
+    tree: each (configuration, fuel, depth) is stepped once per candidate,
+    and a load not at all when an earlier load of its class was, as
+    ``_Tree.kid`` steps them, so it steps what a full expansion steps.
+    ``seen`` keeps each configuration, so that the ids in its key stay
+    valid."""
+    advance, candidates, step, stepped = sem.advance, sem.candidates, sem.step, StepTag.STEPPED
+    max_dirs, todo, seen = bounds.max_dirs, [(cfg, bounds.fuel, 0)], {}
     try:
-        tree = _Tree(sem, cfg, bounds.fuel, bounds.max_dirs)
-        todo, seen = [tree.root], set()
         while todo:
-            n = todo.pop()
-            if n is _LEAF or n in seen:
+            cfg, fuel, depth = todo.pop()
+            if depth >= max_dirs:
                 continue
-            seen.add(n)
-            k = 0
-            e = tree.kid(n, 0)
-            while e is not None:
-                todo.append(e[3])
-                k += 1
-                e = tree.kid(n, k)
+            cfg, used, kind = advance(cfg, fuel)
+            if kind is not None:
+                continue
+            fuel -= used
+            key = (cfg.key(), fuel, depth)
+            if key in seen:
+                continue
+            seen[key] = cfg
+            classes = set()
+            for d in candidates(cfg):
+                if d.__class__ is DLoad:
+                    cls = load_class(cfg, d)
+                    if cls is not None:
+                        if cls in classes:
+                            continue
+                        classes.add(cls)
+                r = step(cfg, d)
+                if r.tag is stepped:
+                    todo.append((r.cfg, fuel - 1, depth + 1))
     except SecretDependence:
         return False
     return True
 
 
 def _settled(sem, start, states, groups: Sequence[Sequence[int]], bounds: Bounds) -> set:
-    """The states of the groups of two or more that one directive tree
-    settles: the tree of the group's abstract state (``_abstract_state``).
-    If it expands in full, every branch, bounds test, candidate list and
-    observation was decided on values the group's states share, so each of
-    them has this tree, and no pair of the group diverges."""
+    """The states of the groups of two or more that one sweep settles: the
+    sweep (``_expands``) from the group's abstract state
+    (``_abstract_state``).  If it ends without a SecretDependence, every
+    branch, bounds test, candidate list and observation was decided on
+    values the group's states share, so each of them has the same directive
+    tree, and no pair of the group diverges."""
     settled = set()
     for group in groups:
         if len(group) > 1:
@@ -594,22 +614,23 @@ def _pair_verdict(
     group's pairs, and walks those ``related`` accepts over the states'
     shared directive trees under ``sem``, rooted at ``start(rho, mu)``; a
     state's tree is built on its first pair walked and dropped after its
-    last pair.  The checks over a space skip the pairs of the groups
-    ``_settled`` settles (``by_group``); the one-pair checks walk their
-    pair, so the tests' per-pair references stay independent of the groups.
-    It holds, with the ``vacuous`` message when there is no pair, or is
-    violated with the first divergent pair's witness, once ``_certify`` has
-    replayed it.  With ``count_pairs``, the pairs taken up
-    to a violating one, skipped ones included, are the fact ``pairs``."""
+    last pair.  The checks over a space skip the groups ``_settled``
+    settles (``by_group``), whose pairs are counted, not generated; the
+    one-pair checks walk their pair, so the tests' per-pair references stay
+    independent of the groups.  It holds, with the ``vacuous`` message when
+    there is no pair, or is violated with the first divergent pair's
+    witness, once ``_certify`` has replayed it.  With ``count_pairs``, the
+    pairs taken up to a violating one, skipped ones included, are the fact
+    ``pairs``."""
     settled = _settled(sem, start, states, groups, bounds) if by_group else ()
+    walked = [g for g in groups if len(g) > 1 and g[0] not in settled]
+    skipped = [g for g in groups if len(g) > 1 and g[0] in settled]
     # a group's state s < top has its last pair at (s, top), and top at
     # (second, top), for the group's last two states second and top
-    second = {g[-1]: g[-2] for g in groups if len(g) > 1}
+    second = {g[-1]: g[-2] for g in walked}
     trees, taken, witness = {}, 0, None
-    for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups]):
+    for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in walked]):
         taken += 1
-        if i in settled:
-            continue
         if related is None or related(i, j):
             for s in (i, j):
                 if s not in trees:
@@ -622,6 +643,13 @@ def _pair_verdict(
             trees.pop(i, None)
             if second[j] == i:
                 trees.pop(j, None)
+    # the groups are disjoint, so a skipped group's pair (a, b) comes before
+    # the violating pair (i, j) when a < i: for m of its n states below i,
+    # m(n - 1) - m(m - 1)/2 pairs, and all n(n - 1)/2 when there is none
+    for g in skipped:
+        n = len(g)
+        m = n if witness is None else sum([s < i for s in g])
+        taken += m * (n - 1) - m * (m - 1) // 2
     facts = (("pairs", taken),) if count_pairs else ()
     if witness is not None:
         _certify(sem, start, witness, bounds.fuel)

@@ -42,8 +42,9 @@ A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``load_class`` classes loads by that
 value.  The checker's directive tree (``seccheck._Tree``) steps one load per
 distinct value read at a node and gives the others that load's observation
-and successor.  ``feasible`` and ``seccheck.enum_spec_runs`` still step
-every candidate: they are the reference the tree is tested against.
+and successor; its group sweep (``seccheck._expands``) steps the same
+loads.  ``feasible`` and ``seccheck.enum_spec_runs`` still step every
+candidate: they are the reference the tree is tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
 from .lang import ARead, Asgn, AWrite, If, Seq, Skip, SKIP, While, compiled
-from .record import Record
+from .record import Record, _build
 from .seq_sem import RunKind
 from .state import (
     BRANCH_OBS,
@@ -277,7 +278,7 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
             return STUCK
         v, i, flag2 = r
         cfg2 = SpecConfig(SKIP, rho.set(c.name, v), mu, flag2, k)
-        return StepResult(STEPPED, cfg2, ORead(c.array, i), 1)
+        return StepResult(STEPPED, cfg2, _build(ORead, (c.array, i)), 1)
     if cls is AWrite:
         li = le = None
         if policy is not None:
@@ -286,7 +287,8 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
         if r is None:
             return STUCK
         mu2, i, flag2 = r
-        return StepResult(STEPPED, SpecConfig(SKIP, rho, mu2, flag2, k), OWrite(c.array, i), 1)
+        cfg2 = SpecConfig(SKIP, rho, mu2, flag2, k)
+        return StepResult(STEPPED, cfg2, _build(OWrite, (c.array, i)), 1)
     raise TypeError(f"not a command: {c!r}")
 
 
@@ -311,7 +313,7 @@ def candidate_dirs(sem, cfg) -> List[Dir]:
     dirs: List[Dir] = [STEP] if sem.masked or not oob else []
     if cfg.flag and oob:
         for name, vec in sorted(cfg.mu.items()):
-            dirs.extend(ctor(name, j) for j in range(len(vec)))
+            dirs.extend([_build(ctor, (name, j)) for j in range(len(vec))])
     return dirs
 
 

@@ -959,6 +959,28 @@ def test_flag_variable_the_hardened_program_cannot_spell_is_refused(files, capsy
         assert capsys.readouterr() == error
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["ni", "--variant", "fislh"], "--property ni"),
+    (["unwind", "--variant", "fvslh"], "--property unwind"),
+    (["wl"], "--property wl"),
+    (["equality"], "--property equality"),
+    (["sct"], "--property sct without --variant"),
+    (["sct", "--variant", "none"], "--property sct --variant none"),
+    (["relsec"], "--property relsec without --variant"),
+    (["relsec", "--variant", "none"], "--property relsec --variant none"),
+])
+def test_flag_variable_where_nothing_is_hardened_is_refused(files, capsys, argv, where):
+    # refused, not dropped, read with and without argparse; the same check
+    # runs without the flag, and with the default's name spelled out
+    p = files("p.aw", "if x < 1 then y <- a[x] end\n")
+    error = ("", f"error: --flag-var does not apply to {where}\n")
+    for flag in (["--flag-var", "1x"], ["--flag-var=f"], ["--flag-var", "b"]):
+        assert main(["check", "--property", *argv, *flag, p]) == 2
+        assert capsys.readouterr() == error
+    assert main(["check", "--property", *argv, p]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_hardening_with_a_chosen_flag_variable_reparses(files, capsys):
     p = files("p.aw", "if x < 1 then y <- a[x]; a[y] <- x end\n")
     for variant in _HARDEN_CHOICES:

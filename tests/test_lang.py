@@ -31,11 +31,11 @@ from awhile.lang import (
     pretty_aexp,
     pretty_bexp,
     pretty_com,
-    arrays_of,
     compiled,
     syntax_equal,
     syntax_repr,
     used_vars,
+    _scalar_names,
     OPAQUE,
     UNKNOWN,
     SecretDependence,
@@ -293,7 +293,8 @@ def test_long_spines_do_not_recurse():
     com = parse_com(";\n".join(["x := x + 1", "a[y] <- z"] * 2500))
     assert syntax_repr(com).startswith("Seq(first=Asgn(name='x', expr=BinOp(op='+'")
     assert used_vars(com) == {"x", "y", "z"}
-    assert arrays_of(com) == {"a"}
+    arrays = set()
+    assert _scalar_names(com, arrays) == {"x", "y", "z"} and arrays == {"a"}
 
 
 def test_pretty_com_prints_deep_nesting():

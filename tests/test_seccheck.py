@@ -1,3 +1,5 @@
+import collections
+import heapq
 import itertools
 import random
 import tracemalloc
@@ -775,13 +777,19 @@ def test_group_trees_settle_arithmetic_nothing_decides_on(monkeypatch, c):
     assert grouped.holds and grouped == walked and settled == {0, 1}
 
 
-def test_sct_of_hardened_gadget_builds_one_tree_per_public_group(monkeypatch):
-    # the relsec-pairs space: 16 states in four public groups (by i)
+def test_sct_of_hardened_gadget_sweeps_once_per_public_group(monkeypatch):
+    # the relsec-pairs space: 16 states in four public groups (by i); each
+    # group is settled by one sweep from its abstract state, and no state
+    # gets a directive tree
     space = parse_space(
         "i in {0,1,2,3}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
         "a3 : size 1 in {5,17,42,77}"
     )
-    built = []
+    swept, built, real = [], [], seccheck._expands
+
+    def recorded(sem, cfg, bounds):
+        swept.append(cfg)
+        return real(sem, cfg, bounds)
 
     class Counted(_Tree):
         __slots__ = ()
@@ -790,12 +798,139 @@ def test_sct_of_hardened_gadget_builds_one_tree_per_public_group(monkeypatch):
             built.append(args[1])
             super().__init__(*args)
 
+    monkeypatch.setattr(seccheck, "_expands", recorded)
     monkeypatch.setattr(seccheck, "_Tree", Counted)
     c = transform("fvslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
     v = check_sct(c, _LOOPED_LABELS, _LOOPED_LABELS, space, Bounds(8, 200))
     assert v.holds
-    assert len(built) == 4
-    assert all(cfg.mu.vector("a3") == (OPAQUE,) for cfg in built)
+    assert len(swept) == 4 and built == []
+    assert all(cfg.mu.vector("a3") == (OPAQUE,) for cfg in swept)
+
+
+def _expands_by_tree(sem, cfg, bounds):
+    """The reference of the group sweep (``seccheck._expands``): the
+    directive tree of ``cfg`` expanded in full through ``_Tree.kid``, every
+    node once, and False when a step decides something on ``OPAQUE``."""
+    try:
+        tree = _Tree(sem, cfg, bounds.fuel, bounds.max_dirs)
+        todo, seen = [tree.root], set()
+        while todo:
+            n = todo.pop()
+            if n is _LEAF or n in seen:
+                continue
+            seen.add(n)
+            k = 0
+            e = tree.kid(n, 0)
+            while e is not None:
+                todo.append(e[3])
+                k += 1
+                e = tree.kid(n, k)
+    except seccheck.SecretDependence:
+        return False
+    return True
+
+
+class _RecordedSteps:
+    """A semantics that records the key and directive of every step."""
+
+    def __init__(self, sem):
+        self.sem, self.steps = sem, collections.Counter()
+
+    def advance(self, cfg, fuel):
+        return self.sem.advance(cfg, fuel)
+
+    def candidates(self, cfg):
+        return self.sem.candidates(cfg)
+
+    def step(self, cfg, d):
+        self.steps[cfg.key(), d] += 1
+        return self.sem.step(cfg, d)
+
+
+def _opaque_state(rng):
+    """A random state with about a third of its scalars and array cells
+    ``OPAQUE``, as a group's abstract state has where its states differ."""
+    rho, mu = random_state(rng, pools, max_value=1, max_array_size=3)
+    opaque = lambda v: OPAQUE if rng.random() < 0.3 else v
+    return (ScalarState({n: opaque(rho.get(n)) for n in pools.scalars}),
+            ArrayState({n: tuple(map(opaque, mu.vector(n))) for n in pools.arrays}))
+
+
+def test_group_sweep_matches_the_tree_expansion():
+    # the sweep and a full tree expansion settle alike, and where both
+    # expand in full they step each (configuration, directive) pair equally
+    # often (once per fuel and depth it is reached at)
+    rng = random.Random(53)
+    bounds = Bounds(5, 60)
+    outcomes = {name: collections.Counter() for name in ("spec", "fislh", "fvslh", "fs")}
+    stepped = 0
+    for _ in range(150):
+        com = gen_program(rng.randrange(10**9), 20, pools)
+        P, PA = random_labeling(rng, pools)
+        rho, mu = _opaque_state(rng)
+        flag = rng.random() < 0.5
+        acom = flow_track(com, P, PA, PUBLIC)[0]
+        for name, sem, cfg in (
+            ("spec", Speculative(), SpecConfig(com, rho, mu, flag)),
+            ("fislh", IdealFiSLH(P), SpecConfig(com, rho, mu, flag)),
+            ("fvslh", IdealFvSLH(P), SpecConfig(com, rho, mu, flag)),
+            ("fs", IdealFS(), FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
+        ):
+            swept, tree = _RecordedSteps(sem), _RecordedSteps(sem)
+            expands = seccheck._expands(swept, cfg, bounds)
+            assert expands == _expands_by_tree(tree, cfg, bounds), (name, pretty_com(com))
+            if expands:
+                assert swept.steps == tree.steps
+                stepped += sum(swept.steps.values())
+            outcomes[name][expands] += 1
+    for name, counts in outcomes.items():
+        assert counts[True] > 10 and counts[False] > 10, (name, counts)
+    assert stepped > 2000
+
+
+def test_settled_pairs_are_counted_around_the_violating_pair():
+    # states s * 3 + p: the public groups by p interleave, [0,3,6], [1,4,7]
+    # and [2,5,8].  Under the ideal fvSLH semantics a secret condition reads
+    # as false while misspeculating, so only p = 1 decides on s: p = 0 and
+    # p = 2 settle, and p = 1 diverges at (1, 7) after a clean (1, 4), with
+    # settled pairs before and after it
+    c = parse_com("if p = 1 then if s < 2 then y := 0 else y <- a[0] end end")
+    P = parse_labeling("p: public")
+    states = list(enum_states(parse_space("s in {0,1,2}\np in {0,1,2}\na : size 1 in {0}")))
+    groups = seccheck._public_groups(states, P, P)
+    assert groups == [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    args = (IdealFvSLH(P), lambda rho, mu: SpecConfig(c, rho, mu, False), states, groups,
+            Bounds(4, 100))
+    assert seccheck._settled(*args) == {0, 3, 6, 2, 5, 8}
+    v = seccheck._pair_verdict(*args, count_pairs=True, by_group=True)
+    walked = seccheck._pair_verdict(*args, count_pairs=True)
+    assert v.status is VerdictStatus.VIOLATED and v == walked
+    merged = list(heapq.merge(*[itertools.combinations(g, 2) for g in groups]))
+    w = v.witness
+    assert (w.s1, w.s2) == (states[1], states[7])
+    assert dict(v.facts)["pairs"] == merged.index((1, 7)) + 1 == 4
+
+
+def test_a_settled_wide_space_generates_no_pair(monkeypatch):
+    # 2,560 states in five public groups (by i), all settled: 654,080 pairs
+    # counted, none generated
+    space = parse_space(
+        "i in {0,1,2,3,4}\na1_size in {4}\na1 : size 4 in {2}\na2 : size 4 in {0}\n"
+        "a3 : size 1 in {" + ",".join(map(str, range(4, 516))) + "}"
+    )
+    calls, real = [], itertools.combinations
+
+    def counted(group, r):
+        calls.append(len(group))
+        return real(group, r)
+
+    monkeypatch.setattr(itertools, "combinations", counted)
+    c = transform("fvslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+    assert check_sct(c, _LOOPED_LABELS, _LOOPED_LABELS, space, Bounds(8, 200)).holds
+    v = check_unwinding_space("fvslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS,
+                              space, Bounds(8, 200))
+    assert v.holds and dict(v.facts)["pairs"] == 5 * 512 * 511 // 2 == 654_080
+    assert calls == []
 
 
 # --- the relsec premise, one sequential run per public group -------------------
