@@ -889,26 +889,27 @@ def test_group_sweep_matches_the_tree_expansion():
 
 
 def test_settled_pairs_are_counted_around_the_violating_pair():
-    # states s * 3 + p: the public groups by p interleave, [0,3,6], [1,4,7]
-    # and [2,5,8].  Under the ideal fvSLH semantics a secret condition reads
-    # as false while misspeculating, so only p = 1 decides on s: p = 0 and
-    # p = 2 settle, and p = 1 diverges at (1, 7) after a clean (1, 4), with
-    # settled pairs before and after it
-    c = parse_com("if p = 1 then if s < 2 then y := 0 else y <- a[0] end end")
+    # states s * 3 + p: the public groups by p interleave, [0,3,6,9],
+    # [1,4,7,10] and [2,5,8,11].  Only p = 1 indexes with s, so p = 0 and
+    # p = 2 settle.  In p = 1, s = 0 and s = 1 read out of bounds and are
+    # stuck, so the first divergent pair is (7, 10), s = 2 against s = 3:
+    # three and two states of the settled groups come before it, and
+    # (8, 11) after it
+    c = parse_com("x := (p = 1 ? 3 - s : 0); y <- a[x]")
     P = parse_labeling("p: public")
-    states = list(enum_states(parse_space("s in {0,1,2}\np in {0,1,2}\na : size 1 in {0}")))
+    states = list(enum_states(parse_space("s in {0,1,2,3}\np in {0,1,2}\na : size 2 in {0}")))
     groups = seccheck._public_groups(states, P, P)
-    assert groups == [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
-    args = (IdealFvSLH(P), lambda rho, mu: SpecConfig(c, rho, mu, False), states, groups,
+    assert groups == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+    args = (Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states, groups,
             Bounds(4, 100))
-    assert seccheck._settled(*args) == {0, 3, 6, 2, 5, 8}
+    assert seccheck._settled(*args) == {0, 3, 6, 9, 2, 5, 8, 11}
     v = seccheck._pair_verdict(*args, count_pairs=True, by_group=True)
     walked = seccheck._pair_verdict(*args, count_pairs=True)
     assert v.status is VerdictStatus.VIOLATED and v == walked
-    merged = list(heapq.merge(*[itertools.combinations(g, 2) for g in groups]))
     w = v.witness
-    assert (w.s1, w.s2) == (states[1], states[7])
-    assert dict(v.facts)["pairs"] == merged.index((1, 7)) + 1 == 4
+    assert (w.s1, w.s2) == (states[7], states[10])
+    merged = list(heapq.merge(*[itertools.combinations(g, 2) for g in groups]))
+    assert dict(v.facts)["pairs"] == merged.index((7, 10)) + 1 == 17
 
 
 def test_a_settled_wide_space_generates_no_pair(monkeypatch):
