@@ -4,11 +4,11 @@ Every subcommand is a thin adapter over the library: identical inputs
 through the CLI and through the module API produce identical results.
 Exit codes: 0 for success/Holds, 1 for Violated (or an ill-typed program
 under ``typecheck``), 2 for usage, syntax, and precondition errors.
-``main`` reads a well-formed command line straight from the invoked
-subcommand's declaration, without argparse; anything else (help, ``--``,
-``--x=y``, an abbreviation, a bad value) goes to argparse, which builds the
-subcommand's parser, and the full parser, with every subcommand, only for
-``-h``, an unknown command or leftover arguments.
+Every subcommand's arguments are declared once, in ``_COMMANDS``, and read
+on one of two paths.  ``main`` reads a well-formed command line straight
+from the table, without argparse; anything else (help, ``--``, ``--x=y``,
+an abbreviation, a bad value, an unknown command) goes to the argparse
+parser built from the same table, which owns help, usage and errors.
 
 Environment variables SLH_MAX_DIRS and SLH_FUEL override the default
 exploration bounds when the corresponding flags are not given.
@@ -391,11 +391,11 @@ _PROPERTIES = {
     ),
     "bcc": lambda a, c, P, space, b: check_bcc_space(
         a.variant, c, P, P, space, b, parse_dirs(a.dirs) if a.dirs else None,
-        a.trials, a.seed, a.flag_var,
+        100 if a.trials is None else a.trials, a.seed or 0, a.flag_var,
     ),
     "ni": lambda a, c, P, space, b: check_ni(a.variant, c, P, P, space),
     "unwind": lambda a, c, P, space, b: check_unwinding_space(a.variant, c, P, P, space, b),
-    "wl": lambda a, c, P, space, b: check_wl(c, P, P, space, b, a.seed),
+    "wl": lambda a, c, P, space, b: check_wl(c, P, P, space, b, a.seed or 0),
     "equality": lambda a, c, P, space, b: check_equality(c, P, P),
 }
 
@@ -411,7 +411,13 @@ def cmd_check(args) -> int:
         raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
     if args.property in ("equality", "wl") and args.variant is not None:
         raise CliError(f"--variant does not apply to --property {args.property}")
-    if args.property == "bcc" and args.trials < 0:
+    # an option of another property is refused, not dropped
+    for option, value, applies in (("--dirs", args.dirs, ("bcc",)),
+                                   ("--trials", args.trials, ("bcc",)),
+                                   ("--seed", args.seed, ("bcc", "wl"))):
+        if value is not None and args.property not in applies:
+            raise CliError(f"{option} does not apply to --property {args.property}")
+    if args.trials is not None and args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
     # the flag variable is spelled only where a hardening runs; an explicit
     # one anywhere else is refused, not dropped
@@ -468,141 +474,79 @@ def cmd_gen(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# arguments shared by several commands, each a name and its argparse keywords
+_PROGRAM = ("program", dict(help="program file ('-' for stdin)"))
+_MAX_DIRS = ("--max-dirs", dict(type=int, default=None))
+_FUEL = ("--fuel", dict(type=int, default=None))
+_FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
+_LABELS = ("--labels", dict(help="labeling file (default: all secret)"))
+_LABELED = [_PROGRAM, _LABELS, _FORMAT]
 
-def _program_args(p, labels=False, bounds=False):
-    p.add_argument("program", help="program file ('-' for stdin)")
-    if labels:
-        p.add_argument("--labels", help="labeling file (default: all secret)")
-    if bounds:
-        p.add_argument("--max-dirs", type=int, default=None)
-        p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _labeled_program_args(p):
-    _program_args(p, labels=True)
-
-
-def _typecheck_args(p):
-    p.add_argument("--system", choices=["ifc", "cct"], default="ifc")
-    _program_args(p, labels=True)
-
-
-def _harden_args(p):
-    p.add_argument(
-        "--variant",
-        choices=["islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"],
-        required=True,
-    )
-    p.add_argument("--no-store-mask", action="store_true",
-                   help="sislh only: skip store-index masking (insecure)")
-    p.add_argument("--flag-var", default=DEFAULT_FLAG_VAR)
-    _program_args(p, labels=True)
-
-
-def _run_args(p):
-    p.add_argument(
-        "--sem",
-        choices=["seq", "spec", "ideal-fislh", "ideal-fvslh", "ideal-fs"],
-        default="seq",
-    )
-    p.add_argument("--state", help="state file")
-    p.add_argument("--dirs", help="directive string, e.g. 'force load a 0 step'")
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--interactive", action="store_true",
-                   help="prompt for each directive (spec semantics only)")
-    _program_args(p, labels=True)
-
-
-def _check_args(p):
-    p.add_argument(
-        "--property",
-        choices=list(_PROPERTIES),
-        required=True,
-    )
-    p.add_argument(
-        "--variant",
-        choices=list(VARIANTS),
-        default=None,
-    )
-    p.add_argument("--space", help="state-space file")
-    p.add_argument("--dirs", help="bcc: fixed directive string")
-    p.add_argument("--trials", type=int, default=100, help="bcc: random runs")
-    p.add_argument("--seed", type=int, default=0)
-    # None tells an explicit flag variable from the default, DEFAULT_FLAG_VAR
-    p.add_argument("--flag-var", default=None)
-    _program_args(p, labels=True, bounds=True)
-
-
-def _repro_args(p):
-    p.add_argument("--listing", type=int, required=True, choices=sorted(FIXTURES))
-    p.add_argument("--max-dirs", type=int, default=None)
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _gen_args(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=10)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-# name -> (help, handler, adds the arguments); the order is the listing's
+# name -> (help, handler, arguments); the order of the commands is the
+# listing's, that of the arguments the help's.  The reader and the parser
+# below both read this one declaration, so an argument may use only the
+# keywords the reader knows: type=int, choices, default, required,
+# action="store_true" and help.  None as a check option's default tells an
+# omitted option from a given one, which cmd_check refuses where it does
+# not apply.
 _COMMANDS = {
-    "parse": ("parse and dump the AST", cmd_parse, _program_args),
-    "print": ("parse and pretty-print", cmd_print, _program_args),
-    "typecheck": ("IFC or constant-time typing", cmd_typecheck, _typecheck_args),
-    "analyze": ("flow-sensitive IFC analysis", cmd_analyze, _labeled_program_args),
-    "harden": ("apply an SLH variant", cmd_harden, _harden_args),
-    "run": ("run a program under a semantics", cmd_run, _run_args),
-    "check": ("bounded security checks", cmd_check, _check_args),
-    "repro": ("replay a fixture's documented result", cmd_repro, _repro_args),
-    "gen": ("generate a random program", cmd_gen, _gen_args),
+    "parse": ("parse and dump the AST", cmd_parse, [_PROGRAM, _FORMAT]),
+    "print": ("parse and pretty-print", cmd_print, [_PROGRAM, _FORMAT]),
+    "typecheck": ("IFC or constant-time typing", cmd_typecheck, [
+        ("--system", dict(choices=["ifc", "cct"], default="ifc")), *_LABELED]),
+    "analyze": ("flow-sensitive IFC analysis", cmd_analyze, _LABELED),
+    "harden": ("apply an SLH variant", cmd_harden, [
+        ("--variant", dict(required=True, choices=[
+            "islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"])),
+        ("--no-store-mask", dict(action="store_true",
+                                 help="sislh only: skip store-index masking (insecure)")),
+        ("--flag-var", dict(default=DEFAULT_FLAG_VAR)), *_LABELED]),
+    "run": ("run a program under a semantics", cmd_run, [
+        ("--sem", dict(choices=["seq", "spec", "ideal-fislh", "ideal-fvslh", "ideal-fs"],
+                       default="seq")),
+        ("--state", dict(help="state file")),
+        ("--dirs", dict(help="directive string, e.g. 'force load a 0 step'")),
+        _FUEL,
+        ("--interactive", dict(action="store_true",
+                               help="prompt for each directive (spec semantics only)")),
+        *_LABELED]),
+    "check": ("bounded security checks", cmd_check, [
+        ("--property", dict(choices=list(_PROPERTIES), required=True)),
+        ("--variant", dict(choices=list(VARIANTS), default=None)),
+        ("--space", dict(help="state-space file")),
+        ("--dirs", dict(help="bcc: fixed directive string")),
+        ("--trials", dict(type=int, default=None, help="bcc: random runs")),
+        ("--seed", dict(type=int, default=None)),
+        ("--flag-var", dict(default=None)),
+        _PROGRAM, _LABELS, _MAX_DIRS, _FUEL, _FORMAT]),
+    "repro": ("replay a fixture's documented result", cmd_repro, [
+        ("--listing", dict(type=int, required=True, choices=sorted(FIXTURES))),
+        _MAX_DIRS, _FUEL, _FORMAT]),
+    "gen": ("generate a random program", cmd_gen, [
+        ("--seed", dict(type=int, default=0)),
+        ("--size", dict(type=int, default=10)),
+        _FORMAT]),
 }
 
 
-class _Declined(Exception):
-    """An argument declaration the reader below does not know."""
-
-
-class _Declaration:
-    """A command's arguments, recorded by replaying its ``add_args`` on
-    this object instead of a parser: per option string, its destination,
-    its kind (``int``, None for a string, True for a ``store_true`` flag)
-    and its choices; the positionals' names; the defaults; the required
-    options."""
-
-    def __init__(self, add_args):
-        self.options, self.positionals, self.defaults, self.required = {}, [], {}, set()
-        add_args(self)
-
-    def add_argument(self, name, *more, action=None, type=None, choices=None,
-                     required=False, default=None, help=None, **other):
-        if more or other or action not in (None, "store_true") or \
-                type not in (None, int) or (type and isinstance(default, str)):
-            raise _Declined(name)
-        if not name.startswith("--"):
-            if name.startswith("-") or action or type or choices or required or \
-                    default is not None:
-                raise _Declined(name)
-            self.positionals.append(name)
-            return
-        dest = name[2:].replace("-", "_")
-        flag = action is not None
-        self.options[name] = (dest, True if flag else type, choices)
-        self.defaults[dest] = False if flag else default
-        if required:
-            self.required.add(dest)
-
-
 @functools.lru_cache(maxsize=None)
-def _declaration(name: str) -> Optional[_Declaration]:
-    """The recorded declaration of a command, made on its first use; None
-    if it declares anything the reader does not know."""
-    try:
-        return _Declaration(_COMMANDS[name][2])
-    except _Declined:
-        return None
+def _reading(name: str):
+    """What the reader needs of a command's arguments, made on its first
+    use: per option string, its destination, its kind (``int``, None for a
+    string, True for a ``store_true`` flag) and its choices; the defaults;
+    the positionals' names; the required options."""
+    options, defaults, positionals, required = {}, {}, [], set()
+    for arg, kw in _COMMANDS[name][2]:
+        if not arg.startswith("--"):
+            positionals.append(arg)
+            continue
+        dest = arg[2:].replace("-", "_")
+        flag = "action" in kw
+        options[arg] = (dest, True if flag else kw.get("type"), kw.get("choices"))
+        defaults[dest] = False if flag else kw.get("default")
+        if kw.get("required"):
+            required.add(dest)
+    return options, defaults, positionals, required
 
 
 def _read_args(name: str, argv: List[str]) -> Optional[SimpleNamespace]:
@@ -614,17 +558,15 @@ def _read_args(name: str, argv: List[str]) -> Optional[SimpleNamespace]:
     so help, ``--``, ``--x=y``, abbreviations and negative numbers; a
     missing value or one that starts with '-'; a bad number or choice; a
     missing required option; and a wrong number of positionals."""
-    decl = _declaration(name)
-    if decl is None:
-        return None
-    values = dict(decl.defaults)
+    options, defaults, names, required = _reading(name)
+    values = dict(defaults)
     given, positionals = set(), []
     tokens = iter(argv)
     for token in tokens:
         if token[:1] != "-" or token == "-":
             positionals.append(token)
             continue
-        option = decl.options.get(token)
+        option = options.get(token)
         if option is None:
             return None
         dest, kind, choices = option
@@ -643,42 +585,22 @@ def _read_args(name: str, argv: List[str]) -> Optional[SimpleNamespace]:
             return None
         values[dest] = value
         given.add(dest)
-    if len(positionals) != len(decl.positionals) or not decl.required <= given:
+    if len(positionals) != len(names) or not required <= given:
         return None
-    values.update(zip(decl.positionals, positionals))
+    values.update(zip(names, positionals))
     return SimpleNamespace(**values, command=name, fn=_COMMANDS[name][1])
 
 
-def _formatter():
-    """argparse's help formatter at the width it would read itself.  A
-    parser builds a formatter for every argument it adds, and each one left
-    to itself reads the terminal size; this reads it once per parser.
-    ``shutil`` is imported here, as argparse does, so importing the CLI
-    does not load it."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, from the table above.  Its formatter
+    reads the terminal width once, where argparse's default one reads it
+    for every argument added.  ``shutil`` is imported here, as argparse
+    does, so importing the CLI does not load it."""
     import argparse
     import shutil
 
-    return functools.partial(argparse.HelpFormatter,
-                             width=shutil.get_terminal_size().columns - 2)
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as the full parser's sub-parser for it
-    would be: the same usage, help and errors, and the same namespace."""
-    import argparse
-
-    _, fn, add_args = _COMMANDS[name]
-    p = argparse.ArgumentParser(prog=f"awhile {name}", formatter_class=_formatter())
-    add_args(p)
-    p.set_defaults(command=name, fn=fn)
-    return p
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser for every command."""
-    import argparse
-
-    formatter = _formatter()
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     top = argparse.ArgumentParser(
         prog="awhile",
         description="AWhile: speculative semantics, IFC analyses, SLH "
@@ -686,9 +608,10 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, fn, add_args) in _COMMANDS.items():
+    for name, (help_text, fn, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        add_args(p)
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
         p.set_defaults(fn=fn)
     return top
 
@@ -696,16 +619,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = None
-    if argv and argv[0] in _COMMANDS:
-        args = _read_args(argv[0], argv[1:])
-        if args is None:
-            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-            if extra:
-                # leftovers, which argparse reports with the top usage
-                # line listing every command: let the full parser report
-                args = None
+    args = _read_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:
+        # help, usage and errors are argparse's
         args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -481,11 +481,11 @@ def _combine(e, done):
 
 def _scalar_names(node, arrays: Optional[set] = None) -> set:
     """Scalar names occurring in a command or an expression, collected into
-    one set in one walk with an explicit stack; the same walk adds the
-    array names to ``arrays`` when one is given."""
+    one set in one walk over a work list that grows as the loop reads it,
+    so taking a node costs no call; the same walk adds the array names to
+    ``arrays`` when one is given."""
     names, todo = set(), [node]
-    while todo:
-        x = todo.pop()
+    for x in todo:
         cls = x.__class__
         if cls is Var:
             names.add(x.name)

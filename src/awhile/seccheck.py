@@ -80,7 +80,9 @@ from .ifc_static import (
     wt_cct,
     wt_ifc,
 )
-from .lang import OPAQUE, Com, SecretDependence, numeral_too_long, syntax_equal
+from .lang import (
+    OPAQUE, Com, SecretDependence, _scalar_names, numeral_too_long, syntax_equal,
+)
 from .record import Record
 from .seq_sem import RunKind, seq_run
 from .spec_sem import Speculative, StepTag, feasible, load_class, run
@@ -864,13 +866,13 @@ def check_bcc(
     map to a terminated (or terminal) source run whose program flag variable
     encodes the semantic flag.
 
-    Side conditions: all arrays non-empty, the source does not use the flag
-    variable (the hardening refuses it), and the flag variable's initial
-    value encodes the initial misspeculation flag.
+    Side conditions: every array the program uses is non-empty, the source
+    does not use the flag variable (the hardening refuses it), and the flag
+    variable's initial value encodes the initial misspeculation flag.
     """
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
-    flag = _bcc_flag(rho, mu, flag_var)
+    flag = _bcc_flag(rho, mu, flag_var, _arrays_of(c))
     return _bcc_run(Speculative(), sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
 
 
@@ -896,13 +898,15 @@ def check_bcc_space(
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
+    arrays = _arrays_of(c)
     if dirs is None:
         rng = random.Random(seed)
         states = list(enum_states(space))  # never empty: the empty space has one state
-        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var)
+        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var, arrays)
                 for _ in range(trials))
     else:
-        runs = ((rho, mu, _bcc_flag(rho, mu, flag_var), dirs) for rho, mu in enum_states(space))
+        runs = ((rho, mu, _bcc_flag(rho, mu, flag_var, arrays), dirs)
+                for rho, mu in enum_states(space))
     vacuous = "vacuous: no run was checked"
     count = 0
     for rho, mu, flag, run_dirs in runs:
@@ -915,22 +919,31 @@ def check_bcc_space(
 
 
 def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com,
-                    bounds: Bounds, flag_var: str):
+                    bounds: Bounds, flag_var: str, arrays: set):
     """A random state, its initial flag, and a random walk of the hardened
     program from the configuration the run checks, with that flag."""
     rho, mu = states[rng.randrange(len(states))]
-    flag = _bcc_flag(rho, mu, flag_var)
+    flag = _bcc_flag(rho, mu, flag_var, arrays)
     walk = random_spec_walk(
         rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel
     )
     return rho, mu, flag, walk
 
 
-def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str) -> bool:
+def _arrays_of(c: Com) -> set:
+    """The names of the arrays a program reads or writes."""
+    arrays = set()
+    _scalar_names(c, arrays)
+    return arrays
+
+
+def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str, arrays: set) -> bool:
     """The initial misspeculation flag of a bcc run; PreconditionError when
-    a side condition on the state fails."""
-    if any(len(vec) == 0 for _, vec in mu.items()):
-        raise PreconditionError("empty array in initial state")
+    a side condition on the state fails.  An array of the program that the
+    state leaves out has size 0, as one it declares empty."""
+    for a in arrays:
+        if mu.size(a) == 0:
+            raise PreconditionError(f"array {a!r} is empty in the initial state")
     b0 = rho.get(flag_var)
     if b0 not in (0, 1):
         raise PreconditionError(

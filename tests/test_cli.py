@@ -14,7 +14,7 @@ import pytest
 
 import awhile
 from awhile import cli
-from awhile.cli import _COMMANDS, _build_parser, _command_parser, cmd_print, main
+from awhile.cli import _COMMANDS, _build_parser, main
 from awhile.fixtures import FIXTURES
 from awhile.gen import gen_program
 from awhile.lang import pretty_com
@@ -934,6 +934,46 @@ def test_bcc_refuses_a_flag_variable_program_alike_in_both_modes(files, capsys, 
         assert capsys.readouterr() == ("", "error: flag variable 'b' is used by the program\n")
 
 
+@pytest.mark.parametrize("variant", ["fislh", "fvslh", "fsfvslh"])
+def test_bcc_refuses_a_space_without_an_array_the_program_reads(files, capsys, variant):
+    # a misspeculated load of the undeclared 'a' reads 'c' instead, which
+    # the ideal run does not: a false violation before arrays were checked
+    p = files("p.aw", "if x < 1 then y <- a[x] end\n")
+    space = files("space", "x in {0,1}\nc : size 2 in {0,7}\n")
+    bcc = ["check", "--property", "bcc", "--variant", variant, "--space", space]
+    for extra in (["--seed", "1"], ["--dirs", "force load c 0"]):
+        assert main([*bcc, *extra, p]) == 2
+        assert capsys.readouterr() == ("", "error: array 'a' is empty in the initial state\n")
+    space = files("space", "x in {0,1}\na : size 2 in {0}\nc : size 2 in {0,7}\n")
+    for extra in (["--seed", "1"], ["--dirs", "force load c 0"]):
+        assert main([*bcc, *extra, p]) == 0
+        assert capsys.readouterr().out.endswith("holds\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["relsec", "--variant", "fvslh", "--dirs", "force"], "--dirs"),
+    (["sct", "--trials", "5"], "--trials"),
+    (["ni", "--variant", "fislh", "--seed", "4"], "--seed"),
+    (["unwind", "--variant", "fislh", "--trials", "0"], "--trials"),
+    (["equality", "--seed", "0"], "--seed"),
+    (["wl", "--dirs", "step"], "--dirs"),
+    (["relsec", "--seed=4"], "--seed"),
+])
+def test_check_refuses_an_option_of_another_property(files, capsys, argv, option):
+    # refused, not dropped, read with and without argparse
+    p = files("p.aw", "if x < 1 then y <- a[x] end\n")
+    assert main(["check", "--property", *argv, p]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {option} does not apply to --property {argv[0]}\n")
+
+
+def test_check_takes_the_seed_where_it_applies(files, capsys):
+    p = files("p.aw", "if x < 1 then y := 1 end\n")
+    for argv in (["wl", "--seed", "4"], ["bcc", "--variant", "fislh", "--seed", "4"]):
+        assert main(["check", "--property", *argv, p]) == 0
+        assert capsys.readouterr().out.endswith("holds\n")
+
+
 @pytest.mark.parametrize("prop", ["sct", "relsec", "equality"])
 def test_check_refuses_a_flag_variable_program_alike(files, capsys, prop):
     p = files("p.aw", "b := 1\n")
@@ -1095,10 +1135,9 @@ def _exit_of(call, capsys):
 def test_one_command_parser_matches_the_full_parser(name, capsys):
     full = _exit_of(lambda: _build_parser().parse_args([name, "-h"]), capsys)
     assert full[0] == 0 and full[1].startswith(f"usage: awhile {name} ")
-    assert _exit_of(lambda: _command_parser(name).parse_args(["-h"]), capsys) == full
     assert _exit_of(lambda: main([name, "-h"]), capsys) == full
     argv = COMMAND_ARGV[name]
-    assert _command_parser(name).parse_args(argv[1:]) == _build_parser().parse_args(argv)
+    assert vars(cli._read_args(name, argv[1:])) == vars(_build_parser().parse_args(argv))
     bad = [name, "--format", "xml"]
     error = _exit_of(lambda: _build_parser().parse_args(bad), capsys)
     assert error[0] == 2 and error[2].startswith(f"usage: awhile {name} ")
@@ -1130,13 +1169,9 @@ def _outcome(call, capsys):
 
 def _argparse_exit(argv, capsys):
     """argparse's outcome when it exits on ``argv`` (help or a usage error),
-    else None: the command's parser first, the full one for leftovers."""
+    else None."""
     def parse():
-        extra = None
-        if argv and argv[0] in _COMMANDS:
-            extra = _command_parser(argv[0]).parse_known_args(argv[1:])[1]
-        if extra or extra is None:
-            _build_parser().parse_args(argv)
+        _build_parser().parse_args(argv)
 
     outcome = _outcome(parse, capsys)
     return outcome if outcome[0] is not None else None
@@ -1213,7 +1248,7 @@ def test_edge_command_lines_keep_their_outcome(argv, expected, files, capsys, mo
 
 def test_main_builds_only_the_invoked_command(files, monkeypatch):
     # a well-formed command line is read without argparse; a usage error
-    # builds the command's parser, then the full one, which reports it
+    # builds the full parser, which reports it
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -1227,27 +1262,23 @@ def test_main_builds_only_the_invoked_command(files, monkeypatch):
     assert built == []
     with pytest.raises(SystemExit):
         main(["print", "--bogus", p])
-    assert built == ["awhile print", "awhile", *(f"awhile {name}" for name in _COMMANDS)]
+    assert built == ["awhile", *(f"awhile {name}" for name in _COMMANDS)]
 
 
-@pytest.mark.parametrize("declare", [
-    lambda p: p.add_argument("--n", metavar="N"),
-    lambda p: p.add_argument("--n", nargs=2),
-    lambda p: p.add_argument("-n", "--number", type=int),
-    lambda p: p.add_argument("--n", type=float),
-    lambda p: p.add_argument("--n", type=int, default="3"),
-    lambda p: p.add_argument("--n", action="count"),
-    lambda p: p.add_argument("program", type=int),
-])
-def test_reader_declines_a_command_it_cannot_read(declare, monkeypatch):
-    # argparse reads every command line of a command that declares
-    # anything beyond the reader's subset
-    monkeypatch.setitem(_COMMANDS, "probe", ("", cmd_print, declare))
-    try:
-        assert cli._declaration("probe") is None
-        assert cli._read_args("probe", ["--n", "5"]) is None
-    finally:
-        cli._declaration.cache_clear()
+def test_table_uses_only_keywords_the_reader_reads():
+    # argparse reads the same table, so an argument beyond the reader's
+    # subset would be read differently by the two
+    for name, (help_text, fn, arguments) in _COMMANDS.items():
+        for arg, kw in arguments:
+            if arg.startswith("--"):
+                assert set(kw) <= {"type", "choices", "default", "required", "action",
+                                   "help"}, (name, arg)
+                assert kw.get("type", int) is int, (name, arg)
+                assert kw.get("action", "store_true") == "store_true", (name, arg)
+                # argparse would pass a string default through the type
+                assert not ("type" in kw and isinstance(kw.get("default"), str)), (name, arg)
+            else:
+                assert not arg.startswith("-") and set(kw) <= {"help"}, (name, arg)
 
 
 # the shapes of the benchmark's command lines, one per shape
@@ -1323,8 +1354,8 @@ def test_reader_agrees_with_argparse(monkeypatch, capsys):
         print(repr(sorted((k, v) for k, v in vars(args).items() if k != "fn")))
         return 0
 
-    for name, (help_text, fn, add_args) in list(_COMMANDS.items()):
-        monkeypatch.setitem(_COMMANDS, name, (help_text, show, add_args))
+    for name, (help_text, fn, arguments) in list(_COMMANDS.items()):
+        monkeypatch.setitem(_COMMANDS, name, (help_text, show, arguments))
     monkeypatch.setenv("COLUMNS", "80")
     lines = [*COMMAND_ARGV.values(), *BENCHMARK_ARGV, *_command_lines(23, 10_000)]
     read = 0
@@ -1332,7 +1363,7 @@ def test_reader_agrees_with_argparse(monkeypatch, capsys):
         args = cli._read_args(argv[0], argv[1:])
         if args is not None:
             read += 1
-            parsed, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            parsed, extra = _build_parser().parse_known_args(argv)
             assert (extra, vars(args)) == ([], vars(parsed)), argv
             continue
         outcome = _outcome(lambda: main(argv), capsys)
@@ -1345,7 +1376,7 @@ def test_reader_agrees_with_argparse(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("columns", ["50", "80", "200"])
-def test_parsers_read_the_terminal_width_once(columns, monkeypatch):
+def test_parsers_read_the_terminal_width_once(columns, monkeypatch, capsys):
     # the help and usage of every parser are those of argparse's default
     # formatter, which reads the width for every argument it adds
     monkeypatch.setenv("COLUMNS", columns)
@@ -1356,22 +1387,23 @@ def test_parsers_read_the_terminal_width_once(columns, monkeypatch):
         reads.append(args)
         return real(*args)
 
-    for name, (help_text, fn, add_args) in _COMMANDS.items():
-        default = argparse.ArgumentParser(prog=f"awhile {name}")
-        add_args(default)
-        monkeypatch.setattr(shutil, "get_terminal_size", counted)
-        p = _command_parser(name)
-        monkeypatch.setattr(shutil, "get_terminal_size", real)
-        assert (p.format_help(), p.format_usage()) == (default.format_help(),
-                                                       default.format_usage())
-        assert len(reads) == 1
-        reads.clear()
-    default = argparse.ArgumentParser(prog="awhile", description=_build_parser().description)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    built = _build_parser()
+    monkeypatch.setattr(shutil, "get_terminal_size", real)
+    assert len(reads) == 1
+    default = argparse.ArgumentParser(prog="awhile", description=built.description)
     sub = default.add_subparsers(dest="command", required=True)
-    for name, (help_text, fn, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
-    assert _build_parser().format_help() == default.format_help()
-    assert _build_parser().format_usage() == default.format_usage()
+    for name, (help_text, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
+    # help, usage errors, and every command's help
+    lines = [["-h"], [], *([name, "-h"] for name in _COMMANDS)]
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    ours = [_exit_of(lambda: built.parse_args(argv), capsys) for argv in lines]
+    monkeypatch.setattr(shutil, "get_terminal_size", real)
+    assert len(reads) == 1
+    assert ours == [_exit_of(lambda: default.parse_args(argv), capsys) for argv in lines]
 
 
 def test_module_entry_point_reads_sys_argv(files):

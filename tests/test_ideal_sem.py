@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from awhile.flow_ifc import ABranch, AIf, flow_track, terminal
 from awhile.gen import (
     NamePools,
@@ -17,6 +19,7 @@ from awhile.ideal_sem import (
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling
 from awhile.lang import ARead, Var, parse_com
 from awhile.seccheck import (
+    PreconditionError,
     check_bcc,
     enum_spec_runs,
     transform,
@@ -205,6 +208,22 @@ def test_bcc_trivially_true_with_no_directives():
     rho, mu = parse_state("i = 0\na = [1]")
     ok, why = check_bcc("fislh", parse_com("x := i"), labels, labels, rho, mu, [], 100)
     assert ok, why
+
+
+def test_bcc_refuses_a_state_without_an_array_the_program_uses():
+    # the lemma assumes every array non-empty; a state that leaves out the
+    # program's array would otherwise report a false violation through
+    # the other array a misspeculated load reads
+    com = parse_com("if x < 1 then y <- a[x] end")
+    labels = all_secret()
+    dirs = parse_dirs("force load c 0")
+    for variant in ("fislh", "fvslh", "fsfvslh"):
+        rho, mu = parse_state("x = 1\nc = [0,7]")
+        with pytest.raises(PreconditionError, match="array 'a' is empty"):
+            check_bcc(variant, com, labels, labels, rho, mu, dirs, 100)
+        rho, mu = parse_state("x = 1\na = [0,0]\nc = [0,7]")
+        ok, why = check_bcc(variant, com, labels, labels, rho, mu, dirs, 100)
+        assert ok, (variant, why)
 
 
 def test_bcc_on_listing1_attack_directives():
