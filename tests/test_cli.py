@@ -14,7 +14,7 @@ import pytest
 
 import awhile
 from awhile import cli
-from awhile.cli import _COMMANDS, _build_parser, main
+from awhile.cli import _COMMANDS, _build_parser, cmd_print, main
 from awhile.fixtures import FIXTURES
 from awhile.gen import gen_program
 from awhile.lang import pretty_com
@@ -1266,19 +1266,31 @@ def test_main_builds_only_the_invoked_command(files, monkeypatch):
 
 
 def test_table_uses_only_keywords_the_reader_reads():
-    # argparse reads the same table, so an argument beyond the reader's
-    # subset would be read differently by the two
-    for name, (help_text, fn, arguments) in _COMMANDS.items():
-        for arg, kw in arguments:
-            if arg.startswith("--"):
-                assert set(kw) <= {"type", "choices", "default", "required", "action",
-                                   "help"}, (name, arg)
-                assert kw.get("type", int) is int, (name, arg)
-                assert kw.get("action", "store_true") == "store_true", (name, arg)
-                # argparse would pass a string default through the type
-                assert not ("type" in kw and isinstance(kw.get("default"), str)), (name, arg)
-            else:
-                assert not arg.startswith("-") and set(kw) <= {"help"}, (name, arg)
+    # the reader declines a command it cannot read, so every command line
+    # of such a command would cost an argparse parser
+    for name in _COMMANDS:
+        assert cli._reading(name) is not None, name
+
+
+@pytest.mark.parametrize("declare", [
+    lambda: ("--n", dict(metavar="N")),
+    lambda: ("--n", dict(nargs=2)),
+    lambda: ("-n", dict(type=int)),
+    lambda: ("--n", dict(type=float)),
+    lambda: ("--n", dict(type=int, default="3")),
+    lambda: ("--n", dict(action="count")),
+    lambda: ("program", dict(type=int)),
+])
+def test_reader_declines_a_command_it_cannot_read(declare, monkeypatch):
+    # argparse reads every command line of a command that declares
+    # anything beyond the reader's subset
+    arg, kw = declare()
+    monkeypatch.setitem(_COMMANDS, "probe", ("", cmd_print, [(arg, kw)]))
+    try:
+        assert cli._reading("probe") is None
+        assert cli._read_args("probe", [arg, "5"] if arg.startswith("-") else ["5"]) is None
+    finally:
+        cli._reading.cache_clear()
 
 
 # the shapes of the benchmark's command lines, one per shape
