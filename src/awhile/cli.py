@@ -484,10 +484,9 @@ _LABELED = [_PROGRAM, _LABELS, _FORMAT]
 
 # name -> (help, handler, arguments); the order of the commands is the
 # listing's, that of the arguments the help's.  The reader and the parser
-# below both read this one declaration.  The reader knows only the
-# keywords type=int, choices, default, required, action="store_true" and
-# help; it declines a command that uses others, which argparse then reads
-# alone.  None as a check option's default tells an
+# below both read this one declaration, so an argument may use only the
+# keywords the reader knows: type=int, choices, default, required,
+# action="store_true" and help.  None as a check option's default tells an
 # omitted option from a given one, which cmd_check refuses where it does
 # not apply.
 _COMMANDS = {
@@ -530,28 +529,12 @@ _COMMANDS = {
 }
 
 
-def _readable(arg: str, kw: dict) -> bool:
-    """Whether the reader reads the argument as argparse would: a
-    positional with at most a help, or a long option with the reader's
-    keywords, where a typed option's default is not a string (argparse
-    would pass it through the type)."""
-    if not arg.startswith("--"):
-        return not arg.startswith("-") and set(kw) <= {"help"}
-    return (set(kw) <= {"type", "choices", "default", "required", "action", "help"}
-            and kw.get("type", int) is int
-            and kw.get("action", "store_true") == "store_true"
-            and not ("type" in kw and isinstance(kw.get("default"), str)))
-
-
 @functools.lru_cache(maxsize=None)
 def _reading(name: str):
     """What the reader needs of a command's arguments, made on its first
     use: per option string, its destination, its kind (``int``, None for a
     string, True for a ``store_true`` flag) and its choices; the defaults;
-    the positionals' names; the required options.  None if an argument is
-    not ``_readable``."""
-    if not all(_readable(arg, kw) for arg, kw in _COMMANDS[name][2]):
-        return None
+    the positionals' names; the required options."""
     options, defaults, positionals, required = {}, {}, [], set()
     for arg, kw in _COMMANDS[name][2]:
         if not arg.startswith("--"):
@@ -574,12 +557,8 @@ def _read_args(name: str, argv: List[str]) -> Optional[SimpleNamespace]:
     declines every other token that starts with '-' (except '-' itself),
     so help, ``--``, ``--x=y``, abbreviations and negative numbers; a
     missing value or one that starts with '-'; a bad number or choice; a
-    missing required option; a wrong number of positionals; and every
-    command line of a command whose arguments it cannot read."""
-    reading = _reading(name)
-    if reading is None:
-        return None
-    options, defaults, names, required = reading
+    missing required option; and a wrong number of positionals."""
+    options, defaults, names, required = _reading(name)
     values = dict(defaults)
     given, positionals = set(), []
     tokens = iter(argv)

@@ -872,7 +872,9 @@ def check_bcc(
     """
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
-    flag = _bcc_flag(rho, mu, flag_var, _arrays_of(c))
+    arrays = set()
+    _scalar_names(c, arrays)
+    flag = _bcc_flag(rho, mu, flag_var, sorted(arrays))
     return _bcc_run(Speculative(), sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
 
 
@@ -898,7 +900,9 @@ def check_bcc_space(
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
-    arrays = _arrays_of(c)
+    arrays = set()
+    _scalar_names(c, arrays)
+    arrays = sorted(arrays)
     if dirs is None:
         rng = random.Random(seed)
         states = list(enum_states(space))  # never empty: the empty space has one state
@@ -919,7 +923,7 @@ def check_bcc_space(
 
 
 def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com,
-                    bounds: Bounds, flag_var: str, arrays: set):
+                    bounds: Bounds, flag_var: str, arrays: List[str]):
     """A random state, its initial flag, and a random walk of the hardened
     program from the configuration the run checks, with that flag."""
     rho, mu = states[rng.randrange(len(states))]
@@ -930,17 +934,11 @@ def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com
     return rho, mu, flag, walk
 
 
-def _arrays_of(c: Com) -> set:
-    """The names of the arrays a program reads or writes."""
-    arrays = set()
-    _scalar_names(c, arrays)
-    return arrays
-
-
-def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str, arrays: set) -> bool:
+def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str, arrays: List[str]) -> bool:
     """The initial misspeculation flag of a bcc run; PreconditionError when
     a side condition on the state fails.  An array of the program that the
-    state leaves out has size 0, as one it declares empty."""
+    state leaves out has size 0, as one it declares empty; the first such
+    array in ``arrays``, the program's arrays by name, is reported."""
     for a in arrays:
         if mu.size(a) == 0:
             raise PreconditionError(f"array {a!r} is empty in the initial state")
