@@ -184,6 +184,10 @@ class SpaceFormatError(Exception):
     pass
 
 
+class PreconditionError(Exception):
+    pass
+
+
 class StateSpace(Record):
     """Finite grid of initial states: per-scalar value domains and per-array
     shapes (fixed size, per-cell domain)."""
@@ -222,14 +226,14 @@ _SPACE_ARRAY_RE = re.compile(
 
 
 def _integer(text: str, lineno: int) -> int:
-    """The value of a space file's integer, or SpaceFormatError."""
+    """The value of a space file's numeral, or SpaceFormatError: a value
+    is a natural number, as in a state file."""
+    if not text.isdecimal():
+        raise SpaceFormatError(f"line {lineno}: domain values must be natural numbers")
     try:
         return int(text)
     except ValueError:
-        digits = text[1:] if text[0] in "+-" else text
-        if digits.isdecimal():
-            raise SpaceFormatError(f"line {lineno}: {numeral_too_long(digits)}")
-        raise SpaceFormatError(f"line {lineno}: domain values must be integers")
+        raise SpaceFormatError(f"line {lineno}: {numeral_too_long(text)}")
 
 
 def _domain(text: str, lineno: int) -> Tuple[int, ...]:
@@ -280,6 +284,25 @@ def enum_states(space: StateSpace) -> Iterator[Tuple[ScalarState, ArrayState]]:
         for avecs in itertools.product(*array_doms):
             mu = ArrayState(dict(zip(array_names, avecs)))
             yield rho, mu
+
+
+def _require_arrays(c: Com, mu: ArrayState) -> None:
+    """The array precondition of the paper's lemmas: every array the
+    program uses is non-empty in ``mu``, where one it leaves out has size
+    0.  PreconditionError names the first failing array in name order."""
+    arrays = set()
+    _scalar_names(c, arrays)
+    empty = [a for a in arrays if mu.size(a) == 0]
+    if empty:
+        raise PreconditionError(f"array {min(empty)!r} is empty in the initial state")
+
+
+def _states(c: Com, space: StateSpace) -> list:
+    """The states of the space, once the program meets ``_require_arrays``
+    on the first: every state of a space has the same arrays."""
+    states = list(enum_states(space))  # never empty: the empty space has one state
+    _require_arrays(c, states[0][1])
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +694,7 @@ def check_sct(
     initial states from the space, starting non-misspeculating, must be
     speculatively observationally equivalent.  A space without such a pair
     holds vacuously, and the verdict says so."""
-    states = list(enum_states(space))
+    states = _states(c, space)
     return _pair_verdict(
         Speculative(), lambda rho, mu: SpecConfig(c, rho, mu, False), states,
         _public_groups(states, P, PA), bounds.over(space),
@@ -759,15 +782,14 @@ def check_relative_security(
     its theorem, which has no public-equivalence premise; its premise runs
     are still grouped by the labeling (``_seq_traces``).  A program that
     uses the flag variable raises FlagCollisionError, as ``transform`` does
-    for every other check.
+    for every other check; one that uses an array the space leaves empty
+    raises PreconditionError, as every check over a space does (``_states``).
     """
     if variant_kind not in VARIANTS:
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"unknown variant {variant_kind!r}")
     hardened = transform(variant_kind, c, P, PA, flag_var)
-    if any(size < 1 for _, size, _ in space.arrays):
-        return Verdict(VerdictStatus.PRECONDITION_FAILED,
-                       message="state space contains an empty array")
+    states = _states(c, space)
     if flag_var in space.names():
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"state space binds the reserved flag variable {flag_var!r}")
@@ -775,7 +797,6 @@ def check_relative_security(
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"{variant_kind} requires an IFC-well-typed program")
     bounds = bounds.over(space)
-    states = list(enum_states(space))
     groups = _public_groups(states, P, PA)
     # a public group's states are all paired or none is
     if variant_kind == "uslh":
@@ -816,10 +837,6 @@ def check_equality(c: Com, P: LabelMap, PA: LabelMap) -> Verdict:
 # ---------------------------------------------------------------------------
 # Lemma-level checks
 # ---------------------------------------------------------------------------
-
-
-class PreconditionError(Exception):
-    pass
 
 
 def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: bool):
@@ -872,9 +889,8 @@ def check_bcc(
     """
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
-    arrays = set()
-    _scalar_names(c, arrays)
-    flag = _bcc_flag(rho, mu, flag_var, sorted(arrays))
+    _require_arrays(c, mu)
+    flag = _bcc_flag(rho, flag_var)
     return _bcc_run(Speculative(), sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
 
 
@@ -894,23 +910,20 @@ def check_bcc_space(
     enumeration order; otherwise ``trials`` runs, each from a state drawn
     at random and driven by a random walk of the hardened program (seeded
     by ``seed``).  The hardened program, the ideal source and the
-    speculative semantics are prepared once, before any run, so every walk
-    and run shares one per-check table.  Stops at the first failing run;
-    the verdict counts the runs as ``runs`` and holds the failure message."""
+    speculative semantics are prepared once, and the array precondition
+    checked once (``_states``), before any run, so every walk and run
+    shares one per-check table.  Stops at the first failing run; the
+    verdict counts the runs as ``runs`` and holds the failure message."""
     sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
     hardened = transform(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
-    arrays = set()
-    _scalar_names(c, arrays)
-    arrays = sorted(arrays)
+    states = _states(c, space)
     if dirs is None:
         rng = random.Random(seed)
-        states = list(enum_states(space))  # never empty: the empty space has one state
-        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var, arrays)
+        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var)
                 for _ in range(trials))
     else:
-        runs = ((rho, mu, _bcc_flag(rho, mu, flag_var, arrays), dirs)
-                for rho, mu in enum_states(space))
+        runs = ((rho, mu, _bcc_flag(rho, flag_var), dirs) for rho, mu in states)
     vacuous = "vacuous: no run was checked"
     count = 0
     for rho, mu, flag, run_dirs in runs:
@@ -923,25 +936,20 @@ def check_bcc_space(
 
 
 def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com,
-                    bounds: Bounds, flag_var: str, arrays: List[str]):
+                    bounds: Bounds, flag_var: str):
     """A random state, its initial flag, and a random walk of the hardened
     program from the configuration the run checks, with that flag."""
     rho, mu = states[rng.randrange(len(states))]
-    flag = _bcc_flag(rho, mu, flag_var, arrays)
+    flag = _bcc_flag(rho, flag_var)
     walk = random_spec_walk(
         rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel
     )
     return rho, mu, flag, walk
 
 
-def _bcc_flag(rho: ScalarState, mu: ArrayState, flag_var: str, arrays: List[str]) -> bool:
-    """The initial misspeculation flag of a bcc run; PreconditionError when
-    a side condition on the state fails.  An array of the program that the
-    state leaves out has size 0, as one it declares empty; the first such
-    array in ``arrays``, the program's arrays by name, is reported."""
-    for a in arrays:
-        if mu.size(a) == 0:
-            raise PreconditionError(f"array {a!r} is empty in the initial state")
+def _bcc_flag(rho: ScalarState, flag_var: str) -> bool:
+    """The initial misspeculation flag of a bcc run, encoded by the flag
+    variable; PreconditionError when its value is neither 0 nor 1."""
     b0 = rho.get(flag_var)
     if b0 not in (0, 1):
         raise PreconditionError(
@@ -1067,12 +1075,12 @@ def check_ni(
     checks nothing.  Only states with equal public scalars are paired, and
     pairs outside the rest of the lemma's premise are skipped.  The verdict
     counts the steps as ``checked`` and holds every failure message."""
+    states = _states(c, space)
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
         return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
-    states = list(enum_states(space))
     groups, every = _public_groups(states, P, all_secret()), range(len(states))
     checked, failures = 0, []
     for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups], zip(every, every)):
@@ -1128,11 +1136,11 @@ def check_unwinding_space(
     counts the pairs walked, up to and including a violating one, as
     ``pairs``."""
     bounds = bounds.over(space)
+    states = _states(c, space)
     try:
         sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
         return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
-    states = list(enum_states(space))
     groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
     return _pair_verdict(
         sem, lambda rho, mu: start(rho, mu, True), states, groups,
@@ -1187,13 +1195,14 @@ def check_wl(
     holds the reason of the first failure; a failure at 0 steps means the
     analysis output itself is not well-labeled."""
     vacuous = "vacuous: no step was checked"
+    states = _states(c, space)
     acom, final = flow_track(c, P, PA, PUBLIC)
     if not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
         return _counted("checked", 0, ["analysis output not well-labeled"], vacuous)
     rng = random.Random(seed)
     fs = IdealFS()
     checked = 0
-    for rho, mu in enum_states(space):
+    for rho, mu in states:
         cfg = FsIdealConfig(acom, rho, mu, False, PUBLIC, P, PA)
         for _ in range(bounds.max_dirs * 4):
             feas = feasible(fs, cfg)

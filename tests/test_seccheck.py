@@ -115,6 +115,14 @@ def test_parse_space_rejects_non_integer_domains():
         parse_space("i in {0}\nx in {x}")
     with pytest.raises(SpaceFormatError, match="line 1"):
         parse_space("a : size 2 in {0,y}")
+    # a value is a natural number, as in a state file: a negative one would
+    # index an array from its end
+    for text, line in (("x in {-1}\na : size 2 in {5,6}", 1),
+                       ("x in {1}\na : size 2 in {5,-6}", 2),
+                       ("x in {1,+2}", 1), ("x in {1_0}", 1), (f"x in {{-{'1' * 5000}}}", 1)):
+        with pytest.raises(SpaceFormatError,
+                           match=f"^line {line}: domain values must be natural numbers$"):
+            parse_space(text)
 
 
 # --- run enumeration ---------------------------------------------------------
@@ -272,11 +280,12 @@ def test_relative_security_precondition_failures():
         Bounds(4, 100),
     )
     assert v2.status is VerdictStatus.PRECONDITION_FAILED
-    v3 = check_relative_security(
-        "fislh", parse_com("skip"), lab, lab,
-        parse_space("a : size 0 in {0}"), Bounds(4, 100),
-    )
-    assert v3.status is VerdictStatus.PRECONDITION_FAILED
+    # a space that declares empty, or leaves out, an array the program reads
+    for space in ("a : size 0 in {0}", ""):
+        with pytest.raises(PreconditionError,
+                           match="^array 'a' is empty in the initial state$"):
+            check_relative_security("fislh", parse_com("x <- a[0]"), lab, lab,
+                                    parse_space(space), Bounds(4, 100))
 
 
 def test_uslh_relative_security_ignores_labeling_for_pairing():
@@ -709,7 +718,8 @@ def test_group_trees_change_no_verdict(monkeypatch):
     # the whole verdict (status, witness, facts) with the group trees and
     # without them: sct of each hardening and unwind under each ideal
     # semantics, on generated programs over two spaces
-    spaces = (_SHARING_SPACE, parse_space("k in {0,2}\ni in {1}\nx in {0,1}\na : size 2 in {0,3}"))
+    spaces = (_SHARING_SPACE, parse_space(
+        "k in {0,2}\ni in {1}\nx in {0,1}\na : size 2 in {0,3}\nc : size 1 in {0}"))
     secret = all_secret()
     cases, outcomes, settled_any, walked_any = 0, set(), 0, 0
     for seed in range(36):
@@ -1327,7 +1337,7 @@ def _ni_nested_scan(variant, com, P, PA, space):
 
 def test_check_ni_pairs_match_nested_scan():
     rng = random.Random(41)
-    space = parse_space("x in {0,1}\ni in {1,3}\na : size 2 in {0,1}")
+    space = parse_space("x in {0,1}\ni in {1,3}\na : size 2 in {0,1}\nc : size 1 in {0}")
     total = 0
     for _ in range(20):
         com = gen_program(rng.randrange(10**9), 10, pools)
