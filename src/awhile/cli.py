@@ -37,7 +37,7 @@ from .ifc_static import (
     wt_ifc,
 )
 from .lang import (
-    ParseError, _scalar_names, numeral_too_long, parse_com, pretty_com, syntax_repr,
+    ParseError, numeral_too_long, parse_com, pretty_com, program_names, syntax_repr,
 )
 from .seccheck import (
     Bounds,
@@ -53,6 +53,7 @@ from .seccheck import (
     check_wl,
     parse_space,
     transform,
+    transform_over,
 )
 from .gen import gen_program
 from .spec_sem import STEPPED, Speculative, feasible, run
@@ -241,8 +242,7 @@ def cmd_analyze(args) -> int:
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
     acom, final = flow_track(com, labels, labels, PUBLIC)
-    arrays = set()
-    scalars = _scalar_names(com, arrays)  # one walk for both kinds of name
+    scalars, arrays = program_names(com)
     out_labels = "\n".join(
         [f"{n}: {final.vars.get(n)}" for n in sorted(scalars)]
         + [f"{n}: {final.arrs.get(n)}" for n in sorted(arrays)]
@@ -356,7 +356,7 @@ def cmd_run(args) -> int:
         if args.sem == "spec":
             sem, cfg = Speculative(), SpecConfig(com, rho, mu, False)
         else:
-            sem, start = seccheck._ideal_source(
+            sem, start, _ = seccheck._ideal_source(
                 _IDEAL_VARIANTS[args.sem], com, labels, labels, typed=False
             )
             cfg = start(rho, mu, False)
@@ -384,7 +384,7 @@ def cmd_run(args) -> int:
 # property -> its library driver, called as (args, program, labels, space, bounds)
 _PROPERTIES = {
     "sct": lambda a, c, P, space, b: check_sct(
-        transform(a.variant or "none", c, P, P, a.flag_var), P, P, space, b
+        transform_over(a.variant or "none", c, P, P, space, a.flag_var), P, P, space, b
     ),
     "relsec": lambda a, c, P, space, b: check_relative_security(
         a.variant or "none", c, P, P, space, b, a.flag_var

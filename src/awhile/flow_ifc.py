@@ -1,5 +1,6 @@
-"""Annotated commands, the flow-sensitive IFC analysis, and the
-well-labeledness checker.
+"""The flow-sensitive IFC analysis, its annotated commands, and the
+well-labeledness checker.  The annotated command classes are defined in
+``lang``, beside the syntax they annotate, and exported here too.
 
 The analysis is a total function: it accepts every program and returns an
 annotated command plus the labeling holding after execution.  Loop bodies
@@ -13,7 +14,7 @@ time by the flow-sensitive ideal semantics to save and restore the pc label.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 from .ifc_static import (
     Label,
@@ -24,11 +25,19 @@ from .ifc_static import (
     label_of_expr,
 )
 from .lang import (
+    AARead,
+    AAsgn,
+    AAWrite,
+    ABranch,
+    ACom,
+    AIf,
     ARead,
+    ASeq,
     Asgn,
+    ASKIP,
+    ASkip,
+    AWhileC,
     AWrite,
-    AExp,
-    BExp,
     Com,
     If,
     Seq,
@@ -36,68 +45,7 @@ from .lang import (
     SKIP,
     While,
 )
-from .record import Record, _build
-
-# ---------------------------------------------------------------------------
-# Annotated commands
-# ---------------------------------------------------------------------------
-
-
-class ASkip(Record):
-    pass
-
-
-class AAsgn(Record):
-    name: str
-    expr: AExp
-
-
-class ASeq(Record):
-    first: "ACom"
-    second: "ACom"
-    mid: Labeling  # labeling between the two halves
-
-
-class AIf(Record):
-    cond: BExp
-    then: "ACom"
-    other: "ACom"
-    lbl: Label  # label of the condition
-
-
-class AWhileC(Record):
-    cond: BExp
-    body: "ACom"
-    lbl: Label  # label of the condition at the fixpoint labeling
-    fix: Labeling
-
-
-class AARead(Record):
-    name: str
-    array: str
-    index: AExp
-    lbl_target: Label  # label given to the destination variable
-    lbl_index: Label
-
-
-class AAWrite(Record):
-    array: str
-    index: AExp
-    value: AExp
-    lbl_index: Label
-
-
-class ABranch(Record):
-    """Runtime wrapper recording the pc label in force before entering a
-    branch; produced only by the flow-sensitive ideal semantics."""
-
-    lbl: Label
-    body: "ACom"
-
-
-ACom = Union[ASkip, AAsgn, ASeq, AIf, AWhileC, AARead, AAWrite, ABranch]
-
-ASKIP = ASkip()
+from .record import _build
 
 
 def erase_acom(acom: ACom) -> Com:

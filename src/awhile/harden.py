@@ -48,7 +48,6 @@ from .flow_ifc import (
     ASeq,
     ASkip,
     AWhileC,
-    erase_acom,
 )
 from .ifc_static import PUBLIC, LabelMap, label_of_expr
 from .lang import (
@@ -68,6 +67,7 @@ from .lang import (
     Var,
     While,
     _scalar_names,
+    program_names,
 )
 from .record import Record, _build
 
@@ -222,13 +222,16 @@ def _translate(root, row: HardenVariant, labels, flag_var: str) -> Com:
     return done[0]
 
 
-def _reserve(flag_var: str, c: Com) -> None:
+def _reserve(flag_var: str, names) -> None:
     """Refuse a flag variable the hardened program could not spell: not a
-    name, a keyword, or a scalar or an array of the program."""
+    name, a keyword, or one of the program's ``names``, its scalars and its
+    arrays.  ``harden`` reads them from ``lang.program_names``, which has
+    them from the parser for a parsed program; ``harden_fs`` walks the
+    annotated tree once."""
     if not _NAME_RE.fullmatch(flag_var) or flag_var in KEYWORDS:
         raise FlagCollisionError(f"flag variable {flag_var!r} is not a variable name")
-    arrays = set()
-    if flag_var in _scalar_names(c, arrays):
+    scalars, arrays = names
+    if flag_var in scalars:
         raise FlagCollisionError(
             f"flag variable {flag_var!r} is used by the program"
         )
@@ -246,12 +249,15 @@ def harden(
     """Apply an SLH variant to ``c``, labels taken from P.  The flag
     variable must be reserved: a program that already uses it is
     rejected."""
-    _reserve(flag_var, c)
+    _reserve(flag_var, program_names(c))
     return _translate(c, variant, _FixedLabels(P), flag_var)
 
 
 def harden_fs(acom: ACom, flag_var: str = DEFAULT_FLAG_VAR) -> Com:
     """Translate an annotated command by the fvslh row, labels taken from
-    its annotations (fsfvslh)."""
-    _reserve(flag_var, erase_acom(acom))
+    its annotations (fsfvslh).  Its names come from one walk of the
+    annotated tree itself, past ``program_names``, whose one slot keeps the
+    program the annotation was made from."""
+    arrays = set()
+    _reserve(flag_var, (_scalar_names(acom, arrays), arrays))
     return _translate(acom, FVSLH, _Annotations, flag_var)

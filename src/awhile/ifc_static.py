@@ -135,22 +135,22 @@ class Labeling(Record):
 def label_of_expr(P: LabelMap, e) -> Label:
     """Join of the labels of all variables occurring in an arithmetic or
     boolean expression.  Literals are public; a constant-time conditional
-    joins all three subterms.  Walks an explicit stack and answers secret
-    at the first secret name; a bare name needs no stack."""
+    joins all three subterms.  Walks a work list that grows as the loop
+    reads it and answers secret at the first secret name; a bare name needs
+    no list."""
     public = P._m
     if e.__class__ is Var:
         return PUBLIC if e.name in public else SECRET
     todo = [e]
-    while todo:
-        e = todo.pop()
+    for e in todo:
         cls = e.__class__
         if cls is Var:
             if e.name not in public:
                 return SECRET
         elif cls is BinOp or cls is Cmp or cls is And or cls is Or:
-            todo += (e.right, e.left)
+            todo += (e.left, e.right)
         elif cls is CTCond:
-            todo += (e.other, e.then, e.cond)
+            todo += (e.cond, e.then, e.other)
         elif cls is Not:
             todo.append(e.arg)
         elif not (cls is Num or cls is BoolLit):

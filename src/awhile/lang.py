@@ -20,6 +20,14 @@ object; syntax nodes are immutable, so only ``is`` can tell.  The
 pretty-printer and the name walks keep explicit stacks, so no nesting
 depth or spine length exhausts the recursion limit.
 
+A program's scalar and array names come from ``program_names``.  The
+parser collects both sets anyway, to refuse a name used in both roles,
+and ``parse_com`` leaves them there with the tree it returns, so a parsed
+program is never walked for its names.  A tree built another way, such as
+a hardened program, is walked once.  One slot keeps the last tree's
+names, found by identity: records are tuples, which take no weak
+reference, and one slot never grows.
+
 Expressions evaluate two ways.  ``eval_aexp`` and ``eval_bexp`` walk the
 tree; only ``seq_sem``, the independent sequential oracle, uses them.  The
 speculative and ideal steppers evaluate through ``compiled``: each
@@ -144,6 +152,70 @@ class AWrite(Record):
 Com = Union[Skip, Asgn, Seq, If, While, ARead, AWrite]
 
 SKIP = Skip()
+
+
+# ---------------------------------------------------------------------------
+# Annotated commands: a command with the labels of flow_ifc's analysis on
+# its nodes.  They live beside the syntax they annotate so that the name
+# walk reads both; Label and Labeling are ifc_static's.
+# ---------------------------------------------------------------------------
+
+
+class ASkip(Record):
+    pass
+
+
+class AAsgn(Record):
+    name: str
+    expr: AExp
+
+
+class ASeq(Record):
+    first: "ACom"
+    second: "ACom"
+    mid: "Labeling"  # labeling between the two halves
+
+
+class AIf(Record):
+    cond: BExp
+    then: "ACom"
+    other: "ACom"
+    lbl: "Label"  # label of the condition
+
+
+class AWhileC(Record):
+    cond: BExp
+    body: "ACom"
+    lbl: "Label"  # label of the condition at the fixpoint labeling
+    fix: "Labeling"
+
+
+class AARead(Record):
+    name: str
+    array: str
+    index: AExp
+    lbl_target: "Label"  # label given to the destination variable
+    lbl_index: "Label"
+
+
+class AAWrite(Record):
+    array: str
+    index: AExp
+    value: AExp
+    lbl_index: "Label"
+
+
+class ABranch(Record):
+    """Runtime wrapper recording the pc label in force before entering a
+    branch; produced only by the flow-sensitive ideal semantics."""
+
+    lbl: "Label"
+    body: "ACom"
+
+
+ACom = Union[ASkip, AAsgn, ASeq, AIf, AWhileC, AARead, AAWrite, ABranch]
+
+ASKIP = ASkip()
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +552,10 @@ def _combine(e, done):
 
 
 def _scalar_names(node, arrays: Optional[set] = None) -> set:
-    """Scalar names occurring in a command or an expression, collected into
-    one set in one walk over a work list that grows as the loop reads it,
-    so taking a node costs no call; the same walk adds the array names to
-    ``arrays`` when one is given."""
+    """Scalar names occurring in a command, an annotated command or an
+    expression, collected into one set in one walk over a work list that
+    grows as the loop reads it, so taking a node costs no call; the same
+    walk adds the array names to ``arrays`` when one is given."""
     names, todo = set(), [node]
     for x in todo:
         cls = x.__class__
@@ -493,29 +565,51 @@ def _scalar_names(node, arrays: Optional[set] = None) -> set:
             pass
         elif cls is BinOp or cls is Cmp or cls is And or cls is Or:
             todo += (x.left, x.right)
-        elif cls is Seq:
+        elif cls is Seq or cls is ASeq:
             todo += (x.first, x.second)
-        elif cls is Asgn:
+        elif cls is Asgn or cls is AAsgn:
             names.add(x.name)
             todo.append(x.expr)
-        elif cls is ARead:
+        elif cls is ARead or cls is AARead:
             names.add(x.name)
             todo.append(x.index)
             if arrays is not None:
                 arrays.add(x.array)
-        elif cls is AWrite:
+        elif cls is AWrite or cls is AAWrite:
             todo += (x.index, x.value)
             if arrays is not None:
                 arrays.add(x.array)
-        elif cls is If or cls is CTCond:
+        elif cls is If or cls is CTCond or cls is AIf:
             todo += (x.cond, x.then, x.other)
-        elif cls is While:
+        elif cls is While or cls is AWhileC:
             todo += (x.cond, x.body)
         elif cls is Not:
             todo.append(x.arg)
-        elif not (cls is BoolLit or cls is Skip):
+        elif cls is ABranch:
+            todo.append(x.body)
+        elif not (cls is BoolLit or cls is Skip or cls is ASkip):
             raise TypeError(f"not a syntax tree: {x!r}")
     return names
+
+
+# (tree, scalars, arrays): the names of the last program parsed or asked about
+_last_names = (SKIP, frozenset(), frozenset())
+
+
+def program_names(c) -> tuple:
+    """The scalar and the array names of a program, as two frozensets.
+    ``parse_com`` leaves its parser's sets here with the tree it returns;
+    any other tree is walked once.  One slot remembers the last tree, held
+    and compared by identity, so a tree equal to that one but not the same
+    object gets its own walk."""
+    global _last_names
+    tree, scalars, arrays = _last_names
+    if tree is not c:
+        found = set()
+        scalars = frozenset(_scalar_names(c, found))
+        arrays = frozenset(found)
+        _last_names = (c, scalars, arrays)
+    return scalars, arrays
 
 
 def vars_of_expr(e) -> frozenset:
@@ -551,12 +645,11 @@ def syntax_repr(node) -> str:
 
 def syntax_equal(a, b) -> bool:
     """Structural equality of two syntax trees (commands, annotated commands
-    or expressions).  Unlike the record ``==`` it keeps an explicit stack,
-    so a long sequence spine cannot exhaust the recursion limit, and a
-    subtree both sides share compares in one check."""
+    or expressions).  Unlike the record ``==`` it keeps an explicit work
+    list, so a long sequence spine cannot exhaust the recursion limit, and
+    a subtree both sides share compares in one check."""
     todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
+    for x, y in todo:  # the list grows as the loop reads it
         if x is y:
             continue
         if type(x) is not type(y):
@@ -855,8 +948,7 @@ class _Parser:
         return left
 
 
-def _parse_all(text: str, rule, *args):
-    parser = _Parser(text)
+def _parse_all(parser: "_Parser", rule, *args):
     out = rule(parser, *args)
     pos = parser.pos
     if parser.lexemes[pos]:
@@ -869,17 +961,22 @@ def parse_com(text: str) -> Com:
 
     ``if ... then c end`` without ``else`` desugars to ``else skip``.
     Raises ParseError (with line/column) on malformed input or when a name
-    is used both as a scalar and as an array.
+    is used both as a scalar and as an array.  The names the parser saw in
+    each role are the command's ``program_names``.
     """
-    return _parse_all(text, _Parser.parse_com)
+    global _last_names
+    parser = _Parser(text)
+    com = _parse_all(parser, _Parser.parse_com)
+    _last_names = (com, frozenset(parser.scalar_uses), frozenset(parser.array_uses))
+    return com
 
 
 def parse_aexp(text: str) -> AExp:
-    return _parse_all(text, _Parser.expr, _ADD, False)
+    return _parse_all(_Parser(text), _Parser.expr, _ADD, False)
 
 
 def parse_bexp(text: str) -> BExp:
-    return _parse_all(text, _Parser.expr, _OR, True)
+    return _parse_all(_Parser(text), _Parser.expr, _OR, True)
 
 
 # ---------------------------------------------------------------------------

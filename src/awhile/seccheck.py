@@ -81,7 +81,7 @@ from .ifc_static import (
     wt_ifc,
 )
 from .lang import (
-    OPAQUE, Com, SecretDependence, _scalar_names, numeral_too_long, syntax_equal,
+    OPAQUE, Com, SecretDependence, numeral_too_long, program_names, syntax_equal,
 )
 from .record import Record
 from .seq_sem import RunKind, seq_run
@@ -290,9 +290,7 @@ def _require_arrays(c: Com, mu: ArrayState) -> None:
     """The array precondition of the paper's lemmas: every array the
     program uses is non-empty in ``mu``, where one it leaves out has size
     0.  PreconditionError names the first failing array in name order."""
-    arrays = set()
-    _scalar_names(c, arrays)
-    empty = [a for a in arrays if mu.size(a) == 0]
+    empty = [a for a in program_names(c)[1] if mu.size(a) == 0]
     if empty:
         raise PreconditionError(f"array {min(empty)!r} is empty in the initial state")
 
@@ -721,6 +719,24 @@ def transform(
     return harden(row, c, P, PA, flag_var)
 
 
+def transform_over(
+    variant_kind: str,
+    c: Com,
+    P: LabelMap,
+    PA: LabelMap,
+    space: StateSpace,
+    flag_var: str = DEFAULT_FLAG_VAR,
+) -> Com:
+    """``transform`` for a check whose speculative runs start from the
+    states of ``space`` not misspeculating (``sct`` and ``relsec``).  A
+    hardened program owns its flag variable, whose value 0 at the start
+    says so; a space that binds it raises PreconditionError."""
+    hardened = transform(variant_kind, c, P, PA, flag_var)
+    if VARIANTS[variant_kind] is not None and flag_var in space.names():
+        raise PreconditionError(f"state space binds the reserved flag variable {flag_var!r}")
+    return hardened
+
+
 def _seq_traces(c: Com, states, groups: Sequence[Sequence[int]], fuel: int) -> dict:
     """The sequential trace of every state of the ``groups``, by index: one
     ``seq_run`` per group, from its abstract state (``_abstract_state``).
@@ -782,17 +798,16 @@ def check_relative_security(
     its theorem, which has no public-equivalence premise; its premise runs
     are still grouped by the labeling (``_seq_traces``).  A program that
     uses the flag variable raises FlagCollisionError, as ``transform`` does
-    for every other check; one that uses an array the space leaves empty
-    raises PreconditionError, as every check over a space does (``_states``).
+    for every other check, and a hardening over a space that binds it
+    raises PreconditionError, as it does for ``sct`` (``transform_over``);
+    so does a program that uses an array the space leaves empty, as for
+    every check over a space (``_states``).
     """
     if variant_kind not in VARIANTS:
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"unknown variant {variant_kind!r}")
-    hardened = transform(variant_kind, c, P, PA, flag_var)
+    hardened = transform_over(variant_kind, c, P, PA, space, flag_var)
     states = _states(c, space)
-    if flag_var in space.names():
-        return Verdict(VerdictStatus.PRECONDITION_FAILED,
-                       message=f"state space binds the reserved flag variable {flag_var!r}")
     if variant_kind in ("fislh", "fvslh") and not wt_ifc(P, PA, PUBLIC, c):
         return Verdict(VerdictStatus.PRECONDITION_FAILED,
                        message=f"{variant_kind} requires an IFC-well-typed program")
@@ -840,16 +855,18 @@ def check_equality(c: Com, P: LabelMap, PA: LabelMap) -> Verdict:
 
 
 def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: bool):
-    """The ideal semantics of a flexible variant and a builder of its
-    initial configurations from (rho, mu, flag); fsfvslh starts from the
-    program's annotation, computed here once.  With ``typed``, a program
-    outside the lemmas' typing precondition (IFC well-typed, or for fsfvslh
-    a well-labeled annotation) raises PreconditionError."""
+    """The ideal semantics of a flexible variant, a builder of its initial
+    configurations from (rho, mu, flag), and the program they start from:
+    for fsfvslh the program's annotation, computed here once, and ``c``
+    otherwise.  With ``typed``, a program outside the lemmas' typing
+    precondition (IFC well-typed, or for fsfvslh a well-labeled
+    annotation) raises PreconditionError."""
     if variant_kind == "fsfvslh":
         acom, final = flow_track(c, P, PA, PUBLIC)
         if typed and not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
             raise PreconditionError("analysis output not well-labeled")
-        return IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)
+        return (IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA),
+                acom)
     if variant_kind == "fislh":
         sem = IdealFiSLH(P)
     elif variant_kind == "fvslh":
@@ -861,7 +878,17 @@ def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: b
         )
     if typed and not wt_ifc(P, PA, PUBLIC, c):
         raise PreconditionError("program not IFC-well-typed")
-    return sem, lambda rho, mu, flag: SpecConfig(c, rho, mu, flag)
+    return sem, lambda rho, mu, flag: SpecConfig(c, rho, mu, flag), c
+
+
+def _bcc_programs(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, flag_var: str):
+    """The ideal semantics of a bcc check, its builder of source
+    configurations, and the hardened program; fsfvslh hardens the
+    annotation the source starts from, so the analysis runs once."""
+    sem, start, source = _ideal_source(variant_kind, c, P, PA, typed=False)
+    if variant_kind == "fsfvslh":
+        return sem, start, harden_fs(source, flag_var)
+    return sem, start, transform(variant_kind, c, P, PA, flag_var)
 
 
 def check_bcc(
@@ -887,8 +914,7 @@ def check_bcc(
     does not use the flag variable (the hardening refuses it), and the flag
     variable's initial value encodes the initial misspeculation flag.
     """
-    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
-    hardened = transform(variant_kind, c, P, PA, flag_var)
+    sem, start, hardened = _bcc_programs(variant_kind, c, P, PA, flag_var)
     _require_arrays(c, mu)
     flag = _bcc_flag(rho, flag_var)
     return _bcc_run(Speculative(), sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var)
@@ -914,8 +940,7 @@ def check_bcc_space(
     checked once (``_states``), before any run, so every walk and run
     shares one per-check table.  Stops at the first failing run; the
     verdict counts the runs as ``runs`` and holds the failure message."""
-    sem, start = _ideal_source(variant_kind, c, P, PA, typed=False)
-    hardened = transform(variant_kind, c, P, PA, flag_var)
+    sem, start, hardened = _bcc_programs(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
     states = _states(c, space)
     if dirs is None:
@@ -1058,7 +1083,7 @@ def check_step_ni(
 
     Vacuously true when either side cannot step or the observations differ.
     """
-    sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+    sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     value_based = variant_kind in ("fvslh", "fsfvslh")
     why = _ni_premise(value_based, P, PA, s1, s2, flag)
     if why:
@@ -1077,7 +1102,7 @@ def check_ni(
     counts the steps as ``checked`` and holds every failure message."""
     states = _states(c, space)
     try:
-        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+        sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
         return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
@@ -1109,7 +1134,7 @@ def check_unwinding(
     well-typed (or well-labeled) configurations that are already
     misspeculating, identical directives yield identical observations."""
     try:
-        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+        sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError as exc:
         return Verdict(VerdictStatus.PRECONDITION_FAILED, message=str(exc))
     if not pub_equiv_scalars(P, s1[0], s2[0]):
@@ -1138,7 +1163,7 @@ def check_unwinding_space(
     bounds = bounds.over(space)
     states = _states(c, space)
     try:
-        sem, start = _ideal_source(variant_kind, c, P, PA, typed=True)
+        sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError:
         return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
     groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())

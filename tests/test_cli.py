@@ -691,11 +691,11 @@ def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transfo
         assert main(["check", "--property", "bcc", "--variant", variant, "--labels", labels,
                      "--space", space, "--max-dirs", "4", *extra, p]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "runs: 6"
-    # once per check: the hardening, and for fsfvslh the annotations of the
-    # program to harden and of the ideal source
+    # once per check: the hardening, and for fsfvslh the one annotation
+    # that both the ideal source and the hardening start from
     expected = {"harden": 0, "harden_fs": 0, "flow_track": 0, transformer: 2}
     if variant == "fsfvslh":
-        expected["flow_track"] = 4
+        expected["flow_track"] = 2
     assert calls == expected
 
 
@@ -990,6 +990,22 @@ def test_every_check_over_a_space_refuses_an_empty_array(files, capsys, argv):
     space = files("space", "x in {1}\nc : size 1 in {0,7}\na : size 2 in {0}\n")
     assert main([*check, space, p]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("prop", ["sct", "relsec"])
+def test_a_hardening_refuses_a_space_that_binds_its_flag_variable(files, capsys, prop):
+    # the hardened runs start not misspeculating, which the flag variable
+    # says only while it is 0; a space that binds it may start it at 1
+    p = files("p.aw", "if x < 1 then y <- a[x] end\n")
+    check = ["check", "--property", prop, "--labels", files("labels", "x: public\ny: public\na: public\n"),
+             "--space", files("space", "x in {0,1}\nb in {0,1}\na : size 2 in {0}\n")]
+    assert main([*check, "--variant", "fislh", p]) == 2
+    assert capsys.readouterr() == (
+        "", "error: state space binds the reserved flag variable 'b'\n")
+    # another flag variable, or no hardening, leaves 'b' to the program
+    for extra in (["--variant", "fislh", "--flag-var", "f"], ["--variant", "none"]):
+        assert main([*check, *extra, p]) == 0
+        assert capsys.readouterr().out.endswith("holds\n")
 
 
 @pytest.mark.parametrize("prop", ["ni", "unwind"])

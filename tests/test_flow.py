@@ -20,7 +20,7 @@ from awhile.flow_ifc import (
 )
 from awhile.gen import NamePools, gen_program
 from awhile.ifc_static import LabelMap, Labeling, PUBLIC, SECRET, all_secret, parse_labeling
-from awhile.lang import Num, Var, parse_com, syntax_equal
+from awhile.lang import Num, Var, _scalar_names, parse_com, syntax_equal
 
 pools = NamePools(("x", "y", "i", "s", "n"), ("a", "c"))
 
@@ -134,6 +134,11 @@ def test_flow_track_total_and_erases_back(seed, labels, pc):
     acom, _ = flow_track(com, m, m, pc)
     assert erase_acom(acom) == com
     assert branch_free(acom)
+    # the name walk reads an annotated tree as the command it annotates
+    arrays, annotated_arrays = set(), set()
+    assert _scalar_names(acom, annotated_arrays) == _scalar_names(com, arrays)
+    assert annotated_arrays == arrays
+    assert _scalar_names(ABranch(SECRET, acom)) == _scalar_names(com)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,6 +20,7 @@ from awhile.harden import (
 )
 from awhile.ifc_static import PUBLIC, all_public, all_secret, parse_labeling
 from awhile.lang import Seq, parse_com, pretty_com, syntax_repr, used_vars
+from awhile.record import Record
 from awhile.seccheck import (
     enum_spec_runs,
     enum_states,
@@ -71,6 +72,30 @@ def test_flag_collision_rejected():
                       flag_var="flag")
     assert "flag" not in used_vars(parse_com("x := 1"))
     assert hardened == parse_com("x := 1")
+
+
+def _rebuilt(x):
+    """An equal copy of a syntax tree, built by hand: it shares no node
+    with the parsed one, so its names come from a walk."""
+    return type(x)(*map(_rebuilt, x)) if isinstance(x, Record) else x
+
+
+@pytest.mark.parametrize("text, why", [
+    ("if b < 1 then skip end", "is used by the program"),
+    ("while x < b do skip end", "is used by the program"),
+    ("x <- a[b]", "is used by the program"),
+    ("a[0] <- b + 1", "is used by the program"),
+    ("x := (b = 1 ? 0 : 1)", "is used by the program"),
+    ("x <- b[0]", "names an array of the program"),
+])
+def test_a_flag_the_program_only_reads_is_refused(text, why):
+    lab = all_secret()
+    parsed = parse_com(text)
+    for com in (parsed, _rebuilt(parsed)):
+        with pytest.raises(FlagCollisionError, match=f"^flag variable 'b' {why}$"):
+            harden(USLH, com, lab, lab)
+        with pytest.raises(FlagCollisionError, match=f"^flag variable 'b' {why}$"):
+            harden_fs(flow_track(com, lab, lab, PUBLIC)[0])
 
 
 def test_custom_flag_variable():

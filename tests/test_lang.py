@@ -35,11 +35,15 @@ from awhile.lang import (
     syntax_equal,
     syntax_repr,
     used_vars,
+    program_names,
     _scalar_names,
     OPAQUE,
     UNKNOWN,
     SecretDependence,
 )
+from awhile.fixtures import FIXTURES
+from awhile.gen import NamePools, gen_program
+from awhile.record import Record
 from awhile.state import ScalarState
 
 LISTING1 = "if i < a1_size then j <- a1[i]; x <- a2[j] end"
@@ -651,3 +655,80 @@ def test_used_vars_includes_assignment_target():
 @given(coms())
 def test_used_vars_matches_oracle(com):
     assert used_vars(com) == _oracle_vars(com)
+
+
+# --- program_names ----------------------------------------------------------
+
+# programs of the benchmark corpus's style: typed, with constant-time arms
+CORPUS_STYLE = [
+    "p1 := 3;\ns0 := (s0 < p0 ? 0 : p0 + 3)\n",
+    "s0 <- A[s0 - 2];\ns1 := (s1 < 0 || p2 = 3 ? (p2 <> s0 ? 3 : p0) : p1 - p2)\n",
+    "S[(p2 < 3 ? p2 : 0)] <- 3 - s1;\ns0 <- A[(p2 < 2 ? p2 : 0)];\n"
+    "A[(p2 < 2 ? p2 : 1)] <- 0 - p2\n",
+]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The trees program_names walks, in order."""
+    import awhile.lang as lang
+
+    seen = []
+
+    def counting(node, arrays=None, _real=lang._scalar_names):
+        seen.append(node)
+        return _real(node, arrays)
+
+    monkeypatch.setattr(lang, "_scalar_names", counting)
+    return seen
+
+
+def _walked(com):
+    arrays = set()
+    return _scalar_names(com, arrays), arrays
+
+
+def _rebuilt(x):
+    """An equal copy of a syntax tree that shares no node with it."""
+    return type(x)(*map(_rebuilt, x)) if isinstance(x, Record) else x
+
+
+def test_a_parsed_program_has_the_walked_names_without_a_walk(walks):
+    pools = NamePools()
+    texts = [pretty_com(gen_program(seed, 2 + seed % 13, pools)) for seed in range(40)]
+    texts += CORPUS_STYLE + [fx.program_text for fx in FIXTURES.values()]
+    texts.append(";\n".join(["x := x + 1", "a[y] <- z", "if w < 1 then v <- c[u] end"] * 2000))
+    walks.clear()  # gen_program's own
+    for text in texts:
+        com = parse_com(text)
+        scalars, arrays = program_names(com)
+        assert type(scalars) is frozenset and type(arrays) is frozenset
+        assert (scalars, arrays) == _walked(com), text
+    assert walks == []
+
+
+@pytest.mark.parametrize("text, scalars, arrays", [
+    ("if c < 1 then skip end", {"c"}, set()),
+    ("while !(c = 1) && d < 2 do skip end", {"c", "d"}, set()),
+    ("a[i] <- 0", {"i"}, {"a"}),
+    ("x <- a[(c < 1 ? i : j)]", {"x", "c", "i", "j"}, {"a"}),
+    ("x := (c < 1 ? 0 : j)", {"x", "c", "j"}, set()),
+    ("x := (true ? 0 : (c = 1 ? k : 0))", {"x", "c", "k"}, set()),
+], ids=["condition", "loop-condition", "index", "index-arm", "arm", "nested-arm"])
+def test_names_only_in_a_condition_an_index_or_an_arm(walks, text, scalars, arrays):
+    com = parse_com(text)
+    assert program_names(com) == (scalars, arrays) == _walked(com)
+    assert walks == []
+
+
+def test_an_equal_tree_and_a_later_tree_get_their_own_walk(walks):
+    com = parse_com("x <- a[i]; y := (c < 1 ? 0 : j)")
+    names = program_names(com)
+    copy = _rebuilt(com)
+    assert copy == com and copy is not com
+    assert program_names(copy) == names and walks == [copy]
+    later = Seq(Asgn("z", Var("w")), AWrite("e", Num(0), Var("v")))  # built after the parse
+    assert program_names(later) == ({"z", "w", "v"}, {"e"}) and walks == [copy, later]
+    assert program_names(later) == ({"z", "w", "v"}, {"e"}) and len(walks) == 2
+    # one slot: the parsed tree was forgotten, and is walked once more
+    assert program_names(com) == names and walks[-1] is com and len(walks) == 3
