@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 from . import seccheck
-from .flow_ifc import flow_track, pretty_acom
+from .flow_ifc import flow_track
 from .harden import DEFAULT_FLAG_VAR, VARIANTS, FlagCollisionError
 from .ifc_static import (
     LabelMap,
@@ -247,7 +247,7 @@ def cmd_analyze(args) -> int:
         [f"{n}: {final.vars.get(n)}" for n in sorted(scalars)]
         + [f"{n}: {final.arrs.get(n)}" for n in sorted(arrays)]
     )
-    annotated = pretty_acom(acom)
+    annotated = pretty_com(acom)
     _emit(
         args,
         lambda: {"annotated": annotated, "final_labeling": out_labels},
@@ -400,23 +400,34 @@ _PROPERTIES = {
 }
 
 
+# property -> the options it reads besides the program, --labels, --format
+# and --flag-var (taken where a hardening runs, below); any other one given
+# is refused, not dropped.  bcc with --dirs runs those directives once per
+# state instead of --trials random runs.
+_CHECK_OPTIONS = {
+    "sct": ("--variant", "--space", "--max-dirs", "--fuel"),
+    "relsec": ("--variant", "--space", "--max-dirs", "--fuel"),
+    "bcc": ("--variant", "--space", "--dirs", "--trials", "--seed", "--max-dirs", "--fuel"),
+    "bcc --dirs": ("--variant", "--space", "--dirs", "--fuel"),
+    "ni": ("--variant", "--space"),
+    "unwind": ("--variant", "--space", "--max-dirs", "--fuel"),
+    "wl": ("--space", "--max-dirs", "--seed"),
+    "equality": (),
+}
+
+
 def cmd_check(args) -> int:
     com = _load_program(args.program)
     labels = _load_labels(args.labels)
-    bounds = _bounds(args)
-    space = seccheck.StateSpace()
-    if args.space:
-        space = parse_space(_read_input(args.space))
     if args.property in ("bcc", "ni", "unwind") and args.variant not in _IDEAL_VARIANTS.values():
         raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
-    if args.property in ("equality", "wl") and args.variant is not None:
-        raise CliError(f"--variant does not apply to --property {args.property}")
-    # an option of another property is refused, not dropped
-    for option, value, applies in (("--dirs", args.dirs, ("bcc",)),
-                                   ("--trials", args.trials, ("bcc",)),
-                                   ("--seed", args.seed, ("bcc", "wl"))):
-        if value is not None and args.property not in applies:
-            raise CliError(f"{option} does not apply to --property {args.property}")
+    row = args.property
+    if row == "bcc" and args.dirs:  # an empty one fixes none
+        row += " --dirs"
+    for option in _CHECK_OPTIONS["bcc"]:  # every option, in bcc's row
+        if option not in _CHECK_OPTIONS[row] and getattr(
+                args, option[2:].replace("-", "_")) is not None:
+            raise CliError(f"{option} does not apply to --property {row}")
     if args.trials is not None and args.trials < 0:
         raise CliError(f"--trials must not be negative, got {args.trials}")
     # the flag variable is spelled only where a hardening runs; an explicit
@@ -430,6 +441,10 @@ def cmd_check(args) -> int:
         if args.property in ("sct", "relsec"):
             where += f" --variant {args.variant}" if args.variant else " without --variant"
         raise CliError(f"--flag-var does not apply to {where}")
+    bounds = _bounds(args)
+    space = seccheck.StateSpace()
+    if args.space:
+        space = parse_space(_read_input(args.space))
     v = _PROPERTIES[args.property](args, com, labels, space, bounds)
     _emit(args, lambda: _verdict_payload(v), lambda: _verdict_lines(v))
     return _verdict_exit(v)
@@ -487,8 +502,8 @@ _LABELED = [_PROGRAM, _LABELS, _FORMAT]
 # below both read this one declaration, so an argument may use only the
 # keywords the reader knows: type=int, choices, default, required,
 # action="store_true" and help.  None as a check option's default tells an
-# omitted option from a given one, which cmd_check refuses where it does
-# not apply.
+# omitted option from a given one, which cmd_check refuses where
+# _CHECK_OPTIONS says the property does not read it.
 _COMMANDS = {
     "parse": ("parse and dump the AST", cmd_parse, [_PROGRAM, _FORMAT]),
     "print": ("parse and pretty-print", cmd_print, [_PROGRAM, _FORMAT]),

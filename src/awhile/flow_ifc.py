@@ -76,13 +76,6 @@ def erase_acom(acom: ACom) -> Com:
     return out
 
 
-def terminal(acom: ACom) -> bool:
-    """skip, possibly wrapped in any number of branch annotations."""
-    while isinstance(acom, ABranch):
-        acom = acom.body
-    return isinstance(acom, ASkip)
-
-
 def branch_free(acom: ACom) -> bool:
     while isinstance(acom, ASeq):
         if not branch_free(acom.first):
@@ -270,63 +263,3 @@ def well_labeled(acom: ACom, initial: Labeling, pc: Label, final: Labeling) -> b
     if isinstance(acom, ABranch):
         return well_labeled(acom.body, initial, pc, final)
     raise TypeError(f"not an annotated command: {acom!r}")
-
-
-# ---------------------------------------------------------------------------
-# Printing (for the analyze CLI subcommand)
-# ---------------------------------------------------------------------------
-
-
-def pretty_acom(acom: ACom) -> str:
-    from .lang import pretty_aexp, pretty_bexp
-
-    def lines(a: ACom, indent: int):
-        pad = "  " * indent
-        if isinstance(a, ASeq):
-            parts = []
-            node = a
-            while isinstance(node, ASeq):
-                parts.append(node.first)
-                node = node.second
-            parts.append(node)
-            for i, part in enumerate(parts):
-                sub = list(lines(part, indent))
-                if i < len(parts) - 1:
-                    # the separator goes before any trailing annotation comment
-                    head, _, comment = sub[-1].partition("  #")
-                    sub[-1] = head + ";" + ("  #" + comment if comment else "")
-                yield from sub
-            return
-        if isinstance(a, ASkip):
-            yield pad + "skip"
-        elif isinstance(a, AAsgn):
-            yield pad + f"{a.name} := {pretty_aexp(a.expr)}"
-        elif isinstance(a, AARead):
-            yield (
-                pad
-                + f"{a.name} <- {a.array}[{pretty_aexp(a.index)}]"
-                + f"  # target={a.lbl_target} index={a.lbl_index}"
-            )
-        elif isinstance(a, AAWrite):
-            yield (
-                pad
-                + f"{a.array}[{pretty_aexp(a.index)}] <- {pretty_aexp(a.value)}"
-                + f"  # index={a.lbl_index}"
-            )
-        elif isinstance(a, AIf):
-            yield pad + f"if {pretty_bexp(a.cond)} then  # cond={a.lbl}"
-            yield from lines(a.then, indent + 1)
-            yield pad + "else"
-            yield from lines(a.other, indent + 1)
-            yield pad + "end"
-        elif isinstance(a, AWhileC):
-            yield pad + f"while {pretty_bexp(a.cond)} do  # cond={a.lbl}"
-            yield from lines(a.body, indent + 1)
-            yield pad + "end"
-        elif isinstance(a, ABranch):
-            yield pad + f"# branch pc={a.lbl}"
-            yield from lines(a.body, indent)
-        else:
-            raise TypeError(f"not an annotated command: {a!r}")
-
-    return "\n".join(lines(acom, 0))

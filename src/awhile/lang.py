@@ -1049,13 +1049,18 @@ def pretty_bexp(b: BExp, level: int = _OR) -> str:
     return "".join(out)
 
 
-def pretty_com(c: Com) -> str:
-    """Render a command as concrete syntax.
+def pretty_com(c: Union[Com, ACom]) -> str:
+    """Render a command, or an annotated command, as concrete syntax.
 
     For any AST produced by parse_com the output reparses to a structurally
     equal tree.  The one normalization: the grammar has no command grouping,
     so a left-nested Seq prints flat and reparses right-nested (semantically
     identical; parse_com never produces left-nested sequences).
+
+    An annotated command prints as the command it annotates, with each
+    label as a trailing ``#`` comment and each branch wrapper as a comment
+    line of its own, so it reparses to ``erase_acom`` of it.  An annotated
+    ``if`` keeps its ``else``: ASkip is not Skip.
 
     Every piece of text goes into one list, in order, from an explicit
     stack of commands (each with the newline and indentation its line
@@ -1068,38 +1073,48 @@ def pretty_com(c: Com) -> str:
         c, nl = todo.pop()
         cls = c.__class__
         if cls is str:
-            out.append(c)
-        elif cls is Seq:
+            if c == ";" and out[-1][:3] == "  #":
+                out.insert(-1, c)  # before the line's annotation comment
+            else:
+                out.append(c)
+        elif cls is Seq or cls is ASeq:
             # ';' ends the first part's last line
             todo += ((c.second, nl), (";", nl), (c.first, nl))
-        elif cls is Asgn:
+        elif cls is Asgn or cls is AAsgn:
             out += (nl, c.name, " := ")
             _print_expr(out, c.expr, _ADD)
-        elif cls is ARead:
+        elif cls is ARead or cls is AARead:
             out += (nl, c.name, " <- ", c.array, "[")
             _print_expr(out, c.index, _ADD)
             out.append("]")
-        elif cls is AWrite:
+            if cls is AARead:
+                out.append(f"  # target={c.lbl_target} index={c.lbl_index}")
+        elif cls is AWrite or cls is AAWrite:
             out += (nl, c.array, "[")
             _print_expr(out, c.index, _ADD)
             out.append("] <- ")
             _print_expr(out, c.value, _ADD)
-        elif cls is If:
+            if cls is AAWrite:
+                out.append(f"  # index={c.lbl_index}")
+        elif cls is If or cls is AIf:
             out += (nl, "if ")
             _print_expr(out, c.cond, _OR)
-            out.append(" then")
+            out.append(" then" if cls is If else f" then  # cond={c.lbl}")
             inner = nl + "  "
             todo.append((nl + "end", nl))
             if c.other.__class__ is not Skip:
                 todo += ((c.other, inner), (nl + "else", nl))
             todo.append((c.then, inner))
-        elif cls is While:
+        elif cls is While or cls is AWhileC:
             out += (nl, "while ")
             _print_expr(out, c.cond, _OR)
-            out.append(" do")
+            out.append(" do" if cls is While else f" do  # cond={c.lbl}")
             todo += ((nl + "end", nl), (c.body, nl + "  "))
-        elif cls is Skip:
+        elif cls is Skip or cls is ASkip:
             out += (nl, "skip")
+        elif cls is ABranch:
+            out += (nl, f"# branch pc={c.lbl}")
+            todo.append((c.body, nl))
         else:
             raise TypeError(f"not a command: {c!r}")
     return "".join(out)[1:]

@@ -662,8 +662,9 @@ def test_lemma_checks_type_the_program_once(files, capsys, monkeypatch, prop, va
         "i in {0,1,4}\na1_size in {4}\nsecret in {0,1}\n"
         "a1 : size 4 in {0}\na2 : size 4 in {0}\na3 : size 1 in {0,1}"
     ))
+    bounds = ["--max-dirs", "3"] if prop == "unwind" else []  # ni takes none
     assert main(["check", "--property", prop, "--variant", variant, "--labels", labels,
-                 "--space", space, "--max-dirs", "3", p]) == 0
+                 "--space", space, *bounds, p]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert int(first.split(": ")[1]) > 0  # the check covered pairs
     assert calls == {"wt_ifc": 0, "flow_track": 0, typer: 1}
@@ -687,9 +688,9 @@ def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transfo
     space = files("space", "i in {0,1,4}\na1_size in {4}\na1 : size 4 in {0}\n"
                            "a2 : size 4 in {0}\na3 : size 1 in {0,1}")
     # six random runs, then one run per state of the six-state space
-    for extra in (["--trials", "6"], ["--dirs", "force load a3 0 step"]):
+    for extra in (["--trials", "6", "--max-dirs", "4"], ["--dirs", "force load a3 0 step"]):
         assert main(["check", "--property", "bcc", "--variant", variant, "--labels", labels,
-                     "--space", space, "--max-dirs", "4", *extra, p]) == 0
+                     "--space", space, *extra, p]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "runs: 6"
     # once per check: the hardening, and for fsfvslh the one annotation
     # that both the ideal source and the hardening start from
@@ -887,10 +888,53 @@ def test_analyze_prints_the_annotated_program_once(files, capsys, monkeypatch):
     import awhile.cli as cli
 
     calls = []
-    real = cli.pretty_acom
-    monkeypatch.setattr(cli, "pretty_acom", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(cli, "pretty_com", lambda a: calls.append(a) or pretty_com(a))
     assert main(["analyze", files("p.aw", LISTING1)]) == 0
     assert len(calls) == 1
+
+
+ANALYZED = """\
+i := 0;
+while i < n do  # cond=public
+  if i < a_size then  # cond=public
+    x <- a[i];  # target=public index=public
+    c[i] <- x + s  # index=public
+  else
+    y := 0
+  end;
+  i := i + 1
+end;
+if s = 0 then  # cond=secret
+  y <- c[0]  # target=secret index=public
+else
+  skip
+end
+
+# final labeling
+a_size: public
+i: public
+n: public
+s: secret
+x: public
+y: secret
+a: public
+c: secret
+"""
+
+
+def test_analyze_text(files, capsys):
+    # each label is a trailing comment; an 'if' without 'else' prints one
+    program = files("p.aw", """\
+i := 0;
+while i < n do
+  if i < a_size then x <- a[i]; c[i] <- x + s else y := 0 end;
+  i := i + 1
+end;
+if s = 0 then y <- c[0] end
+""")
+    labels = files("l", "".join(f"{n}: public\n" for n in "i n a_size a x c y".split()))
+    assert main(["analyze", "--labels", labels, program]) == 0
+    assert capsys.readouterr().out == ANALYZED
 
 
 # listing 2 is checked at max_dirs 10 at least
@@ -921,15 +965,6 @@ def test_repro_text_says_when_it_raised_the_bound(capsys):
     # a bound at or above the listing's own is used as given
     assert main(["repro", "--listing", "2", "--max-dirs", "10"]) == 0
     assert "raised" not in capsys.readouterr().out
-
-
-def test_check_equality_reads_its_space(files, capsys, monkeypatch, tmp_path):
-    p = files("p.aw", LISTING1)
-    monkeypatch.chdir(tmp_path)
-    assert main(["check", "--property", "equality", "--space", "missing", p]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot read 'missing': ")
 
 
 @pytest.mark.parametrize("variant", ["fislh", "fvslh", "fsfvslh"])
@@ -1029,13 +1064,25 @@ def test_arrays_are_checked_before_the_typing_precondition(files, capsys, prop):
     (["equality", "--seed", "0"], "--seed"),
     (["wl", "--dirs", "step"], "--dirs"),
     (["relsec", "--seed=4"], "--seed"),
+    (["equality", "--space", "missing"], "--space"),
+    (["equality", "--max-dirs", "3"], "--max-dirs"),
+    (["equality", "--fuel", "7"], "--fuel"),
+    (["ni", "--variant", "fislh", "--max-dirs", "0"], "--max-dirs"),
+    (["ni", "--variant", "fislh", "--fuel=0"], "--fuel"),
+    (["wl", "--fuel", "0"], "--fuel"),
+    (["bcc", "--variant", "fislh", "--dirs", "step", "--trials", "5"], "--trials"),
+    (["bcc", "--variant", "fvslh", "--dirs", "step", "--seed", "3"], "--seed"),
+    (["bcc", "--variant", "fsfvslh", "--dirs", "force", "--max-dirs", "2"], "--max-dirs"),
 ])
 def test_check_refuses_an_option_of_another_property(files, capsys, argv, option):
-    # refused, not dropped, read with and without argparse
+    # refused, not dropped, read with and without argparse, before any
+    # space file is read
     p = files("p.aw", "if x < 1 then y <- a[x] end\n")
-    assert main(["check", "--property", *argv, p]) == 2
+    where = "bcc --dirs" if argv[0] == "bcc" else argv[0]
+    space = [] if argv[0] == "equality" else ["--space", "missing"]
+    assert main(["check", "--property", *argv, *space, p]) == 2
     assert capsys.readouterr() == (
-        "", f"error: {option} does not apply to --property {argv[0]}\n")
+        "", f"error: {option} does not apply to --property {where}\n")
 
 
 def test_check_takes_the_seed_where_it_applies(files, capsys):
@@ -1084,7 +1131,8 @@ def test_flag_variable_where_nothing_is_hardened_is_refused(files, capsys, argv,
     # refused, not dropped, read with and without argparse; the same check
     # runs without the flag, and with the default's name spelled out
     p = files("p.aw", "if x < 1 then y <- a[x] end\n")
-    space = ["--space", files("s.space", "a : size 1 in {0}\n")]
+    space = [] if argv[0] == "equality" else [
+        "--space", files("s.space", "a : size 1 in {0}\n")]
     error = ("", f"error: --flag-var does not apply to {where}\n")
     for flag in (["--flag-var", "1x"], ["--flag-var=f"], ["--flag-var", "b"]):
         assert main(["check", "--property", *argv, *space, *flag, p]) == 2

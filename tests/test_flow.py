@@ -8,6 +8,7 @@ from awhile.flow_ifc import (
     AARead,
     AAsgn,
     ABranch,
+    AIf,
     ASeq,
     ASKIP,
     AWhileC,
@@ -15,12 +16,11 @@ from awhile.flow_ifc import (
     erase_acom,
     flow_track,
     pc_of_acom,
-    terminal,
     well_labeled,
 )
 from awhile.gen import NamePools, gen_program
 from awhile.ifc_static import LabelMap, Labeling, PUBLIC, SECRET, all_secret, parse_labeling
-from awhile.lang import Num, Var, _scalar_names, parse_com, syntax_equal
+from awhile.lang import Cmp, Num, Var, _scalar_names, parse_com, pretty_com, syntax_equal
 
 pools = NamePools(("x", "y", "i", "s", "n"), ("a", "c"))
 
@@ -97,12 +97,6 @@ def test_join_labelings_commutative(d1, d2):
 # --- helpers ---------------------------------------------------------------
 
 
-def test_terminal():
-    assert terminal(ASKIP)
-    assert terminal(ABranch(PUBLIC, ABranch(SECRET, ASKIP)))
-    assert not terminal(ABranch(PUBLIC, AAsgn("x", Num(1))))
-
-
 def test_branch_free():
     assert branch_free(ASKIP)
     assert not branch_free(ABranch(SECRET, ASKIP))
@@ -116,6 +110,51 @@ def test_pc_of_acom():
     # the head of a sequence carries the wrapper to look through
     seq = ASeq(ABranch(PUBLIC, ASKIP), ASKIP, _labeling(all_secret()))
     assert pc_of_acom(seq, SECRET) is PUBLIC
+
+
+def test_branch_wrappers_print_on_their_own_lines():
+    # a wrapper's line is followed by its body at the same indent, and a
+    # ';' goes before the annotation comment of the line it ends
+    labels = parse_labeling("i: public\nx: public\na: public")
+    com = parse_com("if i < 1 then x <- a[i]; y := 1 end")
+    acom, _ = flow_track(com, labels, labels, PUBLIC)
+    seq = acom.then
+    then = ASeq(ABranch(SECRET, seq.first), seq.second, seq.mid)
+    wrapped = ABranch(PUBLIC, ASeq(AIf(acom.cond, then, acom.other, acom.lbl),
+                                   ABranch(SECRET, ASKIP), seq.mid))
+    assert pretty_com(wrapped) == """\
+# branch pc=public
+if i < 1 then  # cond=public
+  # branch pc=secret
+  x <- a[i];  # target=public index=public
+  y := 1
+else
+  skip
+end;
+# branch pc=secret
+skip"""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100_000), label_dicts, st.sampled_from([PUBLIC, SECRET]))
+def test_annotated_print_reparses_to_the_erased_program(seed, labels, pc):
+    # the labels and the branch lines are comments
+    m = LabelMap(labels)
+    acom, _ = flow_track(gen_program(seed, 12, pools), m, m, pc)
+    for a in (acom, ABranch(pc, acom)):
+        assert pretty_com(parse_com(pretty_com(a))) == pretty_com(erase_acom(a))
+
+
+def test_annotated_print_of_deep_nesting():
+    depth = 1500
+    acom = AAsgn("x", Num(1))
+    for k in range(depth):
+        acom = AIf(Cmp("<", Var("x"), Num(k)), acom, ASKIP, SECRET)
+    lines = pretty_com(acom).splitlines()
+    assert len(lines) == 4 * depth + 1
+    assert lines[0] == f"if x < {depth - 1} then  # cond=secret"
+    assert lines[depth] == "  " * depth + "x := 1"
+    assert lines[-3:] == ["else", "  skip", "end"]
 
 
 def test_erase_acom():

@@ -93,18 +93,18 @@ def cases():
     ]
     for name, program, labels, space in _corpus():
         gadgets.append((name, {"p": program, "l": labels, "s": space}, ["--max-dirs", "4"]))
-    for name, files, bounds in gadgets:
-        common = ["--labels", "l", "--space", "s", *bounds, "--fuel", "200",
-                  "--format", "json", "p"]
+    for name, files, max_dirs in gadgets:
+        bounds = [*max_dirs, "--fuel", "200"]  # ni takes none
+        common = ["--labels", "l", "--space", "s", "--format", "json", "p"]
         for prop in ("sct", "relsec"):
             for v in VARIANTS:
                 out.append((f"{name}/{prop}/{v}", files,
-                            ["check", "--property", prop, "--variant", v, *common]))
+                            ["check", "--property", prop, "--variant", v, *bounds, *common]))
         if name == "looped":
             continue
         for v in FLEXIBLE:
-            for prop, extra in (("unwind", []), ("ni", []),
-                                ("bcc", ["--trials", "4", "--seed", "3"])):
+            for prop, extra in (("unwind", bounds), ("ni", []),
+                                ("bcc", ["--trials", "4", "--seed", "3", *bounds])):
                 out.append((f"{name}/{prop}/{v}", files,
                             ["check", "--property", prop, "--variant", v, *extra, *common]))
     return out

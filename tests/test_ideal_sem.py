@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from awhile.flow_ifc import ABranch, AIf, flow_track, terminal
+from awhile.flow_ifc import ABranch, AIf, ASKIP, flow_track
 from awhile.gen import (
     NamePools,
     gen_program,
@@ -170,7 +170,7 @@ def test_fs_seq_skip_restores_pc():
     cfg = variant.step(cfg, None).cfg  # pop the finished head
     assert cfg.pc is PUBLIC  # restored by the branch wrapper
     cfg = variant.step(cfg, None).cfg  # k := 2
-    assert terminal(cfg.acom)
+    assert cfg.acom == ASKIP  # no wrapper is left
 
 
 def test_fs_write_index_masked_on_listing6():
