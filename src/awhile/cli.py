@@ -11,7 +11,8 @@ an abbreviation, a bad value, an unknown command) goes to the argparse
 parser built from the same table, which owns help, usage and errors.
 
 Environment variables SLH_MAX_DIRS and SLH_FUEL override the default
-exploration bounds when the corresponding flags are not given.
+exploration bounds when the corresponding flags are not given; each is
+read only by a command that takes its bound.
 """
 
 from __future__ import annotations
@@ -129,10 +130,15 @@ def _bound(value: Optional[int], flag: str, env: str, fallback: int) -> int:
     return value
 
 
-def _bounds(args) -> Bounds:
+def _bounds(args, takes=("--max-dirs", "--fuel")) -> Bounds:
+    """The bounds of a command that ``takes`` the given bound options.  A
+    bound it does not take keeps its default, and its environment variable
+    is not read."""
     return Bounds(
-        _bound(args.max_dirs, "--max-dirs", "SLH_MAX_DIRS", seccheck.DEFAULT_MAX_DIRS),
-        _bound(args.fuel, "--fuel", "SLH_FUEL", seccheck.DEFAULT_FUEL),
+        _bound(args.max_dirs, "--max-dirs", "SLH_MAX_DIRS", seccheck.DEFAULT_MAX_DIRS)
+        if "--max-dirs" in takes else seccheck.DEFAULT_MAX_DIRS,
+        _bound(args.fuel, "--fuel", "SLH_FUEL", seccheck.DEFAULT_FUEL)
+        if "--fuel" in takes else seccheck.DEFAULT_FUEL,
     )
 
 
@@ -390,7 +396,7 @@ _PROPERTIES = {
         a.variant or "none", c, P, P, space, b, a.flag_var
     ),
     "bcc": lambda a, c, P, space, b: check_bcc_space(
-        a.variant, c, P, P, space, b, parse_dirs(a.dirs) if a.dirs else None,
+        a.variant, c, P, P, space, b, parse_dirs(a.dirs) if a.dirs is not None else None,
         100 if a.trials is None else a.trials, a.seed or 0, a.flag_var,
     ),
     "ni": lambda a, c, P, space, b: check_ni(a.variant, c, P, P, space),
@@ -422,7 +428,7 @@ def cmd_check(args) -> int:
     if args.property in ("bcc", "ni", "unwind") and args.variant not in _IDEAL_VARIANTS.values():
         raise CliError(f"--property {args.property} needs --variant fislh|fvslh|fsfvslh")
     row = args.property
-    if row == "bcc" and args.dirs:  # an empty one fixes none
+    if row == "bcc" and args.dirs is not None:  # an empty one fixes no directive
         row += " --dirs"
     for option in _CHECK_OPTIONS["bcc"]:  # every option, in bcc's row
         if option not in _CHECK_OPTIONS[row] and getattr(
@@ -441,7 +447,7 @@ def cmd_check(args) -> int:
         if args.property in ("sct", "relsec"):
             where += f" --variant {args.variant}" if args.variant else " without --variant"
         raise CliError(f"--flag-var does not apply to {where}")
-    bounds = _bounds(args)
+    bounds = _bounds(args, _CHECK_OPTIONS[row])
     space = seccheck.StateSpace()
     if args.space:
         space = parse_space(_read_input(args.space))

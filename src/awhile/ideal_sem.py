@@ -53,6 +53,7 @@ from .spec_sem import (
     STUCK,
     Speculative,
     StepResult,
+    candidate_classes,
     candidate_dirs,
     read_rule,
     write_rule,
@@ -285,6 +286,7 @@ class IdealFS:
     step = _step_fs
     advance = _silent_fs
     candidates = candidate_dirs
+    classes = candidate_classes
 
     @staticmethod
     def is_final(cfg: FsIdealConfig) -> bool:

@@ -85,7 +85,7 @@ from .lang import (
 )
 from .record import Record
 from .seq_sem import RunKind, seq_run
-from .spec_sem import Speculative, StepTag, feasible, load_class, run
+from .spec_sem import Speculative, StepTag, feasible, first_cells, run
 from .state import (
     ArrayState,
     Dir,
@@ -342,19 +342,20 @@ def enum_spec_runs(
 
 class _Node:
     """A configuration advanced to its next observing redex.  ``kids`` holds
-    the feasible children stepped so far, as (sort key, directive,
-    observation, child node), in dir_sort_key order; ``cands`` are the
-    candidate directives and ``pos`` the first one not yet stepped.
-    ``classes`` maps each load class (``load_class``) stepped so far to the
-    ``kids`` entry of its first load, or to None when it is stuck, until
-    every candidate is stepped.  The node keeps its configuration, which keeps
+    the feasible children stepped so far under the candidates that are not
+    loads, as (sort key, directive, observation, child node), in
+    dir_sort_key order; ``cands`` are those candidates and ``pos`` the
+    first one not yet stepped.  ``loads`` maps each load class (the value
+    read, see ``spec_sem.candidate_classes``) to its first load until the
+    tree steps it, and then to (that load, observation, child node), or to
+    None when it is stuck.  The node keeps its configuration, which keeps
     the objects its key names by identity alive."""
 
-    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids", "classes")
+    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids", "loads")
 
     def __init__(self, cfg, fuel: int, depth: int):
         self.cfg, self.fuel, self.depth = cfg, fuel, depth
-        self.cands, self.pos, self.kids, self.classes = None, 0, [], None
+        self.cands, self.pos, self.kids, self.loads = None, 0, [], None
 
 
 # every node the walk does not descend from: terminated, stuck, out of fuel,
@@ -364,12 +365,13 @@ _LEAF = _Node(None, 0, 0)
 
 class _Tree:
     """The directive tree of one configuration, expanded on demand: a node's
-    children are stepped one directive at a time, in dir_sort_key order
-    (the order the semantics list their candidates in), each at most once,
-    and a load not at all when an earlier load of its class was (loads of
-    one class step alike, see ``spec_sem.load_class``).  A node's subtree
-    depends only on its key (``cfg.key()``, fuel, depth), so ``nodes`` makes
-    the tree a DAG with one node per key."""
+    children are stepped one directive at a time, each at most once, the
+    directives that are not loads in dir_sort_key order (the order the
+    semantics list their candidates in), and one load per class, the first
+    time a walk or a sweep asks for that class (loads of one class step
+    alike, see ``spec_sem.candidate_classes``).  A node's subtree depends
+    only on its key (``cfg.key()``, fuel, depth), so ``nodes`` makes the
+    tree a DAG with one node per key."""
 
     __slots__ = ("sem", "max_dirs", "nodes", "root")
 
@@ -390,35 +392,53 @@ class _Tree:
         return n
 
     def kid(self, n: _Node, k: int):
-        """The k-th feasible child of n, or None past the last one.  Only
-        the first load of each class is stepped; the others share its
-        observation and child, each under its own directive."""
+        """The k-th feasible child of n under a directive that is not a
+        load, or None past the last one.  The first call lists n's
+        candidates, and so its load classes (``n.loads``)."""
         kids = n.kids
         while k >= len(kids):
             if n.cands is None:
-                n.cands = self.sem.candidates(n.cfg)
+                n.cands, n.loads = self.sem.classes(n.cfg)
             if n.pos == len(n.cands):
-                n.classes = None
                 return None
             d = n.cands[n.pos]
             n.pos += 1
-            # every directive but a load is a class of its own
-            cls = load_class(n.cfg, d) if d.__class__ is DLoad else None
-            if cls is not None and n.classes is not None and cls in n.classes:
-                first = n.classes[cls]
-                if first is not None:
-                    kids.append((dir_sort_key(d), d, first[2], first[3]))
-                continue
             r = self.sem.step(n.cfg, d)
-            stepped = r.tag is StepTag.STEPPED
-            if stepped:
+            if r.tag is StepTag.STEPPED:
                 child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
                 kids.append((dir_sort_key(d), d, r.obs, child))
-            if cls is not None:
-                if n.classes is None:
-                    n.classes = {}
-                n.classes[cls] = kids[-1] if stepped else None
         return kids[k]
+
+    def load(self, n: _Node, v):
+        """The child of n's load class ``v``, as (its first load,
+        observation, child node), or None when its loads are stuck; stepped
+        on the first call.  ``kid`` lists the classes."""
+        e = n.loads[v]
+        if e.__class__ is DLoad:
+            r = self.sem.step(n.cfg, e)
+            stepped = r.tag is StepTag.STEPPED
+            e = n.loads[v] = (
+                (e, r.obs, self._node(r.cfg, n.fuel - 1, n.depth + 1)) if stepped else None
+            )
+        return e
+
+
+def _load_pairs(mu1: ArrayState, mu2: ArrayState) -> dict:
+    """The loads two nodes both list, one per distinct pair of classes:
+    (value in ``mu1``, value in ``mu2``) -> the first load that reads it,
+    in dir_sort_key order of that load.  Both nodes list the loads of the
+    arrays both hold, at the indices below both sizes."""
+    pairs = {}
+    for name, vec1 in sorted(mu1.items()):
+        vec2 = mu2.vector(name)
+        if vec1 == vec2:  # the usual case: no pair of values to build
+            cells = {(v, v): j for v, j in first_cells(vec1).items()}
+        else:
+            cells = first_cells(list(zip(vec1, vec2)))
+        for p, j in cells.items():
+            if p not in pairs:
+                pairs[p] = DLoad(name, j)
+    return pairs
 
 
 def _joint_divergence(t1: _Tree, t2: _Tree):
@@ -426,37 +446,25 @@ def _joint_divergence(t1: _Tree, t2: _Tree):
     differ.  Returns (dirs, trace1, trace2, index) for the first divergence
     in canonical order, or None.  Directive sequences only one run can
     consume are vacuous for observational equivalence and are pruned: the
-    walk follows the directives feasible on both sides, merging the two
-    nodes' ordered children.  It enters each node pair once: a pair it
-    left clean (in ``clean``) has no divergence under it on any path."""
+    walk follows the directives feasible on both sides (``_shared``).  It
+    enters each node pair once: a pair it left clean (in ``clean``) has no
+    divergence under it on any path."""
     return _walk(t1, t2, t1.root, t2.root, [], [], [], set())
 
 
-def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
-    # a module-level function rather than a closure: a self-referencing
-    # closure would keep both trees alive until the cyclic collector runs
-    if n1 is _LEAF or n2 is _LEAF or (n1, n2) in clean:
-        return None
+def _shared(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node):
+    """The children two nodes have under one directive, as (directive,
+    observation 1, child 1, observation 2, child 2), in dir_sort_key order
+    of the directive: the merge of the two nodes' ordered children, then
+    the loads both list, one per distinct pair of classes, under its first
+    load.  A repeated pair has the same observations and the same pair of
+    children, so the walk would find it clean."""
     k1 = k2 = 0
     e1, e2 = t1.kid(n1, 0), t2.kid(n2, 0)
     while e1 is not None and e2 is not None:
         key1, key2 = e1[0], e2[0]
         if key1 == key2:
-            d, o1, o2 = e1[1], e1[2], e2[2]
-            if o1 != o2:
-                return (
-                    tuple(dirs) + (d,), tuple(obs1) + (o1,), tuple(obs2) + (o2,),
-                    len(obs1),
-                )
-            dirs.append(d)
-            obs1.append(o1)
-            obs2.append(o2)
-            res = _walk(t1, t2, e1[3], e2[3], dirs, obs1, obs2, clean)
-            if res is not None:
-                return res
-            dirs.pop()
-            obs1.pop()
-            obs2.pop()
+            yield e1[1], e1[2], e1[3], e2[2], e2[3]
         # advance the side with the smaller directive, or both on a match
         if key1 <= key2:
             k1 += 1
@@ -464,6 +472,35 @@ def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
         if key2 <= key1:
             k2 += 1
             e2 = t2.kid(n2, k2)
+    # loads sort after every other directive a read admits
+    if n1.loads and n2.loads:
+        for (v1, v2), d in _load_pairs(n1.cfg.mu, n2.cfg.mu).items():
+            e1 = t1.load(n1, v1)
+            if e1 is not None:
+                e2 = t2.load(n2, v2)
+                if e2 is not None:
+                    yield d, e1[1], e1[2], e2[1], e2[2]
+
+
+def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
+    # a module-level function rather than a closure: a self-referencing
+    # closure would keep both trees alive until the cyclic collector runs
+    if n1 is _LEAF or n2 is _LEAF or (n1, n2) in clean:
+        return None
+    for d, o1, c1, o2, c2 in _shared(t1, t2, n1, n2):
+        if o1 != o2:
+            return (
+                tuple(dirs) + (d,), tuple(obs1) + (o1,), tuple(obs2) + (o2,), len(obs1),
+            )
+        dirs.append(d)
+        obs1.append(o1)
+        obs2.append(o2)
+        res = _walk(t1, t2, c1, c2, dirs, obs1, obs2, clean)
+        if res is not None:
+            return res
+        dirs.pop()
+        obs1.pop()
+        obs2.pop()
     clean.add((n1, n2))
     return None
 
@@ -549,12 +586,12 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
     """Whether the directive tree of ``cfg`` expands in full without a step
     that decides something on ``OPAQUE`` (SecretDependence).  It sweeps the
     configurations the tree would reach with an explicit stack and keeps no
-    tree: each (configuration, fuel, depth) is stepped once per candidate,
-    and a load not at all when an earlier load of its class was, as
-    ``_Tree.kid`` steps them, so it steps what a full expansion steps.
+    tree: each (configuration, fuel, depth) is stepped once per candidate
+    that is not a load and once per load class (``sem.classes``), as
+    ``_Tree`` steps them, so it steps what a full expansion steps.
     ``seen`` keeps each configuration, so that the ids in its key stay
     valid."""
-    advance, candidates, step, stepped = sem.advance, sem.candidates, sem.step, StepTag.STEPPED
+    advance, classes, step, stepped = sem.advance, sem.classes, sem.step, StepTag.STEPPED
     max_dirs, todo, seen = bounds.max_dirs, [(cfg, bounds.fuel, 0)], {}
     try:
         while todo:
@@ -569,14 +606,10 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
             if key in seen:
                 continue
             seen[key] = cfg
-            classes = set()
-            for d in candidates(cfg):
-                if d.__class__ is DLoad:
-                    cls = load_class(cfg, d)
-                    if cls is not None:
-                        if cls in classes:
-                            continue
-                        classes.add(cls)
+            dirs, loads = classes(cfg)
+            if loads:
+                dirs = [*dirs, *loads.values()]
+            for d in dirs:
                 r = step(cfg, d)
                 if r.tag is stepped:
                     todo.append((r.cfg, fuel - 1, depth + 1))

@@ -29,7 +29,8 @@ policy and fixed labeling it is that hardening's ideal semantics
 the flow-sensitive ideal semantics.
 
 Every semantics is a value whose methods are its rule functions: ``step``
-(``step_ex``), ``advance`` (its silent loop), ``candidates`` and
+(``step_ex``), ``advance`` (its silent loop), ``candidates``
+(``candidate_dirs``), ``classes`` (``candidate_classes``) and
 ``is_final``.  It holds a per-check ``table`` of each ``while``'s unfolded
 command and each expression's compiled closure (``lang.compiled``); every
 rule evaluates through it.  ``run`` and ``feasible`` work over any
@@ -39,18 +40,20 @@ the configuration stuck; feasibility filtering belongs to the checker, not
 the semantics.
 
 A misspeculated load's successor and observation depend on its directive
-only through the value it reads, so ``load_class`` classes loads by that
-value.  The checker's directive tree (``seccheck._Tree``) steps one load per
-distinct value read at a node and gives the others that load's observation
-and successor; its group sweep (``seccheck._expands``) steps the same
-loads.  ``feasible`` and ``seccheck.enum_spec_runs`` still step every
-candidate: they are the reference the tree is tested against.
+only through the value it reads, so ``candidate_classes`` lists the loads
+at a node by that value, its load class: one load per distinct value, the
+first that reads it.  The checker's directive tree (``seccheck._Tree``),
+its pair walk and its group sweep (``seccheck._expands``) work per class,
+so their cost at a misspeculated access grows with the values the arrays
+hold, not with their cells.  ``candidate_dirs`` lists every load, from the
+same classes; ``feasible`` and ``seccheck.enum_spec_runs`` step each one:
+they are the reference the tree is tested against.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .flow_ifc import AARead, AAWrite, AIf
 from .ifc_static import label_of_expr
@@ -129,19 +132,6 @@ def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: 
             return 0, i, True
         return mu.get(d.array, d.index), i, True
     return None
-
-
-def load_class(cfg, d: DLoad):
-    """The class of the load ``d`` at ``cfg``: loads of one class step
-    ``cfg`` alike, to successors with equal keys and equal observations.  A
-    load of an in-bounds cell is classed by the cell's value: ``read_rule``
-    decides whether it steps from the flag, the labels and the original
-    index alone, reads that value (or 0 under a masking policy, where the
-    classes are finer than they need be) and observes the original index.
-    A load of an out-of-bounds cell, like every other directive, is a class
-    of its own, and gets None."""
-    vec = cfg.mu.vector(d.array)
-    return vec[d.index] if d.index < len(vec) else None
 
 
 def write_rule(policy, li, le, table, rho, mu, flag: bool, array: str, index, value, d: Dir):
@@ -292,28 +282,66 @@ def step_ex(sem, cfg: SpecConfig, d: Optional[Dir]) -> StepResult:
     raise TypeError(f"not a command: {c!r}")
 
 
-def candidate_dirs(sem, cfg) -> List[Dir]:
-    """Directives that could apply at the redex of ``cfg``, in dir_sort_key
-    order; empty when the next step is silent.  A branch admits step and
-    force.  An access admits step unless its index is out of bounds and the
-    semantics cannot mask it (``sem.masked`` false), and, while
-    misspeculating with the real index out of bounds, one load/store per
-    in-bounds cell of every array."""
+def first_cells(vec) -> Dict[object, int]:
+    """Each value ``vec`` holds -> the index of its first cell, in the
+    order of those cells.  The passes over the cells run in C and compare
+    no values, only hash them, so a vector that holds ``OPAQUE`` decides
+    nothing on it."""
+    first = dict(zip(reversed(vec), range(len(vec) - 1, -1, -1)))
+    if len(first) == len(vec):
+        return dict(zip(vec, range(len(vec))))
+    return {v: first[v] for v in dict.fromkeys(vec)}
+
+
+def candidate_classes(sem, cfg) -> Tuple[List[Dir], Dict[object, DLoad]]:
+    """The directives that could apply at the redex of ``cfg``, by class:
+    those that are not loads, in dir_sort_key order, and the loads as a
+    map from each value an in-bounds cell holds to the first load of it in
+    dir_sort_key order, in that order.  Both are empty when the next step
+    is silent.  A branch admits step and force.  An access admits step
+    unless its index is out of bounds and the semantics cannot mask it
+    (``sem.masked`` false), and, while misspeculating with the real index
+    out of bounds, a load/store of any in-bounds cell of any array.
+
+    Loads of one value step ``cfg`` alike, to successors with equal keys
+    and equal observations: ``read_rule`` decides whether a load steps from
+    the flag, the labels and the original index alone, reads the cell's
+    value (or 0 under a masking policy, where the classes are finer than
+    they need be) and observes the original index.  A store is a class of
+    its own."""
     redex = cfg.redex
     cls = redex.__class__
     if cls is If or cls is AIf:
-        return [STEP, FORCE]
+        return [STEP, FORCE], {}
     if cls is ARead or cls is AARead:
-        ctor = DLoad
+        reads = True
     elif cls is AWrite or cls is AAWrite:
-        ctor = DStore
+        reads = False
     else:
-        return []
+        return [], {}
     oob = compiled(sem.table, redex.index)(cfg.rho._m) >= cfg.mu.size(redex.array)
     dirs: List[Dir] = [STEP] if sem.masked or not oob else []
+    loads: Dict[object, DLoad] = {}
     if cfg.flag and oob:
-        for name, vec in sorted(cfg.mu.items()):
-            dirs.extend([_build(ctor, (name, j)) for j in range(len(vec))])
+        if reads:
+            for name, vec in sorted(cfg.mu.items()):
+                for v, j in first_cells(vec).items():
+                    if v not in loads:
+                        loads[v] = _build(DLoad, (name, j))
+        else:
+            for name, vec in sorted(cfg.mu.items()):
+                dirs.extend([_build(DStore, (name, j)) for j in range(len(vec))])
+    return dirs, loads
+
+
+def candidate_dirs(sem, cfg) -> List[Dir]:
+    """Directives that could apply at the redex of ``cfg``, in dir_sort_key
+    order: those of ``candidate_classes``, with one load per in-bounds cell
+    of every array where it lists loads."""
+    dirs, loads = candidate_classes(sem, cfg)
+    if loads:
+        dirs.extend([_build(DLoad, (name, j))
+                     for name, vec in sorted(cfg.mu.items()) for j in range(len(vec))])
     return dirs
 
 
@@ -332,6 +360,7 @@ class Speculative:
     step = step_ex
     advance = silent_steps
     candidates = candidate_dirs
+    classes = candidate_classes
 
     @staticmethod
     def is_final(cfg: SpecConfig) -> bool:

@@ -1085,6 +1085,40 @@ def test_check_refuses_an_option_of_another_property(files, capsys, argv, option
         "", f"error: {option} does not apply to --property {where}\n")
 
 
+def test_bcc_with_empty_dirs_runs_each_state_once(files, capsys):
+    # an empty --dirs fixes no directive, as `run --dirs ''` does: one run
+    # per state, not the random trials
+    p = files("p.aw", LISTING1)
+    check = ["check", "--property", "bcc", "--variant", "fislh",
+             "--labels", files("labels", LISTING1_LABELS),
+             "--space", files("space", "i in {0,1,4}\na1_size in {4}\na1 : size 4 in {0}\n"
+                                       "a2 : size 4 in {0}\na3 : size 1 in {0,1}"),
+             "--dirs", ""]
+    assert main([*check, p]) == 0
+    assert capsys.readouterr().out.splitlines() == ["runs: 6", "holds"]
+    assert main([*check, "--trials", "3", p]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --trials does not apply to --property bcc --dirs\n")
+
+
+@pytest.mark.parametrize("env, argv, code", [
+    ({"SLH_FUEL": "-1"}, ["equality"], 0),
+    ({"SLH_MAX_DIRS": "-1"}, ["ni", "--variant", "fislh"], 0),
+    ({"SLH_FUEL": "-1"}, ["sct"], 2),
+])
+def test_check_reads_only_the_bound_variables_its_property_takes(
+        files, capsys, monkeypatch, env, argv, code):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    p = files("p.aw", "if x < 1 then y := 1 end\n")
+    assert main(["check", "--property", *argv, p]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured == ("", "error: SLH_FUEL must not be negative, got -1\n")
+    else:
+        assert captured.out.endswith("holds\n")
+
+
 def test_check_takes_the_seed_where_it_applies(files, capsys):
     p = files("p.aw", "if x < 1 then y := 1 end\n")
     for argv in (["wl", "--seed", "4"], ["bcc", "--variant", "fislh", "--seed", "4"]):

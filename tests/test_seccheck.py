@@ -11,7 +11,7 @@ from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.harden import FlagCollisionError
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH, _Policy
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
-from awhile.lang import parse_com, pretty_com
+from awhile.lang import Seq, parse_com, pretty_com
 import awhile.seccheck as seccheck
 from awhile.seccheck import (
     _LEAF,
@@ -41,11 +41,12 @@ from awhile.seccheck import (
     _Tree,
 )
 from awhile.seq_sem import RunKind, seq_run
-from awhile.spec_sem import Speculative, StepTag, feasible, load_class, run
+from awhile.spec_sem import Speculative, StepTag, feasible, run
 from awhile.state import (
     ArrayState,
     DLoad,
     dir_sort_key,
+    format_dirs,
     FORCE,
     OBranch,
     ORead,
@@ -492,6 +493,33 @@ def test_spec_equiv_agrees_with_leaf_reference():
     assert violated > 0
 
 
+def test_class_walk_agrees_with_leaf_reference():
+    # misspeculating starts at an out-of-bounds read, over arrays of up to 8
+    # cells in {0,1}, so the walk pairs few load classes for many loads; the
+    # two states differ in their arrays' sizes and, in about a third of the
+    # cases, in their names
+    rng = random.Random(79)
+    violated = renamed = later_cell = 0
+    for _ in range(120):
+        read = parse_com(f"x <- {rng.choice(pools.arrays)}[8]")
+        com = Seq(read, gen_program(rng.randrange(10**9), 10, pools))
+        s1 = random_state(rng, pools, 1, 8)
+        rho, mu = random_state(rng, pools, 1, 8)
+        if rng.random() < 0.35:
+            dropped = rng.choice(pools.arrays)
+            mu = ArrayState({n: vec for n, vec in mu.items() if n != dropped})
+            renamed += 1
+        s2 = (rho, mu)
+        v = check_spec_obs_equiv(com, s1, s2, True, 4, 100)
+        first = _leaf_reference(com, s1, com, s2, True, 4, 100)
+        assert v.holds == (first is None), pretty_com(com)
+        if not v.holds:
+            violated += 1
+            assert v.witness.dirs == first, pretty_com(com)
+            later_cell += any(isinstance(d, DLoad) and d.index > 0 for d in first)
+    assert violated > 30 and renamed > 30 and later_cell > 3
+
+
 # --- the shared directive DAG ------------------------------------------------
 
 # the benchmark's sct-deep gadget and space: the Listing-1 gadget run twice
@@ -509,6 +537,28 @@ _LOOPED_SPACE = parse_space(
 )
 
 
+def _cell(cfg, d):
+    """The value the load ``d`` reads at ``cfg``: its load class."""
+    return cfg.mu.vector(d.array)[d.index]
+
+
+def _children(tree, n):
+    """Every feasible child of the node n, one per directive, as
+    (directive, observation, child node), in dir_sort_key order: the
+    tree's children under the directives that are not loads, then, for
+    each load that ``sem.candidates`` lists, its class's child."""
+    out, k = [], 0
+    while tree.kid(n, k) is not None:
+        out.append(tree.kid(n, k)[1:])
+        k += 1
+    for d in tree.sem.candidates(n.cfg):
+        if isinstance(d, DLoad):
+            e = tree.load(n, _cell(n.cfg, d))
+            if e is not None:
+                out.append((d, *e[1:]))
+    return out
+
+
 def _dag_leaves(tree):
     """Every (directives, trace) leaf of the DAG read as a tree, in walk
     order, and the number of tree nodes that are not leaves."""
@@ -516,16 +566,12 @@ def _dag_leaves(tree):
     stack = [(tree.root, (), ())]
     while stack:
         n, dirs, trace = stack.pop()
-        if n is _LEAF or tree.kid(n, 0) is None:
+        children = [] if n is _LEAF else _children(tree, n)
+        if not children:
             leaves.append((dirs, trace))
             continue
         inner += 1
-        k, kids = 0, []
-        while tree.kid(n, k) is not None:
-            _, d, o, child = tree.kid(n, k)
-            kids.append((child, dirs + (d,), trace + (o,)))
-            k += 1
-        stack.extend(reversed(kids))
+        stack.extend(reversed([(child, dirs + (d,), trace + (o,)) for d, o, child in children]))
     return leaves, inner
 
 
@@ -592,11 +638,8 @@ def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
         if n is _LEAF or id(n) in seen:
             continue
         seen.add(id(n))
-        k = 0
-        while tree.kid(n, k) is not None:
-            todo.append(n.kids[k][3])
-            k += 1
-        assert n.classes is None  # dropped once every candidate is stepped
+        children = _children(tree, n)
+        todo.extend(child for _, _, child in children)
         want, masked = [], False
         for d in sem.candidates(n.cfg):
             r = sem.step(n.cfg, d)
@@ -604,13 +647,15 @@ def _assert_kids_step_every_candidate(sem, cfg, max_dirs, fuel, counts):
                 child = _subtree_key(sem, r.cfg, n.fuel - 1, n.depth + 1, max_dirs)
                 want.append((dir_sort_key(d), d, r.obs, child))
                 if isinstance(d, DLoad):
-                    masked |= r.cfg.rho.get(n.cfg.redex.name) != load_class(n.cfg, d)
-        got = [(key, d, o, None if c is _LEAF else (c.cfg.key(), c.fuel, c.depth))
-               for key, d, o, c in n.kids]
+                    masked |= r.cfg.rho.get(n.cfg.redex.name) != _cell(n.cfg, d)
+        got = [(dir_sort_key(d), d, o, None if c is _LEAF else (c.cfg.key(), c.fuel, c.depth))
+               for d, o, c in children]
         assert got == want
-        loads = [d for d in n.cands if isinstance(d, DLoad)]
-        counts["shared"] += len({load_class(n.cfg, d) for d in loads}) < len(loads)
-        counts["rejected"] += bool(loads) and not any(isinstance(e[1], DLoad) for e in n.kids)
+        loads = [d for d in sem.candidates(n.cfg) if isinstance(d, DLoad)]
+        # one class per value, in the order of its first load
+        assert list(n.loads) == list(dict.fromkeys(_cell(n.cfg, d) for d in loads))
+        counts["shared"] += len(n.loads) < len(loads)
+        counts["rejected"] += bool(loads) and not any(isinstance(e[0], DLoad) for e in children)
         counts["masked"] += masked
 
 
@@ -688,6 +733,46 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
         *FIXTURES[1].pair(), (FORCE, DLoad("a3", 0), STEP),
         *[(OBranch(False), ORead("a1", 4), r) for r in reads], 2,
     )
+
+
+def _listing1_work(monkeypatch, cells):
+    """Listing 1's pair with ``a2`` of ``cells`` zero cells: the verdict of
+    its check, and the ``_walk`` calls, tree nodes and steps it took."""
+    pair = [(rho, ArrayState({**dict(mu.items()), "a2": (0,) * cells}))
+            for rho, mu in FIXTURES[1].pair()]
+    work, trees = collections.Counter(), []
+    real_step, real_walk, real_joint = Speculative.step, seccheck._walk, seccheck._joint_divergence
+
+    def step(*args):
+        work["steps"] += 1
+        return real_step(*args)
+
+    def walk(*args):
+        work["walks"] += 1
+        return real_walk(*args)
+
+    def joint(t1, t2):
+        trees.extend((t1, t2))
+        return real_joint(t1, t2)
+
+    with monkeypatch.context() as m:
+        m.setattr(Speculative, "step", step)
+        m.setattr(seccheck, "_walk", walk)
+        m.setattr(seccheck, "_joint_divergence", joint)
+        v = check_spec_obs_equiv(LISTING1.program(), *pair, False, 12, 200)
+    work["nodes"] = sum(len(t.nodes) for t in trees)
+    return v, work
+
+
+def test_listing1_work_does_not_grow_with_the_array(monkeypatch):
+    # a misspeculated read loads from every cell of a2, all of one value:
+    # one load class, whatever the array's size
+    (v64, work64), (v1000, work1000) = [_listing1_work(monkeypatch, n) for n in (64, 1000)]
+    for v in (v64, v1000):
+        assert v.status is VerdictStatus.VIOLATED
+        assert format_dirs(v.witness.dirs) == "force load a3 0 step"
+    assert work64 == work1000
+    assert work64["walks"] < 64
 
 
 # --- one directive tree per group of states -----------------------------------
@@ -829,12 +914,7 @@ def _expands_by_tree(sem, cfg, bounds):
             if n is _LEAF or n in seen:
                 continue
             seen.add(n)
-            k = 0
-            e = tree.kid(n, 0)
-            while e is not None:
-                todo.append(e[3])
-                k += 1
-                e = tree.kid(n, k)
+            todo.extend(child for _, _, child in _children(tree, n))
     except seccheck.SecretDependence:
         return False
     return True
@@ -851,6 +931,9 @@ class _RecordedSteps:
 
     def candidates(self, cfg):
         return self.sem.candidates(cfg)
+
+    def classes(self, cfg):
+        return self.sem.classes(cfg)
 
     def step(self, cfg, d):
         self.steps[cfg.key(), d] += 1
