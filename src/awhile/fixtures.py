@@ -38,7 +38,6 @@ class Fixture(Record):
     space_text: str
     # states for the pairwise replays (listings 1 and 2)
     pair_state_texts: Optional[Tuple[str, str]] = None
-    attack_dirs_text: Optional[str] = None
 
     def program(self) -> Com:
         return parse_com(self.program_text)
@@ -98,7 +97,6 @@ a2 : size 4 in {0}
 a3 : size 1 in {42,43}
 """,
     pair_state_texts=(_EX3_STATE_1, _EX3_STATE_2),
-    attack_dirs_text="force load a3 0 step",
 )
 
 LISTING2 = Fixture(

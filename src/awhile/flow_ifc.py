@@ -10,6 +10,10 @@ so the iteration count is bounded by the number of names the body assigns.
 
 Branch nodes never appear in analysis output; they are introduced at run
 time by the flow-sensitive ideal semantics to save and restore the pc label.
+The well-labeledness judgment is one walk over an explicit stack, so it
+judges any nesting depth: each entry says whether a Branch wrapper may
+stand there, which keeps wrappers to the heads of sequence spines without
+walking any part twice.
 """
 
 from __future__ import annotations
@@ -74,31 +78,6 @@ def erase_acom(acom: ACom) -> Com:
     for first in reversed(firsts):
         out = Seq(first, out)
     return out
-
-
-def branch_free(acom: ACom) -> bool:
-    while isinstance(acom, ASeq):
-        if not branch_free(acom.first):
-            return False
-        acom = acom.second
-    if isinstance(acom, ABranch):
-        return False
-    if isinstance(acom, AIf):
-        return branch_free(acom.then) and branch_free(acom.other)
-    if isinstance(acom, AWhileC):
-        return branch_free(acom.body)
-    return True
-
-
-def pc_of_acom(acom: ACom, pc: Label) -> Label:
-    """Label of the outermost branch annotation along the head spine, or the
-    given pc when there is none.  Sequences delegate to their first half:
-    that is where a wrapper introduced by an earlier conditional lives."""
-    if isinstance(acom, ABranch):
-        return acom.lbl
-    if isinstance(acom, ASeq):
-        return pc_of_acom(acom.first, pc)
-    return pc
 
 
 # ---------------------------------------------------------------------------
@@ -199,67 +178,66 @@ def well_labeled(acom: ACom, initial: Labeling, pc: Label, final: Labeling) -> b
     ``initial`` at context ``pc``, ending below ``final``.
 
     All intermediate labelings are annotation fields, so the judgment is
-    decided without search.  Loop annotations are confirmed to be fixpoints:
-    the body must map the annotated labeling to itself at the raised pc, and
-    the loop's condition label is checked against that fixpoint labeling
-    (any labeling reachable during execution stays below it).
+    decided without search, in one walk over an explicit stack.  Loop
+    annotations are confirmed to be fixpoints: the body must map the
+    annotated labeling to itself at the raised pc, and the loop's condition
+    label is checked against that fixpoint labeling (any labeling reachable
+    during execution stays below it).
+
+    A Branch wrapper may stand only where the flow-sensitive ideal semantics
+    puts one: at the head of the sequence spine, through nested heads and
+    wrapper bodies, never in a later spine part, a branch arm or a loop
+    body.  The label the outermost wrapper of a head saves is the pc of the
+    rest of its spine.
     """
-    P, PA = initial.vars, initial.arrs
-    if isinstance(acom, ASkip):
-        return initial.leq(final)
-    if isinstance(acom, AAsgn):
-        upd = Labeling(P.set(acom.name, label_of_expr(P, acom.expr)), PA)
-        return upd.leq(final)
-    if isinstance(acom, ASeq):
-        # the spine, in a loop: each part after the head must be
-        # branch-free, and each is checked once
-        head = acom.first
-        if not well_labeled(head, initial, pc, acom.mid):
+    # (annotated command, initial, pc, final, whether a wrapper may stand)
+    todo = [(acom, initial, pc, final, True)]
+    while todo:
+        acom, initial, pc, final, wrapper = todo.pop()
+        P, PA, cls = initial.vars, initial.arrs, acom.__class__
+        if cls is ASeq:
+            head = acom.first
+            while wrapper and head.__class__ is ASeq:
+                head = head.first
+            rest = head.lbl if wrapper and head.__class__ is ABranch else pc
+            todo += ((acom.second, acom.mid, rest, final, False),
+                     (acom.first, initial, pc, acom.mid, wrapper))
+            ok = True
+        elif cls is ABranch:
+            todo.append((acom.body, initial, pc, final, True))
+            ok = wrapper
+        elif cls is AIf:
+            pc2 = join(pc, acom.lbl)
+            todo += ((acom.other, initial, pc2, final, False),
+                     (acom.then, initial, pc2, final, False))
+            ok = label_leq(label_of_expr(P, acom.cond), acom.lbl)
+        elif cls is AWhileC:
+            todo.append((acom.body, acom.fix, join(pc, acom.lbl), acom.fix, False))
+            ok = (label_leq(label_of_expr(acom.fix.vars, acom.cond), acom.lbl)
+                  and initial.leq(acom.fix) and acom.fix.leq(final))
+        elif cls is ASkip:
+            ok = initial.leq(final)
+        elif cls is AAsgn:
+            ok = Labeling(P.set(acom.name, label_of_expr(P, acom.expr)), PA).leq(final)
+        elif cls is AARead:
+            ok = (
+                label_leq(label_of_expr(P, acom.index), acom.lbl_index)
+                and label_leq(pc, acom.lbl_target)
+                and label_leq(acom.lbl_index, acom.lbl_target)
+                and label_leq(PA.get(acom.array), acom.lbl_target)
+                and Labeling(P.set(acom.name, acom.lbl_target), PA).leq(final)
+            )
+        elif cls is AAWrite:
+            lbl = join(
+                PA.get(acom.array),
+                join(pc, join(acom.lbl_index, label_of_expr(P, acom.value))),
+            )
+            ok = (
+                label_leq(label_of_expr(P, acom.index), acom.lbl_index)
+                and Labeling(P, PA.set(acom.array, lbl)).leq(final)
+            )
+        else:
+            raise TypeError(f"not an annotated command: {acom!r}")
+        if not ok:
             return False
-        pc, initial, acom = pc_of_acom(head, pc), acom.mid, acom.second
-        while isinstance(acom, ASeq):
-            part = acom.first
-            if not (branch_free(part) and well_labeled(part, initial, pc, acom.mid)):
-                return False
-            initial, acom = acom.mid, acom.second
-        return branch_free(acom) and well_labeled(acom, initial, pc, final)
-    if isinstance(acom, AIf):
-        pc2 = join(pc, acom.lbl)
-        return (
-            label_leq(label_of_expr(P, acom.cond), acom.lbl)
-            and branch_free(acom.then)
-            and branch_free(acom.other)
-            and well_labeled(acom.then, initial, pc2, final)
-            and well_labeled(acom.other, initial, pc2, final)
-        )
-    if isinstance(acom, AWhileC):
-        pc2 = join(pc, acom.lbl)
-        return (
-            label_leq(label_of_expr(acom.fix.vars, acom.cond), acom.lbl)
-            and branch_free(acom.body)
-            and initial.leq(acom.fix)
-            and acom.fix.leq(final)
-            and well_labeled(acom.body, acom.fix, pc2, acom.fix)
-        )
-    if isinstance(acom, AARead):
-        upd = Labeling(P.set(acom.name, acom.lbl_target), PA)
-        return (
-            label_leq(label_of_expr(P, acom.index), acom.lbl_index)
-            and label_leq(pc, acom.lbl_target)
-            and label_leq(acom.lbl_index, acom.lbl_target)
-            and label_leq(PA.get(acom.array), acom.lbl_target)
-            and upd.leq(final)
-        )
-    if isinstance(acom, AAWrite):
-        lbl = join(
-            PA.get(acom.array),
-            join(pc, join(acom.lbl_index, label_of_expr(P, acom.value))),
-        )
-        upd = Labeling(P, PA.set(acom.array, lbl))
-        return (
-            label_leq(label_of_expr(P, acom.index), acom.lbl_index)
-            and upd.leq(final)
-        )
-    if isinstance(acom, ABranch):
-        return well_labeled(acom.body, initial, pc, final)
-    raise TypeError(f"not an annotated command: {acom!r}")
+    return True

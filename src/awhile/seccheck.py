@@ -39,11 +39,12 @@ its pairs walked.  This is dynamic information-flow tracking over a flat
 abstract domain (Cousot & Cousot, POPL 1977).  A settled group holds no
 divergent pair, so the first divergent pair, its position and its witness do
 not change.  For the pairs walked, each state gets one directive tree,
-expanded lazily, shared by every pair walk the state takes part in, and
-dropped after the state's last pair.  A tree is a DAG: its nodes are
-hash-consed on (configuration, fuel, depth) (Filliâtre & Conchon, ML
-Workshop 2006), so paths that reconverge on a configuration step it once,
-and no node is freed behind a walk, since another parent may reach it.  A
+whose nodes are expanded in one step when a walk first reaches them, shared
+by every pair walk the state takes part in, and dropped after the state's
+last pair.  A tree is a DAG: its nodes are hash-consed on (configuration,
+fuel, depth) (Filliâtre & Conchon, ML Workshop 2006), so paths that
+reconverge on a configuration step it once, and no node is freed behind a
+walk, since another parent may reach it.  A
 pair walk merges two trees, stepping each (node, directive) at most once,
 and skips the node pairs it already found clean, which are clean in any
 context (the product visited set of explicit-state model checking).  Every
@@ -186,6 +187,10 @@ class SpaceFormatError(Exception):
 
 class PreconditionError(Exception):
     pass
+
+
+class _IllTyped(PreconditionError):
+    """A program outside a lemma's typing precondition."""
 
 
 class StateSpace(Record):
@@ -341,21 +346,20 @@ def enum_spec_runs(
 
 
 class _Node:
-    """A configuration advanced to its next observing redex.  ``kids`` holds
-    the feasible children stepped so far under the candidates that are not
-    loads, as (sort key, directive, observation, child node), in
-    dir_sort_key order; ``cands`` are those candidates and ``pos`` the
-    first one not yet stepped.  ``loads`` maps each load class (the value
-    read, see ``spec_sem.candidate_classes``) to its first load until the
-    tree steps it, and then to (that load, observation, child node), or to
-    None when it is stuck.  The node keeps its configuration, which keeps
-    the objects its key names by identity alive."""
+    """A configuration advanced to its next observing redex.  Once the tree
+    expands it, ``kids`` holds its feasible children under the candidates
+    that are not loads, as (sort key, directive, observation, child node),
+    in dir_sort_key order, and ``loads`` maps each load class (the value
+    read, see ``spec_sem.candidate_classes``) to (the class's first load,
+    observation, child node), or to None when its loads are stuck; both are
+    None until then.  The node keeps its configuration, which keeps the
+    objects its key names by identity alive."""
 
-    __slots__ = ("cfg", "fuel", "depth", "cands", "pos", "kids", "loads")
+    __slots__ = ("cfg", "fuel", "depth", "kids", "loads")
 
     def __init__(self, cfg, fuel: int, depth: int):
         self.cfg, self.fuel, self.depth = cfg, fuel, depth
-        self.cands, self.pos, self.kids, self.loads = None, 0, [], None
+        self.kids = self.loads = None
 
 
 # every node the walk does not descend from: terminated, stuck, out of fuel,
@@ -364,14 +368,13 @@ _LEAF = _Node(None, 0, 0)
 
 
 class _Tree:
-    """The directive tree of one configuration, expanded on demand: a node's
-    children are stepped one directive at a time, each at most once, the
-    directives that are not loads in dir_sort_key order (the order the
-    semantics list their candidates in), and one load per class, the first
-    time a walk or a sweep asks for that class (loads of one class step
-    alike, see ``spec_sem.candidate_classes``).  A node's subtree depends
-    only on its key (``cfg.key()``, fuel, depth), so ``nodes`` makes the
-    tree a DAG with one node per key."""
+    """The directive tree of one configuration, each node expanded in one
+    step the first time a walk reaches it: its candidates that are not
+    loads, in dir_sort_key order (the order the semantics list them in),
+    and one load per class (loads of one class step alike, see
+    ``spec_sem.candidate_classes``).  A node's subtree depends only on its
+    key (``cfg.key()``, fuel, depth), so ``nodes`` makes the tree a DAG with
+    one node per key."""
 
     __slots__ = ("sem", "max_dirs", "nodes", "root")
 
@@ -391,36 +394,22 @@ class _Tree:
             n = self.nodes[key] = _Node(cfg, fuel - used, depth)
         return n
 
-    def kid(self, n: _Node, k: int):
-        """The k-th feasible child of n under a directive that is not a
-        load, or None past the last one.  The first call lists n's
-        candidates, and so its load classes (``n.loads``)."""
-        kids = n.kids
-        while k >= len(kids):
-            if n.cands is None:
-                n.cands, n.loads = self.sem.classes(n.cfg)
-            if n.pos == len(n.cands):
-                return None
-            d = n.cands[n.pos]
-            n.pos += 1
-            r = self.sem.step(n.cfg, d)
-            if r.tag is StepTag.STEPPED:
-                child = self._node(r.cfg, n.fuel - 1, n.depth + 1)
-                kids.append((dir_sort_key(d), d, r.obs, child))
-        return kids[k]
-
-    def load(self, n: _Node, v):
-        """The child of n's load class ``v``, as (its first load,
-        observation, child node), or None when its loads are stuck; stepped
-        on the first call.  ``kid`` lists the classes."""
-        e = n.loads[v]
-        if e.__class__ is DLoad:
-            r = self.sem.step(n.cfg, e)
-            stepped = r.tag is StepTag.STEPPED
-            e = n.loads[v] = (
-                (e, r.obs, self._node(r.cfg, n.fuel - 1, n.depth + 1)) if stepped else None
-            )
-        return e
+    def expand(self, n: _Node):
+        """n's ``kids`` and ``loads``, stepped on the first call."""
+        if n.kids is None:
+            cfg, fuel, depth, step = n.cfg, n.fuel - 1, n.depth + 1, self.sem.step
+            dirs, loads = self.sem.classes(cfg)
+            n.kids = []
+            for d in dirs:
+                r = step(cfg, d)
+                if r.tag is StepTag.STEPPED:
+                    n.kids.append((dir_sort_key(d), d, r.obs, self._node(r.cfg, fuel, depth)))
+            for v, d in loads.items():
+                r = step(cfg, d)
+                stepped = r.tag is StepTag.STEPPED
+                loads[v] = (d, r.obs, self._node(r.cfg, fuel, depth)) if stepped else None
+            n.loads = loads
+        return n.kids, n.loads
 
 
 def _load_pairs(mu1: ArrayState, mu2: ArrayState) -> dict:
@@ -459,27 +448,20 @@ def _shared(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node):
     the loads both list, one per distinct pair of classes, under its first
     load.  A repeated pair has the same observations and the same pair of
     children, so the walk would find it clean."""
-    k1 = k2 = 0
-    e1, e2 = t1.kid(n1, 0), t2.kid(n2, 0)
-    while e1 is not None and e2 is not None:
-        key1, key2 = e1[0], e2[0]
-        if key1 == key2:
-            yield e1[1], e1[2], e1[3], e2[2], e2[3]
-        # advance the side with the smaller directive, or both on a match
-        if key1 <= key2:
-            k1 += 1
-            e1 = t1.kid(n1, k1)
-        if key2 <= key1:
+    kids1, loads1 = t1.expand(n1)
+    kids2, loads2 = t2.expand(n2)
+    k2, end2 = 0, len(kids2)
+    for key, d, o1, c1 in kids1:
+        while k2 < end2 and kids2[k2][0] < key:
             k2 += 1
-            e2 = t2.kid(n2, k2)
+        if k2 < end2 and kids2[k2][0] == key:
+            yield d, o1, c1, kids2[k2][2], kids2[k2][3]
     # loads sort after every other directive a read admits
-    if n1.loads and n2.loads:
+    if loads1 and loads2:
         for (v1, v2), d in _load_pairs(n1.cfg.mu, n2.cfg.mu).items():
-            e1 = t1.load(n1, v1)
-            if e1 is not None:
-                e2 = t2.load(n2, v2)
-                if e2 is not None:
-                    yield d, e1[1], e1[2], e2[1], e2[2]
+            e1, e2 = loads1[v1], loads2[v2]
+            if e1 is not None and e2 is not None:
+                yield d, e1[1], e1[2], e2[1], e2[2]
 
 
 def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
@@ -588,7 +570,8 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
     configurations the tree would reach with an explicit stack and keeps no
     tree: each (configuration, fuel, depth) is stepped once per candidate
     that is not a load and once per load class (``sem.classes``), as
-    ``_Tree`` steps them, so it steps what a full expansion steps.
+    ``_Tree.expand`` steps a node, so it steps what expanding every node of
+    the tree steps.
     ``seen`` keeps each configuration, so that the ids in its key stay
     valid."""
     advance, classes, step, stepped = sem.advance, sem.classes, sem.step, StepTag.STEPPED
@@ -891,13 +874,14 @@ def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: b
     """The ideal semantics of a flexible variant, a builder of its initial
     configurations from (rho, mu, flag), and the program they start from:
     for fsfvslh the program's annotation, computed here once, and ``c``
-    otherwise.  With ``typed``, a program outside the lemmas' typing
-    precondition (IFC well-typed, or for fsfvslh a well-labeled
-    annotation) raises PreconditionError."""
+    otherwise.  A variant with no ideal semantics raises PreconditionError.
+    With ``typed``, a program outside the lemmas' typing precondition (IFC
+    well-typed, or for fsfvslh a well-labeled annotation) raises
+    ``_IllTyped``, a PreconditionError."""
     if variant_kind == "fsfvslh":
         acom, final = flow_track(c, P, PA, PUBLIC)
         if typed and not well_labeled(acom, Labeling(P, PA), PUBLIC, final):
-            raise PreconditionError("analysis output not well-labeled")
+            raise _IllTyped("analysis output not well-labeled")
         return (IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA),
                 acom)
     if variant_kind == "fislh":
@@ -910,7 +894,7 @@ def _ideal_source(variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, typed: b
             "are covered through the flexible ones"
         )
     if typed and not wt_ifc(P, PA, PUBLIC, c):
-        raise PreconditionError("program not IFC-well-typed")
+        raise _IllTyped("program not IFC-well-typed")
     return sem, lambda rho, mu, flag: SpecConfig(c, rho, mu, flag), c
 
 
@@ -1130,13 +1114,14 @@ def check_ni(
     """check_step_ni over the space: every pair of states (a state with
     itself included) in nested-scan order, both flags, and the directives
     none, step and force.  The program is typed once; an ill-typed program
-    checks nothing.  Only states with equal public scalars are paired, and
+    checks nothing, and a variant with no ideal semantics raises
+    PreconditionError.  Only states with equal public scalars are paired, and
     pairs outside the rest of the lemma's premise are skipped.  The verdict
     counts the steps as ``checked`` and holds every failure message."""
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
-    except PreconditionError:
+    except _IllTyped:
         return _counted("checked", 0, [], _NO_PAIR)
     value_based = variant_kind in ("fvslh", "fsfvslh")
     groups, every = _public_groups(states, P, all_secret()), range(len(states))
@@ -1190,14 +1175,15 @@ def check_unwinding_space(
     """check_unwinding over the space: the pairs of states meeting the
     lemma's premise (equal public scalars, and for fislh equal public
     arrays), in nested-scan order, walked over shared directive trees.  The
-    program is typed once; an ill-typed program walks no pair.  The verdict
+    program is typed once; an ill-typed program walks no pair, and a variant
+    with no ideal semantics raises PreconditionError.  The verdict
     counts the pairs walked, up to and including a violating one, as
     ``pairs``."""
     bounds = bounds.over(space)
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
-    except PreconditionError:
+    except _IllTyped:
         return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
     groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
     return _pair_verdict(

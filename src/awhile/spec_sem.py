@@ -43,9 +43,10 @@ A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``candidate_classes`` lists the loads
 at a node by that value, its load class: one load per distinct value, the
 first that reads it.  The checker's directive tree (``seccheck._Tree``),
-its pair walk and its group sweep (``seccheck._expands``) work per class,
-so their cost at a misspeculated access grows with the values the arrays
-hold, not with their cells.  ``candidate_dirs`` lists every load, from the
+which expands a node by stepping its other candidates and one load per
+class, its pair walk and its group sweep (``seccheck._expands``) work per
+class, so their cost at a misspeculated access grows with the values the
+arrays hold, not with their cells.  ``candidate_dirs`` lists every load, from the
 same classes; ``feasible`` and ``seccheck.enum_spec_runs`` step each one:
 they are the reference the tree is tested against.
 """

@@ -12,10 +12,8 @@ from awhile.flow_ifc import (
     ASeq,
     ASKIP,
     AWhileC,
-    branch_free,
     erase_acom,
     flow_track,
-    pc_of_acom,
     well_labeled,
 )
 from awhile.gen import NamePools, gen_program
@@ -94,22 +92,85 @@ def test_join_labelings_commutative(d1, d2):
     assert l1.join(l2) == l2.join(l1)
 
 
-# --- helpers ---------------------------------------------------------------
+# --- branch wrappers -------------------------------------------------------
 
 
-def test_branch_free():
-    assert branch_free(ASKIP)
-    assert not branch_free(ABranch(SECRET, ASKIP))
-    nested = ASeq(ABranch(PUBLIC, ASKIP), ASKIP, _labeling(all_secret()))
-    assert not branch_free(nested)
+_PUBLIC_XA = _labeling(parse_labeling("x: public\na: public"))
+# a read into a public target: well-labeled only at a public pc
+_READ = AARead("x", "a", Num(0), PUBLIC, PUBLIC)
 
 
-def test_pc_of_acom():
-    assert pc_of_acom(ABranch(PUBLIC, ASKIP), SECRET) is PUBLIC
-    assert pc_of_acom(ASKIP, SECRET) is SECRET
-    # the head of a sequence carries the wrapper to look through
-    seq = ASeq(ABranch(PUBLIC, ASKIP), ASKIP, _labeling(all_secret()))
-    assert pc_of_acom(seq, SECRET) is PUBLIC
+def test_well_labeled_takes_a_wrapper_at_a_spine_head():
+    L = _PUBLIC_XA
+    assert well_labeled(ASKIP, L, SECRET, L)
+    assert well_labeled(ABranch(SECRET, ASKIP), L, PUBLIC, L)
+    assert well_labeled(ASeq(ABranch(PUBLIC, ASKIP), ASKIP, L), L, SECRET, L)
+    # the pc a head's outermost wrapper saves holds for the rest of the
+    # spine, through nested heads; with no wrapper the pc stays
+    assert not well_labeled(ASeq(ASKIP, _READ, L), L, SECRET, L)
+    assert well_labeled(ASeq(ASKIP, _READ, L), L, PUBLIC, L)
+    for wrapped in (ABranch(PUBLIC, ASKIP), ABranch(PUBLIC, ABranch(SECRET, ASKIP))):
+        for head in (wrapped, ASeq(wrapped, _READ, L), ASeq(ASeq(wrapped, ASKIP, L), _READ, L)):
+            assert well_labeled(ASeq(head, _READ, L), L, SECRET, L)
+        assert not well_labeled(ASeq(ABranch(SECRET, wrapped), _READ, L), L, SECRET, L)
+
+
+def test_well_labeled_refuses_a_wrapper_anywhere_else():
+    L, cond, wrapper = _PUBLIC_XA, Cmp("<", Var("x"), Num(1)), ABranch(PUBLIC, ASKIP)
+    for plain, wrapped in (
+        (ASeq(ASKIP, ASKIP, L), ASeq(ASKIP, wrapper, L)),  # a later spine part
+        (ASeq(ASKIP, ASeq(ASKIP, ASKIP, L), L), ASeq(ASKIP, ASeq(wrapper, ASKIP, L), L)),
+        (AIf(cond, ASKIP, ASKIP, PUBLIC), AIf(cond, ASKIP, wrapper, PUBLIC)),  # an arm
+        (AWhileC(cond, ASKIP, PUBLIC, L), AWhileC(cond, wrapper, PUBLIC, L)),  # a body
+    ):
+        assert well_labeled(plain, L, PUBLIC, L)
+        assert not well_labeled(wrapped, L, PUBLIC, L)
+
+
+def _wrap_spine_part(acom, i):
+    """``acom`` with its i-th spine part in a public wrapper."""
+    parts, mids = [], []
+    while isinstance(acom, ASeq):
+        parts.append(acom.first)
+        mids.append(acom.mid)
+        acom = acom.second
+    parts.append(acom)
+    parts[i] = ABranch(PUBLIC, parts[i])
+    out = parts.pop()
+    for first, mid in zip(reversed(parts), reversed(mids)):
+        out = ASeq(first, out, mid)
+    return out
+
+
+def test_well_labeled_judges_a_spine_in_one_call(monkeypatch):
+    calls = [0]
+    real = flow_ifc.well_labeled
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(flow_ifc, "well_labeled", counting)
+    labels = parse_labeling("x: public")
+    for n in (100, 400):
+        com = parse_com(";\n".join(["x := x + 1"] * n))
+        acom, out = flow_track(com, labels, labels, PUBLIC)
+        calls[0] = 0
+        assert flow_ifc.well_labeled(acom, _labeling(labels), PUBLIC, out)
+        # a wrapper at the head of the spine, in its second part, in its last
+        verdicts = [flow_ifc.well_labeled(_wrap_spine_part(acom, i), _labeling(labels),
+                                          PUBLIC, out) for i in (0, 1, -1)]
+        assert verdicts == [True, False, False]
+        assert calls[0] == 4
+
+
+def test_well_labeled_judges_deep_nesting():
+    depth, L = 1500, _labeling(all_secret())
+    for inner, holds in ((AAsgn("x", Num(1)), True), (ABranch(SECRET, ASKIP), False)):
+        acom = inner
+        for k in range(depth):
+            acom = AIf(Cmp("<", Var("x"), Num(k)), acom, ASKIP, SECRET)
+        assert well_labeled(acom, L, PUBLIC, L) is holds
 
 
 def test_branch_wrappers_print_on_their_own_lines():
@@ -172,7 +233,8 @@ def test_flow_track_total_and_erases_back(seed, labels, pc):
     m = LabelMap(labels)
     acom, _ = flow_track(com, m, m, pc)
     assert erase_acom(acom) == com
-    assert branch_free(acom)
+    # branch wrappers appear only at run time
+    assert "# branch" not in pretty_com(acom)
     # the name walk reads an annotated tree as the command it annotates
     arrays, annotated_arrays = set(), set()
     assert _scalar_names(acom, annotated_arrays) == _scalar_names(com, arrays)
@@ -264,26 +326,5 @@ def test_long_spines_are_walked_in_a_loop():
         com = parse_com(text)
         acom, out = flow_track(com, labels, labels, PUBLIC)
         assert syntax_equal(erase_acom(acom), com)
-        assert branch_free(acom)
+        assert "# branch" not in pretty_com(acom)
         assert well_labeled(acom, _labeling(labels), PUBLIC, out)
-
-
-def test_well_labeled_checks_branch_freedom_once_per_spine_part(monkeypatch):
-    calls = [0]
-    real = flow_ifc.branch_free
-
-    def counting(acom):
-        calls[0] += 1
-        return real(acom)
-
-    monkeypatch.setattr(flow_ifc, "branch_free", counting)
-    labels = parse_labeling("x: public")
-    counts = {}
-    for n in (100, 400):
-        com = parse_com(";\n".join(["x := x + 1"] * n))
-        acom, out = flow_track(com, labels, labels, PUBLIC)
-        calls[0] = 0
-        assert well_labeled(acom, _labeling(labels), PUBLIC, out)
-        counts[n] = calls[0]
-    # every part after the head once, not the rest of the spine at each part
-    assert counts == {100: 99, 400: 399}
