@@ -617,13 +617,6 @@ def vars_of_expr(e) -> frozenset:
     return frozenset(_scalar_names(e))
 
 
-def used_vars(c: Com) -> frozenset:
-    """All scalar names occurring anywhere in ``c`` (reads, writes, indices,
-    conditions).  Array names are not included.  An explicit stack keeps a
-    long program from exhausting the recursion limit."""
-    return frozenset(_scalar_names(c))
-
-
 def syntax_repr(node) -> str:
     """The record ``repr`` of a syntax tree, built with an explicit stack
     so that a long sequence spine cannot exhaust the recursion limit."""

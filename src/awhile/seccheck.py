@@ -545,11 +545,10 @@ def _abstract_state(states, group: Sequence[int]):
     """One state for a whole group: each scalar and array cell on which the
     group's states all agree, and ``OPAQUE`` for every other.  The scalar
     names are those bound in any of the states, since a state binds no zero
-    value.  None when the states differ in array names or sizes."""
+    value.  The callers pass states of one space (``enum_states``), which
+    all hold the same arrays at the same sizes: a size-0 array is dropped
+    from every state alike.  So the first state's arrays are everyone's."""
     members = [states[s] for s in group]
-    shape = [(n, len(vec)) for n, vec in sorted(members[0][1].items())]
-    if any([(n, len(vec)) for n, vec in sorted(mu.items())] != shape for _, mu in members):
-        return None
     m = {}
     for n in set().union(*[rho.names() for rho, _ in members]):
         values = {rho.get(n) for rho, _ in members}
@@ -559,7 +558,7 @@ def _abstract_state(states, group: Sequence[int]):
     arrays = {
         n: tuple(cells[0] if len(set(cells)) == 1 else OPAQUE
                  for cells in zip(*[mu.vector(n) for _, mu in members]))
-        for n, _ in shape
+        for n in sorted(members[0][1].names())
     }
     return ScalarState.adopt(m), ArrayState(arrays)
 
@@ -610,10 +609,8 @@ def _settled(sem, start, states, groups: Sequence[Sequence[int]], bounds: Bounds
     tree, and no pair of the group diverges."""
     settled = set()
     for group in groups:
-        if len(group) > 1:
-            abstract = _abstract_state(states, group)
-            if abstract is not None and _expands(sem, start(*abstract), bounds):
-                settled.update(group)
+        if len(group) > 1 and _expands(sem, start(*_abstract_state(states, group)), bounds):
+            settled.update(group)
     return settled
 
 
@@ -762,10 +759,9 @@ def _seq_traces(c: Com, states, groups: Sequence[Sequence[int]], fuel: int) -> d
     raises SecretDependence gets one run per state."""
     traces = {}
     for group in groups:
-        abstract = _abstract_state(states, group) if len(group) > 1 else None
-        if abstract is not None:
+        if len(group) > 1:
             try:
-                trace = seq_run(c, *abstract, fuel).trace
+                trace = seq_run(c, *_abstract_state(states, group), fuel).trace
             except SecretDependence:
                 pass
             else:
@@ -949,44 +945,33 @@ def check_bcc_space(
     seed: int = 0,
     flag_var: str = DEFAULT_FLAG_VAR,
 ) -> Verdict:
-    """check_bcc over a space.  With ``dirs``, one run per state in
-    enumeration order; otherwise ``trials`` runs, each from a state drawn
-    at random and driven by a random walk of the hardened program (seeded
-    by ``seed``).  The hardened program, the ideal source and the
-    speculative semantics are prepared once, and the array precondition
-    checked once (``_states``), before any run, so every walk and run
-    shares one per-check table.  Stops at the first failing run; the
-    verdict counts the runs as ``runs`` and holds the failure message."""
+    """check_bcc over a space, from each state in enumeration order with
+    ``dirs``, and otherwise from ``trials`` states drawn at random (seeded
+    by ``seed``).  Each run starts with the flag the state's flag variable
+    encodes and consumes ``dirs``, or else a random walk of the hardened
+    program drawn from the same generator right after its state.  The
+    hardened program, the ideal source and the speculative semantics are
+    prepared once, and the array precondition checked once (``_states``),
+    before any run, so every walk and run shares one per-check table.
+    Stops at the first failing run; the verdict counts the runs as ``runs``
+    and holds the failure message."""
     sem, start, hardened = _bcc_programs(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
     states = _states(c, space)
-    if dirs is None:
-        rng = random.Random(seed)
-        runs = (_random_bcc_run(rng, spec, states, hardened, bounds, flag_var)
-                for _ in range(trials))
-    else:
-        runs = ((rho, mu, _bcc_flag(rho, flag_var), dirs) for rho, mu in states)
+    rng = random.Random(seed)
+    picks = states if dirs is not None else (
+        states[rng.randrange(len(states))] for _ in range(trials))
     vacuous = "vacuous: no run was checked"
     count = 0
-    for rho, mu, flag, run_dirs in runs:
+    for rho, mu in picks:
+        flag = _bcc_flag(rho, flag_var)
+        walk = dirs if dirs is not None else random_spec_walk(
+            rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel)
         count += 1
-        ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, flag, run_dirs, bounds.fuel,
-                           flag_var)
+        ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, flag, walk, bounds.fuel, flag_var)
         if not ok:
             return _counted("runs", count, [why], vacuous)
     return _counted("runs", count, [], vacuous)
-
-
-def _random_bcc_run(rng: random.Random, spec: Speculative, states, hardened: Com,
-                    bounds: Bounds, flag_var: str):
-    """A random state, its initial flag, and a random walk of the hardened
-    program from the configuration the run checks, with that flag."""
-    rho, mu = states[rng.randrange(len(states))]
-    flag = _bcc_flag(rho, flag_var)
-    walk = random_spec_walk(
-        rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel
-    )
-    return rho, mu, flag, walk
 
 
 def _bcc_flag(rho: ScalarState, flag_var: str) -> bool:
@@ -1033,21 +1018,30 @@ def _bcc_run(spec, sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var) ->
     return True, "ok"
 
 
-def _ni_premise(value_based: bool, P: LabelMap, PA: LabelMap, s1, s2, flag: bool) -> str:
-    """Why two states are not related for single-step noninterference, or
-    the empty string when they are."""
+def _unrelated(variant_kind: str, P: LabelMap, PA: LabelMap, s1, s2, flag: bool) -> str:
+    """Why two states are not related by the premise of the lemmas of the
+    ideal semantics, or the empty string when they are: equal public
+    scalars, and equal public arrays, for fislh always and for the value
+    variants (fvslh, fsfvslh) only when not misspeculating."""
     if not pub_equiv_scalars(P, s1[0], s2[0]):
-        return "scalar states not public-equivalent"
-    if value_based:
-        if not flag and not pub_equiv_arrays(PA, s1[1], s2[1]):
-            return "array states not public-equivalent at flag=F"
-    elif not pub_equiv_arrays(PA, s1[1], s2[1]):
-        return "array states not public-equivalent"
+        return "scalars not public-equivalent"
+    if variant_kind == "fislh":
+        if not pub_equiv_arrays(PA, s1[1], s2[1]):
+            return "arrays not public-equivalent"
+    elif not flag and not pub_equiv_arrays(PA, s1[1], s2[1]):
+        return "arrays not public-equivalent at flag=F"
     return ""
 
 
+def _related_groups(variant_kind: str, states, P: LabelMap, PA: LabelMap) -> List[List[int]]:
+    """The states grouped by what ``_unrelated`` compares at both flags:
+    public scalars, and for fislh public arrays too (``_public_groups``).
+    Two states of different groups are unrelated at either flag."""
+    return _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
+
+
 def _step_ni(
-    sem, value_based: bool, P: LabelMap, PA: LabelMap, cfg1, cfg2, d: Optional[Dir]
+    sem, variant_kind: str, P: LabelMap, PA: LabelMap, cfg1, cfg2, d: Optional[Dir]
 ) -> Tuple[bool, str]:
     """One step of two related configurations under the same directive."""
     r1 = sem.step(cfg1, d)
@@ -1072,14 +1066,8 @@ def _step_ni(
         out_P, out_PA = n1.P, n1.PA
     else:
         out_P, out_PA = P, PA
-    if not pub_equiv_scalars(out_P, n1.rho, n2.rho):
-        return False, "successor scalars not public-equivalent"
-    if value_based:
-        if not n1.flag and not pub_equiv_arrays(out_PA, n1.mu, n2.mu):
-            return False, "successor arrays not public-equivalent at flag=F"
-    elif not pub_equiv_arrays(out_PA, n1.mu, n2.mu):
-        return False, "successor arrays not public-equivalent"
-    return True, "ok"
+    why = _unrelated(variant_kind, out_P, out_PA, (n1.rho, n1.mu), (n2.rho, n2.mu), n1.flag)
+    return (False, "successor " + why) if why else (True, "ok")
 
 
 def check_step_ni(
@@ -1092,20 +1080,19 @@ def check_step_ni(
     flag: bool,
     d: Optional[Dir],
 ) -> Tuple[bool, str]:
-    """Single-step noninterference of the ideal semantics: from two related
-    states, steps of the same command with equal directive and observation
-    yield equal successor commands, equal flags, public-equivalent scalars,
-    and the variant's array relation (unconditional for the index variant;
-    conditional on not misspeculating for the value variants).
+    """Single-step noninterference of the ideal semantics: from two states
+    related at ``flag`` (``_unrelated``), steps of the same command with
+    equal directive and observation yield equal successor commands, equal
+    flags, and successor states related at the successor flag.  Two
+    unrelated states raise PreconditionError, saying why.
 
     Vacuously true when either side cannot step or the observations differ.
     """
     sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
-    value_based = variant_kind in ("fvslh", "fsfvslh")
-    why = _ni_premise(value_based, P, PA, s1, s2, flag)
+    why = _unrelated(variant_kind, P, PA, s1, s2, flag)
     if why:
         raise PreconditionError(why)
-    return _step_ni(sem, value_based, P, PA, start(*s1, flag), start(*s2, flag), d)
+    return _step_ni(sem, variant_kind, P, PA, start(*s1, flag), start(*s2, flag), d)
 
 
 def check_ni(
@@ -1115,24 +1102,24 @@ def check_ni(
     itself included) in nested-scan order, both flags, and the directives
     none, step and force.  The program is typed once; an ill-typed program
     checks nothing, and a variant with no ideal semantics raises
-    PreconditionError.  Only states with equal public scalars are paired, and
-    pairs outside the rest of the lemma's premise are skipped.  The verdict
-    counts the steps as ``checked`` and holds every failure message."""
+    PreconditionError.  Only states of one ``_related_groups`` group are
+    paired, and a pair is skipped at a flag where ``_unrelated`` says it is
+    outside the lemma's premise.  The verdict counts the steps as
+    ``checked`` and holds every failure message."""
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except _IllTyped:
         return _counted("checked", 0, [], _NO_PAIR)
-    value_based = variant_kind in ("fvslh", "fsfvslh")
-    groups, every = _public_groups(states, P, all_secret()), range(len(states))
+    groups, every = _related_groups(variant_kind, states, P, PA), range(len(states))
     checked, failures = 0, []
     for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups], zip(every, every)):
         for flag in (False, True):
-            if _ni_premise(value_based, P, PA, states[i], states[j], flag):
+            if _unrelated(variant_kind, P, PA, states[i], states[j], flag):
                 continue
             cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
             for d in (None, STEP, FORCE):
-                ok, why = _step_ni(sem, value_based, P, PA, cfg1, cfg2, d)
+                ok, why = _step_ni(sem, variant_kind, P, PA, cfg1, cfg2, d)
                 checked += 1
                 if not ok:
                     failures.append(why)
@@ -1148,19 +1135,17 @@ def check_unwinding(
     s2: Tuple[ScalarState, ArrayState],
     bounds: Bounds = Bounds(),
 ) -> Verdict:
-    """Unwinding of ideal misspeculated executions: from public-equivalent,
-    well-typed (or well-labeled) configurations that are already
-    misspeculating, identical directives yield identical observations."""
+    """Unwinding of ideal misspeculated executions: from well-typed (or
+    well-labeled) configurations that are already misspeculating and
+    related at that flag (``_unrelated``), identical directives yield
+    identical observations."""
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except PreconditionError as exc:
         return Verdict(VerdictStatus.PRECONDITION_FAILED, message=str(exc))
-    if not pub_equiv_scalars(P, s1[0], s2[0]):
-        return Verdict(VerdictStatus.PRECONDITION_FAILED,
-                       message="scalars not public-equivalent")
-    if variant_kind == "fislh" and not pub_equiv_arrays(PA, s1[1], s2[1]):
-        return Verdict(VerdictStatus.PRECONDITION_FAILED,
-                       message="arrays not public-equivalent")
+    why = _unrelated(variant_kind, P, PA, s1, s2, True)
+    if why:
+        return Verdict(VerdictStatus.PRECONDITION_FAILED, message=why)
     return _pair_verdict(sem, lambda rho, mu: start(rho, mu, True), [s1, s2], [[0, 1]], bounds)
 
 
@@ -1173,21 +1158,21 @@ def check_unwinding_space(
     bounds: Bounds = Bounds(),
 ) -> Verdict:
     """check_unwinding over the space: the pairs of states meeting the
-    lemma's premise (equal public scalars, and for fislh equal public
-    arrays), in nested-scan order, walked over shared directive trees.  The
-    program is typed once; an ill-typed program walks no pair, and a variant
-    with no ideal semantics raises PreconditionError.  The verdict
-    counts the pairs walked, up to and including a violating one, as
-    ``pairs``."""
+    lemma's premise, those of one ``_related_groups`` group (equal public
+    scalars, and for fislh equal public arrays), in nested-scan order,
+    walked over shared directive trees.  The program is typed once; an
+    ill-typed program walks no pair, and a variant with no ideal semantics
+    raises PreconditionError.  The verdict counts the pairs walked, up to
+    and including a violating one, as ``pairs``."""
     bounds = bounds.over(space)
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except _IllTyped:
         return _pair_verdict(None, None, [], [], bounds, _NO_PAIR, count_pairs=True)
-    groups = _public_groups(states, P, PA if variant_kind == "fislh" else all_secret())
     return _pair_verdict(
-        sem, lambda rho, mu: start(rho, mu, True), states, groups,
+        sem, lambda rho, mu: start(rho, mu, True), states,
+        _related_groups(variant_kind, states, P, PA),
         bounds, _NO_PAIR, count_pairs=True, by_group=True,
     )
 

@@ -19,7 +19,7 @@ from awhile.harden import (
     harden_fs,
 )
 from awhile.ifc_static import PUBLIC, all_public, all_secret, parse_labeling
-from awhile.lang import Seq, parse_com, pretty_com, syntax_repr, used_vars
+from awhile.lang import Asgn, Num, Seq, parse_com, pretty_com, program_names, syntax_repr
 from awhile.record import Record
 from awhile.seccheck import (
     enum_spec_runs,
@@ -70,7 +70,7 @@ def test_flag_collision_rejected():
         harden(ISLH, parse_com("b := 1"), all_secret(), all_secret())
     hardened = harden(ISLH, parse_com("x := 1"), all_secret(), all_secret(),
                       flag_var="flag")
-    assert "flag" not in used_vars(parse_com("x := 1"))
+    assert "flag" not in program_names(Asgn("x", Num(1)))[0]
     assert hardened == parse_com("x := 1")
 
 
@@ -101,8 +101,8 @@ def test_a_flag_the_program_only_reads_is_refused(text, why):
 def test_custom_flag_variable():
     com = parse_com("if x < 1 then skip end")
     hardened = harden(USLH, com, all_secret(), all_secret(), flag_var="spec_flag")
-    assert "spec_flag" in used_vars(hardened)
-    assert "b" not in used_vars(hardened)
+    assert "spec_flag" in program_names(hardened)[0]
+    assert "b" not in program_names(hardened)[0]
 
 
 def test_sislh_store_mask_depends_on_value_label():

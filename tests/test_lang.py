@@ -34,7 +34,6 @@ from awhile.lang import (
     compiled,
     syntax_equal,
     syntax_repr,
-    used_vars,
     program_names,
     _scalar_names,
     OPAQUE,
@@ -296,9 +295,10 @@ def test_syntax_equal_on_long_spines():
 def test_long_spines_do_not_recurse():
     com = parse_com(";\n".join(["x := x + 1", "a[y] <- z"] * 2500))
     assert syntax_repr(com).startswith("Seq(first=Asgn(name='x', expr=BinOp(op='+'")
-    assert used_vars(com) == {"x", "y", "z"}
     arrays = set()
     assert _scalar_names(com, arrays) == {"x", "y", "z"} and arrays == {"a"}
+    # a tree the parser did not build is walked
+    assert program_names(Seq(Asgn("w", Num(0)), com))[0] == {"w", "x", "y", "z"}
 
 
 def test_pretty_com_prints_deep_nesting():
@@ -599,7 +599,7 @@ def test_expressions_compile_on_first_evaluation():
     assert f({"x": 4}) == 5 and f({}) == 1
 
 
-# --- used_vars --------------------------------------------------------------
+# --- the scalar names of a program the parser did not build ------------------
 
 
 def _oracle_vars(com) -> set:
@@ -639,22 +639,22 @@ def _oracle_vars(com) -> set:
 
 
 def test_used_vars_skip():
-    assert used_vars(SKIP) == frozenset()
+    assert program_names(SKIP)[0] == frozenset()
 
 
 def test_used_vars_listing1_matches_oracle():
-    com = parse_com(LISTING1)
-    assert used_vars(com) == _oracle_vars(com) == {"i", "a1_size", "j", "x"}
+    com = _rebuilt(parse_com(LISTING1))
+    assert program_names(com)[0] == _oracle_vars(com) == {"i", "a1_size", "j", "x"}
 
 
 def test_used_vars_includes_assignment_target():
-    assert used_vars(Asgn("b", Num(0))) == {"b"}
+    assert program_names(Asgn("b", Num(0)))[0] == {"b"}
 
 
 @settings(max_examples=200)
 @given(coms())
 def test_used_vars_matches_oracle(com):
-    assert used_vars(com) == _oracle_vars(com)
+    assert program_names(com)[0] == _oracle_vars(com)
 
 
 # --- program_names ----------------------------------------------------------

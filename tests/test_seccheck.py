@@ -92,6 +92,20 @@ def test_enum_states_product_count():
     assert space.count() == 4
 
 
+def test_every_state_of_a_space_holds_the_same_arrays():
+    # seccheck._abstract_state reads a group's arrays off its first state;
+    # a size-0 array is dropped from every state alike
+    for text, shape in (
+        ("x in {0,1}\na : size 2 in {0,1}\ne : size 0 in {3}\nc : size 1 in {0,5}",
+         (("a", 2), ("c", 1))),
+        ("e : size 0 in {1,2}\nx in {0,1}", ()),
+        ("x in {0,1}", ()),
+    ):
+        states = list(enum_states(parse_space(text)))
+        assert len(states) > 1
+        assert {tuple(sorted((n, len(v)) for n, v in mu.items())) for _, mu in states} == {shape}
+
+
 def test_enum_states_covers_secret_array_pair():
     space = FIXTURES[1].space()
     vectors = {mu.vector("a3") for _, mu in enum_states(space)}
@@ -1301,6 +1315,35 @@ def test_step_ni_precondition_rejected():
     s2 = parse_state("x = 2")  # public variable differs
     with pytest.raises(PreconditionError):
         check_step_ni("fislh", parse_com("skip"), lab, lab, s1, s2, False, None)
+
+
+def test_lemma_relation_per_variant_and_flag():
+    # states that differ in a public cell of a: fislh relates them at
+    # neither flag, the value variants only while misspeculating
+    lab, com = parse_labeling("x: public\na: public"), parse_com("skip")
+    s1, s2 = parse_state("x = 1\na = [0,1]"), parse_state("x = 1\na = [0,2]")
+    for flag in (False, True):
+        with pytest.raises(PreconditionError, match="^arrays not public-equivalent$"):
+            check_step_ni("fislh", com, lab, lab, s1, s2, flag, None)
+    v = check_unwinding("fislh", com, lab, lab, s1, s2)
+    assert v.status is VerdictStatus.PRECONDITION_FAILED
+    assert v.message == "arrays not public-equivalent"
+    for variant in ("fvslh", "fsfvslh"):
+        with pytest.raises(PreconditionError,
+                           match="^arrays not public-equivalent at flag=F$"):
+            check_step_ni(variant, com, lab, lab, s1, s2, False, None)
+        ok, why = check_step_ni(variant, com, lab, lab, s1, s2, True, None)
+        assert ok, why
+        assert check_unwinding(variant, com, lab, lab, s1, s2).holds
+    # states that differ in a public scalar are related under no variant
+    t1, t2 = parse_state("x = 1\na = [0,1]"), parse_state("x = 2\na = [0,1]")
+    for variant in ("fislh", "fvslh", "fsfvslh"):
+        for flag in (False, True):
+            with pytest.raises(PreconditionError, match="^scalars not public-equivalent$"):
+                check_step_ni(variant, com, lab, lab, t1, t2, flag, None)
+        v = check_unwinding(variant, com, lab, lab, t1, t2)
+        assert v.status is VerdictStatus.PRECONDITION_FAILED
+        assert v.message == "scalars not public-equivalent"
 
 
 def _ni_walk(variant, com, P, PA, s1, s2, rng, max_steps=30):
