@@ -93,7 +93,11 @@ def _load_program(path: str):
     text = _read_input(path)
     if not text.strip():
         raise CliError("empty program")
-    return parse_com(text)
+    try:
+        return parse_com(text)
+    except RecursionError:
+        # the parser recurses once per nesting level; nothing after it does
+        raise CliError("program nested too deeply") from None
 
 
 def _load_labels(path: Optional[str]) -> LabelMap:
@@ -650,10 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seccheck.SpaceFormatError, PreconditionError,
             FlagCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the syntax walkers recurse once per nesting level
-        print("error: program nested too deeply", file=sys.stderr)
         return 2
     except seccheck.WitnessReplayError as exc:
         # a fault of the checker, not a verdict: exit 1 is for replayed violations

@@ -4,9 +4,12 @@ well-labeledness checker.  The annotated command classes are defined in
 
 The analysis is a total function: it accepts every program and returns an
 annotated command plus the labeling holding after execution.  Loop bodies
-are re-analyzed until the labeling joined with the loop entry stabilizes;
-each unstable round moves at least one assigned name from public to secret,
-so the iteration count is bounded by the number of names the body assigns.
+are re-analyzed until the labeling joined with the loop entry stabilizes.
+That labeling only loses public names, all of them public at the entry,
+and each unstable round makes at least one of them secret, so a loop takes
+at most the entry's public names plus one rounds; the guard allows one
+more.  The analysis keeps an explicit stack, so it analyzes any nesting
+depth.
 
 Branch nodes never appear in analysis output; they are introduced at run
 time by the flow-sensitive ideal semantics to save and restore the pc label.
@@ -18,7 +21,7 @@ walking any part twice.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from .ifc_static import (
     Label,
@@ -85,87 +88,80 @@ def erase_acom(acom: ACom) -> Com:
 # ---------------------------------------------------------------------------
 
 
-def assigned_names(c: Com) -> Tuple[frozenset, frozenset]:
-    """Scalars and arrays a command may assign; bounds the fixpoint."""
-    scalars, arrays = set(), set()
-    todo = [c]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, (Asgn, ARead)):
-            scalars.add(c.name)
-        elif isinstance(c, AWrite):
-            arrays.add(c.array)
-        elif isinstance(c, Seq):
-            todo += (c.first, c.second)
-        elif isinstance(c, If):
-            todo += (c.then, c.other)
-        elif isinstance(c, While):
-            todo.append(c.body)
-        elif not isinstance(c, Skip):
-            raise TypeError(f"not a command: {c!r}")
-    return frozenset(scalars), frozenset(arrays)
-
-
 def flow_track(c: Com, P: LabelMap, PA: LabelMap, pc: Label) -> Tuple[ACom, Labeling]:
     """Analyze ``c`` starting from labeling (P, PA) under context label pc.
 
     Returns the annotated command and the labeling after execution.  Total:
-    no program is rejected.
+    no program is rejected.  The walk keeps an explicit stack of (command,
+    P, PA, pc) tasks: a node with parts pushes a marker, a plain tuple in
+    the command's place, beneath them, and the marker assembles the parts'
+    results, (annotated command, labeling after), from the top of ``done``.
+    A loop's marker ends each round of its fixpoint and starts the next.
     """
-    if isinstance(c, Skip):
-        return ASKIP, Labeling(P, PA)
-    if isinstance(c, Asgn):
-        return _build(AAsgn, (c.name, c.expr)), _build(
-            Labeling, (P.set(c.name, label_of_expr(P, c.expr)), PA)
-        )
-    if isinstance(c, Seq):  # the spine, in a loop
-        parts = []
-        while isinstance(c, Seq):
-            a1, mid = flow_track(c.first, P, PA, pc)
-            parts.append((a1, mid))
-            P, PA, c = mid.vars, mid.arrs, c.second
-        acom, out = flow_track(c, P, PA, pc)
-        for a1, mid in reversed(parts):
-            acom = _build(ASeq, (a1, acom, mid))
-        return acom, out
-    if isinstance(c, If):
-        lbl = label_of_expr(P, c.cond)
-        pc2 = join(pc, lbl)
-        a1, l1 = flow_track(c.then, P, PA, pc2)
-        a2, l2 = flow_track(c.other, P, PA, pc2)
-        return _build(AIf, (c.cond, a1, a2, lbl)), l1.join(l2)
-    if isinstance(c, While):
-        entry = Labeling(P, PA)
-        sc, ar = assigned_names(c.body)
-        cur = entry
-        abody, after = None, None
-        # one extra round re-analyzes the body at the fixpoint so the stored
-        # annotations are the ones valid there
-        for _ in range(len(sc) + len(ar) + 2):
-            lbl = label_of_expr(cur.vars, c.cond)
-            abody, after = flow_track(c.body, cur.vars, cur.arrs, join(pc, lbl))
-            nxt = after.join(entry)
-            if nxt == cur:
-                break
-            cur = nxt
-        else:  # pragma: no cover - the bound argument rules this out
-            raise AssertionError("loop labeling failed to stabilize within bound")
-        lbl = label_of_expr(cur.vars, c.cond)
-        return _build(AWhileC, (c.cond, abody, lbl, cur)), cur
-    if isinstance(c, ARead):
-        li = label_of_expr(P, c.index)
-        lx = join(pc, join(li, PA.get(c.array)))
-        return _build(AARead, (c.name, c.array, c.index, lx, li)), _build(
-            Labeling, (P.set(c.name, lx), PA)
-        )
-    if isinstance(c, AWrite):
-        li = label_of_expr(P, c.index)
-        le = label_of_expr(P, c.value)
-        lbl = join(PA.get(c.array), join(pc, join(li, le)))
-        return _build(AAWrite, (c.array, c.index, c.value, li)), _build(
-            Labeling, (P, PA.set(c.array, lbl))
-        )
-    raise TypeError(f"not a command: {c!r}")
+    done: List[Tuple[ACom, Labeling]] = []
+    work = [(c, P, PA, pc)]
+    while work:
+        c, P, PA, pc = work.pop()
+        kind = type(c)
+        if kind is tuple:
+            kind = c[0]
+            if kind is Seq:  # the first part is done: the second starts where it ends
+                mid = done[-1][1]
+                work += (((ASeq,), P, PA, pc), (c[1], mid.vars, mid.arrs, pc))
+            elif kind is ASeq:
+                a2, out = done.pop()
+                a1, mid = done[-1]
+                done[-1] = (_build(ASeq, (a1, a2, mid)), out)
+            elif kind is If:
+                a2, l2 = done.pop()
+                a1, l1 = done[-1]
+                done[-1] = (_build(AIf, (c[1], a1, a2, c[2])), l1.join(l2))
+            else:
+                _, loop, entry, cur, lbl, rounds = c
+                abody, after = done.pop()
+                nxt = after.join(entry)
+                if nxt == cur:
+                    # the round that found the fixpoint analyzed the body
+                    # there, so the stored annotations are valid there
+                    done.append((_build(AWhileC, (loop.cond, abody, lbl, cur)), cur))
+                    continue
+                if not rounds:  # pragma: no cover - the bound argument rules this out
+                    raise AssertionError("loop labeling failed to stabilize within bound")
+                lbl = label_of_expr(nxt.vars, loop.cond)
+                work += (((While, loop, entry, nxt, lbl, rounds - 1), P, PA, pc),
+                         (loop.body, nxt.vars, nxt.arrs, join(pc, lbl)))
+        elif kind is Skip:
+            done.append((ASKIP, _build(Labeling, (P, PA))))
+        elif kind is Asgn:
+            done.append((_build(AAsgn, (c.name, c.expr)),
+                         _build(Labeling, (P.set(c.name, label_of_expr(P, c.expr)), PA))))
+        elif kind is Seq:
+            work += (((Seq, c.second), P, PA, pc), (c.first, P, PA, pc))
+        elif kind is If:
+            lbl = label_of_expr(P, c.cond)
+            pc2 = join(pc, lbl)
+            work += (((If, c.cond, lbl), P, PA, pc), (c.other, P, PA, pc2), (c.then, P, PA, pc2))
+        elif kind is While:
+            # each unstable round makes a public name of the entry secret;
+            # the first round starts as if one had ended at the entry
+            entry = _build(Labeling, (P, PA))
+            done.append((None, entry))
+            bound = len(P.public_names()) + len(PA.public_names()) + 2
+            work.append(((While, c, entry, None, None, bound), P, PA, pc))
+        elif kind is ARead:
+            li = label_of_expr(P, c.index)
+            lx = join(pc, join(li, PA.get(c.array)))
+            done.append((_build(AARead, (c.name, c.array, c.index, lx, li)),
+                         _build(Labeling, (P.set(c.name, lx), PA))))
+        elif kind is AWrite:
+            li = label_of_expr(P, c.index)
+            le = label_of_expr(P, c.value)
+            lbl = join(PA.get(c.array), join(pc, join(li, le)))
+            done.append((_build(AAWrite, (c.array, c.index, c.value, li)),
+                         _build(Labeling, (P, PA.set(c.array, lbl)))))
+        else:
+            raise TypeError(f"not a command: {c!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

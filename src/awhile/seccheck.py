@@ -47,7 +47,9 @@ reconverge on a configuration step it once, and no node is freed behind a
 walk, since another parent may reach it.  A
 pair walk merges two trees, stepping each (node, directive) at most once,
 and skips the node pairs it already found clean, which are clean in any
-context (the product visited set of explicit-state model checking).  Every
+context (the product visited set of explicit-state model checking).  It
+is a depth-first search over an explicit stack, so the directive bound has
+no recursion limit.  Every
 pair check reaches its verdict through ``_pair_verdict``; one that has no
 pair holds vacuously and says so in its message, and a violated one is
 replayed with ``spec_sem.run`` before it is reported.  The unwinding check
@@ -321,7 +323,9 @@ def enum_spec_runs(
 ) -> List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]]:
     """Exhaustively explore the directive tree of one configuration: every
     feasible directive at every observing redex, up to max_dirs consumed
-    directives.  Returns (directives, trace, outcome kind) per leaf."""
+    directives.  Returns (directives, trace, outcome kind) per leaf.  It
+    recurses once per directive: the checks walk their own trees, and this
+    is the tests' reference for them."""
     sem = sem or Speculative()
     out: List[Tuple[Tuple[Dir, ...], Tuple[Obs, ...], RunKind]] = []
 
@@ -437,8 +441,30 @@ def _joint_divergence(t1: _Tree, t2: _Tree):
     consume are vacuous for observational equivalence and are pruned: the
     walk follows the directives feasible on both sides (``_shared``).  It
     enters each node pair once: a pair it left clean (in ``clean``) has no
-    divergence under it on any path."""
-    return _walk(t1, t2, t1.root, t2.root, [], [], [], set())
+    divergence under it on any path.  The walk is a depth-first search
+    over an explicit stack, one entry per node pair on the current path
+    with its children still to try, beside ``path``, the (directive,
+    observation 1, observation 2) that led to each but the first."""
+    if t1.root is _LEAF or t2.root is _LEAF:
+        return None
+    stack = [((t1.root, t2.root), _shared(t1, t2, t1.root, t2.root))]
+    path, clean = [], set()
+    while stack:
+        pair, kids = stack[-1]
+        for d, o1, c1, o2, c2 in kids:
+            if o1 != o2:
+                dirs, obs1, obs2 = zip(*path, (d, o1, o2))
+                return dirs, obs1, obs2, len(path)
+            if c1 is not _LEAF and c2 is not _LEAF and (c1, c2) not in clean:
+                path.append((d, o1, o2))
+                stack.append(((c1, c2), _shared(t1, t2, c1, c2)))
+                break
+        else:  # every child is clean
+            clean.add(pair)
+            stack.pop()
+            if path:
+                path.pop()
+    return None
 
 
 def _shared(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node):
@@ -462,29 +488,6 @@ def _shared(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node):
             e1, e2 = loads1[v1], loads2[v2]
             if e1 is not None and e2 is not None:
                 yield d, e1[1], e1[2], e2[1], e2[2]
-
-
-def _walk(t1: _Tree, t2: _Tree, n1: _Node, n2: _Node, dirs, obs1, obs2, clean):
-    # a module-level function rather than a closure: a self-referencing
-    # closure would keep both trees alive until the cyclic collector runs
-    if n1 is _LEAF or n2 is _LEAF or (n1, n2) in clean:
-        return None
-    for d, o1, c1, o2, c2 in _shared(t1, t2, n1, n2):
-        if o1 != o2:
-            return (
-                tuple(dirs) + (d,), tuple(obs1) + (o1,), tuple(obs2) + (o2,), len(obs1),
-            )
-        dirs.append(d)
-        obs1.append(o1)
-        obs2.append(o2)
-        res = _walk(t1, t2, c1, c2, dirs, obs1, obs2, clean)
-        if res is not None:
-            return res
-        dirs.pop()
-        obs1.pop()
-        obs2.pop()
-    clean.add((n1, n2))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,38 @@ from .lang import OPAQUE, Com, SecretDependence, Seq, numeral_too_long
 from .record import Record
 
 
-class ScalarState:
-    """Total map from scalar names to naturals, default 0."""
+class _Store:
+    """What the two stores share: a dict of bindings, ``_m``, and the
+    frozenset of its items, ``_f``, built on first use.  A state of one
+    kind never equals a state of the other."""
 
     __slots__ = ("_m", "_f")
+
+    def names(self) -> frozenset:
+        return frozenset(self._m)
+
+    def items(self):
+        return self._m.items()
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._m == other._m
+
+    def frozen(self) -> frozenset:
+        """The bindings as a frozenset, built once.  It caches its own hash,
+        so a configuration key over it (``SpecConfig.key``) costs O(1) after
+        the first use."""
+        if self._f is None:
+            self._f = frozenset(self._m.items())
+        return self._f
+
+    def __hash__(self):
+        return hash(self.frozen())
+
+
+class ScalarState(_Store):
+    """Total map from scalar names to naturals, default 0."""
+
+    __slots__ = ()
 
     def __init__(self, entries: Optional[Mapping[str, int]] = None):
         # zero entries equal the default; dropping them makes dict equality
@@ -47,39 +75,19 @@ class ScalarState:
             m.pop(name, None)
         return ScalarState.adopt(m)
 
-    def names(self) -> frozenset:
-        return frozenset(self._m)
-
-    def items(self):
-        return self._m.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScalarState) and self._m == other._m
-
-    def frozen(self) -> frozenset:
-        """The bindings as a frozenset, built once.  It caches its own hash,
-        so a configuration key over it (``SpecConfig.key``) costs O(1) after
-        the first use."""
-        if self._f is None:
-            self._f = frozenset(self._m.items())
-        return self._f
-
-    def __hash__(self):
-        return hash(self.frozen())
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._m.items()))
         return f"ScalarState({inner})"
 
 
-class ArrayState:
+class ArrayState(_Store):
     """Map from array names to fixed-length vectors of naturals.
 
     An array's size is fixed for the lifetime of a state; names not present
     behave as size-0 arrays (every access is out of bounds).
     """
 
-    __slots__ = ("_m", "_f")
+    __slots__ = ()
 
     def __init__(self, entries: Optional[Mapping[str, Sequence[int]]] = None):
         self._m: Dict[str, Tuple[int, ...]] = {
@@ -105,26 +113,6 @@ class ArrayState:
 
     def vector(self, name: str) -> Tuple[int, ...]:
         return self._m.get(name, ())
-
-    def names(self) -> frozenset:
-        return frozenset(self._m)
-
-    def items(self):
-        return self._m.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ArrayState) and self._m == other._m
-
-    def frozen(self) -> frozenset:
-        """The bindings as a frozenset, built once.  It caches its own hash,
-        so a configuration key over it (``SpecConfig.key``) costs O(1) after
-        the first use."""
-        if self._f is None:
-            self._f = frozenset(self._m.items())
-        return self._f
-
-    def __hash__(self):
-        return hash(self.frozen())
 
     def __repr__(self):
         inner = ", ".join(f"{k}={list(v)}" for k, v in sorted(self._m.items()))

@@ -91,6 +91,32 @@ def test_deep_nesting_is_usage_error(files, capsys):
         assert captured.err == "error: program nested too deeply\n"
 
 
+def test_long_witness_is_not_a_nesting_error(files, capsys):
+    # the pair walk keeps an explicit stack, so --max-dirs has no recursion
+    # limit: a flat loop's witness of 1,102 directives
+    p = files("p.aw", "while i < 1100 do i := i + 1 end; if s < 1 then skip end\n")
+    labels, space = files("labels", "i: public\n"), files("space", "s in {0,1}\n")
+    assert main(["check", "--property", "sct", "--max-dirs", "1200", "--fuel", "5000",
+                 "--labels", labels, "--space", space, p]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    assert out[0] == "violated"
+    assert out[1] == "directives: " + " ".join(["step"] * 1102)
+    assert out[4:] == ["diverges at observation 1102", "state 1: (all defaults)",
+                       "state 2: s = 1"]
+
+
+def test_recursion_error_outside_parsing_propagates(files, monkeypatch):
+    # only the parser's RecursionError is reported as nesting
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check_sct", overflow)
+    with pytest.raises(RecursionError):
+        main(["check", "--property", "sct", files("p.aw", "skip\n")])
+
+
 def test_print_round_trip(files, capsys):
     path = files("p.aw", LISTING1)
     assert main(["print", path]) == 0

@@ -18,7 +18,20 @@ from awhile.flow_ifc import (
 )
 from awhile.gen import NamePools, gen_program
 from awhile.ifc_static import LabelMap, Labeling, PUBLIC, SECRET, all_secret, parse_labeling
-from awhile.lang import Cmp, Num, Var, _scalar_names, parse_com, pretty_com, syntax_equal
+from awhile.lang import (
+    SKIP,
+    Asgn,
+    Cmp,
+    If,
+    Num,
+    Seq,
+    Var,
+    While,
+    _scalar_names,
+    parse_com,
+    pretty_com,
+    syntax_equal,
+)
 
 pools = NamePools(("x", "y", "i", "s", "n"), ("a", "c"))
 
@@ -173,6 +186,19 @@ def test_well_labeled_judges_deep_nesting():
         assert well_labeled(acom, L, PUBLIC, L) is holds
 
 
+def test_flow_track_analyzes_deep_nesting():
+    # the analysis keeps an explicit stack: 1,500 levels, a while loop
+    # alternating with an if followed by an assignment
+    com = Asgn("x", Var("y"))
+    for k in range(1500):
+        cond = Cmp("<", Var("x"), Num(k))
+        com = While(cond, com) if k % 2 else Seq(If(cond, com, SKIP), Asgn("y", Var("x")))
+    labels = parse_labeling("x: public\ny: public")
+    acom, out = flow_track(com, labels, labels, PUBLIC)
+    assert out == _labeling(labels)
+    assert well_labeled(acom, _labeling(labels), PUBLIC, out)
+
+
 def test_branch_wrappers_print_on_their_own_lines():
     # a wrapper's line is followed by its body at the same indent, and a
     # ';' goes before the annotation comment of the line it ends
@@ -320,8 +346,7 @@ def test_well_labeled_monotone_in_final_and_antitone_in_initial():
 def test_long_spines_are_walked_in_a_loop():
     body = ";\n".join(["x := x + 1"] * 5000)
     labels = parse_labeling("x: public")
-    # a straight line, and a loop whose body bounds the fixpoint by the
-    # names it assigns
+    # a straight line, and a loop around it
     for text in (body, f"while x < 1 do {body} end"):
         com = parse_com(text)
         acom, out = flow_track(com, labels, labels, PUBLIC)

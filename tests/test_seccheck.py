@@ -750,19 +750,20 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
 
 def _listing1_work(monkeypatch, cells):
     """Listing 1's pair with ``a2`` of ``cells`` zero cells: the verdict of
-    its check, and the ``_walk`` calls, tree nodes and steps it took."""
+    its check, and the node pairs its walk entered (``_shared`` calls),
+    tree nodes and steps it took."""
     pair = [(rho, ArrayState({**dict(mu.items()), "a2": (0,) * cells}))
             for rho, mu in FIXTURES[1].pair()]
     work, trees = collections.Counter(), []
-    real_step, real_walk, real_joint = Speculative.step, seccheck._walk, seccheck._joint_divergence
+    real_step, real_shared, real_joint = Speculative.step, seccheck._shared, seccheck._joint_divergence
 
     def step(*args):
         work["steps"] += 1
         return real_step(*args)
 
-    def walk(*args):
+    def shared(*args):
         work["walks"] += 1
-        return real_walk(*args)
+        return real_shared(*args)
 
     def joint(t1, t2):
         trees.extend((t1, t2))
@@ -770,7 +771,7 @@ def _listing1_work(monkeypatch, cells):
 
     with monkeypatch.context() as m:
         m.setattr(Speculative, "step", step)
-        m.setattr(seccheck, "_walk", walk)
+        m.setattr(seccheck, "_shared", shared)
         m.setattr(seccheck, "_joint_divergence", joint)
         v = check_spec_obs_equiv(LISTING1.program(), *pair, False, 12, 200)
     work["nodes"] = sum(len(t.nodes) for t in trees)

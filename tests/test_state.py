@@ -62,6 +62,14 @@ def test_missing_array_has_size_zero():
     assert ArrayState().size("ghost") == 0
 
 
+def test_states_of_the_two_kinds_never_compare_equal():
+    # both stores hold a dict of bindings; equality also asks for one kind
+    assert ScalarState() != ArrayState() and ArrayState() != ScalarState()
+    assert ScalarState({"x": 1}) == ScalarState({"x": 1})
+    assert hash(ArrayState({"a": (1,)})) == hash(ArrayState({"a": [1]}))
+    assert ScalarState({"x": 1}) != {"x": 1}
+
+
 # --- state files ------------------------------------------------------------
 
 
