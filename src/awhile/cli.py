@@ -57,8 +57,8 @@ from .seccheck import (
     transform_over,
 )
 from .gen import gen_program
-from .spec_sem import STEPPED, Speculative, feasible, run
-from .seq_sem import seq_run
+from .spec_sem import Speculative, run
+from .seq_sem import RunKind, seq_run
 from .state import (
     SpecConfig,
     StateFormatError,
@@ -280,53 +280,47 @@ def cmd_harden(args) -> int:
 
 
 def _run_interactive(cfg: SpecConfig, fuel: int) -> int:
-    """Prompt for a directive at every observing redex; the silent steps in
-    between are the semantics' ``advance``, so interactive runs stop where
-    spec_sem.run does."""
-    sem, trace = Speculative(), []
-    while True:
-        cfg, used, kind = sem.advance(cfg, fuel)
-        fuel -= used
-        if kind is not None:
-            break
-        feas = feasible(sem, cfg)
-        if not feas:
-            print("stuck: no feasible directive")
-            break
-        print("command:")
-        print(pretty_com(cfg.com))
-        print("state: " + format_state(cfg.rho, cfg.mu).replace("\n", ", "))
-        print(f"flag: {'1' if cfg.flag else '0'}")
-        print("feasible: " + " | ".join(str(d) for d in feas))
-        sys.stdout.write("dir> ")
-        sys.stdout.flush()
-        line = sys.stdin.readline()
-        if not line:
-            print("(end of input)")
-            break
-        line = line.strip()
-        if line in ("q", "quit", "exit"):
-            break
-        try:
-            chosen = parse_dirs(line)
-        except StateFormatError as exc:
-            print(f"error: {exc}")
-            continue
-        if len(chosen) != 1:
-            print("error: one directive at a time")
-            continue
-        r = sem.step(cfg, chosen[0])
-        if r.tag is not STEPPED:
-            print("directive does not apply here")
-            continue
-        cfg = r.cfg
-        fuel -= 1
-        trace.append(r.obs)
-        print(f"obs: {r.obs}")
+    """Prompt for a directive at every observing redex with a feasible
+    one: the prompt is the ``pick`` of one ``spec_sem.run``, so interactive
+    runs stop where every run does."""
+    sem = Speculative()
+
+    def prompt(cfg, feas):
+        while True:
+            print("command:")
+            print(pretty_com(cfg.com))
+            print("state: " + format_state(cfg.rho, cfg.mu).replace("\n", ", "))
+            print(f"flag: {'1' if cfg.flag else '0'}")
+            print("feasible: " + " | ".join(str(d) for d in feas))
+            sys.stdout.write("dir> ")
+            sys.stdout.flush()
+            line = sys.stdin.readline()
+            if not line:
+                print("(end of input)")
+                return None
+            line = line.strip()
+            if line in ("q", "quit", "exit"):
+                return None
+            try:
+                chosen = parse_dirs(line)
+            except StateFormatError as exc:
+                print(f"error: {exc}")
+                continue
+            if len(chosen) != 1:
+                print("error: one directive at a time")
+            elif chosen[0] not in feas:
+                print("directive does not apply here")
+            else:
+                print(f"obs: {sem.step(cfg, chosen[0]).obs}")
+                return chosen[0]
+
+    out = run(sem, cfg, [], fuel, prompt)
+    if out.kind is RunKind.STUCK:
+        print("stuck: no feasible directive")
     print("trace:")
-    if trace:
-        print(format_trace(trace))
-    print("final state: " + format_state(cfg.rho, cfg.mu).replace("\n", ", "))
+    if out.trace:
+        print(format_trace(out.trace))
+    print("final state: " + format_state(out.final.rho, out.final.mu).replace("\n", ", "))
     return 0
 
 

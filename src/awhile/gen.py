@@ -1,13 +1,14 @@
-"""Random programs, states, labelings and speculative walks, for the
-property tests, the random trials of ``bcc`` and ``awhile gen``.  Every
-generator is deterministic in its seed or its ``random.Random``; none of
-them checks anything.
+"""Random programs, states and labelings, for the property tests and
+``awhile gen``.  Every generator is deterministic in its seed or its
+``random.Random``; none of them checks anything.  The random directive
+walks of ``bcc`` are runs of ``spec_sem.run`` whose ``pick`` draws a
+feasible directive (``seccheck.check_bcc_space``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Tuple
 
 from .ifc_static import LabelMap, PUBLIC
 from .lang import (
@@ -15,8 +16,7 @@ from .lang import (
     Skip, SKIP, Var, While, vars_of_expr,
 )
 from .record import Record
-from .spec_sem import Speculative, feasible
-from .state import ArrayState, Dir, ScalarState, SpecConfig
+from .state import ArrayState, ScalarState
 
 
 class NamePools(Record):
@@ -138,15 +138,20 @@ def gen_program(seed: int, size_budget: int, pools: NamePools = NamePools()) -> 
 
 
 def count_nodes(c: Com) -> int:
-    if isinstance(c, (Skip, Asgn, ARead, AWrite)):
-        return 1
-    if isinstance(c, Seq):
-        return 1 + count_nodes(c.first) + count_nodes(c.second)
-    if isinstance(c, If):
-        return 1 + count_nodes(c.then) + count_nodes(c.other)
-    if isinstance(c, While):
-        return 1 + count_nodes(c.body)
-    raise TypeError(f"not a command: {c!r}")
+    """The number of command nodes of ``c``, counted over a work list that
+    grows as the loop reads it, so a long sequence costs no recursion."""
+    count, todo = 0, [c]
+    for x in todo:
+        count += 1
+        if isinstance(x, Seq):
+            todo += (x.first, x.second)
+        elif isinstance(x, If):
+            todo += (x.then, x.other)
+        elif isinstance(x, While):
+            todo.append(x.body)
+        elif not isinstance(x, (Skip, Asgn, ARead, AWrite)):
+            raise TypeError(f"not a command: {x!r}")
+    return count
 
 
 def random_state(
@@ -173,26 +178,3 @@ def random_labeling(rng: random.Random, pools: NamePools) -> Tuple[LabelMap, Lab
     P = LabelMap({n: PUBLIC for n in pools.scalars if rng.random() < 0.5})
     PA = LabelMap({n: PUBLIC for n in pools.arrays if rng.random() < 0.5})
     return P, PA
-
-
-def random_spec_walk(
-    rng: random.Random, sem: Speculative, cfg: SpecConfig, max_dirs: int, fuel: int
-) -> List[Dir]:
-    """Drive a speculative run under ``sem`` (the caller's ``Speculative``,
-    whose per-check table its runs share) by picking a random feasible
-    directive at every observing redex; returns the consumed directive
-    list."""
-    dirs: List[Dir] = []
-    while len(dirs) < max_dirs:
-        cfg, used, kind = sem.advance(cfg, fuel)
-        fuel -= used
-        if kind is not None:
-            break
-        feas = feasible(sem, cfg)
-        if not feas:
-            break
-        d = rng.choice(feas)
-        cfg = sem.step(cfg, d).cfg
-        dirs.append(d)
-        fuel -= 1
-    return dirs

@@ -58,8 +58,9 @@ semantics; it and the noninterference check type the program once.  The
 one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``) walk their
 pair without a group tree.
 
-The checks stop a run where the semantics' ``advance`` says it stops, and
-draw their random walks from ``gen``, which holds every generator.
+The checks stop a run where the semantics' ``advance`` says it stops.  A
+random trial of ``bcc`` is one ``spec_sem.run`` of the hardened program,
+whose ``pick`` draws each directive.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ import re
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .flow_ifc import ACom, Labeling, flow_track, well_labeled
-from .gen import random_spec_walk
 from .harden import DEFAULT_FLAG_VAR, VARIANTS, harden, harden_fs
 from .ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from .ifc_static import (
@@ -951,13 +951,15 @@ def check_bcc_space(
     """check_bcc over a space, from each state in enumeration order with
     ``dirs``, and otherwise from ``trials`` states drawn at random (seeded
     by ``seed``).  Each run starts with the flag the state's flag variable
-    encodes and consumes ``dirs``, or else a random walk of the hardened
-    program drawn from the same generator right after its state.  The
-    hardened program, the ideal source and the speculative semantics are
-    prepared once, and the array precondition checked once (``_states``),
-    before any run, so every walk and run shares one per-check table.
-    Stops at the first failing run; the verdict counts the runs as ``runs``
-    and holds the failure message."""
+    encodes and consumes ``dirs``.  A random trial is instead one run of
+    the hardened program that picks a feasible directive at each observing
+    redex, drawn from the same generator right after its state, until it
+    has consumed ``bounds.max_dirs``; the ideal source then runs over the
+    directives consumed.  The hardened program, the ideal source and the
+    speculative semantics are prepared once, and the array precondition
+    checked once (``_states``), before any run, so every run shares one
+    per-check table.  Stops at the first failing run; the verdict counts
+    the runs as ``runs`` and holds the failure message."""
     sem, start, hardened = _bcc_programs(variant_kind, c, P, PA, flag_var)
     spec = Speculative()
     states = _states(c, space)
@@ -966,12 +968,15 @@ def check_bcc_space(
         states[rng.randrange(len(states))] for _ in range(trials))
     vacuous = "vacuous: no run was checked"
     count = 0
+
+    def draw(cfg, feas):  # a random trial's pick, over the trial's ``walk``
+        return rng.choice(feas) if len(walk) < bounds.max_dirs else None
+
     for rho, mu in picks:
-        flag = _bcc_flag(rho, flag_var)
-        walk = dirs if dirs is not None else random_spec_walk(
-            rng, spec, SpecConfig(hardened, rho, mu, flag), bounds.max_dirs, bounds.fuel)
+        walk, pick = (dirs, None) if dirs is not None else ([], draw)
         count += 1
-        ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, flag, walk, bounds.fuel, flag_var)
+        ok, why = _bcc_run(spec, sem, start, hardened, rho, mu, _bcc_flag(rho, flag_var), walk,
+                           bounds.fuel, flag_var, pick)
         if not ok:
             return _counted("runs", count, [why], vacuous)
     return _counted("runs", count, [], vacuous)
@@ -988,8 +993,10 @@ def _bcc_flag(rho: ScalarState, flag_var: str) -> bool:
     return bool(b0)
 
 
-def _bcc_run(spec, sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var) -> Tuple[bool, str]:
-    target = run(spec, SpecConfig(hardened, rho, mu, flag), dirs, fuel)
+def _bcc_run(
+    spec, sem, start, hardened, rho, mu, flag, dirs, fuel, flag_var, pick=None
+) -> Tuple[bool, str]:
+    target = run(spec, SpecConfig(hardened, rho, mu, flag), dirs, fuel, pick)
     if target.kind is RunKind.FUEL_EXHAUSTED:
         raise PreconditionError("fuel too small for the hardened run")
     used = list(dirs[: target.consumed])
@@ -1106,20 +1113,21 @@ def check_ni(
     none, step and force.  The program is typed once; an ill-typed program
     checks nothing, and a variant with no ideal semantics raises
     PreconditionError.  Only states of one ``_related_groups`` group are
-    paired, and a pair is skipped at a flag where ``_unrelated`` says it is
-    outside the lemma's premise.  The verdict counts the steps as
-    ``checked`` and holds every failure message."""
+    paired, and a pair is skipped at a flag where it is outside the lemma's
+    premise (``_unrelated``): within a group, that is at flag false when the
+    two states lie in different ``_public_groups``, which for the value
+    variants means that their public arrays differ.  The verdict counts the
+    steps as ``checked`` and holds every failure message."""
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except _IllTyped:
         return _counted("checked", 0, [], _NO_PAIR)
     groups, every = _related_groups(variant_kind, states, P, PA), range(len(states))
+    public = {s: g for g, members in enumerate(_public_groups(states, P, PA)) for s in members}
     checked, failures = 0, []
     for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups], zip(every, every)):
-        for flag in (False, True):
-            if _unrelated(variant_kind, P, PA, states[i], states[j], flag):
-                continue
+        for flag in (False, True) if public[i] == public[j] else (True,):
             cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
             for d in (None, STEP, FORCE):
                 ok, why = _step_ni(sem, variant_kind, P, PA, cfg1, cfg2, d)

@@ -34,10 +34,12 @@ Every semantics is a value whose methods are its rule functions: ``step``
 ``is_final``.  It holds a per-check ``table`` of each ``while``'s unfolded
 command and each expression's compiled closure (``lang.compiled``); every
 rule evaluates through it.  ``run`` and ``feasible`` work over any
-semantics.  ``advance`` is the one place that decides where a run stops:
-terminated, or out of fuel.  A directive that no rule can consume leaves
-the configuration stuck; feasibility filtering belongs to the checker, not
-the semantics.
+semantics.  ``run`` is the one loop that drives a concrete run: one that
+chooses its directives as it goes (a random trial of ``bcc``, an
+interactive run) passes a ``pick``.  ``advance`` is the one place that
+decides where a run stops: terminated, or out of fuel.  A directive that
+no rule can consume leaves the configuration stuck; feasibility filtering
+belongs to the checker, not the semantics.
 
 A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``candidate_classes`` lists the loads
@@ -385,12 +387,15 @@ class Outcome(Record):
     consumed: int
 
 
-def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
+def run(sem, cfg, dirs: Sequence[Dir], fuel: int, pick=None) -> Outcome:
     """Run, consuming directives left to right.  Stops at a final
     configuration (terminated), when no rule applies (stuck), at an
     observing redex with no directives left (directives exhausted, or stuck
-    when no directive is feasible there), or when fuel runs out.  The
-    number of consumed directives always equals the trace length."""
+    when no directive is feasible there), or when fuel runs out.  Where
+    ``dirs`` runs out at a redex with a feasible directive, ``pick(cfg,
+    feasible)``, when given, returns the next directive, which is appended
+    to ``dirs`` (a list, then), or None to stop.  The number of consumed
+    directives always equals the trace length."""
     trace: List[Obs] = []
     while True:
         cfg, used, kind = sem.advance(cfg, fuel)
@@ -398,8 +403,12 @@ def run(sem, cfg, dirs: Sequence[Dir], fuel: int) -> Outcome:
         if kind is not None:
             break
         if len(trace) == len(dirs):
-            kind = RunKind.DIRS_EXHAUSTED if feasible(sem, cfg) else RunKind.STUCK
-            break
+            feas = feasible(sem, cfg)
+            d = pick(cfg, feas) if feas and pick is not None else None
+            if d is None:
+                kind = RunKind.DIRS_EXHAUSTED if feas else RunKind.STUCK
+                break
+            dirs.append(d)
         r = sem.step(cfg, dirs[len(trace)])
         if r.tag is not STEPPED:
             kind = RunKind.STUCK

@@ -10,7 +10,6 @@ from awhile.gen import (
     NamePools,
     gen_program,
     random_labeling,
-    random_spec_walk,
     random_state,
 )
 from awhile.harden import FISLH, FVSLH, ISLH, SISLH, USLH, harden
@@ -171,9 +170,9 @@ def test_criterion_7_backwards_compiler_correctness():
                     rho = rho.set("b", 1)
                 hardened = transform(variant, com, P, PA)
                 flag = rho.get("b") == 1
-                walk = random_spec_walk(
-                    rng, Speculative(), SpecConfig(hardened, rho, mu, flag), 8, 4000
-                )
+                walk = []
+                run(Speculative(), SpecConfig(hardened, rho, mu, flag), walk, 4000,
+                    lambda cfg, feas: rng.choice(feas) if len(walk) < 8 else None)
                 ok, why = check_bcc(variant, com, P, PA, rho, mu, walk, 4000)
                 assert ok, (variant, why, pretty_com(com))
 

@@ -438,16 +438,77 @@ def test_env_overrides_bounds(files, monkeypatch):
     assert main(["repro", "--listing", "1"]) == 1
 
 
-def test_interactive_run(files, capsys, monkeypatch):
+_ARRAYS = "a1 = [0,7,1,2], a2 = [0,0,0,0,0,0,0,0], a3 = [5]"
+_LOADS = " | ".join([f"load a1 {j}" for j in range(4)] + [f"load a2 {j}" for j in range(8)]
+                   + ["load a3 0"])
+
+
+def _prompt(command, state, flag, feasible):
+    return (f"command:\n{command}\nstate: {state}, {_ARRAYS}\nflag: {flag}\n"
+            f"feasible: {feasible}\ndir> ")
+
+
+# the three prompts of Listing 1 from i = 4, a1_size = 4: the branch, the
+# misspeculated read of a1 and, after `load a3 0`, the read of a2
+_AT_BRANCH = _prompt("if i < a1_size then\n  j <- a1[i];\n  x <- a2[j]\nend",
+                     "a1_size = 4, i = 4", 0, "step | force")
+_AT_READ = _prompt("j <- a1[i];\nx <- a2[j]", "a1_size = 4, i = 4", 1, _LOADS)
+_AT_SECOND_READ = _prompt("x <- a2[j]", "a1_size = 4, i = 4, j = 5", 1, "step")
+
+
+def _interactive(files, capsys, monkeypatch, stdin, state="i = 4\na1_size = 4", extra=()):
     p = files("p.aw", LISTING1)
-    st = files(
-        "s", "i = 4\na1_size = 4\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]"
+    st = files("s", state + "\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]")
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["run", "--sem", "spec", "--state", st, "--interactive", *extra, p]) == 0
+    return capsys.readouterr().out
+
+
+def test_interactive_run(files, capsys, monkeypatch):
+    out = _interactive(files, capsys, monkeypatch, "force\nload a3 0\nstep\n")
+    assert out == (
+        _AT_BRANCH + "obs: branch false\n" + _AT_READ + "obs: read a1 4\n"
+        + _AT_SECOND_READ + "obs: read a2 5\n"
+        "trace:\nbranch false\nread a1 4\nread a2 5\n"
+        f"final state: a1_size = 4, i = 4, j = 5, {_ARRAYS}\n"
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO("force\nload a3 0\nstep\n"))
-    assert main(["run", "--sem", "spec", "--state", st, "--interactive", p]) == 0
-    out = capsys.readouterr().out
-    assert "feasible: step | force" in out
-    assert "obs: read a2 5" in out
+
+
+_L1_FINAL = f"final state: a1_size = 4, i = 4, {_ARRAYS}\n"
+
+
+@pytest.mark.parametrize("stdin, extra, expected", [
+    # quit, and end of input, at the misspeculated read
+    ("force\nquit\n", (), _AT_BRANCH + "obs: branch false\n" + _AT_READ
+     + "trace:\nbranch false\n" + _L1_FINAL),
+    ("force\n", (), _AT_BRANCH + "obs: branch false\n" + _AT_READ
+     + "(end of input)\ntrace:\nbranch false\n" + _L1_FINAL),
+    # a bad token, two directives and an infeasible directive prompt again
+    ("bogus\nstep step\nforce\nload a9 0\nload a3 0\nstep\n", (),
+     _AT_BRANCH + "error: unknown directive token 'bogus'\n"
+     + _AT_BRANCH + "error: one directive at a time\n"
+     + _AT_BRANCH + "obs: branch false\n"
+     + _AT_READ + "directive does not apply here\n"
+     + _AT_READ + "obs: read a1 4\n" + _AT_SECOND_READ + "obs: read a2 5\n"
+     "trace:\nbranch false\nread a1 4\nread a2 5\n"
+     f"final state: a1_size = 4, i = 4, j = 5, {_ARRAYS}\n"),
+    # the fuel runs out after the read of a1, without a prompt
+    ("force\nload a3 0\nstep\n", ("--fuel", "3"),
+     _AT_BRANCH + "obs: branch false\n" + _AT_READ + "obs: read a1 4\n"
+     "trace:\nbranch false\nread a1 4\n"
+     f"final state: a1_size = 4, i = 4, j = 5, {_ARRAYS}\n"),
+    ("", ("--fuel", "0"), f"trace:\n{_L1_FINAL}"),
+], ids=["quit", "end-of-input", "bad-input", "fuel-out", "no-fuel"])
+def test_interactive_transcript(files, capsys, monkeypatch, stdin, extra, expected):
+    assert _interactive(files, capsys, monkeypatch, stdin, extra=extra) == expected
+
+
+def test_interactive_run_reports_a_stuck_read(files, capsys, monkeypatch):
+    # in bounds of a1_size, out of a1's bounds, and not misspeculating
+    out = _interactive(files, capsys, monkeypatch, "step\n", state="i = 4\na1_size = 5")
+    at_branch = _AT_BRANCH.replace("a1_size = 4", "a1_size = 5")
+    assert out == (at_branch + "obs: branch true\nstuck: no feasible directive\n"
+                   f"trace:\nbranch true\nfinal state: a1_size = 5, i = 4, {_ARRAYS}\n")
 
 
 def test_gen_subcommand(capsys):

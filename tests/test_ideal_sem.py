@@ -7,7 +7,6 @@ from awhile.gen import (
     NamePools,
     gen_program,
     random_labeling,
-    random_spec_walk,
     random_state,
 )
 from awhile.ideal_sem import (
@@ -250,7 +249,8 @@ def test_bcc_randomized():
                 rho = rho.set("b", 1)
             hardened = transform(variant, com, P, PA)
             flag = rho.get("b") == 1
-            walk = random_spec_walk(rng, Speculative(), SpecConfig(hardened, rho, mu, flag), 8,
-                                    2000)
+            walk = []
+            run(Speculative(), SpecConfig(hardened, rho, mu, flag), walk, 2000,
+                lambda cfg, feas: rng.choice(feas) if len(walk) < 8 else None)
             ok, why = check_bcc(variant, com, P, PA, rho, mu, walk, 2000)
             assert ok, (variant, why, com)

@@ -1676,6 +1676,13 @@ def test_gen_program_respects_node_budget():
         assert count_nodes(gen_program(seed, 15)) <= 15
 
 
+def test_count_nodes_of_a_flat_program():
+    # one Seq per statement but the last, counted without recursion
+    from awhile.gen import count_nodes
+
+    assert count_nodes(parse_com("; ".join(["x := 1"] * 1500))) == 2999
+
+
 def test_gen_program_loops_terminate():
     for seed in range(200):
         com = gen_program(seed, 15)

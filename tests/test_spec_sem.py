@@ -139,6 +139,55 @@ def test_directives_exhausted_vs_stuck():
     assert run(Speculative(), cfg, [STEP], 3).kind is RunKind.TERMINATED
 
 
+def test_run_picks_directives_where_they_run_out():
+    pools = NamePools()
+    rng = random.Random(33)
+    for seed in range(60):
+        com = gen_program(seed, 12, pools)
+        rho, mu = random_state(rng, pools)
+        cfg = SpecConfig(com, rho, mu, rng.random() < 0.3)
+        sem, offered, picked = Speculative(), [], []
+
+        def pick(at, feas):
+            offered.append(feas == feasible(sem, at))
+            return rng.choice(feas) if len(picked) < 6 else None
+
+        out = run(sem, cfg, picked, 500, pick)
+        # every picked directive is appended and consumed, and replaying
+        # the list without a pick gives the same outcome
+        assert len(picked) == out.consumed and all(offered)
+        replay = run(sem, cfg, picked, 500)
+        assert (replay.kind, replay.trace, replay.consumed, replay.final.key()) == \
+            (out.kind, out.trace, out.consumed, out.final.key())
+
+
+def test_run_pick_appends_stops_and_is_not_called_when_stuck():
+    # picked directives follow the given ones
+    picked = [FORCE]
+    out = run(Speculative(), _ex3(42), picked, 100, lambda cfg, feas: feas[-1])
+    assert picked == [FORCE, DLoad("a3", 0), STEP]
+    assert (out.kind, out.trace) == (
+        RunKind.TERMINATED, (OBranch(False), ORead("a1", 4), ORead("a2", 42)))
+    # a pick that returns None stops the run, directives exhausted
+    calls = []
+    out = run(Speculative(), _ex3(42), [], 100, lambda cfg, feas: calls.append(feas))
+    assert (out.kind, out.consumed, calls) == (RunKind.DIRS_EXHAUSTED, 0, [[STEP, FORCE]])
+    # an out-of-bounds read without the flag, first or after a picked
+    # step: nothing is feasible, the run is stuck and the pick not called
+    def never(cfg, feas):
+        raise AssertionError("pick called with nothing feasible")
+
+    cfg = SpecConfig(ARead("x", "a1", Num(9)), ScalarState(), ArrayState({"a1": (5,)}), False)
+    out = run(Speculative(), cfg, [], 100, never)
+    assert (out.kind, out.consumed) == (RunKind.STUCK, 0)
+    cfg = SpecConfig(parse_com("if x < 1 then y <- a1[9] end"), ScalarState(),
+                     ArrayState({"a1": (5,)}), False)
+    picked = []
+    out = run(Speculative(), cfg, picked, 100,
+              lambda cfg, feas: never(cfg, feas) if cfg.redex.__class__ is ARead else STEP)
+    assert (out.kind, out.trace, picked) == (RunKind.STUCK, (OBranch(True),), [STEP])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000))
 def test_erasure_step_only_runs_equal_sequential(seed):
