@@ -56,7 +56,10 @@ replayed with ``spec_sem.run`` before it is reported.  The unwinding check
 over a space groups and walks its pairs the same way, under the ideal
 semantics; it and the noninterference check type the program once.  The
 one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``) walk their
-pair without a group tree.
+pair without a group tree.  The noninterference check settles each public
+group at each flag and directive with one step of the group's abstract
+configuration (``_settles``), where its first pair holds, and steps the
+pairs of the groups that step does not settle.
 
 The checks stop a run where the semantics' ``advance`` says it stops.  A
 random trial of ``bcc`` is one ``spec_sem.run`` of the hardened program,
@@ -65,6 +68,7 @@ whose ``pick`` draws each directive.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import itertools
@@ -304,8 +308,14 @@ def _require_arrays(c: Com, mu: ArrayState) -> None:
 
 def _states(c: Com, space: StateSpace) -> list:
     """The states of the space, once the program meets ``_require_arrays``
-    on the first: every state of a space has the same arrays."""
-    states = list(enum_states(space))  # never empty: the empty space has one state
+    on the first: every state of a space has the same arrays.  A space
+    that cannot be enumerated, such as one with an array too large to hold
+    or to index, raises SpaceFormatError, whether the program uses the
+    array or not."""
+    try:
+        states = list(enum_states(space))  # never empty: the empty space has one state
+    except (OverflowError, MemoryError):
+        raise SpaceFormatError("state space too large to enumerate") from None
     _require_arrays(c, states[0][1])
     return states
 
@@ -1105,6 +1115,40 @@ def check_step_ni(
     return _step_ni(sem, variant_kind, P, PA, start(*s1, flag), start(*s2, flag), d)
 
 
+_NI_DIRS = (None, STEP, FORCE)
+# the (flag, directive) of each step check_ni takes of a pair in one public group
+_NI_STEPS = frozenset(itertools.product((False, True), _NI_DIRS))
+
+
+def _settles(sem, variant_kind: str, P: LabelMap, PA: LabelMap, cfg, d: Optional[Dir]) -> bool:
+    """Whether one step of ``cfg``, a public group's abstract configuration
+    (``_abstract_state``), under ``d`` decides ``_step_ni`` for every pair
+    of the group's states.  The step must decide nothing on ``OPAQUE``
+    (SecretDependence).  Then a stuck step leaves every state stuck, which
+    is vacuous, and otherwise every state takes the same rule to the same
+    command, flag and labelings, so what remains is that ``OPAQUE`` is
+    absent from what ``_step_ni`` compares: the observation, the public
+    scalars of the output labeling, and its public arrays where the
+    variant's relation compares them at the successor flag.  ``_unrelated``
+    of the abstract successor with itself would not do: it compares
+    ``OPAQUE`` cells equal, by identity."""
+    try:
+        r = sem.step(cfg, d)
+    except SecretDependence:
+        return False
+    if r.tag is not StepTag.STEPPED:
+        return True
+    n = r.cfg
+    out_P, out_PA = (n.P, n.PA) if isinstance(n, FsIdealConfig) else (P, PA)
+    arrays = out_PA.public_names() if variant_kind == "fislh" or not n.flag else ()
+    compared = [*(r.obs or ()), *[n.rho.get(x) for x in out_P.public_names()],
+                *[v for a in arrays for v in n.mu.vector(a)]]
+    for v in compared:
+        if v is OPAQUE:
+            return False
+    return True
+
+
 def check_ni(
     variant_kind: str, c: Com, P: LabelMap, PA: LabelMap, space: StateSpace
 ) -> Verdict:
@@ -1116,24 +1160,64 @@ def check_ni(
     paired, and a pair is skipped at a flag where it is outside the lemma's
     premise (``_unrelated``): within a group, that is at flag false when the
     two states lie in different ``_public_groups``, which for the value
-    variants means that their public arrays differ.  The verdict counts the
-    steps as ``checked`` and holds every failure message."""
+    variants means that their public arrays differ.
+
+    Each public group is settled per flag and directive at its first pair,
+    a state with itself: where that pair's step holds, one step of the
+    group's abstract configuration decides the group's other pairs
+    (``_settles``), which are counted but not stepped.  Where it does not
+    decide them, and for the pairs of two public groups (the value variants
+    at flag true), every pair is stepped.  The verdict counts the steps as
+    ``checked``, settled ones included, and holds the failure message of
+    every failing step, in pair order."""
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except _IllTyped:
         return _counted("checked", 0, [], _NO_PAIR)
-    groups, every = _related_groups(variant_kind, states, P, PA), range(len(states))
-    public = {s: g for g, members in enumerate(_public_groups(states, P, PA)) for s in members}
-    checked, failures = 0, []
-    for i, j in heapq.merge(*[itertools.combinations(g, 2) for g in groups], zip(every, every)):
-        for flag in (False, True) if public[i] == public[j] else (True,):
-            cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
-            for d in (None, STEP, FORCE):
+    publics = _public_groups(states, P, PA)
+    relateds = _related_groups(variant_kind, states, P, PA)
+    public = {s: g for g in publics for s in g}
+    related = {s: g for g in relateds for s in g}
+    # every pair i <= j of a related group at flag true, and of a public
+    # group at flag false too, under three directives
+    checked = 3 * sum(len(g) * (len(g) + 1) // 2 for g in (*relateds, *publics))
+    failures = []
+
+    def step(i: int, j: int, flags, skip=frozenset()) -> set:
+        """_step_ni of the pair (i, j) at each flag and directive not in
+        ``skip``; the (flag, directive)s where it holds."""
+        held = set()
+        for flag in flags:
+            dirs = [d for d in _NI_DIRS if (flag, d) not in skip]
+            if dirs:
+                cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
+            for d in dirs:
                 ok, why = _step_ni(sem, variant_kind, P, PA, cfg1, cfg2, d)
-                checked += 1
-                if not ok:
+                if ok:
+                    held.add((flag, d))
+                else:
                     failures.append(why)
+        return held
+
+    settled = {}  # a public group's first state -> the (flag, directive)s it settles
+    for i in range(len(states)):
+        own, row = public[i], related[i]
+        if i == own[0]:
+            held, settled[i] = step(i, i, (False, True)), set()
+            if len(own) > 1:
+                abstract = _abstract_state(states, own)
+                settled[i] = {(flag, d) for flag, d in held
+                              if _settles(sem, variant_kind, P, PA, start(*abstract, flag), d)}
+        skip = settled[own[0]]
+        if skip == _NI_STEPS and len(row) == len(own):
+            continue  # row i pairs only states of its public group, all settled
+        # the pairs (i, j), j >= i, but for the first pair, stepped above
+        for j in row[bisect.bisect_left(row, i) + (i == own[0]):]:
+            if public[j] is not own:
+                step(i, j, (True,))
+            elif skip != _NI_STEPS:
+                step(i, j, (False, True), skip)
     return _counted("checked", checked, failures, _NO_PAIR)
 
 

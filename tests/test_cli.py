@@ -691,6 +691,29 @@ def test_long_numerals_are_usage_errors(argv, inputs, err, tmp_path, capsys, mon
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("size", [
+    "99999999999999999999",  # beyond an index
+    "9223372036854775807",  # an index, but beyond itertools.product's repeat
+])
+def test_an_array_too_large_to_enumerate_is_a_usage_error(size, files, capsys):
+    # the program never uses the array; neither size allocates anything
+    space = files("space", f"a : size {size} in {{0}}\n")
+    assert main(["check", "--property", "sct", "--space", space, files("p.aw", "x := 1")]) == 2
+    assert capsys.readouterr() == ("", "error: state space too large to enumerate\n")
+
+
+def test_a_space_out_of_memory_is_a_usage_error(files, capsys, monkeypatch):
+    import awhile.seccheck as seccheck
+
+    def out_of_memory(space):
+        raise MemoryError
+
+    monkeypatch.setattr(seccheck, "enum_states", out_of_memory)
+    space = files("space", "a : size 99999999999 in {0}\n")
+    assert main(["check", "--property", "sct", "--space", space, files("p.aw", "x := 1")]) == 2
+    assert capsys.readouterr() == ("", "error: state space too large to enumerate\n")
+
+
 def test_check_ni_and_bcc_vacuous_are_flagged(files, capsys):
     # ill-typed under the labeling: ni checks no step
     p = files("p.aw", "if s = 0 then x := 1 end")

@@ -12,6 +12,7 @@ from awhile.harden import FlagCollisionError
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH, _Policy
 from awhile.ifc_static import PUBLIC, SECRET, all_secret, parse_labeling, wt_ifc
 from awhile.lang import Seq, parse_com, pretty_com
+import awhile.ideal_sem as ideal_sem
 import awhile.seccheck as seccheck
 from awhile.seccheck import (
     _LEAF,
@@ -1461,19 +1462,116 @@ def _ni_nested_scan(variant, com, P, PA, space):
     return checked, failures
 
 
-def test_check_ni_pairs_match_nested_scan():
+def _ni_failures_vs_nested_scan(prefix=None):
+    """check_ni against _ni_nested_scan on generated programs, after
+    ``prefix`` if given; the steps checked and the failures."""
     rng = random.Random(41)
     space = parse_space("x in {0,1}\ni in {1,3}\na : size 2 in {0,1}\nc : size 1 in {0}")
-    total = 0
+    total, failing = 0, 0
     for _ in range(20):
         com = gen_program(rng.randrange(10**9), 10, pools)
+        if prefix:
+            com = Seq(parse_com(prefix), com)
         P, PA = random_labeling(rng, pools)
         for variant in ("fislh", "fvslh", "fsfvslh"):
             v = check_ni(variant, com, P, PA, space)
             got = (dict(v.facts)["checked"], list(v.failures))
             assert got == _ni_nested_scan(variant, com, P, PA, space)
-            total += got[0]
-    assert total > 0
+            total, failing = total + got[0], failing + len(got[1])
+    return total, failing
+
+
+def test_check_ni_pairs_match_nested_scan():
+    total, failing = _ni_failures_vs_nested_scan()
+    assert total > 0 and failing == 0
+
+
+def test_check_ni_failures_match_nested_scan(monkeypatch):
+    # with a planted fault, after a read that it leaks, some failing steps
+    # are of pairs whose public arrays differ, which the value variants
+    # step at flag true only
+    _unmasked_reads(monkeypatch)
+    assert _ni_failures_vs_nested_scan("y <- a[x]")[1] > 0
+
+
+def _unmasked_reads(monkeypatch):
+    """Plant a fault in both ideal policies: no read masks its index or its
+    value, which the flow-sensitive semantics reads from the module."""
+    for owner, name in ((IdealFiSLH, "policy"), (IdealFvSLH, "policy"),
+                        (ideal_sem, "_FVSLH_POLICY")):
+        fields = dict(zip(_Policy._fields, getattr(owner, name)))
+        fields["read_mask_index"] = fields["read_mask_value"] = lambda *args: False
+        monkeypatch.setattr(owner, name, _Policy(**fields))
+
+
+def _public_assignments(monkeypatch):
+    """Plant a fault in the flow-sensitive semantics: every value it
+    assigns or stores is public, so a secret reaches a public name."""
+    monkeypatch.setattr(ideal_sem, "label_of_expr", lambda P, e: PUBLIC)
+
+
+def test_ni_group_steps_change_no_verdict(monkeypatch):
+    # check_ni's status, checked count and failure list with each public
+    # group settled by one abstract step and with every pair stepped, on
+    # generated programs and labelings, alone and after a read or a store
+    # that the planted faults leak; s is in no labeling, so every public
+    # group has two or more states, and a public x or a splits them into
+    # several
+    space = parse_space("s in {0,1}\nx in {0,1}\na : size 2 in {0,1}\nc : size 1 in {0}")
+    states = list(enum_states(space))
+    prefixes = [parse_com(c) for c in ("y <- a[x]", "a[0] <- x")]
+    decisions, outcomes, several = collections.Counter(), set(), 0
+    real = seccheck._settles
+
+    def counted(*args):
+        out = real(*args)
+        decisions[out] += 1
+        return out
+
+    for fault in (None, _unmasked_reads, _public_assignments):
+        if fault:
+            fault(monkeypatch)
+        rng = random.Random(43)
+        for _ in range(16):
+            com = gen_program(rng.randrange(10**9), 10, pools)
+            P, PA = random_labeling(rng, pools)
+            several += len(seccheck._public_groups(states, P, PA)) > 1
+            for c, variant in itertools.product([com, *[Seq(p, com) for p in prefixes]],
+                                                ("fislh", "fvslh", "fsfvslh")):
+                with monkeypatch.context() as m:
+                    m.setattr(seccheck, "_settles", counted)
+                    grouped = check_ni(variant, c, P, PA, space)
+                with monkeypatch.context() as m:
+                    m.setattr(seccheck, "_settles", lambda *args: False)
+                    stepped = check_ni(variant, c, P, PA, space)
+                assert (grouped.status, grouped.facts, grouped.failures) == (
+                    stepped.status, stepped.facts, stepped.failures), (variant, c)
+                outcomes.add(grouped.status)
+    assert outcomes == {VerdictStatus.HOLDS, VerdictStatus.VIOLATED}
+    assert decisions[True] > 0 and decisions[False] > 0
+    assert several > 12
+
+
+@pytest.mark.parametrize("variant, flag, com, settles", [
+    ("fvslh", False, "y := 1", True),
+    ("fvslh", False, "y := x", False),  # an opaque public scalar
+    ("fvslh", False, "z := x", True),
+    ("fsfvslh", False, "y := x", True),  # y takes x's secret label
+    ("fvslh", False, "y <- a[x]", False),  # a decision on the opaque index
+    ("fvslh", False, "if x < 1 then skip end", False),
+    ("fvslh", False, "y <- a[5]", True),  # stuck in every state
+    ("fvslh", False, "a[0] <- x", False),  # an opaque public array cell
+    ("fvslh", True, "a[0] <- x", True),  # not compared while misspeculating
+    ("fislh", True, "a[0] <- x", False),  # compared at either flag
+    ("fsfvslh", False, "a[0] <- x", True),  # the store makes a secret
+])
+def test_settles_judges_what_ni_compares(variant, flag, com, settles):
+    # one step of an abstract configuration in which x is opaque, judged on
+    # the successor's output labeling with y and a public
+    P = parse_labeling("y: public\na: public")
+    sem, start, _ = seccheck._ideal_source(variant, parse_com(com), P, P, typed=False)
+    cfg = start(ScalarState({"x": OPAQUE}), ArrayState({"a": (0, 0)}), flag)
+    assert seccheck._settles(sem, variant, P, P, cfg, STEP) is settles
 
 
 def test_unwinding_skip():
