@@ -56,10 +56,10 @@ replayed with ``spec_sem.run`` before it is reported.  The unwinding check
 over a space groups and walks its pairs the same way, under the ideal
 semantics; it and the noninterference check type the program once.  The
 one-pair checks (``check_spec_obs_equiv``, ``check_unwinding``) walk their
-pair without a group tree.  The noninterference check settles each public
-group at each flag and directive with one step of the group's abstract
-configuration (``_settles``), where its first pair holds, and steps the
-pairs of the groups that step does not settle.
+pair without a group tree.  The noninterference check decides every group
+of related states at each flag and directive with one step of the group's
+abstract configuration (``_settles``), and steps only the pairs of the
+groups that step does not settle.
 
 The checks stop a run where the semantics' ``advance`` says it stops.  A
 random trial of ``bcc`` is one ``spec_sem.run`` of the hardened program,
@@ -1116,12 +1116,10 @@ def check_step_ni(
 
 
 _NI_DIRS = (None, STEP, FORCE)
-# the (flag, directive) of each step check_ni takes of a pair in one public group
-_NI_STEPS = frozenset(itertools.product((False, True), _NI_DIRS))
 
 
 def _settles(sem, variant_kind: str, P: LabelMap, PA: LabelMap, cfg, d: Optional[Dir]) -> bool:
-    """Whether one step of ``cfg``, a public group's abstract configuration
+    """Whether one step of ``cfg``, a group's abstract configuration
     (``_abstract_state``), under ``d`` decides ``_step_ni`` for every pair
     of the group's states.  The step must decide nothing on ``OPAQUE``
     (SecretDependence).  Then a stuck step leaves every state stuck, which
@@ -1156,68 +1154,49 @@ def check_ni(
     itself included) in nested-scan order, both flags, and the directives
     none, step and force.  The program is typed once; an ill-typed program
     checks nothing, and a variant with no ideal semantics raises
-    PreconditionError.  Only states of one ``_related_groups`` group are
-    paired, and a pair is skipped at a flag where it is outside the lemma's
-    premise (``_unrelated``): within a group, that is at flag false when the
-    two states lie in different ``_public_groups``, which for the value
-    variants means that their public arrays differ.
+    PreconditionError.  A pair is checked at a flag where its two states
+    share a group: their ``_public_groups`` group at flag false, and their
+    ``_related_groups`` group at flag true (for fislh the same grouping).
+    At any other flag it is outside the lemma's premise (``_unrelated``).
 
-    Each public group is settled per flag and directive at its first pair,
-    a state with itself: where that pair's step holds, one step of the
-    group's abstract configuration decides the group's other pairs
-    (``_settles``), which are counted but not stepped.  Where it does not
-    decide them, and for the pairs of two public groups (the value variants
-    at flag true), every pair is stepped.  The verdict counts the steps as
-    ``checked``, settled ones included, and holds the failure message of
-    every failing step, in pair order."""
+    Every group is decided at its flag and each directive by one step of
+    its abstract configuration (``_settles``), which counts the group's
+    pairs without stepping them.  A singleton always settles: its
+    configuration holds no ``OPAQUE``, and a state steps like itself.  The
+    pairs of a group at the directives it leaves open are stepped, so the
+    verdict, which counts the steps as ``checked``, settled ones included,
+    holds the failure message of every failing step, in pair order."""
     states = _states(c, space)
     try:
         sem, start, _ = _ideal_source(variant_kind, c, P, PA, typed=True)
     except _IllTyped:
         return _counted("checked", 0, [], _NO_PAIR)
-    publics = _public_groups(states, P, PA)
-    relateds = _related_groups(variant_kind, states, P, PA)
-    public = {s: g for g in publics for s in g}
-    related = {s: g for g in relateds for s in g}
-    # every pair i <= j of a related group at flag true, and of a public
-    # group at flag false too, under three directives
-    checked = 3 * sum(len(g) * (len(g) + 1) // 2 for g in (*relateds, *publics))
+    member = {}  # (flag, state) -> its group at that flag, and the directives left open
+    checked = 0
+    for flag, groups in ((False, _public_groups(states, P, PA)),
+                         (True, _related_groups(variant_kind, states, P, PA))):
+        for g in groups:
+            cfg = start(*_abstract_state(states, g), flag)
+            entry = (g, [d for d in _NI_DIRS if not _settles(sem, variant_kind, P, PA, cfg, d)])
+            member.update(((flag, s), entry) for s in g)
+            checked += 3 * (len(g) * (len(g) + 1) // 2)
     failures = []
-
-    def step(i: int, j: int, flags, skip=frozenset()) -> set:
-        """_step_ni of the pair (i, j) at each flag and directive not in
-        ``skip``; the (flag, directive)s where it holds."""
-        held = set()
-        for flag in flags:
-            dirs = [d for d in _NI_DIRS if (flag, d) not in skip]
-            if dirs:
-                cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
-            for d in dirs:
-                ok, why = _step_ni(sem, variant_kind, P, PA, cfg1, cfg2, d)
-                if ok:
-                    held.add((flag, d))
-                else:
-                    failures.append(why)
-        return held
-
-    settled = {}  # a public group's first state -> the (flag, directive)s it settles
     for i in range(len(states)):
-        own, row = public[i], related[i]
-        if i == own[0]:
-            held, settled[i] = step(i, i, (False, True)), set()
-            if len(own) > 1:
-                abstract = _abstract_state(states, own)
-                settled[i] = {(flag, d) for flag, d in held
-                              if _settles(sem, variant_kind, P, PA, start(*abstract, flag), d)}
-        skip = settled[own[0]]
-        if skip == _NI_STEPS and len(row) == len(own):
-            continue  # row i pairs only states of its public group, all settled
-        # the pairs (i, j), j >= i, but for the first pair, stepped above
-        for j in row[bisect.bisect_left(row, i) + (i == own[0]):]:
-            if public[j] is not own:
-                step(i, j, (True,))
-            elif skip != _NI_STEPS:
-                step(i, j, (False, True), skip)
+        (own, own_dirs), (row, row_dirs) = member[False, i], member[True, i]
+        if not (own_dirs or row_dirs):
+            continue  # both groups of row i are settled
+        # the pairs (i, j), j >= i, of the related group, or of the public
+        # group, which lies in it, where the related group is settled
+        cols = row if row_dirs else own
+        for j in cols[bisect.bisect_left(cols, i):]:
+            for flag, dirs in ((False, own_dirs if member[False, j][0] is own else ()),
+                               (True, row_dirs)):
+                if dirs:
+                    cfg1, cfg2 = start(*states[i], flag), start(*states[j], flag)
+                for d in dirs:
+                    ok, why = _step_ni(sem, variant_kind, P, PA, cfg1, cfg2, d)
+                    if not ok:
+                        failures.append(why)
     return _counted("checked", checked, failures, _NO_PAIR)
 
 

@@ -813,7 +813,9 @@ def test_bcc_hardens_once_per_check(files, capsys, monkeypatch, variant, transfo
 def _ni_steps_fail(monkeypatch):
     import awhile.seccheck as seccheck
 
+    # no group settles, so that every step reaches the planted fault
     count = itertools.count(1)
+    monkeypatch.setattr(seccheck, "_settles", lambda *args: False)
     monkeypatch.setattr(seccheck, "_step_ni", lambda *args: (False, f"failure {next(count)}"))
 
 

@@ -1511,8 +1511,8 @@ def _public_assignments(monkeypatch):
 
 
 def test_ni_group_steps_change_no_verdict(monkeypatch):
-    # check_ni's status, checked count and failure list with each public
-    # group settled by one abstract step and with every pair stepped, on
+    # check_ni's status, checked count and failure list with each group
+    # settled by one abstract step and with every pair stepped, on
     # generated programs and labelings, alone and after a read or a store
     # that the planted faults leak; s is in no labeling, so every public
     # group has two or more states, and a public x or a splits them into
@@ -1552,26 +1552,52 @@ def test_ni_group_steps_change_no_verdict(monkeypatch):
     assert several > 12
 
 
-@pytest.mark.parametrize("variant, flag, com, settles", [
-    ("fvslh", False, "y := 1", True),
-    ("fvslh", False, "y := x", False),  # an opaque public scalar
-    ("fvslh", False, "z := x", True),
-    ("fsfvslh", False, "y := x", True),  # y takes x's secret label
-    ("fvslh", False, "y <- a[x]", False),  # a decision on the opaque index
-    ("fvslh", False, "if x < 1 then skip end", False),
-    ("fvslh", False, "y <- a[5]", True),  # stuck in every state
-    ("fvslh", False, "a[0] <- x", False),  # an opaque public array cell
-    ("fvslh", True, "a[0] <- x", True),  # not compared while misspeculating
-    ("fislh", True, "a[0] <- x", False),  # compared at either flag
-    ("fsfvslh", False, "a[0] <- x", True),  # the store makes a secret
+@pytest.mark.parametrize("variant, flag, com, array, settles", [
+    ("fvslh", False, "y := 1", (0, 0), True),
+    ("fvslh", False, "y := x", (0, 0), False),  # an opaque public scalar
+    ("fvslh", False, "z := x", (0, 0), True),
+    ("fsfvslh", False, "y := x", (0, 0), True),  # y takes x's secret label
+    ("fvslh", False, "y <- a[x]", (0, 0), False),  # a decision on the opaque index
+    ("fvslh", False, "if x < 1 then skip end", (0, 0), False),
+    ("fvslh", False, "y <- a[5]", (0, 0), True),  # stuck in every state
+    ("fvslh", False, "a[0] <- x", (0, 0), False),  # an opaque public array cell
+    ("fvslh", True, "a[0] <- x", (0, 0), True),  # not compared while misspeculating
+    ("fislh", True, "a[0] <- x", (0, 0), False),  # compared at either flag
+    ("fsfvslh", False, "a[0] <- x", (0, 0), True),  # the store makes a secret
+    # an opaque public cell read into a public scalar: what check_ni's
+    # related groups at flag true rely on, which for the value variants
+    # span public groups whose public arrays differ
+    ("fvslh", True, "y <- a[0]", (OPAQUE, 0), True),  # the value is masked
+    ("fsfvslh", True, "y <- a[0]", (OPAQUE, 0), True),
+    ("fvslh", False, "y <- a[0]", (OPAQUE, 0), False),
+    ("fislh", True, "y <- a[0]", (OPAQUE, 0), False),
 ])
-def test_settles_judges_what_ni_compares(variant, flag, com, settles):
+def test_settles_judges_what_ni_compares(variant, flag, com, array, settles):
     # one step of an abstract configuration in which x is opaque, judged on
     # the successor's output labeling with y and a public
     P = parse_labeling("y: public\na: public")
     sem, start, _ = seccheck._ideal_source(variant, parse_com(com), P, P, typed=False)
-    cfg = start(ScalarState({"x": OPAQUE}), ArrayState({"a": (0, 0)}), flag)
+    cfg = start(ScalarState({"x": OPAQUE}), ArrayState({"a": array}), flag)
     assert seccheck._settles(sem, variant, P, P, cfg, STEP) is settles
+
+
+def test_check_ni_settles_groups_without_a_step(monkeypatch):
+    # a public read over a space whose public arrays differ: every public
+    # group, and under the value variants every related group at flag true,
+    # which holds 8 states of 4 public groups, settles by its abstract step
+    com, P = parse_com("y <- a[0]"), parse_labeling("y: public\na: public")
+    space = parse_space("s in {0,1}\na : size 2 in {0,1}")
+    expected = {v: _ni_nested_scan(v, com, P, P, space) for v in ("fislh", "fvslh", "fsfvslh")}
+
+    def no_step(*args):
+        raise AssertionError("a pair was stepped")
+
+    monkeypatch.setattr(seccheck, "_step_ni", no_step)
+    for variant, (checked, failures) in expected.items():
+        assert failures == []
+        v = check_ni(variant, com, P, P, space)
+        assert v.holds and v.facts == (("checked", checked),), variant
+    assert [c for c, _ in expected.values()] == [72, 144, 144]
 
 
 def test_unwinding_skip():
