@@ -1552,33 +1552,43 @@ def test_ni_group_steps_change_no_verdict(monkeypatch):
     assert several > 12
 
 
-@pytest.mark.parametrize("variant, flag, com, array, settles", [
-    ("fvslh", False, "y := 1", (0, 0), True),
-    ("fvslh", False, "y := x", (0, 0), False),  # an opaque public scalar
-    ("fvslh", False, "z := x", (0, 0), True),
-    ("fsfvslh", False, "y := x", (0, 0), True),  # y takes x's secret label
-    ("fvslh", False, "y <- a[x]", (0, 0), False),  # a decision on the opaque index
-    ("fvslh", False, "if x < 1 then skip end", (0, 0), False),
-    ("fvslh", False, "y <- a[5]", (0, 0), True),  # stuck in every state
-    ("fvslh", False, "a[0] <- x", (0, 0), False),  # an opaque public array cell
-    ("fvslh", True, "a[0] <- x", (0, 0), True),  # not compared while misspeculating
-    ("fislh", True, "a[0] <- x", (0, 0), False),  # compared at either flag
-    ("fsfvslh", False, "a[0] <- x", (0, 0), True),  # the store makes a secret
+@pytest.mark.parametrize("variant, flag, com, settles", [
+    ("fvslh", False, "y := 1", True),
+    ("fvslh", False, "y := x", False),  # an opaque public scalar
+    ("fvslh", False, "z := x", True),
+    ("fsfvslh", False, "y := x", True),  # y takes x's secret label
+    ("fvslh", False, "y <- a[x]", False),  # a decision on the opaque index
+    ("fvslh", False, "if x < 1 then skip end", False),
+    ("fvslh", False, "y <- a[5]", True),  # stuck in every state
+    ("fvslh", False, "a[0] <- x", False),  # an opaque public array cell
+    ("fvslh", True, "a[0] <- x", True),  # not compared while misspeculating
+    ("fislh", True, "a[0] <- x", False),  # compared at either flag
+    ("fsfvslh", False, "a[0] <- x", True),  # the store makes a secret
+])
+def test_settles_judges_what_ni_compares(variant, flag, com, settles):
+    # one step of an abstract configuration in which x is opaque, judged on
+    # the successor's output labeling with y and a public
+    assert _settles_one_step(variant, flag, com, (0, 0)) is settles
+
+
+@pytest.mark.parametrize("variant, flag, settles", [
+    ("fvslh", True, True),  # the value is masked
+    ("fsfvslh", True, True),
+    ("fvslh", False, False),
+    ("fislh", True, False),
+])
+def test_settles_judges_an_opaque_public_cell_read(variant, flag, settles):
     # an opaque public cell read into a public scalar: what check_ni's
     # related groups at flag true rely on, which for the value variants
     # span public groups whose public arrays differ
-    ("fvslh", True, "y <- a[0]", (OPAQUE, 0), True),  # the value is masked
-    ("fsfvslh", True, "y <- a[0]", (OPAQUE, 0), True),
-    ("fvslh", False, "y <- a[0]", (OPAQUE, 0), False),
-    ("fislh", True, "y <- a[0]", (OPAQUE, 0), False),
-])
-def test_settles_judges_what_ni_compares(variant, flag, com, array, settles):
-    # one step of an abstract configuration in which x is opaque, judged on
-    # the successor's output labeling with y and a public
+    assert _settles_one_step(variant, flag, "y <- a[0]", (OPAQUE, 0)) is settles
+
+
+def _settles_one_step(variant, flag, com, array):
     P = parse_labeling("y: public\na: public")
     sem, start, _ = seccheck._ideal_source(variant, parse_com(com), P, P, typed=False)
     cfg = start(ScalarState({"x": OPAQUE}), ArrayState({"a": array}), flag)
-    assert seccheck._settles(sem, variant, P, P, cfg, STEP) is settles
+    return seccheck._settles(sem, variant, P, P, cfg, STEP)
 
 
 def test_check_ni_settles_groups_without_a_step(monkeypatch):
