@@ -981,53 +981,86 @@ def parse_bexp(text: str) -> BExp:
 _SPELLING = {op: (bp, f" {op} ") for op, bp in _BINDING.items()}
 _SPELLING[And], _SPELLING[Or] = _SPELLING["&&"], _SPELLING["||"]
 
+# A name or a numeral.  Its one field, the name or the value, prints as
+# itself, so ``f"{atom[0]}"`` is its text.
+_ATOMS = frozenset((Var, Num))
+
 
 def _print_expr(out: list, e, level: int):
     """Append the concrete syntax of expression ``e`` to ``out``, in
-    parentheses where its operator binds more loosely than ``level``.  An
-    explicit stack holds the subexpressions and the text between them; a
-    name or numeral on the left of an operator is written at once."""
-    todo = [(e, level)]
-    while todo:
-        e, level = todo.pop()
+    parentheses where its operator binds more loosely than ``level``.
+
+    A compound node is a row of parts, each some text and an operand at a
+    level, and then its closing text: ``(c ? a : b)`` is ``"("`` and c,
+    ``" ? "`` and a, ``" : "`` and b, then ``")"``.  The row is read left to
+    right.  An operand that is an atom, or an arithmetic operator or a
+    comparison over two atoms, joins the text around it, so a node made
+    only of such operands is written as one piece.  At any other operand
+    the text so far is written and that operand is printed next.  If parts
+    are left after it, the node waits on the stack with the index of its
+    next part; if not, the node's closing text and then its own tail become
+    the operand's tail, the text written with the operand's last piece.  So
+    the stack holds only compound nodes, and no depth of nesting or length
+    of chain exhausts the recursion limit.
+    """
+    todo = []  # (compound node, its level, its tail, the index of its next part)
+    tail, k = "", 0
+    while True:
         cls = e.__class__
-        if cls is str:
-            out.append(e)
-        elif cls is Var:
-            out.append(e.name)
-        elif cls is Num:
-            out.append(str(e.value))
-        elif cls is BinOp or cls is And or cls is Or or cls is Cmp:
-            mine, text = _SPELLING[cls if cls is And or cls is Or else e.op]
-            if cls is Cmp:
-                # non-associative: both operands are arithmetic
-                mine, right = _ADD, _ADD
-            else:
-                # left-associative: the right operand needs one level more
-                right = mine + 1
-                if mine < level:
-                    out.append("(")
-                    todo.append((")", 0))
-            todo.append((e.right, right))
-            left = e.left
-            if left.__class__ is Var:
-                out += (left.name, text)
-            elif left.__class__ is Num:
-                out += (str(left.value), text)
-            else:
-                todo += ((text, 0), (left, mine))
-        elif cls is CTCond:
-            # always parenthesized, per the grammar
-            out.append("(")
-            todo += ((")", 0), (e.other, _ADD), (" : ", 0), (e.then, _ADD),
-                     (" ? ", 0), (e.cond, _OR))
-        elif cls is Not:
-            out.append("!")
-            todo.append((e.arg, _CMP))
+        if cls in _ATOMS:
+            out.append(f"{e[0]}{tail}")
         elif cls is BoolLit:
-            out.append("true" if e.value else "false")
+            out.append(f"{'true' if e.value else 'false'}{tail}")
         else:
-            raise TypeError(f"not an expression: {e!r}")
+            if cls is CTCond:
+                # always parenthesized, per the grammar
+                parts = (("(", e.cond, _OR), (" ? ", e.then, _ADD), (" : ", e.other, _ADD))
+                close = ")"
+            elif cls is Cmp:
+                # non-associative: both operands are arithmetic
+                parts = (("", e.left, _ADD), (_SPELLING[e.op][1], e.right, _ADD))
+                close = ""
+            elif cls is BinOp or cls is And or cls is Or:
+                # left-associative: the right operand needs one level more
+                mine, text = _SPELLING[e.op if cls is BinOp else cls]
+                paren = mine < level
+                parts = (("(" if paren else "", e.left, mine), (text, e.right, mine + 1))
+                close = ")" if paren else ""
+            elif cls is Not:
+                parts, close = (("!", e.arg, _CMP),), ""
+            else:
+                raise TypeError(f"not an expression: {e!r}")
+            head, operand = "", None
+            for pre, x, lv in parts[k:]:
+                k += 1
+                c = x.__class__
+                if c in _ATOMS:
+                    head = f"{head}{pre}{x[0]}"
+                elif (c is BinOp or c is Cmp) and x.left.__class__ in _ATOMS \
+                        and x.right.__class__ in _ATOMS:
+                    mine, text = _SPELLING[x.op]
+                    if c is BinOp and mine < lv:
+                        head = f"{head}{pre}({x.left[0]}{text}{x.right[0]})"
+                    else:
+                        head = f"{head}{pre}{x.left[0]}{text}{x.right[0]}"
+                else:
+                    head, operand = f"{head}{pre}", x
+                    break
+            if operand is None:
+                out.append(f"{head}{close}{tail}")
+            else:
+                if k < len(parts):
+                    todo.append((e, level, tail, k))
+                    tail = ""
+                else:
+                    tail = close + tail
+                if head:
+                    out.append(head)
+                e, level, k = operand, lv, 0
+                continue
+        if not todo:
+            return
+        e, level, tail, k = todo.pop()
 
 
 def pretty_aexp(e: AExp, level: int = _ADD) -> str:
@@ -1048,66 +1081,109 @@ def pretty_com(c: Union[Com, ACom]) -> str:
     For any AST produced by parse_com the output reparses to a structurally
     equal tree.  The one normalization: the grammar has no command grouping,
     so a left-nested Seq prints flat and reparses right-nested (semantically
-    identical; parse_com never produces left-nested sequences).
+    identical).  ``parse_com`` never builds left-nested sequences, but other
+    code does: ``harden``'s value-mask rule puts a read and its mask in a
+    sequence of their own, ``Seq(Seq(read, mask), next)``, and
+    ``SpecConfig.com`` folds its stack of commands to the left.
 
     An annotated command prints as the command it annotates, with each
     label as a trailing ``#`` comment and each branch wrapper as a comment
     line of its own, so it reparses to ``erase_acom`` of it.  An annotated
     ``if`` keeps its ``else``: ASkip is not Skip.
 
-    Every piece of text goes into one list, in order, from an explicit
-    stack of commands (each with the newline and indentation its line
-    starts with) and of the text that follows their parts, so no nesting
-    depth exhausts the recursion limit.
+    Every piece of text goes into one list, in order.  A sequence's spine
+    is walked in a loop, and the ``;`` that ends a part travels as the tail
+    of the part's last line, written before that line's annotation comment.
+    An assignment or a read whose expression is an atom is one piece.  An
+    explicit stack holds only what must wait for a compound part: the rest
+    of a sequence, and the ``else`` and ``end`` lines of an ``if`` or a
+    ``while``.  So no nesting depth or spine length exhausts the recursion
+    limit.
     """
     out: list = []
-    todo = [(c, "\n")]
-    while todo:
-        c, nl = todo.pop()
-        cls = c.__class__
-        if cls is str:
-            if c == ";" and out[-1][:3] == "  #":
-                out.insert(-1, c)  # before the line's annotation comment
-            else:
-                out.append(c)
-        elif cls is Seq or cls is ASeq:
-            # ';' ends the first part's last line
-            todo += ((c.second, nl), (";", nl), (c.first, nl))
-        elif cls is Asgn or cls is AAsgn:
-            out += (nl, c.name, " := ")
-            _print_expr(out, c.expr, _ADD)
-        elif cls is ARead or cls is AARead:
-            out += (nl, c.name, " <- ", c.array, "[")
-            _print_expr(out, c.index, _ADD)
-            out.append("]")
-            if cls is AARead:
-                out.append(f"  # target={c.lbl_target} index={c.lbl_index}")
-        elif cls is AWrite or cls is AAWrite:
-            out += (nl, c.array, "[")
-            _print_expr(out, c.index, _ADD)
-            out.append("] <- ")
-            _print_expr(out, c.value, _ADD)
-            if cls is AAWrite:
-                out.append(f"  # index={c.lbl_index}")
-        elif cls is If or cls is AIf:
-            out += (nl, "if ")
-            _print_expr(out, c.cond, _OR)
-            out.append(" then" if cls is If else f" then  # cond={c.lbl}")
-            inner = nl + "  "
-            todo.append((nl + "end", nl))
-            if c.other.__class__ is not Skip:
-                todo += ((c.other, inner), (nl + "else", nl))
-            todo.append((c.then, inner))
-        elif cls is While or cls is AWhileC:
-            out += (nl, "while ")
-            _print_expr(out, c.cond, _OR)
-            out.append(" do" if cls is While else f" do  # cond={c.lbl}")
-            todo += ((nl + "end", nl), (c.body, nl + "  "))
-        elif cls is Skip or cls is ASkip:
-            out += (nl, "skip")
-        elif cls is ABranch:
-            out += (nl, f"# branch pc={c.lbl}")
-            todo.append((c.body, nl))
+    # (command, the text its lines start with, its tail, and "" to print it,
+    # or the keyword line of an if or a while printed up to that line)
+    todo: list = []
+    nl, tail = "\n", ""
+    while True:
+        if c.__class__ is Seq or c.__class__ is ASeq:
+            # the first part ends with ';', and the rest comes next
+            s, t, c = c.first, ";", c.second
         else:
-            raise TypeError(f"not a command: {c!r}")
-    return "".join(out)[1:]
+            s, t, c = c, tail, None
+        cls = s.__class__
+        if cls is Asgn or cls is AAsgn:
+            x = s.expr
+            if x.__class__ in _ATOMS:
+                out.append(f"{nl}{s.name} := {x[0]}{t}")
+            else:
+                out.append(f"{nl}{s.name} := ")
+                _print_expr(out, x, _ADD)
+                if t:
+                    out.append(t)
+        elif cls is ARead or cls is AARead:
+            x = s.index
+            end = f"]{t}  # target={s.lbl_target} index={s.lbl_index}" if cls is AARead else f"]{t}"
+            if x.__class__ in _ATOMS:
+                out.append(f"{nl}{s.name} <- {s.array}[{x[0]}{end}")
+            else:
+                out.append(f"{nl}{s.name} <- {s.array}[")
+                _print_expr(out, x, _ADD)
+                out.append(end)
+        elif cls is AWrite or cls is AAWrite:
+            out.append(f"{nl}{s.array}[")
+            _print_expr(out, s.index, _ADD)
+            out.append("] <- ")
+            _print_expr(out, s.value, _ADD)
+            if cls is AAWrite:
+                out.append(f"{t}  # index={s.lbl_index}")
+            elif t:
+                out.append(t)
+        elif cls is Skip or cls is ASkip:
+            out.append(f"{nl}skip{t}")
+        elif cls is Seq or cls is ASeq:
+            # a left-nested sequence: the outer rest waits
+            todo.append((c, nl, tail, ""))
+            c, tail = s, t
+            continue
+        elif cls is If or cls is AIf:
+            out.append(f"{nl}if ")
+            _print_expr(out, s.cond, _OR)
+            out.append(" then" if cls is If else f" then  # cond={s.lbl}")
+            if c is not None:
+                todo.append((c, nl, tail, ""))
+            todo.append((s, nl, t, "end"))
+            if s.other.__class__ is not Skip:
+                todo.append((s, nl, "", "else"))
+            c, nl, tail = s.then, nl + "  ", ""
+            continue
+        elif cls is While or cls is AWhileC:
+            out.append(f"{nl}while ")
+            _print_expr(out, s.cond, _OR)
+            out.append(" do" if cls is While else f" do  # cond={s.lbl}")
+            if c is not None:
+                todo.append((c, nl, tail, ""))
+            todo.append((s, nl, t, "end"))
+            c, nl, tail = s.body, nl + "  ", ""
+            continue
+        elif cls is ABranch:
+            out.append(f"{nl}# branch pc={s.lbl}")
+            if c is not None:
+                todo.append((c, nl, tail, ""))
+            c, tail = s.body, t
+            continue
+        else:
+            raise TypeError(f"not a command: {s!r}")
+        if c is not None:
+            continue  # the rest of the spine
+        while True:
+            if not todo:
+                return "".join(out)[1:]
+            c, nl, tail, word = todo.pop()
+            if not word:
+                break
+            if word == "else":
+                out.append(f"{nl}else")
+                c, nl, tail = c.other, nl + "  ", ""
+                break
+            out.append(f"{nl}end{tail}")

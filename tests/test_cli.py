@@ -456,8 +456,9 @@ _AT_READ = _prompt("j <- a1[i];\nx <- a2[j]", "a1_size = 4, i = 4", 1, _LOADS)
 _AT_SECOND_READ = _prompt("x <- a2[j]", "a1_size = 4, i = 4, j = 5", 1, "step")
 
 
-def _interactive(files, capsys, monkeypatch, stdin, state="i = 4\na1_size = 4", extra=()):
-    p = files("p.aw", LISTING1)
+def _interactive(files, capsys, monkeypatch, stdin, state="i = 4\na1_size = 4", extra=(),
+                 program=LISTING1):
+    p = files("p.aw", program)
     st = files("s", state + "\na1 = [0,7,1,2]\na2 = [0,0,0,0,0,0,0,0]\na3 = [5]")
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert main(["run", "--sem", "spec", "--state", st, "--interactive", *extra, p]) == 0
@@ -509,6 +510,23 @@ def test_interactive_run_reports_a_stuck_read(files, capsys, monkeypatch):
     at_branch = _AT_BRANCH.replace("a1_size = 4", "a1_size = 5")
     assert out == (at_branch + "obs: branch true\nstuck: no feasible directive\n"
                    f"trace:\nbranch true\nfinal state: a1_size = 5, i = 4, {_ARRAYS}\n")
+
+
+def test_interactive_prompt_prints_a_folded_configuration(files, capsys, monkeypatch):
+    # Listing 1 with three statements in its then-branch and one after it.
+    # After `force` the configuration's stack folds to the left,
+    # Seq(Seq(then-branch, i := i + 1)), and prints as one flat sequence.
+    program = ("if i < a1_size then j <- a1[i]; x <- a2[j]; y := x + 1 end;\n"
+               "i := i + 1\n")
+    out = _interactive(files, capsys, monkeypatch, "force\n", program=program)
+    assert out == (
+        _prompt("if i < a1_size then\n  j <- a1[i];\n  x <- a2[j];\n  y := x + 1\nend;\n"
+                "i := i + 1", "a1_size = 4, i = 4", 0, "step | force")
+        + "obs: branch false\n"
+        + _prompt("j <- a1[i];\nx <- a2[j];\ny := x + 1;\ni := i + 1",
+                  "a1_size = 4, i = 4", 1, _LOADS)
+        + "(end of input)\ntrace:\nbranch false\n" + _L1_FINAL
+    )
 
 
 def test_gen_subcommand(capsys):

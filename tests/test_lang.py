@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 
@@ -5,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awhile.flow_ifc import flow_track
+from awhile.ifc_static import Labeling, LabelMap, PUBLIC, SECRET
 from awhile.lang import (
+    AARead,
+    AAsgn,
+    AAWrite,
+    ABranch,
+    AIf,
     And,
     ARead,
+    ASeq,
+    ASkip,
+    AWhileC,
     Asgn,
     AWrite,
     BinOp,
@@ -15,6 +26,7 @@ from awhile.lang import (
     Cmp,
     CTCond,
     If,
+    Not,
     Num,
     Or,
     ParseError,
@@ -41,8 +53,9 @@ from awhile.lang import (
     SecretDependence,
 )
 from awhile.fixtures import FIXTURES
-from awhile.gen import NamePools, gen_program
+from awhile.gen import NamePools, gen_program, random_labeling
 from awhile.record import Record
+from awhile.seccheck import transform
 from awhile.state import ScalarState
 
 LISTING1 = "if i < a1_size then j <- a1[i]; x <- a2[j] end"
@@ -413,6 +426,146 @@ def test_ctcond_in_binop_parenthesized():
 @given(coms())
 def test_round_trip(com):
     assert parse_com(pretty_com(com)) == com
+
+
+# A reference printer: recursive, written to be read rather than to be
+# fast.  The printer must match it byte for byte; the round trip above
+# would not see a redundant parenthesis.  It recurses once per level, so
+# it is given shallow trees only.
+
+_REF_LEVEL = {"||": 1, "&&": 2, "=": 3, "<>": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
+
+
+def _ref_expr(e, level):
+    if isinstance(e, (Var, Num)):
+        return str(e[0])
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, Not):
+        return "!" + _ref_expr(e.arg, 3)
+    if isinstance(e, CTCond):
+        return f"({_ref_expr(e.cond, 1)} ? {_ref_expr(e.then, 4)} : {_ref_expr(e.other, 4)})"
+    if isinstance(e, Cmp):
+        return f"{_ref_expr(e.left, 4)} {e.op} {_ref_expr(e.right, 4)}"
+    op = "&&" if isinstance(e, And) else "||" if isinstance(e, Or) else e.op
+    mine = _REF_LEVEL[op]
+    text = f"{_ref_expr(e.left, mine)} {op} {_ref_expr(e.right, mine + 1)}"
+    return f"({text})" if mine < level else text
+
+
+def _ref_lines(c, ind):
+    """[indentation, text, annotation comment] for each line of ``c``."""
+    if isinstance(c, (Seq, ASeq)):
+        lines = _ref_lines(c.first, ind)
+        lines[-1][1] += ";"
+        return lines + _ref_lines(c.second, ind)
+    if isinstance(c, (Skip, ASkip)):
+        return [[ind, "skip", ""]]
+    if isinstance(c, (Asgn, AAsgn)):
+        return [[ind, f"{c.name} := {_ref_expr(c.expr, 4)}", ""]]
+    if isinstance(c, (ARead, AARead)):
+        note = f"  # target={c.lbl_target} index={c.lbl_index}" if isinstance(c, AARead) else ""
+        return [[ind, f"{c.name} <- {c.array}[{_ref_expr(c.index, 4)}]", note]]
+    if isinstance(c, (AWrite, AAWrite)):
+        note = f"  # index={c.lbl_index}" if isinstance(c, AAWrite) else ""
+        return [[ind, f"{c.array}[{_ref_expr(c.index, 4)}] <- {_ref_expr(c.value, 4)}", note]]
+    if isinstance(c, ABranch):
+        return [[ind, f"# branch pc={c.lbl}", ""]] + _ref_lines(c.body, ind)
+    inner = ind + "  "
+    if isinstance(c, (If, AIf)):
+        note = f"  # cond={c.lbl}" if isinstance(c, AIf) else ""
+        lines = [[ind, f"if {_ref_expr(c.cond, 1)} then", note]] + _ref_lines(c.then, inner)
+        if c.other != SKIP:
+            lines += [[ind, "else", ""]] + _ref_lines(c.other, inner)
+        return lines + [[ind, "end", ""]]
+    note = f"  # cond={c.lbl}" if isinstance(c, AWhileC) else ""
+    return ([[ind, f"while {_ref_expr(c.cond, 1)} do", note]] + _ref_lines(c.body, inner)
+            + [[ind, "end", ""]])
+
+
+def _ref_com(c):
+    return "\n".join(ind + text + note for ind, text, note in _ref_lines(c, ""))
+
+
+@settings(max_examples=100)
+@given(coms())
+def test_commands_print_as_the_reference_does(com):
+    assert pretty_com(com) == _ref_com(com)
+    left_nested = Seq(Seq(com, com), com)
+    assert pretty_com(left_nested) == _ref_com(left_nested)
+
+
+@settings(max_examples=100)
+@given(aexps(), bexps(), st.integers(1, 5))
+def test_expressions_print_as_the_reference_does(e, b, level):
+    assert pretty_aexp(e) == _ref_expr(e, 4)
+    assert pretty_aexp(e, level) == _ref_expr(e, level)
+    assert pretty_bexp(b) == _ref_expr(b, 1)
+    assert pretty_bexp(b, level) == _ref_expr(b, level)
+
+
+def test_hardened_and_annotated_programs_match_the_reference():
+    pools = NamePools(("x", "y", "i", "k"), ("a", "c"))
+    rng = random.Random(36)
+    for _ in range(40):
+        com = gen_program(rng.randrange(10**9), 14, pools)
+        P, PA = random_labeling(rng, pools)
+        for variant in ("islh", "sislh", "fislh", "uslh", "svslh", "fvslh", "fsfvslh"):
+            hardened = transform(variant, com, P, PA)
+            assert pretty_com(hardened) == _ref_com(hardened), variant
+        for pc in (PUBLIC, SECRET):
+            acom, _ = flow_track(com, P, PA, pc)
+            for annotated in (acom, ABranch(pc, acom)):
+                assert pretty_com(annotated) == _ref_com(annotated)
+
+
+_N = 5000
+
+
+def _deep(leaf, wrap):
+    e = leaf
+    for k in range(_N):
+        e = wrap(e, k)
+    return e
+
+
+@pytest.mark.parametrize("tree, want", [
+    (_deep(Var("x"), lambda e, k: BinOp("+", e, Num(1))), "x" + " + 1" * _N),
+    (_deep(Var("a"), lambda e, k: BinOp("-", Var("a"), e)),
+     "a - (" * (_N - 1) + "a - a" + ")" * (_N - 1)),
+    (_deep(Var("y"), lambda e, k: CTCond(Cmp("<", Var("c"), Num(k)), Var("y"), e)),
+     "".join(f"(c < {k} ? y : " for k in reversed(range(_N))) + "y" + ")" * _N),
+    (_deep(Cmp("<", Var("x"), Num(1)), lambda b, k: Not(b)), "!" * _N + "x < 1"),
+    (_deep(Cmp("<", Var("x"), Num(0)), lambda b, k: And(b, Cmp("<", Var("x"), Num(k + 1)))),
+     " && ".join(f"x < {k}" for k in range(_N + 1))),
+], ids=["left-deep-sum", "right-nested-difference", "selects-in-else-arms", "negations",
+        "left-deep-conjunction"])
+def test_deep_expressions_print_without_recursion(tree, want):
+    # deeper than the recursion limit allows: any recursion would raise
+    assert sys.getrecursionlimit() < _N
+    printer = pretty_bexp if isinstance(tree, (Cmp, Not, And)) else pretty_aexp
+    assert printer(tree) == want
+    assert pretty_com(Asgn("z", tree) if printer is pretty_aexp else While(tree, SKIP)) == (
+        f"z := {want}" if printer is pretty_aexp else f"while {want} do\n  skip\nend")
+
+
+def test_left_nested_sequences_print_flat():
+    # parse_com never builds them, but harden's value-mask rule and
+    # SpecConfig.com do
+    com = Seq(Seq(Asgn("x", Num(1)), ARead("j", "a", Var("i"))), Skip())
+    assert pretty_com(com) == "x := 1;\nj <- a[i];\nskip"
+    mid = Labeling(LabelMap(), LabelMap())
+    read = AARead("j", "a", Var("i"), SECRET, PUBLIC)
+    mask = AAsgn("j", CTCond(Cmp("=", Var("b"), Num(1)), Num(0), Var("j")))
+    write = AAWrite("c", Var("i"), Var("j"), PUBLIC)
+    acom = ASeq(ASeq(read, mask, mid), ASeq(ASeq(write, read, mid), write, mid), mid)
+    assert pretty_com(acom) == (
+        "j <- a[i];  # target=secret index=public\n"
+        "j := (b = 1 ? 0 : j);\n"
+        "c[i] <- j;  # index=public\n"
+        "j <- a[i];  # target=secret index=public\n"
+        "c[i] <- j  # index=public"
+    )
 
 
 # --- evaluation -------------------------------------------------------------
