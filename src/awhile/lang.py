@@ -997,11 +997,13 @@ def _print_expr(out: list, e, level: int):
     comparison over two atoms, joins the text around it, so a node made
     only of such operands is written as one piece.  At any other operand
     the text so far is written and that operand is printed next.  If parts
-    are left after it, the node waits on the stack with the index of its
-    next part; if not, the node's closing text and then its own tail become
-    the operand's tail, the text written with the operand's last piece.  So
-    the stack holds only compound nodes, and no depth of nesting or length
-    of chain exhausts the recursion limit.
+    are left after it, or the node has both a closing text and a tail of
+    its own, the node waits on the stack with the index of its next part.
+    If not, its closing text or its tail becomes the operand's tail, the
+    text written with the operand's last piece.  So the stack holds only
+    compound nodes, a tail is never longer than one closing text, and no
+    depth of nesting or length of chain exhausts the recursion limit or
+    costs more than linear time.
     """
     todo = []  # (compound node, its level, its tail, the index of its next part)
     tail, k = "", 0
@@ -1049,11 +1051,11 @@ def _print_expr(out: list, e, level: int):
             if operand is None:
                 out.append(f"{head}{close}{tail}")
             else:
-                if k < len(parts):
+                if k < len(parts) or close and tail:
                     todo.append((e, level, tail, k))
                     tail = ""
                 else:
-                    tail = close + tail
+                    tail = close or tail
                 if head:
                     out.append(head)
                 e, level, k = operand, lv, 0
