@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -148,8 +147,12 @@ def _bounds(args, takes=("--max-dirs", "--fuel")) -> Bounds:
 
 def _emit(args, payload: Callable[[], dict], lines: Callable[[], List[str]]):
     """Print ``payload()`` as JSON under ``--format json``, else the text
-    ``lines()``: only the requested rendering is built."""
+    ``lines()``: only the requested rendering is built, and ``json`` is
+    imported only to print JSON, so a call that prints text does not pay
+    for its import."""
     if getattr(args, "format", "text") == "json":
+        import json
+
         print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
         for line in lines():

@@ -56,6 +56,7 @@ from .spec_sem import (
     candidate_classes,
     candidate_dirs,
     read_rule,
+    successors_by_step,
     write_rule,
 )
 from .state import (
@@ -285,6 +286,7 @@ class IdealFS:
 
     step = _step_fs
     advance = _silent_fs
+    successors = successors_by_step  # fused per rule only for the fixed labelings
     candidates = candidate_dirs
     classes = candidate_classes
 

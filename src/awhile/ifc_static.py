@@ -93,7 +93,7 @@ class LabelMap:
 
     def leq(self, other: "LabelMap") -> bool:
         # self ⊑ other pointwise: wherever other is public, self must be too
-        return all(k in self._m for k in other._m)
+        return other._m.keys() <= self._m.keys()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelMap) and self._m == other._m

@@ -39,7 +39,7 @@ its pairs walked.  This is dynamic information-flow tracking over a flat
 abstract domain (Cousot & Cousot, POPL 1977).  A settled group holds no
 divergent pair, so the first divergent pair, its position and its witness do
 not change.  For the pairs walked, each state gets one directive tree,
-whose nodes are expanded in one step when a walk first reaches them, shared
+whose nodes are expanded when a walk first reaches them, shared
 by every pair walk the state takes part in, and dropped after the state's
 last pair.  A tree is a DAG: its nodes are hash-consed on (configuration,
 fuel, depth) (Filliâtre & Conchon, ML Workshop 2006), so paths that
@@ -61,9 +61,12 @@ of related states at each flag and directive with one step of the group's
 abstract configuration (``_settles``), and steps only the pairs of the
 groups that step does not settle.
 
-The checks stop a run where the semantics' ``advance`` says it stops.  A
-random trial of ``bcc`` is one ``spec_sem.run`` of the hardened program,
-whose ``pick`` draws each directive.
+The checks stop a run where the semantics' ``advance`` says it stops.  The
+group sweep and the directive trees step a configuration with one call of
+the semantics' ``successors``, which steps every candidate there at once,
+and call nothing else of it but ``advance``.  A random trial of ``bcc``
+is one ``spec_sem.run`` of the hardened program, whose ``pick`` draws each
+directive.
 """
 
 from __future__ import annotations
@@ -361,10 +364,11 @@ def enum_spec_runs(
 
 class _Node:
     """A configuration advanced to its next observing redex.  Once the tree
-    expands it, ``kids`` holds its feasible children under the candidates
-    that are not loads, as (sort key, directive, observation, child node),
-    in dir_sort_key order, and ``loads`` maps each load class (the value
-    read, see ``spec_sem.candidate_classes``) to (the class's first load,
+    expands it, from one ``sem.successors`` call, ``kids`` holds its
+    feasible children under the candidates that are not loads, as (sort
+    key, directive, observation, child node), in dir_sort_key order, and
+    ``loads`` maps each load class (the value read, see
+    ``spec_sem.candidate_classes``) to (the class's first load,
     observation, child node), or to None when its loads are stuck; both are
     None until then.  The node keeps its configuration, which keeps the
     objects its key names by identity alive."""
@@ -382,11 +386,11 @@ _LEAF = _Node(None, 0, 0)
 
 
 class _Tree:
-    """The directive tree of one configuration, each node expanded in one
-    step the first time a walk reaches it: its candidates that are not
-    loads, in dir_sort_key order (the order the semantics list them in),
-    and one load per class (loads of one class step alike, see
-    ``spec_sem.candidate_classes``).  A node's subtree depends only on its
+    """The directive tree of one configuration, each node expanded by one
+    ``sem.successors`` call the first time a walk reaches it: its
+    candidates that are not loads, in dir_sort_key order (the order the
+    semantics list them in), and one load per class (loads of one class
+    step alike, see ``spec_sem.candidate_classes``).  A node's subtree depends only on its
     key (``cfg.key()``, fuel, depth), so ``nodes`` makes the tree a DAG with
     one node per key."""
 
@@ -409,20 +413,19 @@ class _Tree:
         return n
 
     def expand(self, n: _Node):
-        """n's ``kids`` and ``loads``, stepped on the first call."""
+        """n's ``kids`` and ``loads``, from one ``sem.successors`` call on
+        the first call."""
         if n.kids is None:
-            cfg, fuel, depth, step = n.cfg, n.fuel - 1, n.depth + 1, self.sem.step
-            dirs, loads = self.sem.classes(cfg)
+            fuel, depth, node = n.fuel - 1, n.depth + 1, self._node
+            kids, n.loads = self.sem.successors(n.cfg)
             n.kids = []
-            for d in dirs:
-                r = step(cfg, d)
-                if r.tag is StepTag.STEPPED:
-                    n.kids.append((dir_sort_key(d), d, r.obs, self._node(r.cfg, fuel, depth)))
-            for v, d in loads.items():
-                r = step(cfg, d)
-                stepped = r.tag is StepTag.STEPPED
-                loads[v] = (d, r.obs, self._node(r.cfg, fuel, depth)) if stepped else None
-            n.loads = loads
+            for d, o, c in kids:
+                if c is not None:
+                    n.kids.append((dir_sort_key(d), d, o, node(c, fuel, depth)))
+            if n.loads:
+                for v, e in n.loads.items():
+                    if e is not None:
+                        n.loads[v] = (e[0], e[1], node(e[2], fuel, depth))
         return n.kids, n.loads
 
 
@@ -580,13 +583,13 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
     """Whether the directive tree of ``cfg`` expands in full without a step
     that decides something on ``OPAQUE`` (SecretDependence).  It sweeps the
     configurations the tree would reach with an explicit stack and keeps no
-    tree: each (configuration, fuel, depth) is stepped once per candidate
-    that is not a load and once per load class (``sem.classes``), as
-    ``_Tree.expand`` steps a node, so it steps what expanding every node of
-    the tree steps.
+    tree: each (configuration, fuel, depth) is stepped by one
+    ``sem.successors`` call, which steps each candidate that is not a load
+    and each load class, as ``_Tree.expand`` steps a node, so it steps what
+    expanding every node of the tree steps.
     ``seen`` keeps each configuration, so that the ids in its key stay
     valid."""
-    advance, classes, step, stepped = sem.advance, sem.classes, sem.step, StepTag.STEPPED
+    advance, successors = sem.advance, sem.successors
     max_dirs, todo, seen = bounds.max_dirs, [(cfg, bounds.fuel, 0)], {}
     try:
         while todo:
@@ -601,13 +604,15 @@ def _expands(sem, cfg, bounds: Bounds) -> bool:
             if key in seen:
                 continue
             seen[key] = cfg
-            dirs, loads = classes(cfg)
+            kids, loads = successors(cfg)
+            fuel, depth = fuel - 1, depth + 1
+            for _, _, succ in kids:
+                if succ is not None:
+                    todo.append((succ, fuel, depth))
             if loads:
-                dirs = [*dirs, *loads.values()]
-            for d in dirs:
-                r = step(cfg, d)
-                if r.tag is stepped:
-                    todo.append((r.cfg, fuel - 1, depth + 1))
+                for e in loads.values():
+                    if e is not None:
+                        todo.append((e[2], fuel, depth))
     except SecretDependence:
         return False
     return True

@@ -29,11 +29,12 @@ policy and fixed labeling it is that hardening's ideal semantics
 the flow-sensitive ideal semantics.
 
 Every semantics is a value whose methods are its rule functions: ``step``
-(``step_ex``), ``advance`` (its silent loop), ``candidates``
-(``candidate_dirs``), ``classes`` (``candidate_classes``) and
-``is_final``.  It holds a per-check ``table`` of each ``while``'s unfolded
-command and each expression's compiled closure (``lang.compiled``); every
-rule evaluates through it.  ``run`` and ``feasible`` work over any
+(``step_ex``), ``advance`` (its silent loop), ``successors`` (every
+candidate stepped in one call), ``candidates`` (``candidate_dirs``),
+``classes`` (``candidate_classes``) and ``is_final``.  It holds a
+per-check ``table`` of each ``while``'s unfolded command and each
+expression's compiled closure (``lang.compiled``); every rule evaluates
+through it.  ``run`` and ``feasible`` work over any
 semantics.  ``run`` is the one loop that drives a concrete run: one that
 chooses its directives as it goes (a random trial of ``bcc``, an
 interactive run) passes a ``pick``.  ``advance`` is the one place that
@@ -44,13 +45,18 @@ belongs to the checker, not the semantics.
 A misspeculated load's successor and observation depend on its directive
 only through the value it reads, so ``candidate_classes`` lists the loads
 at a node by that value, its load class: one load per distinct value, the
-first that reads it.  The checker's directive tree (``seccheck._Tree``),
-which expands a node by stepping its other candidates and one load per
-class, its pair walk and its group sweep (``seccheck._expands``) work per
-class, so their cost at a misspeculated access grows with the values the
-arrays hold, not with their cells.  ``candidate_dirs`` lists every load, from the
-same classes; ``feasible`` and ``seccheck.enum_spec_runs`` step each one:
-they are the reference the tree is tested against.
+first that reads it; the classes are listed once per array state
+(``load_classes``).  The checker's directive tree (``seccheck._Tree``),
+its pair walk and its group sweep (``seccheck._expands``) work per class,
+so their cost at a misspeculated access grows with the values the arrays
+hold, not with their cells.  They expand a configuration by one
+``successors`` call, which steps its candidates that are not loads and one
+load per class as ``step_ex`` would, but evaluates the redex's condition,
+index and value once for all of them (one next-state call per state, as
+in explicit-state model checkers: Holzmann, SPIN, IEEE TSE 1997).
+``candidate_dirs`` lists every load, from the same classes; ``feasible``
+and ``seccheck.enum_spec_runs`` step each one: they are the reference the
+tree is tested against.
 """
 
 from __future__ import annotations
@@ -107,17 +113,18 @@ NEED_DIR = StepResult(StepTag.NEED_DIR)
 # ---------------------------------------------------------------------------
 
 
-def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: Dir):
+def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: Dir, i=None):
     """A read of ``array[index]`` under ``d``: (value, observed index, new
     flag), or None when no rule applies.  A policy decides from the labels
     of the index (li) and the target (lx) whether the index or the value is
     masked to 0 and whether a load may be redirected.  The index evaluates
-    through the semantics' per-check ``table`` (``lang.compiled``)."""
+    through the semantics' per-check ``table`` (``lang.compiled``) where a
+    rule needs it, unless the caller gives its value as ``i``."""
     cls = d.__class__
     if cls is DStep:
         if policy is not None and policy.read_mask_index(flag, li, lx):
             i = 0
-        else:
+        elif i is None:
             i = compiled(table, index)(rho._m)
         if i >= mu.size(array):
             return None
@@ -128,7 +135,8 @@ def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: 
         # only while misspeculating, only for an out-of-bounds access
         if not flag or (policy is not None and not policy.read_force_ok(li, lx)):
             return None
-        i = compiled(table, index)(rho._m)
+        if i is None:
+            i = compiled(table, index)(rho._m)
         if i < mu.size(array) or d.index >= mu.size(d.array):
             return None
         if policy is not None and policy.read_force_mask_value(lx):
@@ -137,28 +145,36 @@ def read_rule(policy, li, lx, table, rho, mu, flag: bool, array: str, index, d: 
     return None
 
 
-def write_rule(policy, li, le, table, rho, mu, flag: bool, array: str, index, value, d: Dir):
+def write_rule(policy, li, le, table, rho, mu, flag: bool, array: str, index, value, d: Dir,
+               i=None, v=None):
     """A write of ``value`` to ``array[index]`` under ``d``: (new arrays,
     observed index, new flag), or None when no rule applies.  A policy
     decides from the labels of the index (li) and the value (le) whether
-    the index is masked to 0 and whether a store may be redirected."""
+    the index is masked to 0 and whether a store may be redirected.  As in
+    ``read_rule``, the caller may give the index's value as ``i``, and the
+    value's as ``v``."""
     cls = d.__class__
     if cls is DStep:
         if policy is not None and policy.write_mask_index(flag, li, le):
             i = 0
-        else:
+        elif i is None:
             i = compiled(table, index)(rho._m)
         if i >= mu.size(array):
             return None
-        return mu.set(array, i, compiled(table, value)(rho._m)), i, flag
-    if cls is DStore:
+        target, j = array, i
+    elif cls is DStore:
         if not flag or (policy is not None and not policy.write_force_ok(li, le)):
             return None
-        i = compiled(table, index)(rho._m)
+        if i is None:
+            i = compiled(table, index)(rho._m)
         if i < mu.size(array) or d.index >= mu.size(d.array):
             return None
-        return mu.set(d.array, d.index, compiled(table, value)(rho._m)), i, True
-    return None
+        target, j, flag = d.array, d.index, True
+    else:
+        return None
+    if v is None:
+        v = compiled(table, value)(rho._m)
+    return mu.set(target, j, v), i, flag
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +312,45 @@ def first_cells(vec) -> Dict[object, int]:
     return {v: first[v] for v in dict.fromkeys(vec)}
 
 
+def load_classes(mu) -> Dict[object, DLoad]:
+    """The load classes of the arrays ``mu``: each value an in-bounds cell
+    holds -> the first load of it in dir_sort_key order, in that order.
+    Built once per array state and kept in its ``_loads`` slot, since
+    arrays change only at a store, which builds a new state; the map is
+    shared, so callers do not change it."""
+    loads = mu._loads
+    if loads is None:
+        loads = mu._loads = {}
+        for name, vec in sorted(mu.items()):
+            for v, j in first_cells(vec).items():
+                if v not in loads:
+                    loads[v] = _build(DLoad, (name, j))
+    return loads
+
+
+def _access_classes(sem, mu, flag: bool, reads: bool, oob):
+    """``candidate_classes`` at an access whose index is out of bounds when
+    ``oob``: the candidates that are not loads, and the shared
+    ``load_classes`` map or an empty one, which callers do not change."""
+    dirs: List[Dir] = [STEP] if sem.masked or not oob else []
+    if flag and oob:
+        if reads:
+            return dirs, load_classes(mu)
+        for name, vec in sorted(mu.items()):
+            dirs.extend([_build(DStore, (name, j)) for j in range(len(vec))])
+    return dirs, {}
+
+
 def candidate_classes(sem, cfg) -> Tuple[List[Dir], Dict[object, DLoad]]:
     """The directives that could apply at the redex of ``cfg``, by class:
     those that are not loads, in dir_sort_key order, and the loads as a
     map from each value an in-bounds cell holds to the first load of it in
-    dir_sort_key order, in that order.  Both are empty when the next step
-    is silent.  A branch admits step and force.  An access admits step
-    unless its index is out of bounds and the semantics cannot mask it
-    (``sem.masked`` false), and, while misspeculating with the real index
-    out of bounds, a load/store of any in-bounds cell of any array.
+    dir_sort_key order, in that order (``load_classes``).  Both are empty
+    when the next step is silent.  A branch admits step and force.  An
+    access admits step unless its index is out of bounds and the semantics
+    cannot mask it (``sem.masked`` false), and, while misspeculating with
+    the real index out of bounds, a load/store of any in-bounds cell of any
+    array.
 
     Loads of one value step ``cfg`` alike, to successors with equal keys
     and equal observations: ``read_rule`` decides whether a load steps from
@@ -323,18 +369,8 @@ def candidate_classes(sem, cfg) -> Tuple[List[Dir], Dict[object, DLoad]]:
     else:
         return [], {}
     oob = compiled(sem.table, redex.index)(cfg.rho._m) >= cfg.mu.size(redex.array)
-    dirs: List[Dir] = [STEP] if sem.masked or not oob else []
-    loads: Dict[object, DLoad] = {}
-    if cfg.flag and oob:
-        if reads:
-            for name, vec in sorted(cfg.mu.items()):
-                for v, j in first_cells(vec).items():
-                    if v not in loads:
-                        loads[v] = _build(DLoad, (name, j))
-        else:
-            for name, vec in sorted(cfg.mu.items()):
-                dirs.extend([_build(DStore, (name, j)) for j in range(len(vec))])
-    return dirs, loads
+    dirs, loads = _access_classes(sem, cfg.mu, cfg.flag, reads, oob)
+    return dirs, dict(loads)
 
 
 def candidate_dirs(sem, cfg) -> List[Dir]:
@@ -346,6 +382,81 @@ def candidate_dirs(sem, cfg) -> List[Dir]:
         dirs.extend([_build(DLoad, (name, j))
                      for name, vec in sorted(cfg.mu.items()) for j in range(len(vec))])
     return dirs
+
+
+def successors(sem, cfg: SpecConfig):
+    """Every candidate of ``candidate_classes`` at the observing redex of
+    ``cfg``, stepped as ``step_ex`` steps it, in one call: (kids, loads).
+    ``kids`` holds (directive, observation, successor) for each candidate
+    that is not a load, in order, with None for both when it is stuck;
+    ``loads`` maps each load class to its first load's (directive,
+    observation, successor), or to None when it is stuck.  The redex's
+    condition, index and value are evaluated once for all candidates, and
+    its labels looked up once; ``read_rule`` and ``write_rule`` decide each
+    candidate from them.  So it decides on ``OPAQUE`` (SecretDependence)
+    exactly where listing the candidates or stepping one of them does."""
+    c = cfg.redex
+    cls = c.__class__
+    k, rho, mu, flag, policy, table = cfg.k, cfg.rho, cfg.mu, cfg.flag, sem.policy, sem.table
+    if cls is If:
+        # ``step_ex``'s branch rule: a secret condition, unevaluated, reads as
+        # false while misspeculating
+        if policy is not None and flag and not fixed_label(sem, c.cond).is_public:
+            taken = False
+        else:
+            taken = compiled(table, c.cond)(rho._m)
+        obs = BRANCH_OBS[taken]
+        arm, other = (c.then, c.other) if taken else (c.other, c.then)
+        return [(STEP, obs, SpecConfig(arm, rho, mu, flag, k)),
+                (FORCE, obs, SpecConfig(other, rho, mu, True, k))], {}
+    reads = cls is ARead
+    if not reads and cls is not AWrite:
+        return [], {}
+    array, index = c.array, c.index
+    i = compiled(table, index)(rho._m)
+    dirs, classes = _access_classes(sem, mu, flag, reads, i >= mu.size(array))
+    kids, loads = [], {}
+    if reads:
+        name = c.name
+        li = lx = None
+        if policy is not None:
+            li, lx = fixed_label(sem, index), sem.P.get(name)
+        if dirs:  # step, the one candidate of a read that is not a load
+            r = read_rule(policy, li, lx, table, rho, mu, flag, array, index, STEP, i)
+            kids = [(STEP, None, None) if r is None else
+                    (STEP, _build(ORead, (array, r[1])),
+                     SpecConfig(SKIP, rho.set(name, r[0]), mu, r[2], k))]
+        if classes:
+            for v, d in classes.items():
+                r = read_rule(policy, li, lx, table, rho, mu, flag, array, index, d, i)
+                loads[v] = None if r is None else (
+                    d, _build(ORead, (array, r[1])),
+                    SpecConfig(SKIP, rho.set(name, r[0]), mu, r[2], k))
+        return kids, loads
+    li = le = None
+    if policy is not None:
+        li, le = fixed_label(sem, index), fixed_label(sem, c.value)
+    v = compiled(table, c.value)(rho._m) if dirs else None
+    for d in dirs:
+        r = write_rule(policy, li, le, table, rho, mu, flag, array, index, c.value, d, i, v)
+        kids.append((d, None, None) if r is None else
+                    (d, _build(OWrite, (array, r[1])), SpecConfig(SKIP, rho, r[0], r[2], k)))
+    return kids, loads
+
+
+def successors_by_step(sem, cfg):
+    """``successors`` for any semantics, by its definition: the candidates
+    of ``sem.classes``, each stepped with ``sem.step``."""
+    dirs, loads = sem.classes(cfg)
+    step = sem.step
+    kids = []
+    for d in dirs:
+        r = step(cfg, d)
+        kids.append((d, r.obs, r.cfg))  # a stuck step has neither
+    for v, d in loads.items():
+        r = step(cfg, d)
+        loads[v] = None if r.cfg is None else (d, r.obs, r.cfg)
+    return kids, loads
 
 
 class Speculative:
@@ -362,6 +473,7 @@ class Speculative:
 
     step = step_ex
     advance = silent_steps
+    successors = successors
     candidates = candidate_dirs
     classes = candidate_classes
 

@@ -84,16 +84,19 @@ class ArrayState(_Store):
     """Map from array names to fixed-length vectors of naturals.
 
     An array's size is fixed for the lifetime of a state; names not present
-    behave as size-0 arrays (every access is out of bounds).
+    behave as size-0 arrays (every access is out of bounds).  ``_loads``
+    holds the state's load classes, built on first use by
+    ``spec_sem.load_classes``: arrays change only at a store, which builds a
+    new state.
     """
 
-    __slots__ = ()
+    __slots__ = ("_loads",)
 
     def __init__(self, entries: Optional[Mapping[str, Sequence[int]]] = None):
         self._m: Dict[str, Tuple[int, ...]] = {
             k: tuple(v) for k, v in (entries or {}).items() if len(v) > 0
         }
-        self._f = None
+        self._f = self._loads = None
 
     def size(self, name: str) -> int:
         return len(self._m.get(name, ()))
@@ -108,7 +111,7 @@ class ArrayState(_Store):
         m = dict(self._m)
         m[name] = vec[:index] + (value,) + vec[index + 1:]
         out = ArrayState.__new__(ArrayState)
-        out._m, out._f = m, None
+        out._m, out._f, out._loads = m, None, None
         return out
 
     def vector(self, name: str) -> Tuple[int, ...]:

@@ -724,11 +724,17 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
     import awhile.spec_sem as spec_sem
 
     calls, trees = [0], []
-    real_step, real_walk = spec_sem.Speculative.step, seccheck._joint_divergence
+    real_step, real_successors = spec_sem.Speculative.step, spec_sem.Speculative.successors
+    real_walk = seccheck._joint_divergence
 
     def counted(*args):
         calls[0] += 1
         return real_step(*args)
+
+    def counted_successors(*args):  # one step per candidate it decides
+        kids, loads = real_successors(*args)
+        calls[0] += len(kids) + len(loads)
+        return kids, loads
 
     def recorded(t1, t2):
         trees.extend((t1, t2))
@@ -736,6 +742,7 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
 
     # the class holds the stepper it was defined with, so patch the class
     monkeypatch.setattr(spec_sem.Speculative, "step", counted)
+    monkeypatch.setattr(spec_sem.Speculative, "successors", counted_successors)
     monkeypatch.setattr(seccheck, "_joint_divergence", recorded)
     code, [(_, v)] = repro_listing(1, Bounds(12, 200))
     # one step per cell of every array at the misspeculated read: 6,060
@@ -752,15 +759,22 @@ def test_listing1_steps_each_load_class_once(monkeypatch):
 def _listing1_work(monkeypatch, cells):
     """Listing 1's pair with ``a2`` of ``cells`` zero cells: the verdict of
     its check, and the node pairs its walk entered (``_shared`` calls),
-    tree nodes and steps it took."""
+    tree nodes and steps it took: each ``step``, and each candidate a
+    ``successors`` call decides."""
     pair = [(rho, ArrayState({**dict(mu.items()), "a2": (0,) * cells}))
             for rho, mu in FIXTURES[1].pair()]
     work, trees = collections.Counter(), []
-    real_step, real_shared, real_joint = Speculative.step, seccheck._shared, seccheck._joint_divergence
+    real_step, real_successors = Speculative.step, Speculative.successors
+    real_shared, real_joint = seccheck._shared, seccheck._joint_divergence
 
     def step(*args):
         work["steps"] += 1
         return real_step(*args)
+
+    def successors(*args):
+        kids, loads = real_successors(*args)
+        work["steps"] += len(kids) + len(loads)
+        return kids, loads
 
     def shared(*args):
         work["walks"] += 1
@@ -772,6 +786,7 @@ def _listing1_work(monkeypatch, cells):
 
     with monkeypatch.context() as m:
         m.setattr(Speculative, "step", step)
+        m.setattr(Speculative, "successors", successors)
         m.setattr(seccheck, "_shared", shared)
         m.setattr(seccheck, "_joint_divergence", joint)
         v = check_spec_obs_equiv(LISTING1.program(), *pair, False, 12, 200)
@@ -936,7 +951,9 @@ def _expands_by_tree(sem, cfg, bounds):
 
 
 class _RecordedSteps:
-    """A semantics that records the key and directive of every step."""
+    """A semantics that records the key and directive of every step: of
+    each ``step``, and of every candidate a ``successors`` call decides, a
+    load class under its first load."""
 
     def __init__(self, sem):
         self.sem, self.steps = sem, collections.Counter()
@@ -953,6 +970,13 @@ class _RecordedSteps:
     def step(self, cfg, d):
         self.steps[cfg.key(), d] += 1
         return self.sem.step(cfg, d)
+
+    def successors(self, cfg):
+        kids, loads = self.sem.successors(cfg)
+        first = self.sem.classes(cfg)[1]
+        for d in [d for d, _, _ in kids] + [first[v] for v in loads]:
+            self.steps[cfg.key(), d] += 1
+        return kids, loads
 
 
 def _opaque_state(rng):
@@ -1040,6 +1064,24 @@ def test_a_settled_wide_space_generates_no_pair(monkeypatch):
                               space, Bounds(8, 200))
     assert v.holds and dict(v.facts)["pairs"] == 5 * 512 * 511 // 2 == 654_080
     assert calls == []
+
+
+def test_sct_verdicts_on_the_many_groups_space():
+    # 12,960 states in 6,480 public groups of two, which differ only in a3's
+    # secret cell: the source leaks it through a misspeculated read at i = 2,
+    # and the fvslh hardening does not
+    space = parse_space(
+        "i in {0,1,2,3,4}\na1_size in {4}\na1 : size 4 in {0,1,2}\na2 : size 4 in {0,1}\n"
+        "a3 : size 1 in {4,5}"
+    )
+    bounds = Bounds(8, 200)
+    v = check_sct(_LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS, space, bounds)
+    assert v.status is VerdictStatus.VIOLATED
+    w = v.witness
+    assert format_dirs(w.dirs) == "step force step force force force load a3 0 load a1 0"
+    assert w.s1[0].get("i") == w.s2[0].get("i") == 2
+    c = transform("fvslh", _LOOPED_GADGET, _LOOPED_LABELS, _LOOPED_LABELS)
+    assert check_sct(c, _LOOPED_LABELS, _LOOPED_LABELS, space, bounds).holds
 
 
 # --- the relsec premise, one sequential run per public group -------------------

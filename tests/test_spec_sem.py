@@ -1,3 +1,4 @@
+import collections
 import random
 
 from hypothesis import given, settings
@@ -7,7 +8,10 @@ from awhile.flow_ifc import erase_acom, flow_track
 from awhile.gen import NamePools, gen_program, random_labeling, random_state
 from awhile.ideal_sem import FsIdealConfig, IdealFS, IdealFiSLH, IdealFvSLH
 from awhile.ifc_static import PUBLIC, LabelMap
-from awhile.lang import ARead, If, Num, parse_com, syntax_equal
+from awhile.lang import (
+    OPAQUE, ARead, If, Num, SecretDependence, parse_com, pretty_com, syntax_equal,
+)
+from awhile.seccheck import _abstract_state
 from awhile.seq_sem import RunKind, seq_run
 from awhile.spec_sem import Speculative, StepTag, feasible, run
 from awhile.state import (
@@ -21,6 +25,7 @@ from awhile.state import (
     SpecConfig,
     STEP,
     dir_sort_key,
+    focus_ids,
     parse_dirs,
     parse_state,
 )
@@ -364,3 +369,172 @@ def test_candidates_are_ordered_and_cover_every_stepping_directive():
                 cfg = r.cfg
     assert len(observing) == 4
     assert min(observing.values()) >= 50
+
+
+# --- successors: every candidate of a configuration stepped in one call --------
+
+_POOLS = NamePools(("x", "y", "i", "k"), ("a", "c"))
+
+
+def _starts(com, P, PA):
+    """Each semantics under the labeling (P, PA), with a builder of its
+    configurations of ``com`` from (rho, mu, flag)."""
+    acom = flow_track(com, P, PA, PUBLIC)[0]
+    spec = lambda rho, mu, flag: SpecConfig(com, rho, mu, flag)
+    return (
+        ("spec", Speculative(), spec),
+        ("fislh", IdealFiSLH(P), spec),
+        ("fvslh", IdealFvSLH(P), spec),
+        ("fs", IdealFS(), lambda rho, mu, flag: FsIdealConfig(acom, rho, mu, flag, PUBLIC, P, PA)),
+    )
+
+
+def _stepped_each(sem, cfg):
+    """The reference of ``successors``: the candidates of ``sem.classes``,
+    each stepped with ``sem.step``."""
+    dirs, classes = sem.classes(cfg)
+    kids = [(d, r.obs, r.cfg) for d in dirs for r in [sem.step(cfg, d)]]
+    loads = {v: (d, r.obs, r.cfg) if r.tag is StepTag.STEPPED else None
+             for v, d in classes.items() for r in [sem.step(cfg, d)]}
+    return kids, loads
+
+
+def _decided(successors, sem, cfg):
+    """What ``successors(sem, cfg)`` decides, in comparable form: the
+    directive, observation and successor key of each candidate that is not
+    a load, and of each load class, with None for a stuck step; or
+    "SecretDependence"."""
+    try:
+        kids, loads = successors(sem, cfg)
+    except SecretDependence:
+        return "SecretDependence"
+    entry = lambda d, o, c: (d, o, None if c is None else c.key())
+    return ([entry(*e) for e in kids],
+            [(v, None if e is None else entry(*e)) for v, e in loads.items()])
+
+
+def test_successors_match_stepping_each_candidate():
+    # on opaque states (about a third of the scalars and cells OPAQUE, as a
+    # group's abstract state holds), at both flags, along random runs: the
+    # same directives in the same order, observations, successor keys and
+    # stuck steps, and a SecretDependence exactly where stepping each
+    # candidate raises one, so a group sweep settles the same groups
+    rng = random.Random(37)
+    seen = {name: collections.Counter() for name in ("spec", "fislh", "fvslh", "fs")}
+    for _ in range(250):
+        com = gen_program(rng.randrange(10**9), 20, _POOLS)
+        P, PA = random_labeling(rng, _POOLS)
+        rho, mu = random_state(rng, _POOLS, max_value=1, max_array_size=3)
+        opaque = lambda v: OPAQUE if rng.random() < 0.3 else v
+        rho = ScalarState({n: opaque(rho.get(n)) for n in _POOLS.scalars})
+        mu = ArrayState({n: tuple(map(opaque, vec)) for n, vec in mu.items()})
+        for name, sem, start in _starts(com, P, PA):
+            for flag in (False, True):
+                cfg = start(rho, mu, flag)
+                for _ in range(12):
+                    cfg, _, kind = sem.advance(cfg, 100)
+                    if kind is not None:
+                        break
+                    got = _decided(type(sem).successors, sem, cfg)
+                    assert got == _decided(_stepped_each, sem, cfg), (name, pretty_com(com))
+                    if got == "SecretDependence":
+                        seen[name]["raised"] += 1
+                        break
+                    kids, loads = sem.successors(cfg)
+                    seen[name]["stepped"] += 1
+                    seen[name]["loads"] += bool(loads)
+                    seen[name]["stores"] += any(isinstance(d, DStore) for d, _, _ in kids)
+                    seen[name]["stuck"] += any(e[2] is None for e in kids) or None in loads.values()
+                    nxt = [c for _, _, c in kids if c is not None]
+                    nxt += [e[2] for e in loads.values() if e is not None]
+                    if not nxt:
+                        break
+                    cfg = rng.choice(nxt)
+    for name, counts in seen.items():
+        assert min(counts[k] for k in ("raised", "loads", "stores")) >= 15, (name, counts)
+        # the speculative semantics lists only candidates some rule consumes
+        assert (counts["stuck"] > 50) == (name != "spec"), (name, counts)
+
+
+def _assert_refines(a, c):
+    """The concrete configuration ``c`` agrees with the abstract ``a`` on
+    the command, the flag and the dynamic labels, and on every scalar and
+    array cell where ``a`` does not hold ``OPAQUE``."""
+    assert focus_ids(a.redex, a.k) == focus_ids(c.redex, c.k)
+    assert a.flag == c.flag
+    if isinstance(a, FsIdealConfig):
+        assert (a.pc, a.P, a.PA) == (c.pc, c.P, c.PA)
+    for n in a.rho.names() | c.rho.names():
+        v = a.rho.get(n)
+        assert v is OPAQUE or v == c.rho.get(n), n
+    assert a.mu.names() == c.mu.names()
+    for n, vec in a.mu.items():
+        assert len(vec) == c.mu.size(n)
+        assert all(v is OPAQUE or v == w for v, w in zip(vec, c.mu.vector(n))), n
+
+
+def _cell(cfg, d):
+    """The value the load ``d`` reads at ``cfg``: its load class."""
+    return cfg.mu.vector(d.array)[d.index]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**9))
+def test_an_abstract_successors_call_agrees_with_its_concretizations(seed):
+    # two states with independent scalars and the same arrays up to a few
+    # redrawn cells, and their abstract state (``seccheck._abstract_state``):
+    # along a random run, every ``successors`` call on the abstract
+    # configuration that raises no SecretDependence decides the candidates
+    # as it does on each state (directives, stuck steps, observations), and
+    # each successor agrees with theirs wherever it is not OPAQUE.  An
+    # OPAQUE cell is one load class in the abstract state and may be several
+    # in a concrete one: each concrete class must step as the abstract class
+    # of its first load's cell does
+    rng = random.Random(seed)
+    com = gen_program(rng.randrange(10**9), 10, _POOLS)
+    P, PA = random_labeling(rng, _POOLS)
+    rho1, mu1 = random_state(rng, _POOLS, max_value=2)
+    rho2 = random_state(rng, _POOLS, max_value=2)[0]
+    mu2 = ArrayState({n: tuple(rng.randrange(3) if rng.random() < 0.4 else v for v in vec)
+                      for n, vec in mu1.items()})
+    states = [(rho1, mu1), (rho2, mu2)]
+    abstract = _abstract_state(states, [0, 1])
+    flag = rng.random() < 0.5
+    for name, sem, start in _starts(com, P, PA):
+        a, cs = start(*abstract, flag), [start(*s, flag) for s in states]
+        for _ in range(10):
+            a, used, kind = sem.advance(a, 200)
+            advanced = [sem.advance(c, 200) for c in cs]
+            assert all(out[1:] == (used, kind) for out in advanced), name
+            cs = [out[0] for out in advanced]
+            for c in cs:
+                _assert_refines(a, c)
+            if kind is not None:
+                break
+            try:
+                kids, loads = sem.successors(a)
+            except SecretDependence:
+                break
+            concrete = [sem.successors(c) for c in cs]
+            for c, (ckids, cloads) in zip(cs, concrete):
+                assert [(d, o, s is None) for d, o, s in ckids] == \
+                    [(d, o, s is None) for d, o, s in kids], name
+                for (_, _, s), (_, _, cs_) in zip(kids, ckids):
+                    if s is not None:
+                        _assert_refines(s, cs_)
+                assert bool(cloads) == bool(loads), name
+                for v, d in sem.classes(c)[1].items():
+                    e, ce = loads[_cell(a, d)], cloads[v]
+                    assert (e is None) == (ce is None), (name, d)
+                    if e is not None:
+                        assert e[1] == ce[1], (name, d)
+                        _assert_refines(e[2], ce[2])
+            options = [(d, s) for d, _, s in kids if s is not None]
+            options += [(e[0], e[2]) for e in loads.values() if e is not None]
+            if not options:
+                break
+            d, a = rng.choice(options)
+            if isinstance(d, DLoad):
+                cs = [cloads[_cell(c, d)][2] for c, (_, cloads) in zip(cs, concrete)]
+            else:
+                cs = [next(s for e, _, s in ckids if e == d) for ckids, _ in concrete]
