@@ -390,9 +390,9 @@ class _Tree:
     ``sem.successors`` call the first time a walk reaches it: its
     candidates that are not loads, in dir_sort_key order (the order the
     semantics list them in), and one load per class (loads of one class
-    step alike, see ``spec_sem.candidate_classes``).  A node's subtree depends only on its
-    key (``cfg.key()``, fuel, depth), so ``nodes`` makes the tree a DAG with
-    one node per key."""
+    step alike, see ``spec_sem.candidate_classes``).  A node's subtree
+    depends only on its key (``cfg.key()``, fuel, depth), so ``nodes``
+    makes the tree a DAG with one node per key."""
 
     __slots__ = ("sem", "max_dirs", "nodes", "root")
 
